@@ -24,9 +24,7 @@ from .errors import (
     OutsideValidityRegion,
 )
 from .gaussian import GaussianApprox, scalar_gaussian
-from .transforms import BasisTransform
-
-_SCALAR_FAMILIES = ("exponential", "gamma", "inverse_gamma", "chi_squared", "beta")
+from .transforms import FAMILY_BASES, BasisTransform
 
 
 def _as_basis(basis, K=None, p=None):
@@ -39,6 +37,11 @@ def _as_basis(basis, K=None, p=None):
             return BasisTransform(basis, p=p)
         return BasisTransform(basis)
     raise TypeError("basis must be a BasisTransform or a tag string")
+
+
+def _basis_for(params, basis):
+    """`basis` resolved against the K or p of `params`."""
+    return _as_basis(basis, K=getattr(params, "K", None), p=getattr(params, "p", None))
 
 
 # ---------------------------------------------------------------------------
@@ -54,21 +57,25 @@ def _inv_check(cond, message):
         raise DomainMismatch(message)
 
 
-def _valid_all(**kw):
-    first = np.asarray(next(iter(kw.values())), dtype=float)
-    return np.ones(np.shape(first), dtype=bool)
+def _positive(*fields):
+    """Elementwise: every field finite and > 0."""
+    ok = True
+    for value in fields:
+        value = np.asarray(value, dtype=float)
+        ok = ok & np.isfinite(value) & (value > 0.0)
+    return ok
 
 
 _SCALAR_ROWS = {
     ("exponential", "log"): _row(
         "all lambda > 0",
-        lambda lam: _valid_all(lam=lam),
+        lambda lam: _positive(lam),
         lambda lam: (-np.log(lam), np.ones_like(np.asarray(lam, dtype=float))),
         lambda mu, var: {"lam": np.exp(-mu)},
     ),
     ("exponential", "sqrt"): _row(
         "all lambda > 0",
-        lambda lam: _valid_all(lam=lam),
+        lambda lam: _positive(lam),
         lambda lam: (np.sqrt(0.5 / lam), 0.25 / lam),
         lambda mu, var: (
             _inv_check(mu > 0.0, "sqrt image has positive mean"),
@@ -77,13 +84,13 @@ _SCALAR_ROWS = {
     ),
     ("gamma", "log"): _row(
         "all alpha, lambda > 0",
-        lambda alpha, lam: _valid_all(alpha=alpha),
+        lambda alpha, lam: _positive(alpha, lam),
         lambda alpha, lam: (np.log(alpha / lam), 1.0 / alpha),
         lambda mu, var: {"alpha": 1.0 / var, "lam": np.exp(-mu) / var},
     ),
     ("gamma", "sqrt"): _row(
         "alpha > 1/2",
-        lambda alpha, lam: np.asarray(alpha, dtype=float) > 0.5,
+        lambda alpha, lam: _positive(alpha, lam) & (np.asarray(alpha, dtype=float) > 0.5),
         lambda alpha, lam: (np.sqrt((alpha - 0.5) / lam), 0.25 / lam),
         lambda mu, var: (
             _inv_check(mu > 0.0, "sqrt image has positive mean"),
@@ -92,13 +99,13 @@ _SCALAR_ROWS = {
     ),
     ("inverse_gamma", "log"): _row(
         "all alpha, lambda > 0",
-        lambda alpha, lam: _valid_all(alpha=alpha),
+        lambda alpha, lam: _positive(alpha, lam),
         lambda alpha, lam: (np.log(lam / alpha), 1.0 / alpha),
         lambda mu, var: {"alpha": 1.0 / var, "lam": np.exp(mu) / var},
     ),
     ("inverse_gamma", "sqrt"): _row(
         "all alpha, lambda > 0",
-        lambda alpha, lam: _valid_all(alpha=alpha),
+        lambda alpha, lam: _positive(alpha, lam),
         lambda alpha, lam: (
             np.sqrt(lam / (alpha + 0.5)),
             lam / (4.0 * (alpha + 0.5) ** 2),
@@ -110,13 +117,13 @@ _SCALAR_ROWS = {
     ),
     ("chi_squared", "log"): _row(
         "all k > 0",
-        lambda k: _valid_all(k=k),
+        lambda k: _positive(k),
         lambda k: (np.log(k), 2.0 / k),
         lambda mu, var: {"k": np.exp(mu)},
     ),
     ("chi_squared", "sqrt"): _row(
         "k > 1",
-        lambda k: np.asarray(k, dtype=float) > 1.0,
+        lambda k: _positive(k) & (np.asarray(k, dtype=float) > 1.0),
         lambda k: (np.sqrt(k - 1.0), np.full(np.shape(np.asarray(k, dtype=float)), 0.5)),
         lambda mu, var: (
             _inv_check(mu > 0.0, "sqrt image has positive mean"),
@@ -125,7 +132,7 @@ _SCALAR_ROWS = {
     ),
     ("beta", "logit"): _row(
         "all alpha, beta > 0",
-        lambda alpha, beta: _valid_all(alpha=alpha),
+        lambda alpha, beta: _positive(alpha, beta),
         lambda alpha, beta: (
             np.log(alpha / beta),
             (alpha + beta) / (alpha * beta),
@@ -136,18 +143,6 @@ _SCALAR_ROWS = {
         },
     ),
 }
-
-_TAG_FOR_FAMILY = {
-    "exponential": ("log", "sqrt"),
-    "gamma": ("log", "sqrt"),
-    "inverse_gamma": ("log", "sqrt"),
-    "chi_squared": ("log", "sqrt"),
-    "beta": ("logit",),
-    "dirichlet": ("softmax_inverse",),
-    "wishart": ("matrix_log", "matrix_sqrt"),
-    "inverse_wishart": ("matrix_log", "matrix_sqrt"),
-}
-
 
 def _params_arrays(params):
     fields = distributions.param_fields(params.family)
@@ -338,55 +333,12 @@ def _matrix_inverse(g, family, tag, structured_sigma):
 # public API
 
 
-class BridgeSpec:
-    """One (family, basis) bridge row."""
-
-    __slots__ = ("family", "basis", "validity", "bijective", "needs_structured_sigma")
-
-    def __init__(self, family, basis):
-        basis = _as_basis(basis)
-        if family not in distributions.FAMILIES:
-            raise ValueError(f"unknown family {family!r}")
-        if basis.tag not in _TAG_FOR_FAMILY[family]:
-            raise IncompatibleBasis(f"no bridge row for ({family}, {basis!r})")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "basis", basis)
-        key = (family, basis.tag)
-        if key in _SCALAR_ROWS:
-            validity = _SCALAR_ROWS[key]["validity"]
-        elif basis.tag == "softmax_inverse":
-            validity = "all alpha > 0"
-        elif key == ("wishart", "matrix_sqrt"):
-            validity = "n > p"
-        elif family == "wishart":
-            validity = "n > p - 1"
-        else:
-            validity = "nu > p - 1"
-        object.__setattr__(self, "validity", validity)
-        object.__setattr__(self, "bijective", basis.tag != "softmax_inverse")
-        object.__setattr__(
-            self, "needs_structured_sigma", basis.tag == "matrix_sqrt"
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BridgeSpec is immutable")
-
-    def forward(self, params):
-        return lm_forward(params, self.basis)
-
-    def inverse(self, g, structured_sigma=False):
-        return lm_inverse(g, self.family, self.basis, structured_sigma=structured_sigma)
-
-    def __repr__(self):
-        return f"BridgeSpec({self.family}, {self.basis!r})"
-
-
 def bridge_rows():
     """All bridge rows as (family, basis tag) pairs, matrix sizes elided."""
     return [
         (family, tag)
         for family in distributions.FAMILIES
-        for tag in _TAG_FOR_FAMILY[family]
+        for tag in FAMILY_BASES[family][1:]
     ]
 
 
@@ -423,7 +375,7 @@ def bridge_table():
 
 def bridge_valid(params, basis):
     """Whether `params` lies in the validity region of the bridge row."""
-    basis = _as_basis(basis, K=getattr(params, "K", None), p=getattr(params, "p", None))
+    basis = _basis_for(params, basis)
     if basis.tag == "identity":
         return standard_valid(params)
     key = (params.family, basis.tag)
@@ -496,11 +448,11 @@ def standard_laplace(params):
 
 def lm_forward(params, basis):
     """Map parameters to the matched Gaussian in the given basis."""
-    basis = _as_basis(basis, K=getattr(params, "K", None), p=getattr(params, "p", None))
+    basis = _basis_for(params, basis)
     fam = params.family
     if basis.tag == "identity":
         return standard_laplace(params)
-    if basis.tag not in _TAG_FOR_FAMILY[fam]:
+    if basis.tag not in FAMILY_BASES[fam][1:]:
         raise IncompatibleBasis(f"no bridge row for ({fam}, {basis!r})")
     key = (fam, basis.tag)
     if key in _SCALAR_ROWS:
@@ -549,7 +501,11 @@ def inverse_arrays(family, tag, mu, var):
         raise IncompatibleBasis(f"no vectorized scalar bridge row for {key}")
     mu = np.asarray(mu, dtype=float)
     var = np.asarray(var, dtype=float)
-    if np.any(var <= 0.0):
+    # array methods, not np.all/np.any: the pipelines call this once per
+    # query point, where the dispatch overhead of np.all dominates
+    if not (np.isfinite(mu).all() and np.isfinite(var).all()):
+        raise DomainMismatch("means and variances must be finite")
+    if (var <= 0.0).any():
         raise DomainMismatch("variances must be positive")
     return _SCALAR_ROWS[key]["inv"](mu, var)
 
@@ -566,7 +522,7 @@ def lm_inverse(g, family, basis, structured_sigma=False):
             "the identity basis is not a bridge row; the standard-basis "
             "Laplace approximation has no parameter inverse here"
         )
-    if basis.tag not in _TAG_FOR_FAMILY[family]:
+    if basis.tag not in FAMILY_BASES[family][1:]:
         raise IncompatibleBasis(f"no bridge row for ({family}, {basis!r})")
     key = (family, basis.tag)
     if key in _SCALAR_ROWS:

@@ -52,17 +52,6 @@ _BASIS_ALIASES = {
     "matrix_sqrt": "matrix_sqrt",
     "sqrtm": "matrix_sqrt",
 }
-# CLI sweeps default to the transformed bases; identity is opt-in.
-_SWEEP_BASES = {
-    "exponential": ("log", "sqrt"),
-    "gamma": ("log", "sqrt"),
-    "inverse_gamma": ("log", "sqrt"),
-    "chi_squared": ("log", "sqrt"),
-    "beta": ("logit",),
-    "dirichlet": ("softmax_inverse",),
-    "wishart": ("matrix_log", "matrix_sqrt"),
-    "inverse_wishart": ("matrix_log", "matrix_sqrt"),
-}
 
 
 class UsageError(Exception):
@@ -450,10 +439,7 @@ def cmd_bridge(args):
     record = {"family": family, "basis": tag, "direction": args.direction}
     if args.direction == "forward":
         params = _bridge_params(args, family)
-        basis = bridges._as_basis(
-            tag, K=getattr(params, "K", None), p=getattr(params, "p", None)
-        )
-        gauss = bridges.lm_forward(params, basis)
+        gauss = bridges.lm_forward(params, tag)
         if gauss.mean.size == 1:
             # + 0.0 folds IEEE -0.0 into 0.0 for the printed record
             record["mu"] = gauss.mu + 0.0
@@ -671,7 +657,8 @@ def cmd_distances(args):
     family = _family_arg(args.family)
     seed = _default_seed() if args.seed is None else int(args.seed)
     if args.bases is None:
-        bases = _SWEEP_BASES[family]
+        # CLI sweeps default to the bridge rows; identity is opt-in.
+        bases = transforms.FAMILY_BASES[family][1:]
     else:
         bases = tuple(_basis_arg(b) for b in args.bases.split(","))
     metrics = (
@@ -773,15 +760,13 @@ def oracle_rows(families, bases=None, tol=1e-6, rt_tol=1e-9, corrupt_inverse=Fal
     """
     rows = []
     for family in families:
-        family_bases = diagnostics._FAMILY_BASES[family]
+        family_bases = transforms.FAMILY_BASES[family]
         selected = family_bases if bases is None else [
             b for b in bases if b in family_bases
         ]
         for tag in selected:
             for gi, params in enumerate(diagnostics.default_grid(family)):
-                basis = bridges._as_basis(
-                    tag, K=getattr(params, "K", None), p=getattr(params, "p", None)
-                )
+                basis = bridges._basis_for(params, tag)
                 try:
                     fwd_dev, gauss = _closed_vs_numeric(params, basis)
                 except LaplaceMatchError as exc:

@@ -24,8 +24,6 @@ from .errors import (
 )
 from .gaussian import GaussianApprox
 
-_SCALAR_FAMILIES = ("exponential", "gamma", "inverse_gamma", "chi_squared", "beta")
-
 
 def _gauss_logpdf(z, mean, cov):
     """Multivariate normal log-density; z has shape (..., d)."""
@@ -61,12 +59,10 @@ def gauss_latent(g):
 
 def latent_samples(params, basis, n, seed):
     """Exact samples mapped to the working latent coordinates of the basis."""
-    basis = bridges._as_basis(
-        basis, K=getattr(params, "K", None), p=getattr(params, "p", None)
-    )
+    basis = bridges._basis_for(params, basis)
     x = distributions.sample(params, seed, n)
     fam = params.family
-    if fam in _SCALAR_FAMILIES:
+    if fam in distributions._SCALAR_FAMILIES:
         return transforms.transform_samples(x, basis, "forward")
     if fam == "dirichlet":
         if basis.tag == "identity":
@@ -109,9 +105,7 @@ def mc_kl(params, basis=None, gauss=None, n=10**6, seed=0):
         return float(np.mean(diff)), float(np.std(diff, ddof=1) / np.sqrt(n))
     if basis is None:
         raise SupportMismatch("EFParams input needs a basis")
-    basis = bridges._as_basis(
-        basis, K=getattr(params, "K", None), p=getattr(params, "p", None)
-    )
+    basis = bridges._basis_for(params, basis)
     if gauss is None:
         gauss = bridges.lm_forward(params, basis)
     z = latent_samples(params, basis, n, seed)
@@ -316,16 +310,8 @@ def default_grid(family):
     raise ValueError(f"unknown family {family!r}")
 
 
-_FAMILY_BASES = {
-    "exponential": ("identity", "log", "sqrt"),
-    "gamma": ("identity", "log", "sqrt"),
-    "inverse_gamma": ("identity", "log", "sqrt"),
-    "chi_squared": ("identity", "log", "sqrt"),
-    "beta": ("identity", "logit"),
-    "dirichlet": ("identity", "softmax_inverse"),
-    "wishart": ("identity", "matrix_log", "matrix_sqrt"),
-    "inverse_wishart": ("identity", "matrix_log", "matrix_sqrt"),
-}
+# The benchmark (bench/workloads.py) reads the catalogue under this name.
+_FAMILY_BASES = transforms.FAMILY_BASES
 
 
 class DistanceReport:
@@ -377,10 +363,7 @@ class DistanceReport:
         }
 
 
-def _sweep_row(family, params, basis_tag, metrics, n, mmd_points, row_seed):
-    basis = bridges._as_basis(
-        basis_tag, K=getattr(params, "K", None), p=getattr(params, "p", None)
-    )
+def _sweep_row(family, params, basis, metrics, n, mmd_points, row_seed):
     ss = np.random.SeedSequence(row_seed)
     kl_seed, mmd_seed, gauss_seed = [s.generate_state(1)[0] for s in ss.spawn(3)]
     try:
@@ -435,9 +418,9 @@ def distance_sweep(
     if family not in distributions.FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     grid = default_grid(family) if grid is None else list(grid)
-    bases = _FAMILY_BASES[family] if bases is None else tuple(bases)
+    bases = transforms.FAMILY_BASES[family] if bases is None else tuple(bases)
     if n is None:
-        n = 10**6 if family in _SCALAR_FAMILIES else 10**5
+        n = 10**6 if family in distributions._SCALAR_FAMILIES else 10**5
     tasks = []
     for gi, params in enumerate(grid):
         for basis_tag in bases:

@@ -17,6 +17,8 @@ DEFAULT_EPSILON_A = 0.01
 
 _SCALAR_FAMILIES = ("exponential", "gamma", "inverse_gamma", "chi_squared", "beta")
 FAMILIES = _SCALAR_FAMILIES + ("dirichlet", "wishart", "inverse_wishart")
+# Families with an observation model in `conjugate_update`.
+CONJUGATE_FAMILIES = ("beta", "gamma", "dirichlet", "inverse_wishart")
 
 _FIELDS = {
     "exponential": ("lam",),

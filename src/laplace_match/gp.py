@@ -3,8 +3,7 @@
 The GP layer consumes heteroskedastic Gaussian observations (mu_i, sigma_i)
 of latent function values; sigma may be a scalar, per-point variances, or a
 dense/block-diagonal covariance. Noise enters training only; predictions are
-for the noise-free latent function. The prior mean is constant (zero unless
-stated) or a callable of the inputs.
+for the noise-free latent function. The prior mean is zero.
 
 build_inducing_set performs the conjugacy-based reduction: k-means++ cluster
 centers over the inputs, one folded pseudo-likelihood per cluster, one
@@ -91,12 +90,6 @@ class Kernel:
         """Scalar hyperparameters as {name: value} (leaf kernels only)."""
         return {}
 
-    def with_params(self, **updates):
-        """Clone with updated scalar hyperparameters."""
-        if updates:
-            raise ValueError(f"{self.tag} has no parameters {sorted(updates)}")
-        return self
-
     def to_record(self):
         rec = {"kernel": self.tag, **self.params()}
         if self.dims is not None:
@@ -128,9 +121,6 @@ class RBF(Kernel):
     def params(self):
         return {"lengthscale": self.lengthscale, "variance": self.variance}
 
-    def with_params(self, **updates):
-        return RBF(dims=self.dims, **{**self.params(), **updates})
-
 
 class RationalQuadratic(Kernel):
     """k(x, z) = variance * (1 + ||x - z||^2 / (2 alpha l^2))^(-alpha)."""
@@ -156,9 +146,6 @@ class RationalQuadratic(Kernel):
             "variance": self.variance,
         }
 
-    def with_params(self, **updates):
-        return RationalQuadratic(dims=self.dims, **{**self.params(), **updates})
-
 
 class Linear(Kernel):
     """k(x, z) = variance * <x, z> + offset."""
@@ -177,9 +164,6 @@ class Linear(Kernel):
 
     def params(self):
         return {"variance": self.variance, "offset": self.offset}
-
-    def with_params(self, **updates):
-        return Linear(dims=self.dims, **{**self.params(), **updates})
 
 
 class LookupTable(Kernel):
@@ -259,11 +243,6 @@ class Product(Kernel):
         return {"kernel": "product", "terms": [t.to_record() for t in self.terms]}
 
 
-def kernel_matrix(kernel, X, Z=None):
-    """Gram matrix k(X, Z); Z defaults to X."""
-    return kernel(X, Z)
-
-
 def median_lengthscale(X):
     """Median pairwise distance, the documented default RBF lengthscale."""
     X = _as_inputs(X)
@@ -309,12 +288,11 @@ def _coerce_noise(sigma, n):
 class GPModel:
     """Fitted GP state; immutable after fit."""
 
-    def __init__(self, kernel, X, mu, noise, mean, jitter, state):
+    def __init__(self, kernel, X, mu, noise, jitter, state):
         self.kernel = kernel
         self.X = X
         self.mu = mu
         self.noise = noise
-        self.mean = mean
         self.jitter = jitter
         self._state = state
 
@@ -322,22 +300,11 @@ class GPModel:
     def n(self):
         return self.X.shape[0]
 
-    def mean_at(self, X):
-        X = _as_inputs(X)
-        if callable(self.mean):
-            return np.broadcast_to(np.asarray(self.mean(X), dtype=float), (X.shape[0],)).copy()
-        return np.full(X.shape[0], float(self.mean))
-
-    @property
-    def chol(self):
-        """Cached lower factor of K_XX + Sigma_X (+ recorded jitter)."""
-        return self._state.get("L")
-
     def __repr__(self):
         return f"GPModel(n={self.n}, jitter={self.jitter:g})"
 
 
-def gp_fit(kernel, X, mu, sigma, mean=0.0):
+def gp_fit(kernel, X, mu, sigma):
     """Fit a GP to Gaussian pseudo-observations.
 
     Args:
@@ -347,7 +314,6 @@ def gp_fit(kernel, X, mu, sigma, mean=0.0):
         sigma: observation noise, used in training only. Scalar, per-point
             variances (n,), dense covariance (n, n), or a list of square
             blocks laid out along the diagonal.
-        mean: constant prior mean, or a callable X -> (n,).
 
     An empty dataset returns the prior. Refitting identical inputs is
     bit-identical; the Cholesky jitter actually used is recorded on the
@@ -360,12 +326,11 @@ def gp_fit(kernel, X, mu, sigma, mean=0.0):
         raise DimensionMismatch(f"mu must have shape ({n},)")
     noise = _coerce_noise(sigma, n) if n else np.zeros((0, 0))
     if n == 0:
-        return GPModel(kernel, X, mu, noise, mean, 0.0, {})
+        return GPModel(kernel, X, mu, noise, 0.0, {})
     K = kernel(X, X)
     L, jitter = chol_with_jitter(K + noise)
-    prior = mean(X) if callable(mean) else np.full(n, float(mean))
-    alpha = np.linalg.solve(L.T, np.linalg.solve(L, mu - prior))
-    return GPModel(kernel, X, mu, noise, mean, jitter, {"L": L, "alpha": alpha})
+    alpha = np.linalg.solve(L.T, np.linalg.solve(L, mu))
+    return GPModel(kernel, X, mu, noise, jitter, {"L": L, "alpha": alpha})
 
 
 def gp_predict(model, Xstar, want_cov=False):
@@ -377,14 +342,14 @@ def gp_predict(model, Xstar, want_cov=False):
     """
     Xs = _as_inputs(Xstar)
     kernel = model.kernel
-    mean = model.mean_at(Xs)
     if model.n == 0:
+        mean = np.zeros(Xs.shape[0])
         cov = kernel(Xs, Xs)
         if want_cov:
             return mean, 0.5 * (cov + cov.T)
         return mean, np.maximum(np.diag(cov).copy(), 0.0)
     ks = kernel(Xs, model.X)
-    mean = mean + ks @ model._state["alpha"]
+    mean = ks @ model._state["alpha"]
     v = np.linalg.solve(model._state["L"], ks.T)
     if want_cov:
         cov = kernel(Xs, Xs) - v.T @ v
@@ -405,21 +370,6 @@ def gp_sample(model, Xstar, seed=0, count=1):
     root = _psd_root(cov)
     rng = np.random.default_rng(seed)
     return mean + rng.standard_normal((count, mean.size)) @ root.T
-
-
-def log_marginal_likelihood(kernel, X, mu, sigma, mean=0.0):
-    """Gaussian log evidence of pseudo-observations under the GP prior."""
-    X = _as_inputs(X)
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    n = X.shape[0]
-    noise = _coerce_noise(sigma, n)
-    L, _ = chol_with_jitter(kernel(X, X) + noise)
-    prior = mean(X) if callable(mean) else np.full(n, float(mean))
-    resid = mu - prior
-    alpha = np.linalg.solve(L.T, np.linalg.solve(L, resid))
-    return float(
-        -0.5 * resid @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * n * np.log(2.0 * np.pi)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -491,28 +441,13 @@ def kmeanspp(X, k, seed=0, max_iter=100):
     return centers, assign, iterations
 
 
-_DEFAULT_BASIS = {
-    "beta": "logit",
-    "gamma": "log",
-    "dirichlet": "softmax_inverse",
-    "inverse_wishart": "matrix_log",
-}
-
-
 def _resolve_basis(family, basis, Y):
+    """The given basis, or the family's first bridge row; K or p from Y."""
     if basis is None:
-        basis = _DEFAULT_BASIS.get(family)
-        if basis is None:
+        if family not in distributions.CONJUGATE_FAMILIES:
             raise NonConjugatePair(f"no conjugate observation model for family {family!r}")
-    if isinstance(basis, transforms.BasisTransform):
-        return basis
-    if basis == "softmax_inverse":
-        return transforms.softmax_inverse(Y.shape[-1])
-    if basis == "matrix_log":
-        return transforms.matrix_log(Y.shape[-1])
-    if basis == "matrix_sqrt":
-        return transforms.matrix_sqrt(Y.shape[-1])
-    return transforms.BasisTransform(basis)
+        basis = transforms.FAMILY_BASES[family][1]
+    return bridges._as_basis(basis, K=Y.shape[-1], p=Y.shape[-1])
 
 
 def build_inducing_set(data, k, family, seed=0, epsilon_a=None, basis=None,
@@ -564,58 +499,3 @@ def build_inducing_set(data, k, family, seed=0, epsilon_a=None, basis=None,
         params.append(theta)
         gauss.append(bridges.lm_forward(theta, b))
     return InducingSet(centers, params, gauss, assign, seed, iterations)
-
-
-# ---------------------------------------------------------------------------
-# hyperparameter search
-
-
-def _leaves(kernel):
-    if isinstance(kernel, (Sum, Product)):
-        out = []
-        for term in kernel.terms:
-            out.extend(_leaves(term))
-        return out
-    return [kernel]
-
-
-def _rebuild(kernel, leaf_index, new_leaf, counter=None):
-    counter = counter if counter is not None else [0]
-    if isinstance(kernel, (Sum, Product)):
-        return type(kernel)(
-            *[_rebuild(t, leaf_index, new_leaf, counter) for t in kernel.terms]
-        )
-    idx = counter[0]
-    counter[0] += 1
-    return new_leaf if idx == leaf_index else kernel
-
-
-def optimize_hyperparams(kernel, X, mu, sigma, mean=0.0, rounds=2,
-                         grid=(0.25, 0.5, 1.0, 2.0, 4.0)):
-    """Gradient-free coordinate search over leaf scalar hyperparameters.
-
-    Each round tries multiplicative factors per parameter and keeps the log
-    marginal likelihood argmax; the factor grid contracts between rounds.
-    A calibration utility only; no pipeline calls it.
-    """
-    best = log_marginal_likelihood(kernel, X, mu, sigma, mean=mean)
-    factors = np.asarray(grid, dtype=float)
-    for _ in range(rounds):
-        for leaf_idx, leaf in enumerate(_leaves(kernel)):
-            for name, value in leaf.params().items():
-                if value == 0.0:
-                    continue
-                for f in factors:
-                    if f == 1.0:
-                        continue
-                    try:
-                        cand_leaf = leaf.with_params(**{name: value * f})
-                        cand = _rebuild(kernel, leaf_idx, cand_leaf)
-                        lml = log_marginal_likelihood(cand, X, mu, sigma, mean=mean)
-                    except (ValueError, NotPositiveDefinite):
-                        continue
-                    if lml > best:
-                        best = lml
-                        kernel = cand
-        factors = np.sqrt(factors)
-    return kernel, best

@@ -31,8 +31,6 @@ from .gaussian import GaussianApprox
 
 QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
 
-_SCALAR_FAMILIES = ("beta", "gamma")
-
 
 class Dataset:
     """Observation batch: inputs X (n, d) and family-appropriate targets Y.
@@ -44,6 +42,8 @@ class Dataset:
 
     def __init__(self, X, Y):
         self.X = gp._as_inputs(X) if np.size(X) else np.zeros((0, 1))
+        if not np.all(np.isfinite(self.X)):
+            raise InvalidParams("inputs X must be finite")
         self.Y = np.asarray(Y, dtype=float)
         if self.Y.shape[:1] != (self.X.shape[0],):
             raise DimensionMismatch("X and Y must agree on the point count")
@@ -76,13 +76,13 @@ class LMGPConfig:
         seed: drives sampling and clustering; same seed, same outputs.
         version: "v1" or "v2".
         dirichlet_prior: per-category Dirichlet pseudo-count.
-        draws: data-domain sample count per prediction point.
+        draws: data-domain sample count per prediction point (>= 1).
     """
 
     def __init__(self, family, basis=None, kernel=None, coord_kernel=None,
                  epsilon_a=None, inducing=None, seed=0, version="v1",
                  dirichlet_prior=1.0, draws=1000):
-        if family not in ("beta", "gamma", "dirichlet", "inverse_wishart"):
+        if family not in distributions.CONJUGATE_FAMILIES:
             raise InvalidParams(f"no observation model for family {family!r}")
         self.family = family
         self.basis = basis
@@ -100,6 +100,8 @@ class LMGPConfig:
         self.version = version
         self.dirichlet_prior = float(dirichlet_prior)
         self.draws = int(draws)
+        if self.draws < 1:
+            raise InvalidParams("draws must be >= 1")
 
     def resolve_basis(self, Y):
         return gp._resolve_basis(self.family, self.basis, Y)
@@ -191,7 +193,7 @@ class Prediction:
 
 
 def _basis_width(basis, family):
-    if family in _SCALAR_FAMILIES:
+    if family in distributions._SCALAR_FAMILIES:
         return 1
     if family == "dirichlet":
         return basis.K
@@ -254,6 +256,8 @@ def _latent_to_gauss(family, mean_block, cov_block, basis):
 
 
 def _validate_targets(family, Y):
+    if not np.all(np.isfinite(Y)):
+        raise InvalidParams("targets Y must be finite")
     if family == "beta":
         if Y.ndim != 1 or (Y.size and not np.all(np.isin(Y, (0.0, 1.0)))):
             raise InvalidParams("beta targets must be 0/1 labels")
@@ -280,7 +284,7 @@ def _lm_v1(data, config, basis):
     """Per-point pseudo-likelihoods bridged to latent Gaussians."""
     fam = config.family
     eps = config.epsilon_a
-    if fam in _SCALAR_FAMILIES:
+    if fam in distributions._SCALAR_FAMILIES:
         fields = _scalar_pseudo_arrays(fam, data.Y, eps)
         return bridges.forward_arrays(fam, basis.tag, **fields)
     if fam == "dirichlet":
@@ -331,7 +335,7 @@ def _lm_v2(data, config, basis, prior_model):
     fam = config.family
     width = _basis_width(basis, fam)
     m0, c0 = _prior_marginals(prior_model, config, data, basis, width)
-    if fam in _SCALAR_FAMILIES:
+    if fam in distributions._SCALAR_FAMILIES:
         fields0 = bridges.inverse_arrays(fam, basis.tag, m0, np.asarray(c0))
         # the conjugate fold, applied across the whole batch at once
         if fam == "beta":
@@ -453,7 +457,7 @@ def _run(data, config, X_query, prior_model):
         if config.version != "v2":
             raise EmptyDataset("pipeline needs at least one observation")
         # posterior equals prior when nothing was observed
-        if config.family not in _SCALAR_FAMILIES and not isinstance(
+        if config.family not in distributions._SCALAR_FAMILIES and not isinstance(
             config.basis, transforms.BasisTransform
         ):
             raise EmptyDataset(

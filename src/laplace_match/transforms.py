@@ -34,7 +34,10 @@ _EPS = np.finfo(float).eps
 
 _SCALAR_POSITIVE = ("exponential", "gamma", "inverse_gamma", "chi_squared")
 
-_COMPAT = {
+# The family -> basis catalogue. The identity basis comes first; the rest are
+# the closed-form bridge rows, and the first of those is the pipelines'
+# default basis.
+FAMILY_BASES = {
     "exponential": ("identity", "log", "sqrt"),
     "gamma": ("identity", "log", "sqrt"),
     "inverse_gamma": ("identity", "log", "sqrt"),
@@ -298,49 +301,14 @@ def _masked(mask, values):
     return out
 
 
-def _scalar_positive_fns(params):
-    """Return f(z) = exact log density of x for the four positive scalars."""
-    fam = params.family
-    if fam == "exponential":
-        lam = params.lam
-
-        def raw(x):
-            return np.log(lam) - lam * x
-
-    elif fam == "gamma":
-        a, lam = params.alpha, params.lam
-        c = a * np.log(lam) - gammaln(a)
-
-        def raw(x):
-            return c + (a - 1.0) * np.log(x) - lam * x
-
-    elif fam == "inverse_gamma":
-        a, lam = params.alpha, params.lam
-        c = a * np.log(lam) - gammaln(a)
-
-        def raw(x):
-            return c - (a + 1.0) * np.log(x) - lam / x
-
-    else:
-        k = params.k
-        c = -0.5 * k * np.log(2.0) - gammaln(0.5 * k)
-
-        def raw(x):
-            return c + (0.5 * k - 1.0) * np.log(x) - 0.5 * x
-
-    return raw
-
-
 def _scalar_positive_density(params, tag):
     fam = params.family
-    raw = _scalar_positive_fns(params)
-
     if tag == "identity":
 
         def logdens(z):
             mask = np.isfinite(z) & (z > 0.0)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                return _masked(mask, raw(z[mask]))
+                return _masked(mask, distributions.log_pdf(params, z[mask]))
 
         in_domain = lambda z: np.isfinite(z) & (z > 0.0)
         boundary = lambda z: float(np.min(z))
@@ -633,7 +601,7 @@ def _matrix_density(params, tag):
 def push_forward(params, basis):
     """Build the TransformedDensity of `params` under `basis`."""
     fam = params.family
-    if basis.tag not in _COMPAT[fam]:
+    if basis.tag not in FAMILY_BASES[fam]:
         raise IncompatibleBasis(f"basis {basis!r} is not defined for {fam}")
     if basis.tag == "softmax_inverse" and basis.K != params.K:
         raise IncompatibleBasis(

@@ -4,6 +4,8 @@ Numeric-Laplace equivalence over the full grid lives in test_acceptance; here
 the pinned examples and the algebraic inverses are exercised directly.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -342,6 +344,30 @@ class TestVectorizedArrays:
             bridges.forward_arrays(
                 "gamma", "sqrt", alpha=np.array([0.4, 2.0]), lam=np.array([1.0, 1.0])
             )
+
+    @pytest.mark.parametrize(
+        "family,tag",
+        [
+            (family, tag)
+            for family in distributions._SCALAR_FAMILIES
+            for tag in transforms.FAMILY_BASES[family][1:]
+        ],
+    )
+    def test_non_finite_or_non_positive_inputs_raise(self, family, tag):
+        fields = distributions.param_fields(family)
+        good = {name: np.array([3.0, 3.0]) for name in fields}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name in fields:
+                for bad in (np.nan, np.inf, -1.0, 0.0):
+                    with pytest.raises(OutsideValidityRegion):
+                        bridges.forward_arrays(
+                            family, tag, **{**good, name: np.array([3.0, bad])}
+                        )
+            mu, var = bridges.forward_arrays(family, tag, **good)
+            for bad_mu, bad_var in ((np.nan, var[0]), (np.inf, var[0]), (mu[0], np.nan)):
+                with pytest.raises(DomainMismatch):
+                    bridges.inverse_arrays(family, tag, [mu[0], bad_mu], [var[0], bad_var])
 
     def test_bridge_table_lists_rows(self):
         keys = set(bridges.bridge_rows())

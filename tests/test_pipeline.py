@@ -88,6 +88,33 @@ class TestConfigAndDataset:
                 pipeline.Dataset([0.0], [1.5]), pipeline.LMGPConfig("gamma")
             )
 
+    def test_draws_must_be_positive(self):
+        for draws in (0, -1):
+            with pytest.raises(InvalidParams):
+                pipeline.LMGPConfig("beta", draws=draws)
+
+    def test_non_finite_inputs_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidParams):
+                pipeline.Dataset(np.array([[0.0, 1.0], [bad, 2.0]]), np.array([0.0, 1.0]))
+
+    def test_non_finite_targets_rejected(self):
+        cases = (
+            (_binary_data, "beta"),
+            (_count_data, "gamma"),
+            (_categorical_data, "dirichlet"),
+            (_covariance_data, "inverse_wishart"),
+        )
+        for make, family in cases:
+            data = make()
+            for bad in (np.nan, np.inf):
+                Y = data.Y.copy()
+                Y.flat[0] = bad
+                with pytest.raises(InvalidParams):
+                    pipeline.lmgp_v1(
+                        pipeline.Dataset(data.X, Y), pipeline.LMGPConfig(family, draws=10)
+                    )
+
     def test_empty_dataset(self):
         empty = pipeline.Dataset(np.zeros(0), np.zeros(0))
         with pytest.raises(EmptyDataset):
