@@ -378,15 +378,15 @@ def bridge_valid(params, basis):
     basis = _basis_for(params, basis)
     if basis.tag == "identity":
         return standard_valid(params)
+    if basis.tag not in FAMILY_BASES[params.family][1:]:
+        raise IncompatibleBasis(f"no bridge row for ({params.family}, {basis!r})")
     key = (params.family, basis.tag)
     if key in _SCALAR_ROWS:
         arrays = _params_arrays(params)
         return bool(np.all(_SCALAR_ROWS[key]["valid"](**arrays)))
     if key == ("wishart", "matrix_sqrt"):
         return bool(params.n > params.p)
-    if basis.tag in ("softmax_inverse", "matrix_log", "matrix_sqrt"):
-        return True
-    raise IncompatibleBasis(f"no bridge row for ({params.family}, {basis!r})")
+    return True
 
 
 def standard_valid(params):
@@ -501,13 +501,19 @@ def inverse_arrays(family, tag, mu, var):
         raise IncompatibleBasis(f"no vectorized scalar bridge row for {key}")
     mu = np.asarray(mu, dtype=float)
     var = np.asarray(var, dtype=float)
-    # array methods, not np.all/np.any: the pipelines call this once per
-    # query point, where the dispatch overhead of np.all dominates
+    # array methods, not np.all/np.any: lm_inverse calls this once per scalar
+    # Gaussian, where the dispatch overhead of np.all dominates
     if not (np.isfinite(mu).all() and np.isfinite(var).all()):
         raise DomainMismatch("means and variances must be finite")
     if (var <= 0.0).any():
         raise DomainMismatch("variances must be positive")
-    return _SCALAR_ROWS[key]["inv"](mu, var)
+    # extreme but finite means overflow to inf (or underflow to 0) parameters
+    with np.errstate(over="ignore"):
+        fields = _SCALAR_ROWS[key]["inv"](mu, var)
+    for value in fields.values():
+        if not ((value > 0.0).all() and (value < np.inf).all()):
+            raise DomainMismatch("the Gaussian maps outside the finite positive parameters")
+    return fields
 
 
 def lm_inverse(g, family, basis, structured_sigma=False):

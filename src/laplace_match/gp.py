@@ -5,6 +5,13 @@ of latent function values; sigma may be a scalar, per-point variances, or a
 dense/block-diagonal covariance. Noise enters training only; predictions are
 for the noise-free latent function. The prior mean is zero.
 
+gp_predict returns per-point marginals: variances, or with `width` w the
+w x w covariance block of each query point, without forming the joint
+covariance. gp_sample is the joint sampler: its draws keep the cross-point
+correlation, at the cost of the full covariance and its eigendecomposition.
+The pipelines do not use it; their `Prediction.draws` are per-point posterior
+draws with no cross-point correlation.
+
 build_inducing_set performs the conjugacy-based reduction: k-means++ cluster
 centers over the inputs, one folded pseudo-likelihood per cluster, one
 Gaussian per cluster via the bridge. With cluster count equal to the number
@@ -333,35 +340,59 @@ def gp_fit(kernel, X, mu, sigma):
     return GPModel(kernel, X, mu, noise, jitter, {"L": L, "alpha": alpha})
 
 
-def gp_predict(model, Xstar, want_cov=False):
+def gp_predict(model, Xstar, want_cov=False, width=1):
     """Posterior of the noise-free latent function at new inputs.
 
-    Returns (mean, variances), or (mean, covariance) with want_cov. The
+    Returns (mean, variances), or (mean, covariance) with want_cov. With
+    width w > 1 (and no want_cov) the query rows are read as consecutive
+    groups of w, one group per query point as the multi-latent layout lays
+    them out, and the second value is the (m, w, w) stack of the groups'
+    covariance blocks; the full covariance is never formed. The
     heteroskedastic noise entered the training factor only; nothing is added
     at query points.
     """
     Xs = _as_inputs(Xstar)
     kernel = model.kernel
+    blocked = width > 1 and not want_cov
+    if blocked:
+        if Xs.shape[0] % width:
+            raise DimensionMismatch(f"query rows must form groups of {width}")
+        groups = Xs.reshape(-1, width, Xs.shape[1])
+        prior = np.zeros((groups.shape[0], width, width))
+        for i, g in enumerate(groups):
+            prior[i] = kernel(g)
     if model.n == 0:
         mean = np.zeros(Xs.shape[0])
+        if blocked:
+            return mean, _symmetrize(prior)
         cov = kernel(Xs, Xs)
         if want_cov:
-            return mean, 0.5 * (cov + cov.T)
+            return mean, _symmetrize(cov)
         return mean, np.maximum(np.diag(cov).copy(), 0.0)
     ks = kernel(Xs, model.X)
     mean = ks @ model._state["alpha"]
     v = np.linalg.solve(model._state["L"], ks.T)
+    if blocked:
+        vb = v.T.reshape(groups.shape[0], width, model.n)
+        return mean, _symmetrize(prior - vb @ np.swapaxes(vb, 1, 2))
     if want_cov:
-        cov = kernel(Xs, Xs) - v.T @ v
-        return mean, 0.5 * (cov + cov.T)
+        return mean, _symmetrize(kernel(Xs, Xs) - v.T @ v)
     var = np.diag(kernel(Xs, Xs)) - np.sum(v**2, axis=0)
     return mean, np.maximum(var, 0.0)
 
 
+def _symmetrize(cov):
+    """Symmetric part of a matrix or of each matrix in a stack."""
+    return 0.5 * (cov + np.swapaxes(cov, -1, -2))
+
+
 def _psd_root(cov):
-    # eigh-based root: exact zeros stay exact, unlike a jittered Cholesky
-    w, U = np.linalg.eigh(0.5 * (cov + cov.T))
-    return U * np.sqrt(np.maximum(w, 0.0))
+    """Root R with R R^T = cov, of a matrix or of each matrix in a stack.
+
+    eigh-based: exact zeros stay exact, unlike a jittered Cholesky.
+    """
+    w, U = np.linalg.eigh(_symmetrize(cov))
+    return U * np.sqrt(np.maximum(w, 0.0))[..., None, :]
 
 
 def gp_sample(model, Xstar, seed=0, count=1):

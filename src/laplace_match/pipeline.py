@@ -11,6 +11,12 @@ Latent layout: scalar families use one GP coordinate per input; the simplex
 and matrix families expand each input into `width` latent rows (K classes,
 or p(p+1)/2 matrix coordinates) tagged by an extra integer input column, and
 the bridge covariances enter the GP as block-diagonal noise.
+
+Prediction computes the GP posterior once, as per-point marginals (a
+variance, or a width x width block per query point). `Prediction.draws` are
+per-point posterior draws: each point is drawn from its own marginal, so
+draws of different points are uncorrelated; every summary reads them one
+point at a time.
 """
 
 import time
@@ -276,7 +282,8 @@ def _validate_targets(family, Y):
 
 def _scalar_pseudo_arrays(family, Y, eps):
     if family == "beta":
-        return {"alpha": eps + Y, "beta": eps + 1.0 - Y}
+        # 1 - Y first: eps + 1.0 - Y rounds to 0 at Y = 1 for eps below ~1e-16
+        return {"alpha": eps + Y, "beta": (1.0 - Y) + eps}
     return {"alpha": eps + Y, "lam": np.full(Y.shape, eps + 1.0)}
 
 
@@ -319,15 +326,7 @@ def _prior_marginals(prior_model, config, data, basis, width):
             return np.full(n, g0.mu), np.full(n, g0.var)
         m, c = _gauss_blocks(g0, config.family)
         return np.tile(m, n), [c.copy() for _ in range(n)]
-    joint = _joint_inputs(data.X, width)
-    if width == 1:
-        return gp.gp_predict(prior_model, joint)
-    mean, cov = gp.gp_predict(prior_model, joint, want_cov=True)
-    blocks = [
-        cov[i * width : (i + 1) * width, i * width : (i + 1) * width]
-        for i in range(n)
-    ]
-    return mean, blocks
+    return gp.gp_predict(prior_model, _joint_inputs(data.X, width), width=width)
 
 
 def _lm_v2(data, config, basis, prior_model):
@@ -341,7 +340,7 @@ def _lm_v2(data, config, basis, prior_model):
         if fam == "beta":
             fields = {
                 "alpha": fields0["alpha"] + data.Y,
-                "beta": fields0["beta"] + 1.0 - data.Y,
+                "beta": (1.0 - data.Y) + fields0["beta"],
             }
         else:
             fields = {"alpha": fields0["alpha"] + data.Y, "lam": fields0["lam"] + 1.0}
@@ -382,21 +381,44 @@ def _summarize(draws_data):
     return summary
 
 
-def _query_ef_params(family, basis, mean, cov_blocks, width, m):
-    out = []
-    structured = basis.tag == "matrix_sqrt"
-    for i in range(m):
+def _sample_marginals(mean, cov, seed, count):
+    """Seeded per-point draws, (count, m) or (count, m, w).
+
+    Each point is drawn from its own marginal: variance (m,) or covariance
+    block (m, w, w). Draws of different points are independent.
+    """
+    z = np.random.default_rng(seed).standard_normal((count,) + mean.shape)
+    if mean.ndim == 1:
+        return mean + np.sqrt(cov) * z
+    return mean + np.einsum("mij,cmj->cmi", gp._psd_root(cov), z, optimize=True)
+
+
+_EF_ERRORS = (LaplaceMatchError, ValueError, np.linalg.LinAlgError)
+
+
+def _query_ef_params(family, basis, mean, cov):
+    """EF parameters per query point; None where the inverse bridge fails."""
+    if mean.ndim == 1:
         try:
-            if width == 1:
-                theta = bridges.lm_inverse(
-                    (float(mean[i]), float(cov_blocks[i])), family, basis
+            fields = bridges.inverse_arrays(family, basis.tag, mean, cov)
+            return tuple(
+                distributions.from_record(
+                    {"family": family, **{k: float(v[i]) for k, v in fields.items()}}
                 )
+                for i in range(mean.size)
+            )
+        except _EF_ERRORS:
+            pass  # per point below, so that only the failing points get None
+    structured = basis.tag == "matrix_sqrt"
+    out = []
+    for i in range(mean.shape[0]):
+        try:
+            if mean.ndim == 1:
+                theta = bridges.lm_inverse((float(mean[i]), float(cov[i])), family, basis)
             else:
-                g = _latent_to_gauss(
-                    family, mean[i * width : (i + 1) * width], cov_blocks[i], basis
-                )
+                g = _latent_to_gauss(family, mean[i], cov[i], basis)
                 theta = bridges.lm_inverse(g, family, basis, structured_sigma=structured)
-        except (LaplaceMatchError, ValueError, np.linalg.LinAlgError):
+        except _EF_ERRORS:
             theta = None
         out.append(theta)
     return tuple(out)
@@ -406,21 +428,11 @@ def _predict(model, config, basis, width, X_query, timings):
     fam = config.family
     Xq = gp._as_inputs(X_query)
     m = Xq.shape[0]
-    joint = _joint_inputs(Xq, width)
     t0 = time.perf_counter()
-    if width == 1:
-        latent_mean, latent_var = gp.gp_predict(model, joint)
-        cov_blocks = latent_var
-        latent_cov = latent_var
-    else:
-        latent_mean, cov = gp.gp_predict(model, joint, want_cov=True)
-        cov_blocks = [
-            cov[i * width : (i + 1) * width, i * width : (i + 1) * width]
-            for i in range(m)
-        ]
-        latent_cov = np.stack(cov_blocks) if m else np.zeros((0, width, width))
-    draws = gp.gp_sample(model, joint, seed=config.seed, count=config.draws)
-    latent_draws = draws.reshape(config.draws, m, width) if width > 1 else draws
+    latent_mean, latent_cov = gp.gp_predict(model, _joint_inputs(Xq, width), width=width)
+    if width > 1:
+        latent_mean = latent_mean.reshape(m, width)
+    latent_draws = _sample_marginals(latent_mean, latent_cov, config.seed, config.draws)
     data_draws = _back_transform(latent_draws, basis, fam)
     timings["predict_seconds"] = time.perf_counter() - t0
     summary = _summarize(data_draws)
@@ -430,13 +442,12 @@ def _predict(model, config, basis, width, X_query, timings):
         probabilities = summary["mean"]
     elif fam == "gamma":
         rates = summary["mean"]
-    ef_params = _query_ef_params(fam, basis, latent_mean, cov_blocks, width, m)
-    shaped_mean = latent_mean.reshape(m, width) if width > 1 else latent_mean
+    ef_params = _query_ef_params(fam, basis, latent_mean, latent_cov)
     return Prediction(
         family=fam,
         basis=basis,
         X=Xq,
-        latent_mean=shaped_mean,
+        latent_mean=latent_mean,
         latent_cov=latent_cov,
         draws=data_draws,
         summary=summary,

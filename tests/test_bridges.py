@@ -154,6 +154,16 @@ class TestValidityRegions:
         with pytest.raises(IncompatibleBasis):
             bridges.lm_inverse((0.0, 1.0), "beta", "sqrt")
 
+    def test_bridge_valid_rejects_pairs_without_a_row(self):
+        for params, basis in (
+            (distributions.gamma(2.0, 1.0), transforms.matrix_log(2)),
+            (distributions.wishart(3.0, np.eye(2)), transforms.softmax_inverse(3)),
+            (distributions.dirichlet([1.0, 2.0, 3.0]), transforms.matrix_sqrt(2)),
+            (distributions.beta(2.0, 2.0), transforms.LOG),
+        ):
+            with pytest.raises(IncompatibleBasis):
+                bridges.bridge_valid(params, basis)
+
 
 class TestInversePinned:
     def test_exponential_log(self):
@@ -368,6 +378,21 @@ class TestVectorizedArrays:
             for bad_mu, bad_var in ((np.nan, var[0]), (np.inf, var[0]), (mu[0], np.nan)):
                 with pytest.raises(DomainMismatch):
                     bridges.inverse_arrays(family, tag, [mu[0], bad_mu], [var[0], bad_var])
+
+    @pytest.mark.parametrize(
+        "family,tag,mu",
+        [
+            ("gamma", "log", -800.0),  # lam = exp(800) overflows
+            ("beta", "logit", 800.0),  # alpha = exp(800) overflows
+            ("beta", "logit", -800.0),
+            ("gamma", "log", 800.0),  # lam = exp(-800) underflows to 0
+            ("inverse_gamma", "sqrt", 1e200),  # mu^4 overflows
+        ],
+    )
+    def test_extreme_finite_means_raise(self, family, tag, mu):
+        # a RuntimeWarning fails this test through the pytest configuration
+        with pytest.raises(DomainMismatch):
+            bridges.inverse_arrays(family, tag, [2.0, mu], [1.0, 1.0])
 
     def test_bridge_table_lists_rows(self):
         keys = set(bridges.bridge_rows())

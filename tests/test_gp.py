@@ -181,6 +181,24 @@ class TestFitPredict:
         clean = gp.gp_fit(gp.RBF(1.0, 1.0), np.array([0.0, 5.0]), np.array([1.0, 0.0]), 0.5)
         assert clean.jitter == 0.0
 
+    def test_width_blocks_are_the_joint_diagonal_blocks(self):
+        kernel = gp.Product(gp.RBF(1.0, 1.0, dims=(0,)), gp.LookupTable(np.eye(2) + 0.5, dim=1))
+        X = np.array([[0.0, 0.0], [0.0, 1.0], [1.5, 0.0], [1.5, 1.0]])
+        q = np.array([[0.4, 0.0], [0.4, 1.0], [2.0, 0.0], [2.0, 1.0], [9.0, 0.0], [9.0, 1.0]])
+        for model in (
+            gp.gp_fit(kernel, X, np.array([1.0, -0.5, 0.3, 0.2]), 0.1),
+            gp.gp_fit(kernel, [], [], []),  # the prior
+        ):
+            mean, cov = gp.gp_predict(model, q, want_cov=True)
+            bmean, blocks = gp.gp_predict(model, q, width=2)
+            assert np.array_equal(bmean, mean) and blocks.shape == (3, 2, 2)
+            for i in range(3):
+                np.testing.assert_allclose(
+                    blocks[i], cov[2 * i : 2 * i + 2, 2 * i : 2 * i + 2], rtol=0, atol=1e-12
+                )
+        with pytest.raises(DimensionMismatch):
+            gp.gp_predict(model, q[:5], width=2)
+
     def test_shape_validation(self):
         with pytest.raises(DimensionMismatch):
             gp.gp_fit(gp.RBF(), np.array([0.0, 1.0]), np.array([1.0]), 0.1)

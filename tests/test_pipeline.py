@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from laplace_match import distributions, gp, pipeline
+from laplace_match import bridges, distributions, gp, pipeline, transforms
 from laplace_match.errors import (
     DimensionMismatch,
     EmptyDataset,
@@ -182,6 +182,14 @@ class TestBinaryPipeline:
         _, big = pipeline.lmgp_v1(pipeline.Dataset(X_big, y_big), cfg, X_query=q)
         assert big.latent_cov[0] < small.latent_cov[0] + 1e-12
 
+    def test_tiny_epsilon_keeps_beta_pseudo_counts_positive(self):
+        # eps + 1.0 - Y rounded to 0 at Y = 1 for eps below ~1.1e-16
+        data = _binary_data(n=5)
+        cfg = pipeline.LMGPConfig("beta", kernel=gp.RBF(1.0, 1.0), epsilon_a=1e-300)
+        _, pred = pipeline.lmgp_v1(data, cfg)
+        assert np.all(np.isfinite(pred.latent_mean))
+        assert np.all((pred.probabilities >= 0.0) & (pred.probabilities <= 1.0))
+
     def test_timing_keys(self):
         _, pred = pipeline.lmgp_v1(
             _binary_data(n=6), pipeline.LMGPConfig("beta", kernel=gp.RBF(1.0))
@@ -246,6 +254,125 @@ class TestCovariancePipeline:
         _, p1 = pipeline.lmgp_v1(data, cfg)
         _, p2 = pipeline.lmgp_v2(data, cfg.replace(version="v2"))
         np.testing.assert_allclose(p1.latent_mean, p2.latent_mean, atol=1e-6)
+
+
+_QUERY = np.array([0.5, 2.0, 3.5])
+
+
+def _predict_at_query(family, seed=3, draws=100):
+    """(config, model, prediction) at _QUERY: beta (width 1), Dirichlet K=3
+    (width 3) or inverse Wishart p=2 (width 3)."""
+    if family == "beta":
+        data = _binary_data(n=8)
+        cfg = pipeline.LMGPConfig("beta", kernel=gp.RBF(1.0, 1.0), seed=seed, draws=draws)
+    elif family == "dirichlet":
+        data = _categorical_data(t=5, K=3)
+        cfg = pipeline.LMGPConfig("dirichlet", seed=seed, draws=draws)
+    else:
+        data = _covariance_data(t=4, p=2)
+        cfg = pipeline.LMGPConfig("inverse_wishart", seed=seed, draws=draws)
+    model, pred = pipeline.lmgp_v1(data, cfg, X_query=_QUERY)
+    return cfg, model, pred
+
+
+class TestPerPointPrediction:
+    """Each query point is drawn from its own latent marginal (a variance or a
+    w x w block); the joint posterior covariance is never formed."""
+
+    @pytest.mark.parametrize("family", ["beta", "dirichlet"])
+    def test_draws_follow_each_points_marginal(self, family):
+        n = 40_000
+        cfg, _, pred = _predict_at_query(family, draws=n)
+        latent = pipeline._sample_marginals(pred.latent_mean, pred.latent_cov, cfg.seed, n)
+        np.testing.assert_array_equal(
+            pipeline._back_transform(latent, pred.basis, family), pred.draws
+        )
+        m = _QUERY.size
+        mean = pred.latent_mean.reshape(m, -1)
+        w = mean.shape[1]
+        cov = pred.latent_cov.reshape(m, w, w)
+        draws = latent.reshape(n, m, w)
+        for i in range(m):
+            sd = np.sqrt(np.diag(cov[i]))
+            assert np.all(np.abs(draws[:, i].mean(axis=0) - mean[i]) < 4 * sd / np.sqrt(n))
+            emp = np.cov(draws[:, i].T).reshape(w, w)
+            se_cov = np.sqrt((np.outer(sd**2, sd**2) + cov[i] ** 2) / n)
+            assert np.all(np.abs(emp - cov[i]) < 4 * se_cov)
+
+    @pytest.mark.parametrize("family", ["beta", "dirichlet", "inverse_wishart"])
+    def test_latent_cov_is_the_diagonal_of_the_joint_covariance(self, family):
+        _, model, pred = _predict_at_query(family, draws=10)
+        m = _QUERY.size
+        w = pred.latent_mean.size // m
+        joint = pipeline._joint_inputs(gp._as_inputs(_QUERY), w)
+        mean, cov = gp.gp_predict(model, joint, want_cov=True)
+        np.testing.assert_array_equal(pred.latent_mean.ravel(), mean)
+        blocks = pred.latent_cov.reshape(m, w, w)
+        for i in range(m):
+            np.testing.assert_allclose(
+                blocks[i], cov[i * w : (i + 1) * w, i * w : (i + 1) * w], rtol=0, atol=1e-10
+            )
+
+    def test_fitted_prior_marginals_are_the_joint_blocks(self):
+        data = _categorical_data(t=5, K=3)
+        cfg = pipeline.LMGPConfig("dirichlet", seed=0, draws=10, version="v2")
+        prior_model, _ = pipeline.lmgp_v1(data, cfg)
+        basis = cfg.resolve_basis(data.Y)
+        mean, blocks = pipeline._prior_marginals(prior_model, cfg, data, basis, 3)
+        joint = pipeline._joint_inputs(data.X, 3)
+        full_mean, cov = gp.gp_predict(prior_model, joint, want_cov=True)
+        np.testing.assert_array_equal(mean, full_mean)
+        for i in range(data.n):
+            np.testing.assert_allclose(
+                blocks[i], cov[3 * i : 3 * i + 3, 3 * i : 3 * i + 3], rtol=0, atol=1e-10
+            )
+        _, pred = pipeline.lmgp_v2(data, cfg, prior=prior_model)
+        np.testing.assert_allclose(pred.probabilities.sum(axis=1), 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("family", ["beta", "dirichlet", "inverse_wishart"])
+    def test_same_seed_same_draws(self, family):
+        _, _, a = _predict_at_query(family, seed=7)
+        _, _, b = _predict_at_query(family, seed=7)
+        _, _, c = _predict_at_query(family, seed=8)
+        assert np.array_equal(a.draws, b.draws)
+        assert not np.array_equal(a.draws, c.draws)
+
+    @pytest.mark.parametrize("family,basis", [
+        ("beta", transforms.LOGIT),
+        ("dirichlet", transforms.softmax_inverse(3)),
+    ])
+    def test_zero_noise_training_point_returns_its_mean(self, family, basis):
+        X = gp._as_inputs(np.array([0.0, 2.0]))
+        width = pipeline._basis_width(basis, family)
+        cfg = pipeline.LMGPConfig(family, draws=8)
+        joint = pipeline._joint_inputs(X, width)
+        mu = np.random.default_rng(0).normal(size=joint.shape[0])
+        model = gp.gp_fit(pipeline._build_kernel(cfg, X, width), joint, mu, 0.0)
+        pred = pipeline._predict(model, cfg, basis, width, X, {})
+        np.testing.assert_allclose(pred.latent_mean.ravel(), mu, atol=1e-6)
+        at_mean = pipeline._back_transform(pred.latent_mean[None], basis, family)
+        assert np.max(np.abs(pred.draws - at_mean)) < 1e-6
+
+
+class TestQueryEFParams:
+    def test_batch_matches_pointwise_inverse(self):
+        _, pred = pipeline.lmgp_v1(
+            _count_data(n=6), pipeline.LMGPConfig("gamma", kernel=gp.RBF(1.0, 1.0))
+        )
+        reference = [
+            bridges.lm_inverse((float(mu), float(var)), "gamma", pred.basis).to_record()
+            for mu, var in zip(pred.latent_mean, pred.latent_cov)
+        ]
+        assert [theta.to_record() for theta in pred.ef_params] == reference
+
+    def test_only_failing_points_get_none(self):
+        mean = np.array([0.0, -800.0, 1.0, 0.5])
+        var = np.array([0.5, 0.5, 0.0, 0.25])
+        ef = pipeline._query_ef_params("gamma", transforms.LOG, mean, var)
+        assert ef[1] is None and ef[2] is None
+        for i in (0, 3):
+            expected = bridges.lm_inverse((mean[i], var[i]), "gamma", "log")
+            assert ef[i].to_record() == expected.to_record()
 
 
 class TestDirichletBetaMarginals:
