@@ -456,13 +456,7 @@ def lm_forward(params, basis):
         raise IncompatibleBasis(f"no bridge row for ({fam}, {basis!r})")
     key = (fam, basis.tag)
     if key in _SCALAR_ROWS:
-        row = _SCALAR_ROWS[key]
-        arrays = _params_arrays(params)
-        if not np.all(row["valid"](**arrays)):
-            raise OutsideValidityRegion(
-                f"({fam}, {basis.tag}) bridge needs {row['validity']}"
-            )
-        mu, var = row["fwd"](**arrays)
+        mu, var = forward_arrays(fam, basis.tag, **_params_arrays(params))
         return scalar_gaussian(float(mu), float(var))
     if basis.tag == "softmax_inverse":
         if basis.K != params.K:
@@ -479,7 +473,12 @@ def lm_forward(params, basis):
 
 
 def forward_arrays(family, tag, **arrays):
-    """Vectorized scalar bridge forward: parameter arrays -> (mu, var)."""
+    """Vectorized scalar bridge forward: parameter arrays -> (mu, var).
+
+    Raises OutsideValidityRegion for fields outside the row's validity
+    region, or whose mean or variance is not finite (or the variance not
+    positive) in floating point.
+    """
     key = (family, tag)
     if key not in _SCALAR_ROWS:
         raise IncompatibleBasis(f"no vectorized scalar bridge row for {key}")
@@ -491,7 +490,15 @@ def forward_arrays(family, tag, **arrays):
             f"({family}, {tag}) bridge needs {row['validity']}: "
             f"{int(np.sum(~ok))} points outside"
         )
-    return row["fwd"](**arrays)
+    # valid but extreme fields overflow the formula (or underflow a product)
+    with np.errstate(all="ignore"):
+        mu, var = row["fwd"](**arrays)
+    if not (np.isfinite(mu).all() and np.isfinite(var).all() and (var > 0.0).all()):
+        raise OutsideValidityRegion(
+            f"({family}, {tag}) bridge: the fields map outside finite means and "
+            "positive finite variances"
+        )
+    return mu, var
 
 
 def inverse_arrays(family, tag, mu, var):

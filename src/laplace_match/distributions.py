@@ -375,6 +375,61 @@ def pseudo_prior(family, epsilon_a=DEFAULT_EPSILON_A, K=None, p=None, dirichlet_
     raise NonConjugatePair(f"no conjugate observation model for family {family!r}")
 
 
+def check_observations(family, Y):
+    """Raise InvalidParams unless `Y` is a batch of `family` observations.
+
+    One observation per leading index: 0/1 labels (n,) for beta, non-negative
+    integer counts (n,) for gamma, non-negative count vectors (n, K) for
+    dirichlet, and symmetric PSD scatter matrices (n, p, p) for
+    inverse_wishart, each checked against its own largest entry.
+    """
+    Y = np.asarray(Y, dtype=float)
+    if not np.all(np.isfinite(Y)):
+        raise InvalidParams("observations must be finite")
+    if family == "beta":
+        if Y.ndim != 1 or not np.all(np.isin(Y, (0.0, 1.0))):
+            raise InvalidParams("beta observations must be 0/1 labels")
+    elif family == "gamma":
+        if Y.ndim != 1 or np.any(Y < 0) or np.any(Y != np.round(Y)):
+            raise InvalidParams("gamma observations must be non-negative integer counts")
+    elif family == "dirichlet":
+        if Y.ndim != 2 or np.any(Y < 0):
+            raise InvalidParams("dirichlet observations must be non-negative count vectors")
+    elif family == "inverse_wishart":
+        if Y.ndim != 3 or Y.shape[-1] != Y.shape[-2]:
+            raise InvalidParams("inverse_wishart observations must be (n, p, p) scatters")
+        if Y.size:
+            scale = np.maximum(np.max(np.abs(Y), axis=(-2, -1)), 1e-300)
+            asym = np.max(np.abs(Y - np.swapaxes(Y, -1, -2)), axis=(-2, -1))
+            if np.any(asym > 1e-9 * scale):
+                raise InvalidParams("scatter matrices must be symmetric")
+            w = np.linalg.eigvalsh(0.5 * (Y + np.swapaxes(Y, -1, -2)))
+            if np.any(w[:, 0] < -1e-10 * scale):
+                raise InvalidParams("scatter matrices must be positive semidefinite")
+    else:
+        raise NonConjugatePair(f"no conjugate observation model for family {family!r}")
+
+
+def conjugate_fields(family, fields, total, count):
+    """Fold data into conjugate prior parameter fields, as arrays.
+
+    `total` is the summed sufficient statistic of `count` observations (the
+    label or count sum, the summed count vector, or the summed scatter).
+    Arrays broadcast, so one call folds every site of a batch. The beta
+    failure count is formed first: `beta + count - total` rounds to 0 for an
+    all-ones batch once beta is below ~1e-16.
+    """
+    if family == "beta":
+        return {"alpha": fields["alpha"] + total, "beta": fields["beta"] + (count - total)}
+    if family == "gamma":
+        return {"alpha": fields["alpha"] + total, "lam": fields["lam"] + count}
+    if family == "dirichlet":
+        return {"alpha": fields["alpha"] + total}
+    if family == "inverse_wishart":
+        return {"nu": fields["nu"] + count, "Psi": fields["Psi"] + total}
+    raise NonConjugatePair(f"no conjugate observation model for family {family!r}")
+
+
 def conjugate_update(prior, observations):
     """Fold an observation batch into a conjugate prior.
 
@@ -395,39 +450,21 @@ def conjugate_update(prior, observations):
         InvalidParams: malformed observation batch.
     """
     fam = prior.family
-    if fam == "beta":
-        labels = np.asarray(observations, dtype=float).ravel()
-        if labels.size and not np.all(np.isin(labels, (0.0, 1.0))):
-            raise InvalidParams("beta observations must be 0/1 labels")
-        pos = float(np.sum(labels))
-        return beta(prior.alpha + pos, prior.beta + labels.size - pos)
-    if fam == "gamma":
-        counts = np.asarray(observations, dtype=float).ravel()
-        if counts.size and (np.any(counts < 0) or np.any(counts != np.round(counts))):
-            raise InvalidParams("gamma observations must be non-negative integer counts")
-        return gamma(prior.alpha + float(np.sum(counts)), prior.lam + counts.size)
+    obs = np.asarray(observations, dtype=float)
     if fam == "dirichlet":
-        counts = np.asarray(observations, dtype=float).ravel()
-        if counts.size != prior.alpha.size:
+        if obs.size != prior.alpha.size:
             raise InvalidParams("dirichlet count vector length must equal K")
-        if np.any(counts < 0):
-            raise InvalidParams("dirichlet counts must be non-negative")
-        return dirichlet(prior.alpha + counts)
-    if fam == "inverse_wishart":
-        scatters = np.asarray(observations, dtype=float)
-        if scatters.ndim == 2:
-            scatters = scatters[None]
-        p = prior.p
-        if scatters.ndim != 3 or scatters.shape[-2:] != (p, p):
-            raise InvalidParams(f"scatter batch must have shape (m, {p}, {p})")
-        scale = max(np.max(np.abs(scatters)), 1e-300)
-        if np.max(np.abs(scatters - np.swapaxes(scatters, -1, -2))) > 1e-9 * scale:
-            raise InvalidParams("scatter matrices must be symmetric")
-        w = np.linalg.eigvalsh(0.5 * (scatters + np.swapaxes(scatters, -1, -2)))
-        if np.any(w < -1e-10 * scale):
-            raise InvalidParams("scatter matrices must be positive semidefinite")
-        return inverse_wishart(prior.nu + scatters.shape[0], prior.Psi + scatters.sum(axis=0))
-    raise NonConjugatePair(f"no conjugate observation model for family {fam!r}")
+        obs = obs.reshape(1, -1)
+    elif fam == "inverse_wishart":
+        if obs.ndim == 2:
+            obs = obs[None]
+        if obs.ndim != 3 or obs.shape[-2:] != (prior.p, prior.p):
+            raise InvalidParams(f"scatter batch must have shape (m, {prior.p}, {prior.p})")
+    else:
+        obs = obs.ravel()
+    check_observations(fam, obs)
+    fields = {name: getattr(prior, name) for name in _FIELDS[fam]}
+    return EFParams(fam, **conjugate_fields(fam, fields, obs.sum(axis=0), obs.shape[0]))
 
 
 # ---------------------------------------------------------------------------

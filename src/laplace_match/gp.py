@@ -12,17 +12,13 @@ correlation, at the cost of the full covariance and its eigendecomposition.
 The pipelines do not use it; their `Prediction.draws` are per-point posterior
 draws with no cross-point correlation.
 
-build_inducing_set performs the conjugacy-based reduction: k-means++ cluster
-centers over the inputs, one folded pseudo-likelihood per cluster, one
-Gaussian per cluster via the bridge. With cluster count equal to the number
-of distinct inputs it degenerates to per-point pseudo-likelihoods, so the
-inducing fit reproduces the plain fit.
+kmeanspp clusters inputs; the pipeline's inducing sites are its clusters.
+The module knows nothing of exponential families or bridges.
 """
 
 import numpy as np
 
-from . import bridges, distributions, transforms
-from .errors import DimensionMismatch, EmptyCluster, NonConjugatePair, NotPositiveDefinite
+from .errors import DimensionMismatch, EmptyCluster, NotPositiveDefinite
 
 _JITTER_LADDER = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 
@@ -404,26 +400,7 @@ def gp_sample(model, Xstar, seed=0, count=1):
 
 
 # ---------------------------------------------------------------------------
-# inducing sets
-
-
-class InducingSet:
-    """Cluster centers with one folded pseudo-likelihood per cluster."""
-
-    def __init__(self, centers, params, gauss, assignments, seed, iterations):
-        self.centers = centers
-        self.params = tuple(params)
-        self.gauss = tuple(gauss)
-        self.assignments = assignments
-        self.seed = seed
-        self.iterations = iterations
-
-    @property
-    def k(self):
-        return self.centers.shape[0]
-
-    def __repr__(self):
-        return f"InducingSet(k={self.k}, d={self.centers.shape[1]})"
+# input clustering
 
 
 def kmeanspp(X, k, seed=0, max_iter=100):
@@ -470,63 +447,3 @@ def kmeanspp(X, k, seed=0, max_iter=100):
         for j in range(k):
             centers[j] = np.mean(X[assign == j], axis=0)
     return centers, assign, iterations
-
-
-def _resolve_basis(family, basis, Y):
-    """The given basis, or the family's first bridge row; K or p from Y."""
-    if basis is None:
-        if family not in distributions.CONJUGATE_FAMILIES:
-            raise NonConjugatePair(f"no conjugate observation model for family {family!r}")
-        basis = transforms.FAMILY_BASES[family][1]
-    return bridges._as_basis(basis, K=Y.shape[-1], p=Y.shape[-1])
-
-
-def build_inducing_set(data, k, family, seed=0, epsilon_a=None, basis=None,
-                       dirichlet_prior=1.0, max_iter=100):
-    """Conjugacy-based inducing summary of an observation batch.
-
-    k-means++ (fixed seed, 100-iteration cap) partitions the inputs; each
-    cluster's member observations are folded through conjugate_update on an
-    epsilon_a pseudo-prior, and the folded parameters are bridged to a
-    Gaussian. With k equal to the number of distinct inputs every cluster is
-    a singleton, so the result carries exactly the per-point
-    pseudo-likelihoods of the non-inducing pipeline.
-
-    Args:
-        data: object with .X inputs and .Y observations, or an (X, Y) pair.
-        k: cluster count, 1 <= k <= n.
-        family: conjugate family tag (beta, gamma, dirichlet,
-            inverse_wishart).
-        seed: k-means seed.
-        epsilon_a: pseudo-prior weight (default DEFAULT_EPSILON_A).
-        basis: bridge basis (defaults per family: logit, log,
-            softmax_inverse, matrix_log).
-        dirichlet_prior: per-category Dirichlet pseudo-count.
-    """
-    X, Y = (data.X, data.Y) if hasattr(data, "X") else data
-    X = _as_inputs(X)
-    Y = np.asarray(Y, dtype=float)
-    if Y.shape[0] != X.shape[0]:
-        raise DimensionMismatch("inputs and observations must align")
-    eps = distributions.DEFAULT_EPSILON_A if epsilon_a is None else float(epsilon_a)
-    prior = distributions.pseudo_prior(
-        family,
-        eps,
-        K=Y.shape[-1] if family == "dirichlet" else None,
-        p=Y.shape[-1] if family == "inverse_wishart" else None,
-        dirichlet_prior=dirichlet_prior,
-    )
-    b = _resolve_basis(family, basis, Y)
-    centers, assign, iterations = kmeanspp(X, k, seed=seed, max_iter=max_iter)
-    params = []
-    gauss = []
-    for j in range(k):
-        members = np.flatnonzero(assign == j)
-        if family == "dirichlet":
-            # the observation model takes one count vector; members sum
-            theta = distributions.conjugate_update(prior, Y[members].sum(axis=0))
-        else:
-            theta = distributions.conjugate_update(prior, Y[members])
-        params.append(theta)
-        gauss.append(bridges.lm_forward(theta, b))
-    return InducingSet(centers, params, gauss, assign, seed, iterations)

@@ -1,11 +1,14 @@
 """End-to-end latent-GP inference through the parameter bridges.
 
-Two algorithm versions share all plumbing. V1 turns each observation (or
-inducing cluster) into a pseudo-likelihood in the data domain, bridges it to
-a Gaussian, and fits a heteroskedastic GP on the latent coordinates. V2
-starts from prior GP marginals, pulls them back to parameters, folds the
-data conjugately, and bridges forward again before refitting; with the flat
-default prior the two versions coincide.
+The LM step is one path for V1, V2 and inducing sets: sites -> prior
+fields -> conjugate fold -> bridge. A site is a training input, or with
+`inducing=k` a k-means++ cluster carrying its members' summed targets and
+member count. The prior fields are the weak pseudo-prior's (V1, inducing,
+and V2 without a fitted prior) or, for V2 with a fitted prior GP, the bridge
+inverse of its marginals at the sites. `distributions.conjugate_fields`
+folds each site's data into its fields, and one bridge call per family turns
+them into Gaussian pseudo-observations, on which a heteroskedastic GP is fit
+in the latent coordinates. With the flat default prior V2 coincides with V1.
 
 Latent layout: scalar families use one GP coordinate per input; the simplex
 and matrix families expand each input into `width` latent rows (K classes,
@@ -76,12 +79,13 @@ class LMGPConfig:
             dims; the default does.
         coord_kernel: latent-coordinate kernel for multi-latent families;
             defaults to a LookupTable of identity plus a uniform 0.5.
-        epsilon_a: pseudo-likelihood prior weight (> 0).
-        inducing: optional cluster count for the conjugacy-based reduction
-            (pseudo-likelihood semantics, so it applies to V1).
+        epsilon_a: pseudo-likelihood prior weight (finite, > 0).
+        inducing: optional cluster count for the conjugacy-based reduction,
+            1 <= inducing <= n (pseudo-likelihood semantics: the sites keep
+            the pseudo-prior in V2 too).
         seed: drives sampling and clustering; same seed, same outputs.
         version: "v1" or "v2".
-        dirichlet_prior: per-category Dirichlet pseudo-count.
+        dirichlet_prior: per-category Dirichlet pseudo-count (finite, > 0).
         draws: data-domain sample count per prediction point (>= 1).
     """
 
@@ -97,20 +101,31 @@ class LMGPConfig:
         self.epsilon_a = (
             distributions.DEFAULT_EPSILON_A if epsilon_a is None else float(epsilon_a)
         )
-        if self.epsilon_a <= 0.0:
-            raise InvalidParams("epsilon_a must be positive")
+        if not (np.isfinite(self.epsilon_a) and self.epsilon_a > 0.0):
+            raise InvalidParams("epsilon_a must be finite and positive")
         self.inducing = None if inducing is None else int(inducing)
+        if self.inducing is not None and self.inducing < 1:
+            raise InvalidParams("inducing must be >= 1")
         self.seed = int(seed)
         if version not in ("v1", "v2"):
             raise InvalidParams("version must be 'v1' or 'v2'")
         self.version = version
         self.dirichlet_prior = float(dirichlet_prior)
+        if not (np.isfinite(self.dirichlet_prior) and self.dirichlet_prior > 0.0):
+            raise InvalidParams("dirichlet_prior must be finite and positive")
         self.draws = int(draws)
         if self.draws < 1:
             raise InvalidParams("draws must be >= 1")
 
     def resolve_basis(self, Y):
-        return gp._resolve_basis(self.family, self.basis, Y)
+        """The configured basis, or the family's first bridge row; K or p
+        from the last axis of the targets Y."""
+        basis = transforms.FAMILY_BASES[self.family][1] if self.basis is None else self.basis
+        basis = bridges._as_basis(basis, K=Y.shape[-1], p=Y.shape[-1])
+        size = basis.K if self.family == "dirichlet" else basis.p
+        if self.family in ("dirichlet", "inverse_wishart") and size != Y.shape[-1]:
+            raise DimensionMismatch(f"basis {basis!r} does not fit targets of size {Y.shape[-1]}")
+        return basis
 
     def replace(self, **updates):
         kw = {
@@ -229,13 +244,6 @@ def _build_kernel(config, X, width):
     return gp.Product(kT, kC)
 
 
-def _gauss_blocks(g, family):
-    """Latent mean vector and covariance block from one bridge Gaussian."""
-    if family == "dirichlet":
-        return g.mean.copy(), g.cov_dense()
-    return g.vech_mean(), g.vech_cov()
-
-
 def _latent_to_gauss(family, mean_block, cov_block, basis):
     """Wrap a latent marginal as a GaussianApprox for lm_inverse."""
     if family == "dirichlet":
@@ -258,105 +266,62 @@ def _latent_to_gauss(family, mean_block, cov_block, basis):
 
 
 # ---------------------------------------------------------------------------
-# pseudo-likelihood construction (the LM step)
+# the LM step: sites -> prior fields -> conjugate fold -> bridge
 
 
-def _validate_targets(family, Y):
-    if not np.all(np.isfinite(Y)):
-        raise InvalidParams("targets Y must be finite")
-    if family == "beta":
-        if Y.ndim != 1 or (Y.size and not np.all(np.isin(Y, (0.0, 1.0)))):
-            raise InvalidParams("beta targets must be 0/1 labels")
-    elif family == "gamma":
-        if Y.ndim != 1 or np.any(Y < 0) or np.any(Y != np.round(Y)):
-            raise InvalidParams("gamma targets must be non-negative integer counts")
-    elif family == "dirichlet":
-        if Y.ndim != 2 or np.any(Y < 0):
-            raise InvalidParams("dirichlet targets must be non-negative count vectors")
-    elif family == "inverse_wishart":
-        if Y.ndim != 3 or Y.shape[-1] != Y.shape[-2]:
-            raise InvalidParams("inverse_wishart targets must be (n, p, p) scatters")
-    else:
-        raise InvalidParams(f"no observation model for family {family!r}")
+def _sites(data, config):
+    """Training sites as (inputs, summed targets, member counts).
+
+    Without inducing, each training input is a site of one observation;
+    with inducing=k, each k-means++ cluster is one site at its center.
+    """
+    if config.inducing is None:
+        return data.X, data.Y, np.ones(data.n)
+    k = config.inducing
+    if k > data.n:
+        raise InvalidParams(f"inducing={k} exceeds the {data.n} training points")
+    centers, assign, _ = gp.kmeanspp(data.X, k, seed=config.seed)
+    total = np.zeros((k,) + data.Y.shape[1:])
+    np.add.at(total, assign, data.Y)
+    return centers, total, np.bincount(assign, minlength=k).astype(float)
 
 
-def _scalar_pseudo_arrays(family, Y, eps):
-    if family == "beta":
-        # 1 - Y first: eps + 1.0 - Y rounds to 0 at Y = 1 for eps below ~1e-16
-        return {"alpha": eps + Y, "beta": (1.0 - Y) + eps}
-    return {"alpha": eps + Y, "lam": np.full(Y.shape, eps + 1.0)}
+def _prior_fields(config, basis, width, X_sites, prior_model):
+    """Conjugate prior parameter fields at the sites.
 
-
-def _lm_v1(data, config, basis):
-    """Per-point pseudo-likelihoods bridged to latent Gaussians."""
+    The pseudo-prior's fields, which broadcast over the sites, unless V2
+    has a fitted prior: then the bridge inverse of its marginals at the
+    sites (the pseudo-likelihood semantics of inducing sites keep the
+    pseudo-prior).
+    """
     fam = config.family
-    eps = config.epsilon_a
-    if fam in distributions._SCALAR_FAMILIES:
-        fields = _scalar_pseudo_arrays(fam, data.Y, eps)
-        return bridges.forward_arrays(fam, basis.tag, **fields)
-    if fam == "dirichlet":
-        alpha = config.dirichlet_prior + data.Y
-        mu, sigma = bridges.dirichlet_softmax_forward_arrays(alpha)
-        return mu.ravel(), [sigma[i] for i in range(data.n)]
-    prior = distributions.pseudo_prior(fam, eps, p=data.Y.shape[-1])
-    mus = []
-    blocks = []
-    for i in range(data.n):
-        theta = distributions.conjugate_update(prior, data.Y[i])
-        g = bridges.lm_forward(theta, basis)
-        m, c = _gauss_blocks(g, fam)
-        mus.append(m)
-        blocks.append(c)
-    return np.concatenate(mus), blocks
-
-
-def _prior_marginals(prior_model, config, data, basis, width):
-    """Latent prior (mean, cov-block) per training point."""
-    n = data.n
-    if prior_model is None:
-        theta0 = distributions.pseudo_prior(
-            config.family,
+    if prior_model is None or config.inducing is not None:
+        theta = distributions.pseudo_prior(
+            fam,
             config.epsilon_a,
-            K=basis.K if config.family == "dirichlet" else None,
-            p=basis.p if config.family == "inverse_wishart" else None,
+            K=basis.K if fam == "dirichlet" else None,
+            p=basis.p if fam == "inverse_wishart" else None,
             dirichlet_prior=config.dirichlet_prior,
         )
-        g0 = bridges.lm_forward(theta0, basis)
-        if width == 1:
-            return np.full(n, g0.mu), np.full(n, g0.var)
-        m, c = _gauss_blocks(g0, config.family)
-        return np.tile(m, n), [c.copy() for _ in range(n)]
-    return gp.gp_predict(prior_model, _joint_inputs(data.X, width), width=width)
+        return {name: getattr(theta, name) for name in distributions.param_fields(fam)}
+    mean, cov = gp.gp_predict(prior_model, _joint_inputs(X_sites, width), width=width)
+    if width > 1:
+        mean = mean.reshape(-1, width)
+    return _inverse_fields(fam, basis, mean, cov)
 
 
-def _lm_v2(data, config, basis, prior_model):
-    """Prior marginals -> lm_inverse -> conjugate update -> lm_forward."""
-    fam = config.family
-    width = _basis_width(basis, fam)
-    m0, c0 = _prior_marginals(prior_model, config, data, basis, width)
-    if fam in distributions._SCALAR_FAMILIES:
-        fields0 = bridges.inverse_arrays(fam, basis.tag, m0, np.asarray(c0))
-        # the conjugate fold, applied across the whole batch at once
-        if fam == "beta":
-            fields = {
-                "alpha": fields0["alpha"] + data.Y,
-                "beta": (1.0 - data.Y) + fields0["beta"],
-            }
-        else:
-            fields = {"alpha": fields0["alpha"] + data.Y, "lam": fields0["lam"] + 1.0}
-        return bridges.forward_arrays(fam, basis.tag, **fields)
-    structured = basis.tag == "matrix_sqrt"
-    mus = []
-    blocks = []
-    for i in range(data.n):
-        g0 = _latent_to_gauss(fam, m0[i * width : (i + 1) * width], c0[i], basis)
-        theta0 = bridges.lm_inverse(g0, fam, basis, structured_sigma=structured)
-        theta = distributions.conjugate_update(theta0, data.Y[i])
-        g = bridges.lm_forward(theta, basis)
-        m, c = _gauss_blocks(g, fam)
-        mus.append(m)
-        blocks.append(c)
-    return np.concatenate(mus), blocks
+def _bridge(family, basis, fields):
+    """Latent pseudo-observations (mean, noise) of per-site parameter fields."""
+    if family in distributions._SCALAR_FAMILIES:
+        return bridges.forward_arrays(family, basis.tag, **fields)
+    if family == "dirichlet":
+        mu, sigma = bridges.dirichlet_softmax_forward_arrays(fields["alpha"])
+        return mu.ravel(), list(sigma)
+    gauss = [
+        bridges.lm_forward(distributions.inverse_wishart(nu, Psi), basis)
+        for nu, Psi in zip(fields["nu"], fields["Psi"])
+    ]
+    return np.concatenate([g.vech_mean() for g in gauss]), [g.vech_cov() for g in gauss]
 
 
 # ---------------------------------------------------------------------------
@@ -396,31 +361,45 @@ def _sample_marginals(mean, cov, seed, count):
 _EF_ERRORS = (LaplaceMatchError, ValueError, np.linalg.LinAlgError)
 
 
+def _inverse_fields(family, basis, mean, cov):
+    """EF parameter fields of per-point latent marginals, stacked per point.
+
+    Marginals are (mean (m,), var (m,)) or (mean (m, w), blocks (m, w, w)).
+    Raises where the inverse bridge fails for any point.
+    """
+    if mean.ndim == 1:
+        return bridges.inverse_arrays(family, basis.tag, mean, cov)
+    structured = basis.tag == "matrix_sqrt"
+    thetas = [
+        bridges.lm_inverse(
+            _latent_to_gauss(family, m, c, basis), family, basis, structured_sigma=structured
+        )
+        for m, c in zip(mean, cov)
+    ]
+    return {
+        name: np.array([getattr(t, name) for t in thetas])
+        for name in distributions.param_fields(family)
+    }
+
+
+def _params_at(family, fields, i):
+    return distributions.from_record({"family": family, **{k: v[i] for k, v in fields.items()}})
+
+
 def _query_ef_params(family, basis, mean, cov):
     """EF parameters per query point; None where the inverse bridge fails."""
-    if mean.ndim == 1:
-        try:
-            fields = bridges.inverse_arrays(family, basis.tag, mean, cov)
-            return tuple(
-                distributions.from_record(
-                    {"family": family, **{k: float(v[i]) for k, v in fields.items()}}
-                )
-                for i in range(mean.size)
-            )
-        except _EF_ERRORS:
-            pass  # per point below, so that only the failing points get None
-    structured = basis.tag == "matrix_sqrt"
+    try:
+        fields = _inverse_fields(family, basis, mean, cov)
+        return tuple(_params_at(family, fields, i) for i in range(mean.shape[0]))
+    except _EF_ERRORS:
+        pass  # per point below, so that only the failing points get None
     out = []
     for i in range(mean.shape[0]):
         try:
-            if mean.ndim == 1:
-                theta = bridges.lm_inverse((float(mean[i]), float(cov[i])), family, basis)
-            else:
-                g = _latent_to_gauss(family, mean[i], cov[i], basis)
-                theta = bridges.lm_inverse(g, family, basis, structured_sigma=structured)
+            fields = _inverse_fields(family, basis, mean[i : i + 1], cov[i : i + 1])
+            out.append(_params_at(family, fields, 0))
         except _EF_ERRORS:
-            theta = None
-        out.append(theta)
+            out.append(None)
     return tuple(out)
 
 
@@ -462,8 +441,6 @@ def _predict(model, config, basis, width, X_query, timings):
 def _run(data, config, X_query, prior_model):
     if not isinstance(data, Dataset):
         data = Dataset(*data)
-    if data.n:
-        _validate_targets(config.family, data.Y)
     if data.n == 0:
         if config.version != "v2":
             raise EmptyDataset("pipeline needs at least one observation")
@@ -483,41 +460,17 @@ def _run(data, config, X_query, prior_model):
         model = prior_model or gp.gp_fit(_build_kernel(config, data.X, width), [], [], [])
         Xq = data.X if X_query is None else X_query
         return model, _predict(model, config, basis, width, Xq, {"lm_seconds": 0.0})
+    distributions.check_observations(config.family, data.Y)
     basis = config.resolve_basis(data.Y)
     width = _basis_width(basis, config.family)
     kernel = _build_kernel(config, data.X, width)
     timings = {}
     t0 = time.perf_counter()
-    if config.inducing is not None:
-        ind = gp.build_inducing_set(
-            data,
-            config.inducing,
-            config.family,
-            seed=config.seed,
-            epsilon_a=config.epsilon_a,
-            basis=basis,
-            dirichlet_prior=config.dirichlet_prior,
-        )
-        parts = [
-            _gauss_blocks(g, config.family) if width > 1 else (g.mu, g.var)
-            for g in ind.gauss
-        ]
-        if width > 1:
-            mu_flat = np.concatenate([p[0] for p in parts])
-            noise = [p[1] for p in parts]
-        else:
-            mu_flat = np.array([p[0] for p in parts])
-            noise = np.array([p[1] for p in parts])
-        timings["lm_seconds"] = time.perf_counter() - t0
-        X_train = ind.centers
-    else:
-        mu_flat, noise = (
-            _lm_v1(data, config, basis)
-            if config.version == "v1"
-            else _lm_v2(data, config, basis, prior_model)
-        )
-        timings["lm_seconds"] = time.perf_counter() - t0
-        X_train = data.X
+    X_train, total, count = _sites(data, config)
+    prior = _prior_fields(config, basis, width, X_train, prior_model)
+    fields = distributions.conjugate_fields(config.family, prior, total, count)
+    mu_flat, noise = _bridge(config.family, basis, fields)
+    timings["lm_seconds"] = time.perf_counter() - t0
     t1 = time.perf_counter()
     model = gp.gp_fit(kernel, _joint_inputs(X_train, width), mu_flat, noise)
     timings["fit_seconds"] = time.perf_counter() - t1

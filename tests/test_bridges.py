@@ -394,6 +394,20 @@ class TestVectorizedArrays:
         with pytest.raises(DomainMismatch):
             bridges.inverse_arrays(family, tag, [2.0, mu], [1.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "family,tag,fields",
+        [
+            ("beta", "logit", {"alpha": 1e-300, "beta": 1e-300}),  # alpha * beta underflows
+            ("gamma", "sqrt", {"alpha": 1e308, "lam": 1e-308}),  # (alpha - 1/2) / lam overflows
+        ],
+    )
+    def test_extreme_valid_fields_raise(self, family, tag, fields):
+        # a RuntimeWarning fails this test through the pytest configuration
+        with pytest.raises(OutsideValidityRegion):
+            bridges.forward_arrays(family, tag, **{k: [v] for k, v in fields.items()})
+        with pytest.raises(OutsideValidityRegion):
+            bridges.lm_forward(distributions.from_record({"family": family, **fields}), tag)
+
     def test_bridge_table_lists_rows(self):
         keys = set(bridges.bridge_rows())
         assert ("gamma", "sqrt") in keys

@@ -225,6 +225,12 @@ class TestConjugateUpdate:
         assert post.alpha == pytest.approx(1.0 + eps, abs=1e-15)
         assert post.beta == pytest.approx(eps, abs=1e-15)
 
+    def test_beta_all_ones_batch_keeps_a_tiny_prior_count(self):
+        # beta + size - pos rounded to 0 for beta below ~1e-16
+        post = distributions.conjugate_update(distributions.beta(1e-300, 1e-300), [1.0])
+        assert post.alpha == 1.0
+        assert post.beta == 1e-300
+
     def test_gamma_poisson_counts(self):
         prior = distributions.gamma(1.0, 1.0)
         post = distributions.conjugate_update(prior, np.array([2.0, 3.0]))

@@ -1,9 +1,9 @@
-"""Latent-space GP: kernels, fit/predict/sample, inducing sets."""
+"""Latent-space GP: kernels, fit/predict/sample, k-means++ inducing sites."""
 
 import numpy as np
 import pytest
 
-from laplace_match import distributions, gp
+from laplace_match import distributions, gp, pipeline
 from laplace_match.errors import DimensionMismatch, NotPositiveDefinite
 
 
@@ -241,6 +241,18 @@ class TestSampling:
                 assert abs(emp[i, j] - cov[i, j]) < 4 * se_cov
 
 
+def _inducing_fields(X, Y, k, family, **config):
+    """Cluster centers, folded per-cluster parameter fields and the basis of
+    the pipeline's inducing sites (seed 0)."""
+    cfg = pipeline.LMGPConfig(family, inducing=k, **config)
+    data = pipeline.Dataset(X, Y)
+    basis = cfg.resolve_basis(data.Y)
+    centers, total, count = pipeline._sites(data, cfg)
+    width = pipeline._basis_width(basis, family)
+    prior = pipeline._prior_fields(cfg, basis, width, centers, None)
+    return centers, distributions.conjugate_fields(family, prior, total, count), basis
+
+
 class TestInducing:
     def test_kmeanspp_separated_blobs(self):
         rng = np.random.default_rng(6)
@@ -260,26 +272,27 @@ class TestInducing:
     def test_single_cluster_folds_counts(self):
         X = np.array([0.0, 0.1, 0.2])
         Y = np.array([1.0, 1.0, 0.0])
-        ind = gp.build_inducing_set((X, Y), 1, "beta")
-        assert ind.k == 1
-        theta = ind.params[0]
-        assert theta.alpha == pytest.approx(2.01, abs=1e-12)
-        assert theta.beta == pytest.approx(1.01, abs=1e-12)
-        assert np.isfinite(ind.gauss[0].mu)
+        centers, theta, basis = _inducing_fields(X, Y, 1, "beta")
+        assert centers.shape[0] == 1
+        assert theta["alpha"] == pytest.approx(2.01, abs=1e-12)
+        assert theta["beta"] == pytest.approx(1.01, abs=1e-12)
+        mu, _ = pipeline._bridge("beta", basis, theta)
+        assert np.isfinite(mu[0])
 
     def test_k_equals_n_gives_singletons(self):
         X = np.array([0.0, 1.0, 2.0, 3.0])
         Y = np.array([1.0, 0.0, 1.0, 1.0])
-        ind = gp.build_inducing_set((X, Y), 4, "beta", epsilon_a=0.01)
-        assert ind.k == 4
-        assert sorted(ind.assignments.tolist()) == [0, 1, 2, 3]
+        centers, theta, _ = _inducing_fields(X, Y, 4, "beta", epsilon_a=0.01)
+        assert centers.shape[0] == 4
+        _, assignments, _ = gp.kmeanspp(X, 4, seed=0)
+        assert sorted(assignments.tolist()) == [0, 1, 2, 3]
         for j in range(4):
-            member = int(np.flatnonzero(ind.assignments == j)[0])
+            member = int(np.flatnonzero(assignments == j)[0])
             expected_alpha = 0.01 + Y[member]
-            assert ind.params[j].alpha == pytest.approx(expected_alpha, abs=1e-12)
+            assert theta["alpha"][j] == pytest.approx(expected_alpha, abs=1e-12)
 
     def test_dirichlet_counts_sum_within_cluster(self):
         X = np.array([0.0, 0.05])
         Y = np.array([[3.0, 1.0, 0.0], [1.0, 2.0, 1.0]])
-        ind = gp.build_inducing_set((X, Y), 1, "dirichlet", dirichlet_prior=1.0)
-        np.testing.assert_allclose(ind.params[0].alpha, [5.0, 4.0, 2.0], atol=1e-12)
+        _, theta, _ = _inducing_fields(X, Y, 1, "dirichlet", dirichlet_prior=1.0)
+        np.testing.assert_allclose(theta["alpha"][0], [5.0, 4.0, 2.0], atol=1e-12)

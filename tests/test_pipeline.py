@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from laplace_match import bridges, distributions, gp, pipeline, transforms
@@ -10,6 +12,7 @@ from laplace_match.errors import (
     EmptyDataset,
     IndexOutOfRange,
     InvalidParams,
+    LaplaceMatchError,
     NegativeRate,
 )
 
@@ -115,6 +118,47 @@ class TestConfigAndDataset:
                         pipeline.Dataset(data.X, Y), pipeline.LMGPConfig(family, draws=10)
                     )
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("epsilon_a", np.nan),
+            ("epsilon_a", np.inf),
+            ("dirichlet_prior", 0.0),
+            ("dirichlet_prior", -1.0),
+            ("dirichlet_prior", np.nan),
+            ("inducing", 0),
+            ("inducing", -2),
+            ("inducing", 6),  # more sites than the 5 training points
+        ],
+    )
+    def test_config_boundary(self, field, value):
+        family = "dirichlet" if field == "dirichlet_prior" else "beta"
+        data = _categorical_data(t=5) if family == "dirichlet" else _binary_data(n=5)
+        with pytest.raises(InvalidParams):
+            pipeline.lmgp_v1(data, pipeline.LMGPConfig(family, draws=10, **{field: value}))
+
+    @pytest.mark.parametrize("version", ["v1", "v2"])
+    @pytest.mark.parametrize("defect", ["asymmetric", "indefinite"])
+    def test_bad_scatters_rejected(self, version, defect):
+        data = _covariance_data()
+        Y = data.Y.copy()
+        if defect == "asymmetric":
+            Y[1, 0, 1] += 0.5
+        else:
+            Y[1] = np.diag([1.0, -1.0])
+        cfg = pipeline.LMGPConfig("inverse_wishart", draws=10, version=version)
+        run = pipeline.lmgp_v1 if version == "v1" else pipeline.lmgp_v2
+        with pytest.raises(InvalidParams):
+            run(pipeline.Dataset(data.X, Y), cfg)
+
+    @pytest.mark.parametrize("version", ["v1", "v2"])
+    def test_basis_size_must_fit_targets(self, version):
+        basis = transforms.BasisTransform("softmax_inverse", K=4)
+        cfg = pipeline.LMGPConfig("dirichlet", basis=basis, version=version, draws=10)
+        run = pipeline.lmgp_v1 if version == "v1" else pipeline.lmgp_v2
+        with pytest.raises(DimensionMismatch):
+            run(_categorical_data(t=5, K=3), cfg)
+
     def test_empty_dataset(self):
         empty = pipeline.Dataset(np.zeros(0), np.zeros(0))
         with pytest.raises(EmptyDataset):
@@ -190,11 +234,78 @@ class TestBinaryPipeline:
         assert np.all(np.isfinite(pred.latent_mean))
         assert np.all((pred.probabilities >= 0.0) & (pred.probabilities <= 1.0))
 
+    def test_tiny_epsilon_inducing_keeps_beta_counts_positive(self):
+        # an all-ones cluster folded as eps + count - total rounded to 0
+        data = _binary_data(n=20)
+        cfg = pipeline.LMGPConfig("beta", kernel=gp.RBF(1.0, 1.0), epsilon_a=1e-300, inducing=4)
+        _, pred = pipeline.lmgp_v1(data, cfg)
+        assert np.all(np.isfinite(pred.latent_mean))
+        assert np.all((pred.probabilities >= 0.0) & (pred.probabilities <= 1.0))
+
+    def test_tiny_epsilon_v2_flat_prior(self):
+        # the bridge image of the pseudo-prior Beta(eps, eps) divided by 0
+        data = _binary_data(n=5)
+        cfg = pipeline.LMGPConfig("beta", kernel=gp.RBF(1.0, 1.0), epsilon_a=1e-300)
+        _, v1 = pipeline.lmgp_v1(data, cfg)
+        _, v2 = pipeline.lmgp_v2(data, cfg)
+        np.testing.assert_array_equal(v2.latent_mean, v1.latent_mean)
+        assert np.all((v2.probabilities >= 0.0) & (v2.probabilities <= 1.0))
+
     def test_timing_keys(self):
         _, pred = pipeline.lmgp_v1(
             _binary_data(n=6), pipeline.LMGPConfig("beta", kernel=gp.RBF(1.0))
         )
         assert {"lm_seconds", "fit_seconds", "predict_seconds"} <= set(pred.timings)
+
+
+@st.composite
+def _site_data(draw, distinct):
+    """(family, Dataset, k): 0/1 labels or counts on a half-integer input
+    grid, with repeated inputs unless `distinct`, and k in 1..n."""
+    family = draw(st.sampled_from(["beta", "gamma"]))
+    n = draw(st.integers(1, 8))
+    grid = st.integers(-6, 6)
+    cells = draw(st.lists(grid, min_size=n, max_size=n, unique=distinct))
+    top = 1 if family == "beta" else 50
+    Y = draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+    k = n if distinct else draw(st.integers(1, n))
+    data = pipeline.Dataset(0.5 * np.array(cells, dtype=float), np.array(Y, dtype=float))
+    return family, data, k
+
+
+def _site_config(family, **updates):
+    return pipeline.LMGPConfig(family, kernel=gp.RBF(1.0, 1.0), seed=3, draws=20, **updates)
+
+
+class TestInducingProperties:
+    @given(case=_site_data(distinct=False), eps=st.sampled_from([1e-300, 1e-8, 0.01, 3.0]))
+    @settings(max_examples=30, deadline=None)
+    def test_output_in_support_or_library_error(self, case, eps):
+        family, data, k = case
+        try:
+            _, pred = pipeline.lmgp_v1(data, _site_config(family, epsilon_a=eps, inducing=k))
+        except LaplaceMatchError:
+            return
+        assert np.all(np.isfinite(pred.latent_mean))
+        assert np.all(np.isfinite(pred.latent_cov)) and np.all(pred.latent_cov >= 0.0)
+        for value in pred.summary.values():
+            assert np.all(np.isfinite(value))
+        if family == "beta":
+            assert np.all((pred.probabilities >= 0.0) & (pred.probabilities <= 1.0))
+        else:
+            assert np.all(pred.rates > 0.0)
+
+    @given(case=_site_data(distinct=True))
+    @settings(max_examples=20, deadline=None)
+    def test_k_equals_n_sites_are_the_plain_sites(self, case):
+        family, data, n = case
+        plain, _ = pipeline.lmgp_v1(data, _site_config(family))
+        sites, _ = pipeline.lmgp_v1(data, _site_config(family, inducing=n))
+        a = np.argsort(plain.X[:, 0])
+        b = np.argsort(sites.X[:, 0])
+        np.testing.assert_array_equal(sites.X[b], plain.X[a])
+        np.testing.assert_array_equal(sites.mu[b], plain.mu[a])
+        np.testing.assert_array_equal(np.diag(sites.noise)[b], np.diag(plain.noise)[a])
 
 
 class TestCountPipeline:
@@ -313,15 +424,29 @@ class TestPerPointPrediction:
                 blocks[i], cov[i * w : (i + 1) * w, i * w : (i + 1) * w], rtol=0, atol=1e-10
             )
 
-    def test_fitted_prior_marginals_are_the_joint_blocks(self):
+    def test_fitted_prior_marginals_are_the_joint_blocks(self, monkeypatch):
         data = _categorical_data(t=5, K=3)
         cfg = pipeline.LMGPConfig("dirichlet", seed=0, draws=10, version="v2")
         prior_model, _ = pipeline.lmgp_v1(data, cfg)
         basis = cfg.resolve_basis(data.Y)
-        mean, blocks = pipeline._prior_marginals(prior_model, cfg, data, basis, 3)
+        # the prior fields are the bridge inverse of the marginals seen here
+        pulled = []
+        inverse_fields = pipeline._inverse_fields
+
+        def spy(family, basis, mean, cov):
+            pulled.append((mean, cov))
+            return inverse_fields(family, basis, mean, cov)
+
+        monkeypatch.setattr(pipeline, "_inverse_fields", spy)
+        fields = pipeline._prior_fields(cfg, basis, 3, data.X, prior_model)
+        monkeypatch.undo()
+        [(mean, blocks)] = pulled
+        np.testing.assert_array_equal(
+            fields["alpha"], inverse_fields("dirichlet", basis, mean, blocks)["alpha"]
+        )
         joint = pipeline._joint_inputs(data.X, 3)
         full_mean, cov = gp.gp_predict(prior_model, joint, want_cov=True)
-        np.testing.assert_array_equal(mean, full_mean)
+        np.testing.assert_array_equal(mean.ravel(), full_mean)
         for i in range(data.n):
             np.testing.assert_allclose(
                 blocks[i], cov[3 * i : 3 * i + 3, 3 * i : 3 * i + 3], rtol=0, atol=1e-10
