@@ -1,12 +1,25 @@
 """Closed-form Laplace bridges between exponential-family parameters and
 Gaussians in transformed bases.
 
-Each bridge row is a (family, basis) pair with a forward map
-theta -> (mu, Sigma) equal to the Laplace approximation of the transformed
-density, and the corresponding inverse. Scalar rows and the matrix log rows
-are bijective; the Dirichlet softmax row uses a pseudo-inverse (exact on
-bridge images), and the matrix sqrt inverses need `structured_sigma=True`
-because a generic covariance underdetermines them.
+`_ROWS` is the one table of bridge rows: nine scalar rows, the Dirichlet
+softmax row and four Wishart/inverse-Wishart matrix rows. Each row holds its
+validity text, a validity predicate over parameter field arrays, a forward
+map theta -> (mu, Sigma) over stacked fields, equal to the Laplace
+approximation of the transformed density, and the inverse over stacked
+latents. `forward_arrays` and `inverse_arrays` serve every row. The latents
+are (n,) means and variances for the scalar rows, centered means (n, K) with
+covariances (n, K, K) for the softmax row, and for the matrix rows
+half-vectorized means (n, d) with vech covariances (n, d, d), d = p(p+1)/2,
+from one batched eigendecomposition per call.
+
+`lm_forward` and `lm_inverse` are one-item wrappers that convert EFParams and
+GaussianApprox to and from those arrays. A matrix `lm_forward` returns a
+dense vech covariance, for isotropic scales too.
+
+Scalar rows and the matrix log rows are bijective; the Dirichlet softmax row
+uses a pseudo-inverse (exact on bridge images). The matrix sqrt inverses
+read the covariance as the bridge's structured form, which a generic
+covariance underdetermines, so `lm_inverse` asks for `structured_sigma=True`.
 
 The identity basis is not a bridge row; `lm_forward` with the identity basis
 routes to `standard_laplace`, the Laplace approximation in the original
@@ -15,7 +28,7 @@ parametrization, which exists only on part of parameter space.
 
 import numpy as np
 
-from . import distributions, matrixops
+from . import distributions, matrixops, transforms
 from .errors import (
     DomainMismatch,
     IncompatibleBasis,
@@ -40,16 +53,25 @@ def _as_basis(basis, K=None, p=None):
 
 
 def _basis_for(params, basis):
-    """`basis` resolved against the K or p of `params`."""
-    return _as_basis(basis, K=getattr(params, "K", None), p=getattr(params, "p", None))
-
-
-# ---------------------------------------------------------------------------
-# scalar rows
+    """`basis` resolved against the K or p of `params`; IncompatibleBasis
+    where the family has no such basis or the sizes differ."""
+    K, p = getattr(params, "K", None), getattr(params, "p", None)
+    basis = _as_basis(basis, K=K, p=p)
+    transforms.check_basis(params.family, basis, K or p)
+    return basis
 
 
 def _row(validity, valid, fwd, inv):
     return {"validity": validity, "valid": valid, "fwd": fwd, "inv": inv}
+
+
+def _matrix_row(family, tag, validity, low):
+    return _row(
+        validity,
+        lambda dof, scale: _matrix_valid(dof, scale, low),
+        lambda dof, scale: _matrix_forward(family, tag, dof, scale),
+        lambda mu, cov: _matrix_inverse(family, tag, mu, cov),
+    )
 
 
 def _inv_check(cond, message):
@@ -66,7 +88,18 @@ def _positive(*fields):
     return ok
 
 
-_SCALAR_ROWS = {
+def _diagonal(mu, var):
+    """The variances of `var`: itself for the scalar rows, else the
+    diagonals of its covariance blocks."""
+    return var if var.ndim == mu.ndim else np.diagonal(var, axis1=-2, axis2=-1)
+
+
+# ---------------------------------------------------------------------------
+# the bridge rows; validity predicates and forwards take the fields in
+# `distributions.param_fields` order
+
+
+_ROWS = {
     ("exponential", "log"): _row(
         "all lambda > 0",
         lambda lam: _positive(lam),
@@ -142,11 +175,29 @@ _SCALAR_ROWS = {
             "beta": (np.exp(-mu) + 1.0) / var,
         },
     ),
+    ("dirichlet", "softmax_inverse"): _row(
+        "all alpha > 0",
+        lambda alpha: np.all(_positive(alpha), axis=-1),
+        lambda alpha: dirichlet_softmax_forward_arrays(alpha),
+        lambda mu, cov: {
+            "alpha": dirichlet_softmax_inverse_arrays(mu, np.diagonal(cov, axis1=-2, axis2=-1))
+        },
+    ),
+    ("wishart", "matrix_log"): _matrix_row("wishart", "matrix_log", "n > p - 1", -1.0),
+    ("wishart", "matrix_sqrt"): _matrix_row("wishart", "matrix_sqrt", "n > p", 0.0),
+    ("inverse_wishart", "matrix_log"): _matrix_row(
+        "inverse_wishart", "matrix_log", "nu > p - 1", -1.0
+    ),
+    ("inverse_wishart", "matrix_sqrt"): _matrix_row(
+        "inverse_wishart", "matrix_sqrt", "nu > p - 1", -1.0
+    ),
 }
 
-def _params_arrays(params):
-    fields = distributions.param_fields(params.family)
-    return {name: getattr(params, name) for name in fields}
+
+def _row_for(family, tag):
+    if (family, tag) not in _ROWS:
+        raise IncompatibleBasis(f"no bridge row for ({family}, {tag})")
+    return _ROWS[(family, tag)]
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +229,8 @@ def dirichlet_softmax_inverse_arrays(mu, sigma_diag):
 
 
 # ---------------------------------------------------------------------------
-# matrix rows
+# matrix rows: dof (...,), scale (..., p, p) <-> vech mean (..., d), vech
+# covariance (..., d, d)
 
 
 def _dof_offset(family, tag):
@@ -229,104 +281,63 @@ def _matrix_mode_eigs(family, tag, w, c):
     return np.sqrt(scaled)
 
 
-def _matrix_forward(params, tag):
-    fam = params.family
-    p = params.p
-    if fam == "wishart":
-        dof, scale = params.n, params.V
-        if tag == "identity" and not dof > p + 1.0:
-            raise NoValidLaplace(f"wishart identity Laplace needs n > p + 1 (got n={dof}, p={p})")
-        if tag == "matrix_sqrt" and not dof > p:
-            raise OutsideValidityRegion(
-                f"wishart sqrt bridge needs n > p (got n={dof}, p={p})"
-            )
-    else:
-        dof, scale = params.nu, params.Psi
-    c = _dof_offset(fam, tag)(dof, p)
-    w, U = np.linalg.eigh(scale)
-    M = (U * _matrix_mode_eigs(fam, tag, w, c)[None, :]) @ U.T
-    M = 0.5 * (M + M.T)
-    isotropic = (w[-1] - w[0]) <= 1e-12 * w[-1]
-    if isotropic:
-        var = 2.0 * _pair_offdiag_var(fam, tag, w[0], w[0], c)
-        return GaussianApprox(M.reshape(-1), "scaled_identity", var,
-                              domain="symmetric_matrix", p=p)
-    pairs = matrixops.vech_pairs(p)
-    v = np.array(
-        [
-            (2.0 if i == j else 1.0) * _pair_offdiag_var(fam, tag, w[i], w[j], c)
-            for i, j in pairs
-        ]
-    )
-    T = np.column_stack(
-        [
-            matrixops.vech(
-                np.outer(U[:, i], U[:, i])
-                if i == j
-                else np.outer(U[:, i], U[:, j]) + np.outer(U[:, j], U[:, i])
-            )
-            for i, j in pairs
-        ]
-    )
-    S = T @ (v[:, None] * T.T)
-    return GaussianApprox(M.reshape(-1), "dense", 0.5 * (S + S.T),
-                          domain="symmetric_matrix", p=p)
+def _sym(X):
+    return 0.5 * (X + np.swapaxes(X, -1, -2))
 
 
-def _rotated_diag_variances(g, U):
-    """Variances of (U^T Z U)_ii under the latent covariance of g."""
-    if g.structure == "scaled_identity":
-        return np.full(g.p, float(g.data))
-    S = g.vech_cov()
-    pairs = matrixops.vech_pairs(g.p)
-    out = np.zeros(g.p)
-    for i in range(g.p):
-        B = np.outer(U[:, i], U[:, i])
-        wvec = np.array([(2.0 if a < b else 1.0) * B[a, b] for a, b in pairs])
-        out[i] = float(wvec @ S @ wvec)
-    return out
+def _matrix_valid(dof, scale, low):
+    """Per matrix: dof > p + low, and the scale finite and positive definite."""
+    dof = np.asarray(dof, dtype=float)
+    scale = np.asarray(scale, dtype=float)
+    p = scale.shape[-1]
+    finite = np.isfinite(scale).all(axis=(-2, -1))
+    w = np.linalg.eigvalsh(_sym(np.where(finite[..., None, None], scale, np.eye(p))))
+    return finite & (w[..., 0] > 0.0) & np.isfinite(dof) & (dof > p + low)
 
 
-def _matrix_inverse(g, family, tag, structured_sigma):
-    if g.domain != "symmetric_matrix":
-        raise DomainMismatch("matrix bridge inverse needs a symmetric_matrix Gaussian")
-    p = g.p
-    M = g.mean_matrix()
-    if tag == "matrix_log":
-        # diagonal variances read in the eigenbasis of the latent mean, where
-        # the bridge covariance is exactly 2/c on diagonal coordinates
-        _, U = np.linalg.eigh(M)
-        diag_vars = _rotated_diag_variances(g, U)
-        c = 2.0 / float(np.mean(diag_vars))
-        X = matrixops.spd_funm(M, "expm")
-        if family == "wishart":
-            n = c + p - 1.0
-            return distributions.wishart(n, X / c)
-        nu = c - p + 1.0
-        if not nu > p - 1.0:
-            raise DomainMismatch(
-                f"recovered nu={nu} is not above p - 1; covariance too wide"
-            )
-        return distributions.inverse_wishart(nu, c * X)
-    # matrix_sqrt
-    if not structured_sigma:
-        raise NonInvertibleBridge(
-            "the matrix sqrt inverse needs structured_sigma=True: a generic "
-            "covariance underdetermines the parameters"
-        )
+def _matrix_forward(family, tag, dof, scale):
+    """Stacked matrix bridge (also the Wishart-family identity Laplace):
+    the latent mean is U f(w) U^T of the scale's eigenpairs (w, U), and each
+    eigen-pair direction u_i u_j^T + u_j u_i^T (u_i u_i^T on the diagonal)
+    carries an independent latent variance."""
+    p = scale.shape[-1]
+    a, b = np.array(matrixops.vech_pairs(p)).T  # the vech pairs, which also index eigen-pairs
+    c = _dof_offset(family, tag)(dof, p)[..., None]
+    w, U = np.linalg.eigh(_sym(scale))
+    Ut = np.swapaxes(U, -1, -2)
+    M = _sym((U * _matrix_mode_eigs(family, tag, w, c)[..., None, :]) @ Ut)
+    v = np.where(a == b, 2.0, 1.0) * _pair_offdiag_var(family, tag, w[..., a], w[..., b], c)
+    Ua, Ub = U[..., a, :], U[..., b, :]
+    T = Ua[..., a] * Ub[..., b]
+    T = np.where(a == b, T, T + Ua[..., b] * Ub[..., a])
+    S = T @ (v[..., :, None] * np.swapaxes(T, -1, -2))
+    return M[..., a, b], _sym(S)
+
+
+def _matrix_inverse(family, tag, mu, cov):
+    """Stacked matrix bridge inverse. The bridge covariance of the diagonal
+    coordinates of U^T Z U, in the eigenbasis U of the latent mean, fixes the
+    constant c: 2/c for the log rows, w_i^2 / (2c) for the sqrt rows."""
+    p = int(round((np.sqrt(8.0 * mu.shape[-1] + 1.0) - 1.0) / 2.0))
+    if p * (p + 1) // 2 != mu.shape[-1]:
+        raise DomainMismatch("matrix rows need vech means of length p(p+1)/2")
+    a, b = np.array(matrixops.vech_pairs(p)).T
+    M = matrixops.unvech(mu, p)
     w, U = np.linalg.eigh(M)
-    if np.min(w) <= 0.0:
-        raise DomainMismatch("sqrt-basis mean must be positive definite")
-    diag_vars = _rotated_diag_variances(g, U)
-    c = float(np.mean(w * w / (2.0 * diag_vars)))
-    M2 = M @ M
-    M2 = 0.5 * (M2 + M2.T)
-    if family == "wishart":
-        return distributions.wishart(c + p, M2 / c)
-    nu = c - p
-    if not nu > p - 1.0:
-        raise DomainMismatch(f"recovered nu={nu} is not above p - 1; covariance too wide")
-    return distributions.inverse_wishart(nu, c * M2)
+    W = np.where(a < b, 2.0, 1.0)[:, None] * (U[..., a, :] * U[..., b, :])
+    diag_vars = np.sum(W * (cov @ W), axis=-2)
+    Ut = np.swapaxes(U, -1, -2)
+    if tag == "matrix_log":
+        c = (2.0 / np.mean(diag_vars, axis=-1))[..., None, None]
+        X = _sym((U * np.exp(w)[..., None, :]) @ Ut)
+        dof, scale = (c + p - 1.0, X / c) if family == "wishart" else (c - p + 1.0, c * X)
+    else:
+        if np.min(w) <= 0.0:
+            raise DomainMismatch("sqrt-basis mean must be positive definite")
+        c = np.mean(w * w / (2.0 * diag_vars), axis=-1)[..., None, None]
+        X = _sym(M @ M)
+        dof, scale = (c + p, X / c) if family == "wishart" else (c - p, c * X)
+    return dict(zip(distributions.param_fields(family), (dof[..., 0, 0], scale)))
 
 
 # ---------------------------------------------------------------------------
@@ -344,33 +355,27 @@ def bridge_rows():
 
 def bridge_table():
     """Machine-readable description of every bridge row."""
-    table = []
-    for family, tag in bridge_rows():
-        if (family, tag) in _SCALAR_ROWS:
-            latent = "scalar"
-            validity = _SCALAR_ROWS[(family, tag)]["validity"]
-        elif tag == "softmax_inverse":
-            latent = "centered vector (K)"
-            validity = "all alpha > 0"
-        else:
-            latent = "symmetric matrix (vech)"
-            validity = {
-                ("wishart", "matrix_log"): "n > p - 1",
-                ("wishart", "matrix_sqrt"): "n > p",
-                ("inverse_wishart", "matrix_log"): "nu > p - 1",
-                ("inverse_wishart", "matrix_sqrt"): "nu > p - 1",
-            }[(family, tag)]
-        table.append(
-            {
-                "family": family,
-                "basis": tag,
-                "latent": latent,
-                "validity": validity,
-                "bijective": tag != "softmax_inverse",
-                "needs_structured_sigma": tag == "matrix_sqrt",
-            }
-        )
-    return table
+    matrix = "symmetric matrix (vech)"
+    latents = {
+        "softmax_inverse": "centered vector (K)",
+        "matrix_log": matrix,
+        "matrix_sqrt": matrix,
+    }
+    return [
+        {
+            "family": family,
+            "basis": tag,
+            "latent": latents.get(tag, "scalar"),
+            "validity": _ROWS[(family, tag)]["validity"],
+            "bijective": tag != "softmax_inverse",
+            "needs_structured_sigma": tag == "matrix_sqrt",
+        }
+        for family, tag in bridge_rows()
+    ]
+
+
+def _fields_of(params):
+    return [getattr(params, name) for name in distributions.param_fields(params.family)]
 
 
 def bridge_valid(params, basis):
@@ -378,35 +383,22 @@ def bridge_valid(params, basis):
     basis = _basis_for(params, basis)
     if basis.tag == "identity":
         return standard_valid(params)
-    if basis.tag not in FAMILY_BASES[params.family][1:]:
-        raise IncompatibleBasis(f"no bridge row for ({params.family}, {basis!r})")
-    key = (params.family, basis.tag)
-    if key in _SCALAR_ROWS:
-        arrays = _params_arrays(params)
-        return bool(np.all(_SCALAR_ROWS[key]["valid"](**arrays)))
-    if key == ("wishart", "matrix_sqrt"):
-        return bool(params.n > params.p)
-    return True
+    return bool(np.all(_ROWS[(params.family, basis.tag)]["valid"](*_fields_of(params))))
 
 
 def standard_valid(params):
     """Whether the standard-basis Laplace approximation exists."""
-    fam = params.family
-    if fam == "exponential":
+    try:
+        standard_laplace(params)
+    except NoValidLaplace:
         return False
-    if fam == "gamma":
-        return bool(params.alpha > 1.0)
-    if fam == "inverse_gamma":
-        return True
-    if fam == "chi_squared":
-        return bool(params.k > 2.0)
-    if fam == "beta":
-        return bool(params.alpha > 1.0 and params.beta > 1.0)
-    if fam == "dirichlet":
-        return bool(np.all(params.alpha > 1.0))
-    if fam == "wishart":
-        return bool(params.n > params.p + 1.0)
     return True
+
+
+def _matrix_gaussian(mu, cov, p):
+    return GaussianApprox(
+        matrixops.unvech(mu, p).ravel(), "dense", cov, domain="symmetric_matrix", p=p
+    )
 
 
 def standard_laplace(params):
@@ -443,48 +435,52 @@ def standard_laplace(params):
         return GaussianApprox(
             (a - 1.0) / s, "diagonal", (a - 1.0) / s**2, domain="simplex", centered=False
         )
-    return _matrix_forward(params, "identity")
+    dof, scale = _fields_of(params)
+    if fam == "wishart" and not dof > params.p + 1.0:
+        raise NoValidLaplace(
+            f"wishart identity Laplace needs n > p + 1 (got n={dof}, p={params.p})"
+        )
+    mu, cov = _matrix_forward(fam, "identity", np.asarray(dof), scale)
+    return _matrix_gaussian(mu, cov, params.p)
 
 
 def lm_forward(params, basis):
-    """Map parameters to the matched Gaussian in the given basis."""
+    """Map parameters to the matched Gaussian in the given basis: a one-item
+    `forward_arrays`."""
     basis = _basis_for(params, basis)
     fam = params.family
     if basis.tag == "identity":
         return standard_laplace(params)
-    if basis.tag not in FAMILY_BASES[fam][1:]:
-        raise IncompatibleBasis(f"no bridge row for ({fam}, {basis!r})")
-    key = (fam, basis.tag)
-    if key in _SCALAR_ROWS:
-        mu, var = forward_arrays(fam, basis.tag, **_params_arrays(params))
-        return scalar_gaussian(float(mu), float(var))
-    if basis.tag == "softmax_inverse":
-        if basis.K != params.K:
-            raise IncompatibleBasis(
-                f"softmax basis has K={basis.K} but the Dirichlet has K={params.K}"
-            )
-        mu, sigma = dirichlet_softmax_forward_arrays(params.alpha)
-        return GaussianApprox(mu, "dense", sigma, domain="simplex", centered=True)
-    if basis.p != params.p:
-        raise IncompatibleBasis(
-            f"matrix basis has p={basis.p} but the distribution has p={params.p}"
-        )
-    return _matrix_forward(params, basis.tag)
+    names = distributions.param_fields(fam)
+    mu, var = forward_arrays(
+        fam, basis.tag, **{name: np.asarray(getattr(params, name))[None] for name in names}
+    )
+    if basis.p is not None:
+        return _matrix_gaussian(mu[0], var[0], basis.p)
+    if basis.K is not None:
+        return GaussianApprox(mu[0], "dense", var[0], domain="simplex", centered=True)
+    return scalar_gaussian(float(mu[0]), float(var[0]))
 
 
 def forward_arrays(family, tag, **arrays):
-    """Vectorized scalar bridge forward: parameter arrays -> (mu, var).
+    """Bridge forward over stacked parameter fields: arrays -> (mu, var).
+
+    Scalar rows map (n,) fields to (n,) means and variances; the softmax row
+    maps alpha (n, K) to centered means (n, K) and covariances (n, K, K); the
+    matrix rows map a dof (n,) and a scale (n, p, p) to vech means (n, d) and
+    vech covariances (n, d, d).
 
     Raises OutsideValidityRegion for fields outside the row's validity
-    region, or whose mean or variance is not finite (or the variance not
-    positive) in floating point.
+    region (for the matrix rows: a dof at or below the bound, or a scale that
+    is not finite and positive definite), or whose mean or covariance is not
+    finite (or a variance not positive) in floating point.
     """
-    key = (family, tag)
-    if key not in _SCALAR_ROWS:
-        raise IncompatibleBasis(f"no vectorized scalar bridge row for {key}")
-    row = _SCALAR_ROWS[key]
-    arrays = {k: np.asarray(v, dtype=float) for k, v in arrays.items()}
-    ok = row["valid"](**arrays)
+    row = _row_for(family, tag)
+    names = distributions.param_fields(family)
+    if set(arrays) != set(names):
+        raise TypeError(f"{family} fields are {names}, got {tuple(arrays)}")
+    fields = [np.asarray(arrays[name], dtype=float) for name in names]
+    ok = row["valid"](*fields)
     if not np.all(ok):
         raise OutsideValidityRegion(
             f"({family}, {tag}) bridge needs {row['validity']}: "
@@ -492,8 +488,10 @@ def forward_arrays(family, tag, **arrays):
         )
     # valid but extreme fields overflow the formula (or underflow a product)
     with np.errstate(all="ignore"):
-        mu, var = row["fwd"](**arrays)
-    if not (np.isfinite(mu).all() and np.isfinite(var).all() and (var > 0.0).all()):
+        mu, var = row["fwd"](*fields)
+    if not (
+        np.isfinite(mu).all() and np.isfinite(var).all() and (_diagonal(mu, var) > 0.0).all()
+    ):
         raise OutsideValidityRegion(
             f"({family}, {tag}) bridge: the fields map outside finite means and "
             "positive finite variances"
@@ -502,58 +500,64 @@ def forward_arrays(family, tag, **arrays):
 
 
 def inverse_arrays(family, tag, mu, var):
-    """Vectorized scalar bridge inverse: (mu, var) arrays -> parameter arrays."""
-    key = (family, tag)
-    if key not in _SCALAR_ROWS:
-        raise IncompatibleBasis(f"no vectorized scalar bridge row for {key}")
+    """Bridge inverse over stacked latents: (mu, var) -> parameter fields.
+
+    `var` holds variances for the scalar rows and covariance blocks for the
+    softmax and matrix rows, as `forward_arrays` returns them; the matrix
+    sqrt rows read them as the bridge's structured form. Raises
+    DomainMismatch for non-finite latents, non-positive variances, or a
+    Gaussian that maps outside the row's validity region.
+    """
+    row = _row_for(family, tag)
     mu = np.asarray(mu, dtype=float)
     var = np.asarray(var, dtype=float)
-    # array methods, not np.all/np.any: lm_inverse calls this once per scalar
+    # array methods, not np.all/np.any: lm_inverse calls this once per
     # Gaussian, where the dispatch overhead of np.all dominates
     if not (np.isfinite(mu).all() and np.isfinite(var).all()):
         raise DomainMismatch("means and variances must be finite")
-    if (var <= 0.0).any():
+    if (_diagonal(mu, var) <= 0.0).any():
         raise DomainMismatch("variances must be positive")
     # extreme but finite means overflow to inf (or underflow to 0) parameters
-    with np.errstate(over="ignore"):
-        fields = _SCALAR_ROWS[key]["inv"](mu, var)
-    for value in fields.values():
-        if not ((value > 0.0).all() and (value < np.inf).all()):
-            raise DomainMismatch("the Gaussian maps outside the finite positive parameters")
+    with np.errstate(all="ignore"):
+        fields = row["inv"](mu, var)
+    if not row["valid"](*[fields[name] for name in distributions.param_fields(family)]).all():
+        raise DomainMismatch(
+            f"the Gaussian maps outside the ({family}, {tag}) region {row['validity']}"
+        )
     return fields
 
 
 def lm_inverse(g, family, basis, structured_sigma=False):
-    """Map a Gaussian back to exponential-family parameters."""
+    """Map a Gaussian back to exponential-family parameters: a one-item
+    `inverse_arrays`."""
     if isinstance(g, tuple):
         g = scalar_gaussian(*g)
-    basis = _as_basis(basis, K=g.mean.size, p=g.p)
     if family not in distributions.FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    basis = _as_basis(basis, K=g.mean.size, p=g.p)
     if basis.tag == "identity":
         raise NonInvertibleBridge(
             "the identity basis is not a bridge row; the standard-basis "
             "Laplace approximation has no parameter inverse here"
         )
-    if basis.tag not in FAMILY_BASES[family][1:]:
-        raise IncompatibleBasis(f"no bridge row for ({family}, {basis!r})")
-    key = (family, basis.tag)
-    if key in _SCALAR_ROWS:
-        if g.mean.size != 1:
-            raise DomainMismatch("scalar bridge inverse needs a one-dimensional Gaussian")
-        fields = inverse_arrays(family, basis.tag, g.mu, g.var)
-        return distributions.from_record(
-            {"family": family, **{k: float(v) for k, v in fields.items()}}
-        )
-    if basis.tag == "softmax_inverse":
-        if g.domain not in ("simplex", "vector"):
-            raise DomainMismatch("softmax inverse needs a simplex-domain Gaussian")
-        mu = g.mean
-        diag = g.cov_diagonal()
-        if np.any(diag <= 0.0):
-            raise DomainMismatch("covariance diagonal must be positive")
-        alpha = dirichlet_softmax_inverse_arrays(mu, diag)
-        if np.any(alpha <= 0.0):
-            raise DomainMismatch("Gaussian is too wide to correspond to a Dirichlet")
-        return distributions.dirichlet(alpha)
-    return _matrix_inverse(g, family, basis.tag, structured_sigma)
+    matrix = basis.p is not None
+    if matrix and g.domain != "symmetric_matrix":
+        raise DomainMismatch("matrix bridge inverse needs a symmetric_matrix Gaussian")
+    if basis.K is not None and g.domain not in ("simplex", "vector"):
+        raise DomainMismatch("softmax inverse needs a simplex-domain Gaussian")
+    transforms.check_basis(family, basis, g.p if matrix else g.mean.size)
+    if matrix:
+        if basis.tag == "matrix_sqrt" and not structured_sigma:
+            raise NonInvertibleBridge(
+                "the matrix sqrt inverse needs structured_sigma=True: a generic "
+                "covariance underdetermines the parameters"
+            )
+        mu, var = g.vech_mean()[None], g.vech_cov()[None]
+    elif basis.K is not None:
+        mu, var = g.mean[None], g.cov_dense()[None]
+    elif g.mean.size != 1:
+        raise DomainMismatch("scalar bridge inverse needs a one-dimensional Gaussian")
+    else:
+        mu, var = g.mean, np.array([g.var])
+    fields = inverse_arrays(family, basis.tag, mu, var)
+    return distributions.from_record({"family": family, **{k: v[0] for k, v in fields.items()}})

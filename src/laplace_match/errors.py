@@ -75,7 +75,3 @@ class DegenerateProjection(LaplaceMatchError):
 
 class SupportMismatch(LaplaceMatchError):
     """Sampling density support does not cover the target domain."""
-
-
-class IndexOutOfRange(LaplaceMatchError):
-    """Component index outside the parameter vector."""

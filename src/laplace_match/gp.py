@@ -262,8 +262,11 @@ def median_lengthscale(X):
 
 
 def _coerce_noise(sigma, n):
-    """Accept scalar, (n,) variances, (n, n) covariance, or block list."""
-    if isinstance(sigma, (list, tuple)) and len(sigma) and np.ndim(sigma[0]) == 2:
+    """Accept scalar, (n,) variances, (n, n) covariance, or a list or stack
+    of square blocks."""
+    if (
+        isinstance(sigma, (list, tuple)) and len(sigma) and np.ndim(sigma[0]) == 2
+    ) or np.ndim(sigma) == 3:
         blocks = [np.asarray(b, dtype=float) for b in sigma]
         total = sum(b.shape[0] for b in blocks)
         if total != n or any(b.shape[0] != b.shape[1] for b in blocks):

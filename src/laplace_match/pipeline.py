@@ -5,10 +5,11 @@ fields -> conjugate fold -> bridge. A site is a training input, or with
 `inducing=k` a k-means++ cluster carrying its members' summed targets and
 member count. The prior fields are the weak pseudo-prior's (V1, inducing,
 and V2 without a fitted prior) or, for V2 with a fitted prior GP, the bridge
-inverse of its marginals at the sites. `distributions.conjugate_fields`
-folds each site's data into its fields, and one bridge call per family turns
-them into Gaussian pseudo-observations, on which a heteroskedastic GP is fit
-in the latent coordinates. With the flat default prior V2 coincides with V1.
+inverse of its marginals at the sites (one `bridges.inverse_arrays` call).
+`distributions.conjugate_fields` folds each site's data into its fields, and
+one `bridges.forward_arrays` call, for every family, turns them into Gaussian
+pseudo-observations, on which a heteroskedastic GP is fit in the latent
+coordinates. With the flat default prior V2 coincides with V1.
 
 Latent layout: scalar families use one GP coordinate per input; the simplex
 and matrix families expand each input into `width` latent rows (K classes,
@@ -31,12 +32,10 @@ from . import bridges, distributions, gp, matrixops, transforms
 from .errors import (
     DimensionMismatch,
     EmptyDataset,
-    IndexOutOfRange,
     InvalidParams,
     LaplaceMatchError,
     NegativeRate,
 )
-from .gaussian import GaussianApprox
 
 QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
 
@@ -81,8 +80,8 @@ class LMGPConfig:
             defaults to a LookupTable of identity plus a uniform 0.5.
         epsilon_a: pseudo-likelihood prior weight (finite, > 0).
         inducing: optional cluster count for the conjugacy-based reduction,
-            1 <= inducing <= n (pseudo-likelihood semantics: the sites keep
-            the pseudo-prior in V2 too).
+            1 <= inducing <= the number of distinct inputs (pseudo-likelihood
+            semantics: the sites keep the pseudo-prior in V2 too).
         seed: drives sampling and clustering; same seed, same outputs.
         version: "v1" or "v2".
         dirichlet_prior: per-category Dirichlet pseudo-count (finite, > 0).
@@ -244,27 +243,6 @@ def _build_kernel(config, X, width):
     return gp.Product(kT, kC)
 
 
-def _latent_to_gauss(family, mean_block, cov_block, basis):
-    """Wrap a latent marginal as a GaussianApprox for lm_inverse."""
-    if family == "dirichlet":
-        return GaussianApprox(
-            mean=mean_block,
-            structure="dense",
-            data=cov_block,
-            domain="simplex",
-            centered=False,
-        )
-    p = basis.p
-    mean_mat = matrixops.unvech(mean_block, p)
-    return GaussianApprox(
-        mean=mean_mat.ravel(),
-        structure="dense",
-        data=cov_block,
-        domain="symmetric_matrix",
-        p=p,
-    )
-
-
 # ---------------------------------------------------------------------------
 # the LM step: sites -> prior fields -> conjugate fold -> bridge
 
@@ -278,8 +256,10 @@ def _sites(data, config):
     if config.inducing is None:
         return data.X, data.Y, np.ones(data.n)
     k = config.inducing
-    if k > data.n:
-        raise InvalidParams(f"inducing={k} exceeds the {data.n} training points")
+    # k-means++ cannot fill more clusters than there are distinct inputs
+    distinct = np.unique(data.X, axis=0).shape[0]
+    if k > distinct:
+        raise InvalidParams(f"inducing={k} exceeds the {distinct} distinct training inputs")
     centers, assign, _ = gp.kmeanspp(data.X, k, seed=config.seed)
     total = np.zeros((k,) + data.Y.shape[1:])
     np.add.at(total, assign, data.Y)
@@ -307,21 +287,7 @@ def _prior_fields(config, basis, width, X_sites, prior_model):
     mean, cov = gp.gp_predict(prior_model, _joint_inputs(X_sites, width), width=width)
     if width > 1:
         mean = mean.reshape(-1, width)
-    return _inverse_fields(fam, basis, mean, cov)
-
-
-def _bridge(family, basis, fields):
-    """Latent pseudo-observations (mean, noise) of per-site parameter fields."""
-    if family in distributions._SCALAR_FAMILIES:
-        return bridges.forward_arrays(family, basis.tag, **fields)
-    if family == "dirichlet":
-        mu, sigma = bridges.dirichlet_softmax_forward_arrays(fields["alpha"])
-        return mu.ravel(), list(sigma)
-    gauss = [
-        bridges.lm_forward(distributions.inverse_wishart(nu, Psi), basis)
-        for nu, Psi in zip(fields["nu"], fields["Psi"])
-    ]
-    return np.concatenate([g.vech_mean() for g in gauss]), [g.vech_cov() for g in gauss]
+    return bridges.inverse_arrays(fam, basis.tag, mean, cov)
 
 
 # ---------------------------------------------------------------------------
@@ -361,42 +327,24 @@ def _sample_marginals(mean, cov, seed, count):
 _EF_ERRORS = (LaplaceMatchError, ValueError, np.linalg.LinAlgError)
 
 
-def _inverse_fields(family, basis, mean, cov):
-    """EF parameter fields of per-point latent marginals, stacked per point.
-
-    Marginals are (mean (m,), var (m,)) or (mean (m, w), blocks (m, w, w)).
-    Raises where the inverse bridge fails for any point.
-    """
-    if mean.ndim == 1:
-        return bridges.inverse_arrays(family, basis.tag, mean, cov)
-    structured = basis.tag == "matrix_sqrt"
-    thetas = [
-        bridges.lm_inverse(
-            _latent_to_gauss(family, m, c, basis), family, basis, structured_sigma=structured
-        )
-        for m, c in zip(mean, cov)
-    ]
-    return {
-        name: np.array([getattr(t, name) for t in thetas])
-        for name in distributions.param_fields(family)
-    }
-
-
 def _params_at(family, fields, i):
     return distributions.from_record({"family": family, **{k: v[i] for k, v in fields.items()}})
 
 
 def _query_ef_params(family, basis, mean, cov):
-    """EF parameters per query point; None where the inverse bridge fails."""
+    """EF parameters per query point; None where the inverse bridge fails.
+
+    Marginals are (mean (m,), var (m,)) or (mean (m, w), blocks (m, w, w)).
+    """
     try:
-        fields = _inverse_fields(family, basis, mean, cov)
+        fields = bridges.inverse_arrays(family, basis.tag, mean, cov)
         return tuple(_params_at(family, fields, i) for i in range(mean.shape[0]))
     except _EF_ERRORS:
         pass  # per point below, so that only the failing points get None
     out = []
     for i in range(mean.shape[0]):
         try:
-            fields = _inverse_fields(family, basis, mean[i : i + 1], cov[i : i + 1])
+            fields = bridges.inverse_arrays(family, basis.tag, mean[i : i + 1], cov[i : i + 1])
             out.append(_params_at(family, fields, 0))
         except _EF_ERRORS:
             out.append(None)
@@ -469,10 +417,10 @@ def _run(data, config, X_query, prior_model):
     X_train, total, count = _sites(data, config)
     prior = _prior_fields(config, basis, width, X_train, prior_model)
     fields = distributions.conjugate_fields(config.family, prior, total, count)
-    mu_flat, noise = _bridge(config.family, basis, fields)
+    mu, noise = bridges.forward_arrays(config.family, basis.tag, **fields)
     timings["lm_seconds"] = time.perf_counter() - t0
     t1 = time.perf_counter()
-    model = gp.gp_fit(kernel, _joint_inputs(X_train, width), mu_flat, noise)
+    model = gp.gp_fit(kernel, _joint_inputs(X_train, width), mu.ravel(), noise)
     timings["fit_seconds"] = time.perf_counter() - t1
     Xq = data.X if X_query is None else X_query
     return model, _predict(model, config, basis, width, Xq, timings)
@@ -503,18 +451,7 @@ def lmgp_v2(data, config, X_query=None, prior=None):
 
 
 # ---------------------------------------------------------------------------
-# marginals and metrics
-
-
-def dirichlet_beta_marginals(params, component):
-    """Beta marginal of one Dirichlet component: Beta(a_i, sum_{j!=i} a_j)."""
-    if params.family != "dirichlet":
-        raise InvalidParams("marginals need dirichlet parameters")
-    K = params.alpha.size
-    if not 0 <= component < K:
-        raise IndexOutOfRange(f"component {component} outside [0, {K})")
-    a = float(params.alpha[component])
-    return distributions.beta(a, float(np.sum(params.alpha)) - a)
+# metrics
 
 
 def classification_metrics(probabilities, labels):

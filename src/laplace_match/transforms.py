@@ -122,6 +122,17 @@ def matrix_sqrt(p):
     return BasisTransform("matrix_sqrt", p=p)
 
 
+def check_basis(family, basis, size):
+    """Raise IncompatibleBasis unless `basis` is defined for `family` and its
+    K or p, where it has one, equals `size` (the K or p of the parameters or
+    of the Gaussian it is applied to)."""
+    if basis.tag not in FAMILY_BASES[family]:
+        raise IncompatibleBasis(f"basis {basis!r} is not defined for {family}")
+    sized = basis.K or basis.p
+    if sized is not None and sized != size:
+        raise IncompatibleBasis(f"basis {basis!r} does not fit size {size}")
+
+
 # ---------------------------------------------------------------------------
 # sample-level maps
 
@@ -601,16 +612,7 @@ def _matrix_density(params, tag):
 def push_forward(params, basis):
     """Build the TransformedDensity of `params` under `basis`."""
     fam = params.family
-    if basis.tag not in FAMILY_BASES[fam]:
-        raise IncompatibleBasis(f"basis {basis!r} is not defined for {fam}")
-    if basis.tag == "softmax_inverse" and basis.K != params.K:
-        raise IncompatibleBasis(
-            f"softmax basis has K={basis.K} but the Dirichlet has K={params.K}"
-        )
-    if basis.tag in ("matrix_log", "matrix_sqrt") and basis.p != params.p:
-        raise IncompatibleBasis(
-            f"matrix basis has p={basis.p} but the distribution has p={params.p}"
-        )
+    check_basis(fam, basis, getattr(params, "K", None) or getattr(params, "p", None))
 
     if fam in _SCALAR_POSITIVE:
         logdens, logobj, in_dom, bdry, init = _scalar_positive_density(params, basis.tag)

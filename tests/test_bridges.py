@@ -164,6 +164,27 @@ class TestValidityRegions:
             with pytest.raises(IncompatibleBasis):
                 bridges.bridge_valid(params, basis)
 
+    @pytest.mark.parametrize(
+        "call,params,basis",
+        [
+            ("bridge_valid", distributions.dirichlet([1.0, 2.0, 3.0, 4.0]),
+             transforms.softmax_inverse(3)),
+            ("bridge_valid", distributions.inverse_wishart(5.0, np.eye(3)),
+             transforms.matrix_log(2)),
+            ("lm_inverse", distributions.dirichlet([1.0, 2.0, 3.0]),
+             transforms.softmax_inverse(4)),
+            ("lm_inverse", distributions.inverse_wishart(5.0, np.eye(2)),
+             transforms.matrix_log(3)),
+        ],
+    )
+    def test_sized_basis_must_fit(self, call, params, basis):
+        with pytest.raises(IncompatibleBasis):
+            if call == "bridge_valid":
+                bridges.bridge_valid(params, basis)
+            else:
+                g = bridges.lm_forward(params, basis.tag)
+                bridges.lm_inverse(g, params.family, basis)
+
 
 class TestInversePinned:
     def test_exponential_log(self):
@@ -294,6 +315,79 @@ class TestRoundTrips:
                 g, family, tag, structured_sigma=(tag == "matrix_sqrt")
             )
             _assert_params_close(params, back)
+
+
+# the softmax row and the matrix rows; `low` is the matrix rows' dof bound as
+# an offset from p (dof > p + low)
+_STACKED_ROWS = [
+    ("dirichlet", "softmax_inverse", None),
+    ("wishart", "matrix_log", -1.0),
+    ("wishart", "matrix_sqrt", 0.0),
+    ("inverse_wishart", "matrix_log", -1.0),
+    ("inverse_wishart", "matrix_sqrt", -1.0),
+]
+
+
+def _stacked_fields(family, p, n, seed):
+    """n random parameter sets of a row as stacked fields: Dirichlet alpha
+    (n, p), or a dof (n,) above every matrix row's bound and SPD scales."""
+    rng = np.random.default_rng(seed)
+    if family == "dirichlet":
+        return {"alpha": np.exp(rng.uniform(np.log(0.05), np.log(50.0), size=(n, p)))}
+    A = rng.standard_normal((n, p, p))
+    scale = A @ np.swapaxes(A, -1, -2) + 0.3 * np.eye(p)
+    dof = p + rng.uniform(0.2, 6.0, size=n)
+    return dict(zip(distributions.param_fields(family), (dof, scale)))
+
+
+def _close(a, b, rel):
+    np.testing.assert_allclose(a, b, rtol=rel, atol=rel * np.max(np.abs(b)))
+
+
+stack_draws = given(
+    seed=st.integers(0, 2**32 - 1), p=st.sampled_from([2, 3]), n=st.integers(1, 4)
+)
+
+
+@pytest.mark.parametrize("family,tag,low", _STACKED_ROWS)
+class TestStackedRows:
+    @stack_draws
+    @settings(max_examples=15, deadline=None)
+    def test_stack_matches_items_and_round_trips(self, family, tag, low, seed, p, n):
+        fields = _stacked_fields(family, p, n, seed)
+        mu, cov = bridges.forward_arrays(family, tag, **fields)
+        for i in range(n):
+            params = distributions.from_record(
+                {"family": family, **{k: v[i] for k, v in fields.items()}}
+            )
+            g = bridges.lm_forward(params, tag)
+            if family == "dirichlet":
+                _close(mu[i], g.mean, 1e-12)
+                _close(cov[i], g.cov_dense(), 1e-12)
+            else:
+                _close(mu[i], g.vech_mean(), 1e-12)
+                _close(cov[i], g.vech_cov(), 1e-12)
+        back = bridges.inverse_arrays(family, tag, mu, cov)
+        for name, value in fields.items():
+            _close(back[name], value, 1e-9)
+
+    @stack_draws
+    @settings(max_examples=15, deadline=None)
+    def test_invalid_member_raises(self, family, tag, low, seed, p, n):
+        fields = _stacked_fields(family, p, n, seed)
+        j = seed % n
+        names = distributions.param_fields(family)
+        if family == "dirichlet":
+            edits = [("alpha", (j, 0), value) for value in (np.nan, np.inf, 0.0)]
+        else:
+            dof, scale = names
+            edits = [(scale, (j, 0, 0), np.nan), (scale, (j, 1, 1), np.inf),
+                     (scale, (j,), -np.eye(p)), (dof, (j,), p + low)]
+        for name, index, value in edits:
+            bad = {k: v.copy() for k, v in fields.items()}
+            bad[name][index] = value
+            with pytest.raises(OutsideValidityRegion):
+                bridges.forward_arrays(family, tag, **bad)
 
 
 class TestCovarianceStructure:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from laplace_match import distributions, gp, pipeline
+from laplace_match import bridges, distributions, gp, pipeline
 from laplace_match.errors import DimensionMismatch, NotPositiveDefinite
 
 
@@ -276,7 +276,7 @@ class TestInducing:
         assert centers.shape[0] == 1
         assert theta["alpha"] == pytest.approx(2.01, abs=1e-12)
         assert theta["beta"] == pytest.approx(1.01, abs=1e-12)
-        mu, _ = pipeline._bridge("beta", basis, theta)
+        mu, _ = bridges.forward_arrays("beta", basis.tag, **theta)
         assert np.isfinite(mu[0])
 
     def test_k_equals_n_gives_singletons(self):

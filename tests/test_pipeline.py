@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
 from laplace_match import bridges, distributions, gp, pipeline, transforms
 from laplace_match.errors import (
     DimensionMismatch,
     EmptyDataset,
-    IndexOutOfRange,
     InvalidParams,
     LaplaceMatchError,
     NegativeRate,
@@ -204,6 +202,14 @@ class TestBinaryPipeline:
         model, pred = pipeline.lmgp_v2(empty, cfg, X_query=np.array([0.0, 2.0]))
         np.testing.assert_allclose(pred.latent_mean, np.zeros(2), atol=1e-12)
         np.testing.assert_allclose(pred.latent_cov, np.full(2, 1.5), atol=1e-12)
+
+    def test_inducing_beyond_distinct_inputs_rejected(self):
+        X = np.repeat(np.arange(5.0), 4)
+        data = pipeline.Dataset(X, (X > 2.0).astype(float))
+        with pytest.raises(InvalidParams):
+            pipeline.lmgp_v1(data, pipeline.LMGPConfig("beta", inducing=6, draws=10))
+        _, pred = pipeline.lmgp_v1(data, pipeline.LMGPConfig("beta", inducing=5, draws=10))
+        assert np.all(np.isfinite(pred.latent_mean))
 
     def test_inducing_equals_full_at_k_n(self):
         data = _binary_data(n=8)
@@ -431,18 +437,18 @@ class TestPerPointPrediction:
         basis = cfg.resolve_basis(data.Y)
         # the prior fields are the bridge inverse of the marginals seen here
         pulled = []
-        inverse_fields = pipeline._inverse_fields
+        inverse_arrays = bridges.inverse_arrays
 
-        def spy(family, basis, mean, cov):
+        def spy(family, tag, mean, cov):
             pulled.append((mean, cov))
-            return inverse_fields(family, basis, mean, cov)
+            return inverse_arrays(family, tag, mean, cov)
 
-        monkeypatch.setattr(pipeline, "_inverse_fields", spy)
+        monkeypatch.setattr(bridges, "inverse_arrays", spy)
         fields = pipeline._prior_fields(cfg, basis, 3, data.X, prior_model)
         monkeypatch.undo()
         [(mean, blocks)] = pulled
         np.testing.assert_array_equal(
-            fields["alpha"], inverse_fields("dirichlet", basis, mean, blocks)["alpha"]
+            fields["alpha"], inverse_arrays("dirichlet", basis.tag, mean, blocks)["alpha"]
         )
         joint = pipeline._joint_inputs(data.X, 3)
         full_mean, cov = gp.gp_predict(prior_model, joint, want_cov=True)
@@ -498,30 +504,6 @@ class TestQueryEFParams:
         for i in (0, 3):
             expected = bridges.lm_inverse((mean[i], var[i]), "gamma", "log")
             assert ef[i].to_record() == expected.to_record()
-
-
-class TestDirichletBetaMarginals:
-    def test_uniform_pinned(self):
-        m = pipeline.dirichlet_beta_marginals(distributions.dirichlet([1.0, 1.0, 1.0]), 0)
-        assert (m.alpha, m.beta) == (1.0, 2.0)
-
-    def test_posterior_pinned(self):
-        m = pipeline.dirichlet_beta_marginals(distributions.dirichlet([4.0, 1.0, 2.0]), 2)
-        assert (m.alpha, m.beta) == (2.0, 5.0)
-
-    def test_index_range(self):
-        with pytest.raises(IndexOutOfRange):
-            pipeline.dirichlet_beta_marginals(distributions.dirichlet([1.0, 1.0]), 2)
-        with pytest.raises(InvalidParams):
-            pipeline.dirichlet_beta_marginals(distributions.beta(1.0, 1.0), 0)
-
-    def test_marginal_matches_sampling(self):
-        alpha = [2.0, 1.5, 3.5]
-        comp = 1
-        marg = pipeline.dirichlet_beta_marginals(distributions.dirichlet(alpha), comp)
-        x = distributions.sample(distributions.dirichlet(alpha), seed=8, count=10**5)
-        stat = stats.kstest(x[:, comp], stats.beta(marg.alpha, marg.beta).cdf).statistic
-        assert stat < 1.63 / np.sqrt(x.shape[0])
 
 
 class TestClassificationMetrics:
