@@ -96,20 +96,27 @@ def _diagonal(mu, var):
 
 # ---------------------------------------------------------------------------
 # the bridge rows; validity predicates and forwards take the fields in
-# `distributions.param_fields` order
+# `distributions.param_fields` order. A scalar row's forward writes the means
+# into out[0] and the variances into out[1], the two halves of one block,
+# through ufunc `out=` arguments: a call allocates that one block and next to
+# no temporaries, so its time stays linear in n, where fresh arrays of 100k+
+# points would land in freshly mapped pages on every call.
 
 
 _ROWS = {
     ("exponential", "log"): _row(
         "all lambda > 0",
         lambda lam: _positive(lam),
-        lambda lam: (-np.log(lam), np.ones_like(np.asarray(lam, dtype=float))),
+        lambda lam, out: (np.negative(np.log(lam, out=out[0]), out=out[0]), out[1].fill(1.0)),
         lambda mu, var: {"lam": np.exp(-mu)},
     ),
     ("exponential", "sqrt"): _row(
         "all lambda > 0",
         lambda lam: _positive(lam),
-        lambda lam: (np.sqrt(0.5 / lam), 0.25 / lam),
+        lambda lam, out: (
+            np.sqrt(np.divide(0.5, lam, out=out[0]), out=out[0]),
+            np.divide(0.25, lam, out=out[1]),
+        ),
         lambda mu, var: (
             _inv_check(mu > 0.0, "sqrt image has positive mean"),
             {"lam": 0.5 / (mu * mu)},
@@ -118,13 +125,19 @@ _ROWS = {
     ("gamma", "log"): _row(
         "all alpha, lambda > 0",
         lambda alpha, lam: _positive(alpha, lam),
-        lambda alpha, lam: (np.log(alpha / lam), 1.0 / alpha),
+        lambda alpha, lam, out: (
+            np.log(np.divide(alpha, lam, out=out[0]), out=out[0]),
+            np.divide(1.0, alpha, out=out[1]),
+        ),
         lambda mu, var: {"alpha": 1.0 / var, "lam": np.exp(-mu) / var},
     ),
     ("gamma", "sqrt"): _row(
         "alpha > 1/2",
         lambda alpha, lam: _positive(alpha, lam) & (np.asarray(alpha, dtype=float) > 0.5),
-        lambda alpha, lam: (np.sqrt((alpha - 0.5) / lam), 0.25 / lam),
+        lambda alpha, lam, out: (
+            np.sqrt(np.divide(np.subtract(alpha, 0.5, out=out[0]), lam, out=out[0]), out=out[0]),
+            np.divide(0.25, lam, out=out[1]),
+        ),
         lambda mu, var: (
             _inv_check(mu > 0.0, "sqrt image has positive mean"),
             {"lam": 0.25 / var, "alpha": mu * mu / (4.0 * var) + 0.5},
@@ -133,15 +146,20 @@ _ROWS = {
     ("inverse_gamma", "log"): _row(
         "all alpha, lambda > 0",
         lambda alpha, lam: _positive(alpha, lam),
-        lambda alpha, lam: (np.log(lam / alpha), 1.0 / alpha),
+        lambda alpha, lam, out: (
+            np.log(np.divide(lam, alpha, out=out[0]), out=out[0]),
+            np.divide(1.0, alpha, out=out[1]),
+        ),
         lambda mu, var: {"alpha": 1.0 / var, "lam": np.exp(mu) / var},
     ),
     ("inverse_gamma", "sqrt"): _row(
         "all alpha, lambda > 0",
         lambda alpha, lam: _positive(alpha, lam),
-        lambda alpha, lam: (
-            np.sqrt(lam / (alpha + 0.5)),
-            lam / (4.0 * (alpha + 0.5) ** 2),
+        lambda alpha, lam, out: (
+            # out[0] holds alpha + 1/2 until the mean overwrites it
+            np.add(alpha, 0.5, out=out[0]),
+            np.divide(lam, np.multiply(4.0, np.square(out[0], out=out[1]), out=out[1]), out=out[1]),
+            np.sqrt(np.divide(lam, out[0], out=out[0]), out=out[0]),
         ),
         lambda mu, var: (
             _inv_check(mu * mu > 2.0 * var, "image needs mu^2 > 2 var"),
@@ -151,13 +169,13 @@ _ROWS = {
     ("chi_squared", "log"): _row(
         "all k > 0",
         lambda k: _positive(k),
-        lambda k: (np.log(k), 2.0 / k),
+        lambda k, out: (np.log(k, out=out[0]), np.divide(2.0, k, out=out[1])),
         lambda mu, var: {"k": np.exp(mu)},
     ),
     ("chi_squared", "sqrt"): _row(
         "k > 1",
         lambda k: _positive(k) & (np.asarray(k, dtype=float) > 1.0),
-        lambda k: (np.sqrt(k - 1.0), np.full(np.shape(np.asarray(k, dtype=float)), 0.5)),
+        lambda k, out: (np.sqrt(np.subtract(k, 1.0, out=out[0]), out=out[0]), out[1].fill(0.5)),
         lambda mu, var: (
             _inv_check(mu > 0.0, "sqrt image has positive mean"),
             {"k": mu * mu + 1.0},
@@ -166,9 +184,9 @@ _ROWS = {
     ("beta", "logit"): _row(
         "all alpha, beta > 0",
         lambda alpha, beta: _positive(alpha, beta),
-        lambda alpha, beta: (
-            np.log(alpha / beta),
-            (alpha + beta) / (alpha * beta),
+        lambda alpha, beta, out: (
+            np.log(np.divide(alpha, beta, out=out[0]), out=out[0]),
+            np.divide(np.add(alpha, beta, out=out[1]), alpha * beta, out=out[1]),
         ),
         lambda mu, var: {
             "alpha": (np.exp(mu) + 1.0) / var,
@@ -488,7 +506,12 @@ def forward_arrays(family, tag, **arrays):
         )
     # valid but extreme fields overflow the formula (or underflow a product)
     with np.errstate(all="ignore"):
-        mu, var = row["fwd"](*fields)
+        if family in distributions._SCALAR_FAMILIES:
+            block = np.empty((2,) + np.broadcast(*fields).shape)
+            mu, var = block[0, ...], block[1, ...]  # arrays, also for 0-d fields
+            row["fwd"](*fields, out=(mu, var))
+        else:
+            mu, var = row["fwd"](*fields)
     if not (
         np.isfinite(mu).all() and np.isfinite(var).all() and (_diagonal(mu, var) > 0.0).all()
     ):

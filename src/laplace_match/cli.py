@@ -530,12 +530,6 @@ def _experiment_metrics(kind, pred, data, class_labels):
     return {"min_mean_eigenvalue": eig_min}
 
 
-def _prediction_record(pred):
-    record = pred.to_record()
-    record.pop("timings", None)
-    return record
-
-
 def cmd_experiment(args):
     _load_config(args, _EXPERIMENT_KEYS)
     if args.data is None:
@@ -570,12 +564,12 @@ def cmd_experiment(args):
     _, pred = run(data, config)
     timings = dict(pred.timings)
     metrics = {"train": _experiment_metrics(args.kind, pred, data, class_labels)}
-    predictions = {"train": _prediction_record(pred)}
+    predictions = {"train": pred.to_record()}
     if test is not None:
         _, pred_test = run(data, config, X_query=test.X)
         timings["test_predict_seconds"] = pred_test.timings["predict_seconds"]
         metrics["test"] = _experiment_metrics(args.kind, pred_test, test, class_labels)
-        predictions["test"] = _prediction_record(pred_test)
+        predictions["test"] = pred_test.to_record()
     timings["total_seconds"] = time.perf_counter() - t_start
     report = {
         "command": f"experiment {args.kind}",

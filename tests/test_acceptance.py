@@ -14,6 +14,18 @@ from laplace_match import bridges, cli, diagnostics, distributions, gp, pipeline
 ALL_FAMILIES = list(distributions.FAMILIES)
 
 
+def _logsumexp_rows(F):
+    """Row-wise log-sum-exp of a 2-D array, keepdims, with scipy's scheme:
+    shift by the row max, then log1p of the other terms' sum. A NumPy
+    stand-in for scipy.special.logsumexp on the ESS hot path, where scipy's
+    input handling costs about 7x the arithmetic."""
+    top_at = np.argmax(F, axis=1)
+    top = F[np.arange(F.shape[0]), top_at][:, None]
+    rest = np.exp(F - top)
+    rest[np.arange(F.shape[0]), top_at] = 0.0
+    return top + np.log1p(np.sum(rest, axis=1, keepdims=True))
+
+
 def test_criterion_1_closed_form_matches_numeric_oracle():
     t0 = time.perf_counter()
     rows = cli.oracle_rows(ALL_FAMILIES, tol=1e-6)
@@ -132,7 +144,7 @@ def test_criterion_6_lm_latents_match_elliptical_slice_sampling():
 
     def log_lik(f):
         F = f.reshape(T, K)
-        return float(np.sum(counts * (F - logsumexp(F, axis=1, keepdims=True))))
+        return float(np.sum(counts * (F - _logsumexp_rows(F))))
 
     prior = (np.zeros(T * K), K_prior)
     ref = diagnostics.ess_sample(prior, log_lik, 30000, burn_in=3000, seed=999)

@@ -443,6 +443,37 @@ class TestVectorizedArrays:
         back = bridges.inverse_arrays("chi_squared", "sqrt", mu, var)
         np.testing.assert_allclose(back["k"], k, rtol=1e-12)
 
+    @pytest.mark.parametrize(
+        "family,tag,reference",
+        [
+            ("exponential", "log", lambda lam: (-np.log(lam), np.ones_like(lam))),
+            ("exponential", "sqrt", lambda lam: (np.sqrt(0.5 / lam), 0.25 / lam)),
+            ("gamma", "log", lambda a, lam: (np.log(a / lam), 1.0 / a)),
+            ("gamma", "sqrt", lambda a, lam: (np.sqrt((a - 0.5) / lam), 0.25 / lam)),
+            ("inverse_gamma", "log", lambda a, lam: (np.log(lam / a), 1.0 / a)),
+            (
+                "inverse_gamma",
+                "sqrt",
+                lambda a, lam: (np.sqrt(lam / (a + 0.5)), lam / (4.0 * (a + 0.5) ** 2)),
+            ),
+            ("chi_squared", "log", lambda k: (np.log(k), 2.0 / k)),
+            ("chi_squared", "sqrt", lambda k: (np.sqrt(k - 1.0), np.full(k.shape, 0.5))),
+            ("beta", "logit", lambda a, b: (np.log(a / b), (a + b) / (a * b))),
+        ],
+    )
+    def test_forward_arrays_equals_the_row_formula_bitwise(self, family, tag, reference):
+        rng = np.random.default_rng(1)
+        names = distributions.param_fields(family)
+        fields = [np.exp(rng.uniform(0.1, 3.0, 500)) for _ in names]
+        mu, var = bridges.forward_arrays(family, tag, **dict(zip(names, fields)))
+        ref_mu, ref_var = reference(*fields)
+        assert np.array_equal(mu, ref_mu) and np.array_equal(var, ref_var)
+        # 0-d fields give 0-d results
+        mu0, var0 = bridges.forward_arrays(
+            family, tag, **{name: np.asarray(f[3]) for name, f in zip(names, fields)}
+        )
+        assert np.shape(mu0) == () and mu0 == ref_mu[3] and var0 == ref_var[3]
+
     def test_forward_arrays_validity(self):
         with pytest.raises(OutsideValidityRegion):
             bridges.forward_arrays(

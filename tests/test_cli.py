@@ -183,6 +183,9 @@ class TestExperimentCommand:
         assert report["metrics"]["test"]["accuracy"] >= 0.9
         assert report["config"]["family"] == "beta"
         assert "total_seconds" in report["timings"]
+        for split in ("train", "test"):
+            stages = report["predictions"][split]["timings"]
+            assert {"predict_seconds", "summary_seconds"} <= set(stages)
         probs = np.asarray(report["predictions"]["train"]["probabilities"])
         assert probs.shape == (40,)
         assert np.all((probs >= 0.0) & (probs <= 1.0))

@@ -73,6 +73,44 @@ class TestKernels:
         assert gp.median_lengthscale(np.array([0.0, 1.0, 3.0])) == pytest.approx(2.0)
         assert gp.median_lengthscale(np.array([5.0])) == 1.0
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 41, 200])
+    def test_median_lengthscale_equals_median_of_all_pair_distances(self, n):
+        X = np.random.default_rng(n).uniform(0.0, 3.0, size=(n, 2))
+        X[n // 2] = X[0]  # a zero distance
+        d = np.sqrt(gp._sqdist(X, X)[np.triu_indices(n, k=1)])
+        assert gp.median_lengthscale(X) == float(np.median(d))
+        assert gp.median_lengthscale(np.zeros((4, 1))) == 1.0
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            gp.RBF(0.7, 1.3),
+            gp.RationalQuadratic(0.9, 2.0, 1.1),
+            gp.Linear(0.5, 0.2),
+            gp.LookupTable(np.eye(3) + 0.5, dim=2),
+            gp.RBF(0.8, dims=(0, 1)) + gp.Linear(0.3, dims=(1,)),
+            gp.Product(gp.RBF(1.2, dims=(0, 1)), gp.LookupTable(np.eye(3) + 0.5, dim=2)),
+        ],
+        ids=["rbf", "rational_quadratic", "linear", "lookup_table", "sum", "product"],
+    )
+    def test_pairs_is_the_diagonal(self, kernel):
+        rng = np.random.default_rng(0)
+        X = np.column_stack([rng.uniform(0.0, 1.0, (9, 2)), rng.integers(0, 3, 9)])
+        np.testing.assert_allclose(kernel.pairs(X, X), np.diag(kernel(X, X)), rtol=0, atol=1e-15)
+        Z = X[::-1]
+        np.testing.assert_allclose(
+            kernel.pairs(X, Z), np.diag(kernel(X, Z)), rtol=0, atol=1e-15
+        )
+
+    def test_pairs_checks_lookup_codes_and_lengths(self):
+        k = gp.LookupTable(np.eye(3) + 0.5)
+        with pytest.raises(ValueError):
+            k.pairs(np.array([0.0, 3.0]), np.array([0.0, 1.0]))
+        with pytest.raises(ValueError):
+            k.pairs(np.array([0.0, 1.0]), np.array([-1.0, 1.0]))
+        with pytest.raises(DimensionMismatch):
+            gp.RBF().pairs(np.zeros(3), np.zeros(2))
+
 
 class TestCholJitter:
     def test_pd_needs_no_jitter(self):
@@ -198,6 +236,48 @@ class TestFitPredict:
                 )
         with pytest.raises(DimensionMismatch):
             gp.gp_predict(model, q[:5], width=2)
+
+    def test_width_blocks_with_a_sum_coordinate_kernel(self):
+        coords = gp.Sum(
+            gp.LookupTable(np.eye(3), dim=1), gp.LookupTable(np.full((3, 3), 0.5), dim=1)
+        )
+        kernel = gp.Product(gp.RBF(0.8, 1.0, dims=(0,)), coords)
+        codes = np.tile(np.arange(3.0), 4)
+        X = np.column_stack([np.repeat([0.0, 0.7, 1.9, 3.0], 3), codes])
+        q = np.column_stack([np.repeat([0.2, 1.0, 2.4, 8.0], 3), codes])
+        model = gp.gp_fit(kernel, X, np.sin(np.arange(12.0)), 0.2)
+        mean, cov = gp.gp_predict(model, q, want_cov=True)
+        bmean, blocks = gp.gp_predict(model, q, width=3)
+        assert np.array_equal(bmean, mean) and blocks.shape == (4, 3, 3)
+        for i in range(4):
+            np.testing.assert_allclose(
+                blocks[i], cov[3 * i : 3 * i + 3, 3 * i : 3 * i + 3], rtol=0, atol=1e-12
+            )
+
+    def test_variances_are_the_joint_diagonal(self):
+        rng = np.random.default_rng(4)
+        X = rng.uniform(0.0, 5.0, size=(15, 2))
+        model = gp.gp_fit(gp.RBF(1.1, 1.7), X, rng.normal(size=15), rng.uniform(0.1, 0.5, 15))
+        q = rng.uniform(-1.0, 6.0, size=(25, 2))
+        mean, var = gp.gp_predict(model, q)
+        jmean, cov = gp.gp_predict(model, q, want_cov=True)
+        assert np.array_equal(mean, jmean)
+        np.testing.assert_allclose(var, np.diag(cov), rtol=0, atol=1e-14)
+
+    def test_posterior_mean_is_ks_solve(self):
+        # GPML Algorithm 2.1 in dense algebra, as the reference
+        rng = np.random.default_rng(5)
+        X = rng.uniform(0.0, 5.0, size=20)
+        mu = rng.normal(size=20)
+        kernel = gp.RBF(0.9, 1.4)
+        model = gp.gp_fit(kernel, X, mu, 0.3)
+        q = np.linspace(-1.0, 6.0, 13)
+        mean, var = gp.gp_predict(model, q)
+        A = kernel(X, X) + 0.3 * np.eye(20)
+        ks = kernel(q, X)
+        np.testing.assert_allclose(mean, ks @ np.linalg.solve(A, mu), rtol=0, atol=1e-12)
+        ref_var = 1.4 - np.sum(ks * np.linalg.solve(A, ks.T).T, axis=1)
+        np.testing.assert_allclose(var, ref_var, rtol=0, atol=1e-12)
 
     def test_shape_validation(self):
         with pytest.raises(DimensionMismatch):

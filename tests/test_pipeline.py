@@ -1,5 +1,9 @@
 """End-to-end latent-GP pipelines and the reporting metrics."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -261,7 +265,52 @@ class TestBinaryPipeline:
         _, pred = pipeline.lmgp_v1(
             _binary_data(n=6), pipeline.LMGPConfig("beta", kernel=gp.RBF(1.0))
         )
-        assert {"lm_seconds", "fit_seconds", "predict_seconds"} <= set(pred.timings)
+        assert {"lm_seconds", "fit_seconds", "predict_seconds", "summary_seconds"} <= set(
+            pred.timings
+        )
+        assert pred.to_record()["timings"]["summary_seconds"] >= 0.0
+
+    def test_lmgp_v1_does_not_import_scipy_linalg(self):
+        # numpy and scipy each bundle an OpenBLAS; loading scipy's next to
+        # numpy's puts two BLAS thread pools in one process
+        code = (
+            "import sys; import numpy as np; from laplace_match import pipeline; "
+            "X = np.linspace(0.0, 4.0, 30); "
+            "pipeline.lmgp_v1(pipeline.Dataset(X, (X > 2.0).astype(float)), "
+            "pipeline.LMGPConfig('beta', draws=20)); "
+            "print('scipy.linalg' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert out.stdout.strip() == "False"
+
+
+class TestSummaries:
+    @pytest.mark.parametrize("count", [1, 2, 7, 1000])
+    @pytest.mark.parametrize(
+        "shape", [(), (5, 4), (3, 3, 3)], ids=["scalar", "dirichlet", "matrix"]
+    )
+    def test_quantiles_equal_np_quantile_bitwise(self, count, shape):
+        rng = np.random.default_rng(count)
+        draws = np.round(rng.gamma(2.0, size=(count,) + shape) * 4.0) / 4.0  # with ties
+        summary = pipeline._summarize(draws)
+        expected = np.quantile(draws, pipeline.QUANTILES, axis=0)
+        for q, row in zip(pipeline.QUANTILES, expected):
+            got = summary[f"q{int(round(q * 100)):02d}"]
+            assert np.shape(got) == np.shape(row)
+            assert np.array_equal(got, row)
+        assert np.array_equal(summary["mean"], np.mean(draws, axis=0))
+        assert np.array_equal(summary["std"], np.std(draws, axis=0))
+
+    def test_nan_draws_propagate_like_np_quantile(self):
+        draws = np.arange(12.0).reshape(6, 2)
+        draws[2, 1] = np.nan
+        summary = pipeline._summarize(draws)
+        expected = np.quantile(draws, pipeline.QUANTILES, axis=0)
+        for q, row in zip(pipeline.QUANTILES, expected):
+            np.testing.assert_array_equal(summary[f"q{int(round(q * 100)):02d}"], row)
 
 
 @st.composite
