@@ -561,12 +561,12 @@ def cmd_experiment(args):
         draws=1000 if args.draws is None else int(args.draws),
     )
     run = pipeline.lmgp_v2 if config.version == "v2" else pipeline.lmgp_v1
-    _, pred = run(data, config)
+    model, pred = run(data, config)
     timings = dict(pred.timings)
     metrics = {"train": _experiment_metrics(args.kind, pred, data, class_labels)}
     predictions = {"train": pred.to_record()}
     if test is not None:
-        _, pred_test = run(data, config, X_query=test.X)
+        pred_test = pipeline.predict(model, data, config, X_query=test.X)
         timings["test_predict_seconds"] = pred_test.timings["predict_seconds"]
         metrics["test"] = _experiment_metrics(args.kind, pred_test, test, class_labels)
         predictions["test"] = pred_test.to_record()

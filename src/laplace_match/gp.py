@@ -12,9 +12,22 @@ stacked right-hand sides [ks^T | mu] in one call, reading v = L^-1 ks^T and
 w = L^-1 mu from the result, so that mean = v^T w and the variances are the
 prior variances minus the column sums of v^2. Prior variances and blocks come
 from paired kernel evaluation (`Kernel.pairs`), never from an m x m query
-kernel. The solve is numpy's: scipy.linalg would bring a second OpenBLAS
-with its own thread pool into the process, and on two cores the two pools
-made n = 250 and 500 predictions 7-10% slower than the general solve.
+kernel.
+
+The triangular solve is a row-blocked forward substitution (`_lower_solve`),
+the level-3 BLAS TRSM scheme (Dongarra, Du Croz, Hammarling & Duff 1990):
+per block of _BLOCK rows, one GEMM subtracts the rows already solved, and the
+small diagonal block is solved by LU. That is one triangular sweep, about
+n^2 m flops, where a general solve of L would LU-factor it again (2/3 n^3)
+and sweep twice. A factor of at most _BLOCK rows goes to np.linalg.solve as
+a whole. The diagonal blocks are solved, never inverted: on a jittered
+Dirichlet factor (smallest pivot 4.7e-5) inverse leaves lost accuracy as the
+block grew, to 8e-8 forward error at 128 rows against 8e-11 for LU leaves.
+All of it runs on numpy's own OpenBLAS. scipy.linalg would bring a second
+OpenBLAS with its own thread pool into the process, and on two cores the two
+pools made n = 250 and 500 predictions 7-10% slower; calling numpy's bundled
+BLAS through ctypes would depend on symbol names that differ between numpy
+builds.
 
 gp_predict returns per-point marginals: variances, or with `width` w the
 w x w covariance block of each query point, without forming the joint
@@ -32,6 +45,7 @@ import numpy as np
 from .errors import DimensionMismatch, EmptyCluster, NotPositiveDefinite
 
 _JITTER_LADDER = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
+_BLOCK = 128
 
 
 def _as_inputs(X):
@@ -62,6 +76,18 @@ def chol_with_jitter(A):
         except np.linalg.LinAlgError:
             continue
     raise NotPositiveDefinite("matrix stayed non-PD through the jitter ladder")
+
+
+def _lower_solve(L, B):
+    """L^-1 B for a lower-triangular L, by row-blocked forward substitution."""
+    n = L.shape[0]
+    if n <= _BLOCK:
+        return np.linalg.solve(L, B)
+    X = np.empty(B.shape)
+    for i in range(0, n, _BLOCK):
+        j = min(i + _BLOCK, n)
+        X[i:j] = np.linalg.solve(L[i:j, i:j], B[i:j] - L[i:j, :i] @ X[:i])
+    return X
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +402,17 @@ class GPModel:
     def n(self):
         return self.X.shape[0]
 
+    def diagnostics(self):
+        """The jitter added before factoring, and from the diagonal of the
+        Cholesky factor its smallest entry (None for the prior) and the
+        log-determinant of the factored matrix."""
+        pivots = np.diag(self._state["L"]) if self.n else np.ones(0)
+        return {
+            "jitter": self.jitter,
+            "min_pivot": float(pivots.min()) if pivots.size else None,
+            "log_det": float(2.0 * np.sum(np.log(pivots))),
+        }
+
     def __repr__(self):
         return f"GPModel(n={self.n}, jitter={self.jitter:g})"
 
@@ -439,7 +476,7 @@ def gp_predict(model, Xstar, want_cov=False, width=1):
             return mean, _symmetrize(kernel(Xs, Xs))
         return mean, np.maximum(kernel.pairs(Xs, Xs), 0.0)
     ks = kernel(Xs, model.X)
-    vw = np.linalg.solve(model._state["L"], np.column_stack((ks.T, model.mu)))
+    vw = _lower_solve(model._state["L"], np.column_stack((ks.T, model.mu)))
     v, w = vw[:, :-1], vw[:, -1]
     mean = w @ v
     if blocked:

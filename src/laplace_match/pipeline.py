@@ -20,7 +20,8 @@ Prediction computes the GP posterior once, as per-point marginals (a
 variance, or a width x width block per query point). `Prediction.draws` are
 per-point posterior draws: each point is drawn from its own marginal, so
 draws of different points are uncorrelated; every summary reads them one
-point at a time.
+point at a time. `predict` makes another prediction from the model a
+pipeline run returned, without refitting it.
 """
 
 import time
@@ -166,12 +167,16 @@ class Prediction:
     `timings` holds wall seconds per stage: lm_seconds (sites, prior fields,
     conjugate fold and bridge), fit_seconds (GP fit), predict_seconds (GP
     posterior, per-point draws and back-transform) and summary_seconds
-    (summaries and EF inversion).
+    (summaries and EF inversion). `diagnostics` says what the fit did: the
+    Cholesky jitter, the smallest diagonal entry of the factor (min_pivot)
+    and the log-determinant of the factored matrix, the number of sites, the
+    latent width, and the count of query points whose EF inversion failed
+    (ef_failures, the None entries of `ef_params`).
     """
 
     def __init__(self, family, basis, X, latent_mean, latent_cov, draws,
                  summary, ef_params, timings, seed, probabilities=None,
-                 rates=None):
+                 rates=None, diagnostics=None):
         self.family = family
         self.basis = basis
         self.X = X
@@ -184,6 +189,7 @@ class Prediction:
         self.seed = seed
         self.probabilities = probabilities
         self.rates = rates
+        self.diagnostics = {} if diagnostics is None else diagnostics
 
     @property
     def classes(self):
@@ -204,6 +210,7 @@ class Prediction:
             "latent_mean": self.latent_mean.tolist(),
             "summary": {k: np.asarray(v).tolist() for k, v in self.summary.items()},
             "timings": dict(self.timings),
+            "diagnostics": dict(self.diagnostics),
             "ef_params": [None if p is None else p.to_record() for p in self.ef_params],
         }
         if self.probabilities is not None:
@@ -401,6 +408,12 @@ def _predict(model, config, basis, width, X_query, timings):
         rates = summary["mean"]
     ef_params = _query_ef_params(fam, basis, latent_mean, latent_cov)
     timings["summary_seconds"] = time.perf_counter() - t1
+    diagnostics = {
+        **model.diagnostics(),
+        "sites": model.n // width,
+        "width": width,
+        "ef_failures": sum(p is None for p in ef_params),
+    }
     return Prediction(
         family=fam,
         basis=basis,
@@ -414,33 +427,39 @@ def _predict(model, config, basis, width, X_query, timings):
         seed=config.seed,
         probabilities=probabilities,
         rates=rates,
+        diagnostics=diagnostics,
     )
 
 
+def _as_dataset(data):
+    return data if isinstance(data, Dataset) else Dataset(*data)
+
+
+def _resolved_basis(data, config):
+    """The run's basis: resolved against the targets, or for empty data the
+    explicit basis (a scalar family's default needs none)."""
+    if data.n:
+        return config.resolve_basis(data.Y)
+    if isinstance(config.basis, transforms.BasisTransform):
+        return config.basis
+    if config.family not in distributions._SCALAR_FAMILIES:
+        raise EmptyDataset("empty multi-latent data needs an explicit basis carrying K or p")
+    return config.resolve_basis(np.zeros(1))
+
+
 def _run(data, config, X_query, prior_model):
-    if not isinstance(data, Dataset):
-        data = Dataset(*data)
+    data = _as_dataset(data)
     if data.n == 0:
         if config.version != "v2":
             raise EmptyDataset("pipeline needs at least one observation")
         # posterior equals prior when nothing was observed
-        if config.family not in distributions._SCALAR_FAMILIES and not isinstance(
-            config.basis, transforms.BasisTransform
-        ):
-            raise EmptyDataset(
-                "empty multi-latent data needs an explicit basis carrying K or p"
-            )
-        basis = (
-            config.basis
-            if isinstance(config.basis, transforms.BasisTransform)
-            else config.resolve_basis(np.zeros(1))
-        )
+        basis = _resolved_basis(data, config)
         width = _basis_width(basis, config.family)
         model = prior_model or gp.gp_fit(_build_kernel(config, data.X, width), [], [], [])
         Xq = data.X if X_query is None else X_query
         return model, _predict(model, config, basis, width, Xq, {"lm_seconds": 0.0})
     distributions.check_observations(config.family, data.Y)
-    basis = config.resolve_basis(data.Y)
+    basis = _resolved_basis(data, config)
     width = _basis_width(basis, config.family)
     kernel = _build_kernel(config, data.X, width)
     timings = {}
@@ -479,6 +498,19 @@ def lmgp_v2(data, config, X_query=None, prior=None):
     if config.version != "v2":
         config = config.replace(version="v2")
     return _run(data, config, X_query, prior)
+
+
+def predict(model, data, config, X_query=None):
+    """Prediction at X_query (defaulting to the training inputs) from the
+    model that lmgp_v1 or lmgp_v2 returned for (data, config), without a
+    refit. Equal to the pipeline run's Prediction at X_query, except that
+    `timings` holds only the predict and summary stages.
+    """
+    data = _as_dataset(data)
+    basis = _resolved_basis(data, config)
+    width = _basis_width(basis, config.family)
+    Xq = data.X if X_query is None else X_query
+    return _predict(model, config, basis, width, Xq, {})
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from laplace_match import cli, distributions
+from laplace_match import cli, distributions, gp
 
 
 def run(capsys, *argv):
@@ -189,6 +189,28 @@ class TestExperimentCommand:
         probs = np.asarray(report["predictions"]["train"]["probabilities"])
         assert probs.shape == (40,)
         assert np.all((probs >= 0.0) & (probs <= 1.0))
+
+    @pytest.mark.parametrize("version", ["v1", "v2"])
+    def test_held_out_split_fits_once(self, tmp_path, capsys, monkeypatch, version):
+        train = self._gen(capsys, tmp_path, "binary", "train.csv", "--n", "30", "--seed", "0")
+        test = self._gen(capsys, tmp_path, "binary", "test.csv", "--n", "20", "--seed", "1")
+        fit = gp.gp_fit
+        fits = []
+
+        def counting_fit(*args, **kwargs):
+            fits.append(args)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(gp, "gp_fit", counting_fit)
+        out = str(tmp_path / "report.json")
+        rc, _, _ = run(
+            capsys,
+            "experiment", "binary", "--data", train, "--test", test, "--out", out,
+            "--seed", "0", "--draws", "50", "--pipeline-version", version,
+        )
+        assert rc == 0 and len(fits) == 1
+        timings = json.loads(open(out).read())["timings"]
+        assert timings["test_predict_seconds"] >= 0.0
 
     def test_binary_v2_matches_v1(self, tmp_path, capsys):
         train = self._gen(capsys, tmp_path, "binary", "train.csv", "--n", "30", "--seed", "4")

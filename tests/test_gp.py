@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from laplace_match import bridges, distributions, gp, pipeline
+from laplace_match import bridges, cli, distributions, gp, pipeline
 from laplace_match.errors import DimensionMismatch, NotPositiveDefinite
 
 
@@ -127,6 +127,76 @@ class TestCholJitter:
     def test_indefinite_fails(self):
         with pytest.raises(NotPositiveDefinite):
             gp.chol_with_jitter(np.diag([1.0, -1.0]))
+
+
+def _rbf_factor(n, seed):
+    """Cholesky factor of a noisy RBF kernel matrix on n seeded inputs."""
+    X = np.random.default_rng(seed).uniform(0.0, 10.0, size=(n, 1))
+    return np.linalg.cholesky(gp.RBF(1.0)(X) + 0.1 * np.eye(n))
+
+
+def _refined_solve(L, B, steps=2):
+    """L^-1 B refined against long-double residuals, as a reference."""
+    X = np.linalg.solve(L, B).astype(np.longdouble)
+    Ld = L.astype(np.longdouble)
+    for _ in range(steps):
+        R = np.einsum("ij,jk->ik", Ld, X)
+        np.subtract(B.astype(np.longdouble), R, out=R)
+        X += np.linalg.solve(L, R.astype(float))
+    return X
+
+
+class TestLowerSolve:
+    @pytest.mark.parametrize("cols", [1, 301])
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+    def test_equals_general_solve(self, n, cols):
+        L = _rbf_factor(n, seed=n)
+        B = np.random.default_rng(cols).standard_normal((n, cols))
+        ref = np.linalg.solve(L, B)
+        out = gp._lower_solve(L, B)
+        if n <= gp._BLOCK:
+            assert np.array_equal(out, ref)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+        reason="long double is no wider than double here",
+    )
+    def test_forward_error_on_a_jittered_dirichlet_factor(self):
+        # the Dirichlet K=4 benchmark op: even steps train, odd steps query;
+        # the factor needs jitter and its smallest pivot is about 5e-5
+        T, K = 250, 4
+        rows, _ = cli.gen_categorical(T, classes=K, seed=0)
+        Y = np.array([r[3] for r in rows], dtype=float).reshape(T, K)
+        X = np.column_stack([np.arange(float(T)), np.zeros(T)])
+        cfg = pipeline.LMGPConfig("dirichlet", draws=1)
+        model, _ = pipeline.lmgp_v1(pipeline.Dataset(X[0::2], Y[0::2]), cfg, X_query=X[:1])
+        assert model.jitter > 0.0 and model.n > gp._BLOCK
+        L = model._state["L"]
+        ks = model.kernel(pipeline._joint_inputs(X[1::2], K), model.X)
+        B = np.column_stack((ks.T, model.mu))
+        ref = _refined_solve(L, B)
+
+        def error(out):
+            return float(np.max(np.abs(out - ref)) / np.max(np.abs(ref)))
+
+        assert error(gp._lower_solve(L, B)) <= 2.0 * error(np.linalg.solve(L, B))
+
+    def test_predict_solves_no_block_larger_than_the_block_size(self, monkeypatch):
+        solve = np.linalg.solve
+        sizes = []
+
+        def spy(a, b):
+            sizes.append(np.shape(a)[0])
+            return solve(a, b)
+
+        rng = np.random.default_rng(6)
+        X = rng.uniform(0.0, 10.0, size=300)
+        model = gp.gp_fit(gp.RBF(1.0), X, rng.normal(size=300), 0.1)
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        for kwargs in ({}, {"want_cov": True}):
+            gp.gp_predict(model, np.linspace(0.0, 10.0, 40), **kwargs)
+        assert sizes and max(sizes) <= gp._BLOCK
 
 
 class TestFitPredict:
@@ -278,6 +348,20 @@ class TestFitPredict:
         np.testing.assert_allclose(mean, ks @ np.linalg.solve(A, mu), rtol=0, atol=1e-12)
         ref_var = 1.4 - np.sum(ks * np.linalg.solve(A, ks.T).T, axis=1)
         np.testing.assert_allclose(var, ref_var, rtol=0, atol=1e-12)
+
+    def test_diagnostics_read_the_factor_diagonal(self):
+        rng = np.random.default_rng(7)
+        X = rng.uniform(0.0, 5.0, size=30)
+        noise = rng.uniform(0.1, 0.5, 30)
+        kernel = gp.RBF(0.8, 1.3)
+        model = gp.gp_fit(kernel, X, rng.normal(size=30), noise)
+        A = kernel(X, X) + np.diag(noise)
+        diag = model.diagnostics()
+        assert diag["jitter"] == 0.0
+        assert diag["min_pivot"] == np.min(np.diag(np.linalg.cholesky(A)))
+        assert diag["log_det"] == pytest.approx(np.linalg.slogdet(A)[1], rel=1e-12)
+        prior = gp.gp_fit(kernel, [], [], [])
+        assert prior.diagnostics() == {"jitter": 0.0, "min_pivot": None, "log_det": 0.0}
 
     def test_shape_validation(self):
         with pytest.raises(DimensionMismatch):

@@ -1,5 +1,6 @@
 """End-to-end latent-GP pipelines and the reporting metrics."""
 
+import json
 import os
 import subprocess
 import sys
@@ -285,6 +286,75 @@ class TestBinaryPipeline:
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
         )
         assert out.stdout.strip() == "False"
+
+
+class TestPredictFromModel:
+    @pytest.mark.parametrize("family", ["beta", "dirichlet"])
+    def test_equals_the_pipeline_run_without_a_refit(self, family, monkeypatch):
+        data = _binary_data() if family == "beta" else _categorical_data(t=8)
+        cfg = pipeline.LMGPConfig(family, seed=3, draws=50)
+        Xq = np.linspace(-0.5, 7.5, 11)
+        model, _ = pipeline.lmgp_v1(data, cfg)
+        _, reference = pipeline.lmgp_v1(data, cfg, X_query=Xq)
+        fits = []
+        monkeypatch.setattr(gp, "gp_fit", lambda *a, **k: fits.append(a))
+        pred = pipeline.predict(model, data, cfg, Xq)
+        assert not fits
+        assert _stripped_record(pred) == _stripped_record(reference)
+        assert set(pred.timings) == {"predict_seconds", "summary_seconds"}
+
+    def test_defaults_to_the_training_inputs(self):
+        data = _count_data(n=8)
+        cfg = pipeline.LMGPConfig("gamma", kernel=gp.RBF(1.0), draws=40)
+        model, reference = pipeline.lmgp_v1(data, cfg)
+        assert _stripped_record(pipeline.predict(model, data, cfg)) == _stripped_record(
+            reference
+        )
+
+
+class TestDiagnostics:
+    def test_beta_run(self):
+        data = _binary_data(n=12)
+        model, pred = pipeline.lmgp_v1(data, pipeline.LMGPConfig("beta", draws=20))
+        diag = pred.diagnostics
+        assert diag == {**model.diagnostics(), "sites": 12, "width": 1, "ef_failures": 0}
+        assert diag["jitter"] == 0.0 and diag["min_pivot"] > 0.0
+        assert np.isfinite(diag["log_det"])
+        assert pred.to_record()["diagnostics"] == diag
+        assert json.loads(json.dumps(pred.to_record()["diagnostics"])) == diag
+
+    def test_dirichlet_run_reports_its_jitter(self):
+        # the softmax row's covariance annihilates the ones vector, so the
+        # nK-row factor needs jitter
+        data = _categorical_data(t=20, K=3)
+        model, pred = pipeline.lmgp_v1(data, pipeline.LMGPConfig("dirichlet", draws=20))
+        diag = pred.to_record()["diagnostics"]
+        assert diag["jitter"] > 0.0 and diag["jitter"] == model.jitter
+        assert diag["sites"] == 20 and diag["width"] == 3 and diag["ef_failures"] == 0
+        assert 0.0 < diag["min_pivot"] == np.min(np.diag(model._state["L"]))
+
+    def test_inducing_sites_and_empty_prior(self):
+        data = _binary_data(n=20)
+        cfg = pipeline.LMGPConfig("beta", kernel=gp.RBF(1.0), inducing=5, draws=20)
+        _, pred = pipeline.lmgp_v1(data, cfg)
+        assert pred.diagnostics["sites"] == 5
+        empty = pipeline.Dataset(np.zeros(0), np.zeros(0))
+        _, prior = pipeline.lmgp_v2(empty, cfg.replace(inducing=None))
+        assert prior.diagnostics == {
+            "jitter": 0.0, "min_pivot": None, "log_det": 0.0,
+            "sites": 0, "width": 1, "ef_failures": 0,
+        }
+
+    def test_counts_failed_ef_inversions(self, monkeypatch):
+        query = pipeline._query_ef_params
+
+        def one_fails(*args):
+            out = query(*args)
+            return (None,) + out[1:]
+
+        monkeypatch.setattr(pipeline, "_query_ef_params", one_fails)
+        _, pred = pipeline.lmgp_v1(_count_data(n=6), pipeline.LMGPConfig("gamma", draws=20))
+        assert pred.diagnostics["ef_failures"] == 1
 
 
 class TestSummaries:
