@@ -175,8 +175,8 @@ class Prediction:
     """
 
     def __init__(self, family, basis, X, latent_mean, latent_cov, draws,
-                 summary, ef_params, timings, seed, probabilities=None,
-                 rates=None, diagnostics=None):
+                 summary, ef_params, timings, seed, diagnostics,
+                 probabilities=None, rates=None):
         self.family = family
         self.basis = basis
         self.X = X
@@ -189,7 +189,7 @@ class Prediction:
         self.seed = seed
         self.probabilities = probabilities
         self.rates = rates
-        self.diagnostics = {} if diagnostics is None else diagnostics
+        self.diagnostics = diagnostics
 
     @property
     def classes(self):
