@@ -299,17 +299,13 @@ def _matrix_mode_eigs(family, tag, w, c):
     return np.sqrt(scaled)
 
 
-def _sym(X):
-    return 0.5 * (X + np.swapaxes(X, -1, -2))
-
-
 def _matrix_valid(dof, scale, low):
     """Per matrix: dof > p + low, and the scale finite and positive definite."""
     dof = np.asarray(dof, dtype=float)
     scale = np.asarray(scale, dtype=float)
     p = scale.shape[-1]
     finite = np.isfinite(scale).all(axis=(-2, -1))
-    w = np.linalg.eigvalsh(_sym(np.where(finite[..., None, None], scale, np.eye(p))))
+    w = np.linalg.eigvalsh(matrixops.sym(np.where(finite[..., None, None], scale, np.eye(p))))
     return finite & (w[..., 0] > 0.0) & np.isfinite(dof) & (dof > p + low)
 
 
@@ -321,15 +317,15 @@ def _matrix_forward(family, tag, dof, scale):
     p = scale.shape[-1]
     a, b = np.array(matrixops.vech_pairs(p)).T  # the vech pairs, which also index eigen-pairs
     c = _dof_offset(family, tag)(dof, p)[..., None]
-    w, U = np.linalg.eigh(_sym(scale))
+    w, U = np.linalg.eigh(matrixops.sym(scale))
     Ut = np.swapaxes(U, -1, -2)
-    M = _sym((U * _matrix_mode_eigs(family, tag, w, c)[..., None, :]) @ Ut)
+    M = matrixops.sym((U * _matrix_mode_eigs(family, tag, w, c)[..., None, :]) @ Ut)
     v = np.where(a == b, 2.0, 1.0) * _pair_offdiag_var(family, tag, w[..., a], w[..., b], c)
     Ua, Ub = U[..., a, :], U[..., b, :]
     T = Ua[..., a] * Ub[..., b]
     T = np.where(a == b, T, T + Ua[..., b] * Ub[..., a])
     S = T @ (v[..., :, None] * np.swapaxes(T, -1, -2))
-    return M[..., a, b], _sym(S)
+    return M[..., a, b], matrixops.sym(S)
 
 
 def _matrix_inverse(family, tag, mu, cov):
@@ -347,13 +343,13 @@ def _matrix_inverse(family, tag, mu, cov):
     Ut = np.swapaxes(U, -1, -2)
     if tag == "matrix_log":
         c = (2.0 / np.mean(diag_vars, axis=-1))[..., None, None]
-        X = _sym((U * np.exp(w)[..., None, :]) @ Ut)
+        X = matrixops.sym((U * np.exp(w)[..., None, :]) @ Ut)
         dof, scale = (c + p - 1.0, X / c) if family == "wishart" else (c - p + 1.0, c * X)
     else:
         if np.min(w) <= 0.0:
             raise DomainMismatch("sqrt-basis mean must be positive definite")
         c = np.mean(w * w / (2.0 * diag_vars), axis=-1)[..., None, None]
-        X = _sym(M @ M)
+        X = matrixops.sym(M @ M)
         dof, scale = (c + p, X / c) if family == "wishart" else (c - p, c * X)
     return dict(zip(distributions.param_fields(family), (dof[..., 0, 0], scale)))
 

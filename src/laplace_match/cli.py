@@ -566,7 +566,7 @@ def cmd_experiment(args):
     metrics = {"train": _experiment_metrics(args.kind, pred, data, class_labels)}
     predictions = {"train": pred.to_record()}
     if test is not None:
-        pred_test = pipeline.predict(model, data, config, X_query=test.X)
+        pred_test = pipeline.predict(model, pred.basis, config, test.X)
         timings["test_predict_seconds"] = pred_test.timings["predict_seconds"]
         metrics["test"] = _experiment_metrics(args.kind, pred_test, test, class_labels)
         predictions["test"] = pred_test.to_record()

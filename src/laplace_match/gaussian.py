@@ -135,10 +135,6 @@ class GaussianApprox:
             return np.array(self.data)
         return self.data * np.eye(d)
 
-    def cov_diagonal(self):
-        """Diagonal view of the covariance (primary coordinates)."""
-        return np.diag(self.cov_dense()).copy()
-
     # -- simplex-domain accessors -------------------------------------------
 
     def chart_mean(self):

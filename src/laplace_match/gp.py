@@ -42,6 +42,7 @@ The module knows nothing of exponential families or bridges.
 
 import numpy as np
 
+from . import matrixops
 from .errors import DimensionMismatch, EmptyCluster, NotPositiveDefinite
 
 _JITTER_LADDER = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
@@ -469,9 +470,9 @@ def gp_predict(model, Xstar, want_cov=False, width=1):
     if model.n == 0:
         mean = np.zeros(Xs.shape[0])
         if blocked:
-            return mean, _symmetrize(prior)
+            return mean, matrixops.sym(prior)
         if want_cov:
-            return mean, _symmetrize(kernel(Xs, Xs))
+            return mean, matrixops.sym(kernel(Xs, Xs))
         return mean, np.maximum(kernel.pairs(Xs, Xs), 0.0)
     ks = kernel(Xs, model.X)
     vw = _lower_solve(model._state["L"], np.column_stack((ks.T, model.mu)))
@@ -479,16 +480,11 @@ def gp_predict(model, Xstar, want_cov=False, width=1):
     mean = w @ v
     if blocked:
         vb = v.T.reshape(groups.shape[0], width, model.n)
-        return mean, _symmetrize(prior - vb @ np.swapaxes(vb, 1, 2))
+        return mean, matrixops.sym(prior - vb @ np.swapaxes(vb, 1, 2))
     if want_cov:
-        return mean, _symmetrize(kernel(Xs, Xs) - v.T @ v)
+        return mean, matrixops.sym(kernel(Xs, Xs) - v.T @ v)
     var = kernel.pairs(Xs, Xs) - np.sum(v**2, axis=0)
     return mean, np.maximum(var, 0.0)
-
-
-def _symmetrize(cov):
-    """Symmetric part of a matrix or of each matrix in a stack."""
-    return 0.5 * (cov + np.swapaxes(cov, -1, -2))
 
 
 def _psd_root(cov):
@@ -496,7 +492,7 @@ def _psd_root(cov):
 
     eigh-based: exact zeros stay exact, unlike a jittered Cholesky.
     """
-    w, U = np.linalg.eigh(_symmetrize(cov))
+    w, U = np.linalg.eigh(matrixops.sym(cov))
     return U * np.sqrt(np.maximum(w, 0.0))[..., None, :]
 
 

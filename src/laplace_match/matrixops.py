@@ -1,129 +1,18 @@
-"""Symmetric-matrix functional calculus and Kronecker-type products.
+"""Symmetric-part and half-vectorization helpers for symmetric matrices.
 
-Everything operates on plain numpy arrays. Symmetric matrices are validated
-to 1e-12 relative asymmetry; eigenvalue clamping at 1e-14 of the largest
-eigenvalue absorbs rounding before log/sqrt branches.
+The matrix bridges work on the free coordinates of a symmetric p x p matrix,
+its half-vectorization: the p(p+1)/2 upper-triangle entries in row-major
+pair order. Everything operates on plain numpy arrays, on one matrix or on a
+stack (..., p, p). The eigenvalue maps of the matrix-log and matrix-sqrt
+bases live in `transforms`.
 """
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite
 
-_SYM_TOL = 1e-12
-_CLAMP = 1e-14
-
-
-def check_symmetric(A, tol=_SYM_TOL):
-    """Validate symmetry and return the exactly symmetrized copy.
-
-    Args:
-        A: square array.
-        tol: maximum allowed relative asymmetry.
-
-    Raises:
-        DimensionMismatch: if A is not square.
-        NotPositiveDefinite: never; asymmetry raises ValueError.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
-    scale = max(np.max(np.abs(A)), 1e-300)
-    if np.max(np.abs(A - A.T)) > tol * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
-    return 0.5 * (A + A.T)
-
-
-def definiteness(A):
-    """Classify a symmetric matrix as 'PD', 'PSD', or 'indefinite'."""
-    A = check_symmetric(A)
-    w = np.linalg.eigvalsh(A)
-    top = max(np.max(np.abs(w)), 1e-300)
-    if np.min(w) > 1e-10 * top:
-        return "PD"
-    if np.min(w) >= -1e-10 * top:
-        return "PSD"
-    return "indefinite"
-
-
-def spd_funm(A, kind):
-    """Apply a principal-branch matrix function to a symmetric matrix.
-
-    Args:
-        A: symmetric matrix; positive definite for 'logm' and 'sqrtm'.
-        kind: one of 'logm', 'expm', 'sqrtm'.
-
-    Returns:
-        f(A), symmetric, computed eigenvalue-wise.
-
-    Raises:
-        NotPositiveDefinite: logm/sqrtm on a matrix that is not PD.
-    """
-    A = check_symmetric(A)
-    w, U = np.linalg.eigh(A)
-    if kind == "expm":
-        fw = np.exp(w)
-    elif kind in ("logm", "sqrtm"):
-        top = max(np.max(np.abs(w)), 1e-300)
-        if np.min(w) <= 1e-10 * top:
-            raise NotPositiveDefinite(f"{kind} requires a positive definite input")
-        w = np.maximum(w, _CLAMP * np.max(w))
-        fw = np.log(w) if kind == "logm" else np.sqrt(w)
-    else:
-        raise ValueError(f"unknown matrix function {kind!r}")
-    out = (U * fw) @ U.T
-    return 0.5 * (out + out.T)
-
-
-def _commutation(p, q=None):
-    """Vec-permutation matrix K with K vec(A) = vec(A^T) for p x q inputs."""
-    q = p if q is None else q
-    K = np.zeros((p * q, p * q))
-    for i in range(p):
-        for j in range(q):
-            K[j * p + i, i * q + j] = 1.0
-    return K
-
-
-def kron_products(A, B, kind):
-    """Kronecker, box, and symmetric Kronecker products.
-
-    Index-level definitions with row index (ij) = i*cols+j:
-    (A kron B)_{(ij),(kl)} = a_ik b_jl, (A box B)_{(ij),(kl)} = a_il b_jk,
-    and sym = A kron B + A box B + B kron A + B box A.
-
-    Args:
-        A, B: matrices; square and equal-shape for 'box' and 'sym'.
-        kind: 'kron', 'box' or 'sym'.
-
-    Raises:
-        DimensionMismatch: non-square input for box/sym.
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    if kind == "kron":
-        return np.kron(A, B)
-    if A.shape[0] != A.shape[1] or B.shape != A.shape:
-        raise DimensionMismatch("box/sym products need equal square inputs")
-    K = _commutation(A.shape[0])
-    box_ab = np.kron(A, B) @ K
-    if kind == "box":
-        return box_ab
-    if kind == "sym":
-        box_ba = np.kron(B, A) @ K
-        return np.kron(A, B) + box_ab + np.kron(B, A) + box_ba
-    raise ValueError(f"unknown product kind {kind!r}")
-
-
-def symmetry_projectors(p):
-    """Projectors (Gamma, Delta) onto symmetric / antisymmetric vec-space.
-
-    Gamma_{(ij),(kl)} = (delta_ik delta_jl + delta_il delta_jk) / 2, so
-    Gamma vec(A) = vec((A + A^T)/2); Delta = I - Gamma.
-    """
-    I = np.eye(p * p)
-    K = _commutation(p)
-    gamma = 0.5 * (I + K)
-    return gamma, I - gamma
+def sym(X):
+    """Symmetric part of a matrix or of each matrix in a stack."""
+    return 0.5 * (X + np.swapaxes(X, -1, -2))
 
 
 def vech_pairs(p):
@@ -147,74 +36,3 @@ def unvech(z, p):
         X[..., i, j] = z[..., k]
         X[..., j, i] = z[..., k]
     return X
-
-
-def duplication(p):
-    """Matrix E with vec(X) = E @ vech(X) for symmetric X (0/1 entries)."""
-    d = p * (p + 1) // 2
-    E = np.zeros((p * p, d))
-    for k, (i, j) in enumerate(vech_pairs(p)):
-        E[i * p + j, k] = 1.0
-        E[j * p + i, k] = 1.0
-    return E
-
-
-def restrict_to_vech(cov_full, p):
-    """Restrict a p^2 x p^2 covariance operator to half-vectorized coordinates.
-
-    The Gaussian on vec-space is conditioned on the antisymmetric coordinates
-    being zero, which in precision form is S_vech = (E^T cov^{-1} E)^{-1}.
-    For cov = s*I this yields var(z_ii) = s and var(z_ij) = s/2.
-    """
-    cov_full = np.asarray(cov_full, dtype=float)
-    if cov_full.shape != (p * p, p * p):
-        raise DimensionMismatch(
-            f"expected a {p * p} x {p * p} operator, got {cov_full.shape}"
-        )
-    E = duplication(p)
-    prec = np.linalg.inv(cov_full)
-    S = np.linalg.inv(E.T @ prec @ E)
-    return 0.5 * (S + S.T)
-
-
-def sym_gaussian_logpdf(X, mean, cov):
-    """Log-density of a Gaussian over symmetric matrices.
-
-    The density lives on the p(p+1)/2 free (half-vectorized) coordinates, the
-    principled normalization for the symmetric subspace. `cov` may be either
-    a p^2 x p^2 operator (restricted via `restrict_to_vech`) or a matrix on
-    the vech coordinates directly.
-
-    Args:
-        X: symmetric matrix, or a batch with shape (..., p, p).
-        mean: symmetric p x p matrix.
-        cov: p^2 x p^2 operator or d x d vech covariance, d = p(p+1)/2.
-
-    Returns:
-        Log-density value(s), shape X.shape[:-2].
-
-    Raises:
-        NotPositiveDefinite: covariance not PD on the symmetric subspace.
-    """
-    mean = check_symmetric(mean)
-    p = mean.shape[0]
-    d = p * (p + 1) // 2
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape == (d, d):
-        S = 0.5 * (cov + cov.T)
-    elif cov.shape == (p * p, p * p):
-        S = restrict_to_vech(cov, p)
-    else:
-        raise DimensionMismatch(f"covariance shape {cov.shape} fits neither form")
-    try:
-        L = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("covariance is not PD on the symmetric subspace")
-    z = vech(np.asarray(X, dtype=float)) - vech(mean)
-    sol = np.linalg.solve(L, z[..., :, None] if z.ndim > 1 else z)
-    if z.ndim > 1:
-        quad = np.sum(sol[..., 0] ** 2, axis=-1)
-    else:
-        quad = float(np.sum(sol**2))
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    return -0.5 * (quad + logdet + d * np.log(2.0 * np.pi))

@@ -33,6 +33,7 @@ from . import bridges, distributions, gp, matrixops, transforms
 from .errors import (
     DimensionMismatch,
     EmptyDataset,
+    IncompatibleBasis,
     InvalidParams,
     LaplaceMatchError,
     NegativeRate,
@@ -128,20 +129,7 @@ class LMGPConfig:
         return basis
 
     def replace(self, **updates):
-        kw = {
-            "family": self.family,
-            "basis": self.basis,
-            "kernel": self.kernel,
-            "coord_kernel": self.coord_kernel,
-            "epsilon_a": self.epsilon_a,
-            "inducing": self.inducing,
-            "seed": self.seed,
-            "version": self.version,
-            "dirichlet_prior": self.dirichlet_prior,
-            "draws": self.draws,
-        }
-        kw.update(updates)
-        return LMGPConfig(**kw)
+        return LMGPConfig(**{**vars(self), **updates})
 
     def to_record(self):
         rec = {
@@ -500,17 +488,22 @@ def lmgp_v2(data, config, X_query=None, prior=None):
     return _run(data, config, X_query, prior)
 
 
-def predict(model, data, config, X_query=None):
-    """Prediction at X_query (defaulting to the training inputs) from the
-    model that lmgp_v1 or lmgp_v2 returned for (data, config), without a
-    refit. Equal to the pipeline run's Prediction at X_query, except that
-    `timings` holds only the predict and summary stages.
+def predict(model, basis, config, X_query):
+    """Prediction at X_query from the model that lmgp_v1 or lmgp_v2 returned
+    for config, without a refit. `basis` is the basis that run resolved (its
+    `Prediction.basis`), so the latent width is the fitted one. Equal to the
+    run's Prediction at X_query, except that `timings` holds only the predict
+    and summary stages.
     """
-    data = _as_dataset(data)
-    basis = _resolved_basis(data, config)
+    if not isinstance(basis, transforms.BasisTransform):
+        raise IncompatibleBasis("predict takes the basis the run resolved, Prediction.basis")
+    transforms.check_basis(config.family, basis, basis.K or basis.p)
     width = _basis_width(basis, config.family)
-    Xq = data.X if X_query is None else X_query
-    return _predict(model, config, basis, width, Xq, {})
+    if model.n and width > 1 and not np.array_equal(
+        model.X[:, -1], np.tile(np.arange(width), model.n // width)
+    ):
+        raise DimensionMismatch(f"basis {basis!r} does not fit the model's latent width")
+    return _predict(model, config, basis, width, X_query, {})
 
 
 # ---------------------------------------------------------------------------

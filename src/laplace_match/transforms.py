@@ -145,11 +145,10 @@ def _batched_funm(X, fn, what):
     sym_err = np.max(np.abs(X - np.swapaxes(X, -1, -2)))
     if not np.isfinite(sym_err) or sym_err > 1e-8 * max(1.0, np.max(np.abs(X))):
         raise OutOfSupport(f"{what} needs symmetric matrices")
-    w, U = np.linalg.eigh(0.5 * (X + np.swapaxes(X, -1, -2)))
+    w, U = np.linalg.eigh(matrixops.sym(X))
     if fn in (np.log, np.sqrt) and np.min(w) <= 0.0:
         raise OutOfSupport(f"{what} needs positive definite matrices")
-    Y = (U * fn(w)[..., None, :]) @ np.swapaxes(U, -1, -2)
-    return 0.5 * (Y + np.swapaxes(Y, -1, -2))
+    return matrixops.sym((U * fn(w)[..., None, :]) @ np.swapaxes(U, -1, -2))
 
 
 def transform_samples(samples, basis, direction="forward", pseudo_inverse=False):
@@ -486,6 +485,7 @@ def _matrix_density(params, tag):
             - 0.5 * n * np.linalg.slogdet(V)[1]
             - multigammaln(0.5 * n, p)
         )
+        X0 = n * V  # the Newton start on the support; other bases start at its image
     else:
         nu, Psi = params.nu, params.Psi
         logZ = (
@@ -493,6 +493,7 @@ def _matrix_density(params, tag):
             - 0.5 * nu * p * np.log(2.0)
             - multigammaln(0.5 * nu, p)
         )
+        X0 = Psi / (nu + p + 1.0)
 
     def eig(z):
         Y = matrixops.unvech(z, p)
@@ -529,10 +530,6 @@ def _matrix_density(params, tag):
         density = objective
         in_domain = lambda z: np.min(np.linalg.eigvalsh(matrixops.unvech(z, p)), axis=-1) > 0.0
         boundary = lambda z: float(np.min(np.linalg.eigvalsh(matrixops.unvech(z, p))))
-        if fam == "wishart":
-            X0 = n * V
-        else:
-            X0 = Psi / (nu + p + 1.0)
         init = lambda: matrixops.vech(X0)
     elif tag == "matrix_log":
 
@@ -559,10 +556,7 @@ def _matrix_density(params, tag):
 
         in_domain = lambda z: np.all(np.isfinite(np.atleast_1d(z)), axis=-1)
         boundary = lambda z: np.inf
-        if fam == "wishart":
-            Y0 = matrixops.spd_funm(n * V, "logm")
-        else:
-            Y0 = matrixops.spd_funm(Psi / (nu + p + 1.0), "logm")
+        Y0 = _batched_funm(X0, np.log, "matrix log")
         init = lambda: matrixops.vech(Y0)
     elif tag == "matrix_sqrt":
 
@@ -599,10 +593,7 @@ def _matrix_density(params, tag):
 
         in_domain = lambda z: np.min(np.linalg.eigvalsh(matrixops.unvech(z, p)), axis=-1) > 0.0
         boundary = lambda z: float(np.min(np.linalg.eigvalsh(matrixops.unvech(z, p))))
-        if fam == "wishart":
-            Y0 = matrixops.spd_funm(n * V, "sqrtm")
-        else:
-            Y0 = matrixops.spd_funm(Psi / (nu + p + 1.0), "sqrtm")
+        Y0 = _batched_funm(X0, np.sqrt, "matrix sqrt")
         init = lambda: matrixops.vech(Y0)
     else:
         raise IncompatibleBasis(f"{fam} does not support basis {tag!r}")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laplace_match import bridges, distributions, transforms
+from laplace_match import bridges, cli, distributions, transforms
 from laplace_match.errors import (
     DomainMismatch,
     IncompatibleBasis,
@@ -319,6 +319,32 @@ class TestRoundTrips:
 
 # the softmax row and the matrix rows; `low` is the matrix rows' dof bound as
 # an offset from p (dof > p + low)
+_V0 = np.array([[0.75, 0.5], [0.5, 1.0]])
+# one parameter set per family at the small-shape edge of its grid
+_SMALL_SHAPE = {
+    "exponential": distributions.exponential(1e-3),
+    "gamma": distributions.gamma(0.6, 1e-3),
+    "inverse_gamma": distributions.inverse_gamma(0.05, 1e-3),
+    "chi_squared": distributions.chi_squared(1.05),
+    "beta": distributions.beta(0.05, 0.07),
+    "dirichlet": distributions.dirichlet([0.05, 0.1, 0.2]),
+    "wishart": distributions.wishart(2.05, 1e-3 * _V0),
+    "inverse_wishart": distributions.inverse_wishart(1.05, 1e-3 * _V0),
+}
+
+
+@pytest.mark.parametrize("family,tag", list(bridges._ROWS))
+def test_small_shape_edge_matches_oracle(family, tag):
+    """Each bridge row at small shapes: within 1e-6 of the numeric oracle, and
+    the inverse recovers the parameters to 1e-9. (At large shapes, ~1e4, the
+    oracle's finite differences are the limit, not the closed forms.)"""
+    params = _SMALL_SHAPE[family]
+    basis = bridges._basis_for(params, tag)
+    forward_dev, gauss = cli._closed_vs_numeric(params, basis)
+    assert forward_dev <= 1e-6
+    assert cli._round_trip_dev(params, basis, gauss, corrupt=False) <= 1e-9
+
+
 _STACKED_ROWS = [
     ("dirichlet", "softmax_inverse", None),
     ("wishart", "matrix_log", -1.0),

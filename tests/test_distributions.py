@@ -247,9 +247,9 @@ class TestConjugateUpdate:
         for k in obs:
             log_post += stats.poisson(lam).logpmf(int(k))
         dens = np.exp(log_post - np.max(log_post))
-        dens /= np.trapezoid(dens, lam)
+        dens /= integrate.trapezoid(dens, lam)
         ref = np.exp([distributions.log_pdf(post, v) for v in lam])
-        l1 = np.trapezoid(np.abs(dens - ref), lam)
+        l1 = integrate.trapezoid(np.abs(dens - ref), lam)
         assert l1 < 1e-6
 
     def test_beta_bernoulli_grid_oracle(self):
@@ -259,9 +259,9 @@ class TestConjugateUpdate:
         x = np.linspace(1e-6, 1 - 1e-6, 20001)
         log_post = stats.beta(0.5, 0.5).logpdf(x) + 3 * np.log(x) + 1 * np.log1p(-x)
         dens = np.exp(log_post - np.max(log_post))
-        dens /= np.trapezoid(dens, x)
+        dens /= integrate.trapezoid(dens, x)
         ref = np.exp([distributions.log_pdf(post, v) for v in x])
-        assert np.trapezoid(np.abs(dens - ref), x) < 1e-6
+        assert integrate.trapezoid(np.abs(dens - ref), x) < 1e-6
 
     def test_inverse_wishart_scatter_batch(self):
         prior = distributions.inverse_wishart(3.0, np.eye(2))

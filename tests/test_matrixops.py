@@ -1,11 +1,8 @@
-"""Symmetric-matrix calculus: matrix functions, Kronecker products, projectors."""
+"""Symmetric part and half-vectorization of symmetric matrices."""
 
 import numpy as np
-import pytest
-from scipy import stats
 
 from laplace_match import matrixops
-from laplace_match.errors import DimensionMismatch, NotPositiveDefinite
 
 
 def _random_spd(rng, p):
@@ -13,127 +10,13 @@ def _random_spd(rng, p):
     return A @ A.T + 0.1 * np.eye(p)
 
 
-class TestSpdFunm:
-    def test_sqrtm_pinned(self):
-        np.testing.assert_allclose(
-            matrixops.spd_funm(np.diag([4.0, 9.0]), "sqrtm"), np.diag([2.0, 3.0]), atol=1e-12
-        )
-
-    def test_logm_identity(self):
-        np.testing.assert_allclose(
-            matrixops.spd_funm(np.eye(3), "logm"), np.zeros((3, 3)), atol=1e-13
-        )
-
-    def test_expm_logm_round_trip(self):
-        rng = np.random.default_rng(0)
-        for p in (2, 3, 5):
-            for _ in range(100):
-                A = _random_spd(rng, p)
-                back = matrixops.spd_funm(matrixops.spd_funm(A, "logm"), "expm")
-                assert np.max(np.abs(back - A)) <= 1e-10 * np.max(np.abs(A))
-
-    def test_orthogonal_equivariance(self):
-        rng = np.random.default_rng(1)
-        A = _random_spd(rng, 3)
-        Q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
-        for kind in ("logm", "expm", "sqrtm"):
-            lhs = matrixops.spd_funm(Q @ A @ Q.T, kind)
-            rhs = Q @ matrixops.spd_funm(A, kind) @ Q.T
-            assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(np.max(np.abs(rhs)), 1.0)
-
-    def test_non_pd_rejected(self):
-        indef = np.diag([1.0, -1.0])
-        for kind in ("logm", "sqrtm"):
-            with pytest.raises(NotPositiveDefinite):
-                matrixops.spd_funm(indef, kind)
-        # expm is fine on any symmetric matrix
-        matrixops.spd_funm(indef, "expm")
-
-    def test_asymmetry_rejected(self):
-        with pytest.raises(ValueError):
-            matrixops.spd_funm(np.array([[1.0, 0.5], [0.4, 1.0]]), "expm")
-
-
-class TestDefiniteness:
-    def test_tags(self):
-        assert matrixops.definiteness(np.eye(2)) == "PD"
-        assert matrixops.definiteness(np.diag([1.0, 0.0])) == "PSD"
-        assert matrixops.definiteness(np.diag([1.0, -1.0])) == "indefinite"
-
-
-class TestKronProducts:
-    def test_sym_of_scalars(self):
-        out = matrixops.kron_products(np.eye(1), np.eye(1), "sym")
-        np.testing.assert_allclose(out, [[4.0]], atol=1e-15)
-
-    def test_kron_identity(self):
-        np.testing.assert_allclose(
-            matrixops.kron_products(np.eye(2), np.eye(2), "kron"), np.eye(4), atol=1e-15
-        )
-
-    def test_mixed_product_rule(self):
-        rng = np.random.default_rng(2)
-        A, B, C, D = (rng.normal(size=(2, 2)) for _ in range(4))
-        lhs = matrixops.kron_products(A, B, "kron") @ matrixops.kron_products(C, D, "kron")
-        rhs = matrixops.kron_products(A @ C, B @ D, "kron")
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-    def test_box_index_definition(self):
-        rng = np.random.default_rng(3)
-        A = rng.normal(size=(2, 2))
-        B = rng.normal(size=(2, 2))
-        box = matrixops.kron_products(A, B, "box")
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    for l in range(2):
-                        assert box[i * 2 + j, k * 2 + l] == pytest.approx(
-                            A[i, l] * B[j, k], abs=1e-14
-                        )
-
-    def test_sym_identity_acts_as_four_on_symmetric_subspace(self):
-        sym = matrixops.kron_products(np.eye(2), np.eye(2), "sym")
-        kron = matrixops.kron_products(np.eye(2), np.eye(2), "kron")
-        box = matrixops.kron_products(np.eye(2), np.eye(2), "box")
-        np.testing.assert_allclose(sym, 2.0 * (kron + box), atol=1e-14)
-        rng = np.random.default_rng(4)
-        S = _random_spd(rng, 2)
-        np.testing.assert_allclose(sym @ S.ravel(), 4.0 * S.ravel(), atol=1e-12)
-        antisym = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        np.testing.assert_allclose(sym @ antisym.ravel(), np.zeros(4), atol=1e-14)
-
-    def test_non_square_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            matrixops.kron_products(np.ones((2, 3)), np.ones((2, 3)), "sym")
-
-
-class TestSymmetryProjectors:
-    def test_p1(self):
-        G, D = matrixops.symmetry_projectors(1)
-        np.testing.assert_allclose(G, [[1.0]], atol=1e-15)
-        np.testing.assert_allclose(D, [[0.0]], atol=1e-15)
-
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_projector_algebra(self, p):
-        G, D = matrixops.symmetry_projectors(p)
-        np.testing.assert_allclose(G @ G, G, atol=1e-12)
-        np.testing.assert_allclose(D @ D, D, atol=1e-12)
-        np.testing.assert_allclose(G @ D, np.zeros_like(G), atol=1e-12)
-        np.testing.assert_allclose(D @ G, np.zeros_like(G), atol=1e-12)
-        np.testing.assert_allclose(G + D, np.eye(p * p), atol=1e-12)
-
-    def test_gamma_symmetrizes(self):
-        G, _ = matrixops.symmetry_projectors(3)
-        rng = np.random.default_rng(5)
-        A = rng.normal(size=(3, 3))
-        np.testing.assert_allclose(
-            G @ A.ravel(), (0.5 * (A + A.T)).ravel(), atol=1e-13
-        )
-
-    def test_gamma_rank(self):
-        G, _ = matrixops.symmetry_projectors(3)
-        assert int(round(np.trace(G))) == 6
-        assert np.linalg.matrix_rank(G) == 6
+class TestSym:
+    def test_symmetric_part_of_a_stack(self):
+        X = np.random.default_rng(5).normal(size=(4, 3, 3))
+        S = matrixops.sym(X)
+        np.testing.assert_array_equal(S, np.swapaxes(S, -1, -2))
+        np.testing.assert_allclose(S[2], 0.5 * (X[2] + X[2].T), atol=1e-15)
+        np.testing.assert_array_equal(matrixops.sym(S), S)
 
 
 class TestVech:
@@ -142,68 +25,3 @@ class TestVech:
         for p in (1, 2, 4):
             S = _random_spd(rng, p)
             np.testing.assert_allclose(matrixops.unvech(matrixops.vech(S), p), S, atol=1e-15)
-
-    def test_duplication_identity(self):
-        rng = np.random.default_rng(7)
-        S = _random_spd(rng, 3)
-        E = matrixops.duplication(3)
-        np.testing.assert_allclose(E @ matrixops.vech(S), S.ravel(), atol=1e-15)
-
-    def test_restrict_scaled_identity(self):
-        # conditioning an isotropic vec-space Gaussian on symmetry halves the
-        # off-diagonal coordinate variance
-        S = matrixops.restrict_to_vech(2.0 * np.eye(4), 2)
-        np.testing.assert_allclose(S, np.diag([2.0, 1.0, 2.0]), atol=1e-12)
-
-
-class TestSymGaussianLogpdf:
-    def test_p1_reduces_to_scalar_normal(self):
-        val = matrixops.sym_gaussian_logpdf(
-            np.array([[1.3]]), np.array([[0.5]]), np.array([[2.0]])
-        )
-        assert val == pytest.approx(stats.norm(0.5, np.sqrt(2.0)).logpdf(1.3), abs=1e-12)
-
-    def test_mode_value(self):
-        mean = np.array([[1.0, 0.2], [0.2, 2.0]])
-        cov = np.diag([1.0, 0.5, 1.0])
-        at_mode = matrixops.sym_gaussian_logpdf(mean, mean, cov)
-        expected = -0.5 * np.linalg.slogdet(2 * np.pi * cov)[1]
-        assert at_mode == pytest.approx(expected, abs=1e-12)
-        off = matrixops.sym_gaussian_logpdf(mean + 0.1 * np.eye(2), mean, cov)
-        assert off < at_mode
-
-    def test_matches_vech_gaussian(self):
-        rng = np.random.default_rng(8)
-        mean = _random_spd(rng, 2)
-        cov = matrixops.restrict_to_vech(np.eye(4), 2)
-        ref = stats.multivariate_normal(matrixops.vech(mean), cov)
-        for _ in range(5):
-            X = _random_spd(rng, 2)
-            assert matrixops.sym_gaussian_logpdf(X, mean, np.eye(4)) == pytest.approx(
-                ref.logpdf(matrixops.vech(X)), abs=1e-10
-            )
-
-    def test_mc_normalization(self):
-        # importance sampling against a wider iid proposal on vech coordinates
-        rng = np.random.default_rng(9)
-        mean = np.zeros((2, 2))
-        n = 10**6
-        z = rng.normal(scale=1.8, size=(n, 3))
-        log_q = np.sum(stats.norm(0.0, 1.8).logpdf(z), axis=1)
-        X = matrixops.unvech(z, 2)
-        log_p = matrixops.sym_gaussian_logpdf(X, mean, np.eye(4))
-        w = np.exp(log_p - log_q)
-        assert np.mean(w) == pytest.approx(1.0, abs=0.02)
-
-    def test_not_pd_covariance(self):
-        with pytest.raises(NotPositiveDefinite):
-            matrixops.sym_gaussian_logpdf(
-                np.eye(2), np.eye(2), np.diag([1.0, -1.0, 1.0])
-            )
-
-    def test_batch_shape(self):
-        X = np.stack([np.eye(2), 2.0 * np.eye(2)])
-        out = matrixops.sym_gaussian_logpdf(X, np.eye(2), np.eye(4))
-        assert out.shape == (2,)
-        single = matrixops.sym_gaussian_logpdf(2.0 * np.eye(2), np.eye(2), np.eye(4))
-        assert out[1] == pytest.approx(single, abs=1e-12)

@@ -14,6 +14,7 @@ from laplace_match import bridges, distributions, gp, pipeline, transforms
 from laplace_match.errors import (
     DimensionMismatch,
     EmptyDataset,
+    IncompatibleBasis,
     InvalidParams,
     LaplaceMatchError,
     NegativeRate,
@@ -294,22 +295,33 @@ class TestPredictFromModel:
         data = _binary_data() if family == "beta" else _categorical_data(t=8)
         cfg = pipeline.LMGPConfig(family, seed=3, draws=50)
         Xq = np.linspace(-0.5, 7.5, 11)
-        model, _ = pipeline.lmgp_v1(data, cfg)
+        model, run = pipeline.lmgp_v1(data, cfg)
         _, reference = pipeline.lmgp_v1(data, cfg, X_query=Xq)
         fits = []
         monkeypatch.setattr(gp, "gp_fit", lambda *a, **k: fits.append(a))
-        pred = pipeline.predict(model, data, cfg, Xq)
+        pred = pipeline.predict(model, run.basis, cfg, Xq)
         assert not fits
         assert _stripped_record(pred) == _stripped_record(reference)
         assert set(pred.timings) == {"predict_seconds", "summary_seconds"}
 
-    def test_defaults_to_the_training_inputs(self):
+    def test_at_the_training_inputs(self):
         data = _count_data(n=8)
         cfg = pipeline.LMGPConfig("gamma", kernel=gp.RBF(1.0), draws=40)
         model, reference = pipeline.lmgp_v1(data, cfg)
-        assert _stripped_record(pipeline.predict(model, data, cfg)) == _stripped_record(
-            reference
-        )
+        assert _stripped_record(
+            pipeline.predict(model, reference.basis, cfg, data.X)
+        ) == _stripped_record(reference)
+
+    def test_a_basis_that_does_not_fit_raises(self):
+        cfg = pipeline.LMGPConfig("dirichlet", draws=20)
+        model, _ = pipeline.lmgp_v1(_categorical_data(t=4, K=3), cfg)
+        for K in (2, 4):
+            with pytest.raises(DimensionMismatch):
+                pipeline.predict(model, transforms.softmax_inverse(K), cfg, _QUERY)
+        with pytest.raises(IncompatibleBasis):
+            pipeline.predict(model, "softmax_inverse", cfg, _QUERY)
+        with pytest.raises(IncompatibleBasis):
+            pipeline.predict(model, transforms.LOGIT, cfg, _QUERY)
 
 
 class TestDiagnostics:
@@ -431,6 +443,103 @@ class TestInducingProperties:
         np.testing.assert_array_equal(sites.X[b], plain.X[a])
         np.testing.assert_array_equal(sites.mu[b], plain.mu[a])
         np.testing.assert_array_equal(np.diag(sites.noise)[b], np.diag(plain.noise)[a])
+
+
+_PIPELINE_FAMILIES = ["beta", "gamma", "dirichlet", "inverse_wishart"]
+
+
+@st.composite
+def _pipeline_data(draw, family, distinct=False):
+    """A Dataset of `family` observations, n <= 8, on an integer input grid
+    (with repeats unless `distinct`) scaled by 1e-8 ... 1e8: 0/1 labels,
+    counts up to 1e6, K=3 count vectors, or p=2 scatters of rank 0 to 3
+    scaled by 1e-4 ... 1e4."""
+    n = draw(st.integers(1, 8))
+    cells = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n, unique=distinct))
+    X = draw(st.sampled_from([1e-8, 1e-3, 1.0, 1e3, 1e8])) * np.array(cells, dtype=float)
+    counts = st.integers(0, 10**6)
+    if family == "beta":
+        Y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    elif family == "gamma":
+        Y = draw(st.lists(counts, min_size=n, max_size=n))
+    elif family == "dirichlet":
+        Y = draw(st.lists(st.lists(counts, min_size=3, max_size=3), min_size=n, max_size=n))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        Y = []
+        for _ in range(n):
+            V = rng.normal(size=(draw(st.integers(0, 3)), 2))
+            Y.append(draw(st.sampled_from([1e-4, 1e-2, 1.0, 1e2, 1e4])) * V.T @ V)
+    return pipeline.Dataset(X, np.array(Y, dtype=float))
+
+
+def _assert_in_support(family, pred):
+    """Finite latent posterior and summaries, and draws in the support."""
+    assert np.all(np.isfinite(pred.latent_mean)) and np.all(np.isfinite(pred.latent_cov))
+    for value in pred.summary.values():
+        assert np.all(np.isfinite(value))
+    if family == "beta":
+        assert np.all((pred.draws >= 0.0) & (pred.draws <= 1.0))
+    elif family == "gamma":
+        assert np.all(pred.draws > 0.0)
+    elif family == "dirichlet":
+        assert np.all(pred.draws >= 0.0)
+        np.testing.assert_allclose(pred.draws.sum(axis=-1), 1.0, atol=1e-9)
+    else:
+        np.testing.assert_array_equal(pred.draws, np.swapaxes(pred.draws, -1, -2))
+        assert np.all(np.linalg.eigvalsh(pred.draws) > 0.0)
+
+
+class TestPipelineProperties:
+    """Every pipeline, at extreme but finite scales: the output is finite and
+    in support, or a LaplaceMatchError is raised."""
+
+    @pytest.mark.parametrize("version", ["v1", "v2"])
+    @pytest.mark.parametrize("family", _PIPELINE_FAMILIES)
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data(), eps=st.sampled_from([1e-300, 1e-8, 0.01, 3.0]))
+    def test_output_in_support_or_library_error(self, family, version, data, eps):
+        cfg = pipeline.LMGPConfig(family, epsilon_a=eps, seed=3, draws=20)
+        observed = data.draw(_pipeline_data(family))
+        try:
+            if version == "v1":
+                _, pred = pipeline.lmgp_v1(observed, cfg)
+            else:
+                prior, _ = pipeline.lmgp_v1(data.draw(_pipeline_data(family)), cfg)
+                _, pred = pipeline.lmgp_v2(observed, cfg, prior=prior)
+        except LaplaceMatchError:
+            return
+        _assert_in_support(family, pred)
+
+    @pytest.mark.parametrize("k", ["1", "n"])
+    @pytest.mark.parametrize("family", ["dirichlet", "inverse_wishart"])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_multi_latent_inducing(self, family, k, data):
+        observed = data.draw(_pipeline_data(family, distinct=True))
+        cfg = pipeline.LMGPConfig(family, seed=3, draws=20)
+        if k == "1":
+            try:
+                _, pred = pipeline.lmgp_v1(observed, cfg.replace(inducing=1))
+            except LaplaceMatchError:
+                return
+            _assert_in_support(family, pred)
+            return
+        try:
+            plain, _ = pipeline.lmgp_v1(observed, cfg)
+        except LaplaceMatchError:
+            return
+        sites, _ = pipeline.lmgp_v1(observed, cfg.replace(inducing=observed.n))
+        # each site is `width` consecutive joint rows; match the sites by input
+        width = plain.n // observed.n
+        a = np.argsort(plain.X[::width, 0], kind="stable")
+        b = np.argsort(sites.X[::width, 0], kind="stable")
+        rows = lambda order: (order[:, None] * width + np.arange(width)).ravel()
+        np.testing.assert_array_equal(sites.X[rows(b)], plain.X[rows(a)])
+        np.testing.assert_array_equal(sites.mu[rows(b)], plain.mu[rows(a)])
+        np.testing.assert_array_equal(
+            sites.noise[np.ix_(rows(b), rows(b))], plain.noise[np.ix_(rows(a), rows(a))]
+        )
 
 
 class TestCountPipeline:

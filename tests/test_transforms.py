@@ -79,6 +79,62 @@ class TestTransformSamples:
         Y = transforms.transform_samples(X, basis, "forward")
         back = transforms.transform_samples(Y, basis, "inverse")
         np.testing.assert_allclose(back, X, rtol=1e-10, atol=1e-10)
+        rng = np.random.default_rng(0)
+        for p in (3, 5):
+            A = _random_spd(rng, p, count=100)
+            basis = transforms.BasisTransform(tag, p=p)
+            back = transforms.transform_samples(
+                transforms.transform_samples(A, basis, "forward"), basis, "inverse"
+            )
+            scale = np.max(np.abs(A), axis=(-2, -1))
+            assert np.all(np.max(np.abs(back - A), axis=(-2, -1)) <= 1e-10 * scale)
+
+
+def _random_spd(rng, p, count=None):
+    shape = (p, p) if count is None else (count, p, p)
+    A = rng.normal(size=shape)
+    return A @ np.swapaxes(A, -1, -2) + 0.1 * np.eye(p)
+
+
+class TestMatrixBases:
+    """The eigenvalue maps of the matrix-log and matrix-sqrt bases."""
+
+    def test_sqrt_pinned(self):
+        Y = transforms.transform_samples(np.diag([4.0, 9.0]), transforms.matrix_sqrt(2))
+        np.testing.assert_allclose(Y, np.diag([2.0, 3.0]), atol=1e-12)
+
+    def test_log_of_identity_is_zero(self):
+        Y = transforms.transform_samples(np.eye(3), transforms.matrix_log(3))
+        np.testing.assert_allclose(Y, np.zeros((3, 3)), atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "tag,direction",
+        [("matrix_log", "forward"), ("matrix_log", "inverse"), ("matrix_sqrt", "forward")],
+        ids=["log", "exp", "sqrt"],
+    )
+    def test_orthogonal_equivariance(self, tag, direction):
+        rng = np.random.default_rng(1)
+        A = _random_spd(rng, 3)
+        Q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        basis = transforms.BasisTransform(tag, p=3)
+        lhs = transforms.transform_samples(Q @ A @ Q.T, basis, direction)
+        rhs = Q @ transforms.transform_samples(A, basis, direction) @ Q.T
+        assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(np.max(np.abs(rhs)), 1.0)
+
+    def test_non_pd_rejected(self):
+        indef = np.diag([1.0, -1.0])
+        for basis in (transforms.matrix_log(2), transforms.matrix_sqrt(2)):
+            with pytest.raises(OutOfSupport):
+                transforms.transform_samples(indef, basis, "forward")
+        # the exp inverse is defined on any symmetric matrix
+        out = transforms.transform_samples(indef, transforms.matrix_log(2), "inverse")
+        np.testing.assert_allclose(out, np.diag([np.e, 1.0 / np.e]), atol=1e-15)
+
+    def test_asymmetry_rejected(self):
+        with pytest.raises(OutOfSupport):
+            transforms.transform_samples(
+                np.array([[1.0, 0.5], [0.4, 1.0]]), transforms.matrix_log(2), "inverse"
+            )
 
 
 class TestPushForward:
@@ -246,7 +302,7 @@ class TestChangeOfVariables:
         def to_support_vech(u):
             Y = matrixops.unvech(u, p)
             if tag == "matrix_log":
-                return matrixops.vech(matrixops.spd_funm(Y, "expm"))
+                return matrixops.vech(transforms.transform_samples(Y, basis, "inverse"))
             return matrixops.vech(Y @ Y)
 
         X = distributions.sample(params, seed=10, count=3)
