@@ -16,13 +16,17 @@ kernel.
 
 The triangular solve is a row-blocked forward substitution (`_lower_solve`),
 the level-3 BLAS TRSM scheme (Dongarra, Du Croz, Hammarling & Duff 1990):
-per block of _BLOCK rows, one GEMM subtracts the rows already solved, and the
-small diagonal block is solved by LU. That is one triangular sweep, about
-n^2 m flops, where a general solve of L would LU-factor it again (2/3 n^3)
-and sweep twice. A factor of at most _BLOCK rows is one block, so the loop
-is then np.linalg.solve of the whole factor. The diagonal blocks are solved, never inverted: on a jittered
-Dirichlet factor (smallest pivot 4.7e-5) inverse leaves lost accuracy as the
-block grew, to 8e-8 forward error at 128 rows against 8e-11 for LU leaves.
+per block of _BLOCK rows, one GEMM subtracts the rows already solved. Inside
+the block the same scheme runs again over leaves of at most _LEAF rows: one
+small GEMM subtracts the rows of the block already solved, and the leaf is
+multiplied by the inverse of its diagonal block. That is one triangular
+sweep, about n^2 m flops and nearly all of them in GEMM, where a general
+solve of L would LU-factor it again (2/3 n^3) and sweep twice. Multiplying
+by the inverse of a small triangular block is as accurate as solving with it
+(Du Croz & Higham 1992), but not of a large one: on a jittered Dirichlet
+factor (smallest pivot 4.7e-5) the forward error was 6-8e-11 with 16-row
+leaves, 3-4e-10 with 32, and 4e-8 to 1e-7 with 128, against 8e-11 to 1e-10
+for the LU solve of L. Hence the 16-row leaf.
 All of it runs on numpy's own OpenBLAS. scipy.linalg would bring a second
 OpenBLAS with its own thread pool into the process, and on two cores the two
 pools made n = 250 and 500 predictions 7-10% slower; calling numpy's bundled
@@ -47,6 +51,7 @@ from .errors import DimensionMismatch, EmptyCluster, NotPositiveDefinite
 
 _JITTER_LADDER = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 _BLOCK = 128
+_LEAF = 16
 
 
 def _as_inputs(X):
@@ -80,12 +85,18 @@ def chol_with_jitter(A):
 
 
 def _lower_solve(L, B):
-    """L^-1 B for a lower-triangular L, by row-blocked forward substitution."""
+    """L^-1 B for a lower-triangular L, by blocked forward substitution:
+    _BLOCK-row blocks, each solved over _LEAF-row leaves."""
     n = L.shape[0]
     X = np.empty(B.shape)
     for i in range(0, n, _BLOCK):
         j = min(i + _BLOCK, n)
-        X[i:j] = np.linalg.solve(L[i:j, i:j], B[i:j] - L[i:j, :i] @ X[:i])
+        np.subtract(B[i:j], L[i:j, :i] @ X[:i], out=X[i:j])
+        for a in range(i, j, _LEAF):
+            b = min(a + _LEAF, j)
+            if a > i:
+                X[a:b] -= L[a:b, i:a] @ X[i:a]
+            X[a:b] = np.linalg.inv(L[a:b, a:b]) @ X[a:b]
     return X
 
 
@@ -163,7 +174,8 @@ def _sqdist_pairs(A, B):
 
 
 class _Stationary(Kernel):
-    """A kernel that is a function `_of_sqdist` of ||x - z||^2."""
+    """A kernel that is a function `_of_sqdist` of ||x - z||^2, evaluated in
+    place on the fresh array of squared distances."""
 
     def _eval(self, A, B):
         return self._of_sqdist(_sqdist(A, B))
@@ -185,7 +197,11 @@ class RBF(_Stationary):
             raise ValueError("lengthscale and variance must be positive")
 
     def _of_sqdist(self, d2):
-        return self.variance * np.exp(-0.5 * d2 / self.lengthscale**2)
+        d2 *= -0.5
+        d2 /= self.lengthscale**2
+        np.exp(d2, out=d2)
+        d2 *= self.variance
+        return d2
 
     def params(self):
         return {"lengthscale": self.lengthscale, "variance": self.variance}
@@ -205,8 +221,11 @@ class RationalQuadratic(_Stationary):
             raise ValueError("lengthscale, alpha, and variance must be positive")
 
     def _of_sqdist(self, d2):
-        base = 1.0 + d2 / (2.0 * self.alpha * self.lengthscale**2)
-        return self.variance * base ** (-self.alpha)
+        d2 /= 2.0 * self.alpha * self.lengthscale**2
+        d2 += 1.0
+        d2 **= -self.alpha
+        d2 *= self.variance
+        return d2
 
     def params(self):
         return {

@@ -123,6 +123,8 @@ class LMGPConfig:
         from the last axis of the targets Y."""
         basis = transforms.FAMILY_BASES[self.family][1] if self.basis is None else self.basis
         basis = bridges._as_basis(basis, K=Y.shape[-1], p=Y.shape[-1])
+        # the family first: a basis of another family is not a size mismatch
+        transforms.check_basis(self.family, basis, basis.K or basis.p)
         size = basis.K if self.family == "dirichlet" else basis.p
         if self.family in ("dirichlet", "inverse_wishart") and size != Y.shape[-1]:
             raise DimensionMismatch(f"basis {basis!r} does not fit targets of size {Y.shape[-1]}")
@@ -344,8 +346,11 @@ def _sample_marginals(mean, cov, seed, count):
     """
     z = np.random.default_rng(seed).standard_normal((count,) + mean.shape)
     if mean.ndim == 1:
-        return mean + np.sqrt(cov) * z
-    return mean + np.einsum("mij,cmj->cmi", gp._psd_root(cov), z, optimize=True)
+        z *= np.sqrt(cov)
+    else:
+        z = np.einsum("mij,cmj->cmi", gp._psd_root(cov), z, optimize=True)
+    z += mean
+    return z
 
 
 _EF_ERRORS = (LaplaceMatchError, ValueError, np.linalg.LinAlgError)

@@ -24,6 +24,7 @@ from . import distributions, matrixops
 from .errors import (
     DirectionUnavailable,
     IncompatibleBasis,
+    InvalidParams,
     NonConvergence,
     NoValidLaplace,
     OutOfSupport,
@@ -66,19 +67,19 @@ class BasisTransform:
 
     def __init__(self, tag, K=None, p=None):
         if tag not in BASIS_TAGS:
-            raise ValueError(f"unknown basis tag {tag!r}")
+            raise InvalidParams(f"unknown basis tag {tag!r}")
         if tag == "softmax_inverse":
             if K is None or int(K) < 2:
-                raise ValueError("softmax_inverse needs K >= 2")
+                raise InvalidParams("softmax_inverse needs K >= 2")
             K = int(K)
         elif K is not None:
-            raise ValueError(f"basis {tag!r} takes no K")
+            raise InvalidParams(f"basis {tag!r} takes no K")
         if tag in ("matrix_log", "matrix_sqrt"):
             if p is None or int(p) < 1:
-                raise ValueError(f"{tag} needs p >= 1")
+                raise InvalidParams(f"{tag} needs p >= 1")
             p = int(p)
         elif p is not None:
-            raise ValueError(f"basis {tag!r} takes no p")
+            raise InvalidParams(f"basis {tag!r} takes no p")
         object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "p", p)
@@ -162,7 +163,7 @@ def transform_samples(samples, basis, direction="forward", pseudo_inverse=False)
     positive branch.
     """
     if direction not in ("forward", "inverse"):
-        raise ValueError("direction must be 'forward' or 'inverse'")
+        raise InvalidParams("direction must be 'forward' or 'inverse'")
     x = np.asarray(samples, dtype=float)
     tag = basis.tag
     if tag == "identity":
@@ -214,7 +215,7 @@ def transform_samples(samples, basis, direction="forward", pseudo_inverse=False)
         if direction == "forward":
             return _batched_funm(x, np.sqrt, "matrix sqrt")
         return _batched_funm(x, np.square, "matrix square")
-    raise ValueError(f"unknown basis tag {tag!r}")
+    raise InvalidParams(f"unknown basis tag {tag!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,33 @@ class TestKernels:
             kernel.pairs(X, Z), np.diag(kernel(X, Z)), rtol=0, atol=1e-15
         )
 
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            gp.RBF(0.7, 1.3),
+            gp.RationalQuadratic(0.9, 2.5, 1.1),
+            gp.RationalQuadratic(0.9, 1.0, 1.1),  # numpy's reciprocal path for ** -1
+        ],
+        ids=["rbf", "rational_quadratic", "rational_quadratic_alpha_1"],
+    )
+    def test_in_place_evaluation_equals_the_expression(self, kernel):
+        def of_sqdist(k, d2):
+            if isinstance(k, gp.RBF):
+                return k.variance * np.exp(-0.5 * d2 / k.lengthscale**2)
+            return k.variance * (1.0 + d2 / (2.0 * k.alpha * k.lengthscale**2)) ** (-k.alpha)
+
+        rng = np.random.default_rng(3)
+        X, Z = rng.uniform(0.0, 2.0, (7, 2)), rng.uniform(0.0, 2.0, (5, 2))
+        X0, Z0 = X.copy(), Z.copy()
+        assert np.array_equal(kernel(X, Z), of_sqdist(kernel, gp._sqdist(X, Z)))
+        assert np.array_equal(
+            kernel.pairs(X[:5], Z), of_sqdist(kernel, gp._sqdist_pairs(X[:5], Z))
+        )
+        assert np.array_equal(kernel(X, Z), kernel(X, Z))
+        assert np.array_equal(kernel(X), kernel(X))
+        assert np.array_equal(kernel.pairs(X, X), kernel.pairs(X, X))
+        assert np.array_equal(X, X0) and np.array_equal(Z, Z0)
+
     def test_pairs_checks_lookup_codes_and_lengths(self):
         k = gp.LookupTable(np.eye(3) + 0.5)
         with pytest.raises(ValueError):
@@ -148,14 +175,12 @@ def _refined_solve(L, B, steps=2):
 
 class TestLowerSolve:
     @pytest.mark.parametrize("cols", [1, 301])
-    @pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 127, 128, 129, 300])
     def test_equals_general_solve(self, n, cols):
         L = _rbf_factor(n, seed=n)
         B = np.random.default_rng(cols).standard_normal((n, cols))
         ref = np.linalg.solve(L, B)
         out = gp._lower_solve(L, B)
-        if n <= gp._BLOCK:
-            assert np.array_equal(out, ref)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.skipif(
@@ -182,21 +207,22 @@ class TestLowerSolve:
 
         assert error(gp._lower_solve(L, B)) <= 2.0 * error(np.linalg.solve(L, B))
 
-    def test_predict_solves_no_block_larger_than_the_block_size(self, monkeypatch):
-        solve = np.linalg.solve
+    def test_predict_inverts_no_leaf_larger_than_the_leaf_size(self, monkeypatch):
+        # the accuracy of the solve rests on inverting small blocks only
+        inv = np.linalg.inv
         sizes = []
 
-        def spy(a, b):
-            sizes.append(np.shape(a)[0])
-            return solve(a, b)
+        def spy(a):
+            sizes.append(np.shape(a)[-1])
+            return inv(a)
 
         rng = np.random.default_rng(6)
         X = rng.uniform(0.0, 10.0, size=300)
         model = gp.gp_fit(gp.RBF(1.0), X, rng.normal(size=300), 0.1)
-        monkeypatch.setattr(np.linalg, "solve", spy)
+        monkeypatch.setattr(np.linalg, "inv", spy)
         for kwargs in ({}, {"want_cov": True}):
             gp.gp_predict(model, np.linspace(0.0, 10.0, 40), **kwargs)
-        assert sizes and max(sizes) <= gp._BLOCK
+        assert sizes and max(sizes) <= gp._LEAF <= 16
 
 
 class TestFitPredict:

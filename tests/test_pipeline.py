@@ -163,6 +163,13 @@ class TestConfigAndDataset:
         with pytest.raises(DimensionMismatch):
             run(_categorical_data(t=5, K=3), cfg)
 
+    def test_basis_of_another_family_is_incompatible_not_a_size_mismatch(self):
+        data = _categorical_data(t=5, K=3)
+        for basis in ("matrix_log", transforms.matrix_log(3), "log"):
+            cfg = pipeline.LMGPConfig("dirichlet", basis=basis, draws=10)
+            with pytest.raises(IncompatibleBasis):
+                pipeline.lmgp_v1(data, cfg)
+
     def test_empty_dataset(self):
         empty = pipeline.Dataset(np.zeros(0), np.zeros(0))
         with pytest.raises(EmptyDataset):
@@ -643,6 +650,21 @@ class TestPerPointPrediction:
             emp = np.cov(draws[:, i].T).reshape(w, w)
             se_cov = np.sqrt((np.outer(sd**2, sd**2) + cov[i] ** 2) / n)
             assert np.all(np.abs(emp - cov[i]) < 4 * se_cov)
+
+    def test_draws_are_the_scaled_and_shifted_seeded_normals(self):
+        rng = np.random.default_rng(4)
+        mean, var = rng.normal(size=7), rng.uniform(0.1, 2.0, 7)
+        A = rng.normal(size=(7, 3, 3))
+        mean3, cov3 = rng.normal(size=(7, 3)), A @ np.swapaxes(A, 1, 2)
+        z = np.random.default_rng(9).standard_normal((50, 7))
+        out = pipeline._sample_marginals(mean, var, 9, 50)
+        np.testing.assert_array_equal(out, mean + np.sqrt(var) * z)
+        z = np.random.default_rng(9).standard_normal((50, 7, 3))
+        root = gp._psd_root(cov3)
+        np.testing.assert_array_equal(
+            pipeline._sample_marginals(mean3, cov3, 9, 50),
+            mean3 + np.einsum("mij,cmj->cmi", root, z, optimize=True),
+        )
 
     @pytest.mark.parametrize("family", ["beta", "dirichlet", "inverse_wishart"])
     def test_latent_cov_is_the_diagonal_of_the_joint_covariance(self, family):

@@ -14,9 +14,38 @@ from laplace_match import distributions, matrixops, transforms
 from laplace_match.errors import (
     DirectionUnavailable,
     IncompatibleBasis,
+    InvalidParams,
     NoValidLaplace,
     OutOfSupport,
 )
+
+
+class TestBasisValidation:
+    def test_matrix_log_needs_a_positive_size(self):
+        with pytest.raises(InvalidParams):
+            transforms.matrix_log(0)
+
+    def test_softmax_inverse_needs_two_classes(self):
+        with pytest.raises(InvalidParams):
+            transforms.softmax_inverse(1)
+
+    @pytest.mark.parametrize(
+        "tag, sizes",
+        [
+            ("exp", {}),
+            ("log", {"K": 3}),
+            ("logit", {"p": 2}),
+            ("softmax_inverse", {"K": 3, "p": 2}),
+        ],
+        ids=["unknown_tag", "K_on_log", "p_on_logit", "p_on_softmax"],
+    )
+    def test_bad_tag_or_size(self, tag, sizes):
+        with pytest.raises(InvalidParams):
+            transforms.BasisTransform(tag, **sizes)
+
+    def test_unknown_direction(self):
+        with pytest.raises(InvalidParams):
+            transforms.transform_samples(np.ones(2), transforms.LOG, direction="backward")
 
 
 class TestTransformSamples:
