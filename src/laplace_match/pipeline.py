@@ -123,8 +123,10 @@ class LMGPConfig:
         from the last axis of the targets Y."""
         basis = transforms.FAMILY_BASES[self.family][1] if self.basis is None else self.basis
         basis = bridges._as_basis(basis, K=Y.shape[-1], p=Y.shape[-1])
-        # the family first: a basis of another family is not a size mismatch
+        # the family and its bridge rows first: a basis of another family, or
+        # one with no bridge row (identity), is not a size mismatch
         transforms.check_basis(self.family, basis, basis.K or basis.p)
+        bridges._row_for(self.family, basis.tag)
         size = basis.K if self.family == "dirichlet" else basis.p
         if self.family in ("dirichlet", "inverse_wishart") and size != Y.shape[-1]:
             raise DimensionMismatch(f"basis {basis!r} does not fit targets of size {Y.shape[-1]}")
@@ -160,8 +162,10 @@ class Prediction:
     (summaries and EF inversion). `diagnostics` says what the fit did: the
     Cholesky jitter, the smallest diagonal entry of the factor (min_pivot)
     and the log-determinant of the factored matrix, the number of sites, the
-    latent width, and the count of query points whose EF inversion failed
-    (ef_failures, the None entries of `ef_params`).
+    latent width, the count of query points whose EF inversion failed
+    (ef_failures, the None entries of `ef_params`), and the fitted kernel's
+    record (kernel; with the default kernel, its median-heuristic
+    lengthscale).
     """
 
     def __init__(self, family, basis, X, latent_mean, latent_cov, draws,
@@ -406,6 +410,7 @@ def _predict(model, config, basis, width, X_query, timings):
         "sites": model.n // width,
         "width": width,
         "ef_failures": sum(p is None for p in ef_params),
+        "kernel": model.kernel.to_record(),
     }
     return Prediction(
         family=fam,

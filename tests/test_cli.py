@@ -186,6 +186,10 @@ class TestExperimentCommand:
         for split in ("train", "test"):
             stages = report["predictions"][split]["timings"]
             assert {"predict_seconds", "summary_seconds"} <= set(stages)
+        # the one fitted kernel, with its resolved median-heuristic lengthscale
+        kernels = [report["predictions"][split]["diagnostics"]["kernel"] for split in ("train", "test")]
+        assert kernels[0] == kernels[1]
+        assert kernels[0]["kernel"] == "rbf" and 0.0 < kernels[0]["lengthscale"] < np.inf
         probs = np.asarray(report["predictions"]["train"]["probabilities"])
         assert probs.shape == (40,)
         assert np.all((probs >= 0.0) & (probs <= 1.0))
@@ -236,8 +240,12 @@ class TestExperimentCommand:
             "--kernel", "rbf", "--lengthscale", "1.0", "--variance", "1.0",
         )
         assert rc == 0
-        metrics = json.loads(open(out).read())["metrics"]["train"]
+        report = json.loads(open(out).read())
+        metrics = report["metrics"]["train"]
         assert metrics["rmse"] >= 0 and np.isfinite(metrics["mnll"])
+        assert report["predictions"]["train"]["diagnostics"]["kernel"] == {
+            "kernel": "rbf", "lengthscale": 1.0, "variance": 1.0,
+        }
         assert 0.0 <= metrics["in2std"] <= 1.0
 
     def test_categorical_report(self, tmp_path, capsys):

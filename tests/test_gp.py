@@ -1,10 +1,12 @@
 """Latent-space GP: kernels, fit/predict/sample, k-means++ inducing sites."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from laplace_match import bridges, cli, distributions, gp, pipeline
-from laplace_match.errors import DimensionMismatch, NotPositiveDefinite
+from laplace_match.errors import DimensionMismatch, EmptyCluster, NotPositiveDefinite
 
 
 class TestKernels:
@@ -73,13 +75,83 @@ class TestKernels:
         assert gp.median_lengthscale(np.array([0.0, 1.0, 3.0])) == pytest.approx(2.0)
         assert gp.median_lengthscale(np.array([5.0])) == 1.0
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 41, 200])
-    def test_median_lengthscale_equals_median_of_all_pair_distances(self, n):
-        X = np.random.default_rng(n).uniform(0.0, 3.0, size=(n, 2))
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "n",
+        [2, 3, 4, 41, 200, gp._MEDIAN_ROWS - 1, gp._MEDIAN_ROWS, gp._MEDIAN_ROWS + 1,
+         2 * gp._MEDIAN_ROWS + 1, 513, 1000],
+    )
+    def test_median_lengthscale_equals_median_of_all_pair_distances(self, n, dim):
+        # from n = 513 on there are more than _MEDIAN_EXACT pairs, and a
+        # sampled bracket selects the median; below, every pair is kept
+        X = np.random.default_rng(n).uniform(0.0, 3.0, size=(n, dim))
         X[n // 2] = X[0]  # a zero distance
         d = np.sqrt(gp._sqdist(X, X)[np.triu_indices(n, k=1)])
-        assert gp.median_lengthscale(X) == float(np.median(d))
+        median = float(np.median(d))
+        assert gp.median_lengthscale(X) == (median if median > 0.0 else 1.0)
         assert gp.median_lengthscale(np.zeros((4, 1))) == 1.0
+
+    @staticmethod
+    def _count_passes(monkeypatch):
+        """Record each pass over the pair distances."""
+        passes = []
+        blocks = gp._pair_blocks
+
+        def counting(X):
+            passes.append(X.shape[0])
+            return blocks(X)
+
+        monkeypatch.setattr(gp, "_pair_blocks", counting)
+        return passes
+
+    @pytest.mark.parametrize("miss", ["below", "above"])
+    def test_median_lengthscale_falls_back_exactly_when_the_bracket_misses(
+        self, monkeypatch, miss
+    ):
+        n = 600
+        rng = np.random.default_rng(8)
+        spread = rng.uniform(0.0, 3.0, size=(n, 2))
+        duplicates = rng.uniform(0.0, 3.0, size=(4, 3))[rng.integers(4, size=n)]
+        passes = self._count_passes(monkeypatch)
+        for X in (spread, duplicates, np.zeros((n, 2))):
+            d2 = gp._sqdist(X, X)[np.triu_indices(n, k=1)]
+            bracket = (-2.0, -1.0) if miss == "above" else (d2.max() + 1.0, d2.max() + 2.0)
+            monkeypatch.setattr(gp, "_median_bracket", lambda *args: bracket)
+            passes.clear()
+            median = float(np.median(np.sqrt(d2)))
+            assert gp.median_lengthscale(X) == (median if median > 0.0 else 1.0)
+            assert len(passes) == 2
+        assert median == 0.0  # all-equal inputs still give 1.0
+
+    def test_median_lengthscale_counts_ties_at_the_bracket(self, monkeypatch):
+        # every pair ties at the sampled bracket [0, 0]: one pass, none kept
+        select = gp._select_bracketed
+        brackets = []
+        monkeypatch.setattr(
+            gp, "_select_bracketed",
+            lambda X, lo, hi, ranks: brackets.append((lo, hi)) or select(X, lo, hi, ranks),
+        )
+        passes = self._count_passes(monkeypatch)
+        assert gp.median_lengthscale(np.zeros((600, 2))) == 1.0
+        assert brackets == [(0.0, 0.0)] and len(passes) == 1
+
+    @pytest.mark.parametrize("n", [5, 600])
+    def test_median_lengthscale_of_nan_inputs_is_one(self, n):
+        X = np.random.default_rng(n).uniform(0.0, 3.0, size=(n, 2))
+        X[n - 1, 1] = np.nan
+        assert gp.median_lengthscale(X) == 1.0
+
+    def test_median_lengthscale_memory_does_not_grow_as_n_squared(self):
+        n = 4000
+        X = np.random.default_rng(0).uniform(0.0, 3.0, size=(n, 2))
+        tracemalloc.start()
+        try:
+            gp.median_lengthscale(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # an eighth of one n x n float64 array
+        assert peak < n * n * 8 / 8
 
     @pytest.mark.parametrize(
         "kernel",
@@ -443,7 +515,100 @@ def _inducing_fields(X, Y, k, family, **config):
     return centers, distributions.conjugate_fields(family, prior, total, count), basis
 
 
+def _kmeanspp_reference(X, k, seed=0, max_iter=100):
+    """k-means++ with the Lloyd loop as it was before the bincount and
+    argsort rewrite: one boolean mask per cluster for the empty check and
+    for each centre. The rewrite must match it bit for bit."""
+    X = gp._as_inputs(X)
+    n = X.shape[0]
+    rng = np.random.default_rng(seed)
+    centers = np.empty((k, X.shape[1]))
+    centers[0] = X[rng.integers(n)]
+    d2 = np.sum((X - centers[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = float(np.sum(d2))
+        if total <= 0.0:
+            centers[j] = X[rng.integers(n)]
+        else:
+            centers[j] = X[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, np.sum((X - centers[j]) ** 2, axis=1))
+
+    assign = None
+    iterations = 0
+    for it in range(max_iter):
+        iterations = it + 1
+        new_assign = np.argmin(gp._sqdist(X, centers), axis=1)
+        for _ in range(5):
+            empty = [j for j in range(k) if not np.any(new_assign == j)]
+            if not empty:
+                break
+            for j in empty:
+                far = int(np.argmax(np.min(gp._sqdist(X, centers), axis=1)))
+                centers[j] = X[far]
+            new_assign = np.argmin(gp._sqdist(X, centers), axis=1)
+        else:
+            raise EmptyCluster("could not repair empty clusters after 5 attempts")
+        if assign is not None and np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for j in range(k):
+            centers[j] = np.mean(X[assign == j], axis=0)
+    return centers, assign, iterations
+
+
+def _kmeans_outcome(fn, X, k, seed):
+    try:
+        return fn(X, k, seed=seed)
+    except EmptyCluster as exc:
+        return str(exc)
+
+
 class TestInducing:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "n, k, duplicates",
+        [(400, 25, False), (300, 7, True), (60, 60, False), (40, 12, True), (120, 30, True)],
+    )
+    def test_kmeanspp_matches_the_masked_lloyd_loop_bit_for_bit(self, n, k, duplicates, dim):
+        rng = np.random.default_rng(100 * n + dim)
+        X = rng.normal(size=(n, dim))
+        if duplicates:
+            X = X[rng.integers(max(k, n // 4), size=n)]
+        for seed in (0, 5):
+            got = _kmeans_outcome(gp.kmeanspp, X, k, seed)
+            want = _kmeans_outcome(_kmeanspp_reference, X, k, seed)
+            if isinstance(want, str):
+                assert got == want
+                continue
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+            assert got[2] == want[2]
+
+    @pytest.mark.parametrize(
+        "X, k, seed",
+        [
+            (np.random.default_rng(84).normal(size=(40, 1)), 10, 84),
+            (np.random.default_rng(245).standard_cauchy(size=(100, 2)), 30, 245),
+        ],
+    )
+    def test_kmeanspp_repairs_an_empty_cluster_like_the_masked_loop(
+        self, monkeypatch, X, k, seed
+    ):
+        want = _kmeanspp_reference(X, k, seed=seed)
+        sqdist = gp._sqdist
+        calls = []
+        monkeypatch.setattr(gp, "_sqdist", lambda A, B: calls.append(1) or sqdist(A, B))
+        got = gp.kmeanspp(X, k, seed=seed)
+        # one distance evaluation per Lloyd iteration, more where a repair ran
+        assert len(calls) > got[2]
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[2] == want[2]
+
+    def test_kmeanspp_raises_when_empty_clusters_cannot_be_repaired(self):
+        # both centres sit on the one distinct input; the second stays empty
+        with pytest.raises(EmptyCluster):
+            gp.kmeanspp(np.zeros((5, 1)), 2)
+
     def test_kmeanspp_separated_blobs(self):
         rng = np.random.default_rng(6)
         a = rng.normal(0.0, 0.1, size=(20, 2))

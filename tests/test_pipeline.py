@@ -170,6 +170,28 @@ class TestConfigAndDataset:
             with pytest.raises(IncompatibleBasis):
                 pipeline.lmgp_v1(data, cfg)
 
+    @pytest.mark.parametrize(
+        "family, data",
+        [
+            ("beta", _binary_data(n=8)),
+            ("dirichlet", _categorical_data(t=5, K=3)),
+            ("inverse_wishart", _covariance_data(t=4, p=2)),
+        ],
+    )
+    def test_basis_with_no_bridge_row_is_incompatible_not_a_size_mismatch(self, family, data):
+        # identity is a basis of every family but has no bridge row; it used
+        # to read as a size mismatch for the multi-latent families
+        cfg = pipeline.LMGPConfig(family, basis="identity", draws=10)
+        with pytest.raises(IncompatibleBasis, match="no bridge row"):
+            pipeline.lmgp_v1(data, cfg)
+        with pytest.raises(IncompatibleBasis, match="no bridge row"):
+            cfg.resolve_basis(data.Y)
+
+    def test_a_real_size_mismatch_still_reads_as_one(self):
+        cfg = pipeline.LMGPConfig("dirichlet", basis=transforms.softmax_inverse(3), draws=10)
+        with pytest.raises(DimensionMismatch):
+            pipeline.lmgp_v1(_categorical_data(t=5, K=4), cfg)
+
     def test_empty_dataset(self):
         empty = pipeline.Dataset(np.zeros(0), np.zeros(0))
         with pytest.raises(EmptyDataset):
@@ -336,7 +358,13 @@ class TestDiagnostics:
         data = _binary_data(n=12)
         model, pred = pipeline.lmgp_v1(data, pipeline.LMGPConfig("beta", draws=20))
         diag = pred.diagnostics
-        assert diag == {**model.diagnostics(), "sites": 12, "width": 1, "ef_failures": 0}
+        assert diag == {
+            **model.diagnostics(), "sites": 12, "width": 1, "ef_failures": 0,
+            "kernel": model.kernel.to_record(),
+        }
+        assert diag["kernel"] == {
+            "kernel": "rbf", "lengthscale": gp.median_lengthscale(data.X), "variance": 1.0,
+        }
         assert diag["jitter"] == 0.0 and diag["min_pivot"] > 0.0
         assert np.isfinite(diag["log_det"])
         assert pred.to_record()["diagnostics"] == diag
@@ -351,6 +379,13 @@ class TestDiagnostics:
         assert diag["jitter"] > 0.0 and diag["jitter"] == model.jitter
         assert diag["sites"] == 20 and diag["width"] == 3 and diag["ef_failures"] == 0
         assert 0.0 < diag["min_pivot"] == np.min(np.diag(model._state["L"]))
+        # the product kernel's record: the median-heuristic input kernel and
+        # the coordinate table, as plain JSON
+        kernel = json.loads(json.dumps(diag["kernel"]))
+        assert kernel == model.kernel.to_record()
+        rbf, table = kernel["terms"]
+        assert rbf["lengthscale"] == gp.median_lengthscale(data.X)
+        assert table["table"] == (np.eye(3) + 0.5).tolist()
 
     def test_inducing_sites_and_empty_prior(self):
         data = _binary_data(n=20)
@@ -362,6 +397,7 @@ class TestDiagnostics:
         assert prior.diagnostics == {
             "jitter": 0.0, "min_pivot": None, "log_det": 0.0,
             "sites": 0, "width": 1, "ef_failures": 0,
+            "kernel": {"kernel": "rbf", "lengthscale": 1.0, "variance": 1.0},
         }
 
     def test_counts_failed_ef_inversions(self, monkeypatch):
