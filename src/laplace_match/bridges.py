@@ -37,7 +37,7 @@ from .errors import (
     OutsideValidityRegion,
 )
 from .gaussian import GaussianApprox, scalar_gaussian
-from .transforms import FAMILY_BASES, BasisTransform
+from .transforms import BasisTransform
 
 
 def _as_basis(basis, K=None, p=None):
@@ -356,36 +356,6 @@ def _matrix_inverse(family, tag, mu, cov):
 
 # ---------------------------------------------------------------------------
 # public API
-
-
-def bridge_rows():
-    """All bridge rows as (family, basis tag) pairs, matrix sizes elided."""
-    return [
-        (family, tag)
-        for family in distributions.FAMILIES
-        for tag in FAMILY_BASES[family][1:]
-    ]
-
-
-def bridge_table():
-    """Machine-readable description of every bridge row."""
-    matrix = "symmetric matrix (vech)"
-    latents = {
-        "softmax_inverse": "centered vector (K)",
-        "matrix_log": matrix,
-        "matrix_sqrt": matrix,
-    }
-    return [
-        {
-            "family": family,
-            "basis": tag,
-            "latent": latents.get(tag, "scalar"),
-            "validity": _ROWS[(family, tag)]["validity"],
-            "bijective": tag != "softmax_inverse",
-            "needs_structured_sigma": tag == "matrix_sqrt",
-        }
-        for family, tag in bridge_rows()
-    ]
 
 
 def _fields_of(params):

@@ -14,7 +14,6 @@ import numpy as np
 
 from . import bridges, distributions, matrixops, transforms
 from .errors import (
-    DegenerateProjection,
     DimensionMismatch,
     NonConvergence,
     NotPositiveDefinite,
@@ -164,55 +163,6 @@ def mmd(x, y, kernel=None):
     return float(
         sum_xx / (m * (m - 1)) + sum_yy / (n * (n - 1)) - 2.0 * np.mean(Kxy)
     )
-
-
-def dirichlet_kl_constrained(params, mu=None, sigma=None, n=10**5, seed=0):
-    """KL between a Dirichlet and a constrained Gaussian on the simplex chart.
-
-    The Gaussian (mu, sigma) on the centered log coordinates is conditioned
-    on the sum-zero constraint through the rank-one update
-    mu - Sigma 1 (1' mu) / (1' Sigma 1), Sigma - Sigma 1 1' Sigma / (1' Sigma 1),
-    then compared with the exact chart density by Monte Carlo. Defaults:
-    mu from the softmax bridge and sigma = diag(1 / alpha), the unconstrained
-    curvature of the transformed density.
-
-    Raises DegenerateProjection when 1' Sigma 1 is numerically zero (for
-    instance the already-centered bridge covariance).
-    """
-    if params.family != "dirichlet":
-        raise ValueError("dirichlet_kl_constrained needs a Dirichlet")
-    K = params.K
-    alpha = params.alpha
-    if mu is None:
-        la = np.log(alpha)
-        mu = la - np.mean(la)
-    mu = np.asarray(mu, dtype=float)
-    if sigma is None:
-        sigma = np.diag(1.0 / alpha)
-    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    ones = np.ones(K)
-    s1 = sigma @ ones
-    denom = float(ones @ s1)
-    if denom <= 1e-12:
-        raise DegenerateProjection(
-            "1' Sigma 1 is numerically zero; the covariance is already "
-            "degenerate along the constraint"
-        )
-    mu_bar = mu - s1 * (float(ones @ mu) / denom)
-    sigma_bar = sigma - np.outer(s1, s1) / denom
-    chart_mean = mu_bar[: K - 1]
-    chart_cov = sigma_bar[: K - 1, : K - 1]
-
-    basis = transforms.softmax_inverse(K)
-    z = latent_samples(params, basis, n, seed)
-    density = transforms.push_forward(params, basis)
-    logp = np.asarray(density.log_density(z), dtype=float)
-    logq = _gauss_logpdf(z, chart_mean, chart_cov)
-    diff = logp - logq
-    diff = diff[np.isfinite(diff)]
-    kl = float(np.mean(diff))
-    se = float(np.std(diff, ddof=1) / np.sqrt(diff.size))
-    return kl, se
 
 
 def ess_sample(prior, log_lik, n_samples, burn_in=0, seed=0):

@@ -1,5 +1,5 @@
-"""Exponential-family parameter types, densities, sampling, moments, and
-conjugate updates in the standard basis.
+"""Exponential-family parameter types, densities, sampling, and conjugate
+updates in the standard basis.
 
 Families: Exponential, Gamma, InverseGamma, ChiSquared, Beta, Dirichlet,
 Wishart, InverseWishart. All values are immutable after construction and all
@@ -7,7 +7,7 @@ operations are pure functions of (inputs, explicit seed).
 """
 
 import numpy as np
-from scipy.special import betaln, digamma, gammaln, multigammaln
+from scipy.special import betaln, gammaln, multigammaln
 
 from .errors import InvalidParams, NonConjugatePair, OutOfSupport
 
@@ -465,133 +465,3 @@ def conjugate_update(prior, observations):
     check_observations(fam, obs)
     fields = {name: getattr(prior, name) for name in _FIELDS[fam]}
     return EFParams(fam, **conjugate_fields(fam, fields, obs.sum(axis=0), obs.shape[0]))
-
-
-# ---------------------------------------------------------------------------
-# Canonical form and moments
-# ---------------------------------------------------------------------------
-
-
-class CanonicalEF:
-    """Canonical exponential-family decomposition h(x) exp(w . phi(x) - log Z).
-
-    `phi` maps a support point to a flat statistic vector; `w` is the flat
-    natural-parameter vector in the same order; `log_h` is the log base
-    measure (identically 0 for every family here, kept for the contract).
-    """
-
-    __slots__ = ("family", "phi", "w", "log_h", "log_z", "statistic_names")
-
-    def __init__(self, family, phi, w, log_h, log_z, statistic_names):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "w", np.asarray(w, dtype=float))
-        object.__setattr__(self, "log_h", log_h)
-        object.__setattr__(self, "log_z", float(log_z))
-        object.__setattr__(self, "statistic_names", tuple(statistic_names))
-        if not np.isfinite(self.log_z):
-            raise InvalidParams("log Z is not finite for these parameters")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CanonicalEF is immutable")
-
-    def log_density(self, x):
-        """Assemble the log-density from the canonical pieces."""
-        return self.log_h(x) + float(np.dot(self.w, self.phi(x))) - self.log_z
-
-
-def _zero_log_h(x):
-    return 0.0
-
-
-def canonical_form(params):
-    """Canonical decomposition of `params` (see CanonicalEF)."""
-    fam = params.family
-    if fam == "exponential":
-        return CanonicalEF(
-            fam, lambda x: np.array([float(x)]), [-params.lam], _zero_log_h,
-            -np.log(params.lam), ("x",),
-        )
-    if fam == "gamma":
-        a, lam = params.alpha, params.lam
-        return CanonicalEF(
-            fam, lambda x: np.array([np.log(x), float(x)]), [a - 1.0, -lam],
-            _zero_log_h, gammaln(a) - a * np.log(lam), ("log x", "x"),
-        )
-    if fam == "inverse_gamma":
-        a, lam = params.alpha, params.lam
-        return CanonicalEF(
-            fam, lambda x: np.array([np.log(x), 1.0 / x]), [-a - 1.0, -lam],
-            _zero_log_h, gammaln(a) - a * np.log(lam), ("log x", "1/x"),
-        )
-    if fam == "chi_squared":
-        h = 0.5 * params.k
-        return CanonicalEF(
-            fam, lambda x: np.array([np.log(x), float(x)]), [h - 1.0, -0.5],
-            _zero_log_h, h * np.log(2.0) + gammaln(h), ("log x", "x"),
-        )
-    if fam == "beta":
-        a, b = params.alpha, params.beta
-        return CanonicalEF(
-            fam, lambda x: np.array([np.log(x), np.log1p(-x)]), [a - 1.0, b - 1.0],
-            _zero_log_h, betaln(a, b), ("log x", "log(1-x)"),
-        )
-    if fam == "dirichlet":
-        a = params.alpha
-        return CanonicalEF(
-            fam, lambda x: np.log(np.asarray(x, dtype=float)), a - 1.0,
-            _zero_log_h, np.sum(gammaln(a)) - gammaln(np.sum(a)),
-            tuple(f"log x_{i}" for i in range(a.size)),
-        )
-    if fam == "wishart":
-        n, V, p = params.n, params.V, params.p
-        _, logdet_v = np.linalg.slogdet(V)
-        w = np.concatenate([[0.5 * (n - p - 1.0)], (-0.5 * np.linalg.inv(V)).ravel()])
-
-        def phi(X):
-            X = np.asarray(X, dtype=float)
-            return np.concatenate([[np.linalg.slogdet(X)[1]], X.ravel()])
-
-        log_z = 0.5 * n * p * np.log(2.0) + 0.5 * n * logdet_v + multigammaln(0.5 * n, p)
-        return CanonicalEF(fam, phi, w, _zero_log_h, log_z, ("log|X|", "X"))
-    if fam == "inverse_wishart":
-        nu, Psi, p = params.nu, params.Psi, params.p
-        _, logdet_psi = np.linalg.slogdet(Psi)
-        w = np.concatenate([[-0.5 * (nu + p + 1.0)], (-0.5 * Psi).ravel()])
-
-        def phi(X):
-            X = np.asarray(X, dtype=float)
-            return np.concatenate([[np.linalg.slogdet(X)[1]], np.linalg.inv(X).ravel()])
-
-        log_z = 0.5 * nu * p * np.log(2.0) - 0.5 * nu * logdet_psi + multigammaln(0.5 * nu, p)
-        return CanonicalEF(fam, phi, w, _zero_log_h, log_z, ("log|X|", "X^{-1}"))
-    raise InvalidParams(f"unknown family {fam!r}")
-
-
-def ef_mean(params):
-    """Expected sufficient statistics E[phi(x)], flat, in canonical order."""
-    fam = params.family
-    if fam == "exponential":
-        return np.array([1.0 / params.lam])
-    if fam == "gamma":
-        return np.array([digamma(params.alpha) - np.log(params.lam), params.alpha / params.lam])
-    if fam == "inverse_gamma":
-        return np.array([np.log(params.lam) - digamma(params.alpha), params.alpha / params.lam])
-    if fam == "chi_squared":
-        return np.array([digamma(0.5 * params.k) + np.log(2.0), params.k])
-    if fam == "beta":
-        a, b = params.alpha, params.beta
-        return np.array([digamma(a) - digamma(a + b), digamma(b) - digamma(a + b)])
-    if fam == "dirichlet":
-        return digamma(params.alpha) - digamma(np.sum(params.alpha))
-    if fam == "wishart":
-        n, V, p = params.n, params.V, params.p
-        e_logdet = np.sum(digamma(0.5 * (n - np.arange(p)))) + p * np.log(2.0)
-        e_logdet += np.linalg.slogdet(V)[1]
-        return np.concatenate([[e_logdet], (n * V).ravel()])
-    if fam == "inverse_wishart":
-        nu, Psi, p = params.nu, params.Psi, params.p
-        e_logdet = np.linalg.slogdet(Psi)[1] - p * np.log(2.0)
-        e_logdet -= np.sum(digamma(0.5 * (nu - np.arange(p))))
-        return np.concatenate([[e_logdet], (nu * np.linalg.inv(Psi)).ravel()])
-    raise InvalidParams(f"unknown family {fam!r}")

@@ -69,9 +69,5 @@ class NegativeRate(LaplaceMatchError):
     """Count metrics received a non-positive rate prediction."""
 
 
-class DegenerateProjection(LaplaceMatchError):
-    """Rank-1 constraint update is degenerate (1'Sigma 1 ~ 0)."""
-
-
 class SupportMismatch(LaplaceMatchError):
     """Sampling density support does not cover the target domain."""

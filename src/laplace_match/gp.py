@@ -1,9 +1,13 @@
 """Gaussian process regression on bridge-produced pseudo-observations.
 
 The GP layer consumes heteroskedastic Gaussian observations (mu_i, sigma_i)
-of latent function values; sigma may be a scalar, per-point variances, or a
-dense/block-diagonal covariance. Noise enters training only; predictions are
-for the noise-free latent function. The prior mean is zero.
+of latent function values. The noise comes in the shape the bridges make it:
+a scalar, (n,) per-point variances, or an (n/w, w, w) stack of the w x w
+blocks of w consecutive rows (one block per multi-latent site). gp_fit adds
+it in place to the diagonal or to the diagonal blocks of the kernel matrix,
+so no n x n noise matrix is ever formed, and the model keeps it in that
+shape. Noise enters training only; predictions are for the noise-free latent
+function. The prior mean is zero.
 
 The posterior follows Rasmussen & Williams (GPML, 2006), Algorithm 2.1, with
 one dense factorisation per fit and one solve per prediction: gp_fit keeps
@@ -35,10 +39,8 @@ builds.
 
 gp_predict returns per-point marginals: variances, or with `width` w the
 w x w covariance block of each query point, without forming the joint
-covariance. gp_sample is the joint sampler: its draws keep the cross-point
-correlation, at the cost of the full covariance and its eigendecomposition.
-The pipelines do not use it; their `Prediction.draws` are per-point posterior
-draws with no cross-point correlation.
+covariance. The pipelines' `Prediction.draws` are per-point posterior draws
+with no cross-point correlation.
 
 median_lengthscale never forms the n x n distances. It streams the strict
 upper triangle of _sqdist(X, X) in row blocks of _MEDIAN_ROWS rows, each
@@ -67,7 +69,7 @@ The module knows nothing of exponential families or bridges.
 import numpy as np
 
 from . import matrixops
-from .errors import DimensionMismatch, EmptyCluster, NotPositiveDefinite
+from .errors import DimensionMismatch, EmptyCluster, InvalidParams, NotPositiveDefinite
 
 _JITTER_LADDER = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 _BLOCK = 128
@@ -94,17 +96,25 @@ def chol_with_jitter(A):
 
     Tries no jitter, then 1e-10 .. 1e-6 relative to the mean diagonal.
     Returns (L, jitter_used); raises NotPositiveDefinite when the top rung
-    fails.
+    fails. Each rung's jitter is added to A's diagonal in place, and the
+    diagonal is restored on exit, so A comes back unchanged.
     """
     A = np.asarray(A, dtype=float)
-    scale = float(np.mean(np.diag(A))) if A.size else 1.0
+    if not A.flags.writeable:
+        A = A.copy()
+    diag = A.diagonal().copy()
+    scale = float(np.mean(diag)) if A.size else 1.0
     scale = scale if scale > 0.0 else 1.0
-    for level in _JITTER_LADDER:
-        try:
-            L = np.linalg.cholesky(A + level * scale * np.eye(A.shape[0]) if level else A)
-            return L, level * scale
-        except np.linalg.LinAlgError:
-            continue
+    try:
+        for level in _JITTER_LADDER:
+            if level:
+                A.flat[:: A.shape[0] + 1] = diag + level * scale
+            try:
+                return np.linalg.cholesky(A), level * scale
+            except np.linalg.LinAlgError:
+                continue
+    finally:
+        A.flat[:: A.shape[0] + 1] = diag
     raise NotPositiveDefinite("matrix stayed non-PD through the jitter ladder")
 
 
@@ -218,7 +228,7 @@ class RBF(_Stationary):
         self.lengthscale = float(lengthscale)
         self.variance = float(variance)
         if self.lengthscale <= 0.0 or self.variance <= 0.0:
-            raise ValueError("lengthscale and variance must be positive")
+            raise InvalidParams("lengthscale and variance must be positive")
 
     def _of_sqdist(self, d2):
         d2 *= -0.5
@@ -242,7 +252,7 @@ class RationalQuadratic(_Stationary):
         self.alpha = float(alpha)
         self.variance = float(variance)
         if min(self.lengthscale, self.alpha, self.variance) <= 0.0:
-            raise ValueError("lengthscale, alpha, and variance must be positive")
+            raise InvalidParams("lengthscale, alpha, and variance must be positive")
 
     def _of_sqdist(self, d2):
         d2 /= 2.0 * self.alpha * self.lengthscale**2
@@ -269,7 +279,7 @@ class Linear(Kernel):
         self.variance = float(variance)
         self.offset = float(offset)
         if self.variance <= 0.0 or self.offset < 0.0:
-            raise ValueError("variance must be positive and offset non-negative")
+            raise InvalidParams("variance must be positive and offset non-negative")
 
     def _eval(self, A, B):
         return self.variance * (A @ B.T) + self.offset
@@ -297,7 +307,7 @@ class LookupTable(Kernel):
             raise DimensionMismatch("lookup table must be square")
         scale = max(np.max(np.abs(table)), 1e-300)
         if np.max(np.abs(table - table.T)) > 1e-10 * scale:
-            raise ValueError("lookup table must be symmetric")
+            raise InvalidParams("lookup table must be symmetric")
         table = 0.5 * (table + table.T)
         w = np.linalg.eigvalsh(table)
         if np.min(w) < -1e-10 * max(np.max(w), 1e-300):
@@ -308,7 +318,7 @@ class LookupTable(Kernel):
         codes = np.rint(A[:, 0]).astype(int)
         m = self.table.shape[0]
         if np.any((codes < 0) | (codes >= m)):
-            raise ValueError(f"lookup codes must lie in [0, {m})")
+            raise InvalidParams(f"lookup codes must lie in [0, {m})")
         return codes
 
     def _eval(self, A, B):
@@ -330,7 +340,7 @@ class Sum(Kernel):
         super().__init__(None)
         self.terms = tuple(terms)
         if len(self.terms) < 2:
-            raise ValueError("sum kernel needs at least two terms")
+            raise InvalidParams("sum kernel needs at least two terms")
 
     def __call__(self, X, Z=None):
         out = self.terms[0](X, Z)
@@ -357,7 +367,7 @@ class Product(Kernel):
         super().__init__(None)
         self.terms = tuple(terms)
         if len(self.terms) < 2:
-            raise ValueError("product kernel needs at least two terms")
+            raise InvalidParams("product kernel needs at least two terms")
 
     def __call__(self, X, Z=None):
         out = self.terms[0](X, Z)
@@ -440,7 +450,10 @@ def median_lengthscale(X):
     gives the middle order statistics. With fewer pairs, or when a rank
     falls outside the bracket, every pair distance is kept and partitioned.
     sqrt is monotone, so this equals np.median of the distances (a NaN
-    among them gives the fallback 1.0, as does a zero median).
+    among them gives the fallback 1.0, as does a zero median). A median
+    whose square is at rounding level, at most 8 eps max_i ||x_i||^2, counts
+    as zero: identical rows in d >= 2 leave a residue of up to about
+    2 eps ||x||^2 in _sqdist.
     """
     X = _as_inputs(X)
     n = X.shape[0]
@@ -456,41 +469,12 @@ def median_lengthscale(X):
         d2.partition(ranks + [-1])
         middle = [np.nan] if np.isnan(d2[-1]) else d2[ranks]
     med = float(np.mean(np.sqrt(middle)))
-    return med if med > 0.0 else 1.0
+    rounding = 8.0 * np.finfo(float).eps * np.max(np.einsum("ij,ij->i", X, X))
+    return med if med * med > rounding else 1.0
 
 
 # ---------------------------------------------------------------------------
-# GP fit / predict / sample
-
-
-def _coerce_noise(sigma, n):
-    """Accept scalar, (n,) variances, (n, n) covariance, or a list or stack
-    of square blocks."""
-    if (
-        isinstance(sigma, (list, tuple)) and len(sigma) and np.ndim(sigma[0]) == 2
-    ) or np.ndim(sigma) == 3:
-        blocks = [np.asarray(b, dtype=float) for b in sigma]
-        total = sum(b.shape[0] for b in blocks)
-        if total != n or any(b.shape[0] != b.shape[1] for b in blocks):
-            raise DimensionMismatch("noise blocks must be square and cover n rows")
-        out = np.zeros((n, n))
-        at = 0
-        for b in blocks:
-            out[at : at + b.shape[0], at : at + b.shape[0]] = b
-            at += b.shape[0]
-        return out
-    arr = np.asarray(sigma, dtype=float)
-    if arr.ndim == 2:
-        if arr.shape != (n, n):
-            raise DimensionMismatch(f"noise covariance must be ({n}, {n})")
-        scale = max(np.max(np.abs(arr)), 1e-300)
-        if np.max(np.abs(arr - arr.T)) > 1e-9 * scale:
-            raise ValueError("noise covariance must be symmetric")
-        return 0.5 * (arr + arr.T)
-    arr = np.broadcast_to(arr, (n,)).astype(float)
-    if np.any(arr < 0.0):
-        raise ValueError("observation noise variances must be non-negative")
-    return np.diag(arr)
+# GP fit / predict
 
 
 class GPModel:
@@ -530,9 +514,11 @@ def gp_fit(kernel, X, mu, sigma):
         kernel: covariance function.
         X: inputs, (n,) or (n, d).
         mu: observed latent means, (n,).
-        sigma: observation noise, used in training only. Scalar, per-point
-            variances (n,), dense covariance (n, n), or a list of square
-            blocks laid out along the diagonal.
+        sigma: observation noise, used in training only. A scalar variance,
+            per-point variances (n,), or an (n/w, w, w) stack of the
+            covariance blocks of w consecutive rows. It is added in place to
+            the diagonal or to the diagonal blocks of the kernel matrix, and
+            the model keeps it in the shape given.
 
     An empty dataset returns the prior. Refitting identical inputs is
     bit-identical; the Cholesky jitter actually used is recorded on the
@@ -543,30 +529,42 @@ def gp_fit(kernel, X, mu, sigma):
     n = X.shape[0]
     if mu.shape != (n,):
         raise DimensionMismatch(f"mu must have shape ({n},)")
-    noise = _coerce_noise(sigma, n) if n else np.zeros((0, 0))
+    try:
+        noise = np.array(sigma, dtype=float)
+    except ValueError as exc:  # blocks of unequal sizes
+        raise DimensionMismatch("noise blocks must all be w x w") from exc
     if n == 0:
         return GPModel(kernel, X, mu, noise, 0.0, {})
-    K = kernel(X, X)
-    K += noise
+    K = np.ascontiguousarray(kernel(X, X))  # so that K.reshape is a view
+    if noise.ndim == 3:
+        s, w = noise.shape[:2]
+        if s * w != n or noise.shape[2] != w:
+            raise DimensionMismatch(f"noise blocks must form an (s, w, w) stack with s * w = {n}")
+        i = np.arange(s)
+        K.reshape(s, w, s, w)[i, :, i, :] += noise
+    elif noise.shape not in ((), (n,)):
+        raise DimensionMismatch(f"noise must be a scalar, ({n},) variances or (s, w, w) blocks")
+    elif np.any(noise < 0.0):
+        raise InvalidParams("observation noise variances must be non-negative")
+    else:
+        K.flat[:: n + 1] += noise
     L, jitter = chol_with_jitter(K)
     return GPModel(kernel, X, mu, noise, jitter, {"L": L})
 
 
-def gp_predict(model, Xstar, want_cov=False, width=1):
-    """Posterior of the noise-free latent function at new inputs.
+def gp_predict(model, Xstar, width=1):
+    """Posterior marginals of the noise-free latent function at new inputs.
 
-    Returns (mean, variances), or (mean, covariance) with want_cov. With
-    width w > 1 (and no want_cov) the query rows are read as consecutive
-    groups of w, one group per query point as the multi-latent layout lays
-    them out, and the second value is the (m, w, w) stack of the groups'
-    covariance blocks; the full covariance is never formed. The
+    Returns (mean, variances). With width w > 1 the query rows are read as
+    consecutive groups of w, one group per query point as the multi-latent
+    layout lays them out, and the second value is the (m, w, w) stack of the
+    groups' covariance blocks; the full covariance is never formed. The
     heteroskedastic noise entered the training factor only; nothing is added
     at query points.
     """
     Xs = _as_inputs(Xstar)
     kernel = model.kernel
-    blocked = width > 1 and not want_cov
-    if blocked:
+    if width > 1:
         if Xs.shape[0] % width:
             raise DimensionMismatch(f"query rows must form groups of {width}")
         groups = Xs.reshape(-1, width, Xs.shape[1])
@@ -576,20 +574,16 @@ def gp_predict(model, Xstar, want_cov=False, width=1):
         prior = kernel.pairs(rows, cols).reshape(-1, width, width)
     if model.n == 0:
         mean = np.zeros(Xs.shape[0])
-        if blocked:
+        if width > 1:
             return mean, matrixops.sym(prior)
-        if want_cov:
-            return mean, matrixops.sym(kernel(Xs, Xs))
         return mean, np.maximum(kernel.pairs(Xs, Xs), 0.0)
     ks = kernel(Xs, model.X)
     vw = _lower_solve(model._state["L"], np.column_stack((ks.T, model.mu)))
     v, w = vw[:, :-1], vw[:, -1]
     mean = w @ v
-    if blocked:
+    if width > 1:
         vb = v.T.reshape(groups.shape[0], width, model.n)
         return mean, matrixops.sym(prior - vb @ np.swapaxes(vb, 1, 2))
-    if want_cov:
-        return mean, matrixops.sym(kernel(Xs, Xs) - v.T @ v)
     var = kernel.pairs(Xs, Xs) - np.sum(v**2, axis=0)
     return mean, np.maximum(var, 0.0)
 
@@ -601,14 +595,6 @@ def _psd_root(cov):
     """
     w, U = np.linalg.eigh(matrixops.sym(cov))
     return U * np.sqrt(np.maximum(w, 0.0))[..., None, :]
-
-
-def gp_sample(model, Xstar, seed=0, count=1):
-    """Joint posterior draws at Xstar, shape (count, m); seeded."""
-    mean, cov = gp_predict(model, Xstar, want_cov=True)
-    root = _psd_root(cov)
-    rng = np.random.default_rng(seed)
-    return mean + rng.standard_normal((count, mean.size)) @ root.T
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +611,7 @@ def kmeanspp(X, k, seed=0, max_iter=100):
     X = _as_inputs(X)
     n = X.shape[0]
     if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+        raise InvalidParams(f"need 1 <= k <= n, got k={k}, n={n}")
     rng = np.random.default_rng(seed)
     centers = np.empty((k, X.shape[1]))
     centers[0] = X[rng.integers(n)]

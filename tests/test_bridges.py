@@ -558,12 +558,3 @@ class TestVectorizedArrays:
             bridges.forward_arrays(family, tag, **{k: [v] for k, v in fields.items()})
         with pytest.raises(OutsideValidityRegion):
             bridges.lm_forward(distributions.from_record({"family": family, **fields}), tag)
-
-    def test_bridge_table_lists_rows(self):
-        keys = set(bridges.bridge_rows())
-        assert ("gamma", "sqrt") in keys
-        assert ("dirichlet", "softmax_inverse") in keys
-        assert ("inverse_wishart", "matrix_log") in keys
-        table = bridges.bridge_table()
-        assert len(table) == len(keys)
-        assert all(row["validity"] for row in table)

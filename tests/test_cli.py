@@ -287,6 +287,16 @@ class TestExperimentCommand:
         )
         assert rc == 2 and "--kernel" in err
 
+    def test_negative_lengthscale_is_a_usage_error(self, tmp_path, capsys):
+        data = self._gen(capsys, tmp_path, "binary", "b.csv", "--n", "20", "--seed", "0")
+        rc, _, err = run(
+            capsys,
+            "experiment", "binary", "--data", data, "--out", str(tmp_path / "r.json"),
+            "--kernel", "rbf", "--lengthscale", "-1",
+        )
+        assert rc == cli.EXIT_USAGE
+        assert err == "error: InvalidParams: lengthscale and variance must be positive\n"
+
 
 class TestConfigMerge:
     def test_config_fills_unset_flags(self, tmp_path, capsys):

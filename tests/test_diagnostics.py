@@ -7,7 +7,6 @@ import pytest
 
 from laplace_match import bridges, diagnostics, distributions, gp, transforms
 from laplace_match.errors import (
-    DegenerateProjection,
     DimensionMismatch,
     NonConvergence,
     NotPositiveDefinite,
@@ -179,32 +178,6 @@ class TestMmd:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             diagnostics.mmd(np.zeros((10, 2)), np.zeros((10, 3)))
-
-
-class TestDirichletKlConstrained:
-    def test_concentrated_dirichlet_is_nearly_gaussian(self):
-        params = distributions.dirichlet(np.full(3, 100.0))
-        kl, se = diagnostics.dirichlet_kl_constrained(params, n=10**5, seed=0)
-        assert kl <= 0.01
-        assert kl > -4 * se
-
-    def test_kl_decreases_with_concentration(self):
-        values = []
-        for c in (1.0, 3.0, 10.0, 50.0):
-            params = distributions.dirichlet(np.full(3, c))
-            kl, _ = diagnostics.dirichlet_kl_constrained(params, n=2 * 10**4, seed=1)
-            values.append(kl)
-        assert all(b < a for a, b in zip(values, values[1:]))
-
-    def test_centered_covariance_degenerate(self):
-        params = distributions.dirichlet([2.0, 1.0, 1.5])
-        g = bridges.lm_forward(params, "softmax_inverse")
-        with pytest.raises(DegenerateProjection):
-            diagnostics.dirichlet_kl_constrained(params, sigma=g.cov_dense())
-
-    def test_non_dirichlet_rejected(self):
-        with pytest.raises(ValueError):
-            diagnostics.dirichlet_kl_constrained(distributions.beta(1.0, 1.0))
 
 
 class TestEssSample:

@@ -1,12 +1,18 @@
-"""Latent-space GP: kernels, fit/predict/sample, k-means++ inducing sites."""
+"""Latent-space GP: kernels, fit/predict, k-means++ inducing sites."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from laplace_match import bridges, cli, distributions, gp, pipeline
-from laplace_match.errors import DimensionMismatch, EmptyCluster, NotPositiveDefinite
+from laplace_match.errors import (
+    DimensionMismatch,
+    EmptyCluster,
+    InvalidParams,
+    NotPositiveDefinite,
+)
 
 
 class TestKernels:
@@ -40,10 +46,10 @@ class TestKernels:
     def test_lookup_table_validation(self):
         with pytest.raises(NotPositiveDefinite):
             gp.LookupTable(np.array([[1.0, 2.0], [2.0, 1.0]]))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParams):
             gp.LookupTable(np.array([[1.0, 0.5], [0.4, 1.0]]))
         k = gp.LookupTable(np.eye(3) + 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParams):
             k(np.array([0.0, 3.0]), None)
 
     def test_triple_product_with_lookup(self):
@@ -88,7 +94,10 @@ class TestKernels:
         X[n // 2] = X[0]  # a zero distance
         d = np.sqrt(gp._sqdist(X, X)[np.triu_indices(n, k=1)])
         median = float(np.median(d))
-        assert gp.median_lengthscale(X) == (median if median > 0.0 else 1.0)
+        # the documented fallback: a median at rounding level counts as zero
+        # (n = 2 has only the duplicated pair)
+        rounding = 8.0 * np.finfo(float).eps * np.max(np.sum(X**2, axis=1))
+        assert gp.median_lengthscale(X) == (median if median**2 > rounding else 1.0)
         assert gp.median_lengthscale(np.zeros((4, 1))) == 1.0
 
     @staticmethod
@@ -140,6 +149,13 @@ class TestKernels:
         X = np.random.default_rng(n).uniform(0.0, 3.0, size=(n, 2))
         X[n - 1, 1] = np.nan
         assert gp.median_lengthscale(X) == 1.0
+
+    @pytest.mark.parametrize("value", [0.3, -2.5, 7.1, 1e3])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+    def test_median_lengthscale_of_constant_inputs_is_one(self, dim, value):
+        # identical rows leave a rounding residue in _sqdist for d >= 2
+        # (1.05e-8 for 0.3 in d = 3), which must not pass for a distance
+        assert gp.median_lengthscale(np.full((1000, dim), value)) == 1.0
 
     def test_median_lengthscale_memory_does_not_grow_as_n_squared(self):
         n = 4000
@@ -203,15 +219,76 @@ class TestKernels:
 
     def test_pairs_checks_lookup_codes_and_lengths(self):
         k = gp.LookupTable(np.eye(3) + 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParams):
             k.pairs(np.array([0.0, 3.0]), np.array([0.0, 1.0]))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParams):
             k.pairs(np.array([0.0, 1.0]), np.array([-1.0, 1.0]))
         with pytest.raises(DimensionMismatch):
             gp.RBF().pairs(np.zeros(3), np.zeros(2))
 
 
+class TestBoundaries:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: gp.RBF(lengthscale=-1.0),
+            lambda: gp.RationalQuadratic(alpha=0.0),
+            lambda: gp.Linear(offset=-1.0),
+            lambda: gp.Sum(gp.RBF()),
+            lambda: gp.Product(gp.RBF()),
+            lambda: gp.gp_fit(gp.RBF(), np.zeros(2), np.zeros(2), np.array([0.1, -0.1])),
+            lambda: gp.kmeanspp(np.zeros((3, 1)), 0),
+        ],
+        ids=[
+            "rbf", "rational_quadratic", "linear", "sum", "product", "negative_noise",
+            "kmeanspp_k_zero",
+        ],
+    )
+    def test_bad_arguments_raise_invalid_params(self, call):
+        # the lookup table and k > n sites: test_lookup_table_validation,
+        # test_pairs_checks_lookup_codes_and_lengths, test_kmeanspp_bounds
+        with pytest.raises(InvalidParams):
+            call()
+
+
 class TestCholJitter:
+    @pytest.mark.parametrize("rung", range(len(gp._JITTER_LADDER) + 1))
+    def test_each_rung_equals_the_identity_formula(self, monkeypatch, rung):
+        # the first `rung` factorisations fail; the last rung then succeeds,
+        # or the ladder is exhausted
+        rng = np.random.default_rng(rung)
+        B = rng.normal(size=(6, 6))
+        A = B @ B.T + np.eye(6)
+        A0 = A.copy()
+        cholesky = np.linalg.cholesky
+        seen = []
+
+        def failing(M):
+            seen.append(M.copy())
+            if len(seen) <= rung:
+                raise np.linalg.LinAlgError("forced")
+            return cholesky(M)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        if rung == len(gp._JITTER_LADDER):
+            with pytest.raises(NotPositiveDefinite):
+                gp.chol_with_jitter(A)
+        else:
+            L, jitter = gp.chol_with_jitter(A)
+        scale = float(np.mean(np.diag(A0)))
+        for level, M in zip(gp._JITTER_LADDER, seen):
+            assert np.array_equal(M, A0 + level * scale * np.eye(6) if level else A0)
+        if rung < len(gp._JITTER_LADDER):
+            assert jitter == gp._JITTER_LADDER[rung] * scale
+            assert np.array_equal(L, cholesky(seen[-1]))
+        assert np.array_equal(A, A0)
+
+    def test_read_only_input_is_factored(self):
+        A = np.ones((3, 3))  # rank one: needs jitter
+        A.flags.writeable = False
+        L, jitter = gp.chol_with_jitter(A)
+        assert jitter > 0.0 and np.allclose(L @ L.T, A, atol=1e-5)
+
     def test_pd_needs_no_jitter(self):
         L, jitter = gp.chol_with_jitter(np.diag([2.0, 3.0]))
         assert jitter == 0.0
@@ -292,8 +369,8 @@ class TestLowerSolve:
         X = rng.uniform(0.0, 10.0, size=300)
         model = gp.gp_fit(gp.RBF(1.0), X, rng.normal(size=300), 0.1)
         monkeypatch.setattr(np.linalg, "inv", spy)
-        for kwargs in ({}, {"want_cov": True}):
-            gp.gp_predict(model, np.linspace(0.0, 10.0, 40), **kwargs)
+        for width in (1, 2):
+            gp.gp_predict(model, np.linspace(0.0, 10.0, 40), width=width)
         assert sizes and max(sizes) <= gp._LEAF <= 16
 
 
@@ -346,20 +423,44 @@ class TestFitPredict:
         _, v2 = gp.gp_predict(gp.gp_fit(kernel, X, mu, 1.0), q)
         assert np.all(v2 >= v1 - 1e-12)
 
-    def test_block_noise_equals_dense(self):
-        X = np.array([0.0, 0.5, 3.0])
-        mu = np.array([1.0, 1.2, -0.3])
-        block_a = np.array([[0.5, 0.2], [0.2, 0.8]])
-        block_b = np.array([[0.4]])
-        dense = np.zeros((3, 3))
-        dense[:2, :2] = block_a
-        dense[2, 2] = block_b[0, 0]
-        kernel = gp.RBF(1.0, 1.0)
-        q = np.linspace(-1, 4, 11)
-        m1, v1 = gp.gp_predict(gp.gp_fit(kernel, X, mu, [block_a, block_b]), q)
-        m2, v2 = gp.gp_predict(gp.gp_fit(kernel, X, mu, dense), q)
-        np.testing.assert_allclose(m1, m2, atol=1e-10)
-        np.testing.assert_allclose(v1, v2, atol=1e-10)
+    @pytest.mark.parametrize("shape", ["scalar", "variances", "blocks"])
+    def test_noise_is_added_as_a_dense_noise_matrix_would_be(self, shape):
+        # the factor is bit-identical to that of K + the dense noise matrix,
+        # and the model keeps the noise in the shape it was given
+        rng = np.random.default_rng(2)
+        X = pipeline._joint_inputs(rng.uniform(0.0, 3.0, size=(5, 1)), 3)
+        kernel = gp.Product(gp.RBF(1.0, dims=(0,)), gp.LookupTable(np.eye(3) + 0.5, dim=1))
+        if shape == "scalar":
+            noise, dense = 0.3, 0.3 * np.eye(15)
+        elif shape == "variances":
+            noise = rng.uniform(0.1, 0.5, 15)
+            dense = np.diag(noise)
+        else:
+            A = rng.normal(size=(5, 3, 3))
+            noise = A @ np.swapaxes(A, 1, 2)
+            dense = block_diag(*noise)
+        model = gp.gp_fit(kernel, X, rng.normal(size=15), noise)
+        assert model.noise.shape == np.shape(noise) and np.array_equal(model.noise, noise)
+        assert np.array_equal(model._state["L"], np.linalg.cholesky(kernel(X) + dense))
+
+    @pytest.mark.parametrize("case", ["variances", "blocks", "jittered"])
+    def test_fit_allocates_no_more_than_two_n_by_n_arrays(self, case):
+        n = 1000
+        X = np.linspace(0.0, 50.0, n)
+        noise = np.full(n, 0.1)
+        if case == "blocks":
+            noise = np.tile(np.eye(4) + 0.05, (n // 4, 1, 1))
+        elif case == "jittered":
+            X, noise = np.repeat(X[::2], 2), np.zeros(n)  # duplicated inputs, no noise
+        tracemalloc.start()
+        try:
+            model = gp.gp_fit(gp.RBF(1.0), X, np.ones(n), noise)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (model.jitter > 0.0) == (case == "jittered")
+        # the kernel matrix and its factor
+        assert peak <= 2.1 * 8 * n * n
 
     def test_heteroskedastic_vector_noise(self):
         X = np.array([0.0, 1.0])
@@ -387,7 +488,7 @@ class TestFitPredict:
         clean = gp.gp_fit(gp.RBF(1.0, 1.0), np.array([0.0, 5.0]), np.array([1.0, 0.0]), 0.5)
         assert clean.jitter == 0.0
 
-    def test_width_blocks_are_the_joint_diagonal_blocks(self):
+    def test_width_blocks_are_the_joint_diagonal_blocks(self, dense_posterior):
         kernel = gp.Product(gp.RBF(1.0, 1.0, dims=(0,)), gp.LookupTable(np.eye(2) + 0.5, dim=1))
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.5, 0.0], [1.5, 1.0]])
         q = np.array([[0.4, 0.0], [0.4, 1.0], [2.0, 0.0], [2.0, 1.0], [9.0, 0.0], [9.0, 1.0]])
@@ -395,9 +496,10 @@ class TestFitPredict:
             gp.gp_fit(kernel, X, np.array([1.0, -0.5, 0.3, 0.2]), 0.1),
             gp.gp_fit(kernel, [], [], []),  # the prior
         ):
-            mean, cov = gp.gp_predict(model, q, want_cov=True)
+            mean, cov = dense_posterior(model, q)
             bmean, blocks = gp.gp_predict(model, q, width=2)
-            assert np.array_equal(bmean, mean) and blocks.shape == (3, 2, 2)
+            assert np.array_equal(bmean, gp.gp_predict(model, q)[0]) and blocks.shape == (3, 2, 2)
+            np.testing.assert_allclose(bmean, mean, rtol=0, atol=1e-12)
             for i in range(3):
                 np.testing.assert_allclose(
                     blocks[i], cov[2 * i : 2 * i + 2, 2 * i : 2 * i + 2], rtol=0, atol=1e-12
@@ -405,7 +507,7 @@ class TestFitPredict:
         with pytest.raises(DimensionMismatch):
             gp.gp_predict(model, q[:5], width=2)
 
-    def test_width_blocks_with_a_sum_coordinate_kernel(self):
+    def test_width_blocks_with_a_sum_coordinate_kernel(self, dense_posterior):
         coords = gp.Sum(
             gp.LookupTable(np.eye(3), dim=1), gp.LookupTable(np.full((3, 3), 0.5), dim=1)
         )
@@ -414,22 +516,23 @@ class TestFitPredict:
         X = np.column_stack([np.repeat([0.0, 0.7, 1.9, 3.0], 3), codes])
         q = np.column_stack([np.repeat([0.2, 1.0, 2.4, 8.0], 3), codes])
         model = gp.gp_fit(kernel, X, np.sin(np.arange(12.0)), 0.2)
-        mean, cov = gp.gp_predict(model, q, want_cov=True)
+        mean, cov = dense_posterior(model, q)
         bmean, blocks = gp.gp_predict(model, q, width=3)
-        assert np.array_equal(bmean, mean) and blocks.shape == (4, 3, 3)
+        assert np.array_equal(bmean, gp.gp_predict(model, q)[0]) and blocks.shape == (4, 3, 3)
+        np.testing.assert_allclose(bmean, mean, rtol=0, atol=1e-12)
         for i in range(4):
             np.testing.assert_allclose(
                 blocks[i], cov[3 * i : 3 * i + 3, 3 * i : 3 * i + 3], rtol=0, atol=1e-12
             )
 
-    def test_variances_are_the_joint_diagonal(self):
+    def test_variances_are_the_joint_diagonal(self, dense_posterior):
         rng = np.random.default_rng(4)
         X = rng.uniform(0.0, 5.0, size=(15, 2))
         model = gp.gp_fit(gp.RBF(1.1, 1.7), X, rng.normal(size=15), rng.uniform(0.1, 0.5, 15))
         q = rng.uniform(-1.0, 6.0, size=(25, 2))
         mean, var = gp.gp_predict(model, q)
-        jmean, cov = gp.gp_predict(model, q, want_cov=True)
-        assert np.array_equal(mean, jmean)
+        jmean, cov = dense_posterior(model, q)
+        np.testing.assert_allclose(mean, jmean, rtol=0, atol=1e-12)
         np.testing.assert_allclose(var, np.diag(cov), rtol=0, atol=1e-14)
 
     def test_posterior_mean_is_ks_solve(self):
@@ -464,43 +567,11 @@ class TestFitPredict:
     def test_shape_validation(self):
         with pytest.raises(DimensionMismatch):
             gp.gp_fit(gp.RBF(), np.array([0.0, 1.0]), np.array([1.0]), 0.1)
-        with pytest.raises(DimensionMismatch):
-            gp.gp_fit(gp.RBF(), np.array([0.0, 1.0]), np.ones(2), np.ones((3, 3)))
-
-
-class TestSampling:
-    def test_seed_determinism(self):
-        model = gp.gp_fit(gp.RBF(1.0, 1.0), np.array([0.0]), np.array([1.0]), 0.5)
-        q = np.linspace(0, 3, 6)
-        a = gp.gp_sample(model, q, seed=3, count=4)
-        b = gp.gp_sample(model, q, seed=3, count=4)
-        assert np.array_equal(a, b)
-        c = gp.gp_sample(model, q, seed=4, count=4)
-        assert not np.array_equal(a, c)
-
-    def test_zero_covariance_returns_mean_exactly(self):
-        X = np.array([0.0, 2.0])
-        mu = np.array([1.5, -0.5])
-        model = gp.gp_fit(gp.RBF(1.0, 1.0), X, mu, 0.0)
-        draws = gp.gp_sample(model, X, seed=0, count=8)
-        mean, _ = gp.gp_predict(model, X)
-        assert np.max(np.abs(draws - mean)) < 1e-6
-
-    def test_sample_moments_match_posterior(self):
-        model = gp.gp_fit(
-            gp.RBF(1.0, 1.0), np.array([0.0, 1.0]), np.array([1.0, 0.0]), 0.3
-        )
-        q = np.array([0.25, 0.75])
-        mean, cov = gp.gp_predict(model, q, want_cov=True)
-        n = 10**5
-        draws = gp.gp_sample(model, q, seed=5, count=n)
-        se_mean = np.sqrt(np.diag(cov) / n)
-        assert np.all(np.abs(draws.mean(axis=0) - mean) < 4 * se_mean)
-        emp = np.cov(draws.T)
-        for i in range(2):
-            for j in range(2):
-                se_cov = np.sqrt((cov[i, i] * cov[j, j] + cov[i, j] ** 2) / n)
-                assert abs(emp[i, j] - cov[i, j]) < 4 * se_cov
+        for noise in (
+            np.ones(3), np.eye(2), np.ones((1, 3, 3)), np.ones((2, 1, 2)), [np.eye(1), np.eye(2)]
+        ):
+            with pytest.raises(DimensionMismatch):
+                gp.gp_fit(gp.RBF(), np.array([0.0, 1.0]), np.ones(2), noise)
 
 
 def _inducing_fields(X, Y, k, family, **config):
@@ -621,7 +692,7 @@ class TestInducing:
         assert len(set(assign[:20])) == 1 and len(set(assign[20:])) == 1
 
     def test_kmeanspp_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParams):
             gp.kmeanspp(np.zeros((3, 1)), 4)
 
     def test_single_cluster_folds_counts(self):

@@ -485,7 +485,8 @@ class TestInducingProperties:
         b = np.argsort(sites.X[:, 0])
         np.testing.assert_array_equal(sites.X[b], plain.X[a])
         np.testing.assert_array_equal(sites.mu[b], plain.mu[a])
-        np.testing.assert_array_equal(np.diag(sites.noise)[b], np.diag(plain.noise)[a])
+        assert plain.noise.shape == (data.n,)
+        np.testing.assert_array_equal(sites.noise[b], plain.noise[a])
 
 
 _PIPELINE_FAMILIES = ["beta", "gamma", "dirichlet", "inverse_wishart"]
@@ -580,9 +581,8 @@ class TestPipelineProperties:
         rows = lambda order: (order[:, None] * width + np.arange(width)).ravel()
         np.testing.assert_array_equal(sites.X[rows(b)], plain.X[rows(a)])
         np.testing.assert_array_equal(sites.mu[rows(b)], plain.mu[rows(a)])
-        np.testing.assert_array_equal(
-            sites.noise[np.ix_(rows(b), rows(b))], plain.noise[np.ix_(rows(a), rows(a))]
-        )
+        assert plain.noise.shape == (observed.n, width, width)
+        np.testing.assert_array_equal(sites.noise[b], plain.noise[a])
 
 
 class TestCountPipeline:
@@ -703,20 +703,20 @@ class TestPerPointPrediction:
         )
 
     @pytest.mark.parametrize("family", ["beta", "dirichlet", "inverse_wishart"])
-    def test_latent_cov_is_the_diagonal_of_the_joint_covariance(self, family):
+    def test_latent_cov_is_the_diagonal_of_the_joint_covariance(self, family, dense_posterior):
         _, model, pred = _predict_at_query(family, draws=10)
         m = _QUERY.size
         w = pred.latent_mean.size // m
         joint = pipeline._joint_inputs(gp._as_inputs(_QUERY), w)
-        mean, cov = gp.gp_predict(model, joint, want_cov=True)
-        np.testing.assert_array_equal(pred.latent_mean.ravel(), mean)
+        mean, cov = dense_posterior(model, joint)
+        np.testing.assert_allclose(pred.latent_mean.ravel(), mean, rtol=0, atol=1e-10)
         blocks = pred.latent_cov.reshape(m, w, w)
         for i in range(m):
             np.testing.assert_allclose(
                 blocks[i], cov[i * w : (i + 1) * w, i * w : (i + 1) * w], rtol=0, atol=1e-10
             )
 
-    def test_fitted_prior_marginals_are_the_joint_blocks(self, monkeypatch):
+    def test_fitted_prior_marginals_are_the_joint_blocks(self, monkeypatch, dense_posterior):
         data = _categorical_data(t=5, K=3)
         cfg = pipeline.LMGPConfig("dirichlet", seed=0, draws=10, version="v2")
         prior_model, _ = pipeline.lmgp_v1(data, cfg)
@@ -737,8 +737,8 @@ class TestPerPointPrediction:
             fields["alpha"], inverse_arrays("dirichlet", basis.tag, mean, blocks)["alpha"]
         )
         joint = pipeline._joint_inputs(data.X, 3)
-        full_mean, cov = gp.gp_predict(prior_model, joint, want_cov=True)
-        np.testing.assert_array_equal(mean.ravel(), full_mean)
+        full_mean, cov = dense_posterior(prior_model, joint)
+        np.testing.assert_allclose(mean.ravel(), full_mean, rtol=0, atol=1e-10)
         for i in range(data.n):
             np.testing.assert_allclose(
                 blocks[i], cov[3 * i : 3 * i + 3, 3 * i : 3 * i + 3], rtol=0, atol=1e-10
