@@ -14,7 +14,11 @@ from one batched eigendecomposition per call.
 
 `lm_forward` and `lm_inverse` are one-item wrappers that convert EFParams and
 GaussianApprox to and from those arrays. A matrix `lm_forward` returns a
-dense vech covariance, for isotropic scales too.
+dense vech covariance, for isotropic scales too. They and `bridge_valid`
+take a tag or a `BasisTransform` and resolve it with
+`transforms.resolve_basis`, sized by the parameters (`lm_forward`,
+`bridge_valid`) or by the Gaussian (`lm_inverse`); the array functions take
+the tag of a row.
 
 Scalar rows and the matrix log rows are bijective; the Dirichlet softmax row
 uses a pseudo-inverse (exact on bridge images). The matrix sqrt inverses
@@ -32,33 +36,12 @@ from . import distributions, matrixops, transforms
 from .errors import (
     DomainMismatch,
     IncompatibleBasis,
+    InvalidParams,
     NonInvertibleBridge,
     NoValidLaplace,
     OutsideValidityRegion,
 )
 from .gaussian import GaussianApprox, scalar_gaussian
-from .transforms import BasisTransform
-
-
-def _as_basis(basis, K=None, p=None):
-    if isinstance(basis, BasisTransform):
-        return basis
-    if isinstance(basis, str):
-        if basis == "softmax_inverse":
-            return BasisTransform(basis, K=K)
-        if basis in ("matrix_log", "matrix_sqrt"):
-            return BasisTransform(basis, p=p)
-        return BasisTransform(basis)
-    raise TypeError("basis must be a BasisTransform or a tag string")
-
-
-def _basis_for(params, basis):
-    """`basis` resolved against the K or p of `params`; IncompatibleBasis
-    where the family has no such basis or the sizes differ."""
-    K, p = getattr(params, "K", None), getattr(params, "p", None)
-    basis = _as_basis(basis, K=K, p=p)
-    transforms.check_basis(params.family, basis, K or p)
-    return basis
 
 
 def _row(validity, valid, fwd, inv):
@@ -364,7 +347,7 @@ def _fields_of(params):
 
 def bridge_valid(params, basis):
     """Whether `params` lies in the validity region of the bridge row."""
-    basis = _basis_for(params, basis)
+    basis = transforms.resolve_basis(params.family, basis, transforms._size_of(params))
     if basis.tag == "identity":
         return standard_valid(params)
     return bool(np.all(_ROWS[(params.family, basis.tag)]["valid"](*_fields_of(params))))
@@ -431,7 +414,7 @@ def standard_laplace(params):
 def lm_forward(params, basis):
     """Map parameters to the matched Gaussian in the given basis: a one-item
     `forward_arrays`."""
-    basis = _basis_for(params, basis)
+    basis = transforms.resolve_basis(params.family, basis, transforms._size_of(params))
     fam = params.family
     if basis.tag == "identity":
         return standard_laplace(params)
@@ -462,7 +445,7 @@ def forward_arrays(family, tag, **arrays):
     row = _row_for(family, tag)
     names = distributions.param_fields(family)
     if set(arrays) != set(names):
-        raise TypeError(f"{family} fields are {names}, got {tuple(arrays)}")
+        raise InvalidParams(f"{family} fields are {names}, got {tuple(arrays)}")
     fields = [np.asarray(arrays[name], dtype=float) for name in names]
     ok = row["valid"](*fields)
     if not np.all(ok):
@@ -521,9 +504,8 @@ def lm_inverse(g, family, basis, structured_sigma=False):
     `inverse_arrays`."""
     if isinstance(g, tuple):
         g = scalar_gaussian(*g)
-    if family not in distributions.FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    basis = _as_basis(basis, K=g.mean.size, p=g.p)
+    size = g.p if g.domain == "symmetric_matrix" else g.mean.size
+    basis = transforms.resolve_basis(family, basis, size)
     if basis.tag == "identity":
         raise NonInvertibleBridge(
             "the identity basis is not a bridge row; the standard-basis "
@@ -534,7 +516,6 @@ def lm_inverse(g, family, basis, structured_sigma=False):
         raise DomainMismatch("matrix bridge inverse needs a symmetric_matrix Gaussian")
     if basis.K is not None and g.domain not in ("simplex", "vector"):
         raise DomainMismatch("softmax inverse needs a simplex-domain Gaussian")
-    transforms.check_basis(family, basis, g.p if matrix else g.mean.size)
     if matrix:
         if basis.tag == "matrix_sqrt" and not structured_sigma:
             raise NonInvertibleBridge(

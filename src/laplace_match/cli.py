@@ -403,11 +403,11 @@ def _bridge_params(args, family):
     return distributions.inverse_wishart(dof, scale)
 
 
-def _bridge_gauss(args, family, basis):
+def _bridge_gauss(args, tag):
     """Assemble the Gaussian input of an inverse conversion."""
     if args.mu is None or args.sigma is None:
         raise UsageError("inverse direction needs --mu and --sigma")
-    if basis.tag in ("matrix_log", "matrix_sqrt"):
+    if tag in ("matrix_log", "matrix_sqrt"):
         mean = _parse_matrix(args.mu, "--mu")
         p = mean.shape[0]
         if ";" in args.sigma or "," in args.sigma:
@@ -421,7 +421,7 @@ def _bridge_gauss(args, family, basis):
         return GaussianApprox(
             mean.ravel(), structure, data, domain="symmetric_matrix", p=p
         )
-    if basis.tag == "softmax_inverse":
+    if tag == "softmax_inverse":
         mean = _parse_vector(args.mu, "--mu")
         if ";" in args.sigma:
             data = _parse_matrix(args.sigma, "--sigma")
@@ -447,16 +447,8 @@ def cmd_bridge(args):
         else:
             record["gaussian"] = gauss.to_record()
     else:
-        K = p = None
-        if tag == "softmax_inverse" and args.mu is not None:
-            K = args.mu.count(",") + 1
-        if tag in ("matrix_log", "matrix_sqrt") and args.mu is not None:
-            p = args.mu.count(";") + 1
-        basis = bridges._as_basis(tag, K=K, p=p)
-        gauss = _bridge_gauss(args, family, basis)
-        params = bridges.lm_inverse(
-            gauss, family, basis, structured_sigma=tag == "matrix_sqrt"
-        )
+        gauss = _bridge_gauss(args, tag)
+        params = bridges.lm_inverse(gauss, family, tag, structured_sigma=tag == "matrix_sqrt")
         record["params"] = params.to_record()
     sys.stdout.write(_dump_json(record))
     return EXIT_OK
@@ -656,7 +648,7 @@ def cmd_distances(args):
     else:
         bases = tuple(_basis_arg(b) for b in args.bases.split(","))
     metrics = (
-        ("kl", "mmd") if args.metrics is None else tuple(args.metrics.split(","))
+        diagnostics.METRICS if args.metrics is None else tuple(args.metrics.split(","))
     )
     grid = None if args.grid is None else _grid_from_json(args.grid, family)
     report = diagnostics.distance_sweep(
@@ -747,8 +739,9 @@ def _round_trip_dev(params, basis, gauss, corrupt):
 def oracle_rows(families, bases=None, tol=1e-6, rt_tol=1e-9, corrupt_inverse=False):
     """Closed form vs numeric oracle over the default grids.
 
-    Returns one row per (family, basis, grid point):
-    (family, basis, grid_index, forward_dev, round_trip_dev, status).
+    `bases` (tags or BasisTransforms) selects, for each family, those of its
+    bases it lists. Returns one row per (family, basis, grid point):
+    (family, basis tag, grid_index, forward_dev, round_trip_dev, status).
     Rows outside a bridge's validity region are reported as skipped, not
     failed; `status` is 'pass' or 'FAIL:<reason>'.
     """
@@ -756,15 +749,15 @@ def oracle_rows(families, bases=None, tol=1e-6, rt_tol=1e-9, corrupt_inverse=Fal
     for family in families:
         family_bases = transforms.FAMILY_BASES[family]
         selected = family_bases if bases is None else [
-            b for b in bases if b in family_bases
+            b for b in bases if getattr(b, "tag", b) in family_bases
         ]
-        for tag in selected:
+        for named in selected:
             for gi, params in enumerate(diagnostics.default_grid(family)):
-                basis = bridges._basis_for(params, tag)
+                basis = transforms.resolve_basis(family, named, transforms._size_of(params))
                 try:
                     fwd_dev, gauss = _closed_vs_numeric(params, basis)
                 except LaplaceMatchError as exc:
-                    rows.append((family, tag, gi, None, None, f"skipped: {exc}"))
+                    rows.append((family, basis.tag, gi, None, None, f"skipped: {exc}"))
                     continue
                 status = "pass"
                 if fwd_dev > tol:
@@ -776,7 +769,7 @@ def oracle_rows(families, bases=None, tol=1e-6, rt_tol=1e-9, corrupt_inverse=Fal
                     status = f"FAIL: round-trip error: {exc}"
                 if rt_dev is not None and rt_dev > rt_tol and status == "pass":
                     status = f"FAIL: round-trip deviation {rt_dev:.3e} > {rt_tol:g}"
-                rows.append((family, tag, gi, fwd_dev, rt_dev, status))
+                rows.append((family, basis.tag, gi, fwd_dev, rt_dev, status))
     return rows
 
 

@@ -15,6 +15,7 @@ import numpy as np
 from . import bridges, distributions, matrixops, transforms
 from .errors import (
     DimensionMismatch,
+    InvalidParams,
     NonConvergence,
     NotPositiveDefinite,
     NoValidLaplace,
@@ -57,8 +58,9 @@ def gauss_latent(g):
 
 
 def latent_samples(params, basis, n, seed):
-    """Exact samples mapped to the working latent coordinates of the basis."""
-    basis = bridges._basis_for(params, basis)
+    """Exact samples mapped to the working latent coordinates of the basis,
+    a tag or a BasisTransform."""
+    basis = transforms.resolve_basis(params.family, basis, transforms._size_of(params))
     x = distributions.sample(params, seed, n)
     fam = params.family
     if fam in distributions._SCALAR_FAMILIES:
@@ -104,7 +106,7 @@ def mc_kl(params, basis=None, gauss=None, n=10**6, seed=0):
         return float(np.mean(diff)), float(np.std(diff, ddof=1) / np.sqrt(n))
     if basis is None:
         raise SupportMismatch("EFParams input needs a basis")
-    basis = bridges._basis_for(params, basis)
+    basis = transforms.resolve_basis(params.family, basis, transforms._size_of(params))
     if gauss is None:
         gauss = bridges.lm_forward(params, basis)
     z = latent_samples(params, basis, n, seed)
@@ -141,7 +143,7 @@ def mmd(x, y, kernel=None):
         raise DimensionMismatch("sample sets must share a dimension")
     m, n = x.shape[0], y.shape[0]
     if m < 2 or n < 2:
-        raise ValueError("need at least two points per set")
+        raise InvalidParams("need at least two points per set")
     pooled = np.vstack([x, y])
     if callable(kernel):
         K = kernel(pooled, pooled)
@@ -257,7 +259,7 @@ def default_grid(family):
             distributions.inverse_wishart(2.5 * (1 + 0.5 * i), V0 * (1 + 0.25 * i))
             for i in range(10)
         ]
-    raise ValueError(f"unknown family {family!r}")
+    raise InvalidParams(f"unknown family {family!r}")
 
 
 # The benchmark (bench/workloads.py) reads the catalogue under this name.
@@ -328,7 +330,7 @@ def _sweep_row(family, params, basis, metrics, n, mmd_points, row_seed):
         try:
             if metric == "kl":
                 value, se = mc_kl(params, basis, gauss=gauss, n=n, seed=int(kl_seed))
-            elif metric == "mmd":
+            else:  # mmd
                 m_pts = min(mmd_points, n)
                 z = latent_samples(params, basis, m_pts, int(mmd_seed))
                 mean, cov = gauss_latent(gauss)
@@ -338,8 +340,6 @@ def _sweep_row(family, params, basis, metrics, n, mmd_points, row_seed):
                 if z.ndim == 1:
                     g = g[:, 0]
                 value, se = mmd(z, g), None
-            else:
-                raise ValueError(f"unknown metric {metric!r}")
             out.append({"metric": metric, "value": value, "se": se, "status": "ok"})
         except Exception as exc:  # failures are data, not crashes
             out.append(
@@ -348,11 +348,14 @@ def _sweep_row(family, params, basis, metrics, n, mmd_points, row_seed):
     return out
 
 
+METRICS = ("kl", "mmd")
+
+
 def distance_sweep(
     family,
     grid=None,
     bases=None,
-    metrics=("kl", "mmd"),
+    metrics=METRICS,
     n=None,
     mmd_points=2000,
     seed=0,
@@ -363,10 +366,14 @@ def distance_sweep(
     Each (grid point, basis) row draws its own reproducible seed stream from
     SeedSequence((seed, row_index)), so results do not depend on execution
     order or on `jobs`. Rows where the bridge is invalid or a metric fails
-    are recorded with a status instead of raising.
+    are recorded with a status instead of raising; an unknown family or
+    metric raises InvalidParams before any work.
     """
     if family not in distributions.FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
+        raise InvalidParams(f"unknown family {family!r}")
+    unknown = [m for m in metrics if m not in METRICS]
+    if unknown:
+        raise InvalidParams(f"unknown metric {unknown[0]!r} (known: {', '.join(METRICS)})")
     grid = default_grid(family) if grid is None else list(grid)
     bases = transforms.FAMILY_BASES[family] if bases is None else tuple(bases)
     if n is None:

@@ -57,6 +57,10 @@ class DimensionMismatch(LaplaceMatchError):
     """Inputs have inconsistent dimensions."""
 
 
+class BasisSizeMismatch(IncompatibleBasis, DimensionMismatch):
+    """A basis's K or p differs from the size of what it is applied to."""
+
+
 class EmptyCluster(LaplaceMatchError):
     """k-means produced an empty cluster after all re-seed attempts."""
 

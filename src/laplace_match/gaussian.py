@@ -22,7 +22,7 @@ say which latent space the Gaussian lives on:
 import numpy as np
 
 from . import matrixops
-from .errors import DimensionMismatch, NotPositiveDefinite
+from .errors import DimensionMismatch, InvalidParams, NotPositiveDefinite
 
 STRUCTURES = ("scalar", "diagonal", "dense", "scaled_identity")
 DOMAINS = ("scalar", "vector", "simplex", "symmetric_matrix")
@@ -38,9 +38,9 @@ class GaussianApprox:
         if mean.ndim != 1:
             raise DimensionMismatch("mean must be one-dimensional")
         if structure not in STRUCTURES:
-            raise ValueError(f"unknown covariance structure {structure!r}")
+            raise InvalidParams(f"unknown covariance structure {structure!r}")
         if domain not in DOMAINS:
-            raise ValueError(f"unknown domain tag {domain!r}")
+            raise InvalidParams(f"unknown domain tag {domain!r}")
         if domain == "scalar" and mean.size != 1:
             raise DimensionMismatch("scalar domain needs a length-1 mean")
         if domain == "symmetric_matrix":

@@ -122,15 +122,7 @@ class LMGPConfig:
         """The configured basis, or the family's first bridge row; K or p
         from the last axis of the targets Y."""
         basis = transforms.FAMILY_BASES[self.family][1] if self.basis is None else self.basis
-        basis = bridges._as_basis(basis, K=Y.shape[-1], p=Y.shape[-1])
-        # the family and its bridge rows first: a basis of another family, or
-        # one with no bridge row (identity), is not a size mismatch
-        transforms.check_basis(self.family, basis, basis.K or basis.p)
-        bridges._row_for(self.family, basis.tag)
-        size = basis.K if self.family == "dirichlet" else basis.p
-        if self.family in ("dirichlet", "inverse_wishart") and size != Y.shape[-1]:
-            raise DimensionMismatch(f"basis {basis!r} does not fit targets of size {Y.shape[-1]}")
-        return basis
+        return _bridge_basis(self.family, basis, Y.shape[-1])
 
     def replace(self, **updates):
         return LMGPConfig(**{**vars(self), **updates})
@@ -217,6 +209,15 @@ class Prediction:
 
 # ---------------------------------------------------------------------------
 # latent layout helpers
+
+
+def _bridge_basis(family, basis, size):
+    """`transforms.resolve_basis`, then the bridge row the pipelines fit: a
+    basis with no row (identity) raises IncompatibleBasis, and a K or p that
+    differs from `size` BasisSizeMismatch, a DimensionMismatch."""
+    basis = transforms.resolve_basis(family, basis, size)
+    bridges._row_for(family, basis.tag)
+    return basis
 
 
 def _basis_width(basis, family):
@@ -357,7 +358,7 @@ def _sample_marginals(mean, cov, seed, count):
     return z
 
 
-_EF_ERRORS = (LaplaceMatchError, ValueError, np.linalg.LinAlgError)
+_EF_ERRORS = (LaplaceMatchError, np.linalg.LinAlgError)
 
 
 def _params_at(family, fields, i):
@@ -434,12 +435,12 @@ def _as_dataset(data):
 
 
 def _resolved_basis(data, config):
-    """The run's basis: resolved against the targets, or for empty data the
-    explicit basis (a scalar family's default needs none)."""
+    """The run's basis: resolved against the targets, or for empty data an
+    explicit basis against its own K or p (a scalar family's needs none)."""
     if data.n:
         return config.resolve_basis(data.Y)
     if isinstance(config.basis, transforms.BasisTransform):
-        return config.basis
+        return _bridge_basis(config.family, config.basis, config.basis.K or config.basis.p)
     if config.family not in distributions._SCALAR_FAMILIES:
         raise EmptyDataset("empty multi-latent data needs an explicit basis carrying K or p")
     return config.resolve_basis(np.zeros(1))
@@ -503,11 +504,12 @@ def predict(model, basis, config, X_query):
     for config, without a refit. `basis` is the basis that run resolved (its
     `Prediction.basis`), so the latent width is the fitted one. Equal to the
     run's Prediction at X_query, except that `timings` holds only the predict
-    and summary stages.
+    and summary stages. A basis of another family or with no bridge row
+    raises IncompatibleBasis.
     """
     if not isinstance(basis, transforms.BasisTransform):
         raise IncompatibleBasis("predict takes the basis the run resolved, Prediction.basis")
-    transforms.check_basis(config.family, basis, basis.K or basis.p)
+    basis = _bridge_basis(config.family, basis, basis.K or basis.p)
     width = _basis_width(basis, config.family)
     if model.n and width > 1 and not np.array_equal(
         model.X[:, -1], np.tile(np.arange(width), model.n // width)

@@ -2,6 +2,10 @@
 
 A basis transformation g maps the support of an exponential-family
 distribution to a latent space where the Laplace approximation is taken.
+`FAMILY_BASES` is the one catalogue of the bases each family has, and
+`resolve_basis` the one way to turn a tag or a `BasisTransform` into a
+basis checked against a family and sized by the K or p of what it applies
+to; every entry point that takes a basis goes through it.
 `push_forward` builds the transformed density on working coordinates:
 
   * scalar families: the latent line (dim 1),
@@ -22,6 +26,7 @@ from scipy.special import gammaln, log_expit, logsumexp, multigammaln
 
 from . import distributions, matrixops
 from .errors import (
+    BasisSizeMismatch,
     DirectionUnavailable,
     IncompatibleBasis,
     InvalidParams,
@@ -49,15 +54,8 @@ FAMILY_BASES = {
     "inverse_wishart": ("identity", "matrix_log", "matrix_sqrt"),
 }
 
-BASIS_TAGS = (
-    "identity",
-    "log",
-    "sqrt",
-    "logit",
-    "softmax_inverse",
-    "matrix_log",
-    "matrix_sqrt",
-)
+# every tag of the catalogue, in order of first appearance
+BASIS_TAGS = tuple(dict.fromkeys(tag for tags in FAMILY_BASES.values() for tag in tags))
 
 
 class BasisTransform:
@@ -105,33 +103,35 @@ class BasisTransform:
         return self.tag.capitalize()
 
 
-IDENTITY = BasisTransform("identity")
-LOG = BasisTransform("log")
-SQRT = BasisTransform("sqrt")
-LOGIT = BasisTransform("logit")
+def resolve_basis(family, basis, size):
+    """The BasisTransform of `family` that `basis`, a tag or a BasisTransform,
+    names, for parameters, a Gaussian or targets of K or p `size` (None for
+    the scalar families).
 
-
-def softmax_inverse(K):
-    return BasisTransform("softmax_inverse", K=K)
-
-
-def matrix_log(p):
-    return BasisTransform("matrix_log", p=p)
-
-
-def matrix_sqrt(p):
-    return BasisTransform("matrix_sqrt", p=p)
-
-
-def check_basis(family, basis, size):
-    """Raise IncompatibleBasis unless `basis` is defined for `family` and its
-    K or p, where it has one, equals `size` (the K or p of the parameters or
-    of the Gaussian it is applied to)."""
-    if basis.tag not in FAMILY_BASES[family]:
+    InvalidParams for an unknown family; IncompatibleBasis for a basis the
+    family does not have, before any sizing; a tag is then sized by `size`,
+    and a BasisTransform whose K or p differs from it raises
+    BasisSizeMismatch.
+    """
+    if family not in FAMILY_BASES:
+        raise InvalidParams(f"unknown family {family!r}")
+    tag = basis.tag if isinstance(basis, BasisTransform) else basis
+    if tag not in FAMILY_BASES[family]:
         raise IncompatibleBasis(f"basis {basis!r} is not defined for {family}")
-    sized = basis.K or basis.p
-    if sized is not None and sized != size:
-        raise IncompatibleBasis(f"basis {basis!r} does not fit size {size}")
+    if isinstance(basis, BasisTransform):
+        if (basis.K or basis.p) not in (None, size):
+            raise BasisSizeMismatch(f"basis {basis!r} does not fit size {size}")
+        return basis
+    if tag == "softmax_inverse":
+        return BasisTransform(tag, K=size)
+    if tag in ("matrix_log", "matrix_sqrt"):
+        return BasisTransform(tag, p=size)
+    return BasisTransform(tag)
+
+
+def _size_of(params):
+    """The K or p of EF parameters; None for a scalar family."""
+    return getattr(params, "K", None) or getattr(params, "p", None)
 
 
 # ---------------------------------------------------------------------------
@@ -231,19 +231,17 @@ class TransformedDensity:
         "dim",
         "_log_density",
         "_log_objective",
-        "_in_domain",
         "_boundary_distance",
         "_initial_point",
     )
 
-    def __init__(self, params, basis, dim, log_density, log_objective, in_domain,
-                 boundary_distance, initial_point):
+    def __init__(self, params, basis, dim, log_density, log_objective, boundary_distance,
+                 initial_point):
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "dim", int(dim))
         object.__setattr__(self, "_log_density", log_density)
         object.__setattr__(self, "_log_objective", log_objective)
-        object.__setattr__(self, "_in_domain", in_domain)
         object.__setattr__(self, "_boundary_distance", boundary_distance)
         object.__setattr__(self, "_initial_point", initial_point)
 
@@ -273,11 +271,6 @@ class TransformedDensity:
         z, shape = self._coerce(z)
         out = self._log_objective(np.atleast_1d(z) if self.dim == 1 else z)
         return out.reshape(shape) if shape else float(out.reshape(-1)[0])
-
-    def in_domain(self, z):
-        z, shape = self._coerce(z)
-        out = self._in_domain(np.atleast_1d(z) if self.dim == 1 else z)
-        return out.reshape(shape) if shape else bool(out.reshape(-1)[0])
 
     def boundary_distance(self, z):
         """Distance from z to the domain boundary (inf when unbounded)."""
@@ -321,7 +314,6 @@ def _scalar_positive_density(params, tag):
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 return _masked(mask, distributions.log_pdf(params, z[mask]))
 
-        in_domain = lambda z: np.isfinite(z) & (z > 0.0)
         boundary = lambda z: float(np.min(z))
     elif tag == "log":
         # substitute x = e^z and add the Jacobian term z in closed form
@@ -348,9 +340,8 @@ def _scalar_positive_density(params, tag):
                 out = _masked(mask, body(z[mask]))
             return np.where(np.isnan(out), -np.inf, out)
 
-        in_domain = lambda z: np.isfinite(z)
         boundary = lambda z: np.inf
-    elif tag == "sqrt":
+    else:  # sqrt, the tag resolved against the family
         # substitute x = z^2 on z > 0 and add log(2z); log z collected once
         log2 = np.log(2.0)
         if fam == "exponential":
@@ -375,10 +366,7 @@ def _scalar_positive_density(params, tag):
             with np.errstate(divide="ignore", over="ignore"):
                 return _masked(mask, body(z[mask]))
 
-        in_domain = lambda z: np.isfinite(z) & (z > 0.0)
         boundary = lambda z: float(np.min(z))
-    else:
-        raise IncompatibleBasis(f"{fam} does not support basis {tag!r}")
 
     centers = {
         "exponential": lambda: 1.0 / params.lam,
@@ -388,7 +376,7 @@ def _scalar_positive_density(params, tag):
     }
     x0 = centers[fam]()
     init = {"identity": x0, "log": np.log(x0), "sqrt": np.sqrt(x0)}[tag]
-    return logdens, logdens, in_domain, boundary, lambda: np.array([init])
+    return logdens, logdens, boundary, lambda: np.array([init])
 
 
 def _beta_density(params, tag):
@@ -403,22 +391,18 @@ def _beta_density(params, tag):
                 vals = (a - 1.0) * np.log(zv) + (b - 1.0) * np.log1p(-zv) - logB
             return _masked(mask, vals)
 
-        in_domain = lambda z: np.isfinite(z) & (z > 0.0) & (z < 1.0)
         boundary = lambda z: float(min(np.min(z), np.min(1.0 - z)))
         init = a / (a + b)
-    elif tag == "logit":
+    else:  # logit
 
         def logdens(z):
             mask = np.isfinite(z)
             zv = z[mask]
             return _masked(mask, a * log_expit(zv) + b * log_expit(-zv) - logB)
 
-        in_domain = lambda z: np.isfinite(z)
         boundary = lambda z: np.inf
         init = np.log(a) - np.log(b)
-    else:
-        raise IncompatibleBasis(f"beta does not support basis {tag!r}")
-    return logdens, logdens, in_domain, boundary, lambda: np.array([init])
+    return logdens, logdens, boundary, lambda: np.array([init])
 
 
 def _dirichlet_density(params, tag):
@@ -442,15 +426,11 @@ def _dirichlet_density(params, tag):
                 )
             return _masked(mask, vals)
 
-        def in_domain(u):
-            last = 1.0 - np.sum(u, axis=-1)
-            return np.all(np.isfinite(u), axis=-1) & np.all(u > 0.0, axis=-1) & (last > 0.0)
-
         def boundary(u):
             return float(min(np.min(u), 1.0 - np.sum(u)))
 
         init = lambda: (alpha / np.sum(alpha))[:-1]
-    elif tag == "softmax_inverse":
+    else:  # softmax_inverse
         # chart u = x_{1:K-1} on the centered hyperplane, x_K = -sum(u);
         # y = softmax(x); density picks up log K + sum_k log y_k
         logK = np.log(K)
@@ -462,13 +442,10 @@ def _dirichlet_density(params, tag):
             vals = np.sum(alpha * logy, axis=-1) - logB + logK
             return np.where(mask, vals, -np.inf)
 
-        in_domain = lambda u: np.all(np.isfinite(u), axis=-1)
         boundary = lambda u: np.inf
         la = np.log(alpha)
         init = lambda: (la - np.mean(la))[:-1]
-    else:
-        raise IncompatibleBasis(f"dirichlet does not support basis {tag!r}")
-    return logdens, logdens, in_domain, boundary, init
+    return logdens, logdens, boundary, init
 
 
 def _matrix_density(params, tag):
@@ -529,7 +506,6 @@ def _matrix_density(params, tag):
             return np.where(mask, vals, -np.inf)
 
         density = objective
-        in_domain = lambda z: np.min(np.linalg.eigvalsh(matrixops.unvech(z, p)), axis=-1) > 0.0
         boundary = lambda z: float(np.min(np.linalg.eigvalsh(matrixops.unvech(z, p))))
         init = lambda: matrixops.vech(X0)
     elif tag == "matrix_log":
@@ -555,11 +531,10 @@ def _matrix_density(params, tag):
                 base = base + _log_divdiff_exp(w[..., i], w[..., j])
             return base
 
-        in_domain = lambda z: np.all(np.isfinite(np.atleast_1d(z)), axis=-1)
         boundary = lambda z: np.inf
         Y0 = _batched_funm(X0, np.log, "matrix log")
         init = lambda: matrixops.vech(Y0)
-    elif tag == "matrix_sqrt":
+    else:  # matrix_sqrt
 
         def objective(z):
             Y, w, U = eig(z)
@@ -592,33 +567,31 @@ def _matrix_density(params, tag):
                     base = base + np.where(s > 0.0, np.log(np.where(s > 0.0, s, 1.0)), -np.inf)
             return np.where(np.isnan(base), -np.inf, base)
 
-        in_domain = lambda z: np.min(np.linalg.eigvalsh(matrixops.unvech(z, p)), axis=-1) > 0.0
         boundary = lambda z: float(np.min(np.linalg.eigvalsh(matrixops.unvech(z, p))))
         Y0 = _batched_funm(X0, np.sqrt, "matrix sqrt")
         init = lambda: matrixops.vech(Y0)
-    else:
-        raise IncompatibleBasis(f"{fam} does not support basis {tag!r}")
-    return density, objective, in_domain, boundary, init, d
+    return density, objective, boundary, init, d
 
 
 def push_forward(params, basis):
-    """Build the TransformedDensity of `params` under `basis`."""
+    """Build the TransformedDensity of `params` under `basis`, a tag or a
+    BasisTransform."""
     fam = params.family
-    check_basis(fam, basis, getattr(params, "K", None) or getattr(params, "p", None))
+    basis = resolve_basis(fam, basis, _size_of(params))
 
     if fam in _SCALAR_POSITIVE:
-        logdens, logobj, in_dom, bdry, init = _scalar_positive_density(params, basis.tag)
+        logdens, logobj, bdry, init = _scalar_positive_density(params, basis.tag)
         dim = 1
     elif fam == "beta":
-        logdens, logobj, in_dom, bdry, init = _beta_density(params, basis.tag)
+        logdens, logobj, bdry, init = _beta_density(params, basis.tag)
         dim = 1
     elif fam == "dirichlet":
-        logdens, logobj, in_dom, bdry, init = _dirichlet_density(params, basis.tag)
+        logdens, logobj, bdry, init = _dirichlet_density(params, basis.tag)
         dim = params.K - 1
     else:
-        logdens, logobj, in_dom, bdry, init, dim = _matrix_density(params, basis.tag)
+        logdens, logobj, bdry, init, dim = _matrix_density(params, basis.tag)
 
-    return TransformedDensity(params, basis, dim, logdens, logobj, in_dom, bdry, init)
+    return TransformedDensity(params, basis, dim, logdens, logobj, bdry, init)
 
 
 # ---------------------------------------------------------------------------

@@ -11,26 +11,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laplace_match import bridges, cli, distributions, transforms
+from laplace_match import bridges, cli, diagnostics, distributions, pipeline, transforms
 from laplace_match.errors import (
     DomainMismatch,
     IncompatibleBasis,
+    InvalidParams,
     NonInvertibleBridge,
     NotPositiveDefinite,
     NoValidLaplace,
     OutsideValidityRegion,
 )
 from laplace_match.gaussian import GaussianApprox
+from laplace_match.transforms import BasisTransform
 
 
 class TestForwardPinned:
     def test_exponential_log(self):
-        g = bridges.lm_forward(distributions.exponential(1.0), transforms.LOG)
+        g = bridges.lm_forward(distributions.exponential(1.0), "log")
         assert g.mu == pytest.approx(0.0, abs=1e-15)
         assert g.var == pytest.approx(1.0, abs=1e-15)
 
     def test_exponential_sqrt(self):
-        g = bridges.lm_forward(distributions.exponential(2.0), transforms.SQRT)
+        g = bridges.lm_forward(distributions.exponential(2.0), "sqrt")
         assert g.mu == pytest.approx(0.5, abs=1e-15)
         assert g.var == pytest.approx(0.125, abs=1e-15)
 
@@ -40,13 +42,13 @@ class TestForwardPinned:
         assert g.var == pytest.approx(0.25, abs=1e-15)
 
     def test_beta_logit(self):
-        g = bridges.lm_forward(distributions.beta(2.0, 2.0), transforms.LOGIT)
+        g = bridges.lm_forward(distributions.beta(2.0, 2.0), "logit")
         assert g.mu == pytest.approx(0.0, abs=1e-15)
         assert g.var == pytest.approx(1.0, abs=1e-15)
 
     def test_dirichlet_uniform(self):
         g = bridges.lm_forward(
-            distributions.dirichlet([1.0, 1.0, 1.0]), transforms.softmax_inverse(3)
+            distributions.dirichlet([1.0, 1.0, 1.0]), "softmax_inverse"
         )
         np.testing.assert_allclose(g.mean, np.zeros(3), atol=1e-15)
         expected = np.full((3, 3), -1 / 3) + np.eye(3)
@@ -54,7 +56,7 @@ class TestForwardPinned:
 
     def test_wishart_log_identity_scale(self):
         g = bridges.lm_forward(
-            distributions.wishart(3.0, np.eye(2)), transforms.matrix_log(2)
+            distributions.wishart(3.0, np.eye(2)), "matrix_log"
         )
         np.testing.assert_allclose(g.mean_matrix(), np.log(2.0) * np.eye(2), atol=1e-15)
         # isotropic on symmetric matrices: off-diagonal vech coordinate has half
@@ -79,7 +81,7 @@ class TestStandardLaplace:
 
     def test_identity_via_lm_forward(self):
         a = bridges.standard_laplace(distributions.gamma(3.0, 1.0))
-        b = bridges.lm_forward(distributions.gamma(3.0, 1.0), transforms.IDENTITY)
+        b = bridges.lm_forward(distributions.gamma(3.0, 1.0), "identity")
         assert (a.mu, a.var) == (b.mu, b.var)
 
     def test_frontier(self):
@@ -109,7 +111,7 @@ class TestStandardLaplace:
         ]
         for params in cases:
             ok = bridges.standard_valid(params)
-            assert bridges.bridge_valid(params, transforms.IDENTITY) == ok
+            assert bridges.bridge_valid(params, "identity") == ok
             if ok:
                 bridges.standard_laplace(params)
             else:
@@ -120,20 +122,20 @@ class TestStandardLaplace:
 class TestValidityRegions:
     def test_gamma_sqrt_needs_alpha_above_half(self):
         with pytest.raises(OutsideValidityRegion):
-            bridges.lm_forward(distributions.gamma(0.5, 1.0), transforms.SQRT)
-        bridges.lm_forward(distributions.gamma(0.5 + 1e-9, 1.0), transforms.SQRT)
+            bridges.lm_forward(distributions.gamma(0.5, 1.0), "sqrt")
+        bridges.lm_forward(distributions.gamma(0.5 + 1e-9, 1.0), "sqrt")
 
     def test_chi_squared_sqrt_needs_k_above_one(self):
         with pytest.raises(OutsideValidityRegion):
-            bridges.lm_forward(distributions.chi_squared(1.0), transforms.SQRT)
-        bridges.lm_forward(distributions.chi_squared(1.0 + 1e-9), transforms.SQRT)
+            bridges.lm_forward(distributions.chi_squared(1.0), "sqrt")
+        bridges.lm_forward(distributions.chi_squared(1.0 + 1e-9), "sqrt")
 
     def test_wishart_sqrt_needs_n_above_p(self):
         with pytest.raises(OutsideValidityRegion):
             bridges.lm_forward(
-                distributions.wishart(2.0, np.eye(2)), transforms.matrix_sqrt(2)
+                distributions.wishart(2.0, np.eye(2)), "matrix_sqrt"
             )
-        bridges.lm_forward(distributions.wishart(2.0 + 1e-9, np.eye(2)), transforms.matrix_sqrt(2))
+        bridges.lm_forward(distributions.wishart(2.0 + 1e-9, np.eye(2)), "matrix_sqrt")
 
     def test_log_bases_always_valid(self):
         for params in (
@@ -141,25 +143,25 @@ class TestValidityRegions:
             distributions.chi_squared(0.1),
             distributions.inverse_gamma(0.2, 0.3),
         ):
-            g = bridges.lm_forward(params, transforms.LOG)
+            g = bridges.lm_forward(params, "log")
             assert np.isfinite(g.mu) and g.var > 0
 
     def test_incompatible_pairs(self):
         with pytest.raises(IncompatibleBasis):
-            bridges.lm_forward(distributions.beta(2.0, 2.0), transforms.LOG)
+            bridges.lm_forward(distributions.beta(2.0, 2.0), "log")
         with pytest.raises(IncompatibleBasis):
             bridges.lm_forward(
-                distributions.dirichlet([1.0, 1.0]), transforms.softmax_inverse(3)
+                distributions.dirichlet([1.0, 1.0]), BasisTransform("softmax_inverse", K=3)
             )
         with pytest.raises(IncompatibleBasis):
             bridges.lm_inverse((0.0, 1.0), "beta", "sqrt")
 
     def test_bridge_valid_rejects_pairs_without_a_row(self):
         for params, basis in (
-            (distributions.gamma(2.0, 1.0), transforms.matrix_log(2)),
-            (distributions.wishart(3.0, np.eye(2)), transforms.softmax_inverse(3)),
-            (distributions.dirichlet([1.0, 2.0, 3.0]), transforms.matrix_sqrt(2)),
-            (distributions.beta(2.0, 2.0), transforms.LOG),
+            (distributions.gamma(2.0, 1.0), BasisTransform("matrix_log", p=2)),
+            (distributions.wishart(3.0, np.eye(2)), BasisTransform("softmax_inverse", K=3)),
+            (distributions.dirichlet([1.0, 2.0, 3.0]), BasisTransform("matrix_sqrt", p=2)),
+            (distributions.beta(2.0, 2.0), "log"),
         ):
             with pytest.raises(IncompatibleBasis):
                 bridges.bridge_valid(params, basis)
@@ -168,13 +170,13 @@ class TestValidityRegions:
         "call,params,basis",
         [
             ("bridge_valid", distributions.dirichlet([1.0, 2.0, 3.0, 4.0]),
-             transforms.softmax_inverse(3)),
+             BasisTransform("softmax_inverse", K=3)),
             ("bridge_valid", distributions.inverse_wishart(5.0, np.eye(3)),
-             transforms.matrix_log(2)),
+             BasisTransform("matrix_log", p=2)),
             ("lm_inverse", distributions.dirichlet([1.0, 2.0, 3.0]),
-             transforms.softmax_inverse(4)),
+             BasisTransform("softmax_inverse", K=4)),
             ("lm_inverse", distributions.inverse_wishart(5.0, np.eye(2)),
-             transforms.matrix_log(3)),
+             BasisTransform("matrix_log", p=3)),
         ],
     )
     def test_sized_basis_must_fit(self, call, params, basis):
@@ -184,6 +186,88 @@ class TestValidityRegions:
             else:
                 g = bridges.lm_forward(params, basis.tag)
                 bridges.lm_inverse(g, params.family, basis)
+
+
+def test_the_catalogue_is_one_table():
+    catalogue = transforms.FAMILY_BASES
+    assert set(catalogue) == set(distributions.FAMILIES)
+    assert all(tags[0] == "identity" for tags in catalogue.values())
+    rows = [(family, tag) for family, tags in catalogue.items() for tag in tags[1:]]
+    assert sorted(bridges._ROWS) == sorted(rows)
+    union = []
+    for tags in catalogue.values():
+        union += [tag for tag in tags if tag not in union]
+    assert transforms.BASIS_TAGS == tuple(union)
+    for family in distributions.CONJUGATE_FAMILIES:
+        assert (family, catalogue[family][1]) in bridges._ROWS
+
+
+_GAMMA = distributions.gamma(2.0, 1.0)
+
+# every public function that takes a basis, applied to a gamma record
+_ENTRY_POINTS = {
+    "lm_forward": lambda basis: bridges.lm_forward(_GAMMA, basis),
+    "bridge_valid": lambda basis: bridges.bridge_valid(_GAMMA, basis),
+    "lm_inverse": lambda basis: bridges.lm_inverse((0.0, 1.0), "gamma", basis),
+    "push_forward": lambda basis: transforms.push_forward(_GAMMA, basis),
+    "latent_samples": lambda basis: diagnostics.latent_samples(_GAMMA, basis, 10, 0),
+    "mc_kl": lambda basis: diagnostics.mc_kl(_GAMMA, basis, n=10),
+    "LMGPConfig.resolve_basis": lambda basis: pipeline.LMGPConfig(
+        "gamma", basis=basis
+    ).resolve_basis(np.zeros(3)),
+}
+
+
+class TestBasisResolution:
+    @pytest.fixture
+    def resolved(self, monkeypatch):
+        calls = []
+        resolve = transforms.resolve_basis
+
+        def spy(family, basis, size):
+            calls.append((family, basis))
+            return resolve(family, basis, size)
+
+        monkeypatch.setattr(transforms, "resolve_basis", spy)
+        return calls
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+    def test_every_entry_point_resolves_through_resolve_basis(self, entry, resolved):
+        _ENTRY_POINTS[entry]("log")
+        assert ("gamma", "log") in resolved
+        del resolved[:]
+        for basis in ("softmax_inverse", BasisTransform("matrix_log", p=2), 3):
+            with pytest.raises(IncompatibleBasis):
+                _ENTRY_POINTS[entry](basis)
+            assert resolved[-1] == ("gamma", basis)
+
+    def test_oracle_rows_resolve_through_resolve_basis(self, resolved):
+        rows = cli.oracle_rows(["exponential"], bases=["log"])
+        assert len(rows) == 10 and resolved.count(("exponential", "log")) == 10
+        # a BasisTransform selects its rows too; it selected none
+        basis = BasisTransform("log")
+        assert cli.oracle_rows(["exponential"], bases=[basis]) == rows
+        with pytest.raises(IncompatibleBasis):
+            cli.oracle_rows(["dirichlet"], bases=[BasisTransform("softmax_inverse", K=4)])
+
+    def test_a_basis_of_another_family_is_incompatible_before_sizing(self):
+        # raised InvalidParams("softmax_inverse needs K >= 2"): the tag was
+        # sized before the family was checked
+        with pytest.raises(IncompatibleBasis):
+            bridges.lm_forward(_GAMMA, "softmax_inverse")
+
+    def test_lm_inverse_of_an_unknown_family_is_invalid_params(self):
+        # raised a bare ValueError
+        with pytest.raises(InvalidParams):
+            bridges.lm_inverse((0.0, 1.0), "poisson", "log")
+
+    def test_a_basis_that_is_neither_a_tag_nor_a_basis_transform_is_incompatible(self):
+        # raised a bare TypeError
+        for basis in (3, None, ("log",)):
+            with pytest.raises(IncompatibleBasis):
+                bridges.lm_forward(_GAMMA, basis)
+            with pytest.raises(IncompatibleBasis):
+                bridges.lm_inverse((0.0, 1.0), "gamma", basis)
 
 
 class TestInversePinned:
@@ -237,7 +321,7 @@ class TestRoundTrips:
     @settings(max_examples=60, deadline=None)
     def test_exponential(self, lam):
         params = distributions.exponential(lam)
-        for basis in (transforms.LOG, transforms.SQRT):
+        for basis in ("log", "sqrt"):
             back = bridges.lm_inverse(
                 bridges.lm_forward(params, basis), "exponential", basis
             )
@@ -292,7 +376,7 @@ class TestRoundTrips:
     @settings(max_examples=60, deadline=None)
     def test_dirichlet_pseudo_inverse_exact_on_images(self, alpha):
         params = distributions.dirichlet(alpha)
-        g = bridges.lm_forward(params, transforms.softmax_inverse(len(alpha)))
+        g = bridges.lm_forward(params, "softmax_inverse")
         back = bridges.lm_inverse(g, "dirichlet", "softmax_inverse")
         _assert_params_close(params, back)
 
@@ -339,7 +423,7 @@ def test_small_shape_edge_matches_oracle(family, tag):
     the inverse recovers the parameters to 1e-9. (At large shapes, ~1e4, the
     oracle's finite differences are the limit, not the closed forms.)"""
     params = _SMALL_SHAPE[family]
-    basis = bridges._basis_for(params, tag)
+    basis = transforms.resolve_basis(family, tag, transforms._size_of(params))
     forward_dev, gauss = cli._closed_vs_numeric(params, basis)
     assert forward_dev <= 1e-6
     assert cli._round_trip_dev(params, basis, gauss, corrupt=False) <= 1e-9
@@ -499,6 +583,11 @@ class TestVectorizedArrays:
             family, tag, **{name: np.asarray(f[3]) for name, f in zip(names, fields)}
         )
         assert np.shape(mu0) == () and mu0 == ref_mu[3] and var0 == ref_var[3]
+
+    def test_forward_arrays_rejects_wrong_field_names(self):
+        # raised a bare TypeError
+        with pytest.raises(InvalidParams):
+            bridges.forward_arrays("gamma", "log", alpha=np.ones(2), rate=np.ones(2))
 
     def test_forward_arrays_validity(self):
         with pytest.raises(OutsideValidityRegion):

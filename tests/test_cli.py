@@ -393,6 +393,16 @@ class TestDistancesCommand:
         rc, _, err = run(capsys, "distances", "--out", str(tmp_path / "x.csv"))
         assert rc == 2 and "--family" in err
 
+    def test_unknown_metric_is_a_usage_error_and_writes_nothing(self, tmp_path, capsys):
+        # exited 0 with "error: unknown metric 'foo'" in every foo cell
+        out = tmp_path / "d.csv"
+        rc, _, err = run(
+            capsys, "distances", "--family", "gamma", "--metrics", "kl,foo", "--out", str(out)
+        )
+        assert rc == 2
+        assert err.splitlines() == ["error: InvalidParams: unknown metric 'foo' (known: kl, mmd)"]
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestOracleCheckCommand:
     def test_exponential_passes(self, capsys):

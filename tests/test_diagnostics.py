@@ -8,6 +8,7 @@ import pytest
 from laplace_match import bridges, diagnostics, distributions, gp, transforms
 from laplace_match.errors import (
     DimensionMismatch,
+    InvalidParams,
     NonConvergence,
     NotPositiveDefinite,
     SupportMismatch,
@@ -53,7 +54,7 @@ class TestMcKl:
             )
 
     def test_transformed_density_input_matches_params_path(self):
-        td = transforms.push_forward(distributions.gamma(4.0, 2.0), transforms.LOG)
+        td = transforms.push_forward(distributions.gamma(4.0, 2.0), "log")
         a = diagnostics.mc_kl(td, n=20000, seed=3)
         b = diagnostics.mc_kl(distributions.gamma(4.0, 2.0), "log", n=20000, seed=3)
         assert a == b
@@ -179,6 +180,11 @@ class TestMmd:
         with pytest.raises(DimensionMismatch):
             diagnostics.mmd(np.zeros((10, 2)), np.zeros((10, 3)))
 
+    def test_one_point_set_is_invalid_params(self):
+        # raised a bare ValueError
+        with pytest.raises(InvalidParams):
+            diagnostics.mmd(np.zeros((1, 1)), np.zeros((3, 1)))
+
 
 class TestEssSample:
     def test_determinism(self):
@@ -252,11 +258,22 @@ class TestDefaultGrid:
         assert lams == [float(v) for v in range(1, 11)]
 
     def test_unknown_family(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParams):
             diagnostics.default_grid("poisson")
 
 
 class TestDistanceSweep:
+    def test_unknown_family_is_invalid_params(self):
+        # raised a bare ValueError
+        with pytest.raises(InvalidParams):
+            diagnostics.distance_sweep("poisson")
+
+    def test_unknown_metric_is_rejected_before_any_work(self, monkeypatch):
+        # the sweep ran and wrote "error: unknown metric" into every cell
+        monkeypatch.setattr(diagnostics, "_sweep_row", lambda *a: pytest.fail("swept"))
+        with pytest.raises(InvalidParams, match="'foo'"):
+            diagnostics.distance_sweep("gamma", metrics=("kl", "foo"))
+
     def test_exponential_identity_rows_invalid(self):
         report = diagnostics.distance_sweep(
             "exponential", metrics=("kl",), n=2000, seed=0

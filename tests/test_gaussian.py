@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from laplace_match import bridges, distributions
-from laplace_match.errors import DimensionMismatch, NotPositiveDefinite
+from laplace_match.errors import DimensionMismatch, InvalidParams, NotPositiveDefinite
 from laplace_match.gaussian import GaussianApprox, scalar_gaussian
 
 
@@ -34,6 +34,13 @@ class TestConstruction:
             GaussianApprox([0.0, 1.0], "diagonal", [1.0, 1.0, 1.0])
         with pytest.raises(DimensionMismatch):
             GaussianApprox(np.zeros(3), "scaled_identity", 1.0, domain="symmetric_matrix")
+
+    def test_unknown_structure_or_domain_is_invalid_params(self):
+        # each raised a bare ValueError
+        with pytest.raises(InvalidParams):
+            GaussianApprox([0.0], "banded", 1.0)
+        with pytest.raises(InvalidParams):
+            GaussianApprox([0.0], "scalar", 1.0, domain="sphere")
 
     def test_immutable(self):
         g = scalar_gaussian(0.0, 1.0)

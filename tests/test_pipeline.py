@@ -165,7 +165,7 @@ class TestConfigAndDataset:
 
     def test_basis_of_another_family_is_incompatible_not_a_size_mismatch(self):
         data = _categorical_data(t=5, K=3)
-        for basis in ("matrix_log", transforms.matrix_log(3), "log"):
+        for basis in ("matrix_log", transforms.BasisTransform("matrix_log", p=3), "log"):
             cfg = pipeline.LMGPConfig("dirichlet", basis=basis, draws=10)
             with pytest.raises(IncompatibleBasis):
                 pipeline.lmgp_v1(data, cfg)
@@ -188,7 +188,8 @@ class TestConfigAndDataset:
             cfg.resolve_basis(data.Y)
 
     def test_a_real_size_mismatch_still_reads_as_one(self):
-        cfg = pipeline.LMGPConfig("dirichlet", basis=transforms.softmax_inverse(3), draws=10)
+        basis = transforms.BasisTransform("softmax_inverse", K=3)
+        cfg = pipeline.LMGPConfig("dirichlet", basis=basis, draws=10)
         with pytest.raises(DimensionMismatch):
             pipeline.lmgp_v1(_categorical_data(t=5, K=4), cfg)
 
@@ -237,6 +238,35 @@ class TestBinaryPipeline:
         model, pred = pipeline.lmgp_v2(empty, cfg, X_query=np.array([0.0, 2.0]))
         np.testing.assert_allclose(pred.latent_mean, np.zeros(2), atol=1e-12)
         np.testing.assert_allclose(pred.latent_cov, np.full(2, 1.5), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "family, basis",
+        [
+            ("beta", transforms.BasisTransform("log")),
+            ("beta", transforms.BasisTransform("identity")),
+            ("dirichlet", transforms.BasisTransform("matrix_log", p=2)),
+        ],
+        ids=["beta-log", "beta-identity", "dirichlet-matrix_log"],
+    )
+    def test_empty_v2_checks_an_explicit_basis(self, family, basis):
+        # the explicit basis of an empty run went unchecked: beta with the
+        # log basis returned "probabilities" above one, and the Dirichlet run
+        # with a matrix basis died with a TypeError
+        empty = pipeline.Dataset(np.zeros(0), np.zeros(0))
+        cfg = pipeline.LMGPConfig(family, basis=basis, version="v2", draws=10)
+        with pytest.raises(IncompatibleBasis):
+            pipeline.lmgp_v2(empty, cfg, X_query=np.array([0.0, 2.0]))
+
+    def test_empty_multi_latent_run_needs_a_sized_basis(self):
+        empty = pipeline.Dataset(np.zeros(0), np.zeros(0))
+        for basis in (None, "softmax_inverse"):
+            cfg = pipeline.LMGPConfig("dirichlet", basis=basis, version="v2", draws=10)
+            with pytest.raises(EmptyDataset):
+                pipeline.lmgp_v2(empty, cfg, X_query=np.array([0.0, 2.0]))
+        sized = transforms.BasisTransform("softmax_inverse", K=3)
+        cfg = pipeline.LMGPConfig("dirichlet", basis=sized, version="v2", draws=10)
+        _, pred = pipeline.lmgp_v2(empty, cfg, X_query=np.array([0.0, 2.0]))
+        assert pred.basis == sized and pred.latent_mean.shape == (2, 3)
 
     def test_inducing_beyond_distinct_inputs_rejected(self):
         X = np.repeat(np.arange(5.0), 4)
@@ -345,12 +375,21 @@ class TestPredictFromModel:
         cfg = pipeline.LMGPConfig("dirichlet", draws=20)
         model, _ = pipeline.lmgp_v1(_categorical_data(t=4, K=3), cfg)
         for K in (2, 4):
+            basis = transforms.BasisTransform("softmax_inverse", K=K)
             with pytest.raises(DimensionMismatch):
-                pipeline.predict(model, transforms.softmax_inverse(K), cfg, _QUERY)
+                pipeline.predict(model, basis, cfg, _QUERY)
         with pytest.raises(IncompatibleBasis):
             pipeline.predict(model, "softmax_inverse", cfg, _QUERY)
         with pytest.raises(IncompatibleBasis):
-            pipeline.predict(model, transforms.LOGIT, cfg, _QUERY)
+            pipeline.predict(model, transforms.BasisTransform("logit"), cfg, _QUERY)
+
+    def test_a_basis_with_no_bridge_row_raises(self):
+        # the identity basis gave "probabilities" outside [0, 1] with every
+        # EF inversion failed
+        cfg = pipeline.LMGPConfig("beta", draws=20)
+        model, _ = pipeline.lmgp_v1(_binary_data(n=8), cfg)
+        with pytest.raises(IncompatibleBasis, match="no bridge row"):
+            pipeline.predict(model, transforms.BasisTransform("identity"), cfg, _QUERY)
 
 
 class TestDiagnostics:
@@ -755,8 +794,8 @@ class TestPerPointPrediction:
         assert not np.array_equal(a.draws, c.draws)
 
     @pytest.mark.parametrize("family,basis", [
-        ("beta", transforms.LOGIT),
-        ("dirichlet", transforms.softmax_inverse(3)),
+        ("beta", transforms.BasisTransform("logit")),
+        ("dirichlet", transforms.BasisTransform("softmax_inverse", K=3)),
     ])
     def test_zero_noise_training_point_returns_its_mean(self, family, basis):
         X = gp._as_inputs(np.array([0.0, 2.0]))
@@ -785,11 +824,20 @@ class TestQueryEFParams:
     def test_only_failing_points_get_none(self):
         mean = np.array([0.0, -800.0, 1.0, 0.5])
         var = np.array([0.5, 0.5, 0.0, 0.25])
-        ef = pipeline._query_ef_params("gamma", transforms.LOG, mean, var)
+        ef = pipeline._query_ef_params("gamma", transforms.BasisTransform("log"), mean, var)
         assert ef[1] is None and ef[2] is None
         for i in (0, 3):
             expected = bridges.lm_inverse((mean[i], var[i]), "gamma", "log")
             assert ef[i].to_record() == expected.to_record()
+
+
+    def test_a_run_keeps_the_points_whose_inversion_fails_as_none(self):
+        # far from the data the posterior is the prior, whose matrix-log
+        # marginal maps below the inverse-Wishart dof bound
+        cfg = pipeline.LMGPConfig("inverse_wishart", draws=10)
+        _, pred = pipeline.lmgp_v1(_covariance_data(t=6), cfg, X_query=np.array([0.0, 1e3]))
+        assert pred.ef_params[0] is not None and pred.ef_params[1] is None
+        assert pred.diagnostics["ef_failures"] == 1
 
 
 class TestClassificationMetrics:

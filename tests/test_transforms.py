@@ -12,22 +12,25 @@ from scipy import integrate, stats
 
 from laplace_match import distributions, matrixops, transforms
 from laplace_match.errors import (
+    BasisSizeMismatch,
+    DimensionMismatch,
     DirectionUnavailable,
     IncompatibleBasis,
     InvalidParams,
     NoValidLaplace,
     OutOfSupport,
 )
+from laplace_match.transforms import BasisTransform
 
 
 class TestBasisValidation:
     def test_matrix_log_needs_a_positive_size(self):
         with pytest.raises(InvalidParams):
-            transforms.matrix_log(0)
+            BasisTransform("matrix_log", p=0)
 
     def test_softmax_inverse_needs_two_classes(self):
         with pytest.raises(InvalidParams):
-            transforms.softmax_inverse(1)
+            BasisTransform("softmax_inverse", K=1)
 
     @pytest.mark.parametrize(
         "tag, sizes",
@@ -45,26 +48,72 @@ class TestBasisValidation:
 
     def test_unknown_direction(self):
         with pytest.raises(InvalidParams):
-            transforms.transform_samples(np.ones(2), transforms.LOG, direction="backward")
+            transforms.transform_samples(np.ones(2), BasisTransform("log"), direction="backward")
+
+
+class TestResolveBasis:
+    def test_tags_are_sized_and_basis_transforms_pass_through(self):
+        assert transforms.resolve_basis("gamma", "log", None) == BasisTransform("log")
+        assert transforms.resolve_basis("dirichlet", "softmax_inverse", 3) == BasisTransform(
+            "softmax_inverse", K=3
+        )
+        assert transforms.resolve_basis("wishart", "matrix_sqrt", 2) == BasisTransform(
+            "matrix_sqrt", p=2
+        )
+        basis = BasisTransform("matrix_log", p=3)
+        assert transforms.resolve_basis("inverse_wishart", basis, 3) is basis
+
+    def test_unknown_family_is_invalid_params(self):
+        with pytest.raises(InvalidParams):
+            transforms.resolve_basis("poisson", "log", None)
+
+    @pytest.mark.parametrize(
+        "family, basis, size",
+        [
+            ("gamma", "softmax_inverse", None),
+            ("gamma", "softmax_inverse", 1),
+            ("beta", BasisTransform("matrix_log", p=2), 1),
+            ("dirichlet", "logit", 3),
+            ("gamma", "exp", None),
+            ("gamma", 3, None),
+            ("gamma", None, None),
+        ],
+        ids=["tag-unsized", "tag-too-small", "sized", "scalar-tag", "unknown-tag", "int", "none"],
+    )
+    def test_the_family_is_checked_before_any_sizing(self, family, basis, size):
+        with pytest.raises(IncompatibleBasis):
+            transforms.resolve_basis(family, basis, size)
+
+    def test_a_size_mismatch_is_both_incompatible_and_a_dimension_mismatch(self):
+        basis = BasisTransform("softmax_inverse", K=4)
+        for caught in (IncompatibleBasis, DimensionMismatch, BasisSizeMismatch):
+            with pytest.raises(caught):
+                transforms.resolve_basis("dirichlet", basis, 3)
+
+    def test_bad_sizes_of_a_tag_are_invalid_params(self):
+        with pytest.raises(InvalidParams):
+            transforms.resolve_basis("dirichlet", "softmax_inverse", 1)
+        with pytest.raises(InvalidParams):
+            transforms.resolve_basis("wishart", "matrix_log", None)
 
 
 class TestTransformSamples:
     def test_log_inverse_pinned(self):
-        y = transforms.transform_samples(np.array([0.0, 1.0]), transforms.LOG, "inverse")
+        y = transforms.transform_samples(np.array([0.0, 1.0]), BasisTransform("log"), "inverse")
         np.testing.assert_allclose(y, [1.0, np.e], atol=1e-15)
 
     def test_softmax_inverse_uniform_point(self):
-        basis = transforms.softmax_inverse(3)
+        basis = BasisTransform("softmax_inverse", K=3)
         y = transforms.transform_samples(np.zeros(3), basis, "inverse")
         np.testing.assert_allclose(y, np.full(3, 1 / 3), atol=1e-15)
 
     def test_matrix_sqrt_inverse_squares(self):
-        basis = transforms.matrix_sqrt(2)
+        basis = BasisTransform("matrix_sqrt", p=2)
         y = transforms.transform_samples(np.diag([2.0, 3.0]), basis, "inverse")
         np.testing.assert_allclose(y, np.diag([4.0, 9.0]), atol=1e-12)
 
     def test_softmax_forward_needs_flag(self):
-        basis = transforms.softmax_inverse(3)
+        basis = BasisTransform("softmax_inverse", K=3)
         x = np.array([0.2, 0.3, 0.5])
         with pytest.raises(DirectionUnavailable):
             transforms.transform_samples(x, basis, "forward")
@@ -73,18 +122,18 @@ class TestTransformSamples:
 
     def test_forward_support_checks(self):
         with pytest.raises(OutOfSupport):
-            transforms.transform_samples(np.array([-1.0]), transforms.LOG, "forward")
+            transforms.transform_samples(np.array([-1.0]), BasisTransform("log"), "forward")
         with pytest.raises(OutOfSupport):
-            transforms.transform_samples(np.array([1.2]), transforms.LOGIT, "forward")
+            transforms.transform_samples(np.array([1.2]), BasisTransform("logit"), "forward")
 
     @pytest.mark.parametrize(
         "params,basis",
         [
-            (distributions.exponential(1.3), transforms.LOG),
-            (distributions.exponential(1.3), transforms.SQRT),
-            (distributions.gamma(2.5, 0.8), transforms.LOG),
-            (distributions.chi_squared(4.0), transforms.SQRT),
-            (distributions.beta(2.0, 3.0), transforms.LOGIT),
+            (distributions.exponential(1.3), BasisTransform("log")),
+            (distributions.exponential(1.3), BasisTransform("sqrt")),
+            (distributions.gamma(2.5, 0.8), BasisTransform("log")),
+            (distributions.chi_squared(4.0), BasisTransform("sqrt")),
+            (distributions.beta(2.0, 3.0), BasisTransform("logit")),
         ],
         ids=lambda v: getattr(v, "tag", None) or v.family,
     )
@@ -95,7 +144,7 @@ class TestTransformSamples:
         np.testing.assert_allclose(back, x, rtol=1e-10, atol=1e-12)
 
     def test_softmax_round_trip(self):
-        basis = transforms.softmax_inverse(4)
+        basis = BasisTransform("softmax_inverse", K=4)
         x = distributions.sample(distributions.dirichlet([2.0, 1.0, 3.0, 1.5]), seed=6, count=1000)
         u = transforms.transform_samples(x, basis, "forward", pseudo_inverse=True)
         back = transforms.transform_samples(u, basis, "inverse")
@@ -103,7 +152,7 @@ class TestTransformSamples:
 
     @pytest.mark.parametrize("tag", ["matrix_log", "matrix_sqrt"])
     def test_matrix_round_trip(self, tag):
-        basis = transforms.matrix_log(2) if tag == "matrix_log" else transforms.matrix_sqrt(2)
+        basis = BasisTransform(tag, p=2)
         X = distributions.sample(distributions.wishart(8.0, np.eye(2)), seed=7, count=1000)
         Y = transforms.transform_samples(X, basis, "forward")
         back = transforms.transform_samples(Y, basis, "inverse")
@@ -129,11 +178,11 @@ class TestMatrixBases:
     """The eigenvalue maps of the matrix-log and matrix-sqrt bases."""
 
     def test_sqrt_pinned(self):
-        Y = transforms.transform_samples(np.diag([4.0, 9.0]), transforms.matrix_sqrt(2))
+        Y = transforms.transform_samples(np.diag([4.0, 9.0]), BasisTransform("matrix_sqrt", p=2))
         np.testing.assert_allclose(Y, np.diag([2.0, 3.0]), atol=1e-12)
 
     def test_log_of_identity_is_zero(self):
-        Y = transforms.transform_samples(np.eye(3), transforms.matrix_log(3))
+        Y = transforms.transform_samples(np.eye(3), BasisTransform("matrix_log", p=3))
         np.testing.assert_allclose(Y, np.zeros((3, 3)), atol=1e-13)
 
     @pytest.mark.parametrize(
@@ -152,34 +201,34 @@ class TestMatrixBases:
 
     def test_non_pd_rejected(self):
         indef = np.diag([1.0, -1.0])
-        for basis in (transforms.matrix_log(2), transforms.matrix_sqrt(2)):
+        for basis in (BasisTransform("matrix_log", p=2), BasisTransform("matrix_sqrt", p=2)):
             with pytest.raises(OutOfSupport):
                 transforms.transform_samples(indef, basis, "forward")
         # the exp inverse is defined on any symmetric matrix
-        out = transforms.transform_samples(indef, transforms.matrix_log(2), "inverse")
+        out = transforms.transform_samples(indef, BasisTransform("matrix_log", p=2), "inverse")
         np.testing.assert_allclose(out, np.diag([np.e, 1.0 / np.e]), atol=1e-15)
 
     def test_asymmetry_rejected(self):
         with pytest.raises(OutOfSupport):
             transforms.transform_samples(
-                np.array([[1.0, 0.5], [0.4, 1.0]]), transforms.matrix_log(2), "inverse"
+                np.array([[1.0, 0.5], [0.4, 1.0]]), BasisTransform("matrix_log", p=2), "inverse"
             )
 
 
 class TestPushForward:
     def test_exponential_log_density_pinned(self):
-        td = transforms.push_forward(distributions.exponential(1.0), transforms.LOG)
+        td = transforms.push_forward(distributions.exponential(1.0), "log")
         assert td.log_density(0.0) == pytest.approx(-1.0, abs=1e-12)
 
     def test_beta_uniform_logit_is_logistic(self):
-        td = transforms.push_forward(distributions.beta(1.0, 1.0), transforms.LOGIT)
+        td = transforms.push_forward(distributions.beta(1.0, 1.0), "logit")
         for y in (-2.0, 0.0, 1.5):
             s = 1.0 / (1.0 + np.exp(-y))
             assert td.log_density(y) == pytest.approx(np.log(s * (1.0 - s)), abs=1e-12)
 
     def test_identity_matches_log_pdf(self):
         params = distributions.gamma(3.0, 2.0)
-        td = transforms.push_forward(params, transforms.IDENTITY)
+        td = transforms.push_forward(params, "identity")
         for x in (0.3, 1.0, 4.0):
             assert td.log_density(x) == pytest.approx(
                 distributions.log_pdf(params, x), abs=1e-12
@@ -188,8 +237,8 @@ class TestPushForward:
     def test_matrix_identity_matches_scipy_vech_convention(self):
         V = np.array([[1.2, 0.3], [0.3, 0.9]])
         X = np.array([[2.0, 0.4], [0.4, 1.1]])
-        td = transforms.push_forward(distributions.wishart(5.0, V), transforms.matrix_log(2))
-        tid = transforms.push_forward(distributions.wishart(5.0, V), transforms.IDENTITY)
+        td = transforms.push_forward(distributions.wishart(5.0, V), "matrix_log")
+        tid = transforms.push_forward(distributions.wishart(5.0, V), "identity")
         assert tid.dim == 3 and td.dim == 3
         assert tid.log_density(matrixops.vech(X)) == pytest.approx(
             stats.wishart(5, V).logpdf(X), abs=1e-9
@@ -197,42 +246,40 @@ class TestPushForward:
 
     def test_incompatible_bases_rejected(self):
         with pytest.raises(IncompatibleBasis):
-            transforms.push_forward(distributions.beta(2.0, 2.0), transforms.LOG)
+            transforms.push_forward(distributions.beta(2.0, 2.0), "log")
         with pytest.raises(IncompatibleBasis):
-            transforms.push_forward(distributions.gamma(2.0, 2.0), transforms.LOGIT)
+            transforms.push_forward(distributions.gamma(2.0, 2.0), "logit")
         with pytest.raises(IncompatibleBasis):
             transforms.push_forward(
-                distributions.dirichlet([1.0, 1.0]), transforms.SQRT
+                distributions.dirichlet([1.0, 1.0]), "sqrt"
             )
 
     def test_domain_helpers(self):
-        td = transforms.push_forward(distributions.gamma(2.0, 1.0), transforms.IDENTITY)
-        assert td.in_domain(2.0) and not td.in_domain(-1.0)
+        td = transforms.push_forward(distributions.gamma(2.0, 1.0), "identity")
         assert td.boundary_distance(2.0) == pytest.approx(2.0)
-        tl = transforms.push_forward(distributions.gamma(2.0, 1.0), transforms.LOG)
-        assert tl.in_domain(-30.0)
+        tl = transforms.push_forward(distributions.gamma(2.0, 1.0), "log")
         assert tl.boundary_distance(0.0) == np.inf
 
     @pytest.mark.parametrize(
         "params,basis",
         [
-            (distributions.exponential(1.3), transforms.LOG),
-            (distributions.exponential(1.3), transforms.SQRT),
-            (distributions.gamma(2.5, 1.5), transforms.LOG),
-            (distributions.gamma(0.8, 1.0), transforms.LOG),
-            (distributions.gamma(2.5, 1.5), transforms.SQRT),
-            (distributions.inverse_gamma(2.0, 1.5), transforms.LOG),
-            (distributions.inverse_gamma(2.0, 1.5), transforms.SQRT),
-            (distributions.chi_squared(3.0), transforms.LOG),
-            (distributions.chi_squared(3.0), transforms.SQRT),
-            (distributions.beta(2.0, 3.0), transforms.LOGIT),
-            (distributions.beta(0.7, 0.9), transforms.LOGIT),
+            (distributions.exponential(1.3), "log"),
+            (distributions.exponential(1.3), "sqrt"),
+            (distributions.gamma(2.5, 1.5), "log"),
+            (distributions.gamma(0.8, 1.0), "log"),
+            (distributions.gamma(2.5, 1.5), "sqrt"),
+            (distributions.inverse_gamma(2.0, 1.5), "log"),
+            (distributions.inverse_gamma(2.0, 1.5), "sqrt"),
+            (distributions.chi_squared(3.0), "log"),
+            (distributions.chi_squared(3.0), "sqrt"),
+            (distributions.beta(2.0, 3.0), "logit"),
+            (distributions.beta(0.7, 0.9), "logit"),
         ],
         ids=lambda v: getattr(v, "tag", None) or str(v),
     )
     def test_scalar_quadrature_normalization(self, params, basis):
         td = transforms.push_forward(params, basis)
-        lo = 0.0 if basis.tag == "sqrt" else -np.inf
+        lo = 0.0 if basis == "sqrt" else -np.inf
         total, _ = integrate.quad(
             lambda y: np.exp(td.log_density(y)), lo, np.inf, limit=400
         )
@@ -240,17 +287,17 @@ class TestPushForward:
 
     def test_dirichlet_softmax_chart_quadrature(self):
         td = transforms.push_forward(
-            distributions.dirichlet([1.5, 2.5]), transforms.softmax_inverse(2)
+            distributions.dirichlet([1.5, 2.5]), "softmax_inverse"
         )
         total, _ = integrate.quad(lambda u: np.exp(td.log_density(u)), -np.inf, np.inf)
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_initial_point_inside_domain(self):
         cases = [
-            (distributions.gamma(0.6, 2.0), transforms.LOG),
-            (distributions.dirichlet([1.0, 2.0, 0.7]), transforms.softmax_inverse(3)),
-            (distributions.inverse_wishart(4.0, np.eye(2)), transforms.matrix_log(2)),
-            (distributions.wishart(4.0, np.eye(2)), transforms.IDENTITY),
+            (distributions.gamma(0.6, 2.0), "log"),
+            (distributions.dirichlet([1.0, 2.0, 0.7]), "softmax_inverse"),
+            (distributions.inverse_wishart(4.0, np.eye(2)), "matrix_log"),
+            (distributions.wishart(4.0, np.eye(2)), "identity"),
         ]
         for params, basis in cases:
             td = transforms.push_forward(params, basis)
@@ -275,18 +322,19 @@ class TestChangeOfVariables:
     @pytest.mark.parametrize(
         "params,basis",
         [
-            (distributions.exponential(1.7), transforms.LOG),
-            (distributions.exponential(1.7), transforms.SQRT),
-            (distributions.gamma(3.2, 1.1), transforms.LOG),
-            (distributions.gamma(3.2, 1.1), transforms.SQRT),
-            (distributions.inverse_gamma(2.5, 2.0), transforms.LOG),
-            (distributions.chi_squared(4.0), transforms.SQRT),
-            (distributions.beta(2.0, 3.0), transforms.LOGIT),
+            (distributions.exponential(1.7), "log"),
+            (distributions.exponential(1.7), "sqrt"),
+            (distributions.gamma(3.2, 1.1), "log"),
+            (distributions.gamma(3.2, 1.1), "sqrt"),
+            (distributions.inverse_gamma(2.5, 2.0), "log"),
+            (distributions.chi_squared(4.0), "sqrt"),
+            (distributions.beta(2.0, 3.0), "logit"),
         ],
         ids=lambda v: getattr(v, "tag", None) or str(v),
     )
     def test_scalar_jacobian_identity(self, params, basis):
         td = transforms.push_forward(params, basis)
+        basis = td.basis
         xs = distributions.sample(params, seed=9, count=5)
         ys = transforms.transform_samples(xs, basis, "forward")
         for y in ys:
@@ -301,9 +349,9 @@ class TestChangeOfVariables:
     def test_dirichlet_chart_change(self):
         alpha = np.array([1.5, 2.5, 1.0])
         soft = transforms.push_forward(
-            distributions.dirichlet(alpha), transforms.softmax_inverse(3)
+            distributions.dirichlet(alpha), "softmax_inverse"
         )
-        ident = transforms.push_forward(distributions.dirichlet(alpha), transforms.IDENTITY)
+        ident = transforms.push_forward(distributions.dirichlet(alpha), "identity")
 
         def to_simplex_chart(u):
             x = np.concatenate([u, [-np.sum(u)]])
@@ -324,9 +372,9 @@ class TestChangeOfVariables:
     @pytest.mark.parametrize("tag", ["matrix_log", "matrix_sqrt"])
     def test_matrix_chart_change(self, p, tag):
         params = distributions.wishart(p + 2.5, np.eye(p) + 0.2)
-        basis = transforms.matrix_log(p) if tag == "matrix_log" else transforms.matrix_sqrt(p)
+        basis = BasisTransform(tag, p=p)
         td = transforms.push_forward(params, basis)
-        tid = transforms.push_forward(params, transforms.IDENTITY)
+        tid = transforms.push_forward(params, "identity")
 
         def to_support_vech(u):
             Y = matrixops.unvech(u, p)
@@ -347,16 +395,16 @@ class TestChangeOfVariables:
 
 class TestNumericLaplace:
     def test_gamma_log_pinned(self):
-        td = transforms.push_forward(distributions.gamma(4.0, 2.0), transforms.LOG)
+        td = transforms.push_forward(distributions.gamma(4.0, 2.0), "log")
         g = transforms.numeric_laplace(td)
         assert g.mu == pytest.approx(np.log(2.0), abs=1e-6)
         assert g.var == pytest.approx(0.25, abs=1e-6)
 
     def test_no_mode_in_standard_basis(self):
-        td = transforms.push_forward(distributions.gamma(0.5, 1.0), transforms.IDENTITY)
+        td = transforms.push_forward(distributions.gamma(0.5, 1.0), "identity")
         with pytest.raises(NoValidLaplace):
             transforms.numeric_laplace(td)
-        te = transforms.push_forward(distributions.exponential(1.0), transforms.IDENTITY)
+        te = transforms.push_forward(distributions.exponential(1.0), "identity")
         with pytest.raises(NoValidLaplace):
             transforms.numeric_laplace(te)
 
@@ -368,11 +416,10 @@ class TestNumericLaplace:
 
         td = transforms.TransformedDensity(
             params=distributions.gamma(2.0, 1.0),
-            basis=transforms.IDENTITY,
+            basis=BasisTransform("identity"),
             dim=1,
             log_density=log_density,
             log_objective=log_density,
-            in_domain=lambda z: np.ones(np.shape(z), dtype=bool),
             boundary_distance=lambda z: np.inf,
             initial_point=lambda: np.array([0.0]),
         )
@@ -383,7 +430,7 @@ class TestNumericLaplace:
     def test_multivariate_mode(self):
         # softmax chart of a symmetric Dirichlet peaks at the centered origin
         td = transforms.push_forward(
-            distributions.dirichlet([3.0, 3.0, 3.0]), transforms.softmax_inverse(3)
+            distributions.dirichlet([3.0, 3.0, 3.0]), "softmax_inverse"
         )
         g = transforms.numeric_laplace(td)
         np.testing.assert_allclose(g.mean, np.zeros(2), atol=1e-7)
