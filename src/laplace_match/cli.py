@@ -17,6 +17,7 @@ flags win.
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 import time
@@ -1034,10 +1035,27 @@ def build_parser():
     return parser
 
 
+# A value that starts with a minus sign and a digit or a point
+_NEGATIVE_VALUE = re.compile(r"-[\d.]")
+
+
+def _join_negative_values(argv):
+    """Write `--mu -0.3,0.1` as `--mu=-0.3,0.1` (and so for --sigma):
+    argparse reads a value that starts with '-' and is not one plain
+    number, such as a comma list, as an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--mu", "--sigma") and _NEGATIVE_VALUE.match(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)

@@ -7,6 +7,8 @@ stack (..., p, p). The eigenvalue maps of the matrix-log and matrix-sqrt
 bases live in `transforms`.
 """
 
+import functools
+
 import numpy as np
 
 
@@ -20,19 +22,27 @@ def vech_pairs(p):
     return [(i, j) for i in range(p) for j in range(i, p)]
 
 
+@functools.lru_cache(maxsize=None)
+def _vech_index(p):
+    """Row and column indices of the vech entries, in vech order, and the
+    (p, p) table of the vech position of each entry (i, j) and (j, i).
+    Read-only and cached per p: the oracle's densities half-vectorize one
+    point per call."""
+    rows, cols = np.triu_indices(p)
+    table = np.empty((p, p), dtype=np.intp)
+    table[rows, cols] = table[cols, rows] = np.arange(rows.size)
+    for index in (rows, cols, table):
+        index.setflags(write=False)
+    return rows, cols, table
+
+
 def vech(X):
     """Half-vectorize a symmetric matrix (upper triangle, row-major pairs)."""
     X = np.asarray(X, dtype=float)
-    p = X.shape[-1]
-    idx = vech_pairs(p)
-    return np.stack([X[..., i, j] for i, j in idx], axis=-1)
+    rows, cols, _ = _vech_index(X.shape[-1])
+    return X[..., rows, cols]
 
 
 def unvech(z, p):
     """Inverse of vech: rebuild the symmetric p x p matrix."""
-    z = np.asarray(z, dtype=float)
-    X = np.zeros(z.shape[:-1] + (p, p))
-    for k, (i, j) in enumerate(vech_pairs(p)):
-        X[..., i, j] = z[..., k]
-        X[..., j, i] = z[..., k]
-    return X
+    return np.asarray(z, dtype=float)[..., _vech_index(p)[2]]

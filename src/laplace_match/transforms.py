@@ -21,6 +21,8 @@ cross-eigenvalue measure factors, which is the convention the closed-form
 bridges correspond to. For all other bases the two coincide.
 """
 
+import math
+
 import numpy as np
 from scipy.special import gammaln, log_expit, logsumexp, multigammaln
 
@@ -138,18 +140,98 @@ def _size_of(params):
 # sample-level maps
 
 
-def _batched_funm(X, fn, what):
-    """Apply fn to the eigenvalues of symmetric positive definite X (...,p,p)."""
+def _checked_symmetric(X, what):
+    """X (..., p, p) as floats; OutOfSupport unless its matrices are square,
+    finite and symmetric to 1e-8 relative to its largest entry."""
     X = np.asarray(X, dtype=float)
     if X.ndim < 2 or X.shape[-1] != X.shape[-2]:
         raise OutOfSupport(f"{what} needs square matrices")
-    sym_err = np.max(np.abs(X - np.swapaxes(X, -1, -2)))
-    if not np.isfinite(sym_err) or sym_err > 1e-8 * max(1.0, np.max(np.abs(X))):
+    if not np.all(np.isfinite(X)):
+        raise OutOfSupport(f"{what} needs finite matrices")
+    asym = X - np.swapaxes(X, -1, -2)
+    if np.max(np.abs(asym, out=asym)) > 1e-8 * max(1.0, np.max(X), -np.min(X)):
         raise OutOfSupport(f"{what} needs symmetric matrices")
-    w, U = np.linalg.eigh(matrixops.sym(X))
-    if fn in (np.log, np.sqrt) and np.min(w) <= 0.0:
+    return X
+
+
+def _batched_funm(X, fn, what):
+    """Apply fn (log or sqrt) to the eigenvalues of symmetric positive
+    definite X (..., p, p)."""
+    w, U = np.linalg.eigh(matrixops.sym(_checked_symmetric(X, what)))
+    if np.min(w) <= 0.0:
         raise OutOfSupport(f"{what} needs positive definite matrices")
     return matrixops.sym((U * fn(w)[..., None, :]) @ np.swapaxes(U, -1, -2))
+
+
+# Matrices per chunk of `_expm_symmetric`. Its dozen chunk-sized temporaries
+# take about 3 MB at p = 3. On a (1000, 80, 3, 3) stack of draws the traced
+# peak was 9 MB, against 67 MB in one chunk, and 4096 was the fastest of
+# 512 to 16384 (2 vCPU).
+_EXPM_CHUNK = 4096
+
+# The degree-16 Taylor polynomial of exp in Paterson-Stockmeyer form
+# (Paterson & Stockmeyer 1973), T(B) = Q0 + B^4 (Q1 + B^4 (Q2 + B^4 Q3)) with
+# Q_j = I/(4j)! + B/(4j+1)! + B^2/(4j+2)! + B^3/(4j+3)!, and Q3 also holds
+# B^4/16!. Row j of _EXPM_BLOCKS holds the coefficients of B .. B^4 in Q_j.
+_EXPM_IDENTITY = np.array([1.0 / math.factorial(4 * j) for j in range(4)])
+_EXPM_BLOCKS = np.array(
+    [[1.0 / math.factorial(4 * j + i) for i in (1, 2, 3)] + [0.0] for j in range(4)]
+)
+_EXPM_BLOCKS[3, 3] = 1.0 / math.factorial(16)
+
+_LOG_MAX = np.log(np.finfo(float).max)
+
+
+def _expm_chunk(X, out):
+    """exp of each symmetric matrix of X (n, p, p), written into out.
+
+    Shift by the mean eigenvalue c = tr(X)/p, scale B = X - cI by 2^-s with s
+    from its Frobenius norm (which bounds its spectral norm) so that the
+    scaled norm is at most 1, evaluate T(B/2^s), square s times and multiply
+    by e^c. Every matrix has its own s, so its result does not depend on the
+    others. B has trace zero, so its largest eigenvalue is at most
+    sqrt((p-1)/p) |B|_F; OutOfSupport where that bound, or c plus it, exceeds
+    log(max float), as exp(B) or the result could then overflow.
+    """
+    n, p, _ = X.shape
+    with np.errstate(over="ignore", invalid="ignore"):  # entries near max float fail the bound
+        B = matrixops.sym(X)
+        c = np.trace(B, axis1=-2, axis2=-1) / p
+        B.reshape(n, p * p)[:, :: p + 1] -= c[:, None]
+        norm = np.linalg.norm(B, axis=(-2, -1))
+    if not np.all(np.maximum(c, 0.0) + np.sqrt((p - 1) / p) * norm <= _LOG_MAX):
+        raise OutOfSupport("matrix exp out of float range: an eigenvalue may exceed log(max)")
+    s = np.maximum(np.frexp(norm)[1], 0)
+    powers = np.empty((4, n, p, p))
+    np.ldexp(B, -s[:, None, None], out=powers[0])
+    np.matmul(powers[0], powers[0], out=powers[1])
+    np.matmul(powers[1], powers[0], out=powers[2])
+    np.matmul(powers[1], powers[1], out=powers[3])
+    Q = np.tensordot(_EXPM_BLOCKS, powers, axes=1)
+    Q.reshape(4, n, p * p)[..., :: p + 1] += _EXPM_IDENTITY[:, None, None]
+    for j in (2, 1, 0):
+        Q[j] += powers[3] @ Q[j + 1]
+    E = Q[0]
+    for k in range(1, s.max(initial=0) + 1):
+        need = np.flatnonzero(s >= k)
+        root = E[need]
+        E[need] = root @ root
+    E *= 0.5 * np.exp(c)[:, None, None]
+    np.add(E, np.swapaxes(E, -1, -2), out=out)  # e^c times the symmetric part of E
+
+
+def _expm_symmetric(X):
+    """Matrix exponential of each matrix in a symmetric stack (..., p, p),
+    by scaling and squaring (Higham 2005) on batched matmuls, in chunks of
+    `_EXPM_CHUNK` matrices. OutOfSupport for a non-symmetric or non-finite
+    input, and for one whose exponential may overflow (see `_expm_chunk`)."""
+    X = _checked_symmetric(X, "matrix exp")
+    p = X.shape[-1]
+    flat = X.reshape(-1, p, p)
+    out = np.empty(flat.shape)
+    for lo in range(0, flat.shape[0], _EXPM_CHUNK):
+        _expm_chunk(flat[lo : lo + _EXPM_CHUNK], out[lo : lo + _EXPM_CHUNK])
+    return out.reshape(X.shape)
 
 
 def transform_samples(samples, basis, direction="forward", pseudo_inverse=False):
@@ -206,15 +288,21 @@ def transform_samples(samples, basis, direction="forward", pseudo_inverse=False)
             x = np.concatenate([x, -np.sum(x, axis=-1, keepdims=True)], axis=-1)
         elif x.shape[-1] != K:
             raise OutOfSupport(f"expected latent vectors of length {K} or {K - 1}")
-        return np.exp(x - logsumexp(x, axis=-1, keepdims=True))
+        if not np.all(np.isfinite(x)):
+            raise OutOfSupport("softmax inverse needs finite latent vectors")
+        with np.errstate(over="ignore"):  # a gap beyond max float gives exp(-inf) = 0
+            e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+        e /= np.sum(e, axis=-1, keepdims=True)
+        return e
     if tag == "matrix_log":
         if direction == "forward":
             return _batched_funm(x, np.log, "matrix log")
-        return _batched_funm(x, np.exp, "matrix exp")
+        return _expm_symmetric(x)
     if tag == "matrix_sqrt":
         if direction == "forward":
             return _batched_funm(x, np.sqrt, "matrix sqrt")
-        return _batched_funm(x, np.square, "matrix square")
+        S = matrixops.sym(_checked_symmetric(x, "matrix square"))
+        return matrixops.sym(S @ S)
     raise InvalidParams(f"unknown basis tag {tag!r}")
 
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from laplace_match import cli, distributions, gp
+from laplace_match import cli, distributions, gp, transforms
 
 
 def run(capsys, *argv):
@@ -74,6 +74,53 @@ class TestBridgeCommand:
     def test_unknown_family(self, capsys):
         rc, _, err = run(capsys, "bridge", "poisson", "log", "forward", "--lambda", "1")
         assert rc == 2 and "unknown family" in err
+
+    @pytest.mark.parametrize(
+        "family, flags, params",
+        [
+            ("exponential", ["--lambda", "4"], {"lam": 4.0}),
+            ("gamma", ["--alpha", "1", "--lambda", "4"], {"alpha": 1.0, "lam": 4.0}),
+            ("inverse_gamma", ["--alpha", "3", "--lambda", "0.5"], {"alpha": 3.0, "lam": 0.5}),
+            ("chi_squared", ["--k", "0.5"], {"k": 0.5}),
+            ("beta", ["--alpha", "1", "--beta", "3"], {"alpha": 1.0, "beta": 3.0}),
+            ("dirichlet", ["--alpha", "1,2,3"], {"alpha": [1.0, 2.0, 3.0]}),
+            (
+                "wishart",
+                ["--dof", "6", "--scale", "0.02,0.001;0.001,0.03"],
+                {"n": 6.0, "V": [[0.02, 0.001], [0.001, 0.03]]},
+            ),
+            (
+                "inverse_wishart",
+                ["--dof", "6", "--scale", "0.2,0.01;0.01,0.3"],
+                {"nu": 6.0, "Psi": [[0.2, 0.01], [0.01, 0.3]]},
+            ),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "",
+    )
+    def test_forward_output_feeds_the_inverse(self, capsys, family, flags, params):
+        # each mean starts with a negative entry, which argparse must take as
+        # the value of --mu rather than as an option
+        basis = transforms.FAMILY_BASES[family][1]
+        rc, out, _ = run(capsys, "bridge", family, basis, "forward", *flags)
+        assert rc == 0
+        rec = json.loads(out)
+
+        def rows(M):
+            return ";".join(",".join(repr(float(v)) for v in row) for row in np.atleast_2d(M))
+
+        if "gaussian" in rec:
+            gauss = rec["gaussian"]
+            mean = np.asarray(gauss["mean"])
+            mu = rows(mean.reshape(gauss["p"], -1)) if "p" in gauss else rows(mean)
+            sigma = rows(gauss["cov"]) if isinstance(gauss["cov"], list) else repr(gauss["cov"])
+        else:
+            mu, sigma = repr(rec["mu"]), repr(rec["var"])
+        assert mu.startswith("-")
+        rc, out, err = run(capsys, "bridge", family, basis, "inverse", "--mu", mu, "--sigma", sigma)
+        assert rc == 0, err
+        back = json.loads(out)["params"]
+        for name, value in params.items():
+            np.testing.assert_allclose(back[name], value, rtol=1e-9)
 
 
 class TestGenAndReaders:

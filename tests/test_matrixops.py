@@ -25,3 +25,17 @@ class TestVech:
         for p in (1, 2, 4):
             S = _random_spd(rng, p)
             np.testing.assert_allclose(matrixops.unvech(matrixops.vech(S), p), S, atol=1e-15)
+
+    def test_gathers_equal_the_pairwise_loop_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        for p in (1, 2, 3, 5):
+            pairs = matrixops.vech_pairs(p)
+            z = rng.normal(size=(4, 3, len(pairs)))
+            X = np.zeros((4, 3, p, p))
+            for k, (i, j) in enumerate(pairs):
+                X[..., i, j] = X[..., j, i] = z[..., k]
+            np.testing.assert_array_equal(matrixops.unvech(z, p), X)
+            np.testing.assert_array_equal(matrixops.unvech(z[1, 2], p), X[1, 2])
+            np.testing.assert_array_equal(
+                matrixops.vech(X), np.stack([X[..., i, j] for i, j in pairs], axis=-1)
+            )

@@ -6,9 +6,12 @@ bridges.py can later be tested against numeric_laplace as an independent
 oracle.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from scipy.special import logsumexp
 
 from laplace_match import distributions, matrixops, transforms
 from laplace_match.errors import (
@@ -213,6 +216,133 @@ class TestMatrixBases:
             transforms.transform_samples(
                 np.array([[1.0, 0.5], [0.4, 1.0]]), BasisTransform("matrix_log", p=2), "inverse"
             )
+
+
+def _eigh_expm(A):
+    w, U = np.linalg.eigh(A)
+    return (U * np.exp(w)[..., None, :]) @ np.swapaxes(U, -1, -2)
+
+
+def _normwise_dev(X, ref):
+    return np.max(np.linalg.norm(X - ref, axis=(-2, -1)) / np.linalg.norm(ref, axis=(-2, -1)))
+
+
+def _exp(A):
+    return transforms.transform_samples(A, BasisTransform("matrix_log", p=A.shape[-1]), "inverse")
+
+
+class TestMatrixExp:
+    """The Taylor scaling-and-squaring exponential of the matrix-log inverse."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    def test_matches_eigh_reference(self, p):
+        rng = np.random.default_rng(10 + p)
+        for scale in (1e-3, 1e-1, 1.0, 5.0, 20.0):
+            A = matrixops.sym(rng.normal(scale=scale, size=(200, p, p)))
+            assert _normwise_dev(_exp(A), _eigh_expm(A)) <= 1e-13
+        # near-repeated eigenvalues, zero and diagonal matrices
+        Q = np.linalg.qr(rng.normal(size=(50, p, p)))[0]
+        w = 0.7 + 1e-9 * rng.normal(size=(50, 1, p))
+        near = (Q * w) @ np.swapaxes(Q, -1, -2)
+        assert _normwise_dev(_exp(near), _eigh_expm(near)) <= 1e-13
+        np.testing.assert_array_equal(_exp(np.zeros((3, p, p))), np.broadcast_to(np.eye(p), (3, p, p)))
+        d = rng.normal(scale=4.0, size=(20, p))
+        diag = np.zeros((20, p, p))
+        diag[:, np.arange(p), np.arange(p)] = d
+        expected = np.zeros((20, p, p))
+        expected[:, np.arange(p), np.arange(p)] = np.exp(d)
+        assert _normwise_dev(_exp(diag), expected) <= 1e-13
+
+    def test_two_by_two_closed_form(self):
+        # exp([[a, b], [b, a]]) = e^a [[cosh b, sinh b], [sinh b, cosh b]]
+        for a in (-3.0, 0.0, 2.5):
+            for b in (1e-4, 0.7, 6.0):
+                out = _exp(np.array([[a, b], [b, a]]))
+                expected = np.exp(a) * np.array([[np.cosh(b), np.sinh(b)], [np.sinh(b), np.cosh(b)]])
+                assert _normwise_dev(out, expected) <= 1e-14
+
+    def test_stack_equals_each_alone_across_a_chunk(self):
+        rng = np.random.default_rng(11)
+        n = transforms._EXPM_CHUNK + 6
+        scales = rng.choice([0.01, 0.5, 3.0], size=(n, 1, 1))
+        A = matrixops.sym(scales * rng.normal(size=(n, 3, 3)))
+        stack = _exp(A)
+        for i in range(transforms._EXPM_CHUNK - 6, n):
+            np.testing.assert_array_equal(stack[i], _exp(A[i]))
+
+    def test_inverses_need_no_eigendecomposition(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigendecomposition called")
+
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        A = _random_spd(np.random.default_rng(12), 3, count=10)
+        for tag in ("matrix_log", "matrix_sqrt"):
+            transforms.transform_samples(A, BasisTransform(tag, p=3), "inverse")
+
+    def test_sqrt_inverse_is_the_square(self):
+        A = matrixops.sym(np.random.default_rng(13).normal(size=(50, 3, 3)))
+        out = transforms.transform_samples(A, BasisTransform("matrix_sqrt", p=3), "inverse")
+        np.testing.assert_array_equal(out, matrixops.sym(A @ A))
+
+    @pytest.mark.parametrize("tag", ["matrix_log", "matrix_sqrt"])
+    def test_peak_allocation_on_a_benchmark_stack(self, tag):
+        # the eigh path peaked at 18.4 MB on this (1000, 80, 3, 3) stack
+        A = matrixops.sym(0.5 * np.random.default_rng(14).normal(size=(1000, 80, 3, 3)))
+        tracemalloc.start()
+        try:
+            transforms.transform_samples(A, BasisTransform(tag, p=3), "inverse")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 18.4e6
+
+    def test_overflow_raises(self):
+        with pytest.raises(OutOfSupport):
+            _exp(np.diag([800.0, 1.0, 0.0]))
+        with pytest.raises(OutOfSupport):
+            _exp(np.diag([-1e300, 1e300]))
+        # a large mean eigenvalue alone is fine while the result is finite
+        np.testing.assert_allclose(_exp(np.diag([700.0, 700.0])), np.exp(700.0) * np.eye(2), rtol=1e-13)
+
+    @pytest.mark.parametrize("tag", ["matrix_log", "matrix_sqrt"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_latent_raises(self, tag, bad):
+        A = np.eye(3)
+        A[1, 1] = bad
+        with pytest.raises(OutOfSupport):
+            transforms.transform_samples(A, BasisTransform(tag, p=3), "inverse")
+
+
+class TestSoftmaxInverse:
+    def test_matches_logsumexp_form(self):
+        rng = np.random.default_rng(15)
+        x = rng.normal(scale=3.0, size=(500, 4))
+        out = transforms.transform_samples(x, BasisTransform("softmax_inverse", K=4), "inverse")
+        np.testing.assert_allclose(out, np.exp(x - logsumexp(x, axis=-1, keepdims=True)), rtol=1e-14)
+        np.testing.assert_allclose(np.sum(out, axis=-1), 1.0, rtol=4e-16)
+
+    def test_chart_input_appends_the_sum_zero_coordinate(self):
+        u = np.random.default_rng(16).normal(size=(20, 3))
+        basis = BasisTransform("softmax_inverse", K=4)
+        full = np.concatenate([u, -np.sum(u, axis=-1, keepdims=True)], axis=-1)
+        np.testing.assert_array_equal(
+            transforms.transform_samples(u, basis, "inverse"),
+            transforms.transform_samples(full, basis, "inverse"),
+        )
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_latent_raises(self, bad):
+        with pytest.raises(OutOfSupport):
+            transforms.transform_samples(
+                np.array([bad, 0.0, 0.0, 0.0]), BasisTransform("softmax_inverse", K=4), "inverse"
+            )
+
+    def test_extreme_gap_gives_zero_without_warning(self):
+        out = transforms.transform_samples(
+            np.array([1e308, -1e308]), BasisTransform("softmax_inverse", K=2), "inverse"
+        )
+        np.testing.assert_array_equal(out, [1.0, 0.0])
 
 
 class TestPushForward:
