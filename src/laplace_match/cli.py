@@ -25,7 +25,10 @@ import time
 import numpy as np
 
 from . import bridges, diagnostics, distributions, gp, pipeline, transforms
+from .diagnostics import oracle_rows
 from .errors import LaplaceMatchError
+from .gaussian import GaussianApprox
+from .pipeline import gen_binary, gen_categorical, gen_counts, gen_covariance
 
 VERSION = "0.1.0"
 
@@ -40,17 +43,13 @@ _KIND_FAMILY = {
     "categorical": "dirichlet",
     "covariance": "inverse_wishart",
 }
+# the target column of the x1..xd,<column> dataset files
+_POINT_COLUMN = {"binary": "label", "counts": "count"}
 _BASIS_ALIASES = {
-    "identity": "identity",
+    **{tag: tag for tag in transforms.BASIS_TAGS},
     "standard": "identity",
-    "log": "log",
-    "sqrt": "sqrt",
-    "logit": "logit",
     "softmax": "softmax_inverse",
-    "softmax_inverse": "softmax_inverse",
-    "matrix_log": "matrix_log",
     "logm": "matrix_log",
-    "matrix_sqrt": "matrix_sqrt",
     "sqrtm": "matrix_sqrt",
 }
 
@@ -150,11 +149,13 @@ def _parse_matrix(text, flag):
     return M
 
 
-def _load_config(args, keys):
-    """Fill unset (None) flag values from the --config JSON record."""
+def _load_config(args):
+    """Fill unset (None) flag values from the --config JSON record, whose
+    keys are the command's optional flags."""
     path = getattr(args, "config", None)
     if path is None:
         return
+    keys = set(vars(args)) - {"command", "func", "config", "kind"}
     try:
         with open(path) as fh:
             record = json.load(fh)
@@ -222,33 +223,22 @@ def _cell_int(path, lineno, cell, column):
     return int(value)
 
 
-def read_binary(path):
-    """Read a binary-label dataset; returns pipeline.Dataset."""
+def read_points(path, kind):
+    """Read a binary-label or count dataset (x1,...,xd,label or count);
+    returns pipeline.Dataset."""
+    column = _POINT_COLUMN[kind]
     header, rows = _read_rows(path)
-    if len(header) < 2 or header[-1] != "label":
-        raise UsageError(f"{path}:1: binary header must end in 'label'")
+    if len(header) < 2 or header[-1] != column:
+        raise UsageError(f"{path}:1: {kind} header must end in {column!r}")
     X, y = [], []
     for lineno, cells in rows:
         X.append([_cell_float(path, lineno, c, h) for c, h in zip(cells[:-1], header)])
-        label = _cell_int(path, lineno, cells[-1], "label")
-        if label not in (0, 1):
-            raise UsageError(f"{path}:{lineno}: label must be 0 or 1, got {label}")
-        y.append(label)
-    return pipeline.Dataset(np.asarray(X), np.asarray(y, dtype=float))
-
-
-def read_counts(path):
-    """Read a count dataset; returns pipeline.Dataset."""
-    header, rows = _read_rows(path)
-    if len(header) < 2 or header[-1] != "count":
-        raise UsageError(f"{path}:1: counts header must end in 'count'")
-    X, y = [], []
-    for lineno, cells in rows:
-        X.append([_cell_float(path, lineno, c, h) for c, h in zip(cells[:-1], header)])
-        count = _cell_int(path, lineno, cells[-1], "count")
-        if count < 0:
-            raise UsageError(f"{path}:{lineno}: count must be non-negative, got {count}")
-        y.append(count)
+        value = _cell_int(path, lineno, cells[-1], column)
+        if kind == "binary" and value not in (0, 1):
+            raise UsageError(f"{path}:{lineno}: label must be 0 or 1, got {value}")
+        if value < 0:
+            raise UsageError(f"{path}:{lineno}: count must be non-negative, got {value}")
+        y.append(value)
     return pipeline.Dataset(np.asarray(X), np.asarray(y, dtype=float))
 
 
@@ -417,8 +407,6 @@ def _bridge_gauss(args, tag):
         else:
             data = float(args.sigma)
             structure = "scaled_identity"
-        from .gaussian import GaussianApprox
-
         return GaussianApprox(
             mean.ravel(), structure, data, domain="symmetric_matrix", p=p
         )
@@ -428,8 +416,6 @@ def _bridge_gauss(args, tag):
             data = _parse_matrix(args.sigma, "--sigma")
         else:
             data = np.diag(_parse_vector(args.sigma, "--sigma"))
-        from .gaussian import GaussianApprox
-
         return GaussianApprox(mean, "dense", data, domain="simplex", centered=True)
     return float(args.mu), float(args.sigma)
 
@@ -458,24 +444,6 @@ def cmd_bridge(args):
 # ---------------------------------------------------------------------------
 # experiment command
 
-_EXPERIMENT_KEYS = (
-    "data",
-    "test",
-    "out",
-    "basis",
-    "kernel",
-    "lengthscale",
-    "variance",
-    "kernel_alpha",
-    "epsilon_a",
-    "seed",
-    "inducing",
-    "draws",
-    "pipeline_version",
-    "dirichlet_prior",
-)
-
-
 def _kernel_from_args(args):
     if args.kernel is None:
         if args.lengthscale is not None or args.variance is not None:
@@ -497,10 +465,8 @@ def _kernel_from_args(args):
 
 
 def _read_dataset(kind, path):
-    if kind == "binary":
-        return read_binary(path), None
-    if kind == "counts":
-        return read_counts(path), None
+    if kind in _POINT_COLUMN:
+        return read_points(path, kind), None
     if kind == "categorical":
         return read_categorical(path)
     return read_covariance(path), None
@@ -524,7 +490,7 @@ def _experiment_metrics(kind, pred, data, class_labels):
 
 
 def cmd_experiment(args):
-    _load_config(args, _EXPERIMENT_KEYS)
+    _load_config(args)
     if args.data is None:
         raise UsageError("experiment needs --data")
     if args.out is None:
@@ -587,20 +553,6 @@ def cmd_experiment(args):
 # ---------------------------------------------------------------------------
 # distances command
 
-_DISTANCES_KEYS = (
-    "family",
-    "bases",
-    "metrics",
-    "grid",
-    "n",
-    "mmd_points",
-    "seed",
-    "jobs",
-    "out",
-    "long_out",
-)
-
-
 def _grid_from_json(text, family):
     """Grid override: inline JSON or a path to a JSON file of param records."""
     try:
@@ -636,7 +588,7 @@ def _long_out_path(out):
 
 
 def cmd_distances(args):
-    _load_config(args, _DISTANCES_KEYS)
+    _load_config(args)
     if args.family is None:
         raise UsageError("distances needs --family")
     if args.out is None:
@@ -685,93 +637,6 @@ def cmd_distances(args):
 
 # ---------------------------------------------------------------------------
 # oracle-check command
-
-
-def _rel_dev(a, b):
-    """Relative sup-norm deviation of `a` from reference `b`."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    scale = max(float(np.max(np.abs(b))), 1e-300)
-    return float(np.max(np.abs(a - b))) / scale
-
-
-def _closed_vs_numeric(params, basis):
-    """Max relative deviation of the closed form from the numeric oracle."""
-    closed = bridges.lm_forward(params, basis)
-    density = transforms.push_forward(params, basis)
-    numeric = transforms.numeric_laplace(density)
-    if params.family == "dirichlet":
-        dev_mean = _rel_dev(closed.chart_mean(), numeric.mean)
-        dev_cov = _rel_dev(closed.chart_cov(), numeric.cov_dense())
-    elif params.family in ("wishart", "inverse_wishart"):
-        dev_mean = _rel_dev(closed.vech_mean(), numeric.mean)
-        dev_cov = _rel_dev(closed.vech_cov(), numeric.cov_dense())
-    else:
-        dev_mean = _rel_dev(closed.mu, numeric.mu)
-        dev_cov = _rel_dev(closed.var, numeric.var)
-    return max(dev_mean, dev_cov), closed
-
-
-# A plausible-looking but wrong Gamma sqrt inverse (alpha = mu^2/(4 sigma^2)
-# - 0.5 with lambda = 4/sigma^2) fails to invert the forward map; the rate is
-# off by a factor of 16. --corrupt-inverse swaps it in so the round-trip
-# check can be seen catching a bad closed form.
-def _corrupt_gamma_sqrt_inverse(gauss):
-    mu, var = gauss.mu, gauss.var
-    return distributions.gamma(mu**2 / (4.0 * var) - 0.5, 4.0 / var)
-
-
-def _round_trip_dev(params, basis, gauss, corrupt):
-    if basis.tag == "identity":
-        return None
-    if corrupt and (params.family, basis.tag) == ("gamma", "sqrt"):
-        back = _corrupt_gamma_sqrt_inverse(gauss)
-    else:
-        back = bridges.lm_inverse(
-            gauss, params.family, basis, structured_sigma=basis.tag == "matrix_sqrt"
-        )
-    devs = [
-        _rel_dev(getattr(back, name), getattr(params, name))
-        for name in distributions.param_fields(params.family)
-    ]
-    return max(devs)
-
-
-def oracle_rows(families, bases=None, tol=1e-6, rt_tol=1e-9, corrupt_inverse=False):
-    """Closed form vs numeric oracle over the default grids.
-
-    `bases` (tags or BasisTransforms) selects, for each family, those of its
-    bases it lists. Returns one row per (family, basis, grid point):
-    (family, basis tag, grid_index, forward_dev, round_trip_dev, status).
-    Rows outside a bridge's validity region are reported as skipped, not
-    failed; `status` is 'pass' or 'FAIL:<reason>'.
-    """
-    rows = []
-    for family in families:
-        family_bases = transforms.FAMILY_BASES[family]
-        selected = family_bases if bases is None else [
-            b for b in bases if getattr(b, "tag", b) in family_bases
-        ]
-        for named in selected:
-            for gi, params in enumerate(diagnostics.default_grid(family)):
-                basis = transforms.resolve_basis(family, named, transforms._size_of(params))
-                try:
-                    fwd_dev, gauss = _closed_vs_numeric(params, basis)
-                except LaplaceMatchError as exc:
-                    rows.append((family, basis.tag, gi, None, None, f"skipped: {exc}"))
-                    continue
-                status = "pass"
-                if fwd_dev > tol:
-                    status = f"FAIL: forward deviation {fwd_dev:.3e} > {tol:g}"
-                try:
-                    rt_dev = _round_trip_dev(params, basis, gauss, corrupt_inverse)
-                except LaplaceMatchError as exc:
-                    rt_dev = None
-                    status = f"FAIL: round-trip error: {exc}"
-                if rt_dev is not None and rt_dev > rt_tol and status == "pass":
-                    status = f"FAIL: round-trip deviation {rt_dev:.3e} > {rt_tol:g}"
-                rows.append((family, basis.tag, gi, fwd_dev, rt_dev, status))
-    return rows
 
 
 def cmd_oracle_check(args):
@@ -827,96 +692,20 @@ def cmd_oracle_check(args):
 # gen command
 
 
-def gen_binary(n, d=2, separation=4.0, noise=0.5, seed=0):
-    """Two Gaussian blobs split along the first coordinate, guaranteed
-    separable with margin 0.25; returns (X, labels)."""
-    rng = np.random.default_rng(seed)
-    labels = rng.integers(0, 2, size=n)
-    centers = np.zeros((n, d))
-    centers[:, 0] = np.where(labels == 1, separation / 2.0, -separation / 2.0)
-    X = centers + noise * rng.standard_normal((n, d))
-    sign = np.where(labels == 1, 1.0, -1.0)
-    for _ in range(1000):
-        bad = sign * X[:, 0] < 0.25
-        if not np.any(bad):
-            break
-        X[bad, 0] = centers[bad, 0] + noise * rng.standard_normal(int(np.sum(bad)))
-    else:
-        raise RuntimeError("separable resampling did not settle")
-    return X, labels
-
-
-def gen_counts(n, d=1, seed=0):
-    """Poisson counts with a smooth log-rate over [0, 4]^d; returns (X, counts)."""
-    rng = np.random.default_rng(seed)
-    X = np.sort(rng.uniform(0.0, 4.0, size=(n, d)), axis=0)
-    rate = np.exp(1.0 + np.sin(X[:, 0]))
-    return X, rng.poisson(rate)
-
-
-def gen_categorical(timesteps, groups=1, classes=4, total=50, seed=0):
-    """Multinomial counts from smoothly drifting class logits.
-
-    Returns (rows, class labels) with one row (t, c, class, count) per
-    group and class.
-    """
-    rng = np.random.default_rng(seed)
-    amp = rng.uniform(0.5, 1.5, size=classes)
-    phase = rng.uniform(0.0, 2.0 * np.pi, size=classes)
-    offset = rng.uniform(-0.5, 0.5, size=(groups, classes))
-    rows = []
-    for t in range(timesteps):
-        for c in range(groups):
-            logits = amp * np.sin(2.0 * np.pi * t / timesteps + phase) + offset[c]
-            probs = np.exp(logits - np.max(logits))
-            probs /= probs.sum()
-            counts = rng.multinomial(total, probs)
-            rows.extend(
-                (float(t), c, cls, int(counts[cls])) for cls in range(classes)
-            )
-    return rows, list(range(classes))
-
-
-def gen_covariance(timesteps, p=2, dof=8, seed=0):
-    """Wishart scatter draws around a smoothly rotating SPD mean; returns
-    (ts, matrices)."""
-    rng = np.random.default_rng(seed)
-    base = rng.standard_normal((p, p))
-    base = base @ base.T + p * np.eye(p)
-    mats = []
-    ts = np.arange(float(timesteps))
-    for t in range(timesteps):
-        theta = 0.5 * np.pi * t / max(timesteps - 1, 1)
-        G = np.eye(p)
-        if p >= 2:
-            G[:2, :2] = [
-                [np.cos(theta), -np.sin(theta)],
-                [np.sin(theta), np.cos(theta)],
-            ]
-        scale = G @ base @ G.T / dof
-        draw = distributions.sample(
-            distributions.wishart(float(dof), scale), seed=int(rng.integers(2**31)),
-            count=1,
-        )[0]
-        mats.append(draw)
-    return ts, mats
-
-
 def cmd_gen(args):
     if args.out is None:
         raise UsageError("gen needs --out")
     seed = _default_seed() if args.seed is None else int(args.seed)
-    if args.kind == "binary":
-        X, labels = gen_binary(
-            n=args.n, d=args.d, separation=args.separation, noise=args.noise,
-            seed=seed,
-        )
-        header = [f"x{i + 1}" for i in range(args.d)] + ["label"]
-        rows = [list(x) + [int(lab)] for x, lab in zip(X, labels)]
-    elif args.kind == "counts":
-        X, counts = gen_counts(n=args.n, d=args.d, seed=seed)
-        header = [f"x{i + 1}" for i in range(args.d)] + ["count"]
-        rows = [list(x) + [int(c)] for x, c in zip(X, counts)]
+    if args.kind in _POINT_COLUMN:
+        dims = {} if args.d is None else {"d": args.d}
+        if args.kind == "binary":
+            X, y = gen_binary(
+                n=args.n, separation=args.separation, noise=args.noise, seed=seed, **dims
+            )
+        else:
+            X, y = gen_counts(n=args.n, seed=seed, **dims)
+        header = [f"x{i + 1}" for i in range(X.shape[1])] + [_POINT_COLUMN[args.kind]]
+        rows = [list(x) + [int(v)] for x, v in zip(X, y)]
     elif args.kind == "categorical":
         out_rows, _ = gen_categorical(
             timesteps=args.timesteps, groups=args.groups, classes=args.classes,
@@ -1059,8 +848,6 @@ def main(argv=None):
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)
-    if getattr(args, "command", None) == "gen" and args.d is None:
-        args.d = 2 if args.kind == "binary" else 1
     try:
         return args.func(args)
     except UsageError as exc:

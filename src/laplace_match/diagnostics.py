@@ -4,18 +4,20 @@
 matched Gaussian by Monte Carlo on exact samples; `mmd` is the unbiased
 U-statistic maximum mean discrepancy; `distance_sweep` runs both over a
 parameter grid across all bases of a family, recording failures instead of
-raising; `ess_sample` is an elliptical slice sampling baseline for latent
-Gaussian models.
+raising; `oracle_rows` checks every closed form against the numeric Laplace
+oracle (`transforms.numeric_laplace`) over the default grids; `ess_sample`
+is an elliptical slice sampling baseline for latent Gaussian models.
 """
 
 import concurrent.futures
 
 import numpy as np
 
-from . import bridges, distributions, matrixops, transforms
+from . import bridges, distributions, gp, matrixops, transforms
 from .errors import (
     DimensionMismatch,
     InvalidParams,
+    LaplaceMatchError,
     NonConvergence,
     NotPositiveDefinite,
     NoValidLaplace,
@@ -129,9 +131,9 @@ def mmd(x, y, kernel=None):
     """Unbiased U-statistic estimate of squared MMD.
 
     `kernel` may be a Kernel object, a float RBF bandwidth, or None for an
-    RBF whose lengthscale is the median pairwise Euclidean distance of the
-    pooled sample. The unbiased estimator can be negative; identical sets
-    give a value <= 0 up to rounding.
+    RBF whose lengthscale is `gp.median_lengthscale` of the pooled sample.
+    The unbiased estimator can be negative; identical sets give a value
+    <= 0 up to rounding.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -145,18 +147,10 @@ def mmd(x, y, kernel=None):
     if m < 2 or n < 2:
         raise InvalidParams("need at least two points per set")
     pooled = np.vstack([x, y])
-    if callable(kernel):
-        K = kernel(pooled, pooled)
-    else:
-        sq = np.sum(pooled**2, axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * pooled @ pooled.T
-        np.maximum(d2, 0.0, out=d2)
-        bandwidth = kernel
-        if bandwidth is None:
-            off = d2[np.triu_indices_from(d2, k=1)]
-            med = np.median(np.sqrt(off))
-            bandwidth = med if med > 0.0 else 1.0
-        K = np.exp(-d2 / (2.0 * float(bandwidth) ** 2))
+    if not callable(kernel):
+        bandwidth = gp.median_lengthscale(pooled) if kernel is None else kernel
+        kernel = gp.RBF(lengthscale=bandwidth)
+    K = kernel(pooled, pooled)
     Kxx = K[:m, :m]
     Kyy = K[m:, m:]
     Kxy = K[:m, m:]
@@ -264,6 +258,90 @@ def default_grid(family):
 
 # The benchmark (bench/workloads.py) reads the catalogue under this name.
 _FAMILY_BASES = transforms.FAMILY_BASES
+
+
+# ---------------------------------------------------------------------------
+# the numeric Laplace oracle
+
+
+def _rel_dev(a, b):
+    """Relative sup-norm deviation of `a` from reference `b`."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    scale = max(float(np.max(np.abs(b))), 1e-300)
+    return float(np.max(np.abs(a - b))) / scale
+
+
+def _closed_vs_numeric(params, basis):
+    """Max relative deviation of the closed form from the numeric oracle,
+    in the working latent coordinates; returns (deviation, closed form)."""
+    closed = bridges.lm_forward(params, basis)
+    density = transforms.push_forward(params, basis)
+    numeric = transforms.numeric_laplace(density)
+    (mean_c, cov_c), (mean_n, cov_n) = gauss_latent(closed), gauss_latent(numeric)
+    return max(_rel_dev(mean_c, mean_n), _rel_dev(cov_c, cov_n)), closed
+
+
+# A plausible-looking but wrong Gamma sqrt inverse (alpha = mu^2/(4 sigma^2)
+# - 0.5 with lambda = 4/sigma^2) fails to invert the forward map; the rate is
+# off by a factor of 16. `corrupt_inverse` swaps it in so the round-trip
+# check can be seen catching a bad closed form.
+def _corrupt_gamma_sqrt_inverse(gauss):
+    mu, var = gauss.mu, gauss.var
+    return distributions.gamma(mu**2 / (4.0 * var) - 0.5, 4.0 / var)
+
+
+def _round_trip_dev(params, basis, gauss, corrupt):
+    if basis.tag == "identity":
+        return None
+    if corrupt and (params.family, basis.tag) == ("gamma", "sqrt"):
+        back = _corrupt_gamma_sqrt_inverse(gauss)
+    else:
+        back = bridges.lm_inverse(
+            gauss, params.family, basis, structured_sigma=basis.tag == "matrix_sqrt"
+        )
+    devs = [
+        _rel_dev(getattr(back, name), getattr(params, name))
+        for name in distributions.param_fields(params.family)
+    ]
+    return max(devs)
+
+
+def oracle_rows(families, bases=None, tol=1e-6, rt_tol=1e-9, corrupt_inverse=False):
+    """Closed form vs numeric oracle over the default grids.
+
+    `bases` (tags or BasisTransforms) selects, for each family, those of its
+    bases it lists. Returns one row per (family, basis, grid point):
+    (family, basis tag, grid_index, forward_dev, round_trip_dev, status).
+    Rows outside a bridge's validity region are reported as skipped, not
+    failed; `status` is 'pass' or 'FAIL:<reason>'.
+    """
+    rows = []
+    for family in families:
+        family_bases = transforms.FAMILY_BASES[family]
+        selected = family_bases if bases is None else [
+            b for b in bases if getattr(b, "tag", b) in family_bases
+        ]
+        for named in selected:
+            for gi, params in enumerate(default_grid(family)):
+                basis = transforms.resolve_basis(family, named, transforms._size_of(params))
+                try:
+                    fwd_dev, gauss = _closed_vs_numeric(params, basis)
+                except LaplaceMatchError as exc:
+                    rows.append((family, basis.tag, gi, None, None, f"skipped: {exc}"))
+                    continue
+                status = "pass"
+                if fwd_dev > tol:
+                    status = f"FAIL: forward deviation {fwd_dev:.3e} > {tol:g}"
+                try:
+                    rt_dev = _round_trip_dev(params, basis, gauss, corrupt_inverse)
+                except LaplaceMatchError as exc:
+                    rt_dev = None
+                    status = f"FAIL: round-trip error: {exc}"
+                if rt_dev is not None and rt_dev > rt_tol and status == "pass":
+                    status = f"FAIL: round-trip deviation {rt_dev:.3e} > {rt_tol:g}"
+                rows.append((family, basis.tag, gi, fwd_dev, rt_dev, status))
+    return rows
 
 
 class DistanceReport:

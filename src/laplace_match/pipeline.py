@@ -22,6 +22,9 @@ per-point posterior draws: each point is drawn from its own marginal, so
 draws of different points are uncorrelated; every summary reads them one
 point at a time. `predict` makes another prediction from the model a
 pipeline run returned, without refitting it.
+
+`gen_binary`, `gen_counts`, `gen_categorical` and `gen_covariance` make
+seeded synthetic datasets of the four data types.
 """
 
 import time
@@ -37,6 +40,7 @@ from .errors import (
     InvalidParams,
     LaplaceMatchError,
     NegativeRate,
+    NonConvergence,
 )
 
 QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
@@ -64,6 +68,103 @@ class Dataset:
 
     def __repr__(self):
         return f"Dataset(n={self.n}, d={self.X.shape[1]}, y{self.Y.shape[1:]})"
+
+
+# ---------------------------------------------------------------------------
+# synthetic datasets
+
+
+def _check_size(name, value, least=0):
+    if value < least:
+        raise InvalidParams(f"{name} must be >= {least}, got {value}")
+
+
+def gen_binary(n, d=2, separation=4.0, noise=0.5, seed=0):
+    """Two Gaussian blobs split along the first coordinate, guaranteed
+    separable with margin 0.25; returns (X, labels)."""
+    _check_size("n", n)
+    _check_size("d", d, 1)
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 2, size=n)
+    centers = np.zeros((n, d))
+    centers[:, 0] = np.where(labels == 1, separation / 2.0, -separation / 2.0)
+    X = centers + noise * rng.standard_normal((n, d))
+    sign = np.where(labels == 1, 1.0, -1.0)
+    for _ in range(1000):
+        bad = sign * X[:, 0] < 0.25
+        if not np.any(bad):
+            break
+        X[bad, 0] = centers[bad, 0] + noise * rng.standard_normal(int(np.sum(bad)))
+    else:
+        raise NonConvergence(
+            f"separable resampling did not settle: no margin of 0.25 at "
+            f"separation {separation} and noise {noise}"
+        )
+    return X, labels
+
+
+def gen_counts(n, d=1, seed=0):
+    """Poisson counts with a smooth log-rate over [0, 4]^d; returns (X, counts)."""
+    _check_size("n", n)
+    _check_size("d", d, 1)
+    rng = np.random.default_rng(seed)
+    X = np.sort(rng.uniform(0.0, 4.0, size=(n, d)), axis=0)
+    rate = np.exp(1.0 + np.sin(X[:, 0]))
+    return X, rng.poisson(rate)
+
+
+def gen_categorical(timesteps, groups=1, classes=4, total=50, seed=0):
+    """Multinomial counts from smoothly drifting class logits.
+
+    Returns (rows, class labels) with one row (t, c, class, count) per
+    group and class.
+    """
+    _check_size("timesteps", timesteps)
+    _check_size("groups", groups)
+    _check_size("classes", classes, 2)
+    _check_size("total", total)
+    rng = np.random.default_rng(seed)
+    amp = rng.uniform(0.5, 1.5, size=classes)
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=classes)
+    offset = rng.uniform(-0.5, 0.5, size=(groups, classes))
+    rows = []
+    for t in range(timesteps):
+        for c in range(groups):
+            logits = amp * np.sin(2.0 * np.pi * t / timesteps + phase) + offset[c]
+            probs = np.exp(logits - np.max(logits))
+            probs /= probs.sum()
+            counts = rng.multinomial(total, probs)
+            rows.extend(
+                (float(t), c, cls, int(counts[cls])) for cls in range(classes)
+            )
+    return rows, list(range(classes))
+
+
+def gen_covariance(timesteps, p=2, dof=8, seed=0):
+    """Wishart scatter draws around a smoothly rotating SPD mean; returns
+    (ts, matrices)."""
+    _check_size("timesteps", timesteps)
+    _check_size("p", p, 1)
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((p, p))
+    base = base @ base.T + p * np.eye(p)
+    mats = []
+    ts = np.arange(float(timesteps))
+    for t in range(timesteps):
+        theta = 0.5 * np.pi * t / max(timesteps - 1, 1)
+        G = np.eye(p)
+        if p >= 2:
+            G[:2, :2] = [
+                [np.cos(theta), -np.sin(theta)],
+                [np.sin(theta), np.cos(theta)],
+            ]
+        scale = G @ base @ G.T / dof
+        draw = distributions.sample(
+            distributions.wishart(float(dof), scale), seed=int(rng.integers(2**31)),
+            count=1,
+        )[0]
+        mats.append(draw)
+    return ts, mats
 
 
 class LMGPConfig:

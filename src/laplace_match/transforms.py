@@ -154,6 +154,14 @@ def _checked_symmetric(X, what):
     return X
 
 
+def _checked_range(x, lo, hi, what):
+    """x, or OutOfSupport(what) if an entry is NaN or outside [lo, hi]: one
+    min and one max reduction, no n-element mask; an empty x passes."""
+    if x.size and not (lo <= np.min(x) and np.max(x) <= hi):
+        raise OutOfSupport(what)
+    return x
+
+
 def _batched_funm(X, fn, what):
     """Apply fn (log or sqrt) to the eigenvalues of symmetric positive
     definite X (..., p, p)."""
@@ -179,7 +187,9 @@ _EXPM_BLOCKS = np.array(
 )
 _EXPM_BLOCKS[3, 3] = 1.0 / math.factorial(16)
 
-_LOG_MAX = np.log(np.finfo(float).max)
+_FLOAT_MAX = np.finfo(float).max
+_LOG_MAX = np.log(_FLOAT_MAX)
+_SQRT_MAX = np.sqrt(_FLOAT_MAX)
 
 
 def _expm_chunk(X, out):
@@ -242,7 +252,9 @@ def transform_samples(samples, basis, direction="forward", pseudo_inverse=False)
     no exact forward map; pass `pseudo_inverse=True` to use the centered
     log map, otherwise DirectionUnavailable is raised. The square-root
     inverse squares its input, so negative latent draws fold onto the
-    positive branch.
+    positive branch. The scalar inverses raise OutOfSupport for a
+    non-finite latent, and the log and square-root inverses for one whose
+    image would overflow.
     """
     if direction not in ("forward", "inverse"):
         raise InvalidParams("direction must be 'forward' or 'inverse'")
@@ -255,18 +267,24 @@ def transform_samples(samples, basis, direction="forward", pseudo_inverse=False)
             if np.any(x <= 0.0):
                 raise OutOfSupport("log basis needs positive samples")
             return np.log(x)
-        return np.exp(x)
+        return np.exp(_checked_range(
+            x, -_FLOAT_MAX, _LOG_MAX, "log inverse needs finite latents of at most log(max float)"
+        ))
     if tag == "sqrt":
         if direction == "forward":
             if np.any(x < 0.0):
                 raise OutOfSupport("sqrt basis needs nonnegative samples")
             return np.sqrt(x)
-        return np.square(x)
+        return np.square(_checked_range(
+            x, -_SQRT_MAX, _SQRT_MAX,
+            "sqrt inverse needs finite latents of magnitude at most sqrt(max float)",
+        ))
     if tag == "logit":
         if direction == "forward":
             if np.any(x <= 0.0) or np.any(x >= 1.0):
                 raise OutOfSupport("logit basis needs samples in (0, 1)")
             return np.log(x) - np.log1p(-x)
+        x = _checked_range(x, -_FLOAT_MAX, _FLOAT_MAX, "logit inverse needs finite latents")
         return 0.5 * (1.0 + np.tanh(0.5 * x))
     if tag == "softmax_inverse":
         K = basis.K

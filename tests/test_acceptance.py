@@ -9,7 +9,7 @@ import time
 import numpy as np
 from scipy.special import logsumexp
 
-from laplace_match import bridges, cli, diagnostics, distributions, gp, pipeline, transforms
+from laplace_match import bridges, diagnostics, distributions, gp, pipeline, transforms
 
 ALL_FAMILIES = list(distributions.FAMILIES)
 
@@ -28,7 +28,7 @@ def _logsumexp_rows(F):
 
 def test_criterion_1_closed_form_matches_numeric_oracle():
     t0 = time.perf_counter()
-    rows = cli.oracle_rows(ALL_FAMILIES, tol=1e-6)
+    rows = diagnostics.oracle_rows(ALL_FAMILIES, tol=1e-6)
     elapsed = time.perf_counter() - t0
     failures = [r for r in rows if r[5].startswith("FAIL")]
     passes = [r for r in rows if r[5] == "pass"]
@@ -39,7 +39,7 @@ def test_criterion_1_closed_form_matches_numeric_oracle():
 
 def test_criterion_2_round_trips_to_1e_minus_9():
     t0 = time.perf_counter()
-    rows = cli.oracle_rows(ALL_FAMILIES, rt_tol=1e-9)
+    rows = diagnostics.oracle_rows(ALL_FAMILIES, rt_tol=1e-9)
     assert all(not r[5].startswith("FAIL") for r in rows)
     rt_devs = [r[4] for r in rows if r[4] is not None]
     assert rt_devs and max(rt_devs) <= 1e-9
@@ -208,8 +208,8 @@ def test_criterion_7_pipeline_outputs_stay_in_support():
 
 
 def test_criterion_8_separable_toy_and_inducing_equivalence():
-    X_tr, y_tr = cli.gen_binary(100, seed=0)
-    X_te, y_te = cli.gen_binary(60, seed=1)
+    X_tr, y_tr = pipeline.gen_binary(100, seed=0)
+    X_te, y_te = pipeline.gen_binary(60, seed=1)
     data = pipeline.Dataset(X_tr, y_tr.astype(float))
     config = pipeline.LMGPConfig("beta", seed=0, draws=300)
     _, pred = pipeline.lmgp_v1(data, config)

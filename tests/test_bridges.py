@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laplace_match import bridges, cli, diagnostics, distributions, pipeline, transforms
+from laplace_match import bridges, diagnostics, distributions, pipeline, transforms
 from laplace_match.errors import (
     DomainMismatch,
     IncompatibleBasis,
@@ -242,13 +242,13 @@ class TestBasisResolution:
             assert resolved[-1] == ("gamma", basis)
 
     def test_oracle_rows_resolve_through_resolve_basis(self, resolved):
-        rows = cli.oracle_rows(["exponential"], bases=["log"])
+        rows = diagnostics.oracle_rows(["exponential"], bases=["log"])
         assert len(rows) == 10 and resolved.count(("exponential", "log")) == 10
         # a BasisTransform selects its rows too; it selected none
         basis = BasisTransform("log")
-        assert cli.oracle_rows(["exponential"], bases=[basis]) == rows
+        assert diagnostics.oracle_rows(["exponential"], bases=[basis]) == rows
         with pytest.raises(IncompatibleBasis):
-            cli.oracle_rows(["dirichlet"], bases=[BasisTransform("softmax_inverse", K=4)])
+            diagnostics.oracle_rows(["dirichlet"], bases=[BasisTransform("softmax_inverse", K=4)])
 
     def test_a_basis_of_another_family_is_incompatible_before_sizing(self):
         # raised InvalidParams("softmax_inverse needs K >= 2"): the tag was
@@ -424,9 +424,9 @@ def test_small_shape_edge_matches_oracle(family, tag):
     oracle's finite differences are the limit, not the closed forms.)"""
     params = _SMALL_SHAPE[family]
     basis = transforms.resolve_basis(family, tag, transforms._size_of(params))
-    forward_dev, gauss = cli._closed_vs_numeric(params, basis)
+    forward_dev, gauss = diagnostics._closed_vs_numeric(params, basis)
     assert forward_dev <= 1e-6
-    assert cli._round_trip_dev(params, basis, gauss, corrupt=False) <= 1e-9
+    assert diagnostics._round_trip_dev(params, basis, gauss, corrupt=False) <= 1e-9
 
 
 _STACKED_ROWS = [

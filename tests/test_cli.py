@@ -128,7 +128,7 @@ class TestGenAndReaders:
         path = str(tmp_path / "bin.csv")
         rc, out, _ = run(capsys, "gen", "binary", "--out", path, "--n", "40", "--seed", "5")
         assert rc == 0 and path in out
-        data = cli.read_binary(path)
+        data = cli.read_points(path, "binary")
         assert data.X.shape == (40, 2)
         assert set(np.unique(data.Y)) <= {0.0, 1.0}
         # generator enforces a margin of 0.25 along the first coordinate
@@ -139,7 +139,7 @@ class TestGenAndReaders:
         path = str(tmp_path / "cnt.csv")
         rc, _, _ = run(capsys, "gen", "counts", "--out", path, "--n", "30", "--seed", "1")
         assert rc == 0
-        data = cli.read_counts(path)
+        data = cli.read_points(path, "counts")
         assert data.X.shape == (30, 1)
         assert np.all(data.Y >= 0) and np.all(data.Y == np.round(data.Y))
         assert np.all(np.diff(data.X[:, 0]) >= 0)
@@ -172,6 +172,46 @@ class TestGenAndReaders:
     def test_gen_needs_out(self, capsys):
         rc, _, err = run(capsys, "gen", "binary")
         assert rc == 2 and "--out" in err
+
+    @pytest.mark.parametrize(
+        "args,error",
+        [
+            (("binary", "--n", "-5"), "InvalidParams"),
+            (("counts", "--n", "-1"), "InvalidParams"),
+            (("binary", "--d", "0"), "InvalidParams"),
+            (("categorical", "--classes", "0"), "InvalidParams"),
+            (("categorical", "--classes", "1"), "InvalidParams"),
+            (("categorical", "--groups", "-1"), "InvalidParams"),
+            (("categorical", "--total", "-1"), "InvalidParams"),
+            (("covariance", "--p", "0"), "InvalidParams"),
+            (("covariance", "--p", "-1"), "InvalidParams"),
+            (("binary", "--separation", "0", "--noise", "0"), "NonConvergence"),
+        ],
+    )
+    def test_bad_sizes_are_usage_errors(self, tmp_path, capsys, args, error):
+        # each raised a ValueError, IndexError or RuntimeError traceback, and
+        # --classes 1 wrote a file that `experiment categorical` rejects
+        path = tmp_path / "gen.csv"
+        rc, _, err = run(capsys, "gen", *args, "--out", str(path))
+        assert rc == cli.EXIT_USAGE
+        assert err.startswith(f"error: {error}: ")
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "args,header",
+        [
+            (("binary", "--n", "0"), "x1,x2,label"),
+            (("counts", "--n", "0", "--d", "3"), "x1,x2,x3,count"),
+            (("categorical", "--timesteps", "0"), "t,c,class,count"),
+            (("categorical", "--groups", "0"), "t,c,class,count"),
+            (("covariance", "--timesteps", "0"), "t,i,j,value"),
+        ],
+    )
+    def test_zero_sizes_write_a_header_only_file(self, tmp_path, capsys, args, header):
+        path = tmp_path / "gen.csv"
+        rc, _, _ = run(capsys, "gen", *args, "--out", str(path))
+        assert rc == 0
+        assert path.read_text() == header + "\n"
 
 
 class TestDatasetErrors:
@@ -376,6 +416,30 @@ class TestConfigMerge:
         assert rc == 0
         header = open(out).readline().strip().split(",")
         assert header == ["grid_index", "logit.kl"]
+
+    def test_every_optional_experiment_flag_is_a_config_key(self, tmp_path, capsys):
+        data = str(tmp_path / "bin.csv")
+        run(capsys, "gen", "binary", "--out", data, "--n", "40", "--seed", "4")
+        out = str(tmp_path / "r.json")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "data": data, "test": data, "out": out, "basis": "logit", "kernel": "rq",
+            "lengthscale": 1.5, "variance": 2.0, "kernel-alpha": 0.7, "epsilon_a": 0.05,
+            "seed": 3, "inducing": 5, "draws": 50, "pipeline_version": "v2",
+            "dirichlet-prior": 2.0,
+        }))
+        rc, _, err = run(capsys, "experiment", "binary", "--config", str(cfg))
+        assert rc == 0, err
+        report = json.loads(open(out).read())
+        config = report["config"]
+        assert (config["data"], config["test"], config["out"]) == (data, data, out)
+        assert config["kernel"] == {
+            "kernel": "rational_quadratic", "lengthscale": 1.5, "alpha": 0.7, "variance": 2.0
+        }
+        assert (config["basis"], config["epsilon_a"], config["seed"]) == ("logit", 0.05, 3)
+        assert (config["inducing"], config["draws"], config["version"]) == (5, 50, "v2")
+        assert config["dirichlet_prior"] == 2.0
+        assert "test" in report["metrics"]
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

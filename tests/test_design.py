@@ -1,6 +1,8 @@
 """Design rules checked on the source tree."""
 
 import ast
+import importlib
+import inspect
 import pathlib
 import re
 
@@ -52,3 +54,49 @@ def test_every_public_method_is_named_outside_the_tests():
                 if not any(word.search(t) for t in ["\n".join(rest), *others, *bench]):
                     unnamed.append(f"{path.name}:{cls.name}.{node.name}")
     assert unnamed == []
+
+
+def _bench_module_aliases(tree):
+    """{local name: module} for each laplace_match module a bench file
+    imports, and the names its `from laplace_match... import` lines read
+    that the source module lacks."""
+    aliases, missing = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "laplace_match":
+                    module = importlib.import_module(alias.name)
+                    aliases[alias.asname or alias.name.split(".")[0]] = module
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "laplace_match":
+            source = importlib.import_module(node.module)
+            for alias in node.names:
+                if hasattr(source, alias.name):
+                    value = getattr(source, alias.name)
+                else:  # `from package import submodule` imports it
+                    try:
+                        value = importlib.import_module(f"{node.module}.{alias.name}")
+                    except ModuleNotFoundError:
+                        missing.append(f"{node.module}.{alias.name}")
+                        continue
+                if inspect.ismodule(value):
+                    aliases[alias.asname or alias.name] = value
+    return aliases, missing
+
+
+def test_every_library_name_the_benchmark_reads_exists():
+    # the benchmark reads names off the library's modules: the generators
+    # and the oracle through `cli`, the catalogue as
+    # diagnostics._FAMILY_BASES, and so on; a moved or renamed name fails
+    # here, not only in the benchmark's self-test
+    missing = []
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases, unimported = _bench_module_aliases(tree)
+        missing += [f"{path.name}: {name}" for name in unimported]
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)):
+                continue
+            module = aliases.get(node.value.id)
+            if module is not None and not hasattr(module, node.attr):
+                missing.append(f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}")
+    assert missing == []

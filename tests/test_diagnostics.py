@@ -176,6 +176,26 @@ class TestMmd:
         y = rng.normal(size=500) + 2.0
         assert diagnostics.mmd(x, y) > 0.1
 
+    @pytest.mark.parametrize("shape", [(300,), (200, 2), (150, 3)])
+    def test_default_bandwidth_is_the_median_heuristic(self, shape):
+        # the dense median of all pooled pair distances, and its RBF Gram
+        rng = np.random.default_rng(4)
+        x = rng.gamma(2.0, size=shape)
+        y = rng.gamma(2.5, size=shape)
+        pooled = np.vstack([x.reshape(shape[0], -1), y.reshape(shape[0], -1)])
+        sq = np.sum(pooled**2, axis=1)
+        d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * pooled @ pooled.T, 0.0)
+        bandwidth = np.median(np.sqrt(d2[np.triu_indices_from(d2, k=1)]))
+        K = np.exp(-d2 / (2.0 * bandwidth**2))
+        m = shape[0]
+        expected = _mmd_from_gram(K, np.arange(m), np.arange(m, 2 * m))
+        assert diagnostics.mmd(x, y) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+    def test_non_positive_bandwidth_is_invalid_params(self):
+        # a zero bandwidth divided by zero
+        with pytest.raises(InvalidParams):
+            diagnostics.mmd(np.zeros(3), np.ones(3), kernel=0.0)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             diagnostics.mmd(np.zeros((10, 2)), np.zeros((10, 3)))

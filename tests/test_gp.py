@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from laplace_match import bridges, cli, distributions, gp, pipeline
+from laplace_match import bridges, distributions, gp, pipeline
 from laplace_match.errors import (
     DimensionMismatch,
     EmptyCluster,
@@ -340,7 +340,7 @@ class TestLowerSolve:
         # the Dirichlet K=4 benchmark op: even steps train, odd steps query;
         # the factor needs jitter and its smallest pivot is about 5e-5
         T, K = 250, 4
-        rows, _ = cli.gen_categorical(T, classes=K, seed=0)
+        rows, _ = pipeline.gen_categorical(T, classes=K, seed=0)
         Y = np.array([r[3] for r in rows], dtype=float).reshape(T, K)
         X = np.column_stack([np.arange(float(T)), np.zeros(T)])
         cfg = pipeline.LMGPConfig("dirichlet", draws=1)

@@ -177,6 +177,36 @@ def _random_spd(rng, p, count=None):
     return A @ np.swapaxes(A, -1, -2) + 0.1 * np.eye(p)
 
 
+class TestScalarInverseRange:
+    # log on [800] overflowed with a RuntimeWarning, and the non-finite
+    # latents passed through: [nan] -> [nan], [-inf] -> [0], [inf] -> [inf]
+    # or [1]
+    @pytest.mark.parametrize(
+        "tag,bad",
+        [
+            ("log", 800.0), ("log", np.nan), ("log", -np.inf), ("log", np.inf),
+            ("sqrt", 1e200), ("sqrt", -1e200), ("sqrt", np.inf), ("sqrt", np.nan),
+            ("logit", np.inf), ("logit", -np.inf), ("logit", np.nan),
+        ],
+    )
+    def test_non_finite_or_overflowing_latent_raises(self, tag, bad):
+        with pytest.raises(OutOfSupport):
+            transforms.transform_samples(np.array([0.0, bad]), BasisTransform(tag), "inverse")
+
+    @pytest.mark.parametrize("tag", ["log", "sqrt", "logit"])
+    def test_empty_and_extreme_finite_latents_pass(self, tag):
+        basis = BasisTransform(tag)
+        assert transforms.transform_samples(np.zeros(0), basis, "inverse").shape == (0,)
+        top = np.finfo(float).max
+        lo, hi, inverse = {
+            "log": (-top, np.log(top), np.exp),
+            "sqrt": (-np.sqrt(top), np.sqrt(top), np.square),
+            "logit": (-top, top, lambda x: 0.5 * (1.0 + np.tanh(0.5 * x))),
+        }[tag]
+        x = np.array([lo, -5.0, 0.0, 5.0, hi])
+        np.testing.assert_array_equal(transforms.transform_samples(x, basis, "inverse"), inverse(x))
+
+
 class TestMatrixBases:
     """The eigenvalue maps of the matrix-log and matrix-sqrt bases."""
 
