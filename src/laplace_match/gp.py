@@ -227,7 +227,7 @@ class RBF(_Stationary):
         super().__init__(dims)
         self.lengthscale = float(lengthscale)
         self.variance = float(variance)
-        if self.lengthscale <= 0.0 or self.variance <= 0.0:
+        if not (0.0 < self.lengthscale < np.inf and 0.0 < self.variance < np.inf):
             raise InvalidParams("lengthscale and variance must be positive")
 
     def _of_sqdist(self, d2):
@@ -251,7 +251,7 @@ class RationalQuadratic(_Stationary):
         self.lengthscale = float(lengthscale)
         self.alpha = float(alpha)
         self.variance = float(variance)
-        if min(self.lengthscale, self.alpha, self.variance) <= 0.0:
+        if not all(0.0 < v < np.inf for v in (self.lengthscale, self.alpha, self.variance)):
             raise InvalidParams("lengthscale, alpha, and variance must be positive")
 
     def _of_sqdist(self, d2):
@@ -278,7 +278,7 @@ class Linear(Kernel):
         super().__init__(dims)
         self.variance = float(variance)
         self.offset = float(offset)
-        if self.variance <= 0.0 or self.offset < 0.0:
+        if not (0.0 < self.variance < np.inf and 0.0 <= self.offset < np.inf):
             raise InvalidParams("variance must be positive and offset non-negative")
 
     def _eval(self, A, B):
@@ -520,9 +520,9 @@ def gp_fit(kernel, X, mu, sigma):
             the diagonal or to the diagonal blocks of the kernel matrix, and
             the model keeps it in the shape given.
 
-    An empty dataset returns the prior. Refitting identical inputs is
-    bit-identical; the Cholesky jitter actually used is recorded on the
-    model.
+    An empty dataset returns the prior. A non-finite entry in mu or in the
+    noise raises InvalidParams. Refitting identical inputs is bit-identical;
+    the Cholesky jitter actually used is recorded on the model.
     """
     X = _as_inputs(X) if np.size(X) else np.zeros((0, 1))
     mu = np.atleast_1d(np.asarray(mu, dtype=float)) if np.size(mu) else np.zeros(0)
@@ -535,6 +535,8 @@ def gp_fit(kernel, X, mu, sigma):
         raise DimensionMismatch("noise blocks must all be w x w") from exc
     if n == 0:
         return GPModel(kernel, X, mu, noise, 0.0, {})
+    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(noise))):
+        raise InvalidParams("mu and the observation noise must be finite")
     K = np.ascontiguousarray(kernel(X, X))  # so that K.reshape is a view
     if noise.ndim == 3:
         s, w = noise.shape[:2]

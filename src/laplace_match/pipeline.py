@@ -20,7 +20,8 @@ Prediction computes the GP posterior once, as per-point marginals (a
 variance, or a width x width block per query point). `Prediction.draws` are
 per-point posterior draws: each point is drawn from its own marginal, so
 draws of different points are uncorrelated; every summary reads them one
-point at a time. `predict` makes another prediction from the model a
+point at a time, along the draw axis of a C-ordered (draws, m[, width])
+array. `predict` makes another prediction from the model a
 pipeline run returned, without refitting it.
 
 `gen_binary`, `gen_counts`, `gen_categorical` and `gen_covariance` make
@@ -445,7 +446,7 @@ def _summarize(draws_data):
 
 
 def _sample_marginals(mean, cov, seed, count):
-    """Seeded per-point draws, (count, m) or (count, m, w).
+    """Seeded per-point draws, (count, m) or (count, m, w), in C order.
 
     Each point is drawn from its own marginal: variance (m,) or covariance
     block (m, w, w). Draws of different points are independent.
@@ -453,8 +454,11 @@ def _sample_marginals(mean, cov, seed, count):
     z = np.random.default_rng(seed).standard_normal((count,) + mean.shape)
     if mean.ndim == 1:
         z *= np.sqrt(cov)
-    else:
-        z = np.einsum("mij,cmj->cmi", gp._psd_root(cov), z, optimize=True)
+    else:  # per point, its (count, w) draws times R^T, written in C order
+        draws = np.empty_like(z)
+        root_t = np.swapaxes(gp._psd_root(cov), -1, -2)
+        np.matmul(z.transpose(1, 0, 2), root_t, out=draws.transpose(1, 0, 2))
+        z = draws
     z += mean
     return z
 

@@ -171,10 +171,12 @@ def _batched_funm(X, fn, what):
     return matrixops.sym((U * fn(w)[..., None, :]) @ np.swapaxes(U, -1, -2))
 
 
-# Matrices per chunk of `_expm_symmetric`. Its dozen chunk-sized temporaries
-# take about 3 MB at p = 3. On a (1000, 80, 3, 3) stack of draws the traced
-# peak was 9 MB, against 67 MB in one chunk, and 4096 was the fastest of
-# 512 to 16384 (2 vCPU).
+# Matrices per chunk of `_expm_symmetric`. Its chunk-sized temporaries (the
+# powers, the Horner terms and a few rows, all on the vech entries) take
+# about 2 MB at p = 3. On the 80,000 3x3 draws of a benchmark op, 4096 was the
+# fastest of 1024 to 16384 (median 37 ms, against 38-49 ms for 6144 to 16384
+# and 51-63 ms for 1024 and 2048; 2 vCPU), and on a (1000, 80, 3, 3) stack the
+# traced peak, output included, was 8.0 MB, against 49 MB in one chunk.
 _EXPM_CHUNK = 4096
 
 # The degree-16 Taylor polynomial of exp in Paterson-Stockmeyer form
@@ -192,47 +194,81 @@ _LOG_MAX = np.log(_FLOAT_MAX)
 _SQRT_MAX = np.sqrt(_FLOAT_MAX)
 
 
+def _vech_matmul(a, b, out, terms):
+    """out = vech(A B) for symmetric A, B held as (d, n) arrays a, b of their
+    vech entries, one column per matrix, where A B is symmetric too (A and B
+    are polynomials in one matrix). `terms` is the `matrixops._vech_index`
+    table as nested lists; each upper-triangle entry is a p-term dot product
+    of rows. out must not share memory with a or b."""
+    p = len(terms)
+    work = np.empty_like(out[0])
+    entry = 0
+    for i in range(p):
+        for j in range(i, p):
+            row = out[entry]
+            np.multiply(a[terms[i][0]], b[terms[0][j]], out=row)
+            for k in range(1, p):
+                np.multiply(a[terms[i][k]], b[terms[k][j]], out=work)
+                row += work
+            entry += 1
+    return out
+
+
 def _expm_chunk(X, out):
     """exp of each symmetric matrix of X (n, p, p), written into out.
 
     Shift by the mean eigenvalue c = tr(X)/p, scale B = X - cI by 2^-s with s
     from its Frobenius norm (which bounds its spectral norm) so that the
     scaled norm is at most 1, evaluate T(B/2^s), square s times and multiply
-    by e^c. Every matrix has its own s, so its result does not depend on the
-    others. B has trace zero, so its largest eigenvalue is at most
-    sqrt((p-1)/p) |B|_F; OutOfSupport where that bound, or c plus it, exceeds
-    log(max float), as exp(B) or the result could then overflow.
+    by e^c, as two factors e^(c/2) so that e^c cannot underflow where the
+    result does not. Every matrix has its own s, so its result does not
+    depend on the others. B has trace zero, so its largest eigenvalue is at
+    most sqrt((p-1)/p) |B|_F; OutOfSupport where that bound, or c plus it,
+    exceeds log(max float), as exp(B) or the result could then overflow.
+
+    Every power, Horner term and square is a polynomial in B, so symmetric:
+    the arithmetic runs on the p(p+1)/2 vech entries only, each a contiguous
+    row of a (d, n) array (`_vech_matmul`).
     """
     n, p, _ = X.shape
+    rows, cols, table = matrixops._vech_index(p)
+    d = rows.size
+    diag = np.diagonal(table).tolist()
+    terms = table.tolist()
+    B = np.empty((d, n))
     with np.errstate(over="ignore", invalid="ignore"):  # entries near max float fail the bound
-        B = matrixops.sym(X)
-        c = np.trace(B, axis1=-2, axis2=-1) / p
-        B.reshape(n, p * p)[:, :: p + 1] -= c[:, None]
-        norm = np.linalg.norm(B, axis=(-2, -1))
+        np.add(X[:, rows, cols].T, X[:, cols, rows].T, out=B)
+        B *= 0.5  # the symmetric part
+        c = np.sum(B[diag], axis=0) / p
+        B[diag] -= c
+        norm = np.sqrt(np.dot(np.where(rows == cols, 1.0, 2.0), B * B))
     if not np.all(np.maximum(c, 0.0) + np.sqrt((p - 1) / p) * norm <= _LOG_MAX):
         raise OutOfSupport("matrix exp out of float range: an eigenvalue may exceed log(max)")
     s = np.maximum(np.frexp(norm)[1], 0)
-    powers = np.empty((4, n, p, p))
-    np.ldexp(B, -s[:, None, None], out=powers[0])
-    np.matmul(powers[0], powers[0], out=powers[1])
-    np.matmul(powers[1], powers[0], out=powers[2])
-    np.matmul(powers[1], powers[1], out=powers[3])
+    powers = np.empty((4, d, n))
+    np.ldexp(B, -s, out=powers[0])
+    _vech_matmul(powers[0], powers[0], powers[1], terms)
+    _vech_matmul(powers[1], powers[0], powers[2], terms)
+    _vech_matmul(powers[1], powers[1], powers[3], terms)
     Q = np.tensordot(_EXPM_BLOCKS, powers, axes=1)
-    Q.reshape(4, n, p * p)[..., :: p + 1] += _EXPM_IDENTITY[:, None, None]
+    for e in diag:
+        Q[:, e] += _EXPM_IDENTITY[:, None]
     for j in (2, 1, 0):
-        Q[j] += powers[3] @ Q[j + 1]
+        Q[j] += _vech_matmul(powers[3], Q[j + 1], B, terms)
     E = Q[0]
     for k in range(1, s.max(initial=0) + 1):
         need = np.flatnonzero(s >= k)
-        root = E[need]
-        E[need] = root @ root
-    E *= 0.5 * np.exp(c)[:, None, None]
-    np.add(E, np.swapaxes(E, -1, -2), out=out)  # e^c times the symmetric part of E
+        root = E[:, need]
+        E[:, need] = _vech_matmul(root, root, np.empty_like(root), terms)
+    half = np.exp(0.5 * c)
+    E *= half
+    E *= half
+    out[...] = E.T[:, table]
 
 
 def _expm_symmetric(X):
     """Matrix exponential of each matrix in a symmetric stack (..., p, p),
-    by scaling and squaring (Higham 2005) on batched matmuls, in chunks of
+    by scaling and squaring (Higham 2005) on the vech entries of chunks of
     `_EXPM_CHUNK` matrices. OutOfSupport for a non-symmetric or non-finite
     input, and for one whose exponential may overflow (see `_expm_chunk`)."""
     X = _checked_symmetric(X, "matrix exp")
@@ -242,6 +278,30 @@ def _expm_symmetric(X):
     for lo in range(0, flat.shape[0], _EXPM_CHUNK):
         _expm_chunk(flat[lo : lo + _EXPM_CHUNK], out[lo : lo + _EXPM_CHUNK])
     return out.reshape(X.shape)
+
+
+def _component_sum(parts):
+    """Sum of the component arrays `parts`, added in the pairwise order of
+    numpy's own sum along a contiguous axis (eight accumulators up to 128
+    terms, halves above), so that it equals np.sum over the stacked
+    components bit for bit while every add runs on whole component arrays."""
+    n = len(parts)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _component_sum(parts[:half]) + _component_sum(parts[half:])
+    if n < 8:
+        total = parts[0].copy()
+        for part in parts[1:]:
+            total += part
+        return total
+    acc = [part.copy() for part in parts[:8]]
+    for i in range(8, n - n % 8, 8):
+        for j in range(8):
+            acc[j] += parts[i + j]
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for part in parts[n - n % 8 :]:
+        total += part
+    return total
 
 
 def transform_samples(samples, basis, direction="forward", pseudo_inverse=False):
@@ -254,7 +314,9 @@ def transform_samples(samples, basis, direction="forward", pseudo_inverse=False)
     inverse squares its input, so negative latent draws fold onto the
     positive branch. The scalar inverses raise OutOfSupport for a
     non-finite latent, and the log and square-root inverses for one whose
-    image would overflow.
+    image would overflow. The softmax inverse is max-shifted, with its max
+    and its sum taken over the K component arrays (`_component_sum`); the
+    matrix-log inverse is `_expm_symmetric`. No inverse calls `eigh`.
     """
     if direction not in ("forward", "inverse"):
         raise InvalidParams("direction must be 'forward' or 'inverse'")
@@ -308,9 +370,13 @@ def transform_samples(samples, basis, direction="forward", pseudo_inverse=False)
             raise OutOfSupport(f"expected latent vectors of length {K} or {K - 1}")
         if not np.all(np.isfinite(x)):
             raise OutOfSupport("softmax inverse needs finite latent vectors")
+        top = x[..., 0].copy()
+        for k in range(1, K):
+            np.maximum(top, x[..., k], out=top)
         with np.errstate(over="ignore"):  # a gap beyond max float gives exp(-inf) = 0
-            e = np.exp(x - np.max(x, axis=-1, keepdims=True))
-        e /= np.sum(e, axis=-1, keepdims=True)
+            e = x - top[..., None]
+            np.exp(e, out=e)
+        e /= _component_sum([e[..., k] for k in range(K)])[..., None]
         return e
     if tag == "matrix_log":
         if direction == "forward":

@@ -281,6 +281,17 @@ class TestExperimentCommand:
         assert probs.shape == (40,)
         assert np.all((probs >= 0.0) & (probs <= 1.0))
 
+    def test_nan_lengthscale_is_a_usage_error(self, tmp_path, capsys):
+        # the kernel took NaN, and the run failed late in the logit inverse
+        train = self._gen(capsys, tmp_path, "binary", "train.csv", "--n", "20", "--seed", "0")
+        out = str(tmp_path / "report.json")
+        rc, _, err = run(
+            capsys,
+            "experiment", "binary", "--data", train, "--out", out,
+            "--kernel", "rbf", "--lengthscale", "nan",
+        )
+        assert rc == 2 and "InvalidParams" in err
+
     @pytest.mark.parametrize("version", ["v1", "v2"])
     def test_held_out_split_fits_once(self, tmp_path, capsys, monkeypatch, version):
         train = self._gen(capsys, tmp_path, "binary", "train.csv", "--n", "30", "--seed", "0")

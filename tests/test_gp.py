@@ -238,10 +238,29 @@ class TestBoundaries:
             lambda: gp.Product(gp.RBF()),
             lambda: gp.gp_fit(gp.RBF(), np.zeros(2), np.zeros(2), np.array([0.1, -0.1])),
             lambda: gp.kmeanspp(np.zeros((3, 1)), 0),
+            # NaN passed the `<= 0.0` checks and gave an all-NaN Gram
+            lambda: gp.RBF(lengthscale=np.nan),
+            lambda: gp.RBF(variance=np.nan),
+            lambda: gp.RBF(lengthscale=np.inf),
+            lambda: gp.RationalQuadratic(alpha=np.nan),
+            lambda: gp.RationalQuadratic(lengthscale=np.nan),
+            lambda: gp.Linear(variance=np.nan),
+            lambda: gp.Linear(offset=np.nan),
+            lambda: gp.Linear(offset=np.inf),
+            # NaN in mu or the noise predicted NaN
+            lambda: gp.gp_fit(gp.RBF(), np.arange(2.0), np.array([0.0, np.nan]), 0.1),
+            lambda: gp.gp_fit(gp.RBF(), np.arange(2.0), np.zeros(2), np.array([0.1, np.nan])),
+            lambda: gp.gp_fit(gp.RBF(), np.arange(2.0), np.zeros(2), np.nan),
+            lambda: gp.gp_fit(
+                gp.RBF(), np.arange(4.0), np.zeros(4), np.array([np.eye(2), [[1.0, np.nan], [np.nan, 1.0]]])
+            ),
         ],
         ids=[
             "rbf", "rational_quadratic", "linear", "sum", "product", "negative_noise",
-            "kmeanspp_k_zero",
+            "kmeanspp_k_zero", "rbf_nan_lengthscale", "rbf_nan_variance", "rbf_inf_lengthscale",
+            "rational_quadratic_nan_alpha", "rational_quadratic_nan_lengthscale",
+            "linear_nan_variance", "linear_nan_offset", "linear_inf_offset", "nan_mu",
+            "nan_noise_variances", "nan_scalar_noise", "nan_noise_blocks",
         ],
     )
     def test_bad_arguments_raise_invalid_params(self, call):

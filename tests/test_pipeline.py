@@ -663,6 +663,20 @@ class TestCategoricalPipeline:
         assert pred.latent_cov.shape == (4, 3, 3)
         assert pred.draws.shape == (100, 4, 3)
 
+    def test_draws_are_c_ordered_and_their_summary_does_not_depend_on_layout(self):
+        data = _categorical_data(t=12, K=4)
+        _, pred = pipeline.lmgp_v1(data, pipeline.LMGPConfig("dirichlet", seed=5, draws=500))
+        assert pred.draws.flags["C_CONTIGUOUS"]
+        # the same draws in C order and in (point, draw, class) memory order
+        copies = (
+            np.ascontiguousarray(pred.draws),
+            np.ascontiguousarray(pred.draws.transpose(1, 0, 2)).transpose(1, 0, 2),
+        )
+        for draws in copies:
+            summary = pipeline._summarize(draws)
+            for key, value in pred.summary.items():
+                np.testing.assert_array_equal(summary[key], value)
+
 
 class TestCovariancePipeline:
     def test_mean_matrices_near_spd(self):
@@ -736,10 +750,11 @@ class TestPerPointPrediction:
         np.testing.assert_array_equal(out, mean + np.sqrt(var) * z)
         z = np.random.default_rng(9).standard_normal((50, 7, 3))
         root = gp._psd_root(cov3)
-        np.testing.assert_array_equal(
-            pipeline._sample_marginals(mean3, cov3, 9, 50),
-            mean3 + np.einsum("mij,cmj->cmi", root, z, optimize=True),
-        )
+        out = pipeline._sample_marginals(mean3, cov3, 9, 50)
+        # point i: its (50, 3) normals times root_i^T, one BLAS product each
+        expected = np.stack([z[:, i] @ root[i].T for i in range(7)], axis=1) + mean3
+        np.testing.assert_array_equal(out, expected)
+        assert out.flags["C_CONTIGUOUS"]
 
     @pytest.mark.parametrize("family", ["beta", "dirichlet", "inverse_wishart"])
     def test_latent_cov_is_the_diagonal_of_the_joint_covariance(self, family, dense_posterior):

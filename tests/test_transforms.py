@@ -344,7 +344,50 @@ class TestMatrixExp:
             transforms.transform_samples(A, BasisTransform(tag, p=3), "inverse")
 
 
+class TestMatrixExpOnVechEntries:
+    """The exponential's arithmetic on the p(p+1)/2 distinct entries, and the
+    e^c factor applied so that it cannot underflow where the result does not."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    def test_vech_product_of_commuting_matrices(self, p):
+        rng = np.random.default_rng(20 + p)
+        A = matrixops.sym(rng.normal(size=(40, p, p)))
+        B = matrixops.sym(A @ A - 0.5 * A)  # a polynomial in A: A B is symmetric
+        a, b = np.ascontiguousarray(matrixops.vech(A).T), np.ascontiguousarray(matrixops.vech(B).T)
+        terms = matrixops._vech_index(p)[2].tolist()
+        out = transforms._vech_matmul(a, b, np.empty_like(a), terms)
+        expected = matrixops.vech(A @ B).T
+        assert np.max(np.abs(out - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    def test_large_negative_mean_eigenvalue_keeps_the_representable_entries(self):
+        # c = -800: e^c underflowed to 0 and zeroed the whole result
+        out = _exp(np.diag([-1200.0, -400.0]))
+        np.testing.assert_allclose(out, np.diag([0.0, np.exp(-400.0)]), rtol=1e-13, atol=0.0)
+        out = _exp(np.diag([-1000.0, -600.0, -300.0]))
+        np.testing.assert_allclose(out, np.diag(np.exp([-1000.0, -600.0, -300.0])), rtol=1e-13, atol=0.0)
+
+    def test_subnormal_mean_factor_keeps_full_precision(self):
+        # exp([[a, b], [b, a]]) = e^a [[cosh b, sinh b], [sinh b, cosh b]]: with
+        # a = -730 the factor e^a alone is subnormal, the result is not
+        a, b = -730.0, 40.0
+        out = _exp(np.array([[a, b], [b, a]]))
+        expected = np.full((2, 2), 0.5 * np.exp(a + b))  # e^(a-b) underflows
+        np.testing.assert_allclose(out, expected, rtol=1e-14, atol=0.0)
+
+
 class TestSoftmaxInverse:
+    @pytest.mark.parametrize("K", [2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 129, 300])
+    def test_bit_for_bit_the_axis_reduction_formula(self, K):
+        # the max and the sum over component arrays, added in numpy's own
+        # pairwise order, against the reductions along the last axis
+        rng = np.random.default_rng(30 + K)
+        basis = BasisTransform("softmax_inverse", K=K)
+        for shape in [(K,), (1000, K), (50, 7, K)]:
+            x = rng.normal(scale=3.0, size=shape)
+            expected = np.exp(x - np.max(x, axis=-1, keepdims=True))
+            expected /= np.sum(expected, axis=-1, keepdims=True)
+            np.testing.assert_array_equal(transforms.transform_samples(x, basis, "inverse"), expected)
+
     def test_matches_logsumexp_form(self):
         rng = np.random.default_rng(15)
         x = rng.normal(scale=3.0, size=(500, 4))
