@@ -63,11 +63,15 @@ def _inv_check(cond, message):
 
 
 def _positive(*fields):
-    """Elementwise: every field finite and > 0."""
-    ok = True
+    """Elementwise: every field finite and > 0, that is 0 < value < inf (NaN
+    fails both). Each comparison lands in one reusable mask that is combined
+    into the result in place, so a call allocates two masks."""
+    shape = np.broadcast(*fields).shape
+    ok = np.ones(shape, dtype=bool)
+    test = np.empty(shape, dtype=bool)
     for value in fields:
-        value = np.asarray(value, dtype=float)
-        ok = ok & np.isfinite(value) & (value > 0.0)
+        ok &= np.greater(value, 0.0, out=test)
+        ok &= np.less(value, np.inf, out=test)
     return ok
 
 
@@ -459,11 +463,11 @@ def forward_arrays(family, tag, **arrays):
             block = np.empty((2,) + np.broadcast(*fields).shape)
             mu, var = block[0, ...], block[1, ...]  # arrays, also for 0-d fields
             row["fwd"](*fields, out=(mu, var))
+            finite = np.isfinite(block).all()
         else:
             mu, var = row["fwd"](*fields)
-    if not (
-        np.isfinite(mu).all() and np.isfinite(var).all() and (_diagonal(mu, var) > 0.0).all()
-    ):
+            finite = np.isfinite(mu).all() and np.isfinite(var).all()
+    if not (finite and (_diagonal(mu, var) > 0.0).all()):
         raise OutsideValidityRegion(
             f"({family}, {tag}) bridge: the fields map outside finite means and "
             "positive finite variances"

@@ -59,10 +59,13 @@ such an entry would move by one rounding. In 336 inputs checked against
 the n x n evaluation (d from 1 to 8, n from 2 to 2500) none did.
 
 kmeanspp clusters inputs; the pipeline's inducing sites are its clusters.
-Its Lloyd loop takes no per-cluster mask: empty clusters come from one
-bincount of the assignments, and the centres from one stable argsort of
-them, each the mean of its members' contiguous slice, the same members in
-the same order as a mask would select, so the same floating-point sums.
+Its Lloyd loop gives the plain loop's assignments bit for bit but computes
+few distance rows after the first iteration: triangle-inequality bounds
+(Hamerly 2010), widened by the rounding of _sqdist, prove most assignments
+unchanged. It takes no per-cluster mask: empty clusters come from one
+bincount of the assignments, and for d >= 2 the centres from one weighted
+bincount per coordinate, the same members added in the same order as a mask
+would select, so the same floating-point sums.
 The module knows nothing of exponential families or bridges.
 """
 
@@ -603,19 +606,92 @@ def _psd_root(cov):
 # input clustering
 
 
+def _rounding_bound(xx, centers, gamma):
+    """Per point, a bound on the rounding error of each entry of its
+    _sqdist row against `centers`, from its squared norm xx."""
+    return gamma * (xx + np.max(np.einsum("ij,ij->i", centers, centers)))
+
+
+def _nearest_two(d2, err, gamma):
+    """Per row of _sqdist entries with rounding bound `err`: the argmin, the
+    gap from its entry to the smallest other one, and a lower bound on the
+    true distance to every other centre (inf for both with one centre).
+    Overwrites the argmin entries."""
+    rows = np.arange(d2.shape[0])
+    best = np.argmin(d2, axis=1)
+    nearest = d2[rows, best]
+    d2[rows, best] = np.inf
+    runner_up = np.min(d2, axis=1)
+    return best, runner_up - nearest, np.sqrt(np.maximum(runner_up - err, 0.0)) * (1.0 - gamma)
+
+
+def _settled(X, centers, assign, lower, err, gamma):
+    """Points whose argmin in the rounded _sqdist(X, centers) is provably
+    assign[i]: the true distance to every other centre exceeds the distance
+    to their own by more than twice the rounding bound `err`."""
+    up, down = 1.0 + gamma, 1.0 - gamma
+    own = np.sqrt(_sqdist_pairs(X, centers[assign])) * up
+    between = _sqdist(centers, centers)
+    np.fill_diagonal(between, np.inf)
+    slack = _rounding_bound(np.einsum("ij,ij->i", centers, centers), centers, gamma)
+    half = 0.5 * np.sqrt(np.maximum(np.min(between, axis=1) - slack, 0.0)) * down
+    other = np.maximum(lower, (2.0 * half[assign] - own) * down)
+    return other * other * down - own * own * up > 2.0 * err
+
+
 def kmeanspp(X, k, seed=0, max_iter=100):
     """k-means++ seeding plus Lloyd iterations (capped).
 
     An empty cluster is re-seeded at the point farthest from all centers;
     after five failed repair attempts EmptyCluster is raised. Returns
     (centers, assignments, iterations).
+
+    The iterations give Lloyd's assignments bit for bit, the argmin of each
+    row of the rounded _sqdist(X, centers), without computing most rows
+    (Hamerly 2010, Making k-means even faster). Each entry of that matrix,
+    a2 + b2 - 2ab, is within (2d + 3) u (||x||^2 + ||c||^2) of the true
+    squared distance (u = eps / 2: the sums of d squares and the dot product
+    each err by at most d u times their terms, and the add and subtract
+    round once each). The code's gamma, (2d + 8) eps or (4d + 16) u, is
+    more than twice that constant, to cover the second order and the
+    rounding of the bounds themselves. A point whose true distance to every
+    other centre exceeds the distance to its own by more than twice
+    gamma (||x||^2 + ||c||^2) keeps its centre in the rounded matrix,
+    strictly, so the argmin's tie rule cannot pick another. The distance to
+    the own centre is bounded above from the direct difference each
+    iteration (O(n d), Hamerly's tightening step for every point at once);
+    the distance to the other centres below by a per-point bound, set from
+    the rows and lowered by the largest move of another centre, and by
+    twice the half-distance from the own centre to its nearest other
+    centre, less the distance to the own centre. Moves and bounds are
+    inflated or deflated by 1 + gamma, so they also cover their own
+    rounding. Badly scaled inputs (a large offset, a tiny spread) prove
+    nothing, and every row is recomputed: slower, never wrong.
+
+    The rows not proven are recomputed through one product of at least two
+    rows, as _pair_blocks does: numpy runs a one-row product as a BLAS gemv,
+    which rounds differently from the full product's gemm. Even a product of
+    a few rows need not round as the full one does (on OpenBLAS it does not,
+    in places, from 193 centres on), so a recomputed row's argmin is taken
+    only when its gap to the next entry exceeds four times the bound, which
+    any rounding within the bound preserves. Otherwise (an exact tie always
+    is otherwise) the iteration computes the full matrix. A full matrix (the
+    first iteration, that fallback, an empty-cluster repair) resets every
+    bound.
+
+    For d >= 2 each centre is one weighted bincount per coordinate over the
+    cluster sizes: it adds the members in input order, as np.mean does over
+    the rows of their slice, so the centres are the same floats (a
+    coordinate whose members are all -0.0 gives +0.0, equal as a number).
+    For d = 1, np.mean sums the slice pairwise, so the per-cluster means
+    stay.
     """
     X = _as_inputs(X)
-    n = X.shape[0]
+    n, dim = X.shape
     if not 1 <= k <= n:
         raise InvalidParams(f"need 1 <= k <= n, got k={k}, n={n}")
     rng = np.random.default_rng(seed)
-    centers = np.empty((k, X.shape[1]))
+    centers = np.empty((k, dim))
     centers[0] = X[rng.integers(n)]
     d2 = np.sum((X - centers[0]) ** 2, axis=1)
     for j in range(1, k):
@@ -626,11 +702,27 @@ def kmeanspp(X, k, seed=0, max_iter=100):
             centers[j] = X[rng.choice(n, p=d2 / total)]
         d2 = np.minimum(d2, np.sum((X - centers[j]) ** 2, axis=1))
 
-    assign = None
+    gamma = (2 * dim + 8) * np.finfo(float).eps
+    xx = np.einsum("ij,ij->i", X, X)
+    assign = lower = None
     iterations = 0
     for it in range(max_iter):
         iterations = it + 1
-        new_assign = np.argmin(_sqdist(X, centers), axis=1)
+        err = _rounding_bound(xx, centers, gamma)
+        full = assign is None
+        if not full:
+            unsure = np.flatnonzero(~_settled(X, centers, assign, lower, err, gamma))
+            new_assign = assign.copy()
+            if unsure.size:
+                rows = unsure if unsure.size > 1 else np.repeat(unsure, 2)
+                best, gap, bound = _nearest_two(
+                    _sqdist(X[rows], centers)[: unsure.size], err[unsure], gamma
+                )
+                full = not np.all(gap * (1.0 - gamma) > 4.0 * err[unsure])
+                new_assign[unsure] = best
+                lower[unsure] = bound
+        if full:
+            new_assign, _, lower = _nearest_two(_sqdist(X, centers), err, gamma)
         for _ in range(5):
             sizes = np.bincount(new_assign, minlength=k)
             empty = np.flatnonzero(sizes == 0)
@@ -639,15 +731,26 @@ def kmeanspp(X, k, seed=0, max_iter=100):
             for j in empty:
                 far = int(np.argmax(np.min(_sqdist(X, centers), axis=1)))
                 centers[j] = X[far]
-            new_assign = np.argmin(_sqdist(X, centers), axis=1)
+            err = _rounding_bound(xx, centers, gamma)
+            new_assign, _, lower = _nearest_two(_sqdist(X, centers), err, gamma)
         else:
             raise EmptyCluster("could not repair empty clusters after 5 attempts")
         if assign is not None and np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        # members by cluster, each cluster's in input order
-        members = X[np.argsort(assign, kind="stable")]
-        ends = np.cumsum(sizes)
-        for j in range(k):
-            centers[j] = np.mean(members[ends[j] - sizes[j] : ends[j]], axis=0)
+        moved = centers.copy()
+        if dim == 1:
+            # members by cluster, each cluster's in input order
+            members = X[np.argsort(assign, kind="stable")]
+            ends = np.cumsum(sizes)
+            for j in range(k):
+                centers[j] = np.mean(members[ends[j] - sizes[j] : ends[j]], axis=0)
+        else:
+            for c in range(dim):
+                centers[:, c] = np.bincount(assign, weights=X[:, c], minlength=k) / sizes
+        # lower the bounds by the largest move of a centre other than the own
+        moves = np.sqrt(_sqdist_pairs(centers, moved)) * (1.0 + gamma)
+        top = int(np.argmax(moves))
+        drift = np.where(assign == top, np.max(np.delete(moves, top), initial=0.0), moves[top])
+        lower = np.maximum((lower - drift) * (1.0 - gamma), 0.0)
     return centers, assign, iterations

@@ -257,9 +257,11 @@ class Prediction:
     Cholesky jitter, the smallest diagonal entry of the factor (min_pivot)
     and the log-determinant of the factored matrix, the number of sites, the
     latent width, the count of query points whose EF inversion failed
-    (ef_failures, the None entries of `ef_params`), and the fitted kernel's
+    (ef_failures, the None entries of `ef_params`), the fitted kernel's
     record (kernel; with the default kernel, its median-heuristic
-    lengthscale).
+    lengthscale), and the Lloyd iterations of the k-means++ clustering of
+    an inducing run (lloyd_iterations; None when the call clustered
+    nothing).
     """
 
     def __init__(self, family, basis, X, latent_mean, latent_cov, draws,
@@ -358,22 +360,24 @@ def _build_kernel(config, X, width):
 
 
 def _sites(data, config):
-    """Training sites as (inputs, summed targets, member counts).
+    """Training sites as (inputs, summed targets, member counts, Lloyd
+    iterations).
 
-    Without inducing, each training input is a site of one observation;
-    with inducing=k, each k-means++ cluster is one site at its center.
+    Without inducing, each training input is a site of one observation and
+    the iteration count is None; with inducing=k, each k-means++ cluster is
+    one site at its center.
     """
     if config.inducing is None:
-        return data.X, data.Y, np.ones(data.n)
+        return data.X, data.Y, np.ones(data.n), None
     k = config.inducing
     # k-means++ cannot fill more clusters than there are distinct inputs
     distinct = np.unique(data.X, axis=0).shape[0]
     if k > distinct:
         raise InvalidParams(f"inducing={k} exceeds the {distinct} distinct training inputs")
-    centers, assign, _ = gp.kmeanspp(data.X, k, seed=config.seed)
+    centers, assign, iterations = gp.kmeanspp(data.X, k, seed=config.seed)
     total = np.zeros((k,) + data.Y.shape[1:])
     np.add.at(total, assign, data.Y)
-    return centers, total, np.bincount(assign, minlength=k).astype(float)
+    return centers, total, np.bincount(assign, minlength=k).astype(float), iterations
 
 
 def _prior_fields(config, basis, width, X_sites, prior_model):
@@ -490,7 +494,7 @@ def _query_ef_params(family, basis, mean, cov):
     return tuple(out)
 
 
-def _predict(model, config, basis, width, X_query, timings):
+def _predict(model, config, basis, width, X_query, timings, lloyd_iterations=None):
     fam = config.family
     Xq = gp._as_inputs(X_query)
     m = Xq.shape[0]
@@ -517,6 +521,7 @@ def _predict(model, config, basis, width, X_query, timings):
         "width": width,
         "ef_failures": sum(p is None for p in ef_params),
         "kernel": model.kernel.to_record(),
+        "lloyd_iterations": lloyd_iterations,
     }
     return Prediction(
         family=fam,
@@ -568,7 +573,7 @@ def _run(data, config, X_query, prior_model):
     kernel = _build_kernel(config, data.X, width)
     timings = {}
     t0 = time.perf_counter()
-    X_train, total, count = _sites(data, config)
+    X_train, total, count, lloyd_iterations = _sites(data, config)
     prior = _prior_fields(config, basis, width, X_train, prior_model)
     fields = distributions.conjugate_fields(config.family, prior, total, count)
     mu, noise = bridges.forward_arrays(config.family, basis.tag, **fields)
@@ -577,7 +582,7 @@ def _run(data, config, X_query, prior_model):
     model = gp.gp_fit(kernel, _joint_inputs(X_train, width), mu.ravel(), noise)
     timings["fit_seconds"] = time.perf_counter() - t1
     Xq = data.X if X_query is None else X_query
-    return model, _predict(model, config, basis, width, Xq, timings)
+    return model, _predict(model, config, basis, width, Xq, timings, lloyd_iterations)
 
 
 def lmgp_v1(data, config, X_query=None):
@@ -609,8 +614,9 @@ def predict(model, basis, config, X_query):
     for config, without a refit. `basis` is the basis that run resolved (its
     `Prediction.basis`), so the latent width is the fitted one. Equal to the
     run's Prediction at X_query, except that `timings` holds only the predict
-    and summary stages. A basis of another family or with no bridge row
-    raises IncompatibleBasis.
+    and summary stages and that `lloyd_iterations` is None: no clustering
+    runs here. A basis of another family or with no bridge row raises
+    IncompatibleBasis.
     """
     if not isinstance(basis, transforms.BasisTransform):
         raise IncompatibleBasis("predict takes the basis the run resolved, Prediction.basis")

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 from laplace_match import bridges, distributions, gp, pipeline
@@ -599,7 +601,7 @@ def _inducing_fields(X, Y, k, family, **config):
     cfg = pipeline.LMGPConfig(family, inducing=k, **config)
     data = pipeline.Dataset(X, Y)
     basis = cfg.resolve_basis(data.Y)
-    centers, total, count = pipeline._sites(data, cfg)
+    centers, total, count, _ = pipeline._sites(data, cfg)
     width = pipeline._basis_width(basis, family)
     prior = pipeline._prior_fields(cfg, basis, width, centers, None)
     return centers, distributions.conjugate_fields(family, prior, total, count), basis
@@ -693,6 +695,127 @@ class TestInducing:
         assert len(calls) > got[2]
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert got[2] == want[2]
+
+    @given(
+        dim=st.sampled_from([1, 2, 3, 5]),
+        n=st.integers(2, 300),
+        k_share=st.floats(0.0, 1.0),
+        kind=st.sampled_from(["normal", "duplicates", "grid", "jittered", "blobs"]),
+        exponent=st.integers(-27, 27),
+        offset=st.sampled_from([0.0, 1.0, 1e4]),
+        data_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 99),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_kmeanspp_matches_the_reference_on_any_input(
+        self, dim, n, k_share, kind, exponent, offset, data_seed, seed
+    ):
+        # scales 2^-27 (7e-9) to 2^27 (1.3e8) keep the grid's distance ties
+        # exact, and a jitter of 1e-9 puts gaps near rounding level; the
+        # offset of 1e4 spreads makes the rounding bound exceed most gaps,
+        # so nothing is proven
+        rng = np.random.default_rng(data_seed)
+        k = 1 + int(k_share * (min(n, 60) - 1))
+        if kind in ("grid", "jittered"):
+            X = rng.integers(0, 4, size=(n, dim)).astype(float)
+            if kind == "jittered":
+                X += 1e-9 * rng.normal(size=(n, dim))
+        elif kind == "blobs":
+            X = 20.0 * rng.normal(size=(k, dim))[rng.integers(k, size=n)]
+            X += rng.normal(size=(n, dim))
+        else:
+            X = rng.normal(size=(n, dim))
+            if kind == "duplicates":
+                X = X[rng.integers(max(1, n // 4), size=n)]
+        X = (X + offset) * 2.0**exponent
+        got = _kmeans_outcome(gp.kmeanspp, X, k, seed)
+        want = _kmeans_outcome(_kmeanspp_reference, X, k, seed)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert got[2] == want[2]
+
+    @pytest.mark.parametrize("data_seed", [1, 4, 5])
+    def test_kmeanspp_matches_the_reference_at_rounding_level_gaps(self, data_seed):
+        # a grid jittered by 1e-9 leaves centres and points within rounding
+        # of ties; bounds without their rounding slack prove wrong
+        # assignments here
+        rng = np.random.default_rng(data_seed)
+        X = rng.integers(0, 4, size=(30, 1)) + 1e-9 * rng.normal(size=(30, 1))
+        got = gp.kmeanspp(X, 6, seed=0)
+        want = _kmeanspp_reference(X, 6, seed=0)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[2] == want[2]
+
+    def test_kmeanspp_matches_the_reference_above_192_centres(self):
+        # on OpenBLAS, rows recomputed alone round differently from the full
+        # product's in places from 193 centres on
+        X = np.random.default_rng(17).normal(size=(600, 3))
+        got = gp.kmeanspp(X, 200, seed=4)
+        want = _kmeanspp_reference(X, 200, seed=4)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[2] == want[2]
+
+    @staticmethod
+    def _rows_passed(monkeypatch):
+        """The inputs of every _sqdist call against the centres (not the
+        centres against themselves), copied."""
+        sqdist = gp._sqdist
+        rows = []
+
+        def spy(A, B):
+            if A is not B:
+                rows.append(A.copy())
+            return sqdist(A, B)
+
+        monkeypatch.setattr(gp, "_sqdist", spy)
+        return rows
+
+    def test_kmeanspp_recomputes_one_unsure_row_through_two(self, monkeypatch):
+        # two blobs and one point off the segment between them, nearly
+        # equidistant: after the first move, only that point is unsure
+        rng = np.random.default_rng(3)
+        a = rng.normal(-10.0, 0.5, size=(200, 2))
+        b = rng.normal(10.0, 0.5, size=(200, 2))
+        X = np.vstack([a, b, (a.mean(axis=0) + b.mean(axis=0)) / 2 + [8.0, -8.0]])
+        rows = self._rows_passed(monkeypatch)
+        got = gp.kmeanspp(X, 2, seed=0)
+        assert [r.shape[0] for r in rows] == [401, 2]
+        # never a one-row product: numpy runs it as a BLAS gemv
+        assert np.array_equal(rows[1], X[[400, 400]])
+        want = _kmeanspp_reference(X, 2, seed=0)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[2] == want[2] == 2
+
+    def test_kmeanspp_computes_fewer_rows_than_n_after_the_first_iteration(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        means = 30.0 * rng.normal(size=(8, 2))
+        X = means[rng.integers(8, size=2000)] + rng.normal(size=(2000, 2))
+        rows = self._rows_passed(monkeypatch)
+        got = gp.kmeanspp(X, 8, seed=1)
+        assert got[2] >= 3
+        assert rows[0].shape[0] == 2000
+        assert sum(r.shape[0] for r in rows[1:]) < 2000
+        want = _kmeanspp_reference(X, 8, seed=1)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[2] == want[2]
+
+    def test_kmeanspp_takes_the_full_matrix_for_a_tied_row(self, monkeypatch):
+        # the last point is exactly equidistant from the final centres
+        # (-8, 0) and (8, 0); a gap of zero in a recomputed row proves
+        # nothing, so the iteration computes the full matrix and its argmin
+        # breaks the tie, as in the reference
+        X = np.array(
+            [[-10, 0], [-10, -1], [-11, 0], [-9, 0]] + [[8, 0]] * 5 + [[0, 1]], dtype=float
+        )
+        rows = self._rows_passed(monkeypatch)
+        got = gp.kmeanspp(X, 2, seed=7)
+        assert [r.shape[0] for r in rows] == [10, 2, 10]
+        assert np.array_equal(got[0], [[-8.0, 0.0], [8.0, 0.0]])
+        want = _kmeanspp_reference(X, 2, seed=7)
+        assert np.array_equal(got[1], want[1]) and got[2] == want[2]
 
     def test_kmeanspp_raises_when_empty_clusters_cannot_be_repaired(self):
         # both centres sit on the one distinct input; the second stays empty

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -399,7 +400,7 @@ class TestDiagnostics:
         diag = pred.diagnostics
         assert diag == {
             **model.diagnostics(), "sites": 12, "width": 1, "ef_failures": 0,
-            "kernel": model.kernel.to_record(),
+            "kernel": model.kernel.to_record(), "lloyd_iterations": None,
         }
         assert diag["kernel"] == {
             "kernel": "rbf", "lengthscale": gp.median_lengthscale(data.X), "variance": 1.0,
@@ -429,14 +430,21 @@ class TestDiagnostics:
     def test_inducing_sites_and_empty_prior(self):
         data = _binary_data(n=20)
         cfg = pipeline.LMGPConfig("beta", kernel=gp.RBF(1.0), inducing=5, draws=20)
-        _, pred = pipeline.lmgp_v1(data, cfg)
+        model, pred = pipeline.lmgp_v1(data, cfg)
         assert pred.diagnostics["sites"] == 5
+        iterations = gp.kmeanspp(data.X, 5, seed=cfg.seed)[2]
+        assert pred.diagnostics["lloyd_iterations"] == iterations >= 2
+        assert pred.to_record()["diagnostics"]["lloyd_iterations"] == iterations
+        # a prediction from the fitted model runs no clustering
+        again = pipeline.predict(model, pred.basis, cfg, data.X)
+        assert again.diagnostics["lloyd_iterations"] is None
         empty = pipeline.Dataset(np.zeros(0), np.zeros(0))
         _, prior = pipeline.lmgp_v2(empty, cfg.replace(inducing=None))
         assert prior.diagnostics == {
             "jitter": 0.0, "min_pivot": None, "log_det": 0.0,
             "sites": 0, "width": 1, "ef_failures": 0,
             "kernel": {"kernel": "rbf", "lengthscale": 1.0, "variance": 1.0},
+            "lloyd_iterations": None,
         }
 
     def test_counts_failed_ef_inversions(self, monkeypatch):
@@ -526,6 +534,24 @@ class TestInducingProperties:
         np.testing.assert_array_equal(sites.mu[b], plain.mu[a])
         assert plain.noise.shape == (data.n,)
         np.testing.assert_array_equal(sites.noise[b], plain.noise[a])
+
+
+    def test_inducing_run_memory_at_ten_thousand_points(self):
+        # traced peak 37.3 MiB on numpy 2.4, set by median_lengthscale's
+        # bracketed pair distances (the rest of the run peaks at 30.6 MiB,
+        # k-means++ at 15.7 MiB); the bound allows 10% more. Materialising
+        # the n x n distances (763 MiB) or draws x n values would break it
+        X, y = pipeline.gen_binary(10**4, seed=0)
+        data = pipeline.Dataset(X, y.astype(float))
+        cfg = pipeline.LMGPConfig("beta", inducing=100, draws=1)
+        tracemalloc.start()
+        try:
+            _, pred = pipeline.lmgp_v1(data, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pred.diagnostics["sites"] == 100
+        assert peak < 41 * 2**20
 
 
 _PIPELINE_FAMILIES = ["beta", "gamma", "dirichlet", "inverse_wishart"]
