@@ -44,8 +44,8 @@ from .errors import (
 from .gaussian import GaussianApprox, scalar_gaussian
 
 
-def _row(validity, valid, fwd, inv):
-    return {"validity": validity, "valid": valid, "fwd": fwd, "inv": inv}
+def _row(validity, valid, fwd, inv, inv_valid=None):
+    return dict(validity=validity, valid=valid, fwd=fwd, inv=inv, inv_valid=inv_valid or valid)
 
 
 def _matrix_row(family, tag, validity, low):
@@ -54,12 +54,13 @@ def _matrix_row(family, tag, validity, low):
         lambda dof, scale: _matrix_valid(dof, scale, low),
         lambda dof, scale: _matrix_forward(family, tag, dof, scale),
         lambda mu, cov: _matrix_inverse(family, tag, mu, cov),
+        lambda dof, scale: _matrix_valid(dof, scale, low, conditioned=True),
     )
 
 
-def _inv_check(cond, message):
-    if not np.all(cond):
-        raise DomainMismatch(message)
+def _where(cond, value):
+    """value where cond holds, else NaN, which the validity predicates reject."""
+    return np.where(cond, value, np.nan)
 
 
 def _positive(*fields):
@@ -83,7 +84,9 @@ def _diagonal(mu, var):
 
 # ---------------------------------------------------------------------------
 # the bridge rows; validity predicates and forwards take the fields in
-# `distributions.param_fields` order. A scalar row's forward writes the means
+# `distributions.param_fields` order; `inv_valid`, which checks the inverse's
+# images, is the validity predicate, for the matrix rows with EFParams'
+# conditioning bound on a scale. A scalar row's forward writes the means
 # into out[0] and the variances into out[1], the two halves of one block,
 # through ufunc `out=` arguments: a call allocates that one block and next to
 # no temporaries, so its time stays linear in n, where fresh arrays of 100k+
@@ -104,10 +107,7 @@ _ROWS = {
             np.sqrt(np.divide(0.5, lam, out=out[0]), out=out[0]),
             np.divide(0.25, lam, out=out[1]),
         ),
-        lambda mu, var: (
-            _inv_check(mu > 0.0, "sqrt image has positive mean"),
-            {"lam": 0.5 / (mu * mu)},
-        )[1],
+        lambda mu, var: {"lam": _where(mu > 0.0, 0.5 / (mu * mu))},
     ),
     ("gamma", "log"): _row(
         "all alpha, lambda > 0",
@@ -125,10 +125,7 @@ _ROWS = {
             np.sqrt(np.divide(np.subtract(alpha, 0.5, out=out[0]), lam, out=out[0]), out=out[0]),
             np.divide(0.25, lam, out=out[1]),
         ),
-        lambda mu, var: (
-            _inv_check(mu > 0.0, "sqrt image has positive mean"),
-            {"lam": 0.25 / var, "alpha": mu * mu / (4.0 * var) + 0.5},
-        )[1],
+        lambda mu, var: {"lam": 0.25 / var, "alpha": _where(mu > 0.0, mu * mu / (4.0 * var) + 0.5)},
     ),
     ("inverse_gamma", "log"): _row(
         "all alpha, lambda > 0",
@@ -148,10 +145,10 @@ _ROWS = {
             np.divide(lam, np.multiply(4.0, np.square(out[0], out=out[1]), out=out[1]), out=out[1]),
             np.sqrt(np.divide(lam, out[0], out=out[0]), out=out[0]),
         ),
-        lambda mu, var: (
-            _inv_check(mu * mu > 2.0 * var, "image needs mu^2 > 2 var"),
-            {"alpha": mu * mu / (4.0 * var) - 0.5, "lam": mu**4 / (4.0 * var)},
-        )[1],
+        lambda mu, var: {
+            "alpha": _where(mu * mu > 2.0 * var, mu * mu / (4.0 * var) - 0.5),
+            "lam": mu**4 / (4.0 * var),
+        },
     ),
     ("chi_squared", "log"): _row(
         "all k > 0",
@@ -163,10 +160,7 @@ _ROWS = {
         "k > 1",
         lambda k: _positive(k) & (np.asarray(k, dtype=float) > 1.0),
         lambda k, out: (np.sqrt(np.subtract(k, 1.0, out=out[0]), out=out[0]), out[1].fill(0.5)),
-        lambda mu, var: (
-            _inv_check(mu > 0.0, "sqrt image has positive mean"),
-            {"k": mu * mu + 1.0},
-        )[1],
+        lambda mu, var: {"k": _where(mu > 0.0, mu * mu + 1.0)},
     ),
     ("beta", "logit"): _row(
         "all alpha, beta > 0",
@@ -286,14 +280,16 @@ def _matrix_mode_eigs(family, tag, w, c):
     return np.sqrt(scaled)
 
 
-def _matrix_valid(dof, scale, low):
-    """Per matrix: dof > p + low, and the scale finite and positive definite."""
+def _matrix_valid(dof, scale, low, conditioned=False):
+    """Per matrix: dof > p + low, and the scale finite and positive definite,
+    with `conditioned` within `distributions._spd_conditioned` too."""
     dof = np.asarray(dof, dtype=float)
     scale = np.asarray(scale, dtype=float)
     p = scale.shape[-1]
     finite = np.isfinite(scale).all(axis=(-2, -1))
     w = np.linalg.eigvalsh(matrixops.sym(np.where(finite[..., None, None], scale, np.eye(p))))
-    return finite & (w[..., 0] > 0.0) & np.isfinite(dof) & (dof > p + low)
+    spd = distributions._spd_conditioned(w) if conditioned else w[..., 0] > 0.0
+    return finite & spd & np.isfinite(dof) & (dof > p + low)
 
 
 def _matrix_forward(family, tag, dof, scale):
@@ -318,12 +314,14 @@ def _matrix_forward(family, tag, dof, scale):
 def _matrix_inverse(family, tag, mu, cov):
     """Stacked matrix bridge inverse. The bridge covariance of the diagonal
     coordinates of U^T Z U, in the eigenbasis U of the latent mean, fixes the
-    constant c: 2/c for the log rows, w_i^2 / (2c) for the sqrt rows."""
+    constant c: 2/c for the log rows, w_i^2 / (2c) for the sqrt rows. eigh
+    sees a non-finite mean as 0; a sqrt-row mean not positive definite gets
+    c = NaN."""
     p = int(round((np.sqrt(8.0 * mu.shape[-1] + 1.0) - 1.0) / 2.0))
     if p * (p + 1) // 2 != mu.shape[-1]:
         raise DomainMismatch("matrix rows need vech means of length p(p+1)/2")
     a, b = np.array(matrixops.vech_pairs(p)).T
-    M = matrixops.unvech(mu, p)
+    M = matrixops.unvech(np.where(np.isfinite(mu).all(axis=-1, keepdims=True), mu, 0.0), p)
     w, U = np.linalg.eigh(M)
     W = np.where(a < b, 2.0, 1.0)[:, None] * (U[..., a, :] * U[..., b, :])
     diag_vars = np.sum(W * (cov @ W), axis=-2)
@@ -333,9 +331,7 @@ def _matrix_inverse(family, tag, mu, cov):
         X = matrixops.sym((U * np.exp(w)[..., None, :]) @ Ut)
         dof, scale = (c + p - 1.0, X / c) if family == "wishart" else (c - p + 1.0, c * X)
     else:
-        if np.min(w) <= 0.0:
-            raise DomainMismatch("sqrt-basis mean must be positive definite")
-        c = np.mean(w * w / (2.0 * diag_vars), axis=-1)[..., None, None]
+        c = _where(w[..., 0] > 0.0, np.mean(w * w / (2.0 * diag_vars), axis=-1))[..., None, None]
         X = matrixops.sym(M @ M)
         dof, scale = (c + p, X / c) if family == "wishart" else (c - p, c * X)
     return dict(zip(distributions.param_fields(family), (dof[..., 0, 0], scale)))
@@ -475,30 +471,39 @@ def forward_arrays(family, tag, **arrays):
     return mu, var
 
 
+def _inverse_masked(family, tag, mu, var):
+    """(fields, ok): the bridge inverse of every point, and ok, one flag per
+    point, where its latents are finite, its variances positive and its image
+    in the row's latent domain and `inv_valid`; other points' fields mean nothing."""
+    row = _row_for(family, tag)
+    mu = np.asarray(mu, dtype=float)
+    var = np.asarray(var, dtype=float)
+    ok = np.isfinite(mu) & _positive(_diagonal(mu, var))
+    if var.ndim > mu.ndim:  # covariance blocks: one flag per point
+        ok = (ok & np.isfinite(var).all(axis=-1)).all(axis=-1)
+    # extreme but finite means overflow to inf (or underflow to 0) parameters
+    with np.errstate(all="ignore"):
+        fields = row["inv"](mu, var)
+        ok &= row["inv_valid"](*[fields[name] for name in distributions.param_fields(family)])
+    return fields, ok
+
+
 def inverse_arrays(family, tag, mu, var):
     """Bridge inverse over stacked latents: (mu, var) -> parameter fields.
 
     `var` holds variances for the scalar rows and covariance blocks for the
     softmax and matrix rows, as `forward_arrays` returns them; the matrix
-    sqrt rows read them as the bridge's structured form. Raises
-    DomainMismatch for non-finite latents, non-positive variances, or a
-    Gaussian that maps outside the row's validity region.
+    sqrt rows read them as the bridge's structured form. DomainMismatch
+    unless `_inverse_masked` passes every point: for non-finite latents,
+    non-positive variances, or a Gaussian that maps outside the row's region
+    or to parameters EFParams rejects.
     """
-    row = _row_for(family, tag)
-    mu = np.asarray(mu, dtype=float)
-    var = np.asarray(var, dtype=float)
-    # array methods, not np.all/np.any: lm_inverse calls this once per
-    # Gaussian, where the dispatch overhead of np.all dominates
-    if not (np.isfinite(mu).all() and np.isfinite(var).all()):
-        raise DomainMismatch("means and variances must be finite")
-    if (_diagonal(mu, var) <= 0.0).any():
-        raise DomainMismatch("variances must be positive")
-    # extreme but finite means overflow to inf (or underflow to 0) parameters
-    with np.errstate(all="ignore"):
-        fields = row["inv"](mu, var)
-    if not row["valid"](*[fields[name] for name in distributions.param_fields(family)]).all():
+    fields, ok = _inverse_masked(family, tag, mu, var)
+    if not ok.all():
         raise DomainMismatch(
-            f"the Gaussian maps outside the ({family}, {tag}) region {row['validity']}"
+            f"({family}, {tag}) inverse: {ok.size - np.count_nonzero(ok)} of {ok.size} "
+            "points have non-finite latents, a non-positive variance, or parameters "
+            f"outside the region {_ROWS[(family, tag)]['validity']} or that EFParams rejects"
         )
     return fields
 

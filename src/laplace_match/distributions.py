@@ -39,16 +39,23 @@ def _check_positive_scalar(value, name):
     return value
 
 
+def _spd_conditioned(w):
+    """Per matrix, from its ascending eigenvalues w (..., p): the smallest
+    above 1e-10 of the largest, the bound on a scale matrix. NaN fails."""
+    return w[..., 0] > 1e-10 * np.maximum(w[..., -1], 1e-300)
+
+
 def _check_spd(M, name):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidParams(f"{name} must be a square matrix, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise InvalidParams(f"{name} must be finite")
     scale = max(np.max(np.abs(M)), 1e-300)
     if np.max(np.abs(M - M.T)) > 1e-12 * scale:
         raise InvalidParams(f"{name} must be symmetric to 1e-12 relative")
     M = 0.5 * (M + M.T)
-    w = np.linalg.eigvalsh(M)
-    if w.min() <= 1e-10 * max(w.max(), 1e-300):
+    if not _spd_conditioned(np.linalg.eigvalsh(M)):
         raise InvalidParams(f"{name} must be positive definite")
     return M
 

@@ -28,6 +28,7 @@ pipeline run returned, without refitting it.
 seeded synthetic datasets of the four data types.
 """
 
+import functools
 import time
 
 import numpy as np
@@ -39,7 +40,6 @@ from .errors import (
     EmptyDataset,
     IncompatibleBasis,
     InvalidParams,
-    LaplaceMatchError,
     NegativeRate,
     NonConvergence,
 )
@@ -257,15 +257,17 @@ class Prediction:
     Cholesky jitter, the smallest diagonal entry of the factor (min_pivot)
     and the log-determinant of the factored matrix, the number of sites, the
     latent width, the count of query points whose EF inversion failed
-    (ef_failures, the None entries of `ef_params`), the fitted kernel's
+    (ef_failures, the False entries of `ef_ok`), the fitted kernel's
     record (kernel; with the default kernel, its median-heuristic
     lengthscale), and the Lloyd iterations of the k-means++ clustering of
     an inducing run (lloyd_iterations; None when the call clustered
-    nothing).
+    nothing). `ef_fields` holds the EF parameter fields of the query
+    points from one masked bridge inverse, and `ef_ok` (m,) where it holds;
+    `ef_params`, an EFParams per point or None, is built on first read.
     """
 
     def __init__(self, family, basis, X, latent_mean, latent_cov, draws,
-                 summary, ef_params, timings, seed, diagnostics,
+                 summary, ef_fields, ef_ok, timings, seed, diagnostics,
                  probabilities=None, rates=None):
         self.family = family
         self.basis = basis
@@ -274,7 +276,8 @@ class Prediction:
         self.latent_cov = latent_cov
         self.draws = draws
         self.summary = summary
-        self.ef_params = ef_params
+        self.ef_fields = ef_fields
+        self.ef_ok = ef_ok
         self.timings = timings
         self.seed = seed
         self.probabilities = probabilities
@@ -290,6 +293,15 @@ class Prediction:
         if P.ndim == 1:
             P = np.column_stack([1.0 - P, P])
         return np.argmax(P, axis=1)
+
+    @functools.cached_property
+    def ef_params(self):
+        """EFParams per query point, None where the inversion failed."""
+        points = zip(*self.ef_fields.values())
+        return tuple(
+            distributions.EFParams(self.family, **dict(zip(self.ef_fields, values))) if ok else None
+            for values, ok in zip(points, self.ef_ok.tolist())
+        )
 
     def to_record(self):
         rec = {
@@ -409,10 +421,11 @@ def _prior_fields(config, basis, width, X_sites, prior_model):
 
 
 def _back_transform(latent, basis, family):
-    """Latent draws (count, m, width) -> data-domain draws."""
+    """Latent draws (count, m[, width]) -> data-domain draws."""
+    if basis.tag == "matrix_log":
+        return transforms._expm_vech(latent, basis.p)
     if family == "inverse_wishart":
-        mats = matrixops.unvech(latent, basis.p)
-        return transforms.transform_samples(mats, basis, direction="inverse")
+        latent = matrixops.unvech(latent, basis.p)
     return transforms.transform_samples(latent, basis, direction="inverse")
 
 
@@ -467,33 +480,6 @@ def _sample_marginals(mean, cov, seed, count):
     return z
 
 
-_EF_ERRORS = (LaplaceMatchError, np.linalg.LinAlgError)
-
-
-def _params_at(family, fields, i):
-    return distributions.from_record({"family": family, **{k: v[i] for k, v in fields.items()}})
-
-
-def _query_ef_params(family, basis, mean, cov):
-    """EF parameters per query point; None where the inverse bridge fails.
-
-    Marginals are (mean (m,), var (m,)) or (mean (m, w), blocks (m, w, w)).
-    """
-    try:
-        fields = bridges.inverse_arrays(family, basis.tag, mean, cov)
-        return tuple(_params_at(family, fields, i) for i in range(mean.shape[0]))
-    except _EF_ERRORS:
-        pass  # per point below, so that only the failing points get None
-    out = []
-    for i in range(mean.shape[0]):
-        try:
-            fields = bridges.inverse_arrays(family, basis.tag, mean[i : i + 1], cov[i : i + 1])
-            out.append(_params_at(family, fields, 0))
-        except _EF_ERRORS:
-            out.append(None)
-    return tuple(out)
-
-
 def _predict(model, config, basis, width, X_query, timings, lloyd_iterations=None):
     fam = config.family
     Xq = gp._as_inputs(X_query)
@@ -513,13 +499,13 @@ def _predict(model, config, basis, width, X_query, timings, lloyd_iterations=Non
         probabilities = summary["mean"]
     elif fam == "gamma":
         rates = summary["mean"]
-    ef_params = _query_ef_params(fam, basis, latent_mean, latent_cov)
+    ef_fields, ef_ok = bridges._inverse_masked(fam, basis.tag, latent_mean, latent_cov)
     timings["summary_seconds"] = time.perf_counter() - t1
     diagnostics = {
         **model.diagnostics(),
         "sites": model.n // width,
         "width": width,
-        "ef_failures": sum(p is None for p in ef_params),
+        "ef_failures": int(np.count_nonzero(~ef_ok)),
         "kernel": model.kernel.to_record(),
         "lloyd_iterations": lloyd_iterations,
     }
@@ -531,7 +517,8 @@ def _predict(model, config, basis, width, X_query, timings, lloyd_iterations=Non
         latent_cov=latent_cov,
         draws=data_draws,
         summary=summary,
-        ef_params=ef_params,
+        ef_fields=ef_fields,
+        ef_ok=ef_ok,
         timings=timings,
         seed=config.seed,
         probabilities=probabilities,

@@ -171,7 +171,7 @@ def _batched_funm(X, fn, what):
     return matrixops.sym((U * fn(w)[..., None, :]) @ np.swapaxes(U, -1, -2))
 
 
-# Matrices per chunk of `_expm_symmetric`. Its chunk-sized temporaries (the
+# Matrices per chunk of `_expm_vech`. Its chunk-sized temporaries (the
 # powers, the Horner terms and a few rows, all on the vech entries) take
 # about 2 MB at p = 3. On the 80,000 3x3 draws of a benchmark op, 4096 was the
 # fastest of 1024 to 16384 (median 37 ms, against 38-49 ms for 6144 to 16384
@@ -214,8 +214,8 @@ def _vech_matmul(a, b, out, terms):
     return out
 
 
-def _expm_chunk(X, out):
-    """exp of each symmetric matrix of X (n, p, p), written into out.
+def _expm_chunk(Z, out):
+    """exp of the symmetric matrices whose vech entries are the rows of Z (n, d), into out.
 
     Shift by the mean eigenvalue c = tr(X)/p, scale B = X - cI by 2^-s with s
     from its Frobenius norm (which bounds its spectral norm) so that the
@@ -230,22 +230,19 @@ def _expm_chunk(X, out):
     the arithmetic runs on the p(p+1)/2 vech entries only, each a contiguous
     row of a (d, n) array (`_vech_matmul`).
     """
-    n, p, _ = X.shape
+    n, p, _ = out.shape
     rows, cols, table = matrixops._vech_index(p)
-    d = rows.size
     diag = np.diagonal(table).tolist()
     terms = table.tolist()
-    B = np.empty((d, n))
+    B = Z.T.copy()
     with np.errstate(over="ignore", invalid="ignore"):  # entries near max float fail the bound
-        np.add(X[:, rows, cols].T, X[:, cols, rows].T, out=B)
-        B *= 0.5  # the symmetric part
         c = np.sum(B[diag], axis=0) / p
         B[diag] -= c
         norm = np.sqrt(np.dot(np.where(rows == cols, 1.0, 2.0), B * B))
     if not np.all(np.maximum(c, 0.0) + np.sqrt((p - 1) / p) * norm <= _LOG_MAX):
         raise OutOfSupport("matrix exp out of float range: an eigenvalue may exceed log(max)")
     s = np.maximum(np.frexp(norm)[1], 0)
-    powers = np.empty((4, d, n))
+    powers = np.empty((4, rows.size, n))
     np.ldexp(B, -s, out=powers[0])
     _vech_matmul(powers[0], powers[0], powers[1], terms)
     _vech_matmul(powers[1], powers[0], powers[2], terms)
@@ -266,18 +263,17 @@ def _expm_chunk(X, out):
     out[...] = E.T[:, table]
 
 
-def _expm_symmetric(X):
-    """Matrix exponential of each matrix in a symmetric stack (..., p, p),
-    by scaling and squaring (Higham 2005) on the vech entries of chunks of
-    `_EXPM_CHUNK` matrices. OutOfSupport for a non-symmetric or non-finite
-    input, and for one whose exponential may overflow (see `_expm_chunk`)."""
-    X = _checked_symmetric(X, "matrix exp")
-    p = X.shape[-1]
-    flat = X.reshape(-1, p, p)
-    out = np.empty(flat.shape)
+def _expm_vech(Z, p):
+    """Matrix exponential of the symmetric p x p matrices whose vech entries
+    are the rows of Z (..., p(p+1)/2), as a stack (..., p, p), by scaling and
+    squaring (Higham 2005) on chunks of `_EXPM_CHUNK` matrices. OutOfSupport
+    for a non-finite entry, and for a matrix whose exponential may overflow
+    (see `_expm_chunk`)."""
+    flat = np.asarray(Z, dtype=float).reshape(-1, p * (p + 1) // 2)
+    out = np.empty((flat.shape[0], p, p))
     for lo in range(0, flat.shape[0], _EXPM_CHUNK):
         _expm_chunk(flat[lo : lo + _EXPM_CHUNK], out[lo : lo + _EXPM_CHUNK])
-    return out.reshape(X.shape)
+    return out.reshape(np.shape(Z)[:-1] + (p, p))
 
 
 def _component_sum(parts):
@@ -316,7 +312,9 @@ def transform_samples(samples, basis, direction="forward", pseudo_inverse=False)
     non-finite latent, and the log and square-root inverses for one whose
     image would overflow. The softmax inverse is max-shifted, with its max
     and its sum taken over the K component arrays (`_component_sum`); the
-    matrix-log inverse is `_expm_symmetric`. No inverse calls `eigh`.
+    matrix-log inverse checks that its input is finite and symmetric and
+    exponentiates the vech entries of its symmetric part (`_expm_vech`). No
+    inverse calls `eigh`.
     """
     if direction not in ("forward", "inverse"):
         raise InvalidParams("direction must be 'forward' or 'inverse'")
@@ -381,7 +379,10 @@ def transform_samples(samples, basis, direction="forward", pseudo_inverse=False)
     if tag == "matrix_log":
         if direction == "forward":
             return _batched_funm(x, np.log, "matrix log")
-        return _expm_symmetric(x)
+        X = _checked_symmetric(x, "matrix exp")
+        with np.errstate(over="ignore"):  # entries near max float fail the bound
+            Z = matrixops.vech(matrixops.sym(X))
+        return _expm_vech(Z, X.shape[-1])
     if tag == "matrix_sqrt":
         if direction == "forward":
             return _batched_funm(x, np.sqrt, "matrix sqrt")

@@ -306,6 +306,79 @@ class TestInversePinned:
             bridges.lm_inverse(matrix_domain, "dirichlet", "softmax_inverse")
 
 
+def _strict(fn):
+    """fn, raising LinAlgError on a non-finite matrix as old numpy builds
+    may, where numpy 2 returns NaN."""
+    def call(a, *args, **kwargs):
+        if not np.isfinite(a).all():
+            raise np.linalg.LinAlgError("non-finite matrix")
+        return fn(a, *args, **kwargs)
+
+    return call
+
+
+class TestMaskedInverse:
+    def test_inverse_rejects_scales_that_efparams_rejects(self):
+        # the image scale has eigenvalues 4 and 4.3e13, below the 1e-10
+        # conditioning bound of EFParams
+        mu, cov = np.array([[30.0, 0.0, 0.0]]), 0.5 * np.eye(3)[None]
+        with pytest.raises(DomainMismatch):
+            bridges.inverse_arrays("inverse_wishart", "matrix_log", mu, cov)
+        with pytest.raises(DomainMismatch):
+            bridges.lm_inverse(
+                bridges._matrix_gaussian(mu[0], cov[0], 2), "inverse_wishart", "matrix_log"
+            )
+        fields, ok = bridges._inverse_masked(
+            "inverse_wishart", "matrix_log", np.vstack([np.zeros((1, 3)), mu]),
+            np.concatenate([cov, cov]),
+        )
+        assert ok.tolist() == [True, False]
+        with pytest.raises(InvalidParams):
+            distributions.inverse_wishart(fields["nu"][1], fields["Psi"][1])
+        # the forward domain keeps such a scale
+        bridges.forward_arrays("inverse_wishart", "matrix_log", nu=fields["nu"], Psi=fields["Psi"])
+
+    @pytest.mark.parametrize("family,tag,mu", [
+        ("exponential", "sqrt", -1.0),
+        ("gamma", "sqrt", 0.0),
+        ("inverse_gamma", "sqrt", 0.5),  # mu^2 <= 2 var
+        ("chi_squared", "sqrt", -2.0),
+    ])
+    def test_sqrt_rows_mask_only_the_point_off_the_branch(self, family, tag, mu):
+        means, var = np.array([2.0, mu, 3.0]), np.array([0.5, 0.5, 0.5])
+        assert bridges._inverse_masked(family, tag, means, var)[1].tolist() == [True, False, True]
+        with pytest.raises(DomainMismatch):
+            bridges.inverse_arrays(family, tag, means, var)
+
+    def test_matrix_sqrt_masks_only_the_mean_that_is_not_positive_definite(self):
+        nu, Psi = np.array([5.0, 6.0, 7.0]), np.stack([np.eye(2), 2.0 * np.eye(2), np.eye(2)])
+        mu, cov = bridges.forward_arrays("inverse_wishart", "matrix_sqrt", nu=nu, Psi=Psi)
+        mu[1] = [1.0, 0.0, -1.0]
+        fields, ok = bridges._inverse_masked("inverse_wishart", "matrix_sqrt", mu, cov)
+        assert ok.tolist() == [True, False, True]
+        np.testing.assert_allclose(fields["nu"][[0, 2]], nu[[0, 2]], rtol=1e-12)
+
+    @pytest.mark.parametrize("tag", ["matrix_log", "matrix_sqrt"])
+    @pytest.mark.parametrize("where", ["mean", "covariance"])
+    def test_eigh_never_sees_a_non_finite_matrix(self, monkeypatch, tag, where):
+        monkeypatch.setattr(np.linalg, "eigh", _strict(np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", _strict(np.linalg.eigvalsh))
+        Psi = np.stack([np.eye(2), [[2.0, 0.5], [0.5, 1.0]], 3.0 * np.eye(2)])
+        mu, cov = bridges.forward_arrays(
+            "inverse_wishart", tag, nu=np.array([5.0, 6.0, 7.0]), Psi=Psi
+        )
+        if where == "mean":
+            mu[1, 2] = np.nan
+        else:
+            cov[1, 0, 1] = cov[1, 1, 0] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, ok = bridges._inverse_masked("inverse_wishart", tag, mu, cov)
+            assert ok.tolist() == [True, False, True]
+            with pytest.raises(DomainMismatch):
+                bridges.inverse_arrays("inverse_wishart", tag, mu, cov)
+
+
 def _assert_params_close(a, b, rel=1e-9):
     for name in distributions.param_fields(a.family):
         va = np.asarray(getattr(a, name), dtype=float)

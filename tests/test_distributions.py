@@ -62,6 +62,14 @@ class TestParamValidation:
         with pytest.raises(InvalidParams):
             distributions.wishart(4.0, np.array([[1.0, 0.5], [0.4, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_matrix_params_must_be_finite(self, bad):
+        # a NaN scale used to pass both the symmetry and the eigenvalue test
+        with pytest.raises(InvalidParams):
+            distributions.inverse_wishart(3.0, np.full((2, 2), bad))
+        with pytest.raises(InvalidParams):
+            distributions.wishart(3.0, np.array([[1.0, 0.0], [0.0, bad]]))
+
     def test_record_round_trip(self):
         params = distributions.wishart(4.0, np.array([[2.0, 0.5], [0.5, 1.0]]))
         back = distributions.from_record(params.to_record())

@@ -448,15 +448,17 @@ class TestDiagnostics:
         }
 
     def test_counts_failed_ef_inversions(self, monkeypatch):
-        query = pipeline._query_ef_params
+        masked = bridges._inverse_masked
 
         def one_fails(*args):
-            out = query(*args)
-            return (None,) + out[1:]
+            fields, ok = masked(*args)
+            ok[0] = False
+            return fields, ok
 
-        monkeypatch.setattr(pipeline, "_query_ef_params", one_fails)
+        monkeypatch.setattr(bridges, "_inverse_masked", one_fails)
         _, pred = pipeline.lmgp_v1(_count_data(n=6), pipeline.LMGPConfig("gamma", draws=20))
         assert pred.diagnostics["ef_failures"] == 1
+        assert pred.ef_params[0] is None and None not in pred.ef_params[1:]
 
 
 class TestSummaries:
@@ -851,6 +853,113 @@ class TestPerPointPrediction:
         assert np.max(np.abs(pred.draws - at_mean)) < 1e-6
 
 
+def _reference_ef_params(family, tag, mean, cov):
+    """The per-point EF inversion the pipeline ran before it inverted once
+    with a mask: one `inverse_arrays` call and one validated EFParams per
+    point, None where either raises."""
+    out = []
+    for i in range(mean.shape[0]):
+        try:
+            fields = bridges.inverse_arrays(family, tag, mean[i : i + 1], cov[i : i + 1])
+            out.append(distributions.from_record(
+                {"family": family, **{k: v[0] for k, v in fields.items()}}
+            ))
+        except (LaplaceMatchError, np.linalg.LinAlgError):
+            out.append(None)
+    return tuple(out)
+
+
+def _lazy_ef_params(family, tag, mean, cov):
+    """The masked inverse's mask, and the records a Prediction builds from it
+    on first read."""
+    fields, ok = bridges._inverse_masked(family, tag, mean, cov)
+    pred = pipeline.Prediction(
+        family, None, None, mean, cov, None, {}, fields, ok, {}, 0, {}
+    )
+    return ok, pred.ef_params
+
+
+_CONJUGATE_ROWS = [
+    (family, tag)
+    for family in distributions.CONJUGATE_FAMILIES
+    for tag in transforms.FAMILY_BASES[family][1:]
+]
+_POINT_KINDS = (
+    "good", "nan_mean", "inf_var", "nan_cov", "zero_var", "negative_var",
+    "negative_mean", "overflow", "ill_conditioned",
+)
+
+
+def _good_point(family, tag, rng):
+    """The bridge image of one random parameter in the row's region (K = 3,
+    p = 2): a mean (a one-entry vector for a scalar row) and a variance or
+    covariance block."""
+    if family == "dirichlet":
+        fields = {"alpha": rng.uniform(0.2, 20.0, size=(1, 3))}
+    elif family == "inverse_wishart":
+        A = rng.normal(size=(2, 2))
+        fields = {"nu": [rng.uniform(1.5, 20.0)], "Psi": (A @ A.T + 0.5 * np.eye(2))[None]}
+    else:
+        low = 0.6 if tag == "sqrt" else 0.05
+        fields = {
+            name: rng.uniform(low, 50.0, size=1) for name in distributions.param_fields(family)
+        }
+    mu, var = bridges.forward_arrays(family, tag, **fields)
+    return np.array(mu[0], ndmin=1), np.array(var[0])
+
+
+def _mixed_batch(family, tag, kinds, rng):
+    """A batch of good points and bad ones: non-finite means, variances or
+    covariance entries; non-positive variances; a sqrt-row mean off the
+    positive branch (a matrix-sqrt mean that is not positive definite);
+    +-800 means that overflow; and for the matrix rows a mean whose image
+    scale EFParams rejects as ill-conditioned."""
+    block = family in ("dirichlet", "inverse_wishart")
+    means, covs = [], []
+    for kind in kinds:
+        mu, var = _good_point(family, tag, rng)
+        if kind == "nan_mean":
+            mu[0] = rng.choice([np.nan, np.inf, -np.inf])
+        elif kind == "inf_var":
+            if block:
+                var[0, 0] = np.inf
+            else:
+                var = rng.choice([np.nan, np.inf])
+        elif kind == "nan_cov" and block:
+            var[0, 1] = var[1, 0] = np.nan
+        elif kind in ("zero_var", "negative_var"):
+            bad = 0.0 if kind == "zero_var" else -rng.uniform(0.1, 2.0)
+            if block:
+                var[0, 0] = bad
+            else:
+                var = bad
+        elif kind == "negative_mean" and tag == "sqrt":
+            mu[0] = -rng.uniform(0.0, 5.0)
+        elif kind == "negative_mean" and tag == "matrix_sqrt":
+            mu = np.array([1.0, 0.0, -rng.uniform(0.0, 2.0)])
+        elif kind == "overflow":
+            mu[0] = rng.choice([800.0, -800.0])
+        elif kind == "ill_conditioned" and tag == "matrix_log":
+            mu, var = np.array([30.0, 0.0, 0.0]), 0.5 * np.eye(3)
+        elif kind == "ill_conditioned" and tag == "matrix_sqrt":
+            mu, var = np.array([1e7, 0.0, 0.1]), np.eye(3)
+        means.append(mu)
+        covs.append(var)
+    means = np.array(means, dtype=float)
+    return means if block else means[:, 0], np.array(covs, dtype=float)
+
+
+def _must_fail(kind, tag):
+    """Whether `_mixed_batch` made a point of this kind bad for the row."""
+    block = tag in ("softmax_inverse", "matrix_log", "matrix_sqrt")
+    return (
+        kind in ("nan_mean", "inf_var", "zero_var", "negative_var")
+        or (kind == "nan_cov" and block)
+        or (kind == "negative_mean" and tag in ("sqrt", "matrix_sqrt"))
+        or (kind == "ill_conditioned" and tag in ("matrix_log", "matrix_sqrt"))
+    )
+
+
 class TestQueryEFParams:
     def test_batch_matches_pointwise_inverse(self):
         _, pred = pipeline.lmgp_v1(
@@ -865,12 +974,52 @@ class TestQueryEFParams:
     def test_only_failing_points_get_none(self):
         mean = np.array([0.0, -800.0, 1.0, 0.5])
         var = np.array([0.5, 0.5, 0.0, 0.25])
-        ef = pipeline._query_ef_params("gamma", transforms.BasisTransform("log"), mean, var)
+        ok, ef = _lazy_ef_params("gamma", "log", mean, var)
+        assert ok.tolist() == [True, False, False, True]
         assert ef[1] is None and ef[2] is None
         for i in (0, 3):
             expected = bridges.lm_inverse((mean[i], var[i]), "gamma", "log")
             assert ef[i].to_record() == expected.to_record()
+        assert ef == _reference_ef_params("gamma", "log", mean, var)
 
+    @pytest.mark.parametrize("family,tag", _CONJUGATE_ROWS)
+    @settings(max_examples=60, deadline=None)
+    @given(kinds=st.lists(st.sampled_from(_POINT_KINDS), min_size=1, max_size=6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_mask_and_records_equal_the_per_point_loop(self, family, tag, kinds, seed):
+        # a RuntimeWarning fails this test through the pytest configuration
+        mean, cov = _mixed_batch(family, tag, kinds, np.random.default_rng(seed))
+        ok, ef = _lazy_ef_params(family, tag, mean, cov)
+        reference = _reference_ef_params(family, tag, mean, cov)
+        assert ok.tolist() == [theta is not None for theta in reference]
+        assert [None if t is None else t.to_record() for t in ef] == [
+            None if t is None else t.to_record() for t in reference
+        ]
+        for kind, flag in zip(kinds, ok.tolist()):
+            assert not (flag and _must_fail(kind, tag))
+
+    def test_a_run_builds_no_records_until_they_are_read(self, monkeypatch):
+        built = []
+        init = distributions.EFParams.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args[0] if args else kwargs["family"])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(distributions.EFParams, "__init__", counted)
+        cfg = pipeline.LMGPConfig("gamma", draws=20)
+        X_query = np.linspace(0.0, 4.0, 7)
+        _, pred = pipeline.lmgp_v1(_count_data(n=6), cfg, X_query=X_query)
+        assert built == ["gamma"]  # the pseudo-prior; no record per query point
+        ef = pred.ef_params
+        assert len(built) == 1 + len(ef) and len(ef) == 7
+        assert pred.ef_params is ef
+        assert pred.to_record()["ef_params"] == [theta.to_record() for theta in ef]
+        assert len(built) == 8
+        # to_record builds them when it is the first to read
+        _, again = pipeline.lmgp_v1(_count_data(n=6), cfg, X_query=X_query)
+        assert again.to_record()["ef_params"] == [theta.to_record() for theta in ef]
+        assert len(built) == 16 and again.ef_params == ef
 
     def test_a_run_keeps_the_points_whose_inversion_fails_as_none(self):
         # far from the data the posterior is the prior, whose matrix-log
@@ -878,7 +1027,8 @@ class TestQueryEFParams:
         cfg = pipeline.LMGPConfig("inverse_wishart", draws=10)
         _, pred = pipeline.lmgp_v1(_covariance_data(t=6), cfg, X_query=np.array([0.0, 1e3]))
         assert pred.ef_params[0] is not None and pred.ef_params[1] is None
-        assert pred.diagnostics["ef_failures"] == 1
+        assert pred.ef_ok.tolist() == [True, False]
+        assert pred.diagnostics["ef_failures"] == 1 == sum(p is None for p in pred.ef_params)
 
 
 class TestClassificationMetrics:

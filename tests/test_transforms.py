@@ -300,6 +300,21 @@ class TestMatrixExp:
         for i in range(transforms._EXPM_CHUNK - 6, n):
             np.testing.assert_array_equal(stack[i], _exp(A[i]))
 
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    def test_vech_rows_give_the_matrices_exponential_bit_for_bit(self, p):
+        Z = np.random.default_rng(15 + p).normal(scale=2.0, size=(7, 5, p * (p + 1) // 2))
+        np.testing.assert_array_equal(transforms._expm_vech(Z, p), _exp(matrixops.unvech(Z, p)))
+
+    @pytest.mark.parametrize("bad", [np.nan, 1e308])
+    def test_vech_rows_with_one_bad_entry_raise(self, bad):
+        # a RuntimeWarning fails this test through the pytest configuration
+        Z = 0.5 * np.random.default_rng(16).normal(size=(4, 6, 6))
+        Z[2, 3, 4] = bad
+        with pytest.raises(OutOfSupport):
+            transforms._expm_vech(Z, 3)
+        with pytest.raises(OutOfSupport):
+            _exp(matrixops.unvech(Z, 3))
+
     def test_inverses_need_no_eigendecomposition(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("eigendecomposition called")
