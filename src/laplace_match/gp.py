@@ -574,8 +574,8 @@ def gp_predict(model, Xstar, width=1):
             raise DimensionMismatch(f"query rows must form groups of {width}")
         groups = Xs.reshape(-1, width, Xs.shape[1])
         # every (row, column) pair of every group, in one paired call
-        rows = np.repeat(groups, width, axis=1).reshape(Xs.shape[0] * width, -1)
-        cols = np.tile(groups, (1, width, 1)).reshape(Xs.shape[0] * width, -1)
+        rows = np.repeat(groups, width, axis=1).reshape(-1, Xs.shape[1])
+        cols = np.tile(groups, (1, width, 1)).reshape(-1, Xs.shape[1])
         prior = kernel.pairs(rows, cols).reshape(-1, width, width)
     if model.n == 0:
         mean = np.zeros(Xs.shape[0])

@@ -21,6 +21,7 @@ cross-eigenvalue measure factors, which is the convention the closed-form
 bridges correspond to. For all other bases the two coincide.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -142,10 +143,13 @@ def _size_of(params):
 
 def _checked_symmetric(X, what):
     """X (..., p, p) as floats; OutOfSupport unless its matrices are square,
-    finite and symmetric to 1e-8 relative to its largest entry."""
+    finite and symmetric to 1e-8 relative to its largest entry. An empty
+    stack passes."""
     X = np.asarray(X, dtype=float)
     if X.ndim < 2 or X.shape[-1] != X.shape[-2]:
         raise OutOfSupport(f"{what} needs square matrices")
+    if not X.size:
+        return X
     if not np.all(np.isfinite(X)):
         raise OutOfSupport(f"{what} needs finite matrices")
     asym = X - np.swapaxes(X, -1, -2)
@@ -166,7 +170,7 @@ def _batched_funm(X, fn, what):
     """Apply fn (log or sqrt) to the eigenvalues of symmetric positive
     definite X (..., p, p)."""
     w, U = np.linalg.eigh(matrixops.sym(_checked_symmetric(X, what)))
-    if np.min(w) <= 0.0:
+    if w.size and np.min(w) <= 0.0:
         raise OutOfSupport(f"{what} needs positive definite matrices")
     return matrixops.sym((U * fn(w)[..., None, :]) @ np.swapaxes(U, -1, -2))
 
@@ -647,7 +651,9 @@ def _matrix_density(params, tag):
         X0 = Psi / (nu + p + 1.0)
 
     def eig(z):
-        Y = matrixops.unvech(z, p)
+        # unvech of a (k, d) stack is batch-innermost; on a C-contiguous copy
+        # the traces below sum each matrix in the order of a single one
+        Y = np.ascontiguousarray(matrixops.unvech(z, p))
         w, U = np.linalg.eigh(Y)
         return Y, w, U
 
@@ -683,7 +689,7 @@ def _matrix_density(params, tag):
         init = lambda: matrixops.vech(X0)
     elif tag == "matrix_log":
 
-        def objective(z):
+        def objective_eig(z):
             Y, w, U = eig(z)
             tr = np.einsum("...ii->...", Y)
             with np.errstate(over="ignore"):
@@ -695,11 +701,10 @@ def _matrix_density(params, tag):
                         - 0.5 * trace_with(Psi, w, U, np.exp(-w))
                         + logZ
                     )
-            return np.where(np.isfinite(vals), vals, -np.inf)
+            return np.where(np.isfinite(vals), vals, -np.inf), w
 
         def density(z):
-            base = objective(z)
-            _, w, _ = eig(z)
+            base, w = objective_eig(z)
             for i, j in cross_pairs:
                 base = base + _log_divdiff_exp(w[..., i], w[..., j])
             return base
@@ -709,7 +714,7 @@ def _matrix_density(params, tag):
         init = lambda: matrixops.vech(Y0)
     else:  # matrix_sqrt
 
-        def objective(z):
+        def objective_eig(z):
             Y, w, U = eig(z)
             mask = np.all(np.isfinite(w), axis=-1) & (np.min(w, axis=-1) > 0.0)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -729,11 +734,10 @@ def _matrix_density(params, tag):
                         + logZ
                         + p * np.log(2.0)
                     )
-            return np.where(mask, vals, -np.inf)
+            return np.where(mask, vals, -np.inf), w
 
         def density(z):
-            base = objective(z)
-            _, w, _ = eig(z)
+            base, w = objective_eig(z)
             with np.errstate(divide="ignore", invalid="ignore"):
                 for i, j in cross_pairs:
                     s = w[..., i] + w[..., j]
@@ -743,6 +747,8 @@ def _matrix_density(params, tag):
         boundary = lambda z: float(np.min(np.linalg.eigvalsh(matrixops.unvech(z, p))))
         Y0 = _batched_funm(X0, np.sqrt, "matrix sqrt")
         init = lambda: matrixops.vech(Y0)
+    if tag != "identity":
+        objective = lambda z: objective_eig(z)[0]
     return density, objective, boundary, init, d
 
 
@@ -772,69 +778,98 @@ def push_forward(params, basis):
 
 
 def _objective_fn(density):
-    def f(z):
-        val = np.asarray(density.log_objective(z)).reshape(-1)[0]
-        return float(val) if np.isfinite(val) else -np.inf
+    """f(Z): the log objective of `density` at each row of a (k, d) stack of
+    points, in one call of its `log_objective` on the stack (on the (k,)
+    column when d = 1), and -inf wherever it is not finite."""
+    column = density.dim == 1
+    log_objective = density._log_objective  # the stack is already well formed
+
+    def f(Z):
+        vals = log_objective(Z[:, 0] if column else Z)
+        return np.where(np.isfinite(vals), vals, -np.inf)
 
     return f
 
 
-def _fd_gradient(f, z, what="gradient"):
-    d = z.size
-    g = np.zeros(d)
-    for i in range(d):
-        h = _EPS ** (1.0 / 3.0) * (1.0 + abs(z[i]))
-        for _ in range(60):
-            e = np.zeros(d)
-            e[i] = h
-            fp, fm = f(z + e), f(z - e)
-            if np.isfinite(fp) and np.isfinite(fm):
-                g[i] = (fp - fm) / (2.0 * h)
-                break
-            h *= 0.5
-        else:
-            raise NoValidLaplace(f"{what} not evaluable near the domain boundary")
-    return g
+@functools.lru_cache(maxsize=None)
+def _stencil_index(d, sets):
+    """The jobs of `sets` stacked Hessian stencils in d coordinates. A
+    diagonal job has a step set, a coordinate i and the unit row e_i; an
+    off-diagonal job has a step set, a pair i < j and the unit rows e_i and
+    e_j. Read-only, cached per (d, sets)."""
+    eye = np.eye(d)
+    rows, cols = np.triu_indices(d, 1)
+    dset, di = np.repeat(np.arange(sets), d), np.tile(np.arange(d), sets)
+    pset, pi, pj = np.repeat(np.arange(sets), rows.size), np.tile(rows, sets), np.tile(cols, sets)
+    index = (dset, di, eye[di], pset, pi, pj, eye[pi], eye[pj])
+    for part in index:
+        part.setflags(write=False)
+    return index
 
 
-def _fd_hessian(f, z, steps=None):
-    d = z.size
-    H = np.zeros((d, d))
-    if steps is None:
-        steps = [4.0 * _EPS**0.25 * (1.0 + abs(z[i])) for i in range(d)]
-    f0 = f(z)
-    for i in range(d):
-        h = steps[i]
-        for _ in range(40):
-            e = np.zeros(d)
-            e[i] = h
-            fp, fm = f(z + e), f(z - e)
-            if np.isfinite(fp) and np.isfinite(fm):
-                H[i, i] = (fp - 2.0 * f0 + fm) / (h * h)
-                break
-            h *= 0.5
-        else:
-            raise NoValidLaplace("Hessian not evaluable near the domain boundary")
-    for i in range(d):
-        for j in range(i + 1, d):
-            hi, hj = steps[i], steps[j]
-            for _ in range(40):
-                ei = np.zeros(d)
-                ej = np.zeros(d)
-                ei[i] = hi
-                ej[j] = hj
-                fpp = f(z + ei + ej)
-                fpm = f(z + ei - ej)
-                fmp = f(z - ei + ej)
-                fmm = f(z - ei - ej)
-                if all(np.isfinite(v) for v in (fpp, fpm, fmp, fmm)):
-                    H[i, j] = H[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * hi * hj)
-                    break
-                hi *= 0.5
-                hj *= 0.5
-            else:
-                raise NoValidLaplace("Hessian not evaluable near the domain boundary")
-    return H
+def _fd_gradient(f, z):
+    """Central-difference gradient of f at z, from one call of f on the 2d
+    points z + h_i e_i and z - h_i e_i. A coordinate whose pair is not
+    finite halves its step and is evaluated again, in one call with the
+    others that failed, up to 60 times. Only finite values are combined."""
+    _, di, unit = _stencil_index(z.size, 1)[:3]
+    h = _EPS ** (1.0 / 3.0) * (1.0 + np.abs(z))
+    g = np.zeros(z.size)
+    for _ in range(60):
+        E = unit * h
+        fp, fm = f(np.concatenate((z + E, z - E))).reshape(2, -1)
+        ok = np.isfinite(fp) & np.isfinite(fm)
+        g[di[ok]] = (fp[ok] - fm[ok]) / (2.0 * h[di[ok]])
+        di, unit = di[~ok], unit[~ok]
+        if not di.size:
+            return g
+        h[di] *= 0.5
+    raise NoValidLaplace("gradient not evaluable near the domain boundary")
+
+
+def _fd_hessians(f, z, steps):
+    """Central-difference Hessians of f at z, one per row of the (s, d) array
+    `steps`, from one call of f on z, the diagonal points z +- h_i e_i and
+    the off-diagonal points (z +- h_i e_i) +- h_j e_j of every step set. A
+    coordinate, or a pair, whose points are not all finite halves its steps
+    and is evaluated again, in one call with the others that failed, up to
+    40 times. Only finite values are combined."""
+    s, d = steps.shape
+    dset, di, Ud, pset, pi, pj, Ui, Uj = _stencil_index(d, s)
+    dh, phi, phj = steps[dset, di], steps[pset, pi], steps[pset, pj]
+    H = np.zeros((s, d, d))
+    f0 = None
+    for _ in range(40):
+        Ed = Ud * dh[:, None]
+        parts = [z + Ed, z - Ed]
+        if pi.size:
+            Ei, Ej = Ui * phi[:, None], Uj * phj[:, None]
+            up, down = z + Ei, z - Ei
+            parts += [up + Ej, up - Ej, down + Ej, down - Ej]
+        vals = f(np.concatenate(parts if f0 is not None else [z[None]] + parts))
+        if f0 is None:
+            f0, vals = vals[0], vals[1:]
+        fp, fm = vals[: 2 * di.size].reshape(2, -1)
+        ok = np.isfinite(fp) & np.isfinite(fm)
+        H[dset[ok], di[ok], di[ok]] = (fp[ok] - 2.0 * f0 + fm[ok]) / (dh[ok] * dh[ok])
+        left = ~ok
+        dset, di, Ud, dh = dset[left], di[left], Ud[left], 0.5 * dh[left]
+        if pi.size:
+            fpp, fpm, fmp, fmm = vals[2 * fp.size :].reshape(4, -1)
+            ok = np.isfinite(fpp) & np.isfinite(fpm) & np.isfinite(fmp) & np.isfinite(fmm)
+            cross = (fpp[ok] - fpm[ok] - fmp[ok] + fmm[ok]) / (4.0 * phi[ok] * phj[ok])
+            H[pset[ok], pi[ok], pj[ok]] = H[pset[ok], pj[ok], pi[ok]] = cross
+            left = ~ok
+            pset, pi, pj, Ui, Uj = pset[left], pi[left], pj[left], Ui[left], Uj[left]
+            phi, phj = 0.5 * phi[left], 0.5 * phj[left]
+        if not (di.size or pi.size):
+            return H
+    raise NoValidLaplace("Hessian not evaluable near the domain boundary")
+
+
+def _hessian_steps(z):
+    """The Hessian stencil's default step per coordinate."""
+    return 4.0 * _EPS**0.25 * (1.0 + np.abs(z))
 
 
 def _fd_hessian_refined(f, z):
@@ -843,24 +878,26 @@ def _fd_hessian_refined(f, z):
     A first pass estimates the per-coordinate curvature; steps are then set
     relative to the local standard deviation rather than the coordinate
     magnitude, and a two-step Richardson combination removes the leading
-    truncation error.
+    truncation error. Both steps run in one stacked stencil.
     """
-    rough = _fd_hessian(f, z)
+    base = _hessian_steps(z)
+    rough = _fd_hessians(f, z, base[None])[0]
     diag = np.abs(np.diag(rough))
     sigma = 1.0 / np.sqrt(np.maximum(diag, 1e-12))
-    base = [4.0 * _EPS**0.25 * (1.0 + abs(z[i])) for i in range(z.size)]
     # extrapolation removes the h^2 truncation term, so the step can sit
     # well above the bare-roundoff optimum
-    steps = np.clip(4.0 * _EPS**0.2 * sigma, 1e-3 * np.asarray(base), 1e3 * np.asarray(base))
-    H1 = _fd_hessian(f, z, steps=list(steps))
-    H2 = _fd_hessian(f, z, steps=list(0.5 * steps))
+    steps = np.clip(4.0 * _EPS**0.2 * sigma, 1e-3 * base, 1e3 * base)
+    H1, H2 = _fd_hessians(f, z, np.stack((steps, 0.5 * steps)))
     return (4.0 * H2 - H1) / 3.0
 
 
 def numeric_laplace(density, init=None, tolerance=1e-8, max_iter=500):
     """Laplace approximation of `density.log_objective` by damped Newton.
 
-    Derivatives are central finite differences; the convergence test floors
+    Derivatives are central finite differences; each gradient or Hessian
+    stencil is one call of `log_objective` on the stack of its points, so
+    `log_objective` must accept a (k, d) stack (a (k,) column when d = 1),
+    and the line search evaluates one-row stacks. The convergence test floors
     the gradient tolerance at the finite-difference noise level. A mode on
     the domain boundary or an indefinite Hessian raises NoValidLaplace.
     """
@@ -870,7 +907,8 @@ def numeric_laplace(density, init=None, tolerance=1e-8, max_iter=500):
     )).copy()
     if z.shape != (density.dim,):
         raise OutOfSupport(f"init must have shape ({density.dim},)")
-    if not np.isfinite(f(z)):
+    fval = float(f(z[None])[0])
+    if not np.isfinite(fval):
         raise OutOfSupport("init is outside the transformed domain")
 
     z0_scale = 1.0 + float(np.linalg.norm(z))
@@ -879,43 +917,39 @@ def numeric_laplace(density, init=None, tolerance=1e-8, max_iter=500):
     def near_boundary(point):
         return density.boundary_distance(point) <= boundary_tol
 
+    def ascent(step):
+        # the first of z + step, z + step/2, ... above fval, with its value
+        t = 1.0
+        while t > 1e-14:
+            cand = z + t * step
+            fcand = float(f(cand[None])[0])
+            if fcand > fval:
+                return cand, fcand
+            t *= 0.5
+        return None, None
+
     converged = False
     for _ in range(max_iter):
-        fval = f(z)
         g = _fd_gradient(f, z)
         noise = 25.0 * _EPS ** (2.0 / 3.0) * (1.0 + abs(fval)) * np.sqrt(z.size)
         if np.linalg.norm(g) <= max(tolerance, noise):
             converged = True
             break
-        H = _fd_hessian(f, z)
+        H = _fd_hessians(f, z, _hessian_steps(z)[None])[0]
         eigs = np.linalg.eigvalsh(H)
         if eigs[-1] < 0.0:
             step = -np.linalg.solve(H, g)
         else:
             scale = max(np.max(np.abs(eigs)), 1.0)
             step = g / scale
-        t = 1.0
-        z_new = None
-        while t > 1e-14:
-            cand = z + t * step
-            if f(cand) > fval:
-                z_new = cand
-                break
-            t *= 0.5
+        z_new, f_new = ascent(step)
         if z_new is None:
             # no ascent in this direction; accept the point if the gradient
             # is already at the noise scale, otherwise try plain gradient
             if np.linalg.norm(g) <= 1e3 * max(tolerance, noise):
                 converged = True
                 break
-            step = g / max(np.linalg.norm(g), 1.0)
-            t = 1.0
-            while t > 1e-14:
-                cand = z + t * step
-                if f(cand) > fval:
-                    z_new = cand
-                    break
-                t *= 0.5
+            z_new, f_new = ascent(g / max(np.linalg.norm(g), 1.0))
             if z_new is None:
                 if near_boundary(z):
                     raise NoValidLaplace("mode lies on the domain boundary")
@@ -926,7 +960,7 @@ def numeric_laplace(density, init=None, tolerance=1e-8, max_iter=500):
             z = z_new
             converged = True
             break
-        z = z_new
+        z, fval = z_new, f_new  # the line search's value at z_new is f(z) of the next step
     if not converged:
         if near_boundary(z):
             raise NoValidLaplace("mode lies on the domain boundary")

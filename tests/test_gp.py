@@ -528,6 +528,15 @@ class TestFitPredict:
         with pytest.raises(DimensionMismatch):
             gp.gp_predict(model, q[:5], width=2)
 
+    def test_width_blocks_at_zero_query_points(self):
+        # the width > 1 branch reshaped its (0, w * w, D) pair rows with a
+        # free axis and raised a raw ValueError
+        kernel = gp.Product(gp.RBF(1.0, 1.0, dims=(0,)), gp.LookupTable(np.eye(3), dim=1))
+        X = np.column_stack([np.repeat([0.0, 1.0], 3), np.tile(np.arange(3.0), 2)])
+        for model in (gp.gp_fit(kernel, X, np.arange(6.0), 0.1), gp.gp_fit(kernel, [], [], [])):
+            mean, blocks = gp.gp_predict(model, np.zeros((0, 2)), width=3)
+            assert mean.shape == (0,) and blocks.shape == (0, 3, 3)
+
     def test_width_blocks_with_a_sum_coordinate_kernel(self, dense_posterior):
         coords = gp.Sum(
             gp.LookupTable(np.eye(3), dim=1), gp.LookupTable(np.full((3, 3), 0.5), dim=1)

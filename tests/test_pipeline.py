@@ -1031,6 +1031,25 @@ class TestQueryEFParams:
         assert pred.diagnostics["ef_failures"] == 1 == sum(p is None for p in pred.ef_params)
 
 
+@pytest.mark.parametrize(
+    "family, basis",
+    [("dirichlet", None), ("inverse_wishart", "matrix_log"), ("inverse_wishart", "matrix_sqrt")],
+)
+@pytest.mark.parametrize("run", [pipeline.lmgp_v1, pipeline.lmgp_v2])
+def test_multi_latent_prediction_at_zero_query_points(family, basis, run):
+    # gp.gp_predict raised a raw ValueError for zero query points of width > 1
+    data = _categorical_data() if family == "dirichlet" else _covariance_data()
+    cfg = pipeline.LMGPConfig(family, basis=basis, draws=10)
+    model, pred = run(data, cfg, X_query=np.zeros((0, 1)))
+    w = pred.latent_mean.shape[1]
+    assert pred.latent_mean.shape == (0, w) and pred.latent_cov.shape == (0, w, w)
+    assert pred.draws.shape[:2] == (10, 0) and pred.summary["mean"].shape[0] == 0
+    assert pred.ef_ok.shape == (0,) and pred.ef_params == ()
+    assert pred.diagnostics["ef_failures"] == 0 and pred.to_record()["n_query"] == 0
+    again = pipeline.predict(model, pred.basis, cfg, np.zeros((0, 1)))
+    assert again.latent_cov.shape == (0, w, w)
+
+
 class TestClassificationMetrics:
     def test_perfect_predictions(self):
         P = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])

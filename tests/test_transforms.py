@@ -7,13 +7,16 @@ oracle.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.special import logsumexp
 
-from laplace_match import distributions, matrixops, transforms
+from laplace_match import diagnostics, distributions, matrixops, transforms
 from laplace_match.errors import (
     BasisSizeMismatch,
     DimensionMismatch,
@@ -246,6 +249,13 @@ class TestMatrixBases:
             transforms.transform_samples(
                 np.array([[1.0, 0.5], [0.4, 1.0]]), BasisTransform("matrix_log", p=2), "inverse"
             )
+
+    @pytest.mark.parametrize("tag", ["matrix_log", "matrix_sqrt"])
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    def test_empty_stack_maps_to_an_empty_stack(self, tag, direction):
+        # the min/max reductions of the checks raised a raw ValueError on no matrices
+        out = transforms.transform_samples(np.zeros((0, 2, 2)), BasisTransform(tag, p=2), direction)
+        assert out.shape == (0, 2, 2)
 
 
 def _eigh_expm(A):
@@ -655,3 +665,231 @@ class TestNumericLaplace:
         cov = g.cov_dense()
         np.testing.assert_allclose(cov, cov.T, atol=1e-12)
         assert np.all(np.linalg.eigvalsh(cov) > 0)
+
+
+# The per-point finite-difference loops that the stacked stencils replaced,
+# kept as the reference the stacks must equal bit for bit: one objective call
+# per point, each coordinate and each pair retried on its own.
+
+
+def _pointwise_objective(density):
+    def f(z):
+        val = np.asarray(density.log_objective(z)).reshape(-1)[0]
+        return float(val) if np.isfinite(val) else -np.inf
+
+    return f
+
+
+def _pointwise_gradient(f, z):
+    d = z.size
+    g = np.zeros(d)
+    for i in range(d):
+        h = np.finfo(float).eps ** (1.0 / 3.0) * (1.0 + abs(z[i]))
+        for _ in range(60):
+            e = np.zeros(d)
+            e[i] = h
+            fp, fm = f(z + e), f(z - e)
+            if np.isfinite(fp) and np.isfinite(fm):
+                g[i] = (fp - fm) / (2.0 * h)
+                break
+            h *= 0.5
+        else:
+            raise NoValidLaplace("gradient not evaluable near the domain boundary")
+    return g
+
+
+def _pointwise_hessian(f, z, steps=None):
+    d = z.size
+    H = np.zeros((d, d))
+    if steps is None:
+        steps = [4.0 * np.finfo(float).eps ** 0.25 * (1.0 + abs(z[i])) for i in range(d)]
+    f0 = f(z)
+    for i in range(d):
+        h = steps[i]
+        for _ in range(40):
+            e = np.zeros(d)
+            e[i] = h
+            fp, fm = f(z + e), f(z - e)
+            if np.isfinite(fp) and np.isfinite(fm):
+                H[i, i] = (fp - 2.0 * f0 + fm) / (h * h)
+                break
+            h *= 0.5
+        else:
+            raise NoValidLaplace("Hessian not evaluable near the domain boundary")
+    for i in range(d):
+        for j in range(i + 1, d):
+            hi, hj = steps[i], steps[j]
+            for _ in range(40):
+                ei = np.zeros(d)
+                ej = np.zeros(d)
+                ei[i] = hi
+                ej[j] = hj
+                fpp = f(z + ei + ej)
+                fpm = f(z + ei - ej)
+                fmp = f(z - ei + ej)
+                fmm = f(z - ei - ej)
+                if all(np.isfinite(v) for v in (fpp, fpm, fmp, fmm)):
+                    H[i, j] = H[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * hi * hj)
+                    break
+                hi *= 0.5
+                hj *= 0.5
+            else:
+                raise NoValidLaplace("Hessian not evaluable near the domain boundary")
+    return H
+
+
+def _pointwise_hessian_refined(f, z):
+    rough = _pointwise_hessian(f, z)
+    sigma = 1.0 / np.sqrt(np.maximum(np.abs(np.diag(rough)), 1e-12))
+    base = np.array([4.0 * np.finfo(float).eps ** 0.25 * (1.0 + abs(zi)) for zi in z])
+    steps = np.clip(4.0 * np.finfo(float).eps ** 0.2 * sigma, 1e-3 * base, 1e3 * base)
+    H1 = _pointwise_hessian(f, z, steps=list(steps))
+    H2 = _pointwise_hessian(f, z, steps=list(0.5 * steps))
+    return (4.0 * H2 - H1) / 3.0
+
+
+_ORACLE_ROWS = [(family, tag) for family, tags in transforms.FAMILY_BASES.items() for tag in tags]
+
+
+def _toward_boundary(density, k, scale):
+    """The initial point of `density` with one coordinate (Dirichlet), one
+    eigenvalue (matrix rows) or the point itself (scalar rows) multiplied by
+    `scale`: near 0 it nears the boundary of the identity and square-root
+    rows, at 0 or below it is on or beyond it."""
+    z = density.initial_point()
+    if density.family in ("wishart", "inverse_wishart"):
+        p = density.params.p
+        w, U = np.linalg.eigh(matrixops.unvech(z, p))
+        w[k % p] *= scale
+        return matrixops.vech((U * w) @ U.T)
+    z[k % z.size] *= scale
+    return z
+
+
+def _same_result(stacked, pointwise):
+    """Both calls raise the same NoValidLaplace, or return the same bits."""
+    try:
+        want = pointwise()
+    except NoValidLaplace as exc:
+        with pytest.raises(NoValidLaplace, match=str(exc)):
+            stacked()
+        return
+    got = stacked()
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+_SCALES = st.one_of(
+    st.sampled_from([1.0, 0.0, -1e-3]),
+    st.floats(-14.0, 0.0).map(lambda e: 10.0**e),
+)
+
+
+class TestStackedStencils:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        row=st.sampled_from(_ORACLE_ROWS),
+        grid_index=st.integers(0, 9),
+        k=st.integers(0, 5),
+        scale=_SCALES,
+    )
+    def test_stacks_equal_the_pointwise_loops(self, row, grid_index, k, scale):
+        family, tag = row
+        td = transforms.push_forward(diagnostics.default_grid(family)[grid_index], tag)
+        z = _toward_boundary(td, k, scale)
+        f, ref = transforms._objective_fn(td), _pointwise_objective(td)
+        Z = z + np.random.default_rng(k).standard_normal((9, z.size)) * 1e-3 * (1.0 + np.abs(z))
+        Z = np.concatenate([z[None], Z])
+        assert f(Z).tobytes() == np.array([ref(point) for point in Z]).tobytes()
+        _same_result(lambda: transforms._fd_gradient(f, z), lambda: _pointwise_gradient(ref, z))
+        steps = transforms._hessian_steps(z)
+        _same_result(
+            lambda: transforms._fd_hessians(f, z, np.stack((steps, 0.5 * steps))),
+            lambda: np.stack((_pointwise_hessian(ref, z), _pointwise_hessian(ref, z, 0.5 * steps))),
+        )
+        if np.isfinite(ref(z)):
+            _same_result(
+                lambda: transforms._fd_hessian_refined(f, z),
+                lambda: _pointwise_hessian_refined(ref, z),
+            )
+
+    def test_halving_and_exhaustion_are_exercised(self):
+        # near 0 the identity row's stencil crosses the boundary and halves;
+        # on it, every halving fails
+        td = transforms.push_forward(distributions.gamma(2.0, 1.0), "identity")
+        f, ref = transforms._objective_fn(td), _pointwise_objective(td)
+        z = np.array([1e-7])
+        g = transforms._fd_gradient(f, z)
+        assert g.tobytes() == _pointwise_gradient(ref, z).tobytes() and np.isfinite(g[0])
+        with pytest.raises(NoValidLaplace, match="gradient"):
+            transforms._fd_gradient(f, np.zeros(1))
+        with pytest.raises(NoValidLaplace, match="Hessian"):
+            transforms._fd_hessians(f, np.zeros(1), transforms._hessian_steps(np.zeros(1))[None])
+
+    def test_one_objective_call_per_stencil(self):
+        params = distributions.wishart(6.0, np.eye(3) + 0.2)
+        td = transforms.push_forward(params, "matrix_sqrt")
+        z, d = td.initial_point(), td.dim
+        f = transforms._objective_fn(td)
+        calls = []
+
+        def counted(Z):
+            calls.append(Z.shape)
+            return f(Z)
+
+        transforms._fd_gradient(counted, z)
+        assert calls == [(2 * d, d)]
+        calls.clear()
+        transforms._fd_hessian_refined(counted, z)
+        assert calls == [(1 + 2 * d + 2 * d * (d - 1), d), (1 + 4 * d + 4 * d * (d - 1), d)]
+
+    @pytest.mark.parametrize(
+        "family, tag, scale",
+        [
+            ("gamma", "identity", 1e-7),
+            ("gamma", "identity", 0.0),
+            ("inverse_gamma", "sqrt", 1e-9),
+            ("beta", "identity", 1e-9),
+            ("dirichlet", "identity", 1e-8),
+            ("wishart", "identity", 1e-7),
+            ("inverse_wishart", "matrix_sqrt", 1e-7),
+        ],
+    )
+    def test_stencils_across_the_boundary_raise_no_warning(self, family, tag, scale):
+        td = transforms.push_forward(diagnostics.default_grid(family)[3], tag)
+        z = _toward_boundary(td, 0, scale)
+        f = transforms._objective_fn(td)
+        crossed = []
+
+        def watched(Z):
+            vals = f(Z)
+            crossed.append(bool(np.any(np.isneginf(vals))))
+            return vals
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for stencil in (
+                lambda: transforms._fd_gradient(watched, z),
+                lambda: transforms._fd_hessians(watched, z, transforms._hessian_steps(z)[None]),
+            ):
+                try:
+                    stencil()
+                except NoValidLaplace:
+                    pass
+        assert any(crossed)
+
+    @pytest.mark.parametrize("family", ["wishart", "inverse_wishart"])
+    @pytest.mark.parametrize("tag", ["identity", "matrix_log", "matrix_sqrt"])
+    def test_matrix_density_runs_one_eigh_per_call(self, monkeypatch, family, tag):
+        td = transforms.push_forward(diagnostics.default_grid(family)[4], tag)
+        Z = td.initial_point() + 0.01 * np.random.default_rng(0).standard_normal((50, td.dim))
+        eigh, calls = np.linalg.eigh, []
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        for evaluate in (td.log_density, td.log_objective):
+            calls.clear()
+            evaluate(Z)
+            assert calls == [(50, 2, 2)]
