@@ -40,8 +40,9 @@ def _gauss_logpdf(z, mean, cov):
     if d == 1 and z.ndim >= 1 and z.shape[-1] != 1:
         z = z[..., None]
     diff = z - mean
-    sol = np.linalg.solve(L, diff[..., :, None])[..., 0]
-    quad = np.sum(sol**2, axis=-1)
+    # one solve against every sample at once, not one per sample
+    sol = np.linalg.solve(L, diff.reshape(-1, d).T)
+    quad = np.sum(sol**2, axis=0).reshape(diff.shape[:-1])
     logdet = 2.0 * np.sum(np.log(np.diag(L)))
     return -0.5 * (quad + logdet + d * np.log(2.0 * np.pi))
 

@@ -42,7 +42,14 @@ w x w covariance block of each query point, without forming the joint
 covariance. The pipelines' `Prediction.draws` are per-point posterior draws
 with no cross-point correlation.
 
-median_lengthscale never forms the n x n distances. It streams the strict
+median_lengthscale is exact up to _MEDIAN_INPUTS (N0 = 1024) inputs.
+Above, it is the median of a fixed subsample of N0 rows, drawn with
+default_rng(0) without replacement and taken in input order, so its time
+and memory stop growing with n (the median heuristic at large samples:
+Garreau, Jitkrittum & Kanagawa 2017), and the plain and the inducing run of
+the same data share one lengthscale. On gen_binary and gen_counts inputs of
+n = 2000 (20 seeds) the subsample moved the lengthscale by at most 2.9%.
+The exact median never forms the n x n distances. It streams the strict
 upper triangle of _sqdist(X, X) in row blocks of _MEDIAN_ROWS rows, each
 block's columns starting at its first row (`_pair_blocks`), and selects the
 middle order statistics exactly. Above _MEDIAN_EXACT pairs a seeded sample
@@ -59,13 +66,18 @@ such an entry would move by one rounding. In 336 inputs checked against
 the n x n evaluation (d from 1 to 8, n from 2 to 2500) none did.
 
 kmeanspp clusters inputs; the pipeline's inducing sites are its clusters.
-Its Lloyd loop gives the plain loop's assignments bit for bit but computes
+Its seeding draws each centre as Generator.choice(n, p=d2 / total) would,
+through the same cumulative sum and search but without choice's O(n)
+validation passes, and keeps d2 from a column-by-column sum of squares
+(`_sqdist_to`) updated in place. Its Lloyd loop gives the plain loop's
+assignments bit for bit but computes
 few distance rows after the first iteration: triangle-inequality bounds
 (Hamerly 2010), widened by the rounding of _sqdist, prove most assignments
 unchanged. It takes no per-cluster mask: empty clusters come from one
 bincount of the assignments, and for d >= 2 the centres from one weighted
 bincount per coordinate, the same members added in the same order as a mask
-would select, so the same floating-point sums.
+would select, so the same floating-point sums. For d = 1 each centre is
+np.add.reduce over its cluster's slice, np.mean's own pairwise sum.
 The module knows nothing of exponential families or bridges.
 """
 
@@ -77,6 +89,7 @@ from .errors import DimensionMismatch, EmptyCluster, InvalidParams, NotPositiveD
 _JITTER_LADDER = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 _BLOCK = 128
 _LEAF = 16
+_MEDIAN_INPUTS = 1024
 _MEDIAN_ROWS = 64
 _MEDIAN_EXACT = 1 << 17
 _MEDIAN_SAMPLE = 1 << 14
@@ -446,6 +459,12 @@ def _select_bracketed(X, lo, hi, ranks):
 def median_lengthscale(X):
     """Median pairwise distance, the documented default RBF lengthscale.
 
+    Of all n inputs up to _MEDIAN_INPUTS of them; above, of the rows
+    X[np.sort(default_rng(0).choice(n, _MEDIAN_INPUTS, replace=False))],
+    a fixed subsample, so time and memory stop growing with n and every
+    call on the same X gives the same lengthscale. A NaN anywhere in X
+    still gives the fallback 1.0.
+
     Above _MEDIAN_EXACT pairs the median's squared distances are selected
     from the stream of pair distances (`_pair_blocks`) inside a bracket
     from a seeded sample (`_median_bracket`): one pass counts the distances
@@ -460,6 +479,12 @@ def median_lengthscale(X):
     """
     X = _as_inputs(X)
     n = X.shape[0]
+    if n > _MEDIAN_INPUTS:
+        if np.isnan(np.min(X)):
+            return 1.0
+        rows = np.random.default_rng(0).choice(n, _MEDIAN_INPUTS, replace=False)
+        X = X[np.sort(rows)]
+        n = _MEDIAN_INPUTS
     if n < 2:
         return 1.0
     pairs = n * (n - 1) // 2
@@ -606,6 +631,23 @@ def _psd_root(cov):
 # input clustering
 
 
+def _sqdist_to(X, c):
+    """||x_i - c||^2 per row, the floats of np.sum((X - c)**2, axis=1)
+    without the (n, d) temporary: the squares are added column by column,
+    in the order that sum adds them. On a C-ordered X with 8 or more
+    columns numpy sums each row pairwise instead, and that sum is kept."""
+    dim = X.shape[1]
+    if dim >= 8 and (X.flags.c_contiguous or not X.flags.f_contiguous):
+        return np.sum((X - c) ** 2, axis=1)
+    acc = X[:, 0] - c[0]
+    acc *= acc
+    for j in range(1, dim):
+        term = X[:, j] - c[j]
+        term *= term
+        acc += term
+    return acc
+
+
 def _rounding_bound(xx, centers, gamma):
     """Per point, a bound on the rounding error of each entry of its
     _sqdist row against `centers`, from its squared norm xx."""
@@ -683,8 +725,13 @@ def kmeanspp(X, k, seed=0, max_iter=100):
     cluster sizes: it adds the members in input order, as np.mean does over
     the rows of their slice, so the centres are the same floats (a
     coordinate whose members are all -0.0 gives +0.0, equal as a number).
-    For d = 1, np.mean sums the slice pairwise, so the per-cluster means
-    stay.
+    For d = 1, np.mean sums the slice pairwise; np.add.reduce over the 1-D
+    slice runs that same sum, and dividing by the size is np.mean's last
+    step.
+
+    The seeding draws are those of rng.choice(n, p=d2 / total): the same
+    cumulative sum, normalised by its last entry, searched for one
+    rng.random() value. With k >= 2, non-finite inputs raise InvalidParams.
     """
     X = _as_inputs(X)
     n, dim = X.shape
@@ -693,14 +740,19 @@ def kmeanspp(X, k, seed=0, max_iter=100):
     rng = np.random.default_rng(seed)
     centers = np.empty((k, dim))
     centers[0] = X[rng.integers(n)]
-    d2 = np.sum((X - centers[0]) ** 2, axis=1)
+    d2 = _sqdist_to(X, centers[0])
     for j in range(1, k):
         total = float(np.sum(d2))
+        if not np.isfinite(total):
+            raise InvalidParams("k-means++ needs finite inputs")
         if total <= 0.0:
             centers[j] = X[rng.integers(n)]
         else:
-            centers[j] = X[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, np.sum((X - centers[j]) ** 2, axis=1))
+            # Generator.choice(n, p=d2 / total) without its validation passes
+            cdf = np.cumsum(d2 / total)
+            cdf /= cdf[-1]
+            centers[j] = X[cdf.searchsorted(rng.random(), side="right")]
+        np.minimum(d2, _sqdist_to(X, centers[j]), out=d2)
 
     gamma = (2 * dim + 8) * np.finfo(float).eps
     xx = np.einsum("ij,ij->i", X, X)
@@ -741,10 +793,10 @@ def kmeanspp(X, k, seed=0, max_iter=100):
         moved = centers.copy()
         if dim == 1:
             # members by cluster, each cluster's in input order
-            members = X[np.argsort(assign, kind="stable")]
+            members = X[np.argsort(assign, kind="stable"), 0]
             ends = np.cumsum(sizes)
             for j in range(k):
-                centers[j] = np.mean(members[ends[j] - sizes[j] : ends[j]], axis=0)
+                centers[j, 0] = np.add.reduce(members[ends[j] - sizes[j] : ends[j]]) / sizes[j]
         else:
             for c in range(dim):
                 centers[:, c] = np.bincount(assign, weights=X[:, c], minlength=k) / sizes

@@ -105,6 +105,54 @@ class TestMcKl:
             kl_i, se_i = diagnostics.mc_kl(params, "identity", n=10**5, seed=5)
             assert kl_t + 4 * se_t < kl_i
 
+    @staticmethod
+    def _per_sample_logpdf(z, mean, cov):
+        """The Gaussian log-density with one solve of L per sample (L
+        broadcast against an (..., d, 1) right-hand side)."""
+        mean = np.atleast_1d(np.asarray(mean, dtype=float))
+        d = mean.size
+        L = np.linalg.cholesky(np.atleast_2d(np.asarray(cov, dtype=float)))
+        z = np.asarray(z, dtype=float)
+        if d == 1 and z.ndim >= 1 and z.shape[-1] != 1:
+            z = z[..., None]
+        sol = np.linalg.solve(L, (z - mean)[..., :, None])[..., 0]
+        quad = np.sum(sol**2, axis=-1)
+        return -0.5 * (quad + 2.0 * np.sum(np.log(np.diag(L))) + d * np.log(2.0 * np.pi))
+
+    @pytest.mark.parametrize("d", [1, 3, 6])
+    def test_one_solve_matches_the_per_sample_solves(self, d):
+        rng = np.random.default_rng(d)
+        A = rng.normal(size=(d, d))
+        cov = A @ A.T + 0.1 * np.eye(d)
+        mean = rng.normal(size=d)
+        z = mean + 3.0 * rng.normal(size=(600, d))
+        shapes = [z, z.reshape(30, 20, d), z[0]] + ([z[:, 0], z[0, 0]] if d == 1 else [])
+        for zz in shapes:
+            got = diagnostics._gauss_logpdf(zz, mean, cov)
+            want = self._per_sample_logpdf(zz, mean, cov)
+            assert np.shape(got) == np.shape(want)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize(
+        "p, q",
+        [
+            (scalar_gaussian(0.0, 1.0), scalar_gaussian(1.0, 2.0)),
+            (
+                bridges.lm_forward(distributions.dirichlet([2.0, 1.0, 1.5]), "softmax_inverse"),
+                bridges.lm_forward(distributions.dirichlet([3.0, 1.0, 1.0]), "softmax_inverse"),
+            ),
+            (
+                bridges.lm_forward(distributions.wishart(4.0, V0), "matrix_log"),
+                bridges.lm_forward(distributions.wishart(6.0, V0), "matrix_log"),
+            ),
+        ],
+    )
+    def test_gaussian_branch_matches_the_per_sample_solves(self, monkeypatch, p, q):
+        got = diagnostics.mc_kl(p, gauss=q, n=5000, seed=2)
+        monkeypatch.setattr(diagnostics, "_gauss_logpdf", self._per_sample_logpdf)
+        want = diagnostics.mc_kl(p, gauss=q, n=5000, seed=2)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
 
 class TestHelpers:
     def test_latent_samples_shapes(self):

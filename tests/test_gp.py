@@ -159,6 +159,56 @@ class TestKernels:
         # (1.05e-8 for 0.3 in d = 3), which must not pass for a distance
         assert gp.median_lengthscale(np.full((1000, dim), value)) == 1.0
 
+    @staticmethod
+    def _subsample(X):
+        """The documented subsample above _MEDIAN_INPUTS inputs."""
+        rows = np.random.default_rng(0).choice(X.shape[0], gp._MEDIAN_INPUTS, replace=False)
+        return X[np.sort(rows)]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n", [gp._MEDIAN_INPUTS + 1, 3000, 60000])
+    def test_median_lengthscale_above_the_input_limit_is_that_of_the_subsample(self, n, dim):
+        X = np.random.default_rng(n + dim).uniform(0.0, 3.0, size=(n, dim))
+        sub = self._subsample(X)
+        d = np.sqrt(gp._sqdist(sub, sub)[np.triu_indices(sub.shape[0], k=1)])
+        got = gp.median_lengthscale(X)
+        assert got == float(np.median(d)) == gp.median_lengthscale(sub)
+        # the subsample's own seed, whatever the global random state
+        np.random.seed(n)
+        np.random.default_rng(1).random(10)
+        assert gp.median_lengthscale(X) == got
+
+    def test_median_lengthscale_at_the_input_limit_uses_every_input(self):
+        n = gp._MEDIAN_INPUTS
+        X = np.random.default_rng(3).uniform(0.0, 3.0, size=(n, 2))
+        d = np.sqrt(gp._sqdist(X, X)[np.triu_indices(n, k=1)])
+        assert gp.median_lengthscale(X) == float(np.median(d))
+
+    def test_median_lengthscale_sees_a_nan_row_outside_the_subsample(self):
+        n = 5000
+        X = np.random.default_rng(5).uniform(0.0, 3.0, size=(n, 2))
+        kept = np.random.default_rng(0).choice(n, gp._MEDIAN_INPUTS, replace=False)
+        outside = np.setdiff1d(np.arange(n), kept)[0]
+        assert gp.median_lengthscale(X) != 1.0
+        X[outside] = np.nan
+        assert gp.median_lengthscale(X) == 1.0
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_median_lengthscale_of_many_constant_inputs_is_one(self, dim):
+        assert gp.median_lengthscale(np.full((5000, dim), 0.3)) == 1.0
+
+    def test_median_lengthscale_memory_does_not_grow_with_n_above_the_limit(self):
+        # the exact path on the subsample only: a bound in _MEDIAN_INPUTS,
+        # half of one N0 x N0 float64 array (2.1 MiB traced at n = 1e5)
+        X = np.random.default_rng(0).uniform(0.0, 3.0, size=(10**5, 2))
+        tracemalloc.start()
+        try:
+            gp.median_lengthscale(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < gp._MEDIAN_INPUTS**2 * 8 / 2
+
     def test_median_lengthscale_memory_does_not_grow_as_n_squared(self):
         n = 4000
         X = np.random.default_rng(0).uniform(0.0, 3.0, size=(n, 2))
@@ -617,9 +667,10 @@ def _inducing_fields(X, Y, k, family, **config):
 
 
 def _kmeanspp_reference(X, k, seed=0, max_iter=100):
-    """k-means++ with the Lloyd loop as it was before the bincount and
-    argsort rewrite: one boolean mask per cluster for the empty check and
-    for each centre. The rewrite must match it bit for bit."""
+    """k-means++ as it was before the bincount and argsort rewrite of the
+    Lloyd loop and the choice-free seeding: seeds drawn by rng.choice on
+    np.sum distances, one boolean mask per cluster for the empty check, and
+    each centre from np.mean. The library must match it bit for bit."""
     X = gp._as_inputs(X)
     n = X.shape[0]
     rng = np.random.default_rng(seed)
@@ -745,6 +796,63 @@ class TestInducing:
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
         assert got[2] == want[2]
+
+    @given(
+        dim=st.integers(1, 16),
+        n=st.integers(2, 120),
+        k_share=st.floats(0.0, 1.0),
+        kind=st.sampled_from(["normal", "duplicates", "grid", "constant"]),
+        order=st.sampled_from(["C", "F"]),
+        data_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 99),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_kmeanspp_seeds_as_generator_choice_and_centres_as_np_mean(
+        self, dim, n, k_share, kind, order, data_seed, seed
+    ):
+        # the seeding draws through the arithmetic of Generator.choice and
+        # sums the squares column by column; the d = 1 centres are sums of
+        # slices: the reference's rng.choice, np.sum and np.mean, bit for
+        # bit, on n < d, F order, duplicates, exact ties (a grid) and
+        # constant inputs (every draw after the first takes the total <= 0
+        # path)
+        rng = np.random.default_rng(data_seed)
+        k = 1 + int(k_share * (n - 1))
+        if kind == "grid":
+            X = rng.integers(0, 3, size=(n, dim)).astype(float)
+        elif kind == "constant":
+            X = np.full((n, dim), rng.normal())
+        else:
+            X = rng.normal(size=(n, dim))
+            if kind == "duplicates":
+                X = X[rng.integers(max(1, n // 4), size=n)]
+        X = np.asarray(X, order=order)
+        seeds = gp.kmeanspp(X, k, seed=seed, max_iter=0)
+        want_seeds = _kmeanspp_reference(X, k, seed=seed, max_iter=0)
+        assert np.array_equal(seeds[0], want_seeds[0])
+        got = _kmeans_outcome(gp.kmeanspp, X, k, seed)
+        want = _kmeans_outcome(_kmeanspp_reference, X, k, seed)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert got[2] == want[2]
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 8, 9, 16])
+    def test_seeding_distances_are_those_of_np_sum(self, dim):
+        rng = np.random.default_rng(dim)
+        C = rng.normal(size=(50, dim)) * 10.0 ** rng.uniform(-3, 3, size=dim)
+        for X in (C, np.asfortranarray(C), C[::2], C[:1], np.asfortranarray(C)[::3]):
+            c = X[0] + 0.1
+            assert np.array_equal(gp._sqdist_to(X, c), np.sum((X - c) ** 2, axis=1))
+
+    def test_kmeanspp_rejects_non_finite_inputs(self):
+        for bad in (np.nan, np.inf):
+            X = np.random.default_rng(0).normal(size=(20, 2))
+            X[7, 1] = bad
+            with pytest.raises(InvalidParams):
+                gp.kmeanspp(X, 3)
 
     @pytest.mark.parametrize("data_seed", [1, 4, 5])
     def test_kmeanspp_matches_the_reference_at_rounding_level_gaps(self, data_seed):

@@ -539,10 +539,12 @@ class TestInducingProperties:
 
 
     def test_inducing_run_memory_at_ten_thousand_points(self):
-        # traced peak 37.3 MiB on numpy 2.4, set by median_lengthscale's
-        # bracketed pair distances (the rest of the run peaks at 30.6 MiB,
-        # k-means++ at 15.7 MiB); the bound allows 10% more. Materialising
-        # the n x n distances (763 MiB) or draws x n values would break it
+        # traced peak 30.6 MiB on numpy 2.4, set by gp_predict at the 10^4
+        # query points (k-means++ peaks at 15.8 MiB, median_lengthscale on
+        # its subsample at 2.1 MiB); the bound, set when the median's
+        # bracketed pair distances peaked at 37.3 MiB, allows 10% more than
+        # that. Materialising the n x n distances (763 MiB) or draws x n
+        # values would break it
         X, y = pipeline.gen_binary(10**4, seed=0)
         data = pipeline.Dataset(X, y.astype(float))
         cfg = pipeline.LMGPConfig("beta", inducing=100, draws=1)
