@@ -6,8 +6,9 @@ Wishart, InverseWishart. All values are immutable after construction and all
 operations are pure functions of (inputs, explicit seed).
 """
 
+import math
+
 import numpy as np
-from scipy.special import betaln, gammaln, multigammaln
 
 from .errors import InvalidParams, NonConjugatePair, OutOfSupport
 
@@ -30,6 +31,26 @@ _FIELDS = {
     "wishart": ("n", "V"),
     "inverse_wishart": ("nu", "Psi"),
 }
+
+
+def _gammaln(x):
+    """log Gamma(x) of a parameter x >= 0 by math.lgamma; inf at the pole 0
+    (an underflowed half shape) and above about 2.5e305, as in scipy."""
+    try:
+        return math.lgamma(x)
+    except (ValueError, OverflowError):
+        return math.inf
+
+
+def _multigammaln(a, p):
+    """Log of the p-variate gamma function, for a > (p - 1) / 2."""
+    return 0.25 * p * (p - 1) * math.log(math.pi) + sum(_gammaln(a - 0.5 * j) for j in range(p))
+
+
+def _betaln(a, b):
+    """log B(a, b) as a difference of log-gammas, so its absolute error is a
+    few ulps of lgamma(a + b): 1.7e-8 at (1e8, 1), where that is 1.7e9."""
+    return _gammaln(a) + _gammaln(b) - _gammaln(a + b)
 
 
 def _check_positive_scalar(value, name):
@@ -249,20 +270,20 @@ def log_pdf(params, x):
         return np.log(params.lam) - params.lam * x
     if fam == "gamma":
         a, lam = params.alpha, params.lam
-        return a * np.log(lam) - gammaln(a) + (a - 1.0) * np.log(x) - lam * x
+        return a * np.log(lam) - _gammaln(a) + (a - 1.0) * np.log(x) - lam * x
     if fam == "inverse_gamma":
         a, lam = params.alpha, params.lam
-        return a * np.log(lam) - gammaln(a) - (a + 1.0) * np.log(x) - lam / x
+        return a * np.log(lam) - _gammaln(a) - (a + 1.0) * np.log(x) - lam / x
     if fam == "chi_squared":
         h = 0.5 * params.k
-        return -h * np.log(2.0) - gammaln(h) + (h - 1.0) * np.log(x) - 0.5 * x
+        return -h * np.log(2.0) - _gammaln(h) + (h - 1.0) * np.log(x) - 0.5 * x
     if fam == "beta":
         a, b = params.alpha, params.beta
-        return -betaln(a, b) + (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x)
+        return -_betaln(a, b) + (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x)
     if fam == "dirichlet":
         a = params.alpha
         x = _simplex_check(x, a.size)
-        norm = gammaln(np.sum(a)) - np.sum(gammaln(a))
+        norm = _gammaln(np.sum(a)) - sum(map(_gammaln, a))
         return norm + np.sum((a - 1.0) * np.log(x), axis=-1)
     if fam == "wishart":
         n, V, p = params.n, params.V, params.p
@@ -271,7 +292,7 @@ def log_pdf(params, x):
         _, logdet_v = np.linalg.slogdet(V)
         Vinv = np.linalg.inv(V)
         tr = np.einsum("ij,...ji->...", Vinv, x)
-        const = -0.5 * n * p * np.log(2.0) - 0.5 * n * logdet_v - multigammaln(0.5 * n, p)
+        const = -0.5 * n * p * np.log(2.0) - 0.5 * n * logdet_v - _multigammaln(0.5 * n, p)
         return const + 0.5 * (n - p - 1.0) * logdet_x - 0.5 * tr
     if fam == "inverse_wishart":
         nu, Psi, p = params.nu, params.Psi, params.p
@@ -280,7 +301,7 @@ def log_pdf(params, x):
         _, logdet_psi = np.linalg.slogdet(Psi)
         xinv = np.linalg.inv(x)
         tr = np.einsum("ij,...ji->...", Psi, xinv)
-        const = 0.5 * nu * logdet_psi - 0.5 * nu * p * np.log(2.0) - multigammaln(0.5 * nu, p)
+        const = 0.5 * nu * logdet_psi - 0.5 * nu * p * np.log(2.0) - _multigammaln(0.5 * nu, p)
         return const - 0.5 * (nu + p + 1.0) * logdet_x - 0.5 * tr
     raise InvalidParams(f"unknown family {fam!r}")
 

@@ -25,7 +25,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import gammaln, log_expit, logsumexp, multigammaln
 
 from . import distributions, matrixops
 from .errors import (
@@ -476,6 +475,18 @@ def _log_divdiff_exp(a, b):
     return 0.5 * (a + b) + _log_sinhc(0.5 * (a - b))
 
 
+def _log_expit(x):
+    """log(1 / (1 + e^-x)), without overflow at either tail."""
+    return np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
+
+
+def _logsumexp(x):
+    """log(sum(e^x)) over the last axis, kept as a length-1 axis; shifted by
+    each row's maximum, which must be finite."""
+    top = np.max(x, axis=-1, keepdims=True)
+    return top + np.log(np.sum(np.exp(x - top), axis=-1, keepdims=True))
+
+
 def _masked(mask, values):
     out = np.full(mask.shape, -np.inf)
     out[mask] = values
@@ -500,15 +511,15 @@ def _scalar_positive_density(params, tag):
             body = lambda z: c + z - lam * np.exp(z)
         elif fam == "gamma":
             a, lam = params.alpha, params.lam
-            c = a * np.log(lam) - gammaln(a)
+            c = a * np.log(lam) - distributions._gammaln(a)
             body = lambda z: c + a * z - lam * np.exp(z)
         elif fam == "inverse_gamma":
             a, lam = params.alpha, params.lam
-            c = a * np.log(lam) - gammaln(a)
+            c = a * np.log(lam) - distributions._gammaln(a)
             body = lambda z: c - a * z - lam * np.exp(-z)
         else:
             k = params.k
-            c = -0.5 * k * np.log(2.0) - gammaln(0.5 * k)
+            c = -0.5 * k * np.log(2.0) - distributions._gammaln(0.5 * k)
             body = lambda z: c + 0.5 * k * z - 0.5 * np.exp(z)
 
         def logdens(z):
@@ -527,15 +538,15 @@ def _scalar_positive_density(params, tag):
             body = lambda z: c + np.log(z) - lam * z * z
         elif fam == "gamma":
             a, lam = params.alpha, params.lam
-            c = a * np.log(lam) - gammaln(a) + log2
+            c = a * np.log(lam) - distributions._gammaln(a) + log2
             body = lambda z: c + (2.0 * a - 1.0) * np.log(z) - lam * z * z
         elif fam == "inverse_gamma":
             a, lam = params.alpha, params.lam
-            c = a * np.log(lam) - gammaln(a) + log2
+            c = a * np.log(lam) - distributions._gammaln(a) + log2
             body = lambda z: c - (2.0 * a + 1.0) * np.log(z) - lam / (z * z)
         else:
             k = params.k
-            c = (1.0 - 0.5 * k) * np.log(2.0) - gammaln(0.5 * k)
+            c = (1.0 - 0.5 * k) * np.log(2.0) - distributions._gammaln(0.5 * k)
             body = lambda z: c + (k - 1.0) * np.log(z) - 0.5 * z * z
 
         def logdens(z):
@@ -558,7 +569,7 @@ def _scalar_positive_density(params, tag):
 
 def _beta_density(params, tag):
     a, b = params.alpha, params.beta
-    logB = gammaln(a) + gammaln(b) - gammaln(a + b)
+    logB = distributions._betaln(a, b)
     if tag == "identity":
 
         def logdens(z):
@@ -575,7 +586,7 @@ def _beta_density(params, tag):
         def logdens(z):
             mask = np.isfinite(z)
             zv = z[mask]
-            return _masked(mask, a * log_expit(zv) + b * log_expit(-zv) - logB)
+            return _masked(mask, a * _log_expit(zv) + b * _log_expit(-zv) - logB)
 
         boundary = lambda z: np.inf
         init = np.log(a) - np.log(b)
@@ -585,7 +596,7 @@ def _beta_density(params, tag):
 def _dirichlet_density(params, tag):
     alpha = params.alpha
     K = alpha.size
-    logB = np.sum(gammaln(alpha)) - gammaln(np.sum(alpha))
+    logB = sum(map(distributions._gammaln, alpha)) - distributions._gammaln(np.sum(alpha))
 
     if tag == "identity":
         # chart u = y_{1:K-1}; the density w.r.t. Lebesgue on the chart is
@@ -613,11 +624,12 @@ def _dirichlet_density(params, tag):
         logK = np.log(K)
 
         def logdens(u):
-            x = np.concatenate([u, -np.sum(u, axis=-1, keepdims=True)], axis=-1)
-            logy = x - logsumexp(x, axis=-1, keepdims=True)
             mask = np.all(np.isfinite(u), axis=-1)
-            vals = np.sum(alpha * logy, axis=-1) - logB + logK
-            return np.where(mask, vals, -np.inf)
+            uv = u[mask]
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = np.concatenate([uv, -np.sum(uv, axis=-1, keepdims=True)], axis=-1)
+                logy = x - _logsumexp(x)
+            return _masked(mask, np.sum(alpha * logy, axis=-1) - logB + logK)
 
         boundary = lambda u: np.inf
         la = np.log(alpha)
@@ -638,7 +650,7 @@ def _matrix_density(params, tag):
         logZ = (
             -0.5 * n * p * np.log(2.0)
             - 0.5 * n * np.linalg.slogdet(V)[1]
-            - multigammaln(0.5 * n, p)
+            - distributions._multigammaln(0.5 * n, p)
         )
         X0 = n * V  # the Newton start on the support; other bases start at its image
     else:
@@ -646,7 +658,7 @@ def _matrix_density(params, tag):
         logZ = (
             0.5 * nu * np.linalg.slogdet(Psi)[1]
             - 0.5 * nu * p * np.log(2.0)
-            - multigammaln(0.5 * nu, p)
+            - distributions._multigammaln(0.5 * nu, p)
         )
         X0 = Psi / (nu + p + 1.0)
 
@@ -891,15 +903,21 @@ def _fd_hessian_refined(f, z):
     return (4.0 * H2 - H1) / 3.0
 
 
+# The line search's step fractions 1, 1/2, ..., 2^-46, one objective call per
+# chunk of 1, 1, 2, 4, 8, 16 and 15: at most 7 calls, where one each took 47.
+_STEP_CHUNKS = np.split(np.ldexp(1.0, -np.arange(47)), [1, 2, 4, 8, 16, 32])
+
+
 def numeric_laplace(density, init=None, tolerance=1e-8, max_iter=500):
     """Laplace approximation of `density.log_objective` by damped Newton.
 
     Derivatives are central finite differences; each gradient or Hessian
     stencil is one call of `log_objective` on the stack of its points, so
     `log_objective` must accept a (k, d) stack (a (k,) column when d = 1),
-    and the line search evaluates one-row stacks. The convergence test floors
-    the gradient tolerance at the finite-difference noise level. A mode on
-    the domain boundary or an indefinite Hessian raises NoValidLaplace.
+    and the line search evaluates stacks of halved steps (`_STEP_CHUNKS`).
+    The convergence test floors the gradient tolerance at the
+    finite-difference noise level. A mode on the domain boundary or an
+    indefinite Hessian raises NoValidLaplace.
     """
     f = _objective_fn(density)
     z = np.atleast_1d(np.asarray(
@@ -918,14 +936,14 @@ def numeric_laplace(density, init=None, tolerance=1e-8, max_iter=500):
         return density.boundary_distance(point) <= boundary_tol
 
     def ascent(step):
-        # the first of z + step, z + step/2, ... above fval, with its value
-        t = 1.0
-        while t > 1e-14:
-            cand = z + t * step
-            fcand = float(f(cand[None])[0])
-            if fcand > fval:
-                return cand, fcand
-            t *= 0.5
+        # the first of z + step, z + step/2, ..., z + step/2^46 above fval,
+        # with its value; one call per chunk of fractions
+        for fractions in _STEP_CHUNKS:
+            cands = z + fractions[:, None] * step
+            fcands = f(cands)
+            up = np.flatnonzero(fcands > fval)
+            if up.size:
+                return cands[up[0]], float(fcands[up[0]])
         return None, None
 
     converged = False

@@ -1,6 +1,7 @@
 """Distance estimators, the ESS baseline sampler, and the sweep driver."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,6 +239,30 @@ class TestMmd:
         m = shape[0]
         expected = _mmd_from_gram(K, np.arange(m), np.arange(m, 2 * m))
         assert diagnostics.mmd(x, y) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+    def test_row_blocks_sum_the_whole_gram(self):
+        # sizes that straddle the blocks of _GRAM_ROWS rows
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(600, 2))
+        y = rng.normal(size=(700, 2)) + 0.3
+        pooled = np.vstack([x, y])
+        sq = np.sum(pooled**2, axis=1)
+        K = np.exp(-np.maximum(sq[:, None] + sq[None, :] - 2.0 * pooled @ pooled.T, 0.0) / 2.0)
+        expected = _mmd_from_gram(K, np.arange(600), np.arange(600, 1300))
+        assert diagnostics.mmd(x, y, kernel=1.0) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+    def test_memory_at_the_sweep_default_size(self):
+        # 2000 points a side, the distance_sweep default: the whole pooled
+        # Gram matrix took 244 MiB, one block of rows takes 8 MB
+        rng = np.random.default_rng(6)
+        x, y = rng.normal(size=2000), rng.normal(size=2000) + 0.1
+        tracemalloc.start()
+        try:
+            diagnostics.mmd(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
     def test_non_positive_bandwidth_is_invalid_params(self):
         # a zero bandwidth divided by zero

@@ -877,6 +877,32 @@ class TestStackedStencils:
                     pass
         assert any(crossed)
 
+    def test_line_search_fractions_are_the_halving_loops(self):
+        t, halvings = 1.0, []
+        while t > 1e-14:
+            halvings.append(t)
+            t *= 0.5
+        assert np.concatenate(transforms._STEP_CHUNKS).tolist() == halvings
+
+    @pytest.mark.parametrize("family, tag", _ORACLE_ROWS)
+    def test_chunked_line_search_equals_one_fraction_per_call(self, monkeypatch, family, tag):
+        # the reference evaluates z + t * step one t at a time, first to last
+        def fits():
+            out = []
+            for params in diagnostics.default_grid(family):
+                try:
+                    g = transforms.numeric_laplace(transforms.push_forward(params, tag))
+                    out.append(g.mean.tobytes() + g.cov_dense().tobytes())
+                except NoValidLaplace as exc:
+                    out.append(str(exc))
+            return out
+
+        chunked = fits()
+        monkeypatch.setattr(
+            transforms, "_STEP_CHUNKS", np.split(np.concatenate(transforms._STEP_CHUNKS), 47)
+        )
+        assert chunked == fits()
+
     @pytest.mark.parametrize("family", ["wishart", "inverse_wishart"])
     @pytest.mark.parametrize("tag", ["identity", "matrix_log", "matrix_sqrt"])
     def test_matrix_density_runs_one_eigh_per_call(self, monkeypatch, family, tag):
