@@ -63,21 +63,33 @@ as it rounds the whole one: on OpenBLAS (SkylakeX kernels) about 4e-5 of the
 entries in tile corners differ in the last bit for d >= 2 (a fused
 multiply-add against a separate multiply and add), so a median landing on
 such an entry would move by one rounding. In 336 inputs checked against
-the n x n evaluation (d from 1 to 8, n from 2 to 2500) none did.
+the n x n evaluation (d from 1 to 8, n from 2 to 2500) none did. For d = 1
+each entry is one rounded product, sum and difference, the same floats in
+any block. There the bracketed selection needs no pass: on the sorted
+(sub)sample one searchsorted per bracket end counts, per row, the pairs
+whose gap puts them below the bracket for certain and drops those above
+it, and only the pairs inside the bracket or in the rounding band at its
+ends are evaluated (selection in X + Y: Johnson & Mizoguchi 1978).
 
 kmeanspp clusters inputs; the pipeline's inducing sites are its clusters.
 Its seeding draws each centre as Generator.choice(n, p=d2 / total) would,
 through the same cumulative sum and search but without choice's O(n)
 validation passes, and keeps d2 from a column-by-column sum of squares
 (`_sqdist_to`) updated in place. Its Lloyd loop gives the plain loop's
-assignments bit for bit but computes
-few distance rows after the first iteration: triangle-inequality bounds
-(Hamerly 2010), widened by the rounding of _sqdist, prove most assignments
-unchanged. It takes no per-cluster mask: empty clusters come from one
-bincount of the assignments, and for d >= 2 the centres from one weighted
-bincount per coordinate, the same members added in the same order as a mask
-would select, so the same floating-point sums. For d = 1 each centre is
-np.add.reduce over its cluster's slice, np.mean's own pairwise sum.
+assignments bit for bit, the argmin of each row of the rounded
+_sqdist(X, centers), but computes few of those rows. For d = 1 the inputs
+are sorted once, and each iteration gives every distinct centre the run of
+sorted inputs between the midpoints to its neighbours, with one
+searchsorted; only points within the rounding band of a midpoint take the
+argmin of their row. For d >= 2, after the first iteration,
+triangle-inequality bounds (Hamerly 2010), widened by the rounding of
+_sqdist, prove most assignments unchanged. Empty clusters come from one
+bincount of the assignments and share one repair. For d >= 2 the centres
+come from one weighted bincount per coordinate, the same members added in
+the same order as a mask would select, so the same floating-point sums.
+For d = 1 each centre is np.add.reduce over its cluster's members in input
+order, np.mean's own pairwise sum, recomputed only for the clusters that
+gained or lost a member.
 The module knows nothing of exponential families or bridges.
 """
 
@@ -432,14 +444,15 @@ def _median_bracket(X, ranks, pairs):
     return d2[k_lo], d2[k_hi]
 
 
-def _select_bracketed(X, lo, hi, ranks):
-    """The pair distances of the given ranks, from one pass that counts the
-    distances below lo, equal to lo and equal to hi, and keeps those
-    strictly between: ties at the ends are counted, not kept. [nan] if a
-    distance is NaN; None if a rank falls outside [lo, hi]."""
-    below = at_lo = at_hi = 0
+def _select_bracketed(pairs, lo, hi, ranks, below=0):
+    """The pair distances of the given ranks, from one pass over a stream of
+    pair distances that counts those below lo, equal to lo and equal to hi,
+    and keeps those strictly between: ties at the ends are counted, not
+    kept. `below` counts pairs known to lie below lo that the stream leaves
+    out. [nan] if a distance is NaN; None if a rank falls outside [lo, hi]."""
+    at_lo = at_hi = 0
     inside = []
-    for v in _pair_blocks(X):
+    for v in pairs:
         if np.isnan(v).any():
             return [np.nan]
         below += np.count_nonzero(v < lo)
@@ -454,6 +467,56 @@ def _select_bracketed(X, lo, hi, ranks):
     if inner:
         inside.partition(inner)
     return [lo if k < 0 else inside[k] if k < inside.size else hi for k in ks]
+
+
+def _rounding_1d(xx, cc):
+    """A bound on the rounding error of each entry of _sqdist on
+    one-dimensional inputs whose squares are at most xx and cc: kmeanspp's
+    gamma at d = 1, (2d + 8) eps, plus a few subnormal units for entries
+    that underflow."""
+    return 10.0 * np.finfo(float).eps * (xx + cc) + 4.0 * np.finfo(float).smallest_subnormal
+
+
+def _sqdist_1d(a, b):
+    """The entries of _sqdist(a[:, None], b[:, None]) for the pairs
+    (a_i, b_i): for d = 1 each is x^2 + c^2 - (2x) c, every operation
+    rounded once (the BLAS product has one term, so no sum to order)."""
+    d2 = a * a
+    d2 += b * b
+    d2 -= (2.0 * a) * b
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _select_sorted(x, lo, hi, ranks):
+    """_select_bracketed for one-dimensional inputs x, sorted ascending,
+    without evaluating most pairs. Every entry is within err of its pair's
+    gap squared (`_rounding_1d`), so a pair whose gap is below
+    t_lo = sqrt(lo - 2 err) lies below lo for certain, and one whose gap is
+    above t_hi = sqrt(hi + 2 err) lies above hi. The second err leaves
+    room, at least 5 eps max|x| in gap space, for the rounding of x_i + t
+    and of the square roots (under 3 eps max|x|). Per row i, searchsorted
+    finds both ends, the pairs below the first are counted, those above
+    the second dropped, and only the pairs between are evaluated
+    (`_sqdist_1d`): the inside of the bracket, about 5% of the pairs, and
+    the rounding band at its ends. When that is more than an eighth of the
+    pairs (badly scaled inputs: a large offset, a tiny spread) the streamed
+    pass runs instead, so memory stays bounded."""
+    n = x.size
+    top = max(x[0] * x[0], x[-1] * x[-1])
+    err = _rounding_1d(top, top)
+    t_lo = np.sqrt(max(lo - 2.0 * err, 0.0))
+    t_hi = np.sqrt(hi + 2.0 * err)
+    rows = np.arange(n)
+    start = np.maximum(x.searchsorted(x + t_lo), rows + 1)
+    count = x.searchsorted(x + t_hi, side="right") - start
+    total = int(np.sum(count))
+    if total > n * (n - 1) // 16:
+        return _select_bracketed(_pair_blocks(x[:, None]), lo, hi, ranks)
+    # the columns start[i] .. start[i] + count[i] - 1 of each row i
+    offset = np.repeat(start - (np.cumsum(count) - count), count)
+    cols = np.arange(total) + offset
+    d2 = _sqdist_1d(x[np.repeat(rows, count)], x[cols])
+    return _select_bracketed([d2], lo, hi, ranks, below=int(np.sum(start - rows - 1)))
 
 
 def median_lengthscale(X):
@@ -471,8 +534,15 @@ def median_lengthscale(X):
     below the bracket and keeps those inside it, and a partition of those
     gives the middle order statistics. With fewer pairs, or when a rank
     falls outside the bracket, every pair distance is kept and partitioned.
-    sqrt is monotone, so this equals np.median of the distances (a NaN
-    among them gives the fallback 1.0, as does a zero median). A median
+    For d = 1 (inputs below 1e150 in magnitude, no NaN) the bracket's
+    counts come from the sorted (sub)sample instead (`_select_sorted`): one
+    searchsorted per bracket end, and only the pairs inside the bracket or
+    within the rounding band at its ends (twice the entries' bound
+    10 eps (2 max x^2), plus a few subnormal units) are evaluated, as the
+    entries max(x_i^2 + x_j^2 - 2 x_i x_j, 0) of _sqdist: about 5% of the
+    pairs, where the stream evaluates all of them. sqrt is monotone, so
+    this equals np.median of the distances (a NaN among them gives the
+    fallback 1.0, as does a zero median). A median
     whose square is at rounding level, at most 8 eps max_i ||x_i||^2, counts
     as zero: identical rows in d >= 2 leave a residue of up to about
     2 eps ||x||^2 in _sqdist.
@@ -491,7 +561,14 @@ def median_lengthscale(X):
     ranks = sorted({(pairs - 1) // 2, pairs // 2})
     middle = None
     if pairs > _MEDIAN_EXACT:
-        middle = _select_bracketed(X, *_median_bracket(X, ranks, pairs), ranks)
+        bracket = _median_bracket(X, ranks, pairs)
+        x = np.sort(X[:, 0]) if X.shape[1] == 1 else None
+        # sorted counting needs finite entries: NaN, and squares near
+        # overflow, keep the streamed pass
+        if x is not None and np.max(np.abs(x[[0, -1]])) < 1e150:
+            middle = _select_sorted(x, *bracket, ranks)
+        else:
+            middle = _select_bracketed(_pair_blocks(X), *bracket, ranks)
     if middle is None:
         d2 = np.concatenate(list(_pair_blocks(X)))
         d2.partition(ranks + [-1])
@@ -681,33 +758,173 @@ def _settled(X, centers, assign, lower, err, gamma):
     return other * other * down - own * own * up > 2.0 * err
 
 
+def _repaired(X, centers, assign, nearest):
+    """The assignments with no cluster empty, and the cluster sizes: each
+    empty cluster's centre moves to the point farthest from all centres and
+    nearest() assigns every point again, up to five times; then
+    EmptyCluster is raised."""
+    k = centers.shape[0]
+    for _ in range(5):
+        sizes = np.bincount(assign, minlength=k)
+        empty = np.flatnonzero(sizes == 0)
+        if not empty.size:
+            return assign, sizes
+        for j in empty:
+            far = int(np.argmax(np.min(_sqdist(X, centers), axis=1)))
+            centers[j] = X[far]
+        assign = nearest()
+    raise EmptyCluster("could not repair empty clusters after 5 attempts")
+
+
+def _lloyd_bounded(X, centers, max_iter):
+    """Lloyd iterations for d >= 2 that compute only the distance rows that
+    Hamerly's bounds leave unproven (see kmeanspp)."""
+    k, dim = centers.shape
+    gamma = (2 * dim + 8) * np.finfo(float).eps
+    xx = np.einsum("ij,ij->i", X, X)
+    assign = lower = None
+
+    def full():
+        nonlocal lower
+        err = _rounding_bound(xx, centers, gamma)
+        best, _, lower = _nearest_two(_sqdist(X, centers), err, gamma)
+        return best
+
+    for it in range(max_iter):
+        if assign is None:
+            new_assign = full()
+        else:
+            err = _rounding_bound(xx, centers, gamma)
+            unsure = np.flatnonzero(~_settled(X, centers, assign, lower, err, gamma))
+            new_assign = assign.copy()
+            if unsure.size:
+                rows = unsure if unsure.size > 1 else np.repeat(unsure, 2)
+                best, gap, bound = _nearest_two(
+                    _sqdist(X[rows], centers)[: unsure.size], err[unsure], gamma
+                )
+                new_assign[unsure] = best
+                lower[unsure] = bound
+                if not np.all(gap * (1.0 - gamma) > 4.0 * err[unsure]):
+                    new_assign = full()
+        new_assign, sizes = _repaired(X, centers, new_assign, full)
+        if assign is not None and np.array_equal(new_assign, assign):
+            return centers, assign, it + 1, True
+        assign = new_assign
+        moved = centers.copy()
+        for c in range(dim):
+            centers[:, c] = np.bincount(assign, weights=X[:, c], minlength=k) / sizes
+        # lower the bounds by the largest move of a centre other than the own
+        moves = np.sqrt(_sqdist_pairs(centers, moved)) * (1.0 + gamma)
+        top = int(np.argmax(moves))
+        drift = np.where(assign == top, np.max(np.delete(moves, top), initial=0.0), moves[top])
+        lower = np.maximum((lower - drift) * (1.0 - gamma), 0.0)
+    return centers, assign, max_iter, False
+
+
+def _nearest_sorted(X, order, xs, centers):
+    """The argmin of each row of _sqdist(X, centers) for one-dimensional X,
+    from its sorted values xs = X[order, 0] (see kmeanspp)."""
+    c = centers[:, 0]
+    by = np.argsort(c, kind="stable")
+    c = c[by]
+    # one label per distinct centre: the lowest index, argmin's tie rule
+    first = np.flatnonzero(np.concatenate(([True], c[1:] != c[:-1])))
+    c, label = c[first], by[first]
+    mid = 0.5 * (c[:-1] + c[1:])
+    err = _rounding_1d(np.max(np.square(xs[[0, -1]])), np.max(np.square(c[[0, -1]])))
+    half = 2.0 * err / np.diff(c)
+    n = xs.size
+    assign = np.empty(n, dtype=np.intp)
+    assign[order] = np.repeat(label, np.diff(xs.searchsorted(mid), prepend=0, append=n))
+    # points within half of a midpoint take the argmin of their own row
+    band = np.bincount(xs.searchsorted(mid - half), minlength=n + 1)
+    band -= np.bincount(xs.searchsorted(mid + half, side="right"), minlength=n + 1)
+    unsure = order[np.cumsum(band[:n]) > 0]
+    if unsure.size:
+        assign[unsure] = np.argmin(_sqdist(X[unsure], centers), axis=1)
+    return assign
+
+
+def _lloyd_sorted(X, centers, max_iter):
+    """Lloyd iterations for d = 1 on the inputs sorted once (see kmeanspp)."""
+    k = centers.shape[0]
+    x = X[:, 0]
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    nearest = lambda: _nearest_sorted(X, order, xs, centers)
+    assign = None
+    for it in range(max_iter):
+        seeded = centers.copy()
+        new_assign, sizes = _repaired(X, centers, nearest(), nearest)
+        if assign is not None and np.array_equal(new_assign, assign):
+            return centers, assign, it + 1, True
+        # only a cluster that gained or lost a member has a new mean, unless
+        # a repair re-seeded a centre
+        if assign is None or not np.array_equal(seeded, centers):
+            stale = range(k)
+        else:
+            moved = new_assign != assign
+            gained = np.bincount(new_assign[moved], minlength=k)
+            stale = np.flatnonzero(gained + np.bincount(assign[moved], minlength=k))
+        assign = new_assign
+        # members by cluster, each cluster's in input order
+        members = x[np.argsort(assign, kind="stable")]
+        ends = np.cumsum(sizes)
+        for j in stale:
+            centers[j, 0] = np.add.reduce(members[ends[j] - sizes[j] : ends[j]]) / sizes[j]
+    return centers, assign, max_iter, False
+
+
 def kmeanspp(X, k, seed=0, max_iter=100):
     """k-means++ seeding plus Lloyd iterations (capped).
 
     An empty cluster is re-seeded at the point farthest from all centers;
     after five failed repair attempts EmptyCluster is raised. Returns
-    (centers, assignments, iterations).
+    (centers, assignments, iterations, converged): converged is True when
+    an iteration left every assignment unchanged, False when the loop
+    stopped at max_iter (also with max_iter = 0, which returns the seeds
+    and no assignments).
 
     The iterations give Lloyd's assignments bit for bit, the argmin of each
-    row of the rounded _sqdist(X, centers), without computing most rows
-    (Hamerly 2010, Making k-means even faster). Each entry of that matrix,
-    a2 + b2 - 2ab, is within (2d + 3) u (||x||^2 + ||c||^2) of the true
-    squared distance (u = eps / 2: the sums of d squares and the dot product
-    each err by at most d u times their terms, and the add and subtract
-    round once each). The code's gamma, (2d + 8) eps or (4d + 16) u, is
-    more than twice that constant, to cover the second order and the
-    rounding of the bounds themselves. A point whose true distance to every
-    other centre exceeds the distance to its own by more than twice
-    gamma (||x||^2 + ||c||^2) keeps its centre in the rounded matrix,
-    strictly, so the argmin's tie rule cannot pick another. The distance to
-    the own centre is bounded above from the direct difference each
-    iteration (O(n d), Hamerly's tightening step for every point at once);
-    the distance to the other centres below by a per-point bound, set from
-    the rows and lowered by the largest move of another centre, and by
-    twice the half-distance from the own centre to its nearest other
-    centre, less the distance to the own centre. Moves and bounds are
-    inflated or deflated by 1 + gamma, so they also cover their own
-    rounding. Badly scaled inputs (a large offset, a tiny spread) prove
+    row of the rounded _sqdist(X, centers), without computing most rows.
+    Each entry of that matrix, a2 + b2 - 2ab, is within (2d + 3) u
+    (||x||^2 + ||c||^2) of the true squared distance (u = eps / 2: the sums
+    of d squares and the dot product each err by at most d u times their
+    terms, and the add and subtract round once each). The code's gamma,
+    (2d + 8) eps or (4d + 16) u, is more than twice that constant, to cover
+    the second order and the rounding of the bounds themselves. A point
+    whose true distance to every other centre exceeds the distance to its
+    own by more than twice gamma (||x||^2 + ||c||^2) keeps its centre in
+    the rounded matrix, strictly, so the argmin's tie rule cannot pick
+    another. Which points provably do depends on the dimension.
+
+    For d = 1 the inputs are sorted once. Each iteration sorts the k
+    centres, keeps the lowest index of each distinct value (argmin's tie
+    rule: equal centres give equal entries) and assigns the run of sorted
+    inputs between the midpoints of neighbouring distinct centres to each,
+    with one searchsorted of the k - 1 midpoints: O(n + k log k) after the
+    one O(n log n) sort. A point x beside the midpoint m of neighbours
+    a < b is nearer to one of them by 2 (b - a) |x - m|, and to every other
+    centre by more, so the run decides its argmin once |x - m| exceeds
+    err / (b - a), with err = gamma (max x^2 + max c^2) plus a few
+    subnormal units for entries that underflow. The band around each
+    midpoint is twice that; the second err / (b - a), at least 10 eps
+    max|c| since b - a <= 2 max|c|, covers the rounding of m and of the
+    band's ends. The points inside a band (a point exactly on a midpoint,
+    or all of them on badly scaled inputs such as 1e6 + 1e-6 u) take the
+    argmin of their own _sqdist row. For d = 1 an entry is one product,
+    one sum and one difference, each rounded once, so a row is the same
+    floats whichever rows share its product.
+
+    For d >= 2 the bounds are Hamerly's (2010, Making k-means even faster).
+    The distance to the own centre is bounded above from the direct
+    difference each iteration (O(n d), Hamerly's tightening step for every
+    point at once); the distance to the other centres below by a per-point
+    bound, set from the rows and lowered by the largest move of another
+    centre, and by twice the half-distance from the own centre to its
+    nearest other centre, less the distance to the own centre. Moves and
+    bounds are inflated or deflated by 1 + gamma, so they also cover their
+    own rounding. Badly scaled inputs (a large offset, a tiny spread) prove
     nothing, and every row is recomputed: slower, never wrong.
 
     The rows not proven are recomputed through one product of at least two
@@ -721,13 +938,15 @@ def kmeanspp(X, k, seed=0, max_iter=100):
     first iteration, that fallback, an empty-cluster repair) resets every
     bound.
 
+    The empty-cluster repair is shared: the farthest point from the full
+    matrix, then a new assignment of every point by the path's own rule.
     For d >= 2 each centre is one weighted bincount per coordinate over the
     cluster sizes: it adds the members in input order, as np.mean does over
     the rows of their slice, so the centres are the same floats (a
     coordinate whose members are all -0.0 gives +0.0, equal as a number).
     For d = 1, np.mean sums the slice pairwise; np.add.reduce over the 1-D
-    slice runs that same sum, and dividing by the size is np.mean's last
-    step.
+    slice of the members in input order runs that same sum, and dividing
+    by the size is np.mean's last step.
 
     The seeding draws are those of rng.choice(n, p=d2 / total): the same
     cumulative sum, normalised by its last entry, searched for one
@@ -753,56 +972,5 @@ def kmeanspp(X, k, seed=0, max_iter=100):
             cdf /= cdf[-1]
             centers[j] = X[cdf.searchsorted(rng.random(), side="right")]
         np.minimum(d2, _sqdist_to(X, centers[j]), out=d2)
-
-    gamma = (2 * dim + 8) * np.finfo(float).eps
-    xx = np.einsum("ij,ij->i", X, X)
-    assign = lower = None
-    iterations = 0
-    for it in range(max_iter):
-        iterations = it + 1
-        err = _rounding_bound(xx, centers, gamma)
-        full = assign is None
-        if not full:
-            unsure = np.flatnonzero(~_settled(X, centers, assign, lower, err, gamma))
-            new_assign = assign.copy()
-            if unsure.size:
-                rows = unsure if unsure.size > 1 else np.repeat(unsure, 2)
-                best, gap, bound = _nearest_two(
-                    _sqdist(X[rows], centers)[: unsure.size], err[unsure], gamma
-                )
-                full = not np.all(gap * (1.0 - gamma) > 4.0 * err[unsure])
-                new_assign[unsure] = best
-                lower[unsure] = bound
-        if full:
-            new_assign, _, lower = _nearest_two(_sqdist(X, centers), err, gamma)
-        for _ in range(5):
-            sizes = np.bincount(new_assign, minlength=k)
-            empty = np.flatnonzero(sizes == 0)
-            if not empty.size:
-                break
-            for j in empty:
-                far = int(np.argmax(np.min(_sqdist(X, centers), axis=1)))
-                centers[j] = X[far]
-            err = _rounding_bound(xx, centers, gamma)
-            new_assign, _, lower = _nearest_two(_sqdist(X, centers), err, gamma)
-        else:
-            raise EmptyCluster("could not repair empty clusters after 5 attempts")
-        if assign is not None and np.array_equal(new_assign, assign):
-            break
-        assign = new_assign
-        moved = centers.copy()
-        if dim == 1:
-            # members by cluster, each cluster's in input order
-            members = X[np.argsort(assign, kind="stable"), 0]
-            ends = np.cumsum(sizes)
-            for j in range(k):
-                centers[j, 0] = np.add.reduce(members[ends[j] - sizes[j] : ends[j]]) / sizes[j]
-        else:
-            for c in range(dim):
-                centers[:, c] = np.bincount(assign, weights=X[:, c], minlength=k) / sizes
-        # lower the bounds by the largest move of a centre other than the own
-        moves = np.sqrt(_sqdist_pairs(centers, moved)) * (1.0 + gamma)
-        top = int(np.argmax(moves))
-        drift = np.where(assign == top, np.max(np.delete(moves, top), initial=0.0), moves[top])
-        lower = np.maximum((lower - drift) * (1.0 - gamma), 0.0)
-    return centers, assign, iterations
+    lloyd = _lloyd_sorted if dim == 1 else _lloyd_bounded
+    return lloyd(X, centers, max_iter)

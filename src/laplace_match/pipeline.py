@@ -259,7 +259,8 @@ class Prediction:
     (ef_failures, the False entries of `ef_ok`), the fitted kernel's
     record (kernel; with the default kernel, its median-heuristic
     lengthscale), and the Lloyd iterations of the k-means++ clustering of
-    an inducing run (lloyd_iterations; None when the call clustered
+    an inducing run and whether they converged before the cap of 100
+    (lloyd_iterations and lloyd_converged; None when the call clustered
     nothing). `ef_fields` holds the EF parameter fields of the query
     points from one masked bridge inverse, and `ef_ok` (m,) where it holds;
     `ef_params`, an EFParams per point or None, is built on first read.
@@ -370,25 +371,30 @@ def _build_kernel(config, X, width):
 # the LM step: sites -> prior fields -> conjugate fold -> bridge
 
 
+_NO_LLOYD = {"lloyd_iterations": None, "lloyd_converged": None}
+
+
 def _sites(data, config):
     """Training sites as (inputs, summed targets, member counts, Lloyd
-    iterations).
+    diagnostics).
 
     Without inducing, each training input is a site of one observation and
-    the iteration count is None; with inducing=k, each k-means++ cluster is
-    one site at its center.
+    the Lloyd diagnostics are None; with inducing=k, each k-means++ cluster
+    is one site at its center, and they hold the clustering's iteration
+    count and whether it converged before the cap.
     """
     if config.inducing is None:
-        return data.X, data.Y, np.ones(data.n), None
+        return data.X, data.Y, np.ones(data.n), _NO_LLOYD
     k = config.inducing
     # k-means++ cannot fill more clusters than there are distinct inputs
     distinct = np.unique(data.X, axis=0).shape[0]
     if k > distinct:
         raise InvalidParams(f"inducing={k} exceeds the {distinct} distinct training inputs")
-    centers, assign, iterations = gp.kmeanspp(data.X, k, seed=config.seed)
+    centers, assign, iterations, converged = gp.kmeanspp(data.X, k, seed=config.seed)
     total = np.zeros((k,) + data.Y.shape[1:])
     np.add.at(total, assign, data.Y)
-    return centers, total, np.bincount(assign, minlength=k).astype(float), iterations
+    lloyd = {"lloyd_iterations": iterations, "lloyd_converged": converged}
+    return centers, total, np.bincount(assign, minlength=k).astype(float), lloyd
 
 
 def _prior_fields(config, basis, width, X_sites, prior_model):
@@ -479,7 +485,7 @@ def _sample_marginals(mean, cov, seed, count):
     return z
 
 
-def _predict(model, config, basis, width, X_query, timings, lloyd_iterations=None):
+def _predict(model, config, basis, width, X_query, timings, lloyd=_NO_LLOYD):
     fam = config.family
     Xq = gp._as_inputs(X_query)
     m = Xq.shape[0]
@@ -506,7 +512,7 @@ def _predict(model, config, basis, width, X_query, timings, lloyd_iterations=Non
         "width": width,
         "ef_failures": int(np.count_nonzero(~ef_ok)),
         "kernel": model.kernel.to_record(),
-        "lloyd_iterations": lloyd_iterations,
+        **lloyd,
     }
     return Prediction(
         family=fam,
@@ -559,7 +565,7 @@ def _run(data, config, X_query, prior_model):
     kernel = _build_kernel(config, data.X, width)
     timings = {}
     t0 = time.perf_counter()
-    X_train, total, count, lloyd_iterations = _sites(data, config)
+    X_train, total, count, lloyd = _sites(data, config)
     prior = _prior_fields(config, basis, width, X_train, prior_model)
     fields = distributions.conjugate_fields(config.family, prior, total, count)
     mu, noise = bridges.forward_arrays(config.family, basis.tag, **fields)
@@ -568,7 +574,7 @@ def _run(data, config, X_query, prior_model):
     model = gp.gp_fit(kernel, _joint_inputs(X_train, width), mu.ravel(), noise)
     timings["fit_seconds"] = time.perf_counter() - t1
     Xq = data.X if X_query is None else X_query
-    return model, _predict(model, config, basis, width, Xq, timings, lloyd_iterations)
+    return model, _predict(model, config, basis, width, Xq, timings, lloyd)
 
 
 def lmgp_v1(data, config, X_query=None):
@@ -600,9 +606,9 @@ def predict(model, basis, config, X_query):
     for config, without a refit. `basis` is the basis that run resolved (its
     `Prediction.basis`), so the latent width is the fitted one. Equal to the
     run's Prediction at X_query, except that `timings` holds only the predict
-    and summary stages and that `lloyd_iterations` is None: no clustering
-    runs here. A basis of another family or with no bridge row raises
-    IncompatibleBasis.
+    and summary stages and that `lloyd_iterations` and `lloyd_converged` are
+    None: no clustering runs here. A basis of another family or with no
+    bridge row raises IncompatibleBasis.
     """
     if not isinstance(basis, transforms.BasisTransform):
         raise IncompatibleBasis("predict takes the basis the run resolved, Prediction.basis")

@@ -624,10 +624,13 @@ def _dirichlet_density(params, tag):
         logK = np.log(K)
 
         def logdens(u):
-            mask = np.all(np.isfinite(u), axis=-1)
-            uv = u[mask]
             with np.errstate(over="ignore", invalid="ignore"):
-                x = np.concatenate([uv, -np.sum(uv, axis=-1, keepdims=True)], axis=-1)
+                x = np.concatenate([u, -np.sum(u, axis=-1, keepdims=True)], axis=-1)
+            # a finite row whose implied last coordinate overflows, such as
+            # (-1e308, -1e308), gives -inf as an infinite row does
+            mask = np.all(np.isfinite(x), axis=-1)
+            x = x[mask]
+            with np.errstate(over="ignore", invalid="ignore"):
                 logy = x - _logsumexp(x)
             return _masked(mask, np.sum(alpha * logy, axis=-1) - logB + logK)
 

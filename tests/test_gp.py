@@ -221,6 +221,107 @@ class TestKernels:
         # an eighth of one n x n float64 array
         assert peak < n * n * 8 / 8
 
+    def test_one_dimensional_entries_are_those_of_sqdist(self):
+        # the sorted paths evaluate single pairs and row subsets; for d = 1
+        # every entry is one rounded product, sum and difference, so they
+        # are the floats of the whole matrix
+        rng = np.random.default_rng(2)
+        inputs = (
+            rng.normal(size=300),
+            1e6 + 1e-6 * rng.uniform(size=300),
+            1e-160 * rng.normal(size=300),
+        )
+        for a in inputs:
+            b = a[rng.integers(300, size=40)] + 0.5 * (a[:40] - a[40:80])
+            full = gp._sqdist(a[:, None], b[:, None])
+            pairs = gp._sqdist_1d(np.repeat(a, 40), np.tile(b, 300)).reshape(300, 40)
+            assert np.array_equal(pairs, full)
+            for i in (0, 7, 299):
+                assert np.array_equal(gp._sqdist(a[i : i + 1, None], b[:, None])[0], full[i])
+
+    @given(
+        n=st.integers(gp._MEDIAN_ROWS * 8 + 1, 1600),
+        kind=st.sampled_from(["uniform", "offset", "duplicates", "grid", "tiny"]),
+        offset=st.sampled_from([1e2, 1e4, 1e6]),
+        order=st.sampled_from(["shuffled", "sorted", "reversed"]),
+        data_seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_median_lengthscale_on_one_dimensional_inputs_is_np_median(
+        self, n, kind, offset, order, data_seed
+    ):
+        # from n = 513 on the sorted path counts pairs against the bracket
+        # and evaluates only the rounding band and the inside; offsets of
+        # 1e2 to 1e6 over a unit spread widen the band, and 1e6 + 1e-6 u
+        # fills it (the streamed pass runs); duplicates and a grid tie pairs
+        # at the bracket's ends; above _MEDIAN_INPUTS the subsample counts
+        rng = np.random.default_rng(data_seed)
+        if kind == "offset":
+            x = offset + rng.uniform(size=n) * (1e-6 if offset == 1e6 else 1.0)
+        elif kind == "duplicates":
+            x = rng.normal(size=30)[rng.integers(30, size=n)]
+        elif kind == "grid":
+            x = rng.integers(0, 5, size=n).astype(float)
+        elif kind == "tiny":
+            x = 1e-160 * rng.normal(size=n)
+        else:
+            x = rng.uniform(0.0, 3.0, size=n)
+        if order != "shuffled":
+            x = np.sort(x)[:: 1 if order == "sorted" else -1]
+        X = x[:, None]
+        sub = self._subsample(X) if n > gp._MEDIAN_INPUTS else X
+        median = float(np.median(np.sqrt(gp._sqdist(sub, sub)[np.triu_indices(sub.shape[0], 1)])))
+        rounding = 8.0 * np.finfo(float).eps * np.max(sub**2)
+        assert gp.median_lengthscale(x) == (median if median**2 > rounding else 1.0)
+
+    @given(
+        n=st.integers(2, 300),
+        kind=st.sampled_from(["uniform", "offset", "filled", "grid", "tiny"]),
+        rank_share=st.floats(0.0, 1.0),
+        below=st.integers(0, 3),
+        above=st.integers(0, 3),
+        data_seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_sorted_selection_counts_as_the_streamed_pass(
+        self, n, kind, rank_share, below, above, data_seed
+    ):
+        # a bracket a few ranks around any rank, not only the median's:
+        # there the rounding band decides which pairs count below lo, at its
+        # ends and inside; an offset of 1e5 over a unit spread puts entries
+        # within rounding of each other at the ends, 1e6 + 1e-6 u fills the
+        # band
+        rng = np.random.default_rng(data_seed)
+        x = {
+            "uniform": lambda: rng.uniform(0.0, 3.0, size=n),
+            "offset": lambda: 1e5 + rng.uniform(size=n),
+            "filled": lambda: 1e6 + 1e-6 * rng.uniform(size=n),
+            "grid": lambda: rng.integers(0, 5, size=n).astype(float),
+            "tiny": lambda: 1e-160 * rng.normal(size=n),
+        }[kind]()
+        X = x[:, None]
+        d2 = np.sort(gp._sqdist(X, X)[np.triu_indices(n, 1)])
+        rank = int(rank_share * (d2.size - 1))
+        ranks = sorted({rank, min(rank + 1, d2.size - 1)})
+        lo = d2[max(ranks[0] - below, 0)]
+        hi = d2[min(ranks[-1] + above, d2.size - 1)]
+        want = gp._select_bracketed(gp._pair_blocks(X), lo, hi, ranks)
+        assert want == list(d2[ranks])
+        assert gp._select_sorted(np.sort(x), lo, hi, ranks) == want
+
+    def test_one_dimensional_median_evaluates_only_the_band(self, monkeypatch):
+        # an offset of 1e4 over a unit spread: the rounding band holds some
+        # pairs, the sorted path decides them, and no streamed pass runs
+        x = 1e4 + np.random.default_rng(4).uniform(size=1000)
+        d = np.sqrt(gp._sqdist(x[:, None], x[:, None])[np.triu_indices(1000, 1)])
+        evaluated, passes = [], self._count_passes(monkeypatch)
+        sqdist_1d = gp._sqdist_1d
+        monkeypatch.setattr(
+            gp, "_sqdist_1d", lambda a, b: evaluated.append(a.size) or sqdist_1d(a, b)
+        )
+        assert gp.median_lengthscale(x) == float(np.median(d))
+        assert passes == [] and 0 < evaluated[0] < d.size // 8
+
     @pytest.mark.parametrize(
         "kernel",
         [
@@ -708,9 +809,9 @@ def _kmeanspp_reference(X, k, seed=0, max_iter=100):
     return centers, assign, iterations
 
 
-def _kmeans_outcome(fn, X, k, seed):
+def _kmeans_outcome(fn, X, k, seed, max_iter=100):
     try:
-        return fn(X, k, seed=seed)
+        return fn(X, k, seed=seed, max_iter=max_iter)
     except EmptyCluster as exc:
         return str(exc)
 
@@ -747,12 +848,16 @@ class TestInducing:
         self, monkeypatch, X, k, seed
     ):
         want = _kmeanspp_reference(X, k, seed=seed)
-        sqdist = gp._sqdist
-        calls = []
-        monkeypatch.setattr(gp, "_sqdist", lambda A, B: calls.append(1) or sqdist(A, B))
+        repaired, empty = gp._repaired, []
+
+        def spy(X, centers, assign, nearest):
+            empty.append(np.bincount(assign, minlength=centers.shape[0]).min() == 0)
+            return repaired(X, centers, assign, nearest)
+
+        monkeypatch.setattr(gp, "_repaired", spy)
         got = gp.kmeanspp(X, k, seed=seed)
-        # one distance evaluation per Lloyd iteration, more where a repair ran
-        assert len(calls) > got[2]
+        # an iteration left a cluster empty, and the repair matched the loop's
+        assert any(empty)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert got[2] == want[2]
 
@@ -796,6 +901,103 @@ class TestInducing:
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
         assert got[2] == want[2]
+
+    @given(
+        n=st.integers(2, 400),
+        k_share=st.floats(0.0, 1.0),
+        kind=st.sampled_from(["normal", "offset", "duplicates", "grid", "halves", "blobs"]),
+        order=st.sampled_from(["shuffled", "sorted", "reversed"]),
+        max_iter=st.sampled_from([1, 2, 3, 100]),
+        data_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 99),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_kmeanspp_on_one_dimensional_inputs_matches_the_reference(
+        self, n, k_share, kind, order, max_iter, data_seed, seed
+    ):
+        # the sorted path assigns runs between centre midpoints and leaves
+        # the rounding band around each midpoint to the rows' argmin: 1e6 +
+        # 1e-6 u puts every point in a band, a grid of integers or halves
+        # puts points exactly on midpoints and gives tied centres, and a cap
+        # of 1 to 3 iterations stops most runs before they converge
+        rng = np.random.default_rng(data_seed)
+        k = 1 + int(k_share * (min(n, 60) - 1))
+        if kind == "offset":
+            x = 1e6 + 1e-6 * rng.uniform(size=n)
+        elif kind == "duplicates":
+            x = rng.normal(size=max(1, n // 4))[rng.integers(max(1, n // 4), size=n)]
+        elif kind in ("grid", "halves"):
+            x = rng.integers(0, 8, size=n) / (2.0 if kind == "halves" else 1.0)
+        elif kind == "blobs":
+            x = 20.0 * rng.normal(size=k)[rng.integers(k, size=n)] + rng.normal(size=n)
+        else:
+            x = rng.normal(size=n)
+        if order != "shuffled":
+            x = np.sort(x)[:: 1 if order == "sorted" else -1]
+        got = _kmeans_outcome(gp.kmeanspp, x, k, seed, max_iter)
+        want = _kmeans_outcome(_kmeanspp_reference, x, k, seed, max_iter)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert got[2] == want[2]
+        # converged: one more iteration allowed, the reference stops by the cap
+        longer = _kmeans_outcome(_kmeanspp_reference, x, k, seed, max_iter + 1)
+        assert got[3] == (not isinstance(longer, str) and longer[2] <= max_iter)
+
+    @given(
+        n=st.integers(2, 200),
+        k=st.integers(1, 30),
+        kind=st.sampled_from(["normal", "offset", "grid", "tiny"]),
+        data_seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_midpoint_assignment_is_the_argmin_of_each_row(self, n, k, kind, data_seed):
+        # any centres, not only Lloyd's: drawn from the inputs (so tied
+        # centres) and from the midpoints of input pairs (so inputs exactly
+        # on a centre midpoint), on unsorted inputs
+        rng = np.random.default_rng(data_seed)
+        x = {
+            "normal": lambda: rng.normal(size=n),
+            "offset": lambda: 1e6 + 1e-6 * rng.uniform(size=n),
+            "grid": lambda: rng.integers(0, 6, size=n) / 2.0,
+            "tiny": lambda: 1e-160 * rng.normal(size=n),
+        }[kind]()
+        i, j = rng.integers(n, size=(2, k))
+        c = np.where(rng.random(k) < 0.5, x[i], 0.5 * (x[i] + x[j]))
+        X, C = x[:, None], c[:, None]
+        order = np.argsort(x, kind="stable")
+        got = gp._nearest_sorted(X, order, x[order], C)
+        assert np.array_equal(got, np.argmin(gp._sqdist(X, C), axis=1))
+
+    def test_kmeanspp_decides_a_point_on_a_midpoint_by_its_row(self, monkeypatch):
+        # centres 0 and 2 seed the loop, and 1 lies exactly between them:
+        # its row ties, and argmin takes the lower centre index, as the
+        # reference loop's does
+        X = np.array([0.0, 0.0, 0.0, 1.0, 2.0, 2.0, 2.0])
+        rows = self._rows_passed(monkeypatch)
+        seeds = gp.kmeanspp(X, 2, seed=3, max_iter=0)[0]
+        assert sorted(seeds[:, 0]) == [0.0, 2.0]
+        got = gp.kmeanspp(X, 2, seed=3)
+        assert any(1.0 in r for r in rows)
+        want = _kmeanspp_reference(X, 2, seed=3)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[2] == want[2]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_kmeanspp_tells_convergence_from_the_cap(self, dim):
+        # a run that converges at iteration t looks, by its count, like one
+        # stopped at max_iter = t; the flag tells them apart
+        X = np.random.default_rng(dim).normal(size=(300, dim))
+        centers, assign, t, converged = gp.kmeanspp(X, 12, seed=1)
+        assert converged and t >= 3
+        at_cap = gp.kmeanspp(X, 12, seed=1, max_iter=t)
+        assert at_cap[2] == t and at_cap[3] is True
+        assert np.array_equal(at_cap[0], centers) and np.array_equal(at_cap[1], assign)
+        capped = gp.kmeanspp(X, 12, seed=1, max_iter=t - 1)
+        assert capped[2] == t - 1 and capped[3] is False
+        assert gp.kmeanspp(X, 12, seed=1, max_iter=0)[1:] == (None, 0, False)
 
     @given(
         dim=st.integers(1, 16),
@@ -944,7 +1146,7 @@ class TestInducing:
         a = rng.normal(0.0, 0.1, size=(20, 2))
         b = rng.normal(10.0, 0.1, size=(20, 2))
         X = np.vstack([a, b])
-        centers, assign, _ = gp.kmeanspp(X, 2, seed=0)
+        centers, assign, _, _ = gp.kmeanspp(X, 2, seed=0)
         order = np.argsort(centers[:, 0])
         np.testing.assert_allclose(centers[order[0]], a.mean(axis=0), atol=0.01)
         np.testing.assert_allclose(centers[order[1]], b.mean(axis=0), atol=0.01)
@@ -969,7 +1171,7 @@ class TestInducing:
         Y = np.array([1.0, 0.0, 1.0, 1.0])
         centers, theta, _ = _inducing_fields(X, Y, 4, "beta", epsilon_a=0.01)
         assert centers.shape[0] == 4
-        _, assignments, _ = gp.kmeanspp(X, 4, seed=0)
+        _, assignments, _, _ = gp.kmeanspp(X, 4, seed=0)
         assert sorted(assignments.tolist()) == [0, 1, 2, 3]
         for j in range(4):
             member = int(np.flatnonzero(assignments == j)[0])

@@ -401,6 +401,7 @@ class TestDiagnostics:
         assert diag == {
             **model.diagnostics(), "sites": 12, "width": 1, "ef_failures": 0,
             "kernel": model.kernel.to_record(), "lloyd_iterations": None,
+            "lloyd_converged": None,
         }
         assert diag["kernel"] == {
             "kernel": "rbf", "lengthscale": gp.median_lengthscale(data.X), "variance": 1.0,
@@ -434,18 +435,31 @@ class TestDiagnostics:
         assert pred.diagnostics["sites"] == 5
         iterations = gp.kmeanspp(data.X, 5, seed=cfg.seed)[2]
         assert pred.diagnostics["lloyd_iterations"] == iterations >= 2
-        assert pred.to_record()["diagnostics"]["lloyd_iterations"] == iterations
+        assert pred.diagnostics["lloyd_converged"] is True
+        record = pred.to_record()["diagnostics"]
+        assert record["lloyd_iterations"] == iterations and record["lloyd_converged"] is True
         # a prediction from the fitted model runs no clustering
         again = pipeline.predict(model, pred.basis, cfg, data.X)
         assert again.diagnostics["lloyd_iterations"] is None
+        assert again.diagnostics["lloyd_converged"] is None
         empty = pipeline.Dataset(np.zeros(0), np.zeros(0))
         _, prior = pipeline.lmgp_v2(empty, cfg.replace(inducing=None))
         assert prior.diagnostics == {
             "jitter": 0.0, "min_pivot": None, "log_det": 0.0,
             "sites": 0, "width": 1, "ef_failures": 0,
             "kernel": {"kernel": "rbf", "lengthscale": 1.0, "variance": 1.0},
-            "lloyd_iterations": None,
+            "lloyd_iterations": None, "lloyd_converged": None,
         }
+
+    def test_inducing_run_capped_before_convergence_says_so(self, monkeypatch):
+        data = _binary_data(n=20)
+        cfg = pipeline.LMGPConfig("beta", kernel=gp.RBF(1.0), inducing=5, draws=20)
+        kmeanspp = gp.kmeanspp
+        monkeypatch.setattr(gp, "kmeanspp", lambda X, k, seed: kmeanspp(X, k, seed, max_iter=1))
+        _, pred = pipeline.lmgp_v1(data, cfg)
+        assert pred.diagnostics["lloyd_iterations"] == 1
+        assert pred.diagnostics["lloyd_converged"] is False
+        assert pred.to_record()["diagnostics"]["lloyd_converged"] is False
 
     def test_counts_failed_ef_inversions(self, monkeypatch):
         masked = bridges._inverse_masked

@@ -520,6 +520,16 @@ class TestPushForward:
         total, _ = integrate.quad(lambda u: np.exp(td.log_density(u)), -np.inf, np.inf)
         assert total == pytest.approx(1.0, abs=1e-6)
 
+    def test_dirichlet_softmax_density_is_minus_inf_where_the_last_coordinate_overflows(self):
+        # finite chart points whose implied last coordinate -sum(u) is +inf
+        # gave NaN (inf - inf in the max shift)
+        td = transforms.push_forward(distributions.dirichlet([1.2, 0.8, 0.6]), "softmax_inverse")
+        u = np.array([[-1e308, -1e308], [1e308, 1e308], [0.1, 0.2], [np.inf, 0.0]])
+        out = td.log_density(u)
+        assert np.array_equal(out[[0, 1, 3]], [-np.inf] * 3)
+        assert out[2] == td.log_density(u[2])
+        assert td.log_density(u[0]) == -np.inf
+
     def test_initial_point_inside_domain(self):
         cases = [
             (distributions.gamma(0.6, 2.0), "log"),
