@@ -76,6 +76,13 @@ def _positive(*fields):
     return ok
 
 
+def _within(x, lo, hi):
+    """Whether lo < every entry of x < hi, from one min and one max reduction
+    instead of an x-sized mask: NaN propagates through both and fails. An
+    empty x passes."""
+    return not x.size or (lo < x.min() and x.max() < hi)
+
+
 def _diagonal(mu, var):
     """The variances of `var`: itself for the scalar rows, else the
     diagonals of its covariance blocks."""
@@ -90,7 +97,9 @@ def _diagonal(mu, var):
 # into out[0] and the variances into out[1], the two halves of one block,
 # through ufunc `out=` arguments: a call allocates that one block and next to
 # no temporaries, so its time stays linear in n, where fresh arrays of 100k+
-# points would land in freshly mapped pages on every call.
+# points would land in freshly mapped pages on every call. The softmax row
+# keeps the same rule: its (n, K, K) covariance is the one large array it
+# allocates, built in place a row at a time (`dirichlet_softmax_forward_arrays`).
 
 
 _ROWS = {
@@ -204,16 +213,25 @@ def _row_for(family, tag):
 
 
 def dirichlet_softmax_forward_arrays(alpha):
-    """Batched softmax-basis bridge for Dirichlet: alpha (..., K) -> mu, Sigma."""
+    """Batched softmax-basis bridge for Dirichlet: alpha (..., K) -> mu, Sigma,
+    Sigma_ij = diag(1/alpha)_ij - (1/alpha_i + 1/alpha_j)/K + sum(1/alpha)/K^2.
+
+    Sigma is built in its one (..., K, K) output, a row i at a time, with
+    (..., K) temporaries only; the floats are those of the three full-size
+    terms added in that order."""
     alpha = np.asarray(alpha, dtype=float)
     K = alpha.shape[-1]
-    la = np.log(alpha)
-    mu = la - np.mean(la, axis=-1, keepdims=True)
+    mu = np.log(alpha)
+    mu -= np.mean(mu, axis=-1, keepdims=True)
     inv = 1.0 / alpha
     s = np.sum(inv, axis=-1, keepdims=True)
-    sigma = inv[..., :, None] * np.eye(K)
-    pairwise = (inv[..., :, None] + inv[..., None, :]) / K
-    sigma = sigma - pairwise + (s[..., None] / (K * K))
+    sigma = np.multiply(inv[..., :, None], np.eye(K))
+    pairwise = np.empty_like(inv)
+    for i in range(K):
+        np.add(inv[..., i, None], inv, out=pairwise)
+        pairwise /= K
+        sigma[..., i, :] -= pairwise
+    sigma += s[..., None] / (K * K)
     return mu, sigma
 
 
@@ -459,11 +477,13 @@ def forward_arrays(family, tag, **arrays):
             block = np.empty((2,) + np.broadcast(*fields).shape)
             mu, var = block[0, ...], block[1, ...]  # arrays, also for 0-d fields
             row["fwd"](*fields, out=(mu, var))
-            finite = np.isfinite(block).all()
         else:
             mu, var = row["fwd"](*fields)
-            finite = np.isfinite(mu).all() and np.isfinite(var).all()
-    if not (finite and (_diagonal(mu, var) > 0.0).all()):
+    if not (
+        _within(mu, -np.inf, np.inf)
+        and _within(_diagonal(mu, var), 0.0, np.inf)
+        and (var.ndim == mu.ndim or _within(var, -np.inf, np.inf))
+    ):
         raise OutsideValidityRegion(
             f"({family}, {tag}) bridge: the fields map outside finite means and "
             "positive finite variances"

@@ -12,11 +12,11 @@ function. The prior mean is zero.
 The posterior follows Rasmussen & Williams (GPML, 2006), Algorithm 2.1, with
 one dense factorisation per fit and one solve per prediction: gp_fit keeps
 only the Cholesky factor L of K + noise, and gp_predict solves L against the
-stacked right-hand sides [ks^T | mu] in one call, reading v = L^-1 ks^T and
-w = L^-1 mu from the result, so that mean = v^T w and the variances are the
-prior variances minus the column sums of v^2. Prior variances and blocks come
-from paired kernel evaluation (`Kernel.pairs`), never from an m x m query
-kernel.
+stacked right-hand sides [ks^T | mu] in one call, in place in their one
+buffer, reading v = L^-1 ks^T and w = L^-1 mu from the result, so that
+mean = v^T w and the variances are the prior variances minus the column sums
+of v^2. Prior variances and blocks come from paired kernel evaluation
+(`Kernel.pairs`), never from an m x m query kernel.
 
 The triangular solve is a row-blocked forward substitution (`_lower_solve`),
 the level-3 BLAS TRSM scheme (Dongarra, Du Croz, Hammarling & Duff 1990):
@@ -148,18 +148,19 @@ def chol_with_jitter(A):
 
 def _lower_solve(L, B):
     """L^-1 B for a lower-triangular L, by blocked forward substitution:
-    _BLOCK-row blocks, each solved over _LEAF-row leaves."""
+    _BLOCK-row blocks, each solved over _LEAF-row leaves. The solve runs in
+    one buffer: it overwrites the float array B with the solution and
+    returns it, allocating only block-sized temporaries."""
     n = L.shape[0]
-    X = np.empty(B.shape)
     for i in range(0, n, _BLOCK):
         j = min(i + _BLOCK, n)
-        np.subtract(B[i:j], L[i:j, :i] @ X[:i], out=X[i:j])
+        B[i:j] -= L[i:j, :i] @ B[:i]
         for a in range(i, j, _LEAF):
             b = min(a + _LEAF, j)
             if a > i:
-                X[a:b] -= L[a:b, i:a] @ X[i:a]
-            X[a:b] = np.linalg.inv(L[a:b, a:b]) @ X[a:b]
-    return X
+                B[a:b] -= L[a:b, i:a] @ B[i:a]
+            B[a:b] = np.linalg.inv(L[a:b, a:b]) @ B[a:b]
+    return B
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +668,8 @@ def gp_predict(model, Xstar, width=1):
     layout lays them out, and the second value is the (m, w, w) stack of the
     groups' covariance blocks; the full covariance is never formed. The
     heteroskedastic noise entered the training factor only; nothing is added
-    at query points.
+    at query points. The solve runs in one (n, m + 1) buffer, filled from
+    the (m, n) kernel matrix, which is freed before the solve.
     """
     Xs = _as_inputs(Xstar)
     kernel = model.kernel
@@ -684,14 +686,20 @@ def gp_predict(model, Xstar, width=1):
         if width > 1:
             return mean, matrixops.sym(prior)
         return mean, np.maximum(kernel.pairs(Xs, Xs), 0.0)
+    # the buffer is made after the kernel call, so that it never coexists
+    # with the kernel's own (m, n) temporary
     ks = kernel(Xs, model.X)
-    vw = _lower_solve(model._state["L"], np.column_stack((ks.T, model.mu)))
+    vw = np.empty((model.n, ks.shape[0] + 1))
+    vw[:, :-1] = ks.T
+    vw[:, -1] = model.mu
+    del ks
+    _lower_solve(model._state["L"], vw)
     v, w = vw[:, :-1], vw[:, -1]
     mean = w @ v
     if width > 1:
         vb = v.T.reshape(groups.shape[0], width, model.n)
         return mean, matrixops.sym(prior - vb @ np.swapaxes(vb, 1, 2))
-    var = kernel.pairs(Xs, Xs) - np.sum(v**2, axis=0)
+    var = kernel.pairs(Xs, Xs) - np.sum(np.square(v, out=v), axis=0)
     return mean, np.maximum(var, 0.0)
 
 

@@ -21,8 +21,11 @@ variance, or a width x width block per query point). `Prediction.draws` are
 per-point posterior draws: each point is drawn from its own marginal, so
 draws of different points are uncorrelated; every summary reads them one
 point at a time, along the draw axis of a C-ordered (draws, m[, width])
-array. `predict` makes another prediction from the model a
-pipeline run returned, without refitting it.
+array. For the scalar and softmax bases `Prediction.draws` is the buffer
+the latent draws were sampled into, transformed in place; the matrix bases
+exponentiate or square the draws into a new (draws, m, p, p) stack.
+`predict` makes another prediction from the model a pipeline run returned,
+without refitting it.
 
 `gen_binary`, `gen_counts`, `gen_categorical` and `gen_covariance` make
 seeded synthetic datasets of the four data types.
@@ -426,12 +429,14 @@ def _prior_fields(config, basis, width, X_sites, prior_model):
 
 
 def _back_transform(latent, basis, family):
-    """Latent draws (count, m[, width]) -> data-domain draws."""
+    """Latent draws (count, m[, width]) -> data-domain draws, written into
+    `latent` itself for the scalar and softmax bases; the matrix bases return
+    a new (count, m, p, p) stack."""
     if basis.tag == "matrix_log":
         return transforms._expm_vech(latent, basis.p)
     if family == "inverse_wishart":
         latent = matrixops.unvech(latent, basis.p)
-    return transforms.transform_samples(latent, basis, direction="inverse")
+    return transforms._inverse_in_place(latent, basis)
 
 
 def _sorted_quantile(s, q):
@@ -458,12 +463,22 @@ def _sorted_quantile(s, q):
 
 
 def _summarize(draws_data):
-    """Mean, std and the QUANTILES over the draw axis; the draws are sorted
-    once, and every quantile is read from the sorted copy."""
-    summary = {"mean": np.mean(draws_data, axis=0), "std": np.std(draws_data, axis=0)}
-    ordered = np.sort(draws_data, axis=0)
+    """Mean, std and the QUANTILES over the draw axis, with the floats of
+    np.mean, np.std and np.quantile, from one sum and one scratch buffer of
+    the draws' size: it holds the squared deviations, then a copy of the
+    draws, sorted once in place, from which every quantile is read."""
+    count = draws_data.shape[0]
+    mean = np.sum(draws_data, axis=0)
+    mean /= count
+    scratch = np.subtract(draws_data, mean)
+    np.square(scratch, out=scratch)
+    std = np.sum(scratch, axis=0)
+    std /= count
+    summary = {"mean": mean, "std": np.sqrt(std)}
+    np.copyto(scratch, draws_data)
+    scratch.sort(axis=0)
     for q in QUANTILES:
-        summary[f"q{int(round(q * 100)):02d}"] = _sorted_quantile(ordered, q)
+        summary[f"q{int(round(q * 100)):02d}"] = _sorted_quantile(scratch, q)
     return summary
 
 

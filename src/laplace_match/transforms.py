@@ -309,86 +309,109 @@ def transform_samples(samples, basis, direction="forward", pseudo_inverse=False)
     `direction="forward"` maps support points to latent coordinates,
     `"inverse"` maps latent points back to the support. The softmax basis has
     no exact forward map; pass `pseudo_inverse=True` to use the centered
-    log map, otherwise DirectionUnavailable is raised. The square-root
-    inverse squares its input, so negative latent draws fold onto the
-    positive branch. The scalar inverses raise OutOfSupport for a
-    non-finite latent, and the log and square-root inverses for one whose
-    image would overflow. The softmax inverse is max-shifted, with its max
-    and its sum taken over the K component arrays (`_component_sum`); the
-    matrix-log inverse checks that its input is finite and symmetric and
-    exponentiates the vech entries of its symmetric part (`_expm_vech`). No
-    inverse calls `eigh`.
+    log map, otherwise DirectionUnavailable is raised. The inverse is
+    `_inverse_in_place`, on a copy of the samples where it writes in place;
+    the samples are left as they are.
     """
     if direction not in ("forward", "inverse"):
         raise InvalidParams("direction must be 'forward' or 'inverse'")
     x = np.asarray(samples, dtype=float)
+    if direction == "inverse":  # the matrix inverses never write into their input
+        return _inverse_in_place(x if basis.p else x.copy(), basis)
     tag = basis.tag
     if tag == "identity":
         return x.copy()
     if tag == "log":
-        if direction == "forward":
-            if np.any(x <= 0.0):
-                raise OutOfSupport("log basis needs positive samples")
-            return np.log(x)
+        if np.any(x <= 0.0):
+            raise OutOfSupport("log basis needs positive samples")
+        return np.log(x)
+    if tag == "sqrt":
+        if np.any(x < 0.0):
+            raise OutOfSupport("sqrt basis needs nonnegative samples")
+        return np.sqrt(x)
+    if tag == "logit":
+        if np.any(x <= 0.0) or np.any(x >= 1.0):
+            raise OutOfSupport("logit basis needs samples in (0, 1)")
+        return np.log(x) - np.log1p(-x)
+    if tag == "softmax_inverse":
+        K = basis.K
+        if not pseudo_inverse:
+            raise DirectionUnavailable(
+                "softmax has no exact inverse; pass pseudo_inverse=True "
+                "for the centered log map"
+            )
+        if x.shape[-1] != K:
+            raise OutOfSupport(f"expected simplex points with K={K}")
+        if np.any(x <= 0.0):
+            raise OutOfSupport("simplex points must be strictly positive")
+        if np.max(np.abs(np.sum(x, axis=-1) - 1.0)) > 1e-6:
+            raise OutOfSupport("simplex points must sum to one")
+        lx = np.log(x)
+        return lx - np.mean(lx, axis=-1, keepdims=True)
+    if tag == "matrix_log":
+        return _batched_funm(x, np.log, "matrix log")
+    if tag == "matrix_sqrt":
+        return _batched_funm(x, np.sqrt, "matrix sqrt")
+    raise InvalidParams(f"unknown basis tag {tag!r}")
+
+
+def _inverse_in_place(x, basis):
+    """The inverse basis map of the latent samples x, a float array, written
+    into x itself for the identity, log, sqrt, logit and softmax (K
+    coordinates) bases, so that a caller's draws are transformed in their own
+    buffer; the softmax inverse of K - 1 coordinates and the matrix inverses
+    return a new array and leave x as it is.
+
+    The square-root inverse squares its input, so negative latent draws fold
+    onto the positive branch. The scalar inverses raise OutOfSupport for a
+    non-finite latent, and the log and square-root inverses for one whose
+    image would overflow; every input is checked before it is overwritten.
+    The softmax inverse is max-shifted, with its max and its sum taken over
+    the K component arrays (`_component_sum`); the matrix-log inverse checks
+    that its input is finite and symmetric and exponentiates the vech
+    entries of its symmetric part (`_expm_vech`). No inverse calls `eigh`.
+    """
+    tag = basis.tag
+    if tag == "identity":
+        return x
+    if tag == "log":
         return np.exp(_checked_range(
             x, -_FLOAT_MAX, _LOG_MAX, "log inverse needs finite latents of at most log(max float)"
-        ))
+        ), out=x)
     if tag == "sqrt":
-        if direction == "forward":
-            if np.any(x < 0.0):
-                raise OutOfSupport("sqrt basis needs nonnegative samples")
-            return np.sqrt(x)
         return np.square(_checked_range(
             x, -_SQRT_MAX, _SQRT_MAX,
             "sqrt inverse needs finite latents of magnitude at most sqrt(max float)",
-        ))
+        ), out=x)
     if tag == "logit":
-        if direction == "forward":
-            if np.any(x <= 0.0) or np.any(x >= 1.0):
-                raise OutOfSupport("logit basis needs samples in (0, 1)")
-            return np.log(x) - np.log1p(-x)
-        x = _checked_range(x, -_FLOAT_MAX, _FLOAT_MAX, "logit inverse needs finite latents")
-        return 0.5 * (1.0 + np.tanh(0.5 * x))
+        # 0.5 * (1 + tanh(0.5 x)), one operation at a time
+        _checked_range(x, -_FLOAT_MAX, _FLOAT_MAX, "logit inverse needs finite latents")
+        x *= 0.5
+        np.tanh(x, out=x)
+        x += 1.0
+        x *= 0.5
+        return x
     if tag == "softmax_inverse":
         K = basis.K
-        if direction == "forward":
-            if not pseudo_inverse:
-                raise DirectionUnavailable(
-                    "softmax has no exact inverse; pass pseudo_inverse=True "
-                    "for the centered log map"
-                )
-            if x.shape[-1] != K:
-                raise OutOfSupport(f"expected simplex points with K={K}")
-            if np.any(x <= 0.0):
-                raise OutOfSupport("simplex points must be strictly positive")
-            if np.max(np.abs(np.sum(x, axis=-1) - 1.0)) > 1e-6:
-                raise OutOfSupport("simplex points must sum to one")
-            lx = np.log(x)
-            return lx - np.mean(lx, axis=-1, keepdims=True)
         if x.shape[-1] == K - 1:
             x = np.concatenate([x, -np.sum(x, axis=-1, keepdims=True)], axis=-1)
         elif x.shape[-1] != K:
             raise OutOfSupport(f"expected latent vectors of length {K} or {K - 1}")
-        if not np.all(np.isfinite(x)):
-            raise OutOfSupport("softmax inverse needs finite latent vectors")
+        _checked_range(x, -_FLOAT_MAX, _FLOAT_MAX, "softmax inverse needs finite latent vectors")
         top = x[..., 0].copy()
         for k in range(1, K):
             np.maximum(top, x[..., k], out=top)
         with np.errstate(over="ignore"):  # a gap beyond max float gives exp(-inf) = 0
-            e = x - top[..., None]
-            np.exp(e, out=e)
-        e /= _component_sum([e[..., k] for k in range(K)])[..., None]
-        return e
+            x -= top[..., None]
+            np.exp(x, out=x)
+        x /= _component_sum([x[..., k] for k in range(K)])[..., None]
+        return x
     if tag == "matrix_log":
-        if direction == "forward":
-            return _batched_funm(x, np.log, "matrix log")
         X = _checked_symmetric(x, "matrix exp")
         with np.errstate(over="ignore"):  # entries near max float fail the bound
             Z = matrixops.vech(matrixops.sym(X))
         return _expm_vech(Z, X.shape[-1])
     if tag == "matrix_sqrt":
-        if direction == "forward":
-            return _batched_funm(x, np.sqrt, "matrix sqrt")
         S = matrixops.sym(_checked_symmetric(x, "matrix square"))
         return matrixops.sym(S @ S)
     raise InvalidParams(f"unknown basis tag {tag!r}")
@@ -637,6 +660,9 @@ def _dirichlet_density(params, tag):
         boundary = lambda u: np.inf
         la = np.log(alpha)
         init = lambda: (la - np.mean(la))[:-1]
+    if K == 2:  # a dim-1 density takes its points as an (m,) vector, not one chart row
+        chart = logdens
+        logdens = lambda u: chart(u[..., None])
     return logdens, logdens, boundary, init
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
-from laplace_match import bridges, distributions, gp, pipeline
+from laplace_match import bridges, distributions, gp, matrixops, pipeline
 from laplace_match.errors import (
     DimensionMismatch,
     EmptyCluster,
@@ -526,7 +526,7 @@ class TestLowerSolve:
         def error(out):
             return float(np.max(np.abs(out - ref)) / np.max(np.abs(ref)))
 
-        assert error(gp._lower_solve(L, B)) <= 2.0 * error(np.linalg.solve(L, B))
+        assert error(gp._lower_solve(L, B.copy())) <= 2.0 * error(np.linalg.solve(L, B))
 
     def test_predict_inverts_no_leaf_larger_than_the_leaf_size(self, monkeypatch):
         # the accuracy of the solve rests on inverting small blocks only
@@ -544,6 +544,81 @@ class TestLowerSolve:
         for width in (1, 2):
             gp.gp_predict(model, np.linspace(0.0, 10.0, 40), width=width)
         assert sizes and max(sizes) <= gp._LEAF <= 16
+
+
+def _lower_solve_reference(L, B):
+    """gp._lower_solve as it was, writing a fresh solution array."""
+    n = L.shape[0]
+    X = np.empty(B.shape)
+    for i in range(0, n, gp._BLOCK):
+        j = min(i + gp._BLOCK, n)
+        np.subtract(B[i:j], L[i:j, :i] @ X[:i], out=X[i:j])
+        for a in range(i, j, gp._LEAF):
+            b = min(a + gp._LEAF, j)
+            if a > i:
+                X[a:b] -= L[a:b, i:a] @ X[i:a]
+            X[a:b] = np.linalg.inv(L[a:b, a:b]) @ X[a:b]
+    return X
+
+
+def _gp_predict_reference(model, Xs, width=1):
+    """gp.gp_predict as it was, with separate arrays for ks, its stacked
+    copy, the solution and v**2 (for a fitted model)."""
+    kernel = model.kernel
+    ks = kernel(Xs, model.X)
+    vw = _lower_solve_reference(model._state["L"], np.column_stack((ks.T, model.mu)))
+    v, w = vw[:, :-1], vw[:, -1]
+    mean = w @ v
+    if width > 1:
+        groups = Xs.reshape(-1, width, Xs.shape[1])
+        rows = np.repeat(groups, width, axis=1).reshape(-1, Xs.shape[1])
+        cols = np.tile(groups, (1, width, 1)).reshape(-1, Xs.shape[1])
+        prior = kernel.pairs(rows, cols).reshape(-1, width, width)
+        vb = v.T.reshape(groups.shape[0], width, model.n)
+        return mean, matrixops.sym(prior - vb @ np.swapaxes(vb, 1, 2))
+    var = kernel.pairs(Xs, Xs) - np.sum(v**2, axis=0)
+    return mean, np.maximum(var, 0.0)
+
+
+class TestPredictInOneBuffer:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_equals_the_separate_array_predict(self, d, width):
+        # 300 sites: the solve crosses _BLOCK and _LEAF boundaries
+        rng = np.random.default_rng(10 * d + width)
+        sites = rng.uniform(0.0, 4.0, size=(300 // width, d))
+        cfg = pipeline.LMGPConfig("dirichlet" if width > 1 else "beta")
+        kernel = pipeline._build_kernel(cfg, sites, width)
+        X = pipeline._joint_inputs(sites, width)
+        model = gp.gp_fit(kernel, X, rng.normal(size=X.shape[0]), rng.uniform(0.05, 0.5, X.shape[0]))
+        Xs = pipeline._joint_inputs(rng.uniform(-1.0, 5.0, size=(57, d)), width)
+        got = gp.gp_predict(model, Xs, width=width)
+        ref = _gp_predict_reference(model, Xs, width=width)
+        for a, b in zip(got, ref):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+    def test_lower_solve_returns_its_right_hand_side_solved(self):
+        L = _rbf_factor(300, seed=2)
+        B = np.random.default_rng(2).standard_normal((300, 41))
+        ref = _lower_solve_reference(L, B)
+        out = gp._lower_solve(L, B)
+        assert out is B and np.array_equal(out, ref)
+
+    def test_peak_allocation_at_n_equals_m_1000(self):
+        # the (1000, 1001) system is 8.0 MB; with ks, its stacked copy and a
+        # separate solution the predict peaked at 25.1 MB, in one buffer at
+        # 16.1 MB (the kernel's own evaluation), bounded here with 1.9 MB margin
+        rng = np.random.default_rng(5)
+        X = rng.uniform(0.0, 4.0, size=(1000, 2))
+        model = gp.gp_fit(gp.RBF(0.7), X, rng.normal(size=1000), 0.1)
+        Xs = rng.uniform(0.0, 4.0, size=(1000, 2))
+        tracemalloc.start()
+        try:
+            gp.gp_predict(model, Xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 18e6
 
 
 class TestFitPredict:

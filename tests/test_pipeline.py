@@ -770,7 +770,7 @@ class TestPerPointPrediction:
         cfg, _, pred = _predict_at_query(family, draws=n)
         latent = pipeline._sample_marginals(pred.latent_mean, pred.latent_cov, cfg.seed, n)
         np.testing.assert_array_equal(
-            pipeline._back_transform(latent, pred.basis, family), pred.draws
+            pipeline._back_transform(latent.copy(), pred.basis, family), pred.draws
         )
         m = _QUERY.size
         mean = pred.latent_mean.reshape(m, -1)
@@ -783,6 +783,24 @@ class TestPerPointPrediction:
             emp = np.cov(draws[:, i].T).reshape(w, w)
             se_cov = np.sqrt((np.outer(sd**2, sd**2) + cov[i] ** 2) / n)
             assert np.all(np.abs(emp - cov[i]) < 4 * se_cov)
+
+    def test_peak_allocation_of_a_scalar_prediction_at_1000_draws(self):
+        # 1000 draws at 1000 query points are 8.0 MB. Back-transformed in
+        # their own buffer and summarized from one scratch buffer, the run
+        # peaked at 16.1 MB, with fresh arrays for each step at 24.1 MB;
+        # bounded here with a 1.9 MB margin. 50 training points keep the
+        # kernel and the solve small.
+        X, y = pipeline.gen_binary(50, seed=0)
+        Xq = np.random.default_rng(1).normal(size=(1000, 2))
+        cfg = pipeline.LMGPConfig("beta", draws=1000)
+        tracemalloc.start()
+        try:
+            _, pred = pipeline.lmgp_v1(pipeline.Dataset(X, y), cfg, X_query=Xq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pred.draws.shape == (1000, 1000)
+        assert peak <= 18e6
 
     def test_draws_are_the_scaled_and_shifted_seeded_normals(self):
         rng = np.random.default_rng(4)
@@ -865,7 +883,7 @@ class TestPerPointPrediction:
         model = gp.gp_fit(pipeline._build_kernel(cfg, X, width), joint, mu, 0.0)
         pred = pipeline._predict(model, cfg, basis, width, X, {})
         np.testing.assert_allclose(pred.latent_mean.ravel(), mu, atol=1e-6)
-        at_mean = pipeline._back_transform(pred.latent_mean[None], basis, family)
+        at_mean = pipeline._back_transform(pred.latent_mean[None].copy(), basis, family)
         assert np.max(np.abs(pred.draws - at_mean)) < 1e-6
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.special import logsumexp
 
-from laplace_match import diagnostics, distributions, matrixops, transforms
+from laplace_match import bridges, diagnostics, distributions, matrixops, transforms
 from laplace_match.errors import (
     BasisSizeMismatch,
     DimensionMismatch,
@@ -118,6 +118,27 @@ class TestTransformSamples:
         y = transforms.transform_samples(np.diag([2.0, 3.0]), basis, "inverse")
         np.testing.assert_allclose(y, np.diag([4.0, 9.0]), atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "basis,x",
+        [
+            (BasisTransform("identity"), [0.5, 2.0]),
+            (BasisTransform("log"), [0.5, -2.0]),
+            (BasisTransform("sqrt"), [0.5, -2.0]),
+            (BasisTransform("logit"), [0.5, -2.0]),
+            (BasisTransform("softmax_inverse", K=3), [[0.5, -2.0, 1.0]]),
+            (BasisTransform("softmax_inverse", K=3), [[0.5, -2.0]]),
+            (BasisTransform("matrix_log", p=2), [[0.5, 0.1], [0.1, -2.0]]),
+            (BasisTransform("matrix_sqrt", p=2), [[0.5, 0.1], [0.1, -2.0]]),
+        ],
+        ids=lambda v: str(v) if isinstance(v, BasisTransform) else None,
+    )
+    def test_inverse_leaves_its_input_untouched(self, basis, x):
+        # the in-place inverse the pipelines call runs here on a copy
+        x = np.array(x)
+        before = x.copy()
+        out = transforms.transform_samples(x, basis, "inverse")
+        assert np.array_equal(x, before) and not np.shares_memory(out, x)
+
     def test_softmax_forward_needs_flag(self):
         basis = BasisTransform("softmax_inverse", K=3)
         x = np.array([0.2, 0.3, 0.5])
@@ -207,6 +228,7 @@ class TestScalarInverseRange:
             "logit": (-top, top, lambda x: 0.5 * (1.0 + np.tanh(0.5 * x))),
         }[tag]
         x = np.array([lo, -5.0, 0.0, 5.0, hi])
+        x = np.concatenate([x, np.random.default_rng(0).normal(scale=20.0, size=1000)])
         np.testing.assert_array_equal(transforms.transform_samples(x, basis, "inverse"), inverse(x))
 
 
@@ -519,6 +541,26 @@ class TestPushForward:
         )
         total, _ = integrate.quad(lambda u: np.exp(td.log_density(u)), -np.inf, np.inf)
         assert total == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "chart,points",
+        [
+            ("softmax_inverse", [0.1, 0.2, -0.3, -1e308, np.inf]),
+            ("identity", [0.1, 0.2, 0.7, 0.0, 1.5]),
+        ],
+    )
+    def test_dirichlet_k2_density_takes_m_points(self, chart, points):
+        # a dim-1 density takes m points as an (m,) vector, as the scalar
+        # families do; the K = 2 chart read such a vector as one chart row
+        td = transforms.push_forward(distributions.dirichlet([1.5, 2.5]), chart)
+        for f in (td.log_density, td.log_objective):
+            assert np.array_equal(f(np.array(points)), [f(u) for u in points])
+        # the numeric oracle evaluates its stencils through the same path
+        g = transforms.numeric_laplace(td)
+        if chart == "softmax_inverse":
+            ref = bridges.lm_forward(td.params, chart)
+            assert g.mean[0] == pytest.approx(ref.mean[0], rel=1e-6)
+            assert g.cov_dense()[0, 0] == pytest.approx(ref.cov_dense()[0, 0], rel=1e-5)
 
     def test_dirichlet_softmax_density_is_minus_inf_where_the_last_coordinate_overflows(self):
         # finite chart points whose implied last coordinate -sum(u) is +inf
