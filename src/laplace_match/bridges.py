@@ -447,6 +447,20 @@ def lm_forward(params, basis):
     return scalar_gaussian(float(mu[0]), float(var[0]))
 
 
+_CHUNK = 1 << 15  # points: a chunk's fields, masks and outputs (1 MiB) stay in L2
+
+
+def _forward_chunk(row, fields, mu, var, part):
+    """Whether the points `part` are valid and map to finite means and
+    positive finite variances, written into mu[part] and var[part]."""
+    fields = [f[part] if f.size > 1 else f for f in fields]
+    if not np.all(row["valid"](*fields)):
+        return False
+    with np.errstate(all="ignore"):
+        row["fwd"](*fields, out=(mu[part], var[part]))
+    return _within(mu[part], -np.inf, np.inf) and _within(var[part], 0.0, np.inf)
+
+
 def forward_arrays(family, tag, **arrays):
     """Bridge forward over stacked parameter fields: arrays -> (mu, var).
 
@@ -465,24 +479,30 @@ def forward_arrays(family, tag, **arrays):
     if set(arrays) != set(names):
         raise InvalidParams(f"{family} fields are {names}, got {tuple(arrays)}")
     fields = [np.asarray(arrays[name], dtype=float) for name in names]
+    scalar = family in distributions._SCALAR_FAMILIES
+    if scalar:
+        # a chunk at a time, so the time stays linear in n
+        block = np.empty((2,) + np.broadcast(*fields).shape)
+        mu, var = block[0, ...], block[1, ...]  # arrays, also for 0-d fields
+        parts = [slice(s, s + _CHUNK) for s in range(0, len(mu), _CHUNK)] if mu.ndim == 1 else [...]
+        if all(_forward_chunk(row, fields, mu, var, part) for part in parts):
+            return mu, var
+    # the whole call; a scalar row gets here from a failing chunk, to raise
+    # the call's first error
     ok = row["valid"](*fields)
     if not np.all(ok):
         raise OutsideValidityRegion(
             f"({family}, {tag}) bridge needs {row['validity']}: "
             f"{int(np.sum(~ok))} points outside"
         )
-    # valid but extreme fields overflow the formula (or underflow a product)
-    with np.errstate(all="ignore"):
-        if family in distributions._SCALAR_FAMILIES:
-            block = np.empty((2,) + np.broadcast(*fields).shape)
-            mu, var = block[0, ...], block[1, ...]  # arrays, also for 0-d fields
-            row["fwd"](*fields, out=(mu, var))
-        else:
+    if not scalar:
+        # valid but extreme fields overflow the formula (or underflow a product)
+        with np.errstate(all="ignore"):
             mu, var = row["fwd"](*fields)
-    if not (
+    if scalar or not (
         _within(mu, -np.inf, np.inf)
         and _within(_diagonal(mu, var), 0.0, np.inf)
-        and (var.ndim == mu.ndim or _within(var, -np.inf, np.inf))
+        and _within(var, -np.inf, np.inf)
     ):
         raise OutsideValidityRegion(
             f"({family}, {tag}) bridge: the fields map outside finite means and "

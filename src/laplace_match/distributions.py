@@ -70,14 +70,25 @@ def _check_spd(M, name):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidParams(f"{name} must be a square matrix, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise InvalidParams(f"{name} must be finite")
-    scale = max(np.max(np.abs(M)), 1e-300)
-    if np.max(np.abs(M - M.T)) > 1e-12 * scale:
-        raise InvalidParams(f"{name} must be symmetric to 1e-12 relative")
-    M = 0.5 * (M + M.T)
-    if not _spd_conditioned(np.linalg.eigvalsh(M)):
-        raise InvalidParams(f"{name} must be positive definite")
+    return _check_spd_stack(M[None], name)[0]
+
+
+def _check_spd_stack(M, name):
+    """A stack (count, p, p) of scale matrices, symmetrised, after each
+    check runs once on it: finite, symmetric to 1e-12 relative, conditioned
+    positive definite. The error is that of the first failing matrix."""
+    finite = np.isfinite(M).all(axis=(1, 2))
+    Mt = np.swapaxes(M, 1, 2)
+    scale = np.maximum(np.max(np.abs(M), axis=(1, 2)), 1e-300)
+    with np.errstate(invalid="ignore"):  # inf - inf in a matrix that fails
+        sym = np.max(np.abs(M - Mt), axis=(1, 2)) <= 1e-12 * scale
+        M = 0.5 * (M + Mt)
+    w = np.linalg.eigvalsh(M if finite.all() else np.where(finite[:, None, None], M, 1.0))
+    ok = finite & sym & _spd_conditioned(w)
+    if not ok.all():
+        i = np.argmin(ok)
+        rules = ("finite", "symmetric to 1e-12 relative", "positive definite")
+        raise InvalidParams(f"{name} must be {rules[int(finite[i]) * (1 + int(sym[i]))]}")
     return M
 
 
@@ -311,15 +322,20 @@ def log_pdf(params, x):
 # ---------------------------------------------------------------------------
 
 
-def _bartlett(rng, n, V, count):
-    """Wishart draws via the Bartlett construction, symmetrized."""
-    p = V.shape[0]
-    L = np.linalg.cholesky(V)
+def _bartlett_factors(rng, n, p, count):
+    """Bartlett factors (count, p, p) of Wishart draws with n dof, drawn
+    row by row: sqrt(chi-square(n - i)) at (i, i), then the normals left."""
     A = np.zeros((count, p, p))
     for i in range(p):
         A[:, i, i] = np.sqrt(rng.chisquare(n - i, size=count))
         for j in range(i):
             A[:, i, j] = rng.standard_normal(count)
+    return A
+
+
+def _bartlett(L, A):
+    """Wishart draws (L A)(L A)^T, symmetrised, from scale Cholesky factors
+    L and Bartlett factors A; stacks broadcast, each product as alone."""
     T = L @ A
     S = T @ np.swapaxes(T, -1, -2)
     return 0.5 * (S + np.swapaxes(S, -1, -2))
@@ -357,9 +373,11 @@ def sample(params, seed, count):
         g = rng.gamma(params.alpha, 1.0, size=(count, params.alpha.size))
         return g / np.sum(g, axis=-1, keepdims=True)
     if fam == "wishart":
-        return _bartlett(rng, params.n, params.V, count)
+        A = _bartlett_factors(rng, params.n, params.p, count)
+        return _bartlett(np.linalg.cholesky(params.V), A)
     if fam == "inverse_wishart":
-        W = _bartlett(rng, params.nu, np.linalg.inv(params.Psi), count)
+        A = _bartlett_factors(rng, params.nu, params.p, count)
+        W = _bartlett(np.linalg.cholesky(np.linalg.inv(params.Psi)), A)
         X = np.linalg.inv(W)
         return 0.5 * (X + np.swapaxes(X, -1, -2))
     raise InvalidParams(f"unknown family {fam!r}")

@@ -120,7 +120,8 @@ def gen_categorical(timesteps, groups=1, classes=4, total=50, seed=0):
     """Multinomial counts from smoothly drifting class logits.
 
     Returns (rows, class labels) with one row (t, c, class, count) per
-    group and class.
+    group and class. One multinomial call over the stacked (t, c) rows
+    draws what one call per row, in order, would.
     """
     _check_size("timesteps", timesteps)
     _check_size("groups", groups)
@@ -130,44 +131,46 @@ def gen_categorical(timesteps, groups=1, classes=4, total=50, seed=0):
     amp = rng.uniform(0.5, 1.5, size=classes)
     phase = rng.uniform(0.0, 2.0 * np.pi, size=classes)
     offset = rng.uniform(-0.5, 0.5, size=(groups, classes))
-    rows = []
-    for t in range(timesteps):
-        for c in range(groups):
-            logits = amp * np.sin(2.0 * np.pi * t / timesteps + phase) + offset[c]
-            probs = np.exp(logits - np.max(logits))
-            probs /= probs.sum()
-            counts = rng.multinomial(total, probs)
-            rows.extend(
-                (float(t), c, cls, int(counts[cls])) for cls in range(classes)
-            )
+    if not timesteps * groups:
+        return [], list(range(classes))
+    angle = 2.0 * np.pi * np.arange(timesteps) / timesteps
+    logits = (amp * np.sin(angle[:, None] + phase))[:, None, :] + offset
+    probs = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
+    probs /= probs.sum(axis=-1, keepdims=True)
+    counts = rng.multinomial(total, probs).tolist()
+    rows = [
+        (t, c, cls, count)
+        for t, step in zip(map(float, range(timesteps)), counts)
+        for c, group in enumerate(step)
+        for cls, count in enumerate(group)
+    ]
     return rows, list(range(classes))
 
 
 def gen_covariance(timesteps, p=2, dof=8, seed=0):
     """Wishart scatter draws around a smoothly rotating SPD mean; returns
-    (ts, matrices)."""
+    (ts, matrices). Step t draws sample(wishart(dof, scale_t), seed_t, 1)
+    with seed_t from the generator, the scales checked as one stack."""
     _check_size("timesteps", timesteps)
     _check_size("p", p, 1)
     rng = np.random.default_rng(seed)
     base = rng.standard_normal((p, p))
     base = base @ base.T + p * np.eye(p)
-    mats = []
     ts = np.arange(float(timesteps))
-    for t in range(timesteps):
-        theta = 0.5 * np.pi * t / max(timesteps - 1, 1)
-        G = np.eye(p)
-        if p >= 2:
-            G[:2, :2] = [
-                [np.cos(theta), -np.sin(theta)],
-                [np.sin(theta), np.cos(theta)],
-            ]
-        scale = G @ base @ G.T / dof
-        draw = distributions.sample(
-            distributions.wishart(float(dof), scale), seed=int(rng.integers(2**31)),
-            count=1,
-        )[0]
-        mats.append(draw)
-    return ts, mats
+    if not timesteps:
+        return ts, []
+    theta = 0.5 * np.pi * np.arange(timesteps) / max(timesteps - 1, 1)
+    G = np.tile(np.eye(p), (timesteps, 1, 1))
+    if p >= 2:
+        cos, sin = np.cos(theta), np.sin(theta)
+        G[:, :2, :2] = np.moveaxis(np.array([[cos, -sin], [sin, cos]]), -1, 0)
+    scale = G @ base @ np.swapaxes(G, 1, 2) / dof
+    # wishart() on step 0 raises the dof's errors before any scale's, in step order
+    n = distributions.wishart(float(dof), scale[0]).n
+    L = np.linalg.cholesky(distributions._check_spd_stack(scale, "V"))
+    seeds = [int(rng.integers(2**31)) for _ in range(timesteps)]
+    A = [distributions._bartlett_factors(np.random.default_rng(s), n, p, 1) for s in seeds]
+    return ts, list(distributions._bartlett(L, np.concatenate(A)))
 
 
 class LMGPConfig:

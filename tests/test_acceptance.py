@@ -93,25 +93,26 @@ def test_criterion_4_transformed_bases_beat_the_standard_basis():
 
 def test_criterion_5_lm_transform_is_fast_and_linear():
     rng = np.random.default_rng(0)
-
-    def best_time(size, reps=5):
-        alpha = rng.uniform(1.0, 5.0, size)
-        lam = rng.uniform(0.5, 3.0, size)
-        best = np.inf
-        for _ in range(reps):
-            start = time.perf_counter()
-            bridges.forward_arrays("gamma", "log", alpha=alpha, lam=lam)
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    best_time(1000)  # warm-up
-    assert best_time(10**5) < 0.1
     sizes = np.array([12500, 25000, 50000, 100000, 200000], dtype=float)
-    times = np.array([best_time(int(s)) for s in sizes])
+    fields = [(rng.uniform(1.0, 5.0, int(s)), rng.uniform(0.5, 3.0, int(s))) for s in sizes]
+
+    def seconds(alpha, lam):
+        start = time.perf_counter()
+        bridges.forward_arrays("gamma", "log", alpha=alpha, lam=lam)
+        return time.perf_counter() - start
+
+    seconds(*fields[0])  # warm-up
+    # per size the minimum over interleaved rounds: a burst of other load
+    # slows one round of every size, not every round of one size
+    times = np.full(sizes.size, np.inf)
+    for _ in range(100):
+        for i, size_fields in enumerate(fields):
+            times[i] = min(times[i], seconds(*size_fields))
+    assert times[sizes == 10**5][0] < 0.1
     slope, intercept = np.polyfit(sizes, times, 1)
     fitted = slope * sizes + intercept
     r2 = 1.0 - np.sum((times - fitted) ** 2) / np.sum((times - times.mean()) ** 2)
-    assert r2 > 0.99
+    assert r2 > 0.99, f"r2 = {r2:.4f}, ns per point {np.round(times / sizes * 1e9, 2)}"
 
 
 def test_criterion_6_lm_latents_match_elliptical_slice_sampling():

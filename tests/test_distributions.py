@@ -70,6 +70,34 @@ class TestParamValidation:
         with pytest.raises(InvalidParams):
             distributions.wishart(3.0, np.array([[1.0, 0.0], [0.0, bad]]))
 
+    def test_a_stack_of_scales_fails_as_its_first_failing_matrix(self):
+        # each check runs once over the whole stack; the error is that of a
+        # loop over the matrices, whichever checks later matrices fail
+        spd, indefinite = np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])
+        asymmetric = np.array([[1.0, 0.5], [0.4, 1.0]])
+        # its inf - 0.0 entry passes the symmetry test at scale inf
+        infinite = np.array([[1.0, np.inf], [0.0, 1.0]])
+        cases = [
+            ([spd, indefinite, infinite, asymmetric], "positive definite"),
+            ([spd, infinite, asymmetric], "finite"),
+            ([asymmetric, np.full((2, 2), np.nan)], "symmetric to 1e-12 relative"),
+        ]
+        for stack, rule in cases:
+            first = next(M for M in stack if M is not spd)
+            with pytest.raises(InvalidParams, match=f"^V must be {rule}$"):
+                distributions.wishart(3.0, first)
+            with pytest.raises(InvalidParams, match=f"^V must be {rule}$"):
+                distributions._check_spd_stack(np.array(stack), "V")
+
+    def test_a_stack_of_scales_is_symmetrised_as_each_matrix_alone(self):
+        rng = np.random.default_rng(4)
+        B = rng.normal(size=(6, 3, 3))
+        stack = B @ np.swapaxes(B, 1, 2) + np.eye(3)
+        stack[:, 0, 1] *= 1.0 + 1e-15
+        got = distributions._check_spd_stack(stack, "V")
+        for M, V in zip(stack, got):
+            assert distributions.wishart(4.0, M).V.tobytes() == V.tobytes()
+
     def test_record_round_trip(self):
         params = distributions.wishart(4.0, np.array([[2.0, 0.5], [0.5, 1.0]]))
         back = distributions.from_record(params.to_record())
@@ -139,6 +167,22 @@ class TestLogPdf:
         assert total == pytest.approx(1.0, abs=1e-6)
 
 
+def _bartlett_reference(rng, n, V, count):
+    """distributions._bartlett as it was before the stacked generators, one
+    scale's Cholesky, factors and products in one function; sample's
+    Wishart draws must equal it bit for bit."""
+    p = V.shape[0]
+    L = np.linalg.cholesky(V)
+    A = np.zeros((count, p, p))
+    for i in range(p):
+        A[:, i, i] = np.sqrt(rng.chisquare(n - i, size=count))
+        for j in range(i):
+            A[:, i, j] = rng.standard_normal(count)
+    T = L @ A
+    S = T @ np.swapaxes(T, -1, -2)
+    return 0.5 * (S + np.swapaxes(S, -1, -2))
+
+
 class TestSampling:
     def test_seed_determinism(self):
         params = distributions.gamma(2.0, 3.0)
@@ -165,6 +209,21 @@ class TestSampling:
         # E[S] = n V entrywise within 4 SE
         se = np.std(S, axis=0, ddof=1) / np.sqrt(S.shape[0])
         assert np.all(np.abs(np.mean(S, axis=0) - 5.0 * V) < 4 * se)
+
+    @pytest.mark.parametrize("family", ["wishart", "inverse_wishart"])
+    @pytest.mark.parametrize("count", [1, 7])
+    def test_matrix_draws_are_the_single_scale_bartlett_function(self, family, count):
+        V = np.array([[2.0, 0.3, -0.2], [0.3, 1.0, 0.1], [-0.2, 0.1, 0.5]])
+        params = getattr(distributions, family)(5.5, V)
+        got = distributions.sample(params, seed=11, count=count)
+        rng = np.random.default_rng(11)
+        if family == "wishart":
+            want = _bartlett_reference(rng, params.n, params.V, count)
+        else:
+            W = _bartlett_reference(rng, params.nu, np.linalg.inv(params.Psi), count)
+            X = np.linalg.inv(W)
+            want = 0.5 * (X + np.swapaxes(X, -1, -2))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "params,cdf",

@@ -17,6 +17,16 @@ from laplace_match.errors import (
 )
 
 
+def _sqdist_reference(A, B):
+    """gp._sqdist as it was before its block scratch: a2 + b2 as a second
+    (m, n) array, and the cross term a matrix product for every d."""
+    a2 = np.sum(A**2, axis=1)
+    b2 = np.sum(B**2, axis=1)
+    d2 = 2.0 * A @ B.T
+    np.subtract(a2[:, None] + b2[None, :], d2, out=d2)
+    return np.maximum(d2, 0.0, out=d2)
+
+
 class TestKernels:
     def test_rbf_unit_diagonal(self):
         k = gp.RBF(lengthscale=1.0, variance=1.0)
@@ -238,6 +248,35 @@ class TestKernels:
             assert np.array_equal(pairs, full)
             for i in (0, 7, 299):
                 assert np.array_equal(gp._sqdist(a[i : i + 1, None], b[:, None])[0], full[i])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_sqdist_is_the_two_array_formula(self, d):
+        # blocks of whole rows, a partial last block, a row longer than a
+        # block, one row, one column and empty inputs; for d = 1 the outer
+        # product in place of the one-term matrix product
+        rng = np.random.default_rng(d)
+        shapes = [(2000, 100), (400, 333), (3, gp._SQDIST_BLOCK + 5), (1, 700), (700, 1),
+                  (1, 1), (0, 5), (5, 0), (0, 0)]
+        for (m, n), scale in zip(shapes * 3, np.repeat([1e-3, 1.0, 1e3], len(shapes))):
+            A = scale * (rng.normal(size=(m, d)) + rng.normal())
+            B = scale * (rng.normal(size=(n, d)) + rng.normal())
+            for b in (B, A):
+                got, want = gp._sqdist(A, b), _sqdist_reference(A, b)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_sqdist_holds_its_output_and_one_block(self, d):
+        # a2 + b2 as a second (1000, 1000) array made the peak 16 MB; besides
+        # the 8 MB output and one block, numpy's ufunc buffers take 128 KiB
+        rng = np.random.default_rng(0)
+        A, B = rng.normal(size=(1000, d)), rng.normal(size=(1000, d))
+        tracemalloc.start()
+        try:
+            gp._sqdist(A, B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6 + 8 * gp._SQDIST_BLOCK + 2**18
 
     @given(
         n=st.integers(gp._MEDIAN_ROWS * 8 + 1, 1600),
@@ -1151,6 +1190,20 @@ class TestInducing:
         want = _kmeanspp_reference(X, 200, seed=4)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert got[2] == want[2]
+
+    def test_kmeanspp_matches_the_reference_where_distances_underflow(self):
+        # at 1e-160 the squared distances are subnormal and err absolutely,
+        # which a relative rounding bound does not cover: bounds without the
+        # absolute floor proved wrong assignments for several of these
+        for seed in range(150):
+            X = np.random.default_rng(seed).normal(size=(200, 2)) * 1e-160
+            got = _kmeans_outcome(gp.kmeanspp, X, 8, seed)
+            want = _kmeans_outcome(_kmeanspp_reference, X, 8, seed)
+            if isinstance(want, str):
+                assert got == want
+                continue
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert got[2] == want[2]
 
     @staticmethod
     def _rows_passed(monkeypatch):

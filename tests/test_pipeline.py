@@ -62,6 +62,106 @@ def _stripped_record(pred):
     return rec
 
 
+def _gen_categorical_reference(timesteps, groups=1, classes=4, total=50, seed=0):
+    """pipeline.gen_categorical as it was before the stacked logits: one
+    logit vector and one multinomial call per (t, c)."""
+    pipeline._check_size("timesteps", timesteps)
+    pipeline._check_size("groups", groups)
+    pipeline._check_size("classes", classes, 2)
+    pipeline._check_size("total", total)
+    rng = np.random.default_rng(seed)
+    amp = rng.uniform(0.5, 1.5, size=classes)
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=classes)
+    offset = rng.uniform(-0.5, 0.5, size=(groups, classes))
+    rows = []
+    for t in range(timesteps):
+        for c in range(groups):
+            logits = amp * np.sin(2.0 * np.pi * t / timesteps + phase) + offset[c]
+            probs = np.exp(logits - np.max(logits))
+            probs /= probs.sum()
+            counts = rng.multinomial(total, probs)
+            rows.extend(
+                (float(t), c, cls, int(counts[cls])) for cls in range(classes)
+            )
+    return rows, list(range(classes))
+
+
+def _gen_covariance_reference(timesteps, p=2, dof=8, seed=0):
+    """pipeline.gen_covariance as it was before the stacked scales: one
+    EFParams and one distributions.sample(count=1) call per step."""
+    pipeline._check_size("timesteps", timesteps)
+    pipeline._check_size("p", p, 1)
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((p, p))
+    base = base @ base.T + p * np.eye(p)
+    mats = []
+    ts = np.arange(float(timesteps))
+    for t in range(timesteps):
+        theta = 0.5 * np.pi * t / max(timesteps - 1, 1)
+        G = np.eye(p)
+        if p >= 2:
+            G[:2, :2] = [
+                [np.cos(theta), -np.sin(theta)],
+                [np.sin(theta), np.cos(theta)],
+            ]
+        scale = G @ base @ G.T / dof
+        draw = distributions.sample(
+            distributions.wishart(float(dof), scale), seed=int(rng.integers(2**31)),
+            count=1,
+        )[0]
+        mats.append(draw)
+    return ts, mats
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's return value, or the type and message of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except LaplaceMatchError as exc:
+        return type(exc), str(exc)
+
+
+class TestGenerators:
+    @pytest.mark.parametrize("timesteps", [0, 1, 2, 7, 160])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dof", [8, 4.5])
+    def test_gen_covariance_is_the_step_by_step_draw(self, timesteps, p, dof):
+        for seed in (0, 1, 91):
+            ts, mats = pipeline.gen_covariance(timesteps, p=p, dof=dof, seed=seed)
+            want_ts, want = _gen_covariance_reference(timesteps, p=p, dof=dof, seed=seed)
+            assert ts.tobytes() == want_ts.tobytes() and len(mats) == len(want)
+            for a, b in zip(mats, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize(
+        "p, dof",
+        # dof: not positive, not a number, at most p - 1, a scale that
+        # overflows, one that underflows past the conditioning bound, and
+        # the largest finite dof, which passes
+        [(1, 0.0), (2, np.nan), (3, 2.0), (1, 1e-310), (2, 3e-308), (3, 1.7e308)],
+    )
+    def test_gen_covariance_raises_what_the_step_by_step_checks_raise(self, p, dof):
+        with np.errstate(all="ignore"):
+            got = _outcome(pipeline.gen_covariance, 5, p=p, dof=dof, seed=1)
+            want = _outcome(_gen_covariance_reference, 5, p=p, dof=dof, seed=1)
+        if isinstance(want[0], type):
+            assert got == want
+        else:
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got[1], want[1]))
+
+    @pytest.mark.parametrize("timesteps", [0, 1, 2, 7, 160])
+    @pytest.mark.parametrize("groups", [0, 1, 3])
+    @pytest.mark.parametrize("classes", [2, 4, 9])
+    def test_gen_categorical_is_the_row_by_row_draw(self, timesteps, groups, classes):
+        for seed, total in ((0, 50), (1, 0), (91, 1000)):
+            got = pipeline.gen_categorical(timesteps, groups, classes, total, seed)
+            want = _gen_categorical_reference(timesteps, groups, classes, total, seed)
+            assert got == want
+            assert [tuple(map(type, row)) for row in got[0]] == [
+                tuple(map(type, row)) for row in want[0]
+            ]
+
+
 class TestConfigAndDataset:
     def test_dataset_alignment(self):
         with pytest.raises(DimensionMismatch):
