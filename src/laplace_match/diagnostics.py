@@ -9,8 +9,6 @@ oracle (`transforms.numeric_laplace`) over the default grids; `ess_sample`
 is an elliptical slice sampling baseline for latent Gaussian models.
 """
 
-import concurrent.futures
-
 import numpy as np
 
 from . import bridges, distributions, gp, matrixops, transforms
@@ -484,6 +482,8 @@ def distance_sweep(
         ]
 
     if jobs > 1:
+        import concurrent.futures  # loads logging: only the threaded sweep pays for it
+
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(run, tasks))
     else:

@@ -46,3 +46,10 @@ def vech(X):
 def unvech(z, p):
     """Inverse of vech: rebuild the symmetric p x p matrix."""
     return np.asarray(z, dtype=float)[..., _vech_index(p)[2]]
+
+
+def unvech_stack(z, p):
+    """unvech into a C-ordered stack, the layout of a prediction's draws.
+    unvech's indexing puts the p x p axes first in memory; its callers'
+    products and eigensolvers keep that layout, and with it their floats."""
+    return np.take(np.asarray(z, dtype=float), _vech_index(p)[2], axis=-1)

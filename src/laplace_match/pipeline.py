@@ -21,9 +21,17 @@ variance, or a width x width block per query point). `Prediction.draws` are
 per-point posterior draws: each point is drawn from its own marginal, so
 draws of different points are uncorrelated; every summary reads them one
 point at a time, along the draw axis of a C-ordered (draws, m[, width])
-array. For the scalar and softmax bases `Prediction.draws` is the buffer
-the latent draws were sampled into, transformed in place; the matrix bases
-exponentiate or square the draws into a new (draws, m, p, p) stack.
+array.
+
+Buffers of a prediction: the latent draws are sampled into one (draws,
+m[, width]) array, and the sampler's width > 1 product and the summaries
+run through small buffers of `_DRAWS_BLOCK` floats. For the scalar and
+softmax bases that array, back-transformed in place, is `Prediction.draws`
+and the only one of the draws' size; the softmax sum over the classes adds
+one (draws, m) array. The matrix-log basis exponentiates the vech entries
+in that array, summarizes them, and expands draws and summary to p x p
+once, so the (draws, m, p, p) stack is the second. The matrix-sqrt basis
+squares the draws into a new stack through temporaries of its size.
 `predict` makes another prediction from the model a pipeline run returned,
 without refitting it.
 
@@ -392,8 +400,10 @@ def _sites(data, config):
     if config.inducing is None:
         return data.X, data.Y, np.ones(data.n), _NO_LLOYD
     k = config.inducing
-    # k-means++ cannot fill more clusters than there are distinct inputs
-    distinct = np.unique(data.X, axis=0).shape[0]
+    # k-means++ cannot fill more clusters than there are distinct inputs;
+    # sorted by their columns, equal rows (-0.0 equals 0.0) are adjacent
+    X = data.X[np.lexsort(data.X.T)]
+    distinct = 1 + int(np.count_nonzero(np.any(X[1:] != X[:-1], axis=1)))
     if k > distinct:
         raise InvalidParams(f"inducing={k} exceeds the {distinct} distinct training inputs")
     centers, assign, iterations, converged = gp.kmeanspp(data.X, k, seed=config.seed)
@@ -433,8 +443,10 @@ def _prior_fields(config, basis, width, X_sites, prior_model):
 
 def _back_transform(latent, basis, family):
     """Latent draws (count, m[, width]) -> data-domain draws, written into
-    `latent` itself for the scalar and softmax bases; the matrix bases return
-    a new (count, m, p, p) stack."""
+    `latent` itself for the scalar, softmax and matrix-log bases. The
+    matrix-log basis leaves the exponentials' p(p+1)/2 vech entries there,
+    which `_predict` summarizes and then expands to p x p; the matrix-sqrt
+    basis returns a new (count, m, p, p) stack."""
     if basis.tag == "matrix_log":
         return transforms._expm_vech(latent, basis.p)
     if family == "inverse_wishart":
@@ -442,46 +454,77 @@ def _back_transform(latent, basis, family):
     return transforms._inverse_in_place(latent, basis)
 
 
-def _sorted_quantile(s, q):
-    """np.quantile(draws, q, axis=0) ("linear" rule) from the draws sorted
-    along axis 0, bit for bit: the same virtual index, neighbours and
-    interpolation, including numpy's upper-branch lerp for t >= 0.5 and
-    NaN propagation from the last sorted value."""
-    n = s.shape[0]
-    virtual = (n - 1) * q
-    if virtual >= n - 1:
-        lo = hi = n - 1
-        t = virtual + 1.0  # numpy's weight against its floor index of -1
-    else:
-        lo = int(np.floor(virtual))
-        hi = lo + 1
-        t = virtual - lo
-    a, b = s[lo], s[hi]
-    diff = b - a
-    out = b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
-    nan = np.isnan(s[-1])
-    if np.any(nan):
-        out = np.where(nan, s[-1], out)
-    return out
+# Floats per block of the draws tail's small buffers: the summaries' row and
+# column blocks and the width > 1 sampler's point blocks (256 KiB, in L2).
+_DRAWS_BLOCK = 1 << 15
+
+
+def _quantile_rule(count, q):
+    """np.quantile's "linear" rule over `count` sorted values: the order
+    statistics (lo, hi) it reads and the weight t, including numpy's
+    weight against its floor index of -1 when the virtual index is the last."""
+    virtual = (count - 1) * q
+    if virtual >= count - 1:
+        return count - 1, count - 1, virtual + 1.0
+    lo = int(np.floor(virtual))
+    return lo, lo + 1, virtual - lo
 
 
 def _summarize(draws_data):
     """Mean, std and the QUANTILES over the draw axis, with the floats of
-    np.mean, np.std and np.quantile, from one sum and one scratch buffer of
-    the draws' size: it holds the squared deviations, then a copy of the
-    draws, sorted once in place, from which every quantile is read."""
+    np.mean, np.std and np.quantile, in buffers of `_DRAWS_BLOCK` floats.
+
+    The mean is one sum. The squared deviations are summed in row blocks of
+    one buffer whose first row carries the running sum: numpy adds the rows
+    of a C-ordered array in order, as np.std's sum does. A single column, or
+    draws not in C order, where numpy's sum runs pairwise along the draws,
+    take the squared deviations in one array of the draws' size instead.
+    For the quantiles, column blocks are copied transposed into a second
+    buffer and sorted along its contiguous axis; only the order statistics
+    the quantiles read, and the largest for the NaN rule, are kept. A
+    quantile is then numpy's lerp of its two, the upper-branch form for
+    t >= 0.5, and NaN where the column's largest value is NaN."""
     count = draws_data.shape[0]
     mean = np.sum(draws_data, axis=0)
     mean /= count
-    scratch = np.subtract(draws_data, mean)
-    np.square(scratch, out=scratch)
-    std = np.sum(scratch, axis=0)
+    shape = np.shape(mean)
+    cols = draws_data.reshape(count, -1)
+    width = cols.shape[1]
+    if width > 1 and draws_data.flags.c_contiguous:
+        rows = max(_DRAWS_BLOCK // width, 1)
+        buf = np.zeros((min(rows, count) + 1, width))
+        for lo in range(0, count, rows):
+            block = buf[: min(rows, count - lo) + 1]
+            np.subtract(cols[lo : lo + rows], mean.reshape(-1), out=block[1:])
+            np.square(block[1:], out=block[1:])
+            block[0] = np.sum(block, axis=0)
+        std = buf[0].reshape(shape)
+    else:
+        std = np.subtract(draws_data, mean)
+        np.square(std, out=std)
+        std = np.sum(std, axis=0)
     std /= count
     summary = {"mean": mean, "std": np.sqrt(std)}
-    np.copyto(scratch, draws_data)
-    scratch.sort(axis=0)
-    for q in QUANTILES:
-        summary[f"q{int(round(q * 100)):02d}"] = _sorted_quantile(scratch, q)
+    rules = [_quantile_rule(count, q) for q in QUANTILES]
+    order = sorted({i for lo, hi, _ in rules for i in (lo, hi)} | {count - 1})
+    stats = np.empty((len(order), width))
+    step = max(_DRAWS_BLOCK // count, 1)
+    buf = np.empty((min(step, width), count))
+    for lo in range(0, width, step):
+        block = buf[: min(step, width - lo)]
+        np.copyto(block, cols[:, lo : lo + step].T)
+        block.sort(axis=1)
+        stats[:, lo : lo + step] = block[:, order].T
+    stat = dict(zip(order, stats.reshape((len(order),) + shape)))
+    last = stat[count - 1]
+    nan = np.isnan(last)
+    for q, (lo, hi, t) in zip(QUANTILES, rules):
+        a, b = stat[lo], stat[hi]
+        diff = b - a
+        out = b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
+        if np.any(nan):
+            out = np.where(nan, last, out)
+        summary[f"q{int(round(q * 100)):02d}"] = out
     return summary
 
 
@@ -489,16 +532,23 @@ def _sample_marginals(mean, cov, seed, count):
     """Seeded per-point draws, (count, m) or (count, m, w), in C order.
 
     Each point is drawn from its own marginal: variance (m,) or covariance
-    block (m, w, w). Draws of different points are independent.
+    block (m, w, w). Draws of different points are independent. The normals
+    are the only array of the draws' size: for w > 1, each block of points
+    takes its (count, w) draws times R^T in one buffer of `_DRAWS_BLOCK`
+    floats, one BLAS product per point, copied back into the normals.
     """
     z = np.random.default_rng(seed).standard_normal((count,) + mean.shape)
     if mean.ndim == 1:
         z *= np.sqrt(cov)
-    else:  # per point, its (count, w) draws times R^T, written in C order
-        draws = np.empty_like(z)
+    else:
+        m, w = mean.shape
         root_t = np.swapaxes(gp._psd_root(cov), -1, -2)
-        np.matmul(z.transpose(1, 0, 2), root_t, out=draws.transpose(1, 0, 2))
-        z = draws
+        step = max(_DRAWS_BLOCK // (count * w), 1)
+        buf = np.empty((min(step, m), count, w))
+        for lo in range(0, m, step):
+            block = buf[: min(step, m - lo)]
+            np.matmul(z[:, lo : lo + step].transpose(1, 0, 2), root_t[lo : lo + step], out=block)
+            z[:, lo : lo + step] = block.transpose(1, 0, 2)
     z += mean
     return z
 
@@ -514,8 +564,13 @@ def _predict(model, config, basis, width, X_query, timings, lloyd=_NO_LLOYD):
     latent_draws = _sample_marginals(latent_mean, latent_cov, config.seed, config.draws)
     data_draws = _back_transform(latent_draws, basis, fam)
     t1 = time.perf_counter()
-    timings["predict_seconds"] = t1 - t0
     summary = _summarize(data_draws)
+    summary_s = time.perf_counter() - t1
+    if basis.tag == "matrix_log":  # summarized on the distinct entries, then expanded once
+        summary = {k: matrixops.unvech_stack(v, basis.p) for k, v in summary.items()}
+        data_draws = matrixops.unvech_stack(data_draws, basis.p)
+    t2 = time.perf_counter()
+    timings["predict_seconds"] = t2 - t0 - summary_s  # the expansion is back-transform work
     probabilities = None
     rates = None
     if fam in ("beta", "dirichlet"):
@@ -523,7 +578,7 @@ def _predict(model, config, basis, width, X_query, timings, lloyd=_NO_LLOYD):
     elif fam == "gamma":
         rates = summary["mean"]
     ef_fields, ef_ok = bridges._inverse_masked(fam, basis.tag, latent_mean, latent_cov)
-    timings["summary_seconds"] = time.perf_counter() - t1
+    timings["summary_seconds"] = summary_s + time.perf_counter() - t2
     diagnostics = {
         **model.diagnostics(),
         "sites": model.n // width,

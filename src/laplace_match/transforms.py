@@ -178,8 +178,9 @@ def _batched_funm(X, fn, what):
 # powers, the Horner terms and a few rows, all on the vech entries) take
 # about 2 MB at p = 3. On the 80,000 3x3 draws of a benchmark op, 4096 was the
 # fastest of 1024 to 16384 (median 37 ms, against 38-49 ms for 6144 to 16384
-# and 51-63 ms for 1024 and 2048; 2 vCPU), and on a (1000, 80, 3, 3) stack the
-# traced peak, output included, was 8.0 MB, against 49 MB in one chunk.
+# and 51-63 ms for 1024 and 2048; 2 vCPU). Written into its (1000, 80, 6)
+# input, that stack's traced peak is 2.2 MB (8.0 MB with a new 3 x 3 output,
+# 49 MB in one chunk).
 _EXPM_CHUNK = 4096
 
 # The degree-16 Taylor polynomial of exp in Paterson-Stockmeyer form
@@ -217,8 +218,9 @@ def _vech_matmul(a, b, out, terms):
     return out
 
 
-def _expm_chunk(Z, out):
-    """exp of the symmetric matrices whose vech entries are the rows of Z (n, d), into out.
+def _expm_chunk(Z, p):
+    """exp of the symmetric p x p matrices whose vech entries are the rows of
+    Z (n, d), written back into Z as the exponentials' vech entries.
 
     Shift by the mean eigenvalue c = tr(X)/p, scale B = X - cI by 2^-s with s
     from its Frobenius norm (which bounds its spectral norm) so that the
@@ -231,9 +233,10 @@ def _expm_chunk(Z, out):
 
     Every power, Horner term and square is a polynomial in B, so symmetric:
     the arithmetic runs on the p(p+1)/2 vech entries only, each a contiguous
-    row of a (d, n) array (`_vech_matmul`).
+    row of a (d, n) array (`_vech_matmul`), a copy of Z, so Z is written
+    only once its chunk has passed the bound.
     """
-    n, p, _ = out.shape
+    n = Z.shape[0]
     rows, cols, table = matrixops._vech_index(p)
     diag = np.diagonal(table).tolist()
     terms = table.tolist()
@@ -263,20 +266,24 @@ def _expm_chunk(Z, out):
     half = np.exp(0.5 * c)
     E *= half
     E *= half
-    out[...] = E.T[:, table]
+    Z[...] = E.T
 
 
 def _expm_vech(Z, p):
     """Matrix exponential of the symmetric p x p matrices whose vech entries
-    are the rows of Z (..., p(p+1)/2), as a stack (..., p, p), by scaling and
-    squaring (Higham 2005) on chunks of `_EXPM_CHUNK` matrices. OutOfSupport
-    for a non-finite entry, and for a matrix whose exponential may overflow
-    (see `_expm_chunk`)."""
-    flat = np.asarray(Z, dtype=float).reshape(-1, p * (p + 1) // 2)
-    out = np.empty((flat.shape[0], p, p))
+    are the rows of Z (..., p(p+1)/2), by scaling and squaring (Higham 2005)
+    on chunks of `_EXPM_CHUNK` matrices, as the exponentials' vech entries
+    (`matrixops.unvech_stack` expands them to p x p). They are written into Z
+    itself when it is a C-ordered float array, so the only buffers besides
+    it are one chunk's temporaries; otherwise into a C-ordered copy.
+    OutOfSupport for a non-finite entry, and for a matrix whose exponential
+    may overflow (see `_expm_chunk`); the chunks before the failing one are
+    then already overwritten."""
+    Z = np.ascontiguousarray(Z, dtype=float)
+    flat = Z.reshape(-1, p * (p + 1) // 2)
     for lo in range(0, flat.shape[0], _EXPM_CHUNK):
-        _expm_chunk(flat[lo : lo + _EXPM_CHUNK], out[lo : lo + _EXPM_CHUNK])
-    return out.reshape(np.shape(Z)[:-1] + (p, p))
+        _expm_chunk(flat[lo : lo + _EXPM_CHUNK], p)
+    return Z
 
 
 def _component_sum(parts):
@@ -404,13 +411,14 @@ def _inverse_in_place(x, basis):
         with np.errstate(over="ignore"):  # a gap beyond max float gives exp(-inf) = 0
             x -= top[..., None]
             np.exp(x, out=x)
+        del top  # one (count, m) array at a time next to the draws
         x /= _component_sum([x[..., k] for k in range(K)])[..., None]
         return x
     if tag == "matrix_log":
         X = _checked_symmetric(x, "matrix exp")
         with np.errstate(over="ignore"):  # entries near max float fail the bound
             Z = matrixops.vech(matrixops.sym(X))
-        return _expm_vech(Z, X.shape[-1])
+        return matrixops.unvech_stack(_expm_vech(Z, X.shape[-1]), X.shape[-1])
     if tag == "matrix_sqrt":
         S = matrixops.sym(_checked_symmetric(x, "matrix square"))
         return matrixops.sym(S @ S)
@@ -625,7 +633,10 @@ def _dirichlet_density(params, tag):
         # chart u = y_{1:K-1}; the density w.r.t. Lebesgue on the chart is
         # the standard Dirichlet density
         def logdens(u):
-            last = 1.0 - np.sum(u, axis=-1)
+            # a finite row whose sum overflows, such as (-1e308, -1e308), lies
+            # off the simplex, so it is masked out and gives -inf
+            with np.errstate(over="ignore", invalid="ignore"):
+                last = 1.0 - np.sum(u, axis=-1)
             mask = np.all(np.isfinite(u), axis=-1) & np.all(u > 0.0, axis=-1) & (last > 0.0)
             uv = u[mask]
             lv = last[mask]

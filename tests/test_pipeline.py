@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laplace_match import bridges, distributions, gp, pipeline, transforms
+from laplace_match import bridges, distributions, gp, matrixops, pipeline, transforms
 from laplace_match.errors import (
     DimensionMismatch,
     EmptyDataset,
@@ -19,6 +19,7 @@ from laplace_match.errors import (
     InvalidParams,
     LaplaceMatchError,
     NegativeRate,
+    OutOfSupport,
 )
 
 
@@ -119,6 +120,120 @@ def _outcome(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except LaplaceMatchError as exc:
         return type(exc), str(exc)
+
+
+def _sorted_quantile_reference(s, q):
+    """pipeline._sorted_quantile as it was before the blocked summary."""
+    n = s.shape[0]
+    virtual = (n - 1) * q
+    if virtual >= n - 1:
+        lo = hi = n - 1
+        t = virtual + 1.0  # numpy's weight against its floor index of -1
+    else:
+        lo = int(np.floor(virtual))
+        hi = lo + 1
+        t = virtual - lo
+    a, b = s[lo], s[hi]
+    diff = b - a
+    out = b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
+    nan = np.isnan(s[-1])
+    if np.any(nan):
+        out = np.where(nan, s[-1], out)
+    return out
+
+
+def _summarize_reference(draws_data):
+    """pipeline._summarize as it was before the blocked summary: one scratch
+    buffer of the draws' size, sorted along axis 0."""
+    count = draws_data.shape[0]
+    mean = np.sum(draws_data, axis=0)
+    mean /= count
+    scratch = np.subtract(draws_data, mean)
+    np.square(scratch, out=scratch)
+    std = np.sum(scratch, axis=0)
+    std /= count
+    summary = {"mean": mean, "std": np.sqrt(std)}
+    np.copyto(scratch, draws_data)
+    scratch.sort(axis=0)
+    for q in pipeline.QUANTILES:
+        summary[f"q{int(round(q * 100)):02d}"] = _sorted_quantile_reference(scratch, q)
+    return summary
+
+
+def _sample_marginals_reference(mean, cov, seed, count):
+    """pipeline._sample_marginals as it was before the point blocks: the
+    width > 1 product into a second array of the draws' size."""
+    z = np.random.default_rng(seed).standard_normal((count,) + mean.shape)
+    if mean.ndim == 1:
+        z *= np.sqrt(cov)
+    else:  # per point, its (count, w) draws times R^T, written in C order
+        draws = np.empty_like(z)
+        root_t = np.swapaxes(gp._psd_root(cov), -1, -2)
+        np.matmul(z.transpose(1, 0, 2), root_t, out=draws.transpose(1, 0, 2))
+        z = draws
+    z += mean
+    return z
+
+
+def _expm_chunk_reference(Z, out):
+    """transforms._expm_chunk as it was before it wrote into Z: the p x p
+    exponentials into out."""
+    n, p, _ = out.shape
+    rows, cols, table = matrixops._vech_index(p)
+    diag = np.diagonal(table).tolist()
+    terms = table.tolist()
+    B = Z.T.copy()
+    with np.errstate(over="ignore", invalid="ignore"):  # entries near max float fail the bound
+        c = np.sum(B[diag], axis=0) / p
+        B[diag] -= c
+        norm = np.sqrt(np.dot(np.where(rows == cols, 1.0, 2.0), B * B))
+    if not np.all(np.maximum(c, 0.0) + np.sqrt((p - 1) / p) * norm <= transforms._LOG_MAX):
+        raise OutOfSupport("matrix exp out of float range: an eigenvalue may exceed log(max)")
+    s = np.maximum(np.frexp(norm)[1], 0)
+    powers = np.empty((4, rows.size, n))
+    np.ldexp(B, -s, out=powers[0])
+    transforms._vech_matmul(powers[0], powers[0], powers[1], terms)
+    transforms._vech_matmul(powers[1], powers[0], powers[2], terms)
+    transforms._vech_matmul(powers[1], powers[1], powers[3], terms)
+    Q = np.tensordot(transforms._EXPM_BLOCKS, powers, axes=1)
+    for e in diag:
+        Q[:, e] += transforms._EXPM_IDENTITY[:, None]
+    for j in (2, 1, 0):
+        Q[j] += transforms._vech_matmul(powers[3], Q[j + 1], B, terms)
+    E = Q[0]
+    for k in range(1, s.max(initial=0) + 1):
+        need = np.flatnonzero(s >= k)
+        root = E[:, need]
+        E[:, need] = transforms._vech_matmul(root, root, np.empty_like(root), terms)
+    half = np.exp(0.5 * c)
+    E *= half
+    E *= half
+    out[...] = E.T[:, table]
+
+
+def _expm_vech_reference(Z, p):
+    """transforms._expm_vech as it was before it wrote into Z: a new
+    (..., p, p) stack."""
+    flat = np.asarray(Z, dtype=float).reshape(-1, p * (p + 1) // 2)
+    out = np.empty((flat.shape[0], p, p))
+    for lo in range(0, flat.shape[0], transforms._EXPM_CHUNK):
+        _expm_chunk_reference(
+            flat[lo : lo + transforms._EXPM_CHUNK], out[lo : lo + transforms._EXPM_CHUNK]
+        )
+    return out.reshape(np.shape(Z)[:-1] + (p, p))
+
+
+def _matrix_sqrt_reference(latent, p):
+    """The matrix-sqrt back-transform of the pipeline as it was before
+    matrixops.unvech_stack: unvech by indexing with the vech table, whose
+    p x p axes come first in memory, then sym(S @ S)."""
+    S = matrixops.sym(np.asarray(latent, dtype=float)[..., matrixops._vech_index(p)[2]])
+    return matrixops.sym(S @ S)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestGenerators:
@@ -377,6 +492,21 @@ class TestBinaryPipeline:
         _, pred = pipeline.lmgp_v1(data, pipeline.LMGPConfig("beta", inducing=5, draws=10))
         assert np.all(np.isfinite(pred.latent_mean))
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_distinct_inputs_are_counted_by_value(self, d):
+        # the count np.unique(X, axis=0) gives: -0.0 equals 0.0, and rows
+        # equal in every column are one input wherever they stand
+        rng = np.random.default_rng(d)
+        X = rng.integers(-2, 3, size=(40, d)).astype(float)
+        X[rng.random((40, d)) < 0.3] *= -1.0  # -0.0 next to 0.0
+        distinct = np.unique(X, axis=0).shape[0]
+        data = pipeline.Dataset(X, (X[:, 0] > 0.0).astype(float))
+        message = f"inducing={distinct + 1} exceeds the {distinct} distinct training inputs"
+        with pytest.raises(InvalidParams, match=message):
+            pipeline.lmgp_v1(data, pipeline.LMGPConfig("beta", inducing=distinct + 1, draws=10))
+        _, pred = pipeline.lmgp_v1(data, pipeline.LMGPConfig("beta", inducing=distinct, draws=10))
+        assert pred.diagnostics["sites"] == distinct
+
     def test_inducing_equals_full_at_k_n(self):
         data = _binary_data(n=8)
         cfg = pipeline.LMGPConfig("beta", kernel=gp.RBF(1.0, 1.0), seed=0)
@@ -447,6 +577,41 @@ class TestBinaryPipeline:
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
         )
         assert out.stdout.strip() == "False"
+
+    def test_import_and_runs_leave_numpy_ma_and_concurrent_futures_unloaded(self):
+        # numpy.ma came with np.unique(X, axis=0) on the first inducing run
+        # (about 12 ms), concurrent.futures and logging with the package
+        # import (about 7 ms); only a threaded distance_sweep loads the latter.
+        # numpy before 2.0 imports numpy.ma itself, so each step is checked
+        # against the modules loaded before it.
+        code = (
+            "import sys; "
+            "loaded = lambda: [m for m in ('numpy.ma', 'concurrent.futures', 'logging') "
+            "if m in sys.modules]; "
+            "import numpy as np; print(loaded()); "
+            "import laplace_match; from laplace_match import pipeline; print(loaded()); "
+            "X = np.linspace(0.0, 4.0, 30); "
+            "pipeline.lmgp_v1(pipeline.Dataset(X, np.round(X)), "
+            "pipeline.LMGPConfig('gamma', inducing=5, draws=20)); "
+            "Xd = np.column_stack([X, X[::-1]]); "
+            "pipeline.lmgp_v1(pipeline.Dataset(Xd, (X > 2.0).astype(float)), "
+            "pipeline.LMGPConfig('beta', inducing=5, draws=20)); "
+            "rows, _ = pipeline.gen_categorical(8, classes=3, seed=0); "
+            "Y = np.array([r[3] for r in rows], dtype=float).reshape(8, 3); "
+            "pipeline.lmgp_v1(pipeline.Dataset(np.arange(8.0), Y), "
+            "pipeline.LMGPConfig('dirichlet', draws=20)); "
+            "print(loaded())"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        with_numpy, with_package, after_runs = out.stdout.split("\n")[:3]
+        assert with_package == with_numpy  # the import adds none of them
+        assert after_runs == with_package  # nor do the inducing and Dirichlet runs
+        assert "concurrent.futures" not in after_runs
+        if np.lib.NumpyVersion(np.__version__) >= "2.0.0":  # numpy.ma loads lazily
+            assert after_runs == "[]"
 
 
 class TestPredictFromModel:
@@ -599,6 +764,116 @@ class TestSummaries:
         expected = np.quantile(draws, pipeline.QUANTILES, axis=0)
         for q, row in zip(pipeline.QUANTILES, expected):
             np.testing.assert_array_equal(summary[f"q{int(round(q * 100)):02d}"], row)
+
+
+_BLOCK = pipeline._DRAWS_BLOCK
+
+
+def _edges(step, *extra):
+    """0, 1 and one below, at and above a block of `step`, and `extra`."""
+    return sorted({0, 1, step - 1, step, step + 1, *extra} - {-1})
+
+
+class TestDrawsTail:
+    """The summary, the width > 1 sampler and the matrix exponential in
+    blocks of `pipeline._DRAWS_BLOCK` floats, bit for bit against the
+    versions that held a second array of the draws' size."""
+
+    @staticmethod
+    def _assert_summary_matches(draws):
+        with np.errstate(invalid="ignore"):  # inf - inf in the quantile lerp
+            expected = _summarize_reference(draws)
+            got = pipeline._summarize(draws)
+        assert got.keys() == expected.keys()
+        for key, value in expected.items():
+            assert _same_bits(got[key], value), key
+
+    @pytest.mark.parametrize("count", [1, 2, 999, 1000, 1001])
+    def test_summary_equals_the_scratch_buffer_summary(self, count):
+        rng = np.random.default_rng(count)
+        step = max(_BLOCK // count, 1)  # columns per sorted block
+        for width in _edges(step, 2, 2 * step + 1):
+            draws = np.round(rng.normal(size=(count, width)) * 8.0) / 4.0  # with ties
+            if width >= 4:
+                draws[count // 2, 0] = np.nan
+                draws[0, 1] = np.inf
+                draws[-1, 2] = -np.inf
+                draws[[0, -1], 3] = [np.inf, -np.inf]
+            self._assert_summary_matches(draws)
+        # one row per block, the running sum in the buffer's other row
+        if count <= 2:
+            for width in (_BLOCK - 1, _BLOCK, _BLOCK + 1):
+                self._assert_summary_matches(rng.normal(size=(count, width)))
+
+    @pytest.mark.parametrize("count", [1, 2, 999, 1000])
+    @pytest.mark.parametrize("shape", [(), (1,), (7,), (5, 4), (1, 4), (3, 3, 3)])
+    def test_summary_of_any_layout_equals_the_scratch_buffer_summary(self, count, shape):
+        draws = np.random.default_rng(count).gamma(2.0, size=(count,) + shape)
+        layouts = [draws, np.asfortranarray(draws), draws[::-1]]
+        if draws.ndim >= 2:  # the draw axis last in memory, and strided columns
+            draw_axis_last = np.ascontiguousarray(np.moveaxis(draws, 0, -1))
+            layouts += [np.moveaxis(draw_axis_last, -1, 0), draws[:, ::-1]]
+        for x in layouts:
+            self._assert_summary_matches(x)
+
+    @pytest.mark.parametrize("K", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("count", [1, 999, 1000, 1001])
+    def test_sampler_equals_the_two_buffer_sampler(self, K, count):
+        rng = np.random.default_rng(K)
+        step = max(_BLOCK // (count * K), 1)  # points per block
+        for m in _edges(step, 3 * step + 2):
+            mean = rng.normal(size=(m, K))
+            A = rng.normal(size=(m, K, K))
+            cov = A @ np.swapaxes(A, 1, 2)
+            got = pipeline._sample_marginals(mean, cov, 9, count)
+            assert _same_bits(got, _sample_marginals_reference(mean, cov, 9, count))
+            assert got.flags["C_CONTIGUOUS"]
+        mean, var = rng.normal(size=7), rng.uniform(0.1, 2.0, 7)
+        got = pipeline._sample_marginals(mean, var, 9, count)
+        assert _same_bits(got, _sample_marginals_reference(mean, var, 9, count))
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_expm_in_place_equals_the_p_by_p_stack(self, p):
+        d = p * (p + 1) // 2
+        Z = np.random.default_rng(p).normal(scale=1.5, size=(3, transforms._EXPM_CHUNK // 3 + 1, d))
+        expected = _expm_vech_reference(Z, p)
+        F = np.asfortranarray(Z)
+        got = transforms._expm_vech(F, p)  # not C-ordered: a C-ordered copy
+        assert got is not F and _same_bits(F, Z)
+        assert _same_bits(matrixops.unvech(got, p), expected)
+        assert transforms._expm_vech(Z, p) is Z
+        assert _same_bits(matrixops.unvech(Z, p), expected)
+
+    @pytest.mark.parametrize("basis", ["matrix_log", "matrix_sqrt"])
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_matrix_prediction_equals_the_p_by_p_tail(self, basis, p):
+        # 1001 draws at 9 points: three matrix-exponential chunks (matrix_log)
+        ts, mats = pipeline.gen_covariance(6, p=p, seed=p)
+        cfg = pipeline.LMGPConfig("inverse_wishart", basis=basis, seed=4, draws=1001)
+        data = pipeline.Dataset(ts, np.array(mats))
+        _, pred = pipeline.lmgp_v1(data, cfg, X_query=np.linspace(0.0, 5.0, 9))
+        latent = _sample_marginals_reference(pred.latent_mean, pred.latent_cov, 4, 1001)
+        if basis == "matrix_log":
+            draws = _expm_vech_reference(latent, p)
+        else:
+            draws = _matrix_sqrt_reference(latent, p)
+        assert _same_bits(pred.draws, draws)
+        assert pred.draws.flags["C_CONTIGUOUS"] == draws.flags["C_CONTIGUOUS"]
+        for key, value in _summarize_reference(draws).items():
+            assert _same_bits(pred.summary[key], value), key
+
+    @pytest.mark.parametrize("K", [2, 4, 6])
+    def test_softmax_prediction_equals_the_two_buffer_tail(self, K):
+        # 13 points: not a multiple of the sampler's point block
+        data = _categorical_data(t=6, K=K)
+        cfg = pipeline.LMGPConfig("dirichlet", seed=4, draws=1000)
+        _, pred = pipeline.lmgp_v1(data, cfg, X_query=np.linspace(0.0, 5.0, 13))
+        latent = _sample_marginals_reference(pred.latent_mean, pred.latent_cov, 4, 1000)
+        draws = pipeline._back_transform(latent, pred.basis, "dirichlet")
+        assert _same_bits(pred.draws, draws)
+        for key, value in _summarize_reference(draws).items():
+            assert _same_bits(pred.summary[key], value), key
+
 
 
 @st.composite
@@ -884,23 +1159,56 @@ class TestPerPointPrediction:
             se_cov = np.sqrt((np.outer(sd**2, sd**2) + cov[i] ** 2) / n)
             assert np.all(np.abs(emp - cov[i]) < 4 * se_cov)
 
-    def test_peak_allocation_of_a_scalar_prediction_at_1000_draws(self):
-        # 1000 draws at 1000 query points are 8.0 MB. Back-transformed in
-        # their own buffer and summarized from one scratch buffer, the run
-        # peaked at 16.1 MB, with fresh arrays for each step at 24.1 MB;
-        # bounded here with a 1.9 MB margin. 50 training points keep the
-        # kernel and the solve small.
-        X, y = pipeline.gen_binary(50, seed=0)
-        Xq = np.random.default_rng(1).normal(size=(1000, 2))
-        cfg = pipeline.LMGPConfig("beta", draws=1000)
+    @staticmethod
+    def _traced_peak(data, cfg, Xq):
         tracemalloc.start()
         try:
-            _, pred = pipeline.lmgp_v1(pipeline.Dataset(X, y), cfg, X_query=Xq)
+            _, pred = pipeline.lmgp_v1(data, cfg, X_query=Xq)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return pred, peak
+
+    def test_peak_allocation_of_a_scalar_prediction_at_1000_draws(self):
+        # 1000 draws at 1000 query points are 8.0 MB. Back-transformed in
+        # their own buffer and summarized in blocks, the run peaked at
+        # 8.73 MB; with one scratch buffer for the summary at 16.1 MB, with
+        # fresh arrays for each step at 24.1 MB. Bounded here with a 0.97 MB
+        # margin, which a second array of the draws' size breaks. 50 training
+        # points keep the kernel and the solve small.
+        X, y = pipeline.gen_binary(50, seed=0)
+        Xq = np.random.default_rng(1).normal(size=(1000, 2))
+        cfg = pipeline.LMGPConfig("beta", draws=1000)
+        pred, peak = self._traced_peak(pipeline.Dataset(X, y), cfg, Xq)
         assert pred.draws.shape == (1000, 1000)
-        assert peak <= 18e6
+        assert peak <= 9.7e6
+
+    def test_peak_allocation_of_a_dirichlet_prediction_at_1000_draws(self):
+        # 1000 draws at 401 points, K = 4, are 12.8 MB, and the softmax sum
+        # over the classes takes one (draws, points) array of 3.2 MB. The run
+        # peaked at 16.24 MB, against 25.98 MB with the width > 1 product in
+        # a second array and the summary in a third; bounded with a 1.36 MB
+        # margin. 20 training steps keep the GP layer small.
+        rows, _ = pipeline.gen_categorical(20, classes=4, seed=0)
+        Y = np.array([r[3] for r in rows], dtype=float).reshape(20, 4)
+        cfg = pipeline.LMGPConfig("dirichlet", draws=1000)
+        Xq = np.linspace(0.0, 19.0, 401)
+        pred, peak = self._traced_peak(pipeline.Dataset(np.arange(20.0), Y), cfg, Xq)
+        assert pred.draws.shape == (1000, 401, 4)
+        assert peak <= 17.6e6
+
+    def test_peak_allocation_of_an_inverse_wishart_prediction_at_1000_draws(self):
+        # 1000 draws at 201 points, p = 3: the 6 vech entries are 9.6 MB and
+        # the 3 x 3 draws expanded from them 14.5 MB. The run peaked at
+        # 24.59 MB, against 38.95 MB when the exponential wrote a new 3 x 3
+        # stack and the summary read a scratch copy of it; bounded with a
+        # 1.91 MB margin.
+        ts, mats = pipeline.gen_covariance(20, p=3, seed=0)
+        cfg = pipeline.LMGPConfig("inverse_wishart", draws=1000)
+        Xq = np.linspace(0.0, 19.0, 201)
+        pred, peak = self._traced_peak(pipeline.Dataset(ts, np.array(mats)), cfg, Xq)
+        assert pred.draws.shape == (1000, 201, 3, 3)
+        assert peak <= 26.5e6
 
     def test_draws_are_the_scaled_and_shifted_seeded_normals(self):
         rng = np.random.default_rng(4)

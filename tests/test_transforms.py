@@ -335,7 +335,10 @@ class TestMatrixExp:
     @pytest.mark.parametrize("p", [1, 2, 3, 5])
     def test_vech_rows_give_the_matrices_exponential_bit_for_bit(self, p):
         Z = np.random.default_rng(15 + p).normal(scale=2.0, size=(7, 5, p * (p + 1) // 2))
-        np.testing.assert_array_equal(transforms._expm_vech(Z, p), _exp(matrixops.unvech(Z, p)))
+        expected = _exp(matrixops.unvech(Z, p))
+        # the exponentials' vech entries, written into Z itself
+        assert transforms._expm_vech(Z, p) is Z
+        np.testing.assert_array_equal(matrixops.unvech(Z, p), expected)
 
     @pytest.mark.parametrize("bad", [np.nan, 1e308])
     def test_vech_rows_with_one_bad_entry_raise(self, bad):
@@ -571,6 +574,17 @@ class TestPushForward:
         assert np.array_equal(out[[0, 1, 3]], [-np.inf] * 3)
         assert out[2] == td.log_density(u[2])
         assert td.log_density(u[0]) == -np.inf
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_dirichlet_identity_density_is_minus_inf_where_the_chart_sum_overflows(self):
+        # finite chart points whose coordinate sum overflows raised
+        # "overflow encountered in reduce" before they were masked out
+        td = transforms.push_forward(distributions.dirichlet([1.2, 0.8, 0.6]), "identity")
+        u = np.array([[-1e308, -1e308], [1e308, 1e308], [1e308, -1e308], [0.2, 0.3]])
+        out = td.log_density(u)
+        assert np.array_equal(out[:3], [-np.inf] * 3)
+        assert out[3] == td.log_density(u[3]) and np.isfinite(out[3])
+        assert td.log_density(np.array([[-1e308, -1e308]]))[0] == -np.inf
 
     def test_initial_point_inside_domain(self):
         cases = [
