@@ -9,6 +9,12 @@ so no n x n noise matrix is ever formed, and the model keeps it in that
 shape. Noise enters training only; predictions are for the noise-free latent
 function. The prior mean is zero.
 
+w latent functions on shared inputs take `Coregional(kernel, B)`, the
+intrinsic coregionalization kernel kernel(x, z) B[i, j] (Bonilla, Chai &
+Williams 2008): `kernel` is evaluated once on the n sites and expanded to
+Kx (x) B by one broadcast product, with site-major rows (latent i of site a
+at row a w + i). Its model keeps the sites as X and n w rows in mu.
+
 The posterior follows Rasmussen & Williams (GPML, 2006), Algorithm 2.1, with
 one dense factorisation per fit and one solve per prediction: gp_fit keeps
 only the Cholesky factor L of K + noise, and gp_predict solves L against the
@@ -37,10 +43,10 @@ pools made n = 250 and 500 predictions 7-10% slower; calling numpy's bundled
 BLAS through ctypes would depend on symbol names that differ between numpy
 builds.
 
-gp_predict returns per-point marginals: variances, or with `width` w the
-w x w covariance block of each query point, without forming the joint
-covariance. The pipelines' `Prediction.draws` are per-point posterior draws
-with no cross-point correlation.
+gp_predict returns per-point marginals: variances, or for a Coregional
+kernel the w x w covariance block of each query point, without forming the
+joint covariance. The pipelines' `Prediction.draws` are per-point posterior
+draws with no cross-point correlation.
 
 median_lengthscale is exact up to _MEDIAN_INPUTS (N0 = 1024) inputs.
 Above, it is the median of a fixed subsample of N0 rows, drawn with
@@ -172,10 +178,13 @@ class Kernel:
     k.pairs(X, Z) = [k(x_i, z_i)] on inputs of equal length.
 
     `dims` restricts a leaf kernel to selected input columns, so products of
-    per-coordinate kernels can share one joint input matrix.
+    per-coordinate kernels can share one input matrix; a column the inputs
+    do not have raises DimensionMismatch. `width` is the number of latent
+    functions per input: 1, or w for a Coregional kernel.
     """
 
     tag = "kernel"
+    width = 1
 
     def __init__(self, dims=None):
         self.dims = None if dims is None else tuple(np.atleast_1d(dims).tolist())
@@ -184,6 +193,8 @@ class Kernel:
         X = _as_inputs(X)
         if self.dims is None:
             return X
+        if not all(0 <= c < X.shape[1] for c in self.dims):
+            raise DimensionMismatch(f"kernel dims {list(self.dims)} exceed {X.shape[1]} columns")
         return X[:, list(self.dims)]
 
     def __call__(self, X, Z=None):
@@ -330,6 +341,21 @@ class Linear(Kernel):
         return {"variance": self.variance, "offset": self.offset}
 
 
+def _psd_table(table, name):
+    """A square, symmetric, positive semidefinite matrix, symmetrized."""
+    table = np.asarray(table, dtype=float)
+    if table.ndim != 2 or table.shape[0] != table.shape[1] or not table.size:
+        raise DimensionMismatch(f"{name} must be square")
+    scale = max(np.max(np.abs(table)), 1e-300)
+    if np.max(np.abs(table - table.T)) > 1e-10 * scale:
+        raise InvalidParams(f"{name} must be symmetric")
+    table = 0.5 * (table + table.T)
+    w = np.linalg.eigvalsh(table)
+    if np.min(w) < -1e-10 * max(np.max(w), 1e-300):
+        raise NotPositiveDefinite(f"{name} must be positive semidefinite")
+    return table
+
+
 class LookupTable(Kernel):
     """Kernel over integer codes: k(x, z) = table[x[dim], z[dim]].
 
@@ -341,17 +367,7 @@ class LookupTable(Kernel):
 
     def __init__(self, table, dim=0):
         super().__init__(dims=(dim,))
-        table = np.asarray(table, dtype=float)
-        if table.ndim != 2 or table.shape[0] != table.shape[1]:
-            raise DimensionMismatch("lookup table must be square")
-        scale = max(np.max(np.abs(table)), 1e-300)
-        if np.max(np.abs(table - table.T)) > 1e-10 * scale:
-            raise InvalidParams("lookup table must be symmetric")
-        table = 0.5 * (table + table.T)
-        w = np.linalg.eigvalsh(table)
-        if np.min(w) < -1e-10 * max(np.max(w), 1e-300):
-            raise NotPositiveDefinite("lookup table must be positive semidefinite")
-        self.table = table
+        self.table = _psd_table(table, "lookup table")
 
     def _codes(self, A):
         codes = np.rint(A[:, 0]).astype(int)
@@ -422,6 +438,33 @@ class Product(Kernel):
 
     def to_record(self):
         return {"kernel": "product", "terms": [t.to_record() for t in self.terms]}
+
+
+class Coregional(Kernel):
+    """k((x, i), (z, j)) = kernel(x, z) B[i, j] for w latent functions on
+    shared inputs, B symmetric positive semidefinite. On site inputs (n, d)
+    and (m, d) it is the (n w, m w) matrix Kx (x) B, row a w + i for latent
+    i of site a; `pairs` gives the (n, w, w) blocks kernel(x_a, z_a) B."""
+
+    tag = "coregional"
+
+    def __init__(self, kernel, B):
+        super().__init__(None)
+        self.kernel = kernel
+        self.B = _psd_table(B, "coregionalization matrix")
+        self.width = self.B.shape[0]
+
+    def _eval(self, A, Z):
+        Kx = self.kernel(A, Z)
+        n, m = Kx.shape
+        w = self.width
+        return (Kx[:, None, :, None] * self.B[None, :, None, :]).reshape(n * w, m * w)
+
+    def _eval_pairs(self, A, Z):
+        return self.kernel.pairs(A, Z)[:, None, None] * self.B
+
+    def to_record(self):
+        return {"kernel": self.tag, "input": self.kernel.to_record(), "B": self.B.tolist()}
 
 
 def _pair_blocks(X):
@@ -594,7 +637,8 @@ def median_lengthscale(X):
 
 
 class GPModel:
-    """Fitted GP state; immutable after fit."""
+    """Fitted GP state; immutable after fit. X holds the n inputs (the sites)
+    and mu the n * kernel.width latent rows."""
 
     def __init__(self, kernel, X, mu, noise, jitter, state):
         self.kernel = kernel
@@ -629,12 +673,14 @@ def gp_fit(kernel, X, mu, sigma):
     Args:
         kernel: covariance function.
         X: inputs, (n,) or (n, d).
-        mu: observed latent means, (n,).
+        mu: observed latent means, (N,) with N = n * kernel.width rows (site
+            major for a Coregional kernel).
         sigma: observation noise, used in training only. A scalar variance,
-            per-point variances (n,), or an (n/w, w, w) stack of the
-            covariance blocks of w consecutive rows. It is added in place to
-            the diagonal or to the diagonal blocks of the kernel matrix, and
-            the model keeps it in the shape given.
+            per-row variances (N,), or an (N/w, w, w) stack of the
+            covariance blocks of w consecutive rows, for a Coregional
+            kernel its (n, w, w) site blocks. It is added in place to the
+            diagonal or to the diagonal blocks of the kernel matrix, and the
+            model keeps it in the shape given.
 
     An empty dataset returns the prior. A non-finite entry in mu or in the
     noise raises InvalidParams. Refitting identical inputs is bit-identical;
@@ -642,7 +688,7 @@ def gp_fit(kernel, X, mu, sigma):
     """
     X = _as_inputs(X) if np.size(X) else np.zeros((0, 1))
     mu = np.atleast_1d(np.asarray(mu, dtype=float)) if np.size(mu) else np.zeros(0)
-    n = X.shape[0]
+    n = X.shape[0] * kernel.width
     if mu.shape != (n,):
         raise DimensionMismatch(f"mu must have shape ({n},)")
     try:
@@ -656,7 +702,8 @@ def gp_fit(kernel, X, mu, sigma):
     K = np.ascontiguousarray(kernel(X, X))  # so that K.reshape is a view
     if noise.ndim == 3:
         s, w = noise.shape[:2]
-        if s * w != n or noise.shape[2] != w:
+        sites = not isinstance(kernel, Coregional) or w == kernel.width
+        if s * w != n or noise.shape[2] != w or not sites:
             raise DimensionMismatch(f"noise blocks must form an (s, w, w) stack with s * w = {n}")
         i = np.arange(s)
         K.reshape(s, w, s, w)[i, :, i, :] += noise
@@ -670,46 +717,37 @@ def gp_fit(kernel, X, mu, sigma):
     return GPModel(kernel, X, mu, noise, jitter, {"L": L})
 
 
-def gp_predict(model, Xstar, width=1):
+def gp_predict(model, Xstar):
     """Posterior marginals of the noise-free latent function at new inputs.
 
-    Returns (mean, variances). With width w > 1 the query rows are read as
-    consecutive groups of w, one group per query point as the multi-latent
-    layout lays them out, and the second value is the (m, w, w) stack of the
-    groups' covariance blocks; the full covariance is never formed. The
-    heteroskedastic noise entered the training factor only; nothing is added
-    at query points. The solve runs in one (n, m + 1) buffer, filled from
-    the (m, n) kernel matrix, which is freed before the solve.
+    Returns (mean, variances): for a Coregional kernel of width w the
+    (m w,) means in site-major order and the (m, w, w) stack of each query
+    point's covariance block, for every w >= 1; the full covariance is never
+    formed. The heteroskedastic noise entered the training factor only;
+    nothing is added at query points. The solve runs in one (N, m w + 1)
+    buffer, N the model's latent rows, filled from the (m w, N) kernel
+    matrix, which is freed before the solve.
     """
     Xs = _as_inputs(Xstar)
     kernel = model.kernel
-    if width > 1:
-        if Xs.shape[0] % width:
-            raise DimensionMismatch(f"query rows must form groups of {width}")
-        groups = Xs.reshape(-1, width, Xs.shape[1])
-        # every (row, column) pair of every group, in one paired call
-        rows = np.repeat(groups, width, axis=1).reshape(-1, Xs.shape[1])
-        cols = np.tile(groups, (1, width, 1)).reshape(-1, Xs.shape[1])
-        prior = kernel.pairs(rows, cols).reshape(-1, width, width)
+    prior = kernel.pairs(Xs, Xs)  # (m,) variances or (m, w, w) blocks
     if model.n == 0:
-        mean = np.zeros(Xs.shape[0])
-        if width > 1:
-            return mean, matrixops.sym(prior)
-        return mean, np.maximum(kernel.pairs(Xs, Xs), 0.0)
+        mean = np.zeros(Xs.shape[0] * kernel.width)
+        return mean, matrixops.sym(prior) if prior.ndim == 3 else np.maximum(prior, 0.0)
     # the buffer is made after the kernel call, so that it never coexists
     # with the kernel's own (m, n) temporary
     ks = kernel(Xs, model.X)
-    vw = np.empty((model.n, ks.shape[0] + 1))
+    vw = np.empty((model.mu.size, ks.shape[0] + 1))
     vw[:, :-1] = ks.T
     vw[:, -1] = model.mu
     del ks
     _lower_solve(model._state["L"], vw)
     v, w = vw[:, :-1], vw[:, -1]
     mean = w @ v
-    if width > 1:
-        vb = v.T.reshape(groups.shape[0], width, model.n)
+    if prior.ndim == 3:
+        vb = v.T.reshape(prior.shape[0], kernel.width, model.mu.size)
         return mean, matrixops.sym(prior - vb @ np.swapaxes(vb, 1, 2))
-    var = kernel.pairs(Xs, Xs) - np.sum(np.square(v, out=v), axis=0)
+    var = prior - np.sum(np.square(v, out=v), axis=0)
     return mean, np.maximum(var, 0.0)
 
 

@@ -11,10 +11,11 @@ one `bridges.forward_arrays` call, for every family, turns them into Gaussian
 pseudo-observations, on which a heteroskedastic GP is fit in the latent
 coordinates. With the flat default prior V2 coincides with V1.
 
-Latent layout: scalar families use one GP coordinate per input; the simplex
-and matrix families expand each input into `width` latent rows (K classes,
-or p(p+1)/2 matrix coordinates) tagged by an extra integer input column, and
-the bridge covariances enter the GP as block-diagonal noise.
+Latent layout: scalar families use one GP coordinate per input. The simplex
+and matrix families have `width` latent functions per input (K classes, or
+p(p+1)/2 matrix coordinates, p = 1 included) under `gp.Coregional(kernel,
+B)`, fit on the sites with the bridge covariances as (sites, w, w) block
+noise; their marginals are (m, w) means and (m, w, w) blocks.
 
 Prediction computes the GP posterior once, as per-point marginals (a
 variance, or a width x width block per query point). `Prediction.draws` are
@@ -27,8 +28,9 @@ Buffers of a prediction: the latent draws are sampled into one (draws,
 m[, width]) array, and the sampler's width > 1 product and the summaries
 run through small buffers of `_DRAWS_BLOCK` floats. For the scalar and
 softmax bases that array, back-transformed in place, is `Prediction.draws`
-and the only one of the draws' size; the softmax sum over the classes adds
-one (draws, m) array. The matrix-log basis exponentiates the vech entries
+and the only one of the draws' size; the softmax max and sum over the
+classes run a block of draws at a time through buffers of `_DRAWS_BLOCK`
+floats. The matrix-log basis exponentiates the vech entries
 in that array, summarizes them, and expands draws and summary to p x p
 once, so the (draws, m, p, p) stack is the second. The matrix-sqrt basis
 squares the draws into a new stack through temporaries of its size.
@@ -189,12 +191,14 @@ class LMGPConfig:
             inverse_wishart).
         basis: bridge basis; defaults per family (logit, log,
             softmax_inverse, matrix_log).
-        kernel: input-space kernel. Defaults to RBF with the median
-            pairwise-distance lengthscale. For the multi-latent families an
-            explicitly supplied kernel must address the data columns via
-            dims; the default does.
-        coord_kernel: latent-coordinate kernel for multi-latent families;
-            defaults to a LookupTable of identity plus a uniform 0.5.
+        kernel: input-space kernel, evaluated on the (n, d) site inputs.
+            Defaults to RBF with the median pairwise-distance lengthscale.
+            For the multi-latent families it is the input factor of
+            `gp.Coregional(kernel, B)`.
+        coord_kernel: latent-coordinate kernel for the multi-latent
+            families, evaluated once on the w codes 0 .. w - 1 as a (w, 1)
+            column to give the coregionalization matrix B. Defaults to a
+            LookupTable of identity plus a uniform 0.5.
         epsilon_a: pseudo-likelihood prior weight (finite, > 0).
         inducing: optional cluster count for the conjugacy-based reduction,
             1 <= inducing <= the number of distinct inputs (pseudo-likelihood
@@ -358,27 +362,26 @@ def _basis_width(basis, family):
     return basis.p * (basis.p + 1) // 2
 
 
-def _joint_inputs(X, width):
-    if width == 1:
-        return X
-    n, d = X.shape
-    rows = np.repeat(X, width, axis=0)
-    coord = np.tile(np.arange(width, dtype=float), n)
-    return np.column_stack([rows, coord])
-
-
 def _build_kernel(config, X, width):
-    d = X.shape[1]
-    kT = config.kernel
-    if kT is None:
-        ls = gp.median_lengthscale(X)
-        kT = gp.RBF(lengthscale=ls, dims=tuple(range(d)) if width > 1 else None)
-    if width == 1:
-        return kT
+    """The input kernel (by default RBF at the median lengthscale of X), or
+    for a multi-latent family `gp.Coregional` over it with B from the
+    coordinate kernel on the w codes."""
+    kernel = config.kernel
+    if kernel is None:
+        kernel = gp.RBF(lengthscale=gp.median_lengthscale(X))
+    if config.family in distributions._SCALAR_FAMILIES:
+        return kernel
     kC = config.coord_kernel
     if kC is None:
-        kC = gp.LookupTable(np.eye(width) + 0.5, dim=d)
-    return gp.Product(kT, kC)
+        kC = gp.LookupTable(np.eye(width) + 0.5)
+    return gp.Coregional(kernel, kC(np.arange(width, dtype=float)))
+
+
+def _marginals(model, X):
+    """GP marginals at X: (m,) means and variances, or for a Coregional
+    model (m, w) means and (m, w, w) blocks."""
+    mean, cov = gp.gp_predict(model, X)
+    return (mean.reshape(cov.shape[:2]) if cov.ndim == 3 else mean), cov
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +416,7 @@ def _sites(data, config):
     return centers, total, np.bincount(assign, minlength=k).astype(float), lloyd
 
 
-def _prior_fields(config, basis, width, X_sites, prior_model):
+def _prior_fields(config, basis, X_sites, prior_model):
     """Conjugate prior parameter fields at the sites.
 
     The pseudo-prior's fields, which broadcast over the sites, unless V2
@@ -431,10 +434,7 @@ def _prior_fields(config, basis, width, X_sites, prior_model):
             dirichlet_prior=config.dirichlet_prior,
         )
         return {name: getattr(theta, name) for name in distributions.param_fields(fam)}
-    mean, cov = gp.gp_predict(prior_model, _joint_inputs(X_sites, width), width=width)
-    if width > 1:
-        mean = mean.reshape(-1, width)
-    return bridges.inverse_arrays(fam, basis.tag, mean, cov)
+    return bridges.inverse_arrays(fam, basis.tag, *_marginals(prior_model, X_sites))
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +454,7 @@ def _back_transform(latent, basis, family):
     return transforms._inverse_in_place(latent, basis)
 
 
-# Floats per block of the draws tail's small buffers: the summaries' row and
-# column blocks and the width > 1 sampler's point blocks (256 KiB, in L2).
-_DRAWS_BLOCK = 1 << 15
+_DRAWS_BLOCK = transforms._DRAWS_BLOCK
 
 
 def _quantile_rule(count, q):
@@ -556,11 +554,8 @@ def _sample_marginals(mean, cov, seed, count):
 def _predict(model, config, basis, width, X_query, timings, lloyd=_NO_LLOYD):
     fam = config.family
     Xq = gp._as_inputs(X_query)
-    m = Xq.shape[0]
     t0 = time.perf_counter()
-    latent_mean, latent_cov = gp.gp_predict(model, _joint_inputs(Xq, width), width=width)
-    if width > 1:
-        latent_mean = latent_mean.reshape(m, width)
+    latent_mean, latent_cov = _marginals(model, Xq)
     latent_draws = _sample_marginals(latent_mean, latent_cov, config.seed, config.draws)
     data_draws = _back_transform(latent_draws, basis, fam)
     t1 = time.perf_counter()
@@ -581,7 +576,7 @@ def _predict(model, config, basis, width, X_query, timings, lloyd=_NO_LLOYD):
     timings["summary_seconds"] = summary_s + time.perf_counter() - t2
     diagnostics = {
         **model.diagnostics(),
-        "sites": model.n // width,
+        "sites": model.n,
         "width": width,
         "ef_failures": int(np.count_nonzero(~ef_ok)),
         "kernel": model.kernel.to_record(),
@@ -639,12 +634,12 @@ def _run(data, config, X_query, prior_model):
     timings = {}
     t0 = time.perf_counter()
     X_train, total, count, lloyd = _sites(data, config)
-    prior = _prior_fields(config, basis, width, X_train, prior_model)
+    prior = _prior_fields(config, basis, X_train, prior_model)
     fields = distributions.conjugate_fields(config.family, prior, total, count)
     mu, noise = bridges.forward_arrays(config.family, basis.tag, **fields)
     timings["lm_seconds"] = time.perf_counter() - t0
     t1 = time.perf_counter()
-    model = gp.gp_fit(kernel, _joint_inputs(X_train, width), mu.ravel(), noise)
+    model = gp.gp_fit(kernel, X_train, mu.ravel(), noise)
     timings["fit_seconds"] = time.perf_counter() - t1
     Xq = data.X if X_query is None else X_query
     return model, _predict(model, config, basis, width, Xq, timings, lloyd)
@@ -687,9 +682,7 @@ def predict(model, basis, config, X_query):
         raise IncompatibleBasis("predict takes the basis the run resolved, Prediction.basis")
     basis = _bridge_basis(config.family, basis, basis.K or basis.p)
     width = _basis_width(basis, config.family)
-    if model.n and width > 1 and not np.array_equal(
-        model.X[:, -1], np.tile(np.arange(width), model.n // width)
-    ):
+    if model.kernel.width != width:
         raise DimensionMismatch(f"basis {basis!r} does not fit the model's latent width")
     return _predict(model, config, basis, width, X_query, {})
 

@@ -286,28 +286,41 @@ def _expm_vech(Z, p):
     return Z
 
 
-def _component_sum(parts):
-    """Sum of the component arrays `parts`, added in the pairwise order of
-    numpy's own sum along a contiguous axis (eight accumulators up to 128
-    terms, halves above), so that it equals np.sum over the stacked
-    components bit for bit while every add runs on whole component arrays."""
+# Floats per block of the draws tail's small buffers (256 KiB, in L2): the
+# softmax inverse's row blocks here, and in `pipeline` the summaries' row and
+# column blocks and the width > 1 sampler's point blocks.
+_DRAWS_BLOCK = 1 << 15
+
+
+def _component_sum(parts, out):
+    """Sum of the component arrays `parts`, written into `out`, added in the
+    pairwise order of numpy's own sum along a contiguous axis (eight
+    accumulators up to 128 terms, halves above), so that it equals np.sum
+    over the stacked components bit for bit while every add runs on whole
+    component arrays."""
     n = len(parts)
     if n > 128:
         half = n // 2 - n // 2 % 8
-        return _component_sum(parts[:half]) + _component_sum(parts[half:])
+        _component_sum(parts[:half], out)
+        out += _component_sum(parts[half:], np.empty_like(out))
+        return out
     if n < 8:
-        total = parts[0].copy()
+        np.copyto(out, parts[0])
         for part in parts[1:]:
-            total += part
-        return total
+            out += part
+        return out
     acc = [part.copy() for part in parts[:8]]
     for i in range(8, n - n % 8, 8):
         for j in range(8):
             acc[j] += parts[i + j]
-    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for j in (0, 2, 4, 6):
+        acc[j] += acc[j + 1]
+    acc[0] += acc[2]
+    acc[4] += acc[6]
+    np.add(acc[0], acc[4], out=out)
     for part in parts[n - n % 8 :]:
-        total += part
-    return total
+        out += part
+    return out
 
 
 def transform_samples(samples, basis, direction="forward", pseudo_inverse=False):
@@ -374,7 +387,9 @@ def _inverse_in_place(x, basis):
     non-finite latent, and the log and square-root inverses for one whose
     image would overflow; every input is checked before it is overwritten.
     The softmax inverse is max-shifted, with its max and its sum taken over
-    the K component arrays (`_component_sum`); the matrix-log inverse checks
+    the K component arrays (`_component_sum`) of a block of rows at a time,
+    into one buffer of `_DRAWS_BLOCK / K` floats (a C-ordered copy of x when
+    x is not C-ordered); the matrix-log inverse checks
     that its input is finite and symmetric and exponentiates the vech
     entries of its symmetric part (`_expm_vech`). No inverse calls `eigh`.
     """
@@ -405,14 +420,20 @@ def _inverse_in_place(x, basis):
         elif x.shape[-1] != K:
             raise OutOfSupport(f"expected latent vectors of length {K} or {K - 1}")
         _checked_range(x, -_FLOAT_MAX, _FLOAT_MAX, "softmax inverse needs finite latent vectors")
-        top = x[..., 0].copy()
-        for k in range(1, K):
-            np.maximum(top, x[..., k], out=top)
-        with np.errstate(over="ignore"):  # a gap beyond max float gives exp(-inf) = 0
-            x -= top[..., None]
-            np.exp(x, out=x)
-        del top  # one (count, m) array at a time next to the draws
-        x /= _component_sum([x[..., k] for k in range(K)])[..., None]
+        x = np.ascontiguousarray(x)
+        flat = x.reshape(-1, K)
+        step = max(_DRAWS_BLOCK // K, 1)
+        buf = np.empty(min(step, flat.shape[0]))  # each block's max, then its sum
+        for lo in range(0, flat.shape[0], step):
+            block = flat[lo : lo + step]
+            top = buf[: block.shape[0]]
+            np.copyto(top, block[:, 0])
+            for k in range(1, K):
+                np.maximum(top, block[:, k], out=top)
+            with np.errstate(over="ignore"):  # a gap beyond max float gives exp(-inf) = 0
+                block -= top[:, None]
+                np.exp(block, out=block)
+            block /= _component_sum([block[:, k] for k in range(K)], top)[:, None]
         return x
     if tag == "matrix_log":
         X = _checked_symmetric(x, "matrix exp")

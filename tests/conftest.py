@@ -13,7 +13,7 @@ def _dense_posterior(model, Xstar):
     Xs = gp._as_inputs(Xstar)
     kss = model.kernel(Xs, Xs)
     if model.n == 0:
-        return np.zeros(Xs.shape[0]), kss
+        return np.zeros(kss.shape[0]), kss
     L = model._state["L"]
     v = np.linalg.solve(L, model.kernel(model.X, Xs))
     return v.T @ np.linalg.solve(L, model.mu), kss - v.T @ v

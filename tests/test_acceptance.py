@@ -133,15 +133,14 @@ def test_criterion_6_lm_latents_match_elliptical_slice_sampling():
     config = pipeline.LMGPConfig(
         "dirichlet",
         kernel=gp.RBF(lengthscale=1.5, variance=1.0, dims=(0,)),
-        coord_kernel=gp.LookupTable(np.eye(K) + 0.5, dim=1),
+        coord_kernel=gp.LookupTable(np.eye(K) + 0.5),
         seed=0,
         draws=200,
     )
     model, pred = pipeline.lmgp_v1(pipeline.Dataset(X, counts), config)
     lm_mean = pred.latent_mean.reshape(-1)
 
-    joint = pipeline._joint_inputs(gp._as_inputs(X), K)
-    K_prior = model.kernel(joint)
+    K_prior = model.kernel(X)
 
     def log_lik(f):
         F = f.reshape(T, K)

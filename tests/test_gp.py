@@ -409,6 +409,19 @@ class TestKernels:
         assert np.array_equal(kernel.pairs(X, X), kernel.pairs(X, X))
         assert np.array_equal(X, X0) and np.array_equal(Z, Z0)
 
+    def test_dims_outside_the_inputs_raise(self):
+        # a raw IndexError before; a kernel that addressed the code column of
+        # the former joint rows now meets site inputs without it
+        kernels = (gp.RBF(1.0, dims=(3,)), gp.Linear(dims=(0, 1)), gp.LookupTable(np.eye(2), 1))
+        for kernel in kernels:
+            with pytest.raises(DimensionMismatch):
+                kernel(np.zeros((4, 1)))
+            with pytest.raises(DimensionMismatch):
+                kernel.pairs(np.zeros((4, 1)), np.zeros((4, 1)))
+        with pytest.raises(DimensionMismatch):
+            gp.RBF(1.0, dims=(-1,))(np.zeros((4, 2)))
+        assert gp.RBF(1.0, dims=(1,))(np.zeros((4, 2))).shape == (4, 4)
+
     def test_pairs_checks_lookup_codes_and_lengths(self):
         k = gp.LookupTable(np.eye(3) + 0.5)
         with pytest.raises(InvalidParams):
@@ -556,9 +569,9 @@ class TestLowerSolve:
         X = np.column_stack([np.arange(float(T)), np.zeros(T)])
         cfg = pipeline.LMGPConfig("dirichlet", draws=1)
         model, _ = pipeline.lmgp_v1(pipeline.Dataset(X[0::2], Y[0::2]), cfg, X_query=X[:1])
-        assert model.jitter > 0.0 and model.n > gp._BLOCK
+        assert model.jitter > 0.0 and model.mu.size > gp._BLOCK
         L = model._state["L"]
-        ks = model.kernel(pipeline._joint_inputs(X[1::2], K), model.X)
+        ks = model.kernel(X[1::2], model.X)
         B = np.column_stack((ks.T, model.mu))
         ref = _refined_solve(L, B)
 
@@ -578,10 +591,14 @@ class TestLowerSolve:
 
         rng = np.random.default_rng(6)
         X = rng.uniform(0.0, 10.0, size=300)
-        model = gp.gp_fit(gp.RBF(1.0), X, rng.normal(size=300), 0.1)
+        coregional = gp.Coregional(gp.RBF(1.0), np.eye(2) + 0.5)
+        models = [
+            gp.gp_fit(gp.RBF(1.0), X, rng.normal(size=300), 0.1),
+            gp.gp_fit(coregional, X[:150], rng.normal(size=300), 0.1),
+        ]
         monkeypatch.setattr(np.linalg, "inv", spy)
-        for width in (1, 2):
-            gp.gp_predict(model, np.linspace(0.0, 10.0, 40), width=width)
+        for model in models:
+            gp.gp_predict(model, np.linspace(0.0, 10.0, 40))
         assert sizes and max(sizes) <= gp._LEAF <= 16
 
 
@@ -600,7 +617,7 @@ def _lower_solve_reference(L, B):
     return X
 
 
-def _gp_predict_reference(model, Xs, width=1):
+def _gp_predict_reference(model, Xs):
     """gp.gp_predict as it was, with separate arrays for ks, its stacked
     copy, the solution and v**2 (for a fitted model)."""
     kernel = model.kernel
@@ -608,13 +625,9 @@ def _gp_predict_reference(model, Xs, width=1):
     vw = _lower_solve_reference(model._state["L"], np.column_stack((ks.T, model.mu)))
     v, w = vw[:, :-1], vw[:, -1]
     mean = w @ v
-    if width > 1:
-        groups = Xs.reshape(-1, width, Xs.shape[1])
-        rows = np.repeat(groups, width, axis=1).reshape(-1, Xs.shape[1])
-        cols = np.tile(groups, (1, width, 1)).reshape(-1, Xs.shape[1])
-        prior = kernel.pairs(rows, cols).reshape(-1, width, width)
-        vb = v.T.reshape(groups.shape[0], width, model.n)
-        return mean, matrixops.sym(prior - vb @ np.swapaxes(vb, 1, 2))
+    if isinstance(kernel, gp.Coregional):
+        vb = v.T.reshape(Xs.shape[0], kernel.width, model.mu.size)
+        return mean, matrixops.sym(kernel.pairs(Xs, Xs) - vb @ np.swapaxes(vb, 1, 2))
     var = kernel.pairs(Xs, Xs) - np.sum(v**2, axis=0)
     return mean, np.maximum(var, 0.0)
 
@@ -623,18 +636,20 @@ class TestPredictInOneBuffer:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("width", [1, 3])
     def test_equals_the_separate_array_predict(self, d, width):
-        # 300 sites: the solve crosses _BLOCK and _LEAF boundaries
+        # 300 latent rows: the solve crosses _BLOCK and _LEAF boundaries; at
+        # width 1 both a scalar kernel and a Coregional one of width 1
         rng = np.random.default_rng(10 * d + width)
         sites = rng.uniform(0.0, 4.0, size=(300 // width, d))
-        cfg = pipeline.LMGPConfig("dirichlet" if width > 1 else "beta")
-        kernel = pipeline._build_kernel(cfg, sites, width)
-        X = pipeline._joint_inputs(sites, width)
-        model = gp.gp_fit(kernel, X, rng.normal(size=X.shape[0]), rng.uniform(0.05, 0.5, X.shape[0]))
-        Xs = pipeline._joint_inputs(rng.uniform(-1.0, 5.0, size=(57, d)), width)
-        got = gp.gp_predict(model, Xs, width=width)
-        ref = _gp_predict_reference(model, Xs, width=width)
-        for a, b in zip(got, ref):
-            assert a.shape == b.shape and np.array_equal(a, b)
+        Xs = rng.uniform(-1.0, 5.0, size=(57, d))
+        mu, noise = rng.normal(size=300), rng.uniform(0.05, 0.5, 300)
+        families = ("beta", "inverse_wishart") if width == 1 else ("dirichlet",)
+        for family in families:
+            kernel = pipeline._build_kernel(pipeline.LMGPConfig(family), sites, width)
+            model = gp.gp_fit(kernel, sites, mu, noise)
+            got = gp.gp_predict(model, Xs)
+            ref = _gp_predict_reference(model, Xs)
+            for a, b in zip(got, ref):
+                assert a.shape == b.shape and np.array_equal(a, b)
 
     def test_lower_solve_returns_its_right_hand_side_solved(self):
         L = _rbf_factor(300, seed=2)
@@ -714,8 +729,8 @@ class TestFitPredict:
         # the factor is bit-identical to that of K + the dense noise matrix,
         # and the model keeps the noise in the shape it was given
         rng = np.random.default_rng(2)
-        X = pipeline._joint_inputs(rng.uniform(0.0, 3.0, size=(5, 1)), 3)
-        kernel = gp.Product(gp.RBF(1.0, dims=(0,)), gp.LookupTable(np.eye(3) + 0.5, dim=1))
+        X = rng.uniform(0.0, 3.0, size=(5, 1))
+        kernel = gp.Coregional(gp.RBF(1.0), np.eye(3) + 0.5)
         if shape == "scalar":
             noise, dense = 0.3, 0.3 * np.eye(15)
         elif shape == "variances":
@@ -775,45 +790,40 @@ class TestFitPredict:
         assert clean.jitter == 0.0
 
     def test_width_blocks_are_the_joint_diagonal_blocks(self, dense_posterior):
-        kernel = gp.Product(gp.RBF(1.0, 1.0, dims=(0,)), gp.LookupTable(np.eye(2) + 0.5, dim=1))
-        X = np.array([[0.0, 0.0], [0.0, 1.0], [1.5, 0.0], [1.5, 1.0]])
-        q = np.array([[0.4, 0.0], [0.4, 1.0], [2.0, 0.0], [2.0, 1.0], [9.0, 0.0], [9.0, 1.0]])
+        kernel = gp.Coregional(gp.RBF(1.0, 1.0), np.eye(2) + 0.5)
+        X = np.array([0.0, 1.5])
+        q = np.array([0.4, 2.0, 9.0])
         for model in (
             gp.gp_fit(kernel, X, np.array([1.0, -0.5, 0.3, 0.2]), 0.1),
             gp.gp_fit(kernel, [], [], []),  # the prior
         ):
             mean, cov = dense_posterior(model, q)
-            bmean, blocks = gp.gp_predict(model, q, width=2)
-            assert np.array_equal(bmean, gp.gp_predict(model, q)[0]) and blocks.shape == (3, 2, 2)
+            bmean, blocks = gp.gp_predict(model, q)
+            assert bmean.shape == (6,) and blocks.shape == (3, 2, 2)
             np.testing.assert_allclose(bmean, mean, rtol=0, atol=1e-12)
             for i in range(3):
                 np.testing.assert_allclose(
                     blocks[i], cov[2 * i : 2 * i + 2, 2 * i : 2 * i + 2], rtol=0, atol=1e-12
                 )
-        with pytest.raises(DimensionMismatch):
-            gp.gp_predict(model, q[:5], width=2)
 
     def test_width_blocks_at_zero_query_points(self):
         # the width > 1 branch reshaped its (0, w * w, D) pair rows with a
         # free axis and raised a raw ValueError
-        kernel = gp.Product(gp.RBF(1.0, 1.0, dims=(0,)), gp.LookupTable(np.eye(3), dim=1))
-        X = np.column_stack([np.repeat([0.0, 1.0], 3), np.tile(np.arange(3.0), 2)])
+        kernel = gp.Coregional(gp.RBF(1.0, 1.0), np.eye(3))
+        X = np.array([0.0, 1.0])
         for model in (gp.gp_fit(kernel, X, np.arange(6.0), 0.1), gp.gp_fit(kernel, [], [], [])):
-            mean, blocks = gp.gp_predict(model, np.zeros((0, 2)), width=3)
+            mean, blocks = gp.gp_predict(model, np.zeros((0, 1)))
             assert mean.shape == (0,) and blocks.shape == (0, 3, 3)
 
     def test_width_blocks_with_a_sum_coordinate_kernel(self, dense_posterior):
-        coords = gp.Sum(
-            gp.LookupTable(np.eye(3), dim=1), gp.LookupTable(np.full((3, 3), 0.5), dim=1)
-        )
-        kernel = gp.Product(gp.RBF(0.8, 1.0, dims=(0,)), coords)
-        codes = np.tile(np.arange(3.0), 4)
-        X = np.column_stack([np.repeat([0.0, 0.7, 1.9, 3.0], 3), codes])
-        q = np.column_stack([np.repeat([0.2, 1.0, 2.4, 8.0], 3), codes])
+        coords = gp.Sum(gp.LookupTable(np.eye(3)), gp.LookupTable(np.full((3, 3), 0.5)))
+        kernel = gp.Coregional(gp.RBF(0.8, 1.0), coords(np.arange(3.0)))
+        X = np.array([0.0, 0.7, 1.9, 3.0])
+        q = np.array([0.2, 1.0, 2.4, 8.0])
         model = gp.gp_fit(kernel, X, np.sin(np.arange(12.0)), 0.2)
         mean, cov = dense_posterior(model, q)
-        bmean, blocks = gp.gp_predict(model, q, width=3)
-        assert np.array_equal(bmean, gp.gp_predict(model, q)[0]) and blocks.shape == (4, 3, 3)
+        bmean, blocks = gp.gp_predict(model, q)
+        assert bmean.shape == (12,) and blocks.shape == (4, 3, 3)
         np.testing.assert_allclose(bmean, mean, rtol=0, atol=1e-12)
         for i in range(4):
             np.testing.assert_allclose(
@@ -869,6 +879,174 @@ class TestFitPredict:
                 gp.gp_fit(gp.RBF(), np.array([0.0, 1.0]), np.ones(2), noise)
 
 
+def _joint_rows(X, w):
+    """The joint-row layout the multi-latent GP ran on before Coregional:
+    each site repeated w times, its latent code in an extra last column."""
+    X = gp._as_inputs(X)
+    codes = np.tile(np.arange(w, dtype=float), X.shape[0])
+    return np.column_stack([np.repeat(X, w, axis=0), codes])
+
+
+def _joint_kernel(kernel, d):
+    """The Product(input kernel, LookupTable(B)) of a Coregional RBF kernel
+    on joint rows of d input columns."""
+    rbf = kernel.kernel
+    rbf = gp.RBF(rbf.lengthscale, rbf.variance, dims=tuple(range(d)))
+    return gp.Product(rbf, gp.LookupTable(kernel.B, dim=d))
+
+
+def _joint_predict(kernel, X, mu, noise, Xs):
+    """Fit and per-point blocks of the joint-row GP, as gp_predict read
+    them with its former `width` argument: the query rows in groups of w,
+    each group's prior block from paired evaluation of repeated and tiled
+    rows. Returns (Cholesky factor, mean, blocks)."""
+    X, Xs = gp._as_inputs(X), gp._as_inputs(Xs)
+    w, d = kernel.width, X.shape[1]
+    joint = _joint_kernel(kernel, d)
+    model = gp.gp_fit(joint, _joint_rows(X, w), mu, noise)
+    ks = joint(_joint_rows(Xs, w), model.X)
+    vw = gp._lower_solve(model._state["L"], np.ascontiguousarray(np.column_stack((ks.T, mu))))
+    v, a = vw[:, :-1], vw[:, -1]
+    groups = _joint_rows(Xs, w).reshape(-1, w, d + 1)
+    rows = np.repeat(groups, w, axis=1).reshape(-1, d + 1)
+    cols = np.tile(groups, (1, w, 1)).reshape(-1, d + 1)
+    prior = joint.pairs(rows, cols).reshape(-1, w, w)
+    vb = v.T.reshape(-1, w, mu.size)
+    return model._state["L"], a @ v, matrixops.sym(prior - vb @ np.swapaxes(vb, 1, 2))
+
+
+def _benchmark_layouts():
+    """Site inputs of the benchmark's multi-latent ops: Dirichlet K = 4 on
+    (t, 0) for even t < 250, queried at odd t; inverse Wishart p = 3 on even
+    t < 160, queried at odd t."""
+    t = np.arange(250.0)
+    X = np.column_stack([t, np.zeros(250)])
+    ts = np.arange(160.0)
+    return [(X[0::2], X[1::2], 4), (ts[0::2, None], ts[1::2, None], 6)]
+
+
+def _rounding_bound(a, b, A, C, kernel):
+    """Per entry, a bound on the gap between two roundings of the Coregional
+    RBF entry: two _sqdist evaluations of (x, z) differ by at most
+    (4d + 6) eps (|x|^2 + |z|^2), which the exponent scales by 1 / (2 l^2),
+    and the exp and the products round a few times more."""
+    eps = np.finfo(float).eps
+    w, d = kernel.width, A.shape[1]
+    norms = np.add.outer(np.sum(A**2, axis=1), np.sum(C**2, axis=1))
+    norms = np.repeat(np.repeat(norms, w, axis=0), w, axis=1)
+    gap = (4 * d + 6) * eps * norms / (2.0 * kernel.kernel.lengthscale**2)
+    return np.maximum(np.abs(a), np.abs(b)) * (gap + 4.0 * eps)
+
+
+class TestCoregional:
+    """gp.Coregional against the Product(RBF, LookupTable) on joint rows it
+    replaced: bit for bit for one input column and on the benchmark's
+    inputs, within the rounding of _sqdist for d >= 2."""
+
+    @staticmethod
+    def _cases(d, seed):
+        if d == "benchmark":
+            return _benchmark_layouts()
+        cases = []
+        for n, m, w in ((7, 5, 3), (60, 41, 4), (100, 33, 3), (121, 50, 6), (157, 50, 4)):
+            rng = np.random.default_rng(seed)
+            cases.append((rng.uniform(0.0, 4.0, (n, d)), rng.uniform(-1.0, 5.0, (m, d)), w))
+        return cases
+
+    @pytest.mark.parametrize("d", [1, "benchmark"])
+    def test_matrix_and_blocks_equal_the_joint_rows(self, d):
+        for X, Z, w in self._cases(d, seed=1):
+            kernel = gp.Coregional(gp.RBF(gp.median_lengthscale(X), 1.3), np.eye(w) + 0.5)
+            joint = _joint_kernel(kernel, X.shape[1])
+            for A in (X, Z):
+                assert np.array_equal(kernel(A, X), joint(_joint_rows(A, w), _joint_rows(X, w)))
+            assert np.array_equal(kernel(X), joint(_joint_rows(X, w)))
+            rows = np.repeat(_joint_rows(Z, w), w, axis=0)
+            cols = _joint_rows(np.repeat(Z, w, axis=0), w)
+            blocks = joint.pairs(rows, cols).reshape(-1, w, w)
+            assert kernel.pairs(Z, Z).shape == (Z.shape[0], w, w)
+            assert np.array_equal(kernel.pairs(Z, Z), blocks)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_matrix_within_the_rounding_of_the_distances(self, d):
+        for X, Z, w in self._cases(d, seed=d):
+            kernel = gp.Coregional(gp.RBF(gp.median_lengthscale(X)), np.eye(w) + 0.5)
+            joint = _joint_kernel(kernel, d)
+            for A in (X, Z):
+                a, b = kernel(A, X), joint(_joint_rows(A, w), _joint_rows(X, w))
+                assert np.all(np.abs(a - b) <= _rounding_bound(a, b, A, X, kernel))
+            # the paired blocks read no matrix product: the same floats
+            rows = np.repeat(_joint_rows(Z, w), w, axis=0)
+            cols = _joint_rows(np.repeat(Z, w, axis=0), w)
+            assert np.array_equal(kernel.pairs(Z, Z), joint.pairs(rows, cols).reshape(-1, w, w))
+
+    @pytest.mark.parametrize("family", ["dirichlet", "inverse_wishart"])
+    @pytest.mark.parametrize("d", [1, "benchmark"])
+    def test_prediction_equals_the_joint_rows(self, family, d):
+        # the pipeline's fit and marginals against the joint-row GP fitted on
+        # the same pseudo-observations
+        if d == "benchmark":
+            [(X, Xq, _), (ts, tq, _)] = _benchmark_layouts()
+            rows, _ = pipeline.gen_categorical(250, classes=4, seed=0)
+            Y = np.array([r[3] for r in rows], dtype=float).reshape(250, 4)[0::2]
+            if family == "inverse_wishart":
+                X, Xq, Y = ts, tq, np.array(pipeline.gen_covariance(160, p=3, seed=0)[1])[0::2]
+        else:
+            X, Xq = np.arange(8.0) * 0.7, np.linspace(-1.0, 6.0, 11)
+            rows, _ = pipeline.gen_categorical(8, classes=3, seed=1)
+            Y = np.array([r[3] for r in rows], dtype=float).reshape(8, 3)
+            if family == "inverse_wishart":
+                Y = np.array(pipeline.gen_covariance(8, p=2, seed=1)[1])
+        cfg = pipeline.LMGPConfig(family, draws=5)
+        model, pred = pipeline.lmgp_v1(pipeline.Dataset(X, Y), cfg, X_query=Xq)
+        L, mean, blocks = _joint_predict(model.kernel, model.X, model.mu, model.noise, Xq)
+        assert np.array_equal(model._state["L"], L)
+        assert np.array_equal(pred.latent_mean.ravel(), mean)
+        assert np.array_equal(pred.latent_cov, blocks)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_prediction_within_the_stated_tolerance(self, d):
+        # 121 sites of width 6: with OpenBLAS 0.3.31 on a 2-vCPU Xeon the
+        # joint rows' matrix product rounds 300 to 900 of the fit kernel's
+        # 527k entries differently at these inputs
+        rng = np.random.default_rng(d)
+        X, Xq = rng.uniform(0.0, 4.0, (121, d)), rng.uniform(-1.0, 5.0, (40, d))
+        kernel = gp.Coregional(gp.RBF(gp.median_lengthscale(X)), np.eye(6) + 0.5)
+        mu = rng.normal(size=726)
+        S = rng.normal(size=(121, 6, 6))
+        noise = S @ np.swapaxes(S, 1, 2) / 6.0 + 0.05 * np.eye(6)
+        mean, blocks = gp.gp_predict(gp.gp_fit(kernel, X, mu, noise), Xq)
+        _, ref_mean, ref_blocks = _joint_predict(kernel, X, mu, noise, Xq)
+        assert np.max(np.abs(mean - ref_mean)) <= 1e-12 * np.max(np.abs(ref_mean))
+        assert np.max(np.abs(blocks - ref_blocks)) <= 1e-12 * np.max(np.abs(ref_blocks))
+
+    def test_validation_and_record(self):
+        with pytest.raises(DimensionMismatch):
+            gp.Coregional(gp.RBF(), np.ones((2, 3)))
+        with pytest.raises(InvalidParams):
+            gp.Coregional(gp.RBF(), np.array([[1.0, 0.5], [0.4, 1.0]]))
+        with pytest.raises(NotPositiveDefinite):
+            gp.Coregional(gp.RBF(), np.array([[1.0, 2.0], [2.0, 1.0]]))
+        kernel = gp.Coregional(gp.RBF(2.0), np.eye(2) + 0.5)
+        assert kernel.width == 2 and gp.RBF().width == 1
+        assert kernel.to_record() == {
+            "kernel": "coregional",
+            "input": {"kernel": "rbf", "lengthscale": 2.0, "variance": 1.0},
+            "B": [[1.5, 0.5], [0.5, 1.5]],
+        }
+
+    def test_fit_checks_the_latent_rows(self):
+        kernel = gp.Coregional(gp.RBF(), np.eye(3))
+        with pytest.raises(DimensionMismatch):  # one row per site, not per latent
+            gp.gp_fit(kernel, np.arange(4.0), np.zeros(4), 0.1)
+        with pytest.raises(DimensionMismatch):
+            gp.gp_fit(kernel, np.arange(4.0), np.zeros(12), np.tile(np.eye(3), (3, 1, 1)))
+        with pytest.raises(DimensionMismatch):  # blocks that straddle the sites
+            gp.gp_fit(kernel, np.arange(4.0), np.zeros(12), np.tile(np.eye(2), (6, 1, 1)))
+        model = gp.gp_fit(kernel, np.arange(4.0), np.zeros(12), np.tile(np.eye(3), (4, 1, 1)))
+        assert model.noise.shape == (4, 3, 3) and model.mu.shape == (12,)
+
+
 def _inducing_fields(X, Y, k, family, **config):
     """Cluster centers, folded per-cluster parameter fields and the basis of
     the pipeline's inducing sites (seed 0)."""
@@ -876,8 +1054,7 @@ def _inducing_fields(X, Y, k, family, **config):
     data = pipeline.Dataset(X, Y)
     basis = cfg.resolve_basis(data.Y)
     centers, total, count, _ = pipeline._sites(data, cfg)
-    width = pipeline._basis_width(basis, family)
-    prior = pipeline._prior_fields(cfg, basis, width, centers, None)
+    prior = pipeline._prior_fields(cfg, basis, centers, None)
     return centers, distributions.conjugate_fields(family, prior, total, count), basis
 
 

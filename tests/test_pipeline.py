@@ -689,9 +689,11 @@ class TestDiagnostics:
         # the coordinate table, as plain JSON
         kernel = json.loads(json.dumps(diag["kernel"]))
         assert kernel == model.kernel.to_record()
-        rbf, table = kernel["terms"]
-        assert rbf["lengthscale"] == gp.median_lengthscale(data.X)
-        assert table["table"] == (np.eye(3) + 0.5).tolist()
+        assert kernel["kernel"] == "coregional"
+        assert kernel["input"] == {
+            "kernel": "rbf", "lengthscale": gp.median_lengthscale(data.X), "variance": 1.0,
+        }
+        assert kernel["B"] == (np.eye(3) + 0.5).tolist()
 
     def test_inducing_sites_and_empty_prior(self):
         data = _binary_data(n=20)
@@ -845,7 +847,7 @@ class TestDrawsTail:
         assert _same_bits(matrixops.unvech(Z, p), expected)
 
     @pytest.mark.parametrize("basis", ["matrix_log", "matrix_sqrt"])
-    @pytest.mark.parametrize("p", [2, 3, 4])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_matrix_prediction_equals_the_p_by_p_tail(self, basis, p):
         # 1001 draws at 9 points: three matrix-exponential chunks (matrix_log)
         ts, mats = pipeline.gen_covariance(6, p=p, seed=p)
@@ -861,6 +863,29 @@ class TestDrawsTail:
         assert pred.draws.flags["C_CONTIGUOUS"] == draws.flags["C_CONTIGUOUS"]
         for key, value in _summarize_reference(draws).items():
             assert _same_bits(pred.summary[key], value), key
+
+    @pytest.mark.parametrize("K", [2, 3, 8, 13, 130])
+    def test_softmax_inverse_in_row_blocks_equals_the_axis_reductions(self, K):
+        # the max and the class sum run a block of rows at a time through one
+        # buffer: the floats of np.max and np.sum over the class axis, also
+        # for a row count that is not a multiple of the block, and for K
+        # above 8 and 128 (numpy's accumulators and pairwise halves)
+        step = _BLOCK // K
+        basis = transforms.BasisTransform("softmax_inverse", K=K)
+        rng = np.random.default_rng(K)
+        for rows in _edges(step, 2 * step + 3):
+            x = rng.normal(scale=3.0, size=(rows, K))
+            shifted = np.exp(x - np.max(x, axis=-1, keepdims=True))
+            expected = shifted / np.sum(shifted, axis=-1, keepdims=True)
+            got = transforms._inverse_in_place(x, basis)
+            assert got is x and _same_bits(got, expected)
+        # a layout that is not C-ordered: written into a C-ordered copy
+        c = rng.normal(size=(7, 5, K))
+        shifted = np.exp(c - np.max(c, axis=-1, keepdims=True))
+        expected = shifted / np.sum(shifted, axis=-1, keepdims=True)
+        x = np.asfortranarray(c)
+        got = transforms._inverse_in_place(x, basis)
+        assert got is not x and _same_bits(got, expected) and _same_bits(x, c)
 
     @pytest.mark.parametrize("K", [2, 4, 6])
     def test_softmax_prediction_equals_the_two_buffer_tail(self, K):
@@ -1032,12 +1057,12 @@ class TestPipelineProperties:
         except LaplaceMatchError:
             return
         sites, _ = pipeline.lmgp_v1(observed, cfg.replace(inducing=observed.n))
-        # each site is `width` consecutive joint rows; match the sites by input
-        width = plain.n // observed.n
-        a = np.argsort(plain.X[::width, 0], kind="stable")
-        b = np.argsort(sites.X[::width, 0], kind="stable")
+        # each site has `width` consecutive latent rows; match the sites by input
+        width = plain.kernel.width
+        a = np.argsort(plain.X[:, 0], kind="stable")
+        b = np.argsort(sites.X[:, 0], kind="stable")
         rows = lambda order: (order[:, None] * width + np.arange(width)).ravel()
-        np.testing.assert_array_equal(sites.X[rows(b)], plain.X[rows(a)])
+        np.testing.assert_array_equal(sites.X[b], plain.X[a])
         np.testing.assert_array_equal(sites.mu[rows(b)], plain.mu[rows(a)])
         assert plain.noise.shape == (observed.n, width, width)
         np.testing.assert_array_equal(sites.noise[b], plain.noise[a])
@@ -1115,6 +1140,92 @@ class TestCovariancePipeline:
         _, p2 = pipeline.lmgp_v2(data, cfg.replace(version="v2"))
         np.testing.assert_allclose(p1.latent_mean, p2.latent_mean, atol=1e-6)
 
+    @pytest.mark.parametrize("basis", ["matrix_log", "matrix_sqrt"])
+    def test_p_equal_to_one_predicts_every_point(self, basis):
+        # one latent function per input: the marginals were shaped (m,) and
+        # reached the bridges as one point, so 6 training points gave draws
+        # of one matrix and 9 query points raised DomainMismatch
+        data = pipeline.Dataset(*pipeline.gen_covariance(6, p=1, seed=1))
+        cfg = pipeline.LMGPConfig("inverse_wishart", basis=basis, draws=11)
+        Xq = np.linspace(0.0, 5.0, 9)
+        model, pred = pipeline.lmgp_v1(data, cfg)
+        assert pred.draws.shape == (11, 6, 1, 1) and pred.latent_cov.shape == (6, 1, 1)
+        assert isinstance(model.kernel, gp.Coregional) and model.kernel.width == 1
+        _, pred = pipeline.lmgp_v1(data, cfg, X_query=Xq)
+        assert pred.draws.shape == (11, 9, 1, 1) and pred.summary["q50"].shape == (9, 1, 1)
+        assert pred.latent_mean.shape == (9, 1) and pred.latent_cov.shape == (9, 1, 1)
+        assert pred.ef_ok.all() and np.all(pred.draws > 0.0)
+        assert pred.diagnostics["width"] == 1 and pred.diagnostics["sites"] == 6
+        # V2 with a fitted prior: the bridge inverse of its (6, 1) marginals
+        _, refined = pipeline.lmgp_v2(data, cfg, X_query=Xq, prior=model)
+        assert refined.draws.shape == (11, 9, 1, 1) and refined.ef_ok.all()
+        assert not np.array_equal(refined.latent_mean, pred.latent_mean)
+        again = pipeline.predict(model, pred.basis, cfg, Xq)
+        assert _same_bits(again.draws, pred.draws)
+
+
+class TestCoregionalPipeline:
+    def test_every_multi_latent_family_fits_one_coregional_kernel(self):
+        for family, data, w in (
+            ("dirichlet", _categorical_data(t=5, K=3), 3),
+            ("inverse_wishart", _covariance_data(t=4, p=2), 3),
+            ("inverse_wishart", pipeline.Dataset(*pipeline.gen_covariance(4, p=1, seed=0)), 1),
+        ):
+            model, pred = pipeline.lmgp_v1(data, pipeline.LMGPConfig(family, draws=10))
+            assert isinstance(model.kernel, gp.Coregional) and model.kernel.width == w
+            assert np.array_equal(model.kernel.B, np.eye(w) + 0.5)
+            assert np.array_equal(model.X, data.X) and model.mu.shape == (data.n * w,)
+            assert model.noise.shape == (data.n, w, w) and pred.latent_mean.shape == (data.n, w)
+        model, _ = pipeline.lmgp_v1(_binary_data(n=8), pipeline.LMGPConfig("beta", draws=10))
+        assert isinstance(model.kernel, gp.RBF)
+
+    def test_coordinate_kernel_gives_the_matrix(self):
+        coords = gp.Sum(gp.LookupTable(np.eye(3)), gp.LookupTable(np.full((3, 3), 0.25)))
+        cfg = pipeline.LMGPConfig("dirichlet", kernel=gp.RBF(1.2), coord_kernel=coords, draws=10)
+        model, _ = pipeline.lmgp_v1(_categorical_data(t=5, K=3), cfg)
+        assert np.array_equal(model.kernel.B, np.eye(3) + 0.25)
+        assert model.kernel.kernel is cfg.kernel
+
+    def test_kernels_that_address_missing_columns_raise(self):
+        # the former joint rows carried the latent code in column d; the
+        # sites have d columns, and a raw IndexError became DimensionMismatch
+        cfg = pipeline.LMGPConfig("beta", kernel=gp.RBF(1.0, dims=(3,)))
+        with pytest.raises(DimensionMismatch):
+            pipeline.lmgp_v1(_binary_data(n=8), cfg)
+        data = _categorical_data(t=5, K=3)
+        for cfg in (
+            pipeline.LMGPConfig("dirichlet", kernel=gp.RBF(1.0, dims=(1,))),
+            pipeline.LMGPConfig("dirichlet", coord_kernel=gp.LookupTable(np.eye(3) + 0.5, dim=1)),
+        ):
+            with pytest.raises(DimensionMismatch):
+                pipeline.lmgp_v1(data, cfg)
+
+    def test_predict_checks_the_kernel_width(self):
+        cfg = pipeline.LMGPConfig("inverse_wishart", draws=10)
+        data = pipeline.Dataset(*pipeline.gen_covariance(4, p=1, seed=0))
+        model, pred = pipeline.lmgp_v1(data, cfg)
+        for p in (2, 3):
+            with pytest.raises(DimensionMismatch):
+                pipeline.predict(model, transforms.BasisTransform("matrix_log", p=p), cfg, _QUERY)
+        # an empty-data prior has no rows to read a layout from, but its kernel has a width
+        empty = pipeline.Dataset(np.zeros(0), np.zeros(0))
+        softmax = lambda K: transforms.BasisTransform("softmax_inverse", K=K)
+        sized = pipeline.LMGPConfig("dirichlet", basis=softmax(3), draws=10)
+        prior, _ = pipeline.lmgp_v2(empty, sized, X_query=_QUERY)
+        with pytest.raises(DimensionMismatch):
+            pipeline.predict(prior, softmax(4), sized, _QUERY)
+
+    def test_empty_v2_prior_gives_prior_blocks(self):
+        empty = pipeline.Dataset(np.zeros(0), np.zeros(0))
+        basis = transforms.BasisTransform("softmax_inverse", K=3)
+        cfg = pipeline.LMGPConfig(
+            "dirichlet", basis=basis, kernel=gp.RBF(1.0, 2.0), version="v2", draws=10
+        )
+        model, pred = pipeline.lmgp_v2(empty, cfg, X_query=_QUERY)
+        assert model.n == 0 and model.mu.shape == (0,)
+        assert np.array_equal(pred.latent_mean, np.zeros((3, 3)))
+        assert np.array_equal(pred.latent_cov, np.tile(2.0 * (np.eye(3) + 0.5), (3, 1, 1)))
+
 
 _QUERY = np.array([0.5, 2.0, 3.5])
 
@@ -1184,18 +1295,31 @@ class TestPerPointPrediction:
         assert peak <= 9.7e6
 
     def test_peak_allocation_of_a_dirichlet_prediction_at_1000_draws(self):
-        # 1000 draws at 401 points, K = 4, are 12.8 MB, and the softmax sum
-        # over the classes takes one (draws, points) array of 3.2 MB. The run
-        # peaked at 16.24 MB, against 25.98 MB with the width > 1 product in
-        # a second array and the summary in a third; bounded with a 1.36 MB
-        # margin. 20 training steps keep the GP layer small.
+        # 1000 draws at 401 points, K = 4, are 12.8 MB. The run peaked at
+        # 13.75 MB with the softmax max and class sum in row blocks, 16.24 MB
+        # with each in one (draws, points) array of 3.2 MB, and 25.98 MB with
+        # the width > 1 product in a second array and the summary in a third;
+        # bounded with a 1.36 MB margin, which such an array breaks. 20
+        # training steps keep the GP layer small.
         rows, _ = pipeline.gen_categorical(20, classes=4, seed=0)
         Y = np.array([r[3] for r in rows], dtype=float).reshape(20, 4)
         cfg = pipeline.LMGPConfig("dirichlet", draws=1000)
         Xq = np.linspace(0.0, 19.0, 401)
         pred, peak = self._traced_peak(pipeline.Dataset(np.arange(20.0), Y), cfg, Xq)
         assert pred.draws.shape == (1000, 401, 4)
-        assert peak <= 17.6e6
+        assert peak <= 15.1e6
+
+    def test_peak_allocation_of_the_softmax_tail_at_2000_points(self):
+        # 1000 draws at 2000 points, K = 4, are 61.0 MiB. With the softmax
+        # max and class sum each in one (draws, points) array of 15.3 MiB the
+        # run peaked at 76.7 MiB; in row blocks at 63.2 MiB.
+        rows, _ = pipeline.gen_categorical(20, classes=4, seed=0)
+        Y = np.array([r[3] for r in rows], dtype=float).reshape(20, 4)
+        cfg = pipeline.LMGPConfig("dirichlet", draws=1000)
+        Xq = np.linspace(0.0, 19.0, 2000)
+        pred, peak = self._traced_peak(pipeline.Dataset(np.arange(20.0), Y), cfg, Xq)
+        assert pred.draws.nbytes == 61.03515625 * 2**20
+        assert peak <= 65 * 2**20
 
     def test_peak_allocation_of_an_inverse_wishart_prediction_at_1000_draws(self):
         # 1000 draws at 201 points, p = 3: the 6 vech entries are 9.6 MB and
@@ -1231,8 +1355,7 @@ class TestPerPointPrediction:
         _, model, pred = _predict_at_query(family, draws=10)
         m = _QUERY.size
         w = pred.latent_mean.size // m
-        joint = pipeline._joint_inputs(gp._as_inputs(_QUERY), w)
-        mean, cov = dense_posterior(model, joint)
+        mean, cov = dense_posterior(model, _QUERY)
         np.testing.assert_allclose(pred.latent_mean.ravel(), mean, rtol=0, atol=1e-10)
         blocks = pred.latent_cov.reshape(m, w, w)
         for i in range(m):
@@ -1254,14 +1377,13 @@ class TestPerPointPrediction:
             return inverse_arrays(family, tag, mean, cov)
 
         monkeypatch.setattr(bridges, "inverse_arrays", spy)
-        fields = pipeline._prior_fields(cfg, basis, 3, data.X, prior_model)
+        fields = pipeline._prior_fields(cfg, basis, data.X, prior_model)
         monkeypatch.undo()
         [(mean, blocks)] = pulled
         np.testing.assert_array_equal(
             fields["alpha"], inverse_arrays("dirichlet", basis.tag, mean, blocks)["alpha"]
         )
-        joint = pipeline._joint_inputs(data.X, 3)
-        full_mean, cov = dense_posterior(prior_model, joint)
+        full_mean, cov = dense_posterior(prior_model, data.X)
         np.testing.assert_allclose(mean.ravel(), full_mean, rtol=0, atol=1e-10)
         for i in range(data.n):
             np.testing.assert_allclose(
@@ -1286,9 +1408,8 @@ class TestPerPointPrediction:
         X = gp._as_inputs(np.array([0.0, 2.0]))
         width = pipeline._basis_width(basis, family)
         cfg = pipeline.LMGPConfig(family, draws=8)
-        joint = pipeline._joint_inputs(X, width)
-        mu = np.random.default_rng(0).normal(size=joint.shape[0])
-        model = gp.gp_fit(pipeline._build_kernel(cfg, X, width), joint, mu, 0.0)
+        mu = np.random.default_rng(0).normal(size=X.shape[0] * width)
+        model = gp.gp_fit(pipeline._build_kernel(cfg, X, width), X, mu, 0.0)
         pred = pipeline._predict(model, cfg, basis, width, X, {})
         np.testing.assert_allclose(pred.latent_mean.ravel(), mu, atol=1e-6)
         at_mean = pipeline._back_transform(pred.latent_mean[None].copy(), basis, family)
