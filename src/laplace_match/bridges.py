@@ -13,12 +13,11 @@ half-vectorized means (n, d) with vech covariances (n, d, d), d = p(p+1)/2,
 from one batched eigendecomposition per call.
 
 `lm_forward` and `lm_inverse` are one-item wrappers that convert EFParams and
-GaussianApprox to and from those arrays. A matrix `lm_forward` returns a
-dense vech covariance, for isotropic scales too. They and `bridge_valid`
-take a tag or a `BasisTransform` and resolve it with
-`transforms.resolve_basis`, sized by the parameters (`lm_forward`,
-`bridge_valid`) or by the Gaussian (`lm_inverse`); the array functions take
-the tag of a row.
+GaussianApprox, a (mean, cov) record in those same coordinates, to and from
+those arrays. They and `bridge_valid` take a tag or a `BasisTransform` and
+resolve it with `transforms.resolve_basis`, sized by the parameters
+(`lm_forward`, `bridge_valid`) or by the length of the Gaussian's mean
+(`lm_inverse`); the array functions take the tag of a row.
 
 Scalar rows and the matrix log rows are bijective; the Dirichlet softmax row
 uses a pseudo-inverse (exact on bridge images). The matrix sqrt inverses
@@ -34,6 +33,7 @@ import numpy as np
 
 from . import distributions, matrixops, transforms
 from .errors import (
+    DimensionMismatch,
     DomainMismatch,
     IncompatibleBasis,
     InvalidParams,
@@ -380,12 +380,6 @@ def standard_valid(params):
     return True
 
 
-def _matrix_gaussian(mu, cov, p):
-    return GaussianApprox(
-        matrixops.unvech(mu, p).ravel(), "dense", cov, domain="symmetric_matrix", p=p
-    )
-
-
 def standard_laplace(params):
     """Laplace approximation in the original parametrization."""
     fam = params.family
@@ -417,16 +411,13 @@ def standard_laplace(params):
         if not np.all(a > 1.0):
             raise NoValidLaplace("dirichlet identity Laplace needs all alpha > 1")
         s = np.sum(a) - a.size
-        return GaussianApprox(
-            (a - 1.0) / s, "diagonal", (a - 1.0) / s**2, domain="simplex", centered=False
-        )
+        return GaussianApprox((a - 1.0) / s, np.diag((a - 1.0) / s**2))
     dof, scale = _fields_of(params)
     if fam == "wishart" and not dof > params.p + 1.0:
         raise NoValidLaplace(
             f"wishart identity Laplace needs n > p + 1 (got n={dof}, p={params.p})"
         )
-    mu, cov = _matrix_forward(fam, "identity", np.asarray(dof), scale)
-    return _matrix_gaussian(mu, cov, params.p)
+    return GaussianApprox(*_matrix_forward(fam, "identity", np.asarray(dof), scale))
 
 
 def lm_forward(params, basis):
@@ -440,11 +431,9 @@ def lm_forward(params, basis):
     mu, var = forward_arrays(
         fam, basis.tag, **{name: np.asarray(getattr(params, name))[None] for name in names}
     )
-    if basis.p is not None:
-        return _matrix_gaussian(mu[0], var[0], basis.p)
-    if basis.K is not None:
-        return GaussianApprox(mu[0], "dense", var[0], domain="simplex", centered=True)
-    return scalar_gaussian(float(mu[0]), float(var[0]))
+    if fam in distributions._SCALAR_FAMILIES:
+        return scalar_gaussian(float(mu[0]), float(var[0]))
+    return GaussianApprox(mu[0], var[0])
 
 
 _CHUNK = 1 << 15  # points: a chunk's fields, masks and outputs (1 MiB) stay in L2
@@ -548,35 +537,41 @@ def inverse_arrays(family, tag, mu, var):
     return fields
 
 
+def _record_size(family, d):
+    """The K or p of a Gaussian of mean length d for `family`: K = d, p from
+    d = p(p+1)/2, None for the scalar families (and an unknown family, which
+    `transforms.resolve_basis` rejects). DimensionMismatch for a length that
+    no basis of the family has."""
+    if family == "dirichlet":
+        size, fits = d, d >= 2
+    elif family in ("wishart", "inverse_wishart"):
+        size = int(round((np.sqrt(8.0 * d + 1.0) - 1.0) / 2.0))
+        fits = size * (size + 1) // 2 == d
+    else:
+        size, fits = None, d == 1 or family not in distributions._SCALAR_FAMILIES
+    if not fits:
+        raise DimensionMismatch(f"no {family} basis has Gaussians of dimension {d}")
+    return size
+
+
 def lm_inverse(g, family, basis, structured_sigma=False):
     """Map a Gaussian back to exponential-family parameters: a one-item
-    `inverse_arrays`."""
+    `inverse_arrays`. `g` is a GaussianApprox in the row's coordinates, or a
+    scalar (mu, var) tuple; its mean length sets the basis's K or p."""
     if isinstance(g, tuple):
         g = scalar_gaussian(*g)
-    size = g.p if g.domain == "symmetric_matrix" else g.mean.size
-    basis = transforms.resolve_basis(family, basis, size)
+    basis = transforms.resolve_basis(family, basis, _record_size(family, g.mean.size))
     if basis.tag == "identity":
         raise NonInvertibleBridge(
             "the identity basis is not a bridge row; the standard-basis "
             "Laplace approximation has no parameter inverse here"
         )
-    matrix = basis.p is not None
-    if matrix and g.domain != "symmetric_matrix":
-        raise DomainMismatch("matrix bridge inverse needs a symmetric_matrix Gaussian")
-    if basis.K is not None and g.domain not in ("simplex", "vector"):
-        raise DomainMismatch("softmax inverse needs a simplex-domain Gaussian")
-    if matrix:
-        if basis.tag == "matrix_sqrt" and not structured_sigma:
-            raise NonInvertibleBridge(
-                "the matrix sqrt inverse needs structured_sigma=True: a generic "
-                "covariance underdetermines the parameters"
-            )
-        mu, var = g.vech_mean()[None], g.vech_cov()[None]
-    elif basis.K is not None:
-        mu, var = g.mean[None], g.cov_dense()[None]
-    elif g.mean.size != 1:
-        raise DomainMismatch("scalar bridge inverse needs a one-dimensional Gaussian")
-    else:
-        mu, var = g.mean, np.array([g.var])
+    if basis.tag == "matrix_sqrt" and not structured_sigma:
+        raise NonInvertibleBridge(
+            "the matrix sqrt inverse needs structured_sigma=True: a generic "
+            "covariance underdetermines the parameters"
+        )
+    scalar = family in distributions._SCALAR_FAMILIES
+    mu, var = (g.mean, g.cov[0]) if scalar else (g.mean[None], g.cov[None])
     fields = inverse_arrays(family, basis.tag, mu, var)
     return distributions.from_record({"family": family, **{k: v[0] for k, v in fields.items()}})

@@ -24,9 +24,9 @@ import time
 
 import numpy as np
 
-from . import bridges, diagnostics, distributions, gp, pipeline, transforms
+from . import bridges, diagnostics, distributions, gp, matrixops, pipeline, transforms
 from .diagnostics import oracle_rows
-from .errors import LaplaceMatchError
+from .errors import LaplaceMatchError, OutOfSupport
 from .gaussian import GaussianApprox
 from .pipeline import gen_binary, gen_categorical, gen_counts, gen_covariance
 
@@ -395,28 +395,29 @@ def _bridge_params(args, family):
 
 
 def _bridge_gauss(args, tag):
-    """Assemble the Gaussian input of an inverse conversion."""
+    """The Gaussian input of an inverse conversion, in the bridge arrays'
+    coordinates: a matrix --mu becomes its vech, a scalar matrix --sigma s
+    the vech covariance of s times the identity on the p x p entries (s on
+    the diagonal entries, s/2 off them), and a simplex --sigma without ';'
+    a diagonal covariance."""
     if args.mu is None or args.sigma is None:
         raise UsageError("inverse direction needs --mu and --sigma")
     if tag in ("matrix_log", "matrix_sqrt"):
-        mean = _parse_matrix(args.mu, "--mu")
-        p = mean.shape[0]
+        M = _parse_matrix(args.mu, "--mu")
+        try:
+            mean = matrixops.vech(transforms._checked_symmetric(M, "--mu"))
+        except OutOfSupport as exc:
+            raise UsageError(f"{exc}, got {args.mu!r}")
         if ";" in args.sigma or "," in args.sigma:
-            data = _parse_matrix(args.sigma, "--sigma")
-            structure = "dense"
-        else:
-            data = float(args.sigma)
-            structure = "scaled_identity"
-        return GaussianApprox(
-            mean.ravel(), structure, data, domain="symmetric_matrix", p=p
-        )
+            return GaussianApprox(mean, _parse_matrix(args.sigma, "--sigma"))
+        s = float(args.sigma)
+        pairs = matrixops.vech_pairs(M.shape[0])
+        return GaussianApprox(mean, np.diag([s if i == j else 0.5 * s for i, j in pairs]))
     if tag == "softmax_inverse":
         mean = _parse_vector(args.mu, "--mu")
         if ";" in args.sigma:
-            data = _parse_matrix(args.sigma, "--sigma")
-        else:
-            data = np.diag(_parse_vector(args.sigma, "--sigma"))
-        return GaussianApprox(mean, "dense", data, domain="simplex", centered=True)
+            return GaussianApprox(mean, _parse_matrix(args.sigma, "--sigma"))
+        return GaussianApprox(mean, np.diag(_parse_vector(args.sigma, "--sigma")))
     return float(args.mu), float(args.sigma)
 
 

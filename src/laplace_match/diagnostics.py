@@ -45,17 +45,23 @@ def _gauss_logpdf(z, mean, cov):
     return -0.5 * (quad + logdet + d * np.log(2.0 * np.pi))
 
 
-def gauss_latent(g):
-    """Working-coordinate (mean, covariance) of a GaussianApprox.
+def gauss_latent(g, family=None, basis=None):
+    """Working-coordinate (mean, covariance) of a GaussianApprox in the bridge
+    coordinates of `basis` (a tag or a BasisTransform) for `family`.
 
-    Scalar Gaussians map to themselves, simplex Gaussians to the chart
-    coordinates, and matrix Gaussians to the half-vectorized coordinates.
+    The softmax basis keeps the leading K - 1 coordinates of its centered
+    record. The Dirichlet identity basis first conditions its record on the
+    simplex hyperplane, which gives the exact chart Laplace. Every other
+    record, a numeric-oracle record included, is in working coordinates.
     """
-    if g.domain == "simplex":
-        return g.chart_mean(), g.chart_cov()
-    if g.domain == "symmetric_matrix":
-        return g.vech_mean(), g.vech_cov()
-    return g.mean.copy(), g.cov_dense()
+    tag = getattr(basis, "tag", basis)
+    S = g.cov_dense()
+    if family == "dirichlet" and tag == "identity":
+        s1 = S @ np.ones(S.shape[0])
+        S = S - np.outer(s1, s1) / float(np.sum(s1))
+    elif tag != "softmax_inverse":
+        return g.mean.copy(), S
+    return g.mean[:-1].copy(), S[:-1, :-1].copy()
 
 
 def latent_samples(params, basis, n, seed):
@@ -86,21 +92,22 @@ def mc_kl(params, basis=None, gauss=None, n=10**6, seed=0):
 
     `params` may be EFParams (with `basis`), a TransformedDensity, or a
     GaussianApprox source for estimator self-checks (KL of a Gaussian
-    against `gauss`, zero when they coincide).
+    against `gauss`, zero when they coincide), on the working coordinates
+    of `basis` when one is given (`gauss_latent`).
     """
     if isinstance(params, transforms.TransformedDensity):
         params, basis = params.params, params.basis
     if isinstance(params, GaussianApprox):
         if gauss is None:
             gauss = params
-        mean_p, cov_p = gauss_latent(params)
+        mean_p, cov_p = gauss_latent(params, basis=basis)
         rng = np.random.default_rng(seed)
         L = np.linalg.cholesky(np.atleast_2d(cov_p))
         z = mean_p + rng.standard_normal((n, mean_p.size)) @ L.T
         if mean_p.size == 1:
             z = z[:, 0]
         logp = _gauss_logpdf(z, mean_p, cov_p)
-        mean_q, cov_q = gauss_latent(gauss)
+        mean_q, cov_q = gauss_latent(gauss, basis=basis)
         if np.atleast_1d(mean_q).size != mean_p.size:
             raise SupportMismatch("q has a different latent dimension than p")
         diff = logp - _gauss_logpdf(z, mean_q, cov_q)
@@ -113,7 +120,7 @@ def mc_kl(params, basis=None, gauss=None, n=10**6, seed=0):
     z = latent_samples(params, basis, n, seed)
     density = transforms.push_forward(params, basis)
     logp = np.asarray(density.log_density(z), dtype=float)
-    mean, cov = gauss_latent(gauss)
+    mean, cov = gauss_latent(gauss, params.family, basis)
     if np.atleast_1d(mean).size != (1 if z.ndim == 1 else z.shape[-1]):
         raise SupportMismatch("q has a different latent dimension than p")
     logq = _gauss_logpdf(z, mean, cov)
@@ -289,7 +296,8 @@ def _closed_vs_numeric(params, basis):
     closed = bridges.lm_forward(params, basis)
     density = transforms.push_forward(params, basis)
     numeric = transforms.numeric_laplace(density)
-    (mean_c, cov_c), (mean_n, cov_n) = gauss_latent(closed), gauss_latent(numeric)
+    mean_c, cov_c = gauss_latent(closed, params.family, basis)
+    mean_n, cov_n = gauss_latent(numeric)
     return max(_rel_dev(mean_c, mean_n), _rel_dev(cov_c, cov_n)), closed
 
 
@@ -422,7 +430,7 @@ def _sweep_row(family, params, basis, metrics, n, mmd_points, row_seed):
             else:  # mmd
                 m_pts = min(mmd_points, n)
                 z = latent_samples(params, basis, m_pts, int(mmd_seed))
-                mean, cov = gauss_latent(gauss)
+                mean, cov = gauss_latent(gauss, family, basis)
                 rng = np.random.default_rng(int(gauss_seed))
                 L = np.linalg.cholesky(cov)
                 g = mean + rng.standard_normal((m_pts, mean.size)) @ L.T

@@ -42,7 +42,8 @@ class OutsideValidityRegion(LaplaceMatchError):
 
 
 class DomainMismatch(LaplaceMatchError):
-    """Gaussian domain tag does not match the requested (family, basis)."""
+    """A Gaussian lies outside the latent domain of the requested (family, basis)
+    bridge row, or maps to parameters outside its validity region."""
 
 
 class NonInvertibleBridge(LaplaceMatchError):

@@ -638,9 +638,12 @@ def median_lengthscale(X):
 
 class GPModel:
     """Fitted GP state; immutable after fit. X holds the n inputs (the sites)
-    and mu the n * kernel.width latent rows."""
+    and mu the n * kernel.width latent rows. `family` is the conjugate family
+    a pipeline run fitted it for, which `pipeline.predict` checks; None
+    for a model from `gp_fit` alone."""
 
     def __init__(self, kernel, X, mu, noise, jitter, state):
+        self.family = None
         self.kernel = kernel
         self.X = X
         self.mu = mu

@@ -13,8 +13,12 @@ import numpy as np
 
 
 def sym(X):
-    """Symmetric part of a matrix or of each matrix in a stack."""
-    return 0.5 * (X + np.swapaxes(X, -1, -2))
+    """Symmetric part of a float matrix or of each matrix in a stack: the
+    floats and the memory layout of 0.5 * (X + X^T), scaled in place, so
+    the only new array is the result."""
+    S = X + np.swapaxes(X, -1, -2)
+    S *= 0.5
+    return S
 
 
 def vech_pairs(p):

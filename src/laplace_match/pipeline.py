@@ -33,7 +33,9 @@ classes run a block of draws at a time through buffers of `_DRAWS_BLOCK`
 floats. The matrix-log basis exponentiates the vech entries
 in that array, summarizes them, and expands draws and summary to p x p
 once, so the (draws, m, p, p) stack is the second. The matrix-sqrt basis
-squares the draws into a new stack through temporaries of its size.
+expands the draws to p x p, which frees the normals, and squares their
+symmetric part, whose own symmetric part is the result: three stacks of
+the (draws, m, p, p) size live at once.
 `predict` makes another prediction from the model a pipeline run returned,
 without refitting it.
 
@@ -553,11 +555,15 @@ def _sample_marginals(mean, cov, seed, count):
 
 def _predict(model, config, basis, width, X_query, timings, lloyd=_NO_LLOYD):
     fam = config.family
+    if model.family not in (None, fam):
+        raise IncompatibleBasis(f"the model was fitted for {model.family}, not for {fam}")
     Xq = gp._as_inputs(X_query)
     t0 = time.perf_counter()
     latent_mean, latent_cov = _marginals(model, Xq)
-    latent_draws = _sample_marginals(latent_mean, latent_cov, config.seed, config.draws)
-    data_draws = _back_transform(latent_draws, basis, fam)
+    # the draws' one reference is _back_transform's, which frees them once expanded
+    data_draws = _back_transform(
+        _sample_marginals(latent_mean, latent_cov, config.seed, config.draws), basis, fam
+    )
     t1 = time.perf_counter()
     summary = _summarize(data_draws)
     summary_s = time.perf_counter() - t1
@@ -625,22 +631,24 @@ def _run(data, config, X_query, prior_model):
         basis = _resolved_basis(data, config)
         width = _basis_width(basis, config.family)
         model = prior_model or gp.gp_fit(_build_kernel(config, data.X, width), [], [], [])
-        Xq = data.X if X_query is None else X_query
-        return model, _predict(model, config, basis, width, Xq, {"lm_seconds": 0.0})
-    distributions.check_observations(config.family, data.Y)
-    basis = _resolved_basis(data, config)
-    width = _basis_width(basis, config.family)
-    kernel = _build_kernel(config, data.X, width)
-    timings = {}
-    t0 = time.perf_counter()
-    X_train, total, count, lloyd = _sites(data, config)
-    prior = _prior_fields(config, basis, X_train, prior_model)
-    fields = distributions.conjugate_fields(config.family, prior, total, count)
-    mu, noise = bridges.forward_arrays(config.family, basis.tag, **fields)
-    timings["lm_seconds"] = time.perf_counter() - t0
-    t1 = time.perf_counter()
-    model = gp.gp_fit(kernel, X_train, mu.ravel(), noise)
-    timings["fit_seconds"] = time.perf_counter() - t1
+        timings, lloyd = {"lm_seconds": 0.0}, _NO_LLOYD
+    else:
+        distributions.check_observations(config.family, data.Y)
+        basis = _resolved_basis(data, config)
+        width = _basis_width(basis, config.family)
+        kernel = _build_kernel(config, data.X, width)
+        timings = {}
+        t0 = time.perf_counter()
+        X_train, total, count, lloyd = _sites(data, config)
+        prior = _prior_fields(config, basis, X_train, prior_model)
+        fields = distributions.conjugate_fields(config.family, prior, total, count)
+        mu, noise = bridges.forward_arrays(config.family, basis.tag, **fields)
+        timings["lm_seconds"] = time.perf_counter() - t0
+        t1 = time.perf_counter()
+        model = gp.gp_fit(kernel, X_train, mu.ravel(), noise)
+        timings["fit_seconds"] = time.perf_counter() - t1
+    if model is not prior_model:  # the family this run fitted the model for
+        model.family = config.family
     Xq = data.X if X_query is None else X_query
     return model, _predict(model, config, basis, width, Xq, timings, lloyd)
 
@@ -675,8 +683,9 @@ def predict(model, basis, config, X_query):
     `Prediction.basis`), so the latent width is the fitted one. Equal to the
     run's Prediction at X_query, except that `timings` holds only the predict
     and summary stages and that `lloyd_iterations` and `lloyd_converged` are
-    None: no clustering runs here. A basis of another family or with no
-    bridge row raises IncompatibleBasis.
+    None: no clustering runs here. A config of another family than the
+    model's, or a basis of another family or with no bridge row, raises
+    IncompatibleBasis.
     """
     if not isinstance(basis, transforms.BasisTransform):
         raise IncompatibleBasis("predict takes the basis the run resolved, Prediction.basis")

@@ -442,7 +442,8 @@ def _inverse_in_place(x, basis):
         return matrixops.unvech_stack(_expm_vech(Z, X.shape[-1]), X.shape[-1])
     if tag == "matrix_sqrt":
         S = matrixops.sym(_checked_symmetric(x, "matrix square"))
-        return matrixops.sym(S @ S)
+        S = S @ S  # the symmetric part is freed before the square's is taken
+        return matrixops.sym(S)
     raise InvalidParams(f"unknown basis tag {tag!r}")
 
 
@@ -1051,7 +1052,4 @@ def numeric_laplace(density, init=None, tolerance=1e-8, max_iter=500):
     if eigs[-1] >= -1e-12 * max(1.0, abs(eigs[0])):
         raise NoValidLaplace("Hessian at the mode is not negative definite")
     cov = np.linalg.inv(-H)
-    cov = 0.5 * (cov + cov.T)
-    if z.size == 1:
-        return GaussianApprox(z, "scalar", float(cov[0, 0]), domain="scalar")
-    return GaussianApprox(z, "dense", cov, domain="vector")
+    return GaussianApprox(z, 0.5 * (cov + cov.T))

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laplace_match import bridges, diagnostics, distributions, pipeline, transforms
+from laplace_match import bridges, diagnostics, distributions, matrixops, pipeline, transforms
 from laplace_match.errors import (
+    BasisSizeMismatch,
+    DimensionMismatch,
     DomainMismatch,
     IncompatibleBasis,
     InvalidParams,
@@ -23,7 +25,7 @@ from laplace_match.errors import (
     NoValidLaplace,
     OutsideValidityRegion,
 )
-from laplace_match.gaussian import GaussianApprox
+from laplace_match.gaussian import GaussianApprox, scalar_gaussian
 from laplace_match.transforms import BasisTransform
 
 
@@ -60,10 +62,10 @@ class TestForwardPinned:
         g = bridges.lm_forward(
             distributions.wishart(3.0, np.eye(2)), "matrix_log"
         )
-        np.testing.assert_allclose(g.mean_matrix(), np.log(2.0) * np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(matrixops.unvech(g.mean, 2), np.log(2.0) * np.eye(2), atol=1e-15)
         # isotropic on symmetric matrices: off-diagonal vech coordinate has half
         # the variance of a diagonal one
-        np.testing.assert_allclose(g.vech_cov(), np.diag([1.0, 0.5, 1.0]), atol=1e-15)
+        np.testing.assert_allclose(g.cov_dense(), np.diag([1.0, 0.5, 1.0]), atol=1e-15)
 
 
 class TestStandardLaplace:
@@ -283,9 +285,8 @@ class TestInversePinned:
         assert params.lam == pytest.approx(4.0, abs=1e-12)
 
     def test_inverse_wishart_log(self):
-        g = GaussianApprox(
-            np.zeros(4), "scaled_identity", 2 / 3, domain="symmetric_matrix", p=2
-        )
+        # 2/3 times the identity on the 2 x 2 entries, on the vech coordinates
+        g = GaussianApprox(np.zeros(3), np.diag([2 / 3, 1 / 3, 2 / 3]))
         params = bridges.lm_inverse(g, "inverse_wishart", "matrix_log")
         assert params.nu == pytest.approx(2.0, abs=1e-12)
         np.testing.assert_allclose(params.Psi, 3.0 * np.eye(2), atol=1e-12)
@@ -301,11 +302,17 @@ class TestInversePinned:
             bridges.lm_inverse((-0.5, 1.0), "exponential", "sqrt")
         with pytest.raises(DomainMismatch):
             bridges.inverse_arrays("gamma", "log", np.zeros(2), np.array([1.0, -1.0]))
-        matrix_domain = GaussianApprox(
-            np.zeros(4), "scaled_identity", 1.0, domain="symmetric_matrix", p=2
-        )
-        with pytest.raises(DomainMismatch):
-            bridges.lm_inverse(matrix_domain, "dirichlet", "softmax_inverse")
+        # the record's length sets K or p: one that no basis has is rejected
+        with pytest.raises(DimensionMismatch):
+            bridges.lm_inverse(GaussianApprox(np.zeros(4), np.eye(4)), "wishart", "matrix_log")
+        with pytest.raises(DimensionMismatch):
+            bridges.lm_inverse(GaussianApprox(np.zeros(2), np.eye(2)), "gamma", "log")
+        with pytest.raises(DimensionMismatch):
+            bridges.lm_inverse(scalar_gaussian(0.0, 1.0), "dirichlet", "softmax_inverse")
+        with pytest.raises(BasisSizeMismatch):
+            bridges.lm_inverse(
+                GaussianApprox(np.zeros(3), np.eye(3)), "wishart", BasisTransform("matrix_log", p=3)
+            )
 
 
 def _strict(fn):
@@ -328,7 +335,7 @@ class TestMaskedInverse:
             bridges.inverse_arrays("inverse_wishart", "matrix_log", mu, cov)
         with pytest.raises(DomainMismatch):
             bridges.lm_inverse(
-                bridges._matrix_gaussian(mu[0], cov[0], 2), "inverse_wishart", "matrix_log"
+                GaussianApprox(mu[0], cov[0]), "inverse_wishart", "matrix_log"
             )
         fields, ok = bridges._inverse_masked(
             "inverse_wishart", "matrix_log", np.vstack([np.zeros((1, 3)), mu]),
@@ -550,8 +557,8 @@ class TestStackedRows:
                 _close(mu[i], g.mean, 1e-12)
                 _close(cov[i], g.cov_dense(), 1e-12)
             else:
-                _close(mu[i], g.vech_mean(), 1e-12)
-                _close(cov[i], g.vech_cov(), 1e-12)
+                _close(mu[i], g.mean, 1e-12)
+                _close(cov[i], g.cov_dense(), 1e-12)
         back = bridges.inverse_arrays(family, tag, mu, cov)
         for name, value in fields.items():
             _close(back[name], value, 1e-9)
@@ -599,7 +606,7 @@ class TestCovarianceStructure:
                 else distributions.inverse_wishart(5.0, np.array([[2.0, 0.6], [0.6, 1.0]]))
             )
             g = bridges.lm_forward(params, tag)
-            w = np.linalg.eigvalsh(g.vech_cov())
+            w = np.linalg.eigvalsh(g.cov_dense())
             assert w[0] > 0
 
     def test_k2_dirichlet_matches_beta_logit(self):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from laplace_match import cli, distributions, gp, transforms
+from laplace_match import bridges, cli, distributions, gp, matrixops, transforms
 
 
 def run(capsys, *argv):
@@ -38,8 +38,72 @@ class TestBridgeCommand:
         )
         assert rc == 0
         rec = json.loads(out)["gaussian"]
-        assert rec["domain"] == "simplex" and rec["centered"] is True
+        # the centered K-vector and its singular (K, K) covariance
+        assert set(rec) == {"mean", "cov"} and np.shape(rec["cov"]) == (3, 3)
         assert np.allclose(rec["mean"], 0.0)
+        np.testing.assert_allclose(np.sum(rec["cov"], axis=1), 0.0, atol=1e-15)
+
+    def test_matrix_forward_emits_the_vech_record(self, capsys):
+        rc, out, _ = run(
+            capsys, "bridge", "wishart", "logm", "forward", "--dof", "5", "--scale", "1,0.2;0.2,2"
+        )
+        assert rc == 0
+        rec = json.loads(out)["gaussian"]
+        g = bridges.lm_forward(distributions.wishart(5.0, [[1.0, 0.2], [0.2, 2.0]]), "matrix_log")
+        assert rec == {"mean": g.mean.tolist(), "cov": g.cov.tolist()}
+        assert len(rec["mean"]) == 3
+
+    def test_asymmetric_matrix_mu_is_a_usage_error(self, capsys):
+        # the lower triangle was dropped without a word
+        rc, out, err = run(
+            capsys, "bridge", "wishart", "matrix_log", "inverse",
+            "--mu", "1,0.3;-5,1", "--sigma", "0.2",
+        )
+        assert rc == 2 and out == "" and "symmetric" in err
+        rc, _, _ = run(
+            capsys, "bridge", "wishart", "matrix_log", "inverse",
+            "--mu", "1,0.3;0.3,1", "--sigma", "0.2",
+        )
+        assert rc == 0
+
+    @pytest.mark.parametrize(
+        "family, basis, mu, sigma",
+        [
+            ("wishart", "matrix_log", "1,0.3;0.3,1", "0.2"),
+            ("inverse_wishart", "matrix_log", "0.5,-0.1,0;-0.1,0.2,0.3;0,0.3,-0.4", "0.05"),
+            ("wishart", "matrix_sqrt", "1.5,0.2;0.2,1", "0.01"),
+            (
+                "inverse_wishart", "matrix_sqrt", "1.5,0.2;0.2,1",
+                "0.02,0.001,0;0.001,0.01,0;0,0,0.02",
+            ),
+            ("dirichlet", "softmax_inverse", "0.5,-0.2,-0.3", "0.2,0.3,0.25"),
+            ("dirichlet", "softmax_inverse", "0.1,-0.1", "0.25,-0.25;-0.25,0.25"),
+        ],
+    )
+    def test_inverse_params_match_the_former_conversion(self, capsys, family, basis, mu, sigma):
+        # verbatim reference: the mean as unvech -> ravel -> vech of the
+        # parsed matrix, a scalar sigma as the former "scaled_identity"
+        # vech_cov, a simplex sigma as its diagonal or its dense matrix
+        def parse(text):
+            return np.array([[float(v) for v in r.split(",")] for r in text.split(";")])
+
+        if basis == "softmax_inverse":
+            mean = parse(mu)[0]
+            cov = parse(sigma) if ";" in sigma else np.diag(parse(sigma)[0])
+        else:
+            M = parse(mu)
+            p = M.shape[0]
+            mean = matrixops.vech(M.ravel().reshape(p, p))
+            if "," in sigma:
+                cov = parse(sigma)
+            else:
+                data = float(sigma)
+                cov = np.diag([data if i == j else 0.5 * data for i, j in matrixops.vech_pairs(p)])
+        fields = bridges.inverse_arrays(family, basis, mean[None], 0.5 * (cov + cov.T)[None])
+        want = distributions.from_record({"family": family, **{k: v[0] for k, v in fields.items()}})
+        rc, out, err = run(capsys, "bridge", family, basis, "inverse", "--mu", mu, "--sigma", sigma)
+        assert rc == 0, err
+        assert json.loads(out)["params"] == json.loads(json.dumps(want.to_record()))
 
     def test_gamma_log_inverse(self, capsys):
         rc, out, _ = run(
@@ -111,7 +175,9 @@ class TestBridgeCommand:
         if "gaussian" in rec:
             gauss = rec["gaussian"]
             mean = np.asarray(gauss["mean"])
-            mu = rows(mean.reshape(gauss["p"], -1)) if "p" in gauss else rows(mean)
+            if family in ("wishart", "inverse_wishart"):  # the mean is printed as its vech
+                mean = matrixops.unvech(mean, int(np.sqrt(2 * mean.size)))
+            mu = rows(mean)
             sigma = rows(gauss["cov"]) if isinstance(gauss["cov"], list) else repr(gauss["cov"])
         else:
             mu, sigma = repr(rec["mu"]), repr(rec["var"])

@@ -6,12 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from laplace_match import bridges, diagnostics, distributions, gp, transforms
+from laplace_match import bridges, diagnostics, distributions, gp, matrixops, transforms
 from laplace_match.errors import (
     DimensionMismatch,
     InvalidParams,
+    LaplaceMatchError,
     NonConvergence,
     NotPositiveDefinite,
+    OutsideValidityRegion,
     SupportMismatch,
 )
 from laplace_match.gaussian import GaussianApprox, scalar_gaussian
@@ -48,7 +50,7 @@ class TestMcKl:
             distributions.dirichlet([1.0, 1.0, 1.0]), "softmax_inverse"
         )
         with pytest.raises(SupportMismatch):
-            diagnostics.mc_kl(p, gauss=scalar_gaussian(0.0, 1.0), n=100)
+            diagnostics.mc_kl(p, "softmax_inverse", gauss=scalar_gaussian(0.0, 1.0), n=100)
         with pytest.raises(SupportMismatch):
             diagnostics.mc_kl(
                 distributions.beta(2.0, 2.0), "logit", gauss=p, n=100
@@ -135,23 +137,25 @@ class TestMcKl:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
     @pytest.mark.parametrize(
-        "p, q",
+        "p, q, basis",
         [
-            (scalar_gaussian(0.0, 1.0), scalar_gaussian(1.0, 2.0)),
+            (scalar_gaussian(0.0, 1.0), scalar_gaussian(1.0, 2.0), None),
             (
                 bridges.lm_forward(distributions.dirichlet([2.0, 1.0, 1.5]), "softmax_inverse"),
                 bridges.lm_forward(distributions.dirichlet([3.0, 1.0, 1.0]), "softmax_inverse"),
+                "softmax_inverse",
             ),
             (
                 bridges.lm_forward(distributions.wishart(4.0, V0), "matrix_log"),
                 bridges.lm_forward(distributions.wishart(6.0, V0), "matrix_log"),
+                None,
             ),
         ],
     )
-    def test_gaussian_branch_matches_the_per_sample_solves(self, monkeypatch, p, q):
-        got = diagnostics.mc_kl(p, gauss=q, n=5000, seed=2)
+    def test_gaussian_branch_matches_the_per_sample_solves(self, monkeypatch, p, q, basis):
+        got = diagnostics.mc_kl(p, basis, gauss=q, n=5000, seed=2)
         monkeypatch.setattr(diagnostics, "_gauss_logpdf", self._per_sample_logpdf)
-        want = diagnostics.mc_kl(p, gauss=q, n=5000, seed=2)
+        want = diagnostics.mc_kl(p, basis, gauss=q, n=5000, seed=2)
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
@@ -168,10 +172,10 @@ class TestHelpers:
 
     def test_gauss_latent_charts(self):
         g = bridges.lm_forward(distributions.dirichlet([2.0, 1.0, 1.5]), "softmax_inverse")
-        mean, cov = diagnostics.gauss_latent(g)
+        mean, cov = diagnostics.gauss_latent(g, "dirichlet", "softmax_inverse")
         assert mean.shape == (2,) and cov.shape == (2, 2)
         m = bridges.lm_forward(distributions.wishart(4.0, V0), "matrix_log")
-        mean, cov = diagnostics.gauss_latent(m)
+        mean, cov = diagnostics.gauss_latent(m, "wishart", "matrix_log")
         assert mean.shape == (3,) and cov.shape == (3, 3)
 
 
@@ -320,7 +324,7 @@ class TestEssSample:
         assert abs(draws.var() - 0.5) < 0.1
 
     def test_gaussian_approx_prior_accepted(self):
-        g = GaussianApprox(np.zeros(2), "dense", np.eye(2))
+        g = GaussianApprox(np.zeros(2), np.eye(2))
         draws = diagnostics.ess_sample(g, lambda f: 0.0, 500, seed=2)
         assert draws.shape == (500, 2)
 
@@ -434,3 +438,118 @@ class TestDistanceSweep:
         # wishart grid 0 has n = 2.5 <= p + 1 = 3: no standard-basis Laplace
         first = {(r["grid_index"], r["basis"]): r for r in report.long_rows()}
         assert first[(0, "identity")]["status"].startswith("invalid")
+
+
+# ---------------------------------------------------------------------------
+# the oracle rows and mc_kl against the working coordinates that the
+# structure-tagged record gave (verbatim copies of its accessors, on the
+# data it stored), and the one-item forward against the bridge arrays
+
+CATALOGUE = [(f, t) for f, tags in transforms.FAMILY_BASES.items() for t in tags]
+
+
+def _one_item(params):
+    names = distributions.param_fields(params.family)
+    return {n: np.asarray(getattr(params, n))[None] for n in names}
+
+
+def _former_record(params, tag):
+    """(mean, cov, latent mean, latent cov) of the closed form as the former
+    record held them: its mean and `cov_dense()`, and its working
+    coordinates (`gauss_latent`). Raises what `lm_forward` raises."""
+    fam = params.family
+    if tag == "identity":
+        g = bridges.standard_laplace(params)
+        if fam in distributions._SCALAR_FAMILIES:  # "scalar" structure
+            mean, cov = np.array([g.mu]), np.array([[g.var]])
+            return mean, cov, mean.copy(), cov
+        if fam == "dirichlet":  # "diagonal", uncentered simplex
+            a = params.alpha
+            s = np.sum(a) - a.size
+            mean, S = (a - 1.0) / s, np.diag((a - 1.0) / s**2)
+            s1 = S @ np.ones(S.shape[0])
+            denom = float(np.sum(s1))
+            C = S - np.outer(s1, s1) / denom
+            return mean, S, mean[:-1].copy(), C[:-1, :-1].copy()
+        dof, scale = (getattr(params, name) for name in distributions.param_fields(fam))
+        mu, data = bridges._matrix_forward(fam, "identity", np.asarray(dof), scale)
+    else:
+        mu, data = (v[0] for v in bridges.forward_arrays(fam, tag, **_one_item(params)))
+        if fam in distributions._SCALAR_FAMILIES:
+            mean, cov = np.array([float(mu)]), np.array([[float(data)]])
+            return mean, cov, mean.copy(), cov
+    data = 0.5 * (data + data.T)  # the "dense" structure's symmetrization
+    if fam == "dirichlet":  # centered simplex
+        return mu, data, mu[:-1].copy(), np.array(data)[:-1, :-1].copy()
+    p = params.p  # "symmetric_matrix": the mean stored as unvech(mu).ravel()
+    stored = matrixops.unvech(mu, p).ravel()
+    vech_mean = matrixops.vech(stored.reshape(p, p).copy())
+    return vech_mean, data, vech_mean, np.array(data)
+
+
+class TestFormerRecordReference:
+    @pytest.mark.parametrize("family, tag", [c for c in CATALOGUE if c[1] != "identity"])
+    def test_lm_forward_is_the_one_item_forward_arrays(self, family, tag):
+        for params in diagnostics.default_grid(family):
+            try:
+                mu, cov = bridges.forward_arrays(family, tag, **_one_item(params))
+            except OutsideValidityRegion:
+                with pytest.raises(OutsideValidityRegion):
+                    bridges.lm_forward(params, tag)
+                continue
+            g = bridges.lm_forward(params, tag)
+            if family in distributions._SCALAR_FAMILIES:
+                mu, cov = mu[:, None], cov[:, None, None]
+            assert np.array_equal(g.mean, mu[0]) and np.array_equal(g.cov, cov[0])
+
+    def test_oracle_rows(self):
+        rows = diagnostics.oracle_rows(distributions.FAMILIES)
+        assert len(rows) == 10 * len(CATALOGUE)
+        for family, tag, gi, fwd_dev, rt_dev, status in rows:
+            params = diagnostics.default_grid(family)[gi]
+            basis = transforms.resolve_basis(family, tag, transforms._size_of(params))
+            if status.startswith("skipped"):
+                with pytest.raises(LaplaceMatchError):
+                    _former_record(params, tag)
+                    transforms.numeric_laplace(transforms.push_forward(params, basis))
+                continue
+            mean, cov, mean_c, cov_c = _former_record(params, tag)
+            numeric = transforms.numeric_laplace(transforms.push_forward(params, basis))
+            mean_n, cov_n = numeric.mean.copy(), numeric.cov_dense()
+            want = max(diagnostics._rel_dev(mean_c, mean_n), diagnostics._rel_dev(cov_c, cov_n))
+            assert fwd_dev == want, (family, tag, gi)
+            if tag == "identity":
+                assert rt_dev is None
+                continue
+            # the former lm_inverse: (mean, [var]) for a scalar record, else
+            # the chart-free mean and covariance with a leading axis
+            if family in distributions._SCALAR_FAMILIES:
+                fields = bridges.inverse_arrays(family, tag, mean, np.array([cov[0, 0]]))
+            else:
+                fields = bridges.inverse_arrays(family, tag, mean[None], cov[None])
+            back = distributions.from_record(
+                {"family": family, **{k: v[0] for k, v in fields.items()}}
+            )
+            want = max(
+                diagnostics._rel_dev(getattr(back, name), getattr(params, name))
+                for name in distributions.param_fields(family)
+            )
+            assert rt_dev == want, (family, tag, gi)
+
+    # the exponential density has no interior mode: no identity row to check
+    @pytest.mark.parametrize(
+        "family, tag", [c for c in CATALOGUE if c != ("exponential", "identity")]
+    )
+    def test_mc_kl(self, family, tag):
+        valid = [g for g in diagnostics.default_grid(family) if bridges.bridge_valid(g, tag)]
+        params, n, seed = valid[0], 400, 3
+        got = diagnostics.mc_kl(params, tag, n=n, seed=seed)
+        # the former mc_kl body, with the former working coordinates
+        basis = transforms.resolve_basis(family, tag, transforms._size_of(params))
+        z = diagnostics.latent_samples(params, basis, n, seed)
+        logp = np.asarray(transforms.push_forward(params, basis).log_density(z), dtype=float)
+        _, _, mean, cov = _former_record(params, tag)
+        diff = logp - diagnostics._gauss_logpdf(z, mean, cov)
+        diff = diff[np.isfinite(diff)]
+        want = float(np.mean(diff)), float(np.std(diff, ddof=1) / np.sqrt(diff.size))
+        assert got == want

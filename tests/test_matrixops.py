@@ -18,6 +18,15 @@ class TestSym:
         np.testing.assert_allclose(S[2], 0.5 * (X[2] + X[2].T), atol=1e-15)
         np.testing.assert_array_equal(matrixops.sym(S), S)
 
+    def test_floats_and_layout_of_the_out_of_place_form(self):
+        # scaled in place, with the floats and the strides of 0.5 * (X + X^T),
+        # also for the unvech layout, whose p x p axes come first in memory
+        rng = np.random.default_rng(8)
+        for X in (rng.normal(size=(5, 4, 3, 3)), matrixops.unvech(rng.normal(size=(5, 4, 6)), 3)):
+            want = 0.5 * (X + np.swapaxes(X, -1, -2))
+            got = matrixops.sym(X)
+            assert got.tobytes() == want.tobytes() and got.strides == want.strides
+
 
 class TestVech:
     def test_round_trip(self):

@@ -226,9 +226,13 @@ def _expm_vech_reference(Z, p):
 def _matrix_sqrt_reference(latent, p):
     """The matrix-sqrt back-transform of the pipeline as it was before
     matrixops.unvech_stack: unvech by indexing with the vech table, whose
-    p x p axes come first in memory, then sym(S @ S)."""
-    S = matrixops.sym(np.asarray(latent, dtype=float)[..., matrixops._vech_index(p)[2]])
-    return matrixops.sym(S @ S)
+    p x p axes come first in memory, then sym(S @ S), with sym the
+    out-of-place 0.5 * (X + X^T) it was then."""
+    def sym(X):
+        return 0.5 * (X + np.swapaxes(X, -1, -2))
+
+    S = sym(np.asarray(latent, dtype=float)[..., matrixops._vech_index(p)[2]])
+    return sym(S @ S)
 
 
 def _same_bits(a, b):
@@ -1215,6 +1219,28 @@ class TestCoregionalPipeline:
         with pytest.raises(DimensionMismatch):
             pipeline.predict(prior, softmax(4), sized, _QUERY)
 
+    def test_predict_checks_the_fitted_family(self):
+        # a Dirichlet K = 3 model has width 3, as an inverse-Wishart p = 2
+        # one does: the width alone let the Dirichlet latents through as
+        # inverse-Wishart draws
+        data = _categorical_data(t=20, K=3)
+        model, _ = pipeline.lmgp_v1(data, pipeline.LMGPConfig("dirichlet", draws=10))
+        assert model.family == "dirichlet"
+        other = pipeline.LMGPConfig("inverse_wishart", draws=10)
+        with pytest.raises(IncompatibleBasis):
+            pipeline.predict(model, transforms.BasisTransform("matrix_log", p=2), other, _QUERY)
+        same = pipeline.predict(
+            model, transforms.BasisTransform("softmax_inverse", K=3),
+            pipeline.LMGPConfig("dirichlet", draws=10), _QUERY,
+        )
+        assert same.draws.shape == (10, 3, 3)
+        # a v2 run checks the family of its prior too; a model from gp_fit has none
+        empty = pipeline.Dataset(np.zeros(0), np.zeros(0))
+        sized = other.replace(basis=transforms.BasisTransform("matrix_log", p=2))
+        with pytest.raises(IncompatibleBasis):
+            pipeline.lmgp_v2(empty, sized, X_query=_QUERY, prior=model)
+        assert gp.gp_fit(gp.RBF(1.0), [], [], []).family is None
+
     def test_empty_v2_prior_gives_prior_blocks(self):
         empty = pipeline.Dataset(np.zeros(0), np.zeros(0))
         basis = transforms.BasisTransform("softmax_inverse", K=3)
@@ -1333,6 +1359,21 @@ class TestPerPointPrediction:
         pred, peak = self._traced_peak(pipeline.Dataset(ts, np.array(mats)), cfg, Xq)
         assert pred.draws.shape == (1000, 201, 3, 3)
         assert peak <= 26.5e6
+
+    def test_peak_allocation_of_a_matrix_sqrt_prediction_at_1000_draws(self):
+        # 1000 draws at 80 points, p = 3, are 5.49 MiB as 3 x 3 matrices.
+        # The run peaked at 25.9 MiB when each symmetric part allocated
+        # X + X^T and then 0.5 * (...) and the vech normals outlived their
+        # expansion; at 16.7 MiB, three stacks of the draws' size (the
+        # expanded normals, their symmetric part and its square), with them
+        # scaled in place. Bounded with a 1.3 MiB margin, which a fourth
+        # such stack breaks.
+        ts, mats = pipeline.gen_covariance(20, p=3, seed=0)
+        cfg = pipeline.LMGPConfig("inverse_wishart", basis="matrix_sqrt", draws=1000)
+        Xq = np.linspace(0.0, 19.0, 80)
+        pred, peak = self._traced_peak(pipeline.Dataset(ts, np.array(mats)), cfg, Xq)
+        assert pred.draws.shape == (1000, 80, 3, 3)
+        assert peak <= 18 * 2**20
 
     def test_draws_are_the_scaled_and_shifted_seeded_normals(self):
         rng = np.random.default_rng(4)
