@@ -34,9 +34,13 @@ class GaussianApprox:
         cov = np.array(cov, dtype=float)
         if cov.shape != (d, d):
             raise DimensionMismatch(f"covariance must have shape ({d}, {d})")
-        if d == 1:  # the one entry checked directly: eigvalsh costs more than the record
-            if cov[0, 0] <= 0.0:
-                raise NotPositiveDefinite("variance must be positive")
+        diag = cov.diagonal()
+        # no nonzero entry off the diagonal: a diagonal covariance is
+        # symmetric, and positive definite when its entries are positive, so
+        # it needs no eigvalsh
+        if np.count_nonzero(cov) == np.count_nonzero(diag):
+            if diag.min() <= 0.0:
+                raise NotPositiveDefinite("variances must be positive")
         else:
             scale = max(abs(cov).max(), 1e-300)
             if abs(cov - cov.T).max() > 1e-10 * scale:

@@ -48,34 +48,26 @@ kernel the w x w covariance block of each query point, without forming the
 joint covariance. The pipelines' `Prediction.draws` are per-point posterior
 draws with no cross-point correlation.
 
-median_lengthscale is exact up to _MEDIAN_INPUTS (N0 = 1024) inputs.
+median_lengthscale is exact up to _MEDIAN_INPUTS (N0 = 512) inputs.
 Above, it is the median of a fixed subsample of N0 rows, drawn with
 default_rng(0) without replacement and taken in input order, so its time
 and memory stop growing with n (the median heuristic at large samples:
 Garreau, Jitkrittum & Kanagawa 2017), and the plain and the inducing run of
 the same data share one lengthscale. On gen_binary and gen_counts inputs of
-n = 2000 (20 seeds) the subsample moved the lengthscale by at most 2.9%.
-The exact median never forms the n x n distances. It streams the strict
-upper triangle of _sqdist(X, X) in row blocks of _MEDIAN_ROWS rows, each
-block's columns starting at its first row (`_pair_blocks`), and selects the
-middle order statistics exactly. Above _MEDIAN_EXACT pairs a seeded sample
-of pairs brackets them (Floyd & Rivest 1975, SELECT): one pass counts the
-distances below the bracket and at its ends and keeps the few inside it,
-about 5% of the pairs, for one small partition. With fewer pairs, or when a
-rank falls outside the bracket (which a random sample does with probability
-about 1e-9), every pair distance is kept and partitioned. The entries are
-those of one _sqdist(X, X) call as far as the BLAS rounds a block's product
-as it rounds the whole one: on OpenBLAS (SkylakeX kernels) about 4e-5 of the
-entries in tile corners differ in the last bit for d >= 2 (a fused
-multiply-add against a separate multiply and add), so a median landing on
-such an entry would move by one rounding. In 336 inputs checked against
-the n x n evaluation (d from 1 to 8, n from 2 to 2500) none did. For d = 1
-each entry is one rounded product, sum and difference, the same floats in
-any block. There the bracketed selection needs no pass: on the sorted
-(sub)sample one searchsorted per bracket end counts, per row, the pairs
-whose gap puts them below the bracket for certain and drops those above
-it, and only the pairs inside the bracket or in the rounding band at its
-ends are evaluated (selection in X + Y: Johnson & Mizoguchi 1978).
+n = 600, 1000 and 2000 (20 seeds each) the subsample moved the lengthscale
+by at most 4.9% and 2.3% from the exact median of every pair. N0 = 512 is the largest subsample
+whose N0 (N0 - 1) / 2 = 130,816 pair distances take one 1 MiB buffer: the
+median streams the strict upper triangle of _sqdist(X, X) into it in row
+blocks of _MEDIAN_ROWS rows, each block's columns starting at its first row
+(`_pair_blocks`), so the n x n distances are never formed, and one
+partition selects the middle order statistics. The entries are those of one
+_sqdist(X, X) call as far as the BLAS rounds a block's product as it rounds
+the whole one: on OpenBLAS (SkylakeX kernels) about 4e-5 of the entries in
+tile corners differ in the last bit for d >= 2 (a fused multiply-add against
+a separate multiply and add), so a median landing on such an entry would
+move by one rounding. In 336 inputs checked against the n x n evaluation (d
+from 1 to 8, n from 2 to 2500) none did. For d = 1 each entry is one
+rounded product, sum and difference, the same floats in any block.
 
 kmeanspp clusters inputs; the pipeline's inducing sites are its clusters.
 Its seeding draws each centre as Generator.choice(n, p=d2 / total) would,
@@ -107,11 +99,8 @@ from .errors import DimensionMismatch, EmptyCluster, InvalidParams, NotPositiveD
 _JITTER_LADDER = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 _BLOCK = 128
 _LEAF = 16
-_MEDIAN_INPUTS = 1024
+_MEDIAN_INPUTS = 512
 _MEDIAN_ROWS = 64
-_MEDIAN_EXACT = 1 << 17
-_MEDIAN_SAMPLE = 1 << 14
-_MEDIAN_MARGIN = 384  # six standard deviations of a sample rank
 
 
 def _as_inputs(X):
@@ -469,58 +458,17 @@ class Coregional(Kernel):
 
 def _pair_blocks(X):
     """The strict upper triangle of _sqdist(X, X) as a stream of arrays, one
-    pair per entry, from row blocks of _MEDIAN_ROWS rows. A block's columns
-    start at its first row, so rows and columns start at the same multiple
-    of _MEDIAN_ROWS; every block has at least two rows (a one-row product
-    would run as a BLAS gemv)."""
+    pair per entry, in C order, from row blocks of _MEDIAN_ROWS rows: per
+    block, its own triangle as a vector, then its columns to the right of
+    the block as a view. A block's columns start at its first row, so rows
+    and columns start at the same multiple of _MEDIAN_ROWS; every block has
+    at least two rows (a one-row product would run as a BLAS gemv)."""
     n = X.shape[0]
     for a in range(0, n - 1, _MEDIAN_ROWS):
         b = min(a + _MEDIAN_ROWS, n)
         d2 = _sqdist(X[a:b], X[a:])
         yield d2[:, : b - a][np.triu_indices(b - a, 1)]
-        yield d2[:, b - a :].ravel()
-
-
-def _median_bracket(X, ranks, pairs):
-    """Squared distances (lo, hi) that bracket the middle ranks of the pair
-    distances with high probability: order statistics of a seeded sample of
-    _MEDIAN_SAMPLE pairs, _MEDIAN_MARGIN sample ranks beyond the ranks' own
-    positions (Floyd & Rivest 1975)."""
-    n = X.shape[0]
-    rng = np.random.default_rng(0)
-    i = rng.integers(n, size=_MEDIAN_SAMPLE)
-    j = rng.integers(n - 1, size=_MEDIAN_SAMPLE)
-    j += j >= i
-    d2 = _sqdist_pairs(X[i], X[j])
-    k_lo = ranks[0] * _MEDIAN_SAMPLE // pairs - _MEDIAN_MARGIN
-    k_hi = ranks[-1] * _MEDIAN_SAMPLE // pairs + _MEDIAN_MARGIN
-    d2.partition([k_lo, k_hi])
-    return d2[k_lo], d2[k_hi]
-
-
-def _select_bracketed(pairs, lo, hi, ranks, below=0):
-    """The pair distances of the given ranks, from one pass over a stream of
-    pair distances that counts those below lo, equal to lo and equal to hi,
-    and keeps those strictly between: ties at the ends are counted, not
-    kept. `below` counts pairs known to lie below lo that the stream leaves
-    out. [nan] if a distance is NaN; None if a rank falls outside [lo, hi]."""
-    at_lo = at_hi = 0
-    inside = []
-    for v in pairs:
-        if np.isnan(v).any():
-            return [np.nan]
-        below += np.count_nonzero(v < lo)
-        at_lo += np.count_nonzero(v == lo)
-        at_hi += np.count_nonzero(v == hi) if hi > lo else 0
-        inside.append(v[(v > lo) & (v < hi)])
-    inside = np.concatenate(inside)
-    ks = [r - below - at_lo for r in ranks]
-    if ks[0] < -at_lo or ks[-1] >= inside.size + at_hi:
-        return None
-    inner = [k for k in ks if 0 <= k < inside.size]
-    if inner:
-        inside.partition(inner)
-    return [lo if k < 0 else inside[k] if k < inside.size else hi for k in ks]
+        yield d2[:, b - a :]
 
 
 def _rounding_1d(xx, cc):
@@ -529,48 +477,6 @@ def _rounding_1d(xx, cc):
     gamma at d = 1, (2d + 8) eps, plus a few subnormal units for entries
     that underflow."""
     return 10.0 * np.finfo(float).eps * (xx + cc) + 4.0 * np.finfo(float).smallest_subnormal
-
-
-def _sqdist_1d(a, b):
-    """The entries of _sqdist(a[:, None], b[:, None]) for the pairs
-    (a_i, b_i): for d = 1 each is x^2 + c^2 - (2x) c, every operation
-    rounded once (the BLAS product has one term, so no sum to order)."""
-    d2 = a * a
-    d2 += b * b
-    d2 -= (2.0 * a) * b
-    return np.maximum(d2, 0.0, out=d2)
-
-
-def _select_sorted(x, lo, hi, ranks):
-    """_select_bracketed for one-dimensional inputs x, sorted ascending,
-    without evaluating most pairs. Every entry is within err of its pair's
-    gap squared (`_rounding_1d`), so a pair whose gap is below
-    t_lo = sqrt(lo - 2 err) lies below lo for certain, and one whose gap is
-    above t_hi = sqrt(hi + 2 err) lies above hi. The second err leaves
-    room, at least 5 eps max|x| in gap space, for the rounding of x_i + t
-    and of the square roots (under 3 eps max|x|). Per row i, searchsorted
-    finds both ends, the pairs below the first are counted, those above
-    the second dropped, and only the pairs between are evaluated
-    (`_sqdist_1d`): the inside of the bracket, about 5% of the pairs, and
-    the rounding band at its ends. When that is more than an eighth of the
-    pairs (badly scaled inputs: a large offset, a tiny spread) the streamed
-    pass runs instead, so memory stays bounded."""
-    n = x.size
-    top = max(x[0] * x[0], x[-1] * x[-1])
-    err = _rounding_1d(top, top)
-    t_lo = np.sqrt(max(lo - 2.0 * err, 0.0))
-    t_hi = np.sqrt(hi + 2.0 * err)
-    rows = np.arange(n)
-    start = np.maximum(x.searchsorted(x + t_lo), rows + 1)
-    count = x.searchsorted(x + t_hi, side="right") - start
-    total = int(np.sum(count))
-    if total > n * (n - 1) // 16:
-        return _select_bracketed(_pair_blocks(x[:, None]), lo, hi, ranks)
-    # the columns start[i] .. start[i] + count[i] - 1 of each row i
-    offset = np.repeat(start - (np.cumsum(count) - count), count)
-    cols = np.arange(total) + offset
-    d2 = _sqdist_1d(x[np.repeat(rows, count)], x[cols])
-    return _select_bracketed([d2], lo, hi, ranks, below=int(np.sum(start - rows - 1)))
 
 
 def median_lengthscale(X):
@@ -582,24 +488,15 @@ def median_lengthscale(X):
     call on the same X gives the same lengthscale. A NaN anywhere in X
     still gives the fallback 1.0.
 
-    Above _MEDIAN_EXACT pairs the median's squared distances are selected
-    from the stream of pair distances (`_pair_blocks`) inside a bracket
-    from a seeded sample (`_median_bracket`): one pass counts the distances
-    below the bracket and keeps those inside it, and a partition of those
-    gives the middle order statistics. With fewer pairs, or when a rank
-    falls outside the bracket, every pair distance is kept and partitioned.
-    For d = 1 (inputs below 1e150 in magnitude, no NaN) the bracket's
-    counts come from the sorted (sub)sample instead (`_select_sorted`): one
-    searchsorted per bracket end, and only the pairs inside the bracket or
-    within the rounding band at its ends (twice the entries' bound
-    10 eps (2 max x^2), plus a few subnormal units) are evaluated, as the
-    entries max(x_i^2 + x_j^2 - 2 x_i x_j, 0) of _sqdist: about 5% of the
-    pairs, where the stream evaluates all of them. sqrt is monotone, so
-    this equals np.median of the distances (a NaN among them gives the
-    fallback 1.0, as does a zero median). A median
-    whose square is at rounding level, at most 8 eps max_i ||x_i||^2, counts
-    as zero: identical rows in d >= 2 leave a residue of up to about
-    2 eps ||x||^2 in _sqdist.
+    The strict upper triangle of _sqdist(X, X), at most
+    _MEDIAN_INPUTS (_MEDIAN_INPUTS - 1) / 2 pair distances, streams once
+    from `_pair_blocks` into one buffer. One partition at the upper middle
+    rank k selects its entry there; for an even count the lower middle is
+    the largest entry below k. sqrt is monotone, so this equals np.median of
+    the distances (a NaN among them gives the fallback 1.0, as does a zero
+    median). A median whose square is at rounding level, at most
+    8 eps max_i ||x_i||^2, counts as zero: identical rows in d >= 2 leave a
+    residue of up to about 2 eps ||x||^2 in _sqdist.
     """
     X = _as_inputs(X)
     n = X.shape[0]
@@ -611,22 +508,18 @@ def median_lengthscale(X):
         n = _MEDIAN_INPUTS
     if n < 2:
         return 1.0
-    pairs = n * (n - 1) // 2
-    ranks = sorted({(pairs - 1) // 2, pairs // 2})
-    middle = None
-    if pairs > _MEDIAN_EXACT:
-        bracket = _median_bracket(X, ranks, pairs)
-        x = np.sort(X[:, 0]) if X.shape[1] == 1 else None
-        # sorted counting needs finite entries: NaN, and squares near
-        # overflow, keep the streamed pass
-        if x is not None and np.max(np.abs(x[[0, -1]])) < 1e150:
-            middle = _select_sorted(x, *bracket, ranks)
-        else:
-            middle = _select_bracketed(_pair_blocks(X), *bracket, ranks)
-    if middle is None:
-        d2 = np.concatenate(list(_pair_blocks(X)))
-        d2.partition(ranks + [-1])
-        middle = [np.nan] if np.isnan(d2[-1]) else d2[ranks]
+    d2 = np.empty(n * (n - 1) // 2)
+    end = 0
+    for block in _pair_blocks(X):
+        d2[end : end + block.size].reshape(block.shape)[...] = block
+        end += block.size
+    # one kth: on 130,816 floats numpy 2.4 partitions at two kth in 2.0 ms,
+    # at one in 0.3 ms
+    k = d2.size // 2
+    d2.partition(k)
+    if np.isnan(d2[k:].max()):  # NaN partitions last
+        return 1.0
+    middle = d2[k : k + 1] if d2.size % 2 else np.array([d2[:k].max(), d2[k]])
     med = float(np.mean(np.sqrt(middle)))
     rounding = 8.0 * np.finfo(float).eps * np.max(np.einsum("ij,ij->i", X, X))
     return med if med * med > rounding else 1.0

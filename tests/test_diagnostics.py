@@ -231,14 +231,19 @@ class TestMmd:
 
     @pytest.mark.parametrize("shape", [(300,), (200, 2), (150, 3)])
     def test_default_bandwidth_is_the_median_heuristic(self, shape):
-        # the dense median of all pooled pair distances, and its RBF Gram
+        # the dense median of all pooled pair distances, of the documented
+        # subsample above gp._MEDIAN_INPUTS pooled points (600 for (300,)),
+        # and the RBF Gram of all of them
         rng = np.random.default_rng(4)
         x = rng.gamma(2.0, size=shape)
         y = rng.gamma(2.5, size=shape)
         pooled = np.vstack([x.reshape(shape[0], -1), y.reshape(shape[0], -1)])
         sq = np.sum(pooled**2, axis=1)
         d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * pooled @ pooled.T, 0.0)
-        bandwidth = np.median(np.sqrt(d2[np.triu_indices_from(d2, k=1)]))
+        n, n0 = 2 * shape[0], gp._MEDIAN_INPUTS
+        rows = np.sort(np.random.default_rng(0).choice(n, n0, replace=False)) if n > n0 else None
+        sub = d2 if rows is None else d2[np.ix_(rows, rows)]
+        bandwidth = np.median(np.sqrt(sub[np.triu_indices_from(sub, k=1)]))
         K = np.exp(-d2 / (2.0 * bandwidth**2))
         m = shape[0]
         expected = _mmd_from_gram(K, np.arange(m), np.arange(m, 2 * m))

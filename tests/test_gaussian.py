@@ -87,12 +87,21 @@ class TestConstruction:
 
     def test_scalar_record_skips_the_eigensolver(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("a one-dimensional record called eigvalsh")
+            raise AssertionError("a diagonal record called eigvalsh")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         assert scalar_gaussian(0.5, 2.0).var == 2.0
         with pytest.raises(NotPositiveDefinite):
             scalar_gaussian(0.5, 0.0)
+        # K = 10: the floats of the symmetrised covariance, and a zero or
+        # negative variance still raises
+        var = np.linspace(0.1, 1.0, 10)
+        cov = np.diag(var)
+        g = GaussianApprox(np.zeros(10), cov)
+        assert g.cov.tobytes() == (0.5 * (cov + cov.T)).tobytes()
+        for bad in (0.0, -0.3):
+            with pytest.raises(NotPositiveDefinite):
+                GaussianApprox(np.zeros(10), np.diag(np.where(np.arange(10) == 4, bad, var)))
 
 
 class TestAccessors:

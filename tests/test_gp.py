@@ -93,68 +93,53 @@ class TestKernels:
         assert gp.median_lengthscale(np.array([0.0, 1.0, 3.0])) == pytest.approx(2.0)
         assert gp.median_lengthscale(np.array([5.0])) == 1.0
 
-    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
     @pytest.mark.parametrize(
         "n",
         [2, 3, 4, 41, 200, gp._MEDIAN_ROWS - 1, gp._MEDIAN_ROWS, gp._MEDIAN_ROWS + 1,
-         2 * gp._MEDIAN_ROWS + 1, 513, 1000],
+         2 * gp._MEDIAN_ROWS + 1, 511, 512, 513, 1000],
     )
     def test_median_lengthscale_equals_median_of_all_pair_distances(self, n, dim):
-        # from n = 513 on there are more than _MEDIAN_EXACT pairs, and a
-        # sampled bracket selects the median; below, every pair is kept
+        # every pair up to _MEDIAN_INPUTS = 512 inputs; above, every pair of
+        # the documented subsample
         X = np.random.default_rng(n).uniform(0.0, 3.0, size=(n, dim))
         X[n // 2] = X[0]  # a zero distance
-        d = np.sqrt(gp._sqdist(X, X)[np.triu_indices(n, k=1)])
+        sub = self._subsample(X) if n > gp._MEDIAN_INPUTS else X
+        d = np.sqrt(gp._sqdist(sub, sub)[np.triu_indices(sub.shape[0], k=1)])
         median = float(np.median(d))
         # the documented fallback: a median at rounding level counts as zero
         # (n = 2 has only the duplicated pair)
-        rounding = 8.0 * np.finfo(float).eps * np.max(np.sum(X**2, axis=1))
+        rounding = 8.0 * np.finfo(float).eps * np.max(np.sum(sub**2, axis=1))
         assert gp.median_lengthscale(X) == (median if median**2 > rounding else 1.0)
         assert gp.median_lengthscale(np.zeros((4, 1))) == 1.0
 
     @staticmethod
     def _count_passes(monkeypatch):
-        """Record each pass over the pair distances."""
+        """Record the pair distances each pass streams."""
         passes = []
         blocks = gp._pair_blocks
 
         def counting(X):
-            passes.append(X.shape[0])
-            return blocks(X)
+            passes.append(0)
+            for block in blocks(X):
+                passes[-1] += block.size
+                yield block
 
         monkeypatch.setattr(gp, "_pair_blocks", counting)
         return passes
 
-    @pytest.mark.parametrize("miss", ["below", "above"])
-    def test_median_lengthscale_falls_back_exactly_when_the_bracket_misses(
-        self, monkeypatch, miss
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_median_lengthscale_streams_each_pair_of_at_most_512_inputs_once(
+        self, monkeypatch, dim
     ):
-        n = 600
-        rng = np.random.default_rng(8)
-        spread = rng.uniform(0.0, 3.0, size=(n, 2))
-        duplicates = rng.uniform(0.0, 3.0, size=(4, 3))[rng.integers(4, size=n)]
         passes = self._count_passes(monkeypatch)
-        for X in (spread, duplicates, np.zeros((n, 2))):
-            d2 = gp._sqdist(X, X)[np.triu_indices(n, k=1)]
-            bracket = (-2.0, -1.0) if miss == "above" else (d2.max() + 1.0, d2.max() + 2.0)
-            monkeypatch.setattr(gp, "_median_bracket", lambda *args: bracket)
+        for n in (2, 3, 65, 511, 512, 513, 1000, 5000):
+            X = np.random.default_rng(n).uniform(0.0, 3.0, size=(n, dim))
             passes.clear()
-            median = float(np.median(np.sqrt(d2)))
-            assert gp.median_lengthscale(X) == (median if median > 0.0 else 1.0)
-            assert len(passes) == 2
-        assert median == 0.0  # all-equal inputs still give 1.0
-
-    def test_median_lengthscale_counts_ties_at_the_bracket(self, monkeypatch):
-        # every pair ties at the sampled bracket [0, 0]: one pass, none kept
-        select = gp._select_bracketed
-        brackets = []
-        monkeypatch.setattr(
-            gp, "_select_bracketed",
-            lambda X, lo, hi, ranks: brackets.append((lo, hi)) or select(X, lo, hi, ranks),
-        )
-        passes = self._count_passes(monkeypatch)
-        assert gp.median_lengthscale(np.zeros((600, 2))) == 1.0
-        assert brackets == [(0.0, 0.0)] and len(passes) == 1
+            gp.median_lengthscale(X)
+            m = min(n, gp._MEDIAN_INPUTS)
+            assert passes == [m * (m - 1) // 2]
+            assert passes[0] <= 512 * 511 // 2
 
     @pytest.mark.parametrize("n", [5, 600])
     def test_median_lengthscale_of_nan_inputs_is_one(self, n):
@@ -208,8 +193,11 @@ class TestKernels:
         assert gp.median_lengthscale(np.full((5000, dim), 0.3)) == 1.0
 
     def test_median_lengthscale_memory_does_not_grow_with_n_above_the_limit(self):
-        # the exact path on the subsample only: a bound in _MEDIAN_INPUTS,
-        # half of one N0 x N0 float64 array (2.1 MiB traced at n = 1e5)
+        # the one buffer of N0 (N0 - 1) / 2 = 130,816 pair distances, and one
+        # 64-row block's three (64, N0) arrays: its distances, _sqdist's
+        # scratch and the previous block the stream still holds; 256 KiB for
+        # the subsample, index arrays and ufunc buffers (1.83 MiB traced at
+        # n = 1e5)
         X = np.random.default_rng(0).uniform(0.0, 3.0, size=(10**5, 2))
         tracemalloc.start()
         try:
@@ -217,7 +205,8 @@ class TestKernels:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < gp._MEDIAN_INPUTS**2 * 8 / 2
+        n0 = gp._MEDIAN_INPUTS
+        assert peak < 8 * (n0 * (n0 - 1) // 2 + 3 * gp._MEDIAN_ROWS * n0) + 2**18
 
     def test_median_lengthscale_memory_does_not_grow_as_n_squared(self):
         n = 4000
@@ -232,9 +221,9 @@ class TestKernels:
         assert peak < n * n * 8 / 8
 
     def test_one_dimensional_entries_are_those_of_sqdist(self):
-        # the sorted paths evaluate single pairs and row subsets; for d = 1
-        # every entry is one rounded product, sum and difference, so they
-        # are the floats of the whole matrix
+        # the median streams row blocks; for d = 1 every entry is one
+        # rounded product, sum and difference, so a block's rows are the
+        # floats of the whole matrix
         rng = np.random.default_rng(2)
         inputs = (
             rng.normal(size=300),
@@ -244,10 +233,8 @@ class TestKernels:
         for a in inputs:
             b = a[rng.integers(300, size=40)] + 0.5 * (a[:40] - a[40:80])
             full = gp._sqdist(a[:, None], b[:, None])
-            pairs = gp._sqdist_1d(np.repeat(a, 40), np.tile(b, 300)).reshape(300, 40)
-            assert np.array_equal(pairs, full)
-            for i in (0, 7, 299):
-                assert np.array_equal(gp._sqdist(a[i : i + 1, None], b[:, None])[0], full[i])
+            for i, j in ((0, 1), (7, 7 + gp._MEDIAN_ROWS), (299, 300)):
+                assert np.array_equal(gp._sqdist(a[i:j, None], b[:, None]), full[i:j])
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_sqdist_is_the_two_array_formula(self, d):
@@ -279,7 +266,7 @@ class TestKernels:
         assert peak < 8e6 + 8 * gp._SQDIST_BLOCK + 2**18
 
     @given(
-        n=st.integers(gp._MEDIAN_ROWS * 8 + 1, 1600),
+        n=st.integers(2, 1600),
         kind=st.sampled_from(["uniform", "offset", "duplicates", "grid", "tiny"]),
         offset=st.sampled_from([1e2, 1e4, 1e6]),
         order=st.sampled_from(["shuffled", "sorted", "reversed"]),
@@ -289,11 +276,9 @@ class TestKernels:
     def test_median_lengthscale_on_one_dimensional_inputs_is_np_median(
         self, n, kind, offset, order, data_seed
     ):
-        # from n = 513 on the sorted path counts pairs against the bracket
-        # and evaluates only the rounding band and the inside; offsets of
-        # 1e2 to 1e6 over a unit spread widen the band, and 1e6 + 1e-6 u
-        # fills it (the streamed pass runs); duplicates and a grid tie pairs
-        # at the bracket's ends; above _MEDIAN_INPUTS the subsample counts
+        # offsets of 1e2 to 1e6 over a unit spread put the pair distances
+        # within a few roundings of each other, duplicates and a grid tie
+        # them; above _MEDIAN_INPUTS the subsample counts
         rng = np.random.default_rng(data_seed)
         if kind == "offset":
             x = offset + rng.uniform(size=n) * (1e-6 if offset == 1e6 else 1.0)
@@ -312,54 +297,6 @@ class TestKernels:
         median = float(np.median(np.sqrt(gp._sqdist(sub, sub)[np.triu_indices(sub.shape[0], 1)])))
         rounding = 8.0 * np.finfo(float).eps * np.max(sub**2)
         assert gp.median_lengthscale(x) == (median if median**2 > rounding else 1.0)
-
-    @given(
-        n=st.integers(2, 300),
-        kind=st.sampled_from(["uniform", "offset", "filled", "grid", "tiny"]),
-        rank_share=st.floats(0.0, 1.0),
-        below=st.integers(0, 3),
-        above=st.integers(0, 3),
-        data_seed=st.integers(0, 2**32 - 1),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_sorted_selection_counts_as_the_streamed_pass(
-        self, n, kind, rank_share, below, above, data_seed
-    ):
-        # a bracket a few ranks around any rank, not only the median's:
-        # there the rounding band decides which pairs count below lo, at its
-        # ends and inside; an offset of 1e5 over a unit spread puts entries
-        # within rounding of each other at the ends, 1e6 + 1e-6 u fills the
-        # band
-        rng = np.random.default_rng(data_seed)
-        x = {
-            "uniform": lambda: rng.uniform(0.0, 3.0, size=n),
-            "offset": lambda: 1e5 + rng.uniform(size=n),
-            "filled": lambda: 1e6 + 1e-6 * rng.uniform(size=n),
-            "grid": lambda: rng.integers(0, 5, size=n).astype(float),
-            "tiny": lambda: 1e-160 * rng.normal(size=n),
-        }[kind]()
-        X = x[:, None]
-        d2 = np.sort(gp._sqdist(X, X)[np.triu_indices(n, 1)])
-        rank = int(rank_share * (d2.size - 1))
-        ranks = sorted({rank, min(rank + 1, d2.size - 1)})
-        lo = d2[max(ranks[0] - below, 0)]
-        hi = d2[min(ranks[-1] + above, d2.size - 1)]
-        want = gp._select_bracketed(gp._pair_blocks(X), lo, hi, ranks)
-        assert want == list(d2[ranks])
-        assert gp._select_sorted(np.sort(x), lo, hi, ranks) == want
-
-    def test_one_dimensional_median_evaluates_only_the_band(self, monkeypatch):
-        # an offset of 1e4 over a unit spread: the rounding band holds some
-        # pairs, the sorted path decides them, and no streamed pass runs
-        x = 1e4 + np.random.default_rng(4).uniform(size=1000)
-        d = np.sqrt(gp._sqdist(x[:, None], x[:, None])[np.triu_indices(1000, 1)])
-        evaluated, passes = [], self._count_passes(monkeypatch)
-        sqdist_1d = gp._sqdist_1d
-        monkeypatch.setattr(
-            gp, "_sqdist_1d", lambda a, b: evaluated.append(a.size) or sqdist_1d(a, b)
-        )
-        assert gp.median_lengthscale(x) == float(np.median(d))
-        assert passes == [] and 0 < evaluated[0] < d.size // 8
 
     @pytest.mark.parametrize(
         "kernel",

@@ -959,7 +959,7 @@ class TestInducingProperties:
     def test_inducing_run_memory_at_ten_thousand_points(self):
         # traced peak 30.6 MiB on numpy 2.4, set by gp_predict at the 10^4
         # query points (k-means++ peaks at 15.8 MiB, median_lengthscale on
-        # its subsample at 2.1 MiB); the bound, set when the median's
+        # its subsample at 1.8 MiB); the bound, set when the median's
         # bracketed pair distances peaked at 37.3 MiB, allows 10% more than
         # that. Materialising the n x n distances (763 MiB) or draws x n
         # values would break it
