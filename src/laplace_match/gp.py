@@ -58,9 +58,9 @@ n = 600, 1000 and 2000 (20 seeds each) the subsample moved the lengthscale
 by at most 4.9% and 2.3% from the exact median of every pair. N0 = 512 is the largest subsample
 whose N0 (N0 - 1) / 2 = 130,816 pair distances take one 1 MiB buffer: the
 median streams the strict upper triangle of _sqdist(X, X) into it in row
-blocks of _MEDIAN_ROWS rows, each block's columns starting at its first row
-(`_pair_blocks`), so the n x n distances are never formed, and one
-partition selects the middle order statistics. The entries are those of one
+blocks of _MEDIAN_ROWS rows, each block's columns starting at its first row,
+so the n x n distances are never formed, and one partition selects the
+middle order statistics. The entries are those of one
 _sqdist(X, X) call as far as the BLAS rounds a block's product as it rounds
 the whole one: on OpenBLAS (SkylakeX kernels) about 4e-5 of the entries in
 tile corners differ in the last bit for d >= 2 (a fused multiply-add against
@@ -456,21 +456,6 @@ class Coregional(Kernel):
         return {"kernel": self.tag, "input": self.kernel.to_record(), "B": self.B.tolist()}
 
 
-def _pair_blocks(X):
-    """The strict upper triangle of _sqdist(X, X) as a stream of arrays, one
-    pair per entry, in C order, from row blocks of _MEDIAN_ROWS rows: per
-    block, its own triangle as a vector, then its columns to the right of
-    the block as a view. A block's columns start at its first row, so rows
-    and columns start at the same multiple of _MEDIAN_ROWS; every block has
-    at least two rows (a one-row product would run as a BLAS gemv)."""
-    n = X.shape[0]
-    for a in range(0, n - 1, _MEDIAN_ROWS):
-        b = min(a + _MEDIAN_ROWS, n)
-        d2 = _sqdist(X[a:b], X[a:])
-        yield d2[:, : b - a][np.triu_indices(b - a, 1)]
-        yield d2[:, b - a :]
-
-
 def _rounding_1d(xx, cc):
     """A bound on the rounding error of each entry of _sqdist on
     one-dimensional inputs whose squares are at most xx and cc: kmeanspp's
@@ -489,8 +474,10 @@ def median_lengthscale(X):
     still gives the fallback 1.0.
 
     The strict upper triangle of _sqdist(X, X), at most
-    _MEDIAN_INPUTS (_MEDIAN_INPUTS - 1) / 2 pair distances, streams once
-    from `_pair_blocks` into one buffer. One partition at the upper middle
+    _MEDIAN_INPUTS (_MEDIAN_INPUTS - 1) / 2 pair distances, is written once
+    into one buffer from blocks of _MEDIAN_ROWS rows (at least two: a one-row
+    product runs as a BLAS gemv), each against the inputs from its first row
+    on, its own triangle first. One partition at the upper middle
     rank k selects its entry there; for an even count the lower middle is
     the largest entry below k. sqrt is monotone, so this equals np.median of
     the distances (a NaN among them gives the fallback 1.0, as does a zero
@@ -510,9 +497,16 @@ def median_lengthscale(X):
         return 1.0
     d2 = np.empty(n * (n - 1) // 2)
     end = 0
-    for block in _pair_blocks(X):
-        d2[end : end + block.size].reshape(block.shape)[...] = block
-        end += block.size
+    for a in range(0, n - 1, _MEDIAN_ROWS):
+        b = min(a + _MEDIAN_ROWS, n)
+        block = _sqdist(X[a:b], X[a:])
+        tri = block[:, : b - a][np.triu_indices(b - a, 1)]
+        d2[end : end + tri.size] = tri
+        end += tri.size
+        right = d2[end : end + (b - a) * (n - b)]
+        right.reshape(b - a, n - b)[...] = block[:, b - a :]
+        end += right.size
+        del block  # freed before the next block and its scratch are formed
     # one kth: on 130,816 floats numpy 2.4 partitions at two kth in 2.0 ms,
     # at one in 0.3 ms
     k = d2.size // 2
@@ -886,15 +880,15 @@ def kmeanspp(X, k, seed=0, max_iter=100):
     2^-1000 for a hundred iterations' e), which such entries never clear.
 
     The rows not proven are recomputed through one product of at least two
-    rows, as _pair_blocks does: numpy runs a one-row product as a BLAS gemv,
-    which rounds differently from the full product's gemm. Even a product of
-    a few rows need not round as the full one does (on OpenBLAS it does not,
-    in places, from 193 centres on), so a recomputed row's argmin is taken
-    only when its gap to the next entry exceeds four times the bound, which
-    any rounding within the bound preserves. Otherwise (an exact tie always
-    is otherwise) the iteration computes the full matrix. A full matrix (the
-    first iteration, that fallback, an empty-cluster repair) resets every
-    bound.
+    rows, as median_lengthscale does: numpy runs a one-row product as a BLAS
+    gemv, which rounds differently from the full product's gemm. Even a
+    product of a few rows need not round as the full one does (on OpenBLAS
+    it does not, in places, from 193 centres on), so a recomputed row's
+    argmin is taken only when its gap to the next entry exceeds four times
+    the bound, which any rounding within the bound preserves. Otherwise (an
+    exact tie always is otherwise) the iteration computes the full matrix. A
+    full matrix (the first iteration, that fallback, an empty-cluster repair)
+    resets every bound.
 
     The empty-cluster repair is shared: the farthest point from the full
     matrix, then a new assignment of every point by the path's own rule.

@@ -174,25 +174,11 @@ def _batched_funm(X, fn, what):
     return matrixops.sym((U * fn(w)[..., None, :]) @ np.swapaxes(U, -1, -2))
 
 
-# Matrices per chunk of `_expm_vech`. Its chunk-sized temporaries (the
-# powers, the Horner terms and a few rows, all on the vech entries) take
-# about 2 MB at p = 3. On the 80,000 3x3 draws of a benchmark op, 4096 was the
-# fastest of 1024 to 16384 (median 37 ms, against 38-49 ms for 6144 to 16384
-# and 51-63 ms for 1024 and 2048; 2 vCPU). Written into its (1000, 80, 6)
-# input, that stack's traced peak is 2.2 MB (8.0 MB with a new 3 x 3 output,
-# 49 MB in one chunk).
-_EXPM_CHUNK = 4096
-
-# The degree-16 Taylor polynomial of exp in Paterson-Stockmeyer form
-# (Paterson & Stockmeyer 1973), T(B) = Q0 + B^4 (Q1 + B^4 (Q2 + B^4 Q3)) with
-# Q_j = I/(4j)! + B/(4j+1)! + B^2/(4j+2)! + B^3/(4j+3)!, and Q3 also holds
-# B^4/16!. Row j of _EXPM_BLOCKS holds the coefficients of B .. B^4 in Q_j.
-_EXPM_IDENTITY = np.array([1.0 / math.factorial(4 * j) for j in range(4)])
-_EXPM_BLOCKS = np.array(
-    [[1.0 / math.factorial(4 * j + i) for i in (1, 2, 3)] + [0.0] for j in range(4)]
-)
-_EXPM_BLOCKS[3, 3] = 1.0 / math.factorial(16)
-
+# Matrices per chunk of `_expm_vech`. On the 80,000 3x3 draws of a benchmark op
+# 8192 took 8.1-8.5 ms, 4096 10.3-10.5 and 16384 8.2-9.0 at twice 8192's 1.7 MiB
+# traced peak (best of 21 calls in each of three sweeps, 2 vCPU; CHANGES.md).
+_EXPM_CHUNK = 8192
+_TAYLOR = [1.0 / math.factorial(k) for k in range(17)]  # 1/k!: T, exp to degree 16
 _FLOAT_MAX = np.finfo(float).max
 _LOG_MAX = np.log(_FLOAT_MAX)
 _SQRT_MAX = np.sqrt(_FLOAT_MAX)
@@ -222,56 +208,76 @@ def _expm_chunk(Z, p):
     """exp of the symmetric p x p matrices whose vech entries are the rows of
     Z (n, d), written back into Z as the exponentials' vech entries.
 
-    Shift by the mean eigenvalue c = tr(X)/p, scale B = X - cI by 2^-s with s
-    from its Frobenius norm (which bounds its spectral norm) so that the
-    scaled norm is at most 1, evaluate T(B/2^s), square s times and multiply
-    by e^c, as two factors e^(c/2) so that e^c cannot underflow where the
-    result does not. Every matrix has its own s, so its result does not
-    depend on the others. B has trace zero, so its largest eigenvalue is at
-    most sqrt((p-1)/p) |B|_F; OutOfSupport where that bound, or c plus it,
-    exceeds log(max float), as exp(B) or the result could then overflow.
+    Shift by the mean eigenvalue c = tr(X)/p, scale B = X - cI by 2^-s, s
+    per matrix from its Frobenius norm (a bound on its spectral norm), so
+    that |B/2^s| <= 1 and no result depends on the other matrices; evaluate
+    T(B/2^s), square s times and multiply by e^c as two factors e^(c/2),
+    which cannot underflow where the result does not. B has trace zero, so
+    its largest eigenvalue is at most sqrt((p-1)/p) |B|_F; OutOfSupport where
+    that bound, or c plus it, exceeds log(max float), as exp(B) or the result
+    could then overflow.
 
-    Every power, Horner term and square is a polynomial in B, so symmetric:
-    the arithmetic runs on the p(p+1)/2 vech entries only, each a contiguous
-    row of a (d, n) array (`_vech_matmul`), a copy of Z, so Z is written
-    only once its chunk has passed the bound.
+    T is reduced modulo B's characteristic polynomial chi (Cayley-Hamilton):
+    chi from the power sums tr(B^k), k <= p, by Newton's identities, Horner's
+    rule on p coefficients a_k per matrix, and T(B) = sum a_k B^k from B ..
+    B^(p-1). Such methods fail on general matrices (Moler & Van Loan 2003);
+    here B is symmetric with eigenvalues in [-1, 1], so chi and the a_k stay
+    of order one. The squarings stay matrix products (in the power basis they
+    would amplify rounding by about (2^s)^(p-1)). All of it runs on the vech
+    entries of polynomials in B, each a contiguous row of a (d, n) copy of Z
+    (`_vech_matmul`); Z is written once its chunk has passed the bound.
     """
     n = Z.shape[0]
     rows, cols, table = matrixops._vech_index(p)
     diag = np.diagonal(table).tolist()
     terms = table.tolist()
+    weights = np.where(rows == cols, 1.0, 2.0)  # <vech U, vech V> = tr(U V)
     B = Z.T.copy()
     with np.errstate(over="ignore", invalid="ignore"):  # entries near max float fail the bound
         c = np.sum(B[diag], axis=0) / p
         B[diag] -= c
-        norm = np.sqrt(np.dot(np.where(rows == cols, 1.0, 2.0), B * B))
+        norm = np.sqrt(np.dot(weights, B * B))
     if not np.all(np.maximum(c, 0.0) + np.sqrt((p - 1) / p) * norm <= _LOG_MAX):
         raise OutOfSupport("matrix exp out of float range: an eigenvalue may exceed log(max)")
     s = np.maximum(np.frexp(norm)[1], 0)
-    powers = np.empty((4, rows.size, n))
-    np.ldexp(B, -s, out=powers[0])
-    _vech_matmul(powers[0], powers[0], powers[1], terms)
-    _vech_matmul(powers[1], powers[0], powers[2], terms)
-    _vech_matmul(powers[1], powers[1], powers[3], terms)
-    Q = np.tensordot(_EXPM_BLOCKS, powers, axes=1)
-    for e in diag:
-        Q[:, e] += _EXPM_IDENTITY[:, None]
-    for j in (2, 1, 0):
-        Q[j] += _vech_matmul(powers[3], Q[j + 1], B, terms)
-    E = Q[0]
+    powers = [np.ldexp(B, -s, out=B)]
+    for _ in range(p - 2):
+        powers.append(_vech_matmul(powers[-1], B, np.empty_like(B), terms))
+    # tr(B^k), k = 2 .. p: Python's sum adds rows in order, whatever the chunk
+    sums = [0.0, 0.0] + [sum(P[diag]) for P in powers[1:]]
+    sums.append(sum(powers[-1] * B * weights[:, None]))
+    # x^p = sum_k f_(p-k) x^k mod chi: k f_k = -sum_i f_(k-i) tr(B^i), f_0 = -1
+    f = [-1.0, 0.0]  # f_1 = tr B = 0
+    for k in range(2, p + 1):
+        f.append((sums[k] - sum(f[k - i] * sums[i] for i in range(2, k - 1))) / k)
+    # the top p coefficients of T (all 17 for p > 17) need no reduction
+    a, work = [np.full(n, t) for t in _TAYLOR[-p:]], np.empty(n)
+    for t in _TAYLOR[-p - 1 :: -1]:  # a(x) <- x a(x) + t modulo chi
+        top = a.pop()
+        for k in range(1, p - 1):  # f_1 = 0: x^(p-1) takes no share of x^p
+            a[k - 1] += np.multiply(top, f[p - k], out=work)
+        top *= f[p]
+        top += t
+        a.insert(0, top)
+    for P, coef in zip(powers, a[1:]):
+        P *= coef
+    for P in powers[1 : len(a) - 1]:  # a holds at most 17 coefficients
+        B += P
+    B[diag] += a[0]
     for k in range(1, s.max(initial=0) + 1):
         need = np.flatnonzero(s >= k)
-        root = E[:, need]
-        E[:, need] = _vech_matmul(root, root, np.empty_like(root), terms)
+        root = B[:, need]
+        B[:, need] = _vech_matmul(root, root, np.empty_like(root), terms)
     half = np.exp(0.5 * c)
-    E *= half
-    E *= half
-    Z[...] = E.T
+    B *= half
+    B *= half
+    Z[...] = B.T
 
 
 def _expm_vech(Z, p):
     """Matrix exponential of the symmetric p x p matrices whose vech entries
     are the rows of Z (..., p(p+1)/2), by scaling and squaring (Higham 2005)
+    with the Taylor polynomial reduced modulo each characteristic polynomial,
     on chunks of `_EXPM_CHUNK` matrices, as the exponentials' vech entries
     (`matrixops.unvech_stack` expands them to p x p). They are written into Z
     itself when it is a C-ordered float array, so the only buffers besides
@@ -389,9 +395,9 @@ def _inverse_in_place(x, basis):
     The softmax inverse is max-shifted, with its max and its sum taken over
     the K component arrays (`_component_sum`) of a block of rows at a time,
     into one buffer of `_DRAWS_BLOCK / K` floats (a C-ordered copy of x when
-    x is not C-ordered); the matrix-log inverse checks
-    that its input is finite and symmetric and exponentiates the vech
-    entries of its symmetric part (`_expm_vech`). No inverse calls `eigh`.
+    x is not C-ordered); the matrix-log inverse checks that its input is finite
+    and symmetric and exponentiates the vech entries of its symmetric part
+    (`_expm_vech`, p - 2 products and the squarings). No inverse calls `eigh`.
     """
     tag = basis.tag
     if tag == "identity":

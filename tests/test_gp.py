@@ -114,32 +114,34 @@ class TestKernels:
         assert gp.median_lengthscale(np.zeros((4, 1))) == 1.0
 
     @staticmethod
-    def _count_passes(monkeypatch):
-        """Record the pair distances each pass streams."""
-        passes = []
-        blocks = gp._pair_blocks
+    def _record_blocks(monkeypatch):
+        """Record the (rows, columns) of each _sqdist call."""
+        calls = []
+        sqdist = gp._sqdist
 
-        def counting(X):
-            passes.append(0)
-            for block in blocks(X):
-                passes[-1] += block.size
-                yield block
+        def recording(A, B):
+            calls.append((A.shape[0], B.shape[0]))
+            return sqdist(A, B)
 
-        monkeypatch.setattr(gp, "_pair_blocks", counting)
-        return passes
+        monkeypatch.setattr(gp, "_sqdist", recording)
+        return calls
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_median_lengthscale_streams_each_pair_of_at_most_512_inputs_once(
         self, monkeypatch, dim
     ):
-        passes = self._count_passes(monkeypatch)
+        # row blocks of at least two rows, each against the inputs from its
+        # first row on, whose parts above the diagonal hold each pair once
+        calls = self._record_blocks(monkeypatch)
         for n in (2, 3, 65, 511, 512, 513, 1000, 5000):
             X = np.random.default_rng(n).uniform(0.0, 3.0, size=(n, dim))
-            passes.clear()
+            calls.clear()
             gp.median_lengthscale(X)
             m = min(n, gp._MEDIAN_INPUTS)
-            assert passes == [m * (m - 1) // 2]
-            assert passes[0] <= 512 * 511 // 2
+            first = np.cumsum([0] + [r for r, _ in calls[:-1]])
+            assert [c for _, c in calls] == [m - a for a in first]
+            assert min(r for r, _ in calls) >= 2
+            assert sum(r * c - r * (r + 1) // 2 for r, c in calls) == m * (m - 1) // 2
 
     @pytest.mark.parametrize("n", [5, 600])
     def test_median_lengthscale_of_nan_inputs_is_one(self, n):
@@ -194,10 +196,9 @@ class TestKernels:
 
     def test_median_lengthscale_memory_does_not_grow_with_n_above_the_limit(self):
         # the one buffer of N0 (N0 - 1) / 2 = 130,816 pair distances, and one
-        # 64-row block's three (64, N0) arrays: its distances, _sqdist's
-        # scratch and the previous block the stream still holds; 256 KiB for
-        # the subsample, index arrays and ufunc buffers (1.83 MiB traced at
-        # n = 1e5)
+        # 64-row block's two (64, N0) arrays: its distances and _sqdist's
+        # scratch, the previous block freed; 256 KiB for the subsample, index
+        # arrays and ufunc buffers (1.64 MiB traced at n = 1e5)
         X = np.random.default_rng(0).uniform(0.0, 3.0, size=(10**5, 2))
         tracemalloc.start()
         try:
@@ -206,7 +207,7 @@ class TestKernels:
         finally:
             tracemalloc.stop()
         n0 = gp._MEDIAN_INPUTS
-        assert peak < 8 * (n0 * (n0 - 1) // 2 + 3 * gp._MEDIAN_ROWS * n0) + 2**18
+        assert peak < 8 * (n0 * (n0 - 1) // 2 + 2 * gp._MEDIAN_ROWS * n0) + 2**18
 
     def test_median_lengthscale_memory_does_not_grow_as_n_squared(self):
         n = 4000

@@ -176,43 +176,54 @@ def _sample_marginals_reference(mean, cov, seed, count):
 
 
 def _expm_chunk_reference(Z, out):
-    """transforms._expm_chunk as it was before it wrote into Z: the p x p
-    exponentials into out."""
+    """transforms._expm_chunk as it would be without writing into Z: the
+    same Cayley-Hamilton arithmetic, the p x p exponentials into out."""
     n, p, _ = out.shape
     rows, cols, table = matrixops._vech_index(p)
     diag = np.diagonal(table).tolist()
     terms = table.tolist()
+    weights = np.where(rows == cols, 1.0, 2.0)
     B = Z.T.copy()
     with np.errstate(over="ignore", invalid="ignore"):  # entries near max float fail the bound
         c = np.sum(B[diag], axis=0) / p
         B[diag] -= c
-        norm = np.sqrt(np.dot(np.where(rows == cols, 1.0, 2.0), B * B))
+        norm = np.sqrt(np.dot(weights, B * B))
     if not np.all(np.maximum(c, 0.0) + np.sqrt((p - 1) / p) * norm <= transforms._LOG_MAX):
         raise OutOfSupport("matrix exp out of float range: an eigenvalue may exceed log(max)")
     s = np.maximum(np.frexp(norm)[1], 0)
-    powers = np.empty((4, rows.size, n))
-    np.ldexp(B, -s, out=powers[0])
-    transforms._vech_matmul(powers[0], powers[0], powers[1], terms)
-    transforms._vech_matmul(powers[1], powers[0], powers[2], terms)
-    transforms._vech_matmul(powers[1], powers[1], powers[3], terms)
-    Q = np.tensordot(transforms._EXPM_BLOCKS, powers, axes=1)
-    for e in diag:
-        Q[:, e] += transforms._EXPM_IDENTITY[:, None]
-    for j in (2, 1, 0):
-        Q[j] += transforms._vech_matmul(powers[3], Q[j + 1], B, terms)
-    E = Q[0]
+    powers = [np.ldexp(B, -s, out=B)]
+    for _ in range(p - 2):
+        powers.append(transforms._vech_matmul(powers[-1], B, np.empty_like(B), terms))
+    sums = [0.0, 0.0] + [sum(P[diag]) for P in powers[1:]]
+    sums.append(sum(powers[-1] * B * weights[:, None]))
+    f = [-1.0, 0.0]
+    for k in range(2, p + 1):
+        f.append((sums[k] - sum(f[k - i] * sums[i] for i in range(2, k - 1))) / k)
+    a, work = [np.full(n, t) for t in transforms._TAYLOR[-p:]], np.empty(n)
+    for t in transforms._TAYLOR[-p - 1 :: -1]:
+        top = a.pop()
+        for k in range(1, p - 1):
+            a[k - 1] += np.multiply(top, f[p - k], out=work)
+        top *= f[p]
+        top += t
+        a.insert(0, top)
+    for P, coef in zip(powers, a[1:]):
+        P *= coef
+    for P in powers[1 : len(a) - 1]:
+        B += P
+    B[diag] += a[0]
     for k in range(1, s.max(initial=0) + 1):
         need = np.flatnonzero(s >= k)
-        root = E[:, need]
-        E[:, need] = transforms._vech_matmul(root, root, np.empty_like(root), terms)
+        root = B[:, need]
+        B[:, need] = transforms._vech_matmul(root, root, np.empty_like(root), terms)
     half = np.exp(0.5 * c)
-    E *= half
-    E *= half
-    out[...] = E.T[:, table]
+    B *= half
+    B *= half
+    out[...] = B.T[:, table]
 
 
 def _expm_vech_reference(Z, p):
-    """transforms._expm_vech as it was before it wrote into Z: a new
+    """transforms._expm_vech as it would be without writing into Z: a new
     (..., p, p) stack."""
     flat = np.asarray(Z, dtype=float).reshape(-1, p * (p + 1) // 2)
     out = np.empty((flat.shape[0], p, p))
@@ -853,7 +864,7 @@ class TestDrawsTail:
     @pytest.mark.parametrize("basis", ["matrix_log", "matrix_sqrt"])
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_matrix_prediction_equals_the_p_by_p_tail(self, basis, p):
-        # 1001 draws at 9 points: three matrix-exponential chunks (matrix_log)
+        # 1001 draws at 9 points: two matrix-exponential chunks (matrix_log)
         ts, mats = pipeline.gen_covariance(6, p=p, seed=p)
         cfg = pipeline.LMGPConfig("inverse_wishart", basis=basis, seed=4, draws=1001)
         data = pipeline.Dataset(ts, np.array(mats))

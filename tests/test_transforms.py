@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.special import logsumexp
 
-from laplace_match import bridges, diagnostics, distributions, matrixops, transforms
+from laplace_match import bridges, diagnostics, distributions, matrixops, pipeline, transforms
 from laplace_match.errors import (
     BasisSizeMismatch,
     DimensionMismatch,
@@ -293,10 +293,49 @@ def _exp(A):
     return transforms.transform_samples(A, BasisTransform("matrix_log", p=A.shape[-1]), "inverse")
 
 
+def _expm_taylor_reference(Z, p):
+    """The exponentials of the vech rows Z (..., p(p+1)/2) as a (..., p, p)
+    stack, by the evaluation `transforms._expm_chunk` used before the
+    Cayley-Hamilton reduction: the same shift, scaling and squarings around
+    the degree-16 Taylor polynomial in Paterson-Stockmeyer form (Paterson &
+    Stockmeyer 1973), T(B) = Q0 + B^4 (Q1 + B^4 (Q2 + B^4 Q3)) with Q_j =
+    I/(4j)! + B/(4j+1)! + B^2/(4j+2)! + B^3/(4j+3)! and Q3 also holding
+    B^4/16!, from the powers B .. B^4."""
+    taylor = transforms._TAYLOR  # 1/k!
+    flat = np.asarray(Z, dtype=float).reshape(-1, p * (p + 1) // 2)
+    rows, cols, table = matrixops._vech_index(p)
+    diag = np.diagonal(table).tolist()
+    terms = table.tolist()
+    B = flat.T.copy()
+    c = np.sum(B[diag], axis=0) / p
+    B[diag] -= c
+    s = np.maximum(np.frexp(np.sqrt(np.dot(np.where(rows == cols, 1.0, 2.0), B * B)))[1], 0)
+    powers = np.empty((4,) + B.shape)
+    np.ldexp(B, -s, out=powers[0])
+    transforms._vech_matmul(powers[0], powers[0], powers[1], terms)
+    transforms._vech_matmul(powers[1], powers[0], powers[2], terms)
+    transforms._vech_matmul(powers[1], powers[1], powers[3], terms)
+    blocks = np.array([[taylor[4 * j + i] for i in (1, 2, 3)] + [0.0] for j in range(4)])
+    blocks[3, 3] = taylor[16]
+    Q = np.tensordot(blocks, powers, axes=1)
+    for e in diag:
+        Q[:, e] += np.array(taylor[:16:4])[:, None]
+    for j in (2, 1, 0):
+        Q[j] += transforms._vech_matmul(powers[3], Q[j + 1], B, terms)
+    E = Q[0]
+    for k in range(1, s.max(initial=0) + 1):
+        need = np.flatnonzero(s >= k)
+        root = E[:, need]
+        E[:, need] = transforms._vech_matmul(root, root, np.empty_like(root), terms)
+    E *= np.exp(0.5 * c)
+    E *= np.exp(0.5 * c)
+    return matrixops.unvech(E.T, p).reshape(np.shape(Z)[:-1] + (p, p))
+
+
 class TestMatrixExp:
     """The Taylor scaling-and-squaring exponential of the matrix-log inverse."""
 
-    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
     def test_matches_eigh_reference(self, p):
         rng = np.random.default_rng(10 + p)
         for scale in (1e-3, 1e-1, 1.0, 5.0, 20.0):
@@ -315,6 +354,15 @@ class TestMatrixExp:
         expected[:, np.arange(p), np.arange(p)] = np.exp(d)
         assert _normwise_dev(_exp(diag), expected) <= 1e-13
 
+    @pytest.mark.parametrize("p", [16, 17, 18])
+    def test_sizes_at_and_above_the_taylor_degree(self, p):
+        # from p = 17 on, the degree-16 polynomial needs no reduction modulo
+        # the characteristic polynomial, and B^17 .. B^(p-1) take no share
+        rng = np.random.default_rng(40 + p)
+        for scale in (0.1, 1.0, 3.0):
+            A = matrixops.sym(rng.normal(scale=scale, size=(40, p, p)))
+            assert _normwise_dev(_exp(A), _eigh_expm(A)) <= 1e-13
+
     def test_two_by_two_closed_form(self):
         # exp([[a, b], [b, a]]) = e^a [[cosh b, sinh b], [sinh b, cosh b]]
         for a in (-3.0, 0.0, 2.5):
@@ -331,6 +379,44 @@ class TestMatrixExp:
         stack = _exp(A)
         for i in range(transforms._EXPM_CHUNK - 6, n):
             np.testing.assert_array_equal(stack[i], _exp(A[i]))
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_chunk_where_only_some_matrices_need_three_or_more_squarings(self, p):
+        # Frobenius norms of about 0.5 (no squaring) beside norms of 5 to 40
+        # (s = 3 to 6): the squarings run on those matrices alone
+        rng = np.random.default_rng(30 + p)
+        n = 504
+        A = matrixops.sym(rng.normal(size=(n, p, p)))
+        A /= np.linalg.norm(A, axis=(-2, -1), keepdims=True)
+        A *= np.where(np.arange(n) % 7 == 3, rng.uniform(5.0, 40.0, n), 0.5)[:, None, None]
+        A += rng.normal(size=(n, 1, 1)) * np.eye(p)
+        stack = _exp(A)
+        assert _normwise_dev(stack, _eigh_expm(A)) <= 1e-13
+        for i in range(0, n, 7):  # one matrix without and one with squarings
+            np.testing.assert_array_equal(stack[i], _exp(A[i]))
+            np.testing.assert_array_equal(stack[i + 3], _exp(A[i + 3]))
+
+    def test_within_1e_14_of_the_paterson_stockmeyer_taylor_on_benchmark_draws(
+        self, monkeypatch
+    ):
+        # the (1000, 80, 6) latent stack of an inverse Wishart p = 3 op as the
+        # benchmark's multi_latent workload runs it; the reduction modulo the
+        # characteristic polynomial moved this one by 4.9e-16 normwise (6.2e-16
+        # to 9.5e-16 at data seeds 1 to 3)
+        latent = []
+        expm = transforms._expm_vech
+
+        def capture(Z, p):
+            latent.append(np.array(Z))
+            return expm(Z, p)
+
+        monkeypatch.setattr(transforms, "_expm_vech", capture)
+        ts, mats = pipeline.gen_covariance(160, p=3, seed=7)
+        config = pipeline.LMGPConfig("inverse_wishart", seed=7, draws=1000)
+        data = pipeline.Dataset(ts[0::2], np.stack(mats)[0::2])
+        _, pred = pipeline.lmgp_v1(data, config, X_query=ts[1::2])
+        assert latent[0].shape == (1000, 80, 6)
+        assert _normwise_dev(pred.draws, _expm_taylor_reference(latent[0], 3)) <= 1e-14
 
     @pytest.mark.parametrize("p", [1, 2, 3, 5])
     def test_vech_rows_give_the_matrices_exponential_bit_for_bit(self, p):
