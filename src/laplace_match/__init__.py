@@ -16,7 +16,7 @@ from . import (  # noqa: F401
     transforms,
 )
 from .bridges import lm_forward, lm_inverse  # noqa: F401
-from .distributions import EFParams, conjugate_update, pseudo_prior  # noqa: F401
+from .distributions import EFParams, pseudo_prior  # noqa: F401
 from .errors import LaplaceMatchError  # noqa: F401
 from .gaussian import GaussianApprox  # noqa: F401
 from .pipeline import Dataset, LMGPConfig, lmgp_v1, lmgp_v2  # noqa: F401

@@ -18,7 +18,7 @@ DEFAULT_EPSILON_A = 0.01
 
 _SCALAR_FAMILIES = ("exponential", "gamma", "inverse_gamma", "chi_squared", "beta")
 FAMILIES = _SCALAR_FAMILIES + ("dirichlet", "wishart", "inverse_wishart")
-# Families with an observation model in `conjugate_update`.
+# Families with an observation model (`check_observations`, `conjugate_fields`).
 CONJUGATE_FAMILIES = ("beta", "gamma", "dirichlet", "inverse_wishart")
 
 _FIELDS = {
@@ -474,40 +474,3 @@ def conjugate_fields(family, fields, total, count):
     if family == "inverse_wishart":
         return {"nu": fields["nu"] + count, "Psi": fields["Psi"] + total}
     raise NonConjugatePair(f"no conjugate observation model for family {family!r}")
-
-
-def conjugate_update(prior, observations):
-    """Fold an observation batch into a conjugate prior.
-
-    Pairs: Beta with 0/1 labels, Gamma with Poisson counts, Dirichlet with a
-    per-category count vector, InverseWishart with scatter matrices. The
-    sufficient-statistic extraction lives here so callers never hand-compute
-    natural parameters.
-
-    Args:
-        prior: EFParams of a conjugate family.
-        observations: family-appropriate raw batch (see above).
-
-    Returns:
-        Posterior EFParams.
-
-    Raises:
-        NonConjugatePair: family has no observation model here.
-        InvalidParams: malformed observation batch.
-    """
-    fam = prior.family
-    obs = np.asarray(observations, dtype=float)
-    if fam == "dirichlet":
-        if obs.size != prior.alpha.size:
-            raise InvalidParams("dirichlet count vector length must equal K")
-        obs = obs.reshape(1, -1)
-    elif fam == "inverse_wishart":
-        if obs.ndim == 2:
-            obs = obs[None]
-        if obs.ndim != 3 or obs.shape[-2:] != (prior.p, prior.p):
-            raise InvalidParams(f"scatter batch must have shape (m, {prior.p}, {prior.p})")
-    else:
-        obs = obs.ravel()
-    check_observations(fam, obs)
-    fields = {name: getattr(prior, name) for name in _FIELDS[fam]}
-    return EFParams(fam, **conjugate_fields(fam, fields, obs.sum(axis=0), obs.shape[0]))

@@ -1,15 +1,14 @@
 """End-to-end latent-GP inference through the parameter bridges.
 
-The LM step is one path for V1, V2 and inducing sets: sites -> prior
-fields -> conjugate fold -> bridge. A site is a training input, or with
-`inducing=k` a k-means++ cluster carrying its members' summed targets and
-member count. The prior fields are the weak pseudo-prior's (V1, inducing,
-and V2 without a fitted prior) or, for V2 with a fitted prior GP, the bridge
-inverse of its marginals at the sites (one `bridges.inverse_arrays` call).
-`distributions.conjugate_fields` folds each site's data into its fields, and
-one `bridges.forward_arrays` call, for every family, turns them into Gaussian
-pseudo-observations, on which a heteroskedastic GP is fit in the latent
-coordinates. With the flat default prior V2 coincides with V1.
+`pseudo_observations` is the LM step, one path for V1, V2 and inducing
+sets: sites -> prior fields -> conjugate fold -> bridge. A site is a
+training input, or with `inducing=k` a k-means++ cluster carrying its
+members' summed targets and member count. The prior fields are the weak
+pseudo-prior's (V1, inducing, and V2 without a fitted prior) or, for V2
+with a fitted prior GP, the bridge inverse of its marginals at the sites.
+What is left is one GP regression: `lmgp_v1` and `lmgp_v2` are that call,
+one `gp.gp_fit` of a heteroskedastic GP in the latent coordinates, and a
+prediction. With the flat default prior V2 coincides with V1.
 
 Latent layout: scalar families use one GP coordinate per input. The simplex
 and matrix families have `width` latent functions per input (K classes, or
@@ -239,12 +238,6 @@ class LMGPConfig:
         if self.draws < 1:
             raise InvalidParams("draws must be >= 1")
 
-    def resolve_basis(self, Y):
-        """The configured basis, or the family's first bridge row; K or p
-        from the last axis of the targets Y."""
-        basis = transforms.FAMILY_BASES[self.family][1] if self.basis is None else self.basis
-        return _bridge_basis(self.family, basis, Y.shape[-1])
-
     def replace(self, **updates):
         return LMGPConfig(**{**vars(self), **updates})
 
@@ -269,10 +262,11 @@ class LMGPConfig:
 class Prediction:
     """Back-transformed posterior summary at the query points.
 
-    `timings` holds wall seconds per stage: lm_seconds (sites, prior fields,
-    conjugate fold and bridge), fit_seconds (GP fit), predict_seconds (GP
-    posterior, per-point draws and back-transform) and summary_seconds
-    (summaries and EF inversion). `diagnostics` says what the fit did: the
+    `timings` holds wall seconds per stage: lm_seconds (the LM step,
+    `pseudo_observations`), fit_seconds (GP fit, absent when an empty V2 run
+    returns its prior), predict_seconds (GP posterior, per-point draws and
+    back-transform) and summary_seconds (summaries and EF inversion).
+    `diagnostics` says what the fit did: the
     Cholesky jitter, the smallest diagonal entry of the factor (min_pivot)
     and the log-determinant of the factored matrix, the number of sites, the
     latent width, the count of query points whose EF inversion failed
@@ -347,21 +341,19 @@ class Prediction:
 # latent layout helpers
 
 
-def _bridge_basis(family, basis, size):
-    """`transforms.resolve_basis`, then the bridge row the pipelines fit: a
-    basis with no row (identity) raises IncompatibleBasis, and a K or p that
-    differs from `size` BasisSizeMismatch, a DimensionMismatch."""
+def _resolve_basis(family, basis, size=None):
+    """(basis, latent width): `basis`, or the family's first bridge row for
+    None, through `transforms.resolve_basis`, sized by `size` (the targets'
+    K or p) or a BasisTransform's own. IncompatibleBasis for a basis with no
+    bridge row (identity), BasisSizeMismatch (a DimensionMismatch) for a K
+    or p other than `size`. The width is K, p(p+1)/2, or 1."""
+    if basis is None:
+        basis = transforms.FAMILY_BASES[family][1]
+    if size is None and isinstance(basis, transforms.BasisTransform):
+        size = basis.K or basis.p
     basis = transforms.resolve_basis(family, basis, size)
     bridges._row_for(family, basis.tag)
-    return basis
-
-
-def _basis_width(basis, family):
-    if family in distributions._SCALAR_FAMILIES:
-        return 1
-    if family == "dirichlet":
-        return basis.K
-    return basis.p * (basis.p + 1) // 2
+    return basis, basis.K or (basis.p * (basis.p + 1) // 2 if basis.p else 1)
 
 
 def _build_kernel(config, X, width):
@@ -437,6 +429,39 @@ def _prior_fields(config, basis, X_sites, prior_model):
         )
         return {name: getattr(theta, name) for name in distributions.param_fields(fam)}
     return bridges.inverse_arrays(fam, basis.tag, *_marginals(prior_model, X_sites))
+
+
+def _as_dataset(data):
+    return data if isinstance(data, Dataset) else Dataset(*data)
+
+
+def pseudo_observations(data, config, prior=None):
+    """The LM step: checks the observations, resolves the basis, builds the
+    sites, takes their prior fields (from `prior`, V2's fitted prior
+    GPModel, if any), folds each site's data into them and makes one
+    `bridges.forward_arrays` call. Returns (X, mu, noise, basis, lloyd): the
+    site inputs, latent means and noise ((s,) variances or (s, w, w) blocks)
+    as `gp.gp_fit(kernel, X, mu, noise)` takes them, the resolved basis and
+    an inducing run's Lloyd diagnostics. Empty data, which only V2 accepts,
+    gives zero sites, on which `gp_fit` returns the prior; a multi-latent
+    family then needs a BasisTransform carrying K or p."""
+    data = _as_dataset(data)
+    fam = config.family
+    if data.n:
+        distributions.check_observations(fam, data.Y)
+    elif config.version != "v2":
+        raise EmptyDataset("pipeline needs at least one observation")
+    elif fam not in distributions._SCALAR_FAMILIES and not isinstance(
+        config.basis, transforms.BasisTransform
+    ):
+        raise EmptyDataset("empty multi-latent data needs an explicit basis carrying K or p")
+    basis = _resolve_basis(fam, config.basis, data.Y.shape[-1] if data.n else None)[0]
+    if not data.n:
+        return data.X, np.zeros(0), np.zeros(0), basis, _NO_LLOYD
+    X, total, count, lloyd = _sites(data, config)
+    fields = distributions.conjugate_fields(fam, _prior_fields(config, basis, X, prior), total, count)
+    mu, noise = bridges.forward_arrays(fam, basis.tag, **fields)
+    return X, mu.ravel(), noise, basis, lloyd
 
 
 # ---------------------------------------------------------------------------
@@ -606,49 +631,20 @@ def _predict(model, config, basis, width, X_query, timings, lloyd=_NO_LLOYD):
     )
 
 
-def _as_dataset(data):
-    return data if isinstance(data, Dataset) else Dataset(*data)
-
-
-def _resolved_basis(data, config):
-    """The run's basis: resolved against the targets, or for empty data an
-    explicit basis against its own K or p (a scalar family's needs none)."""
-    if data.n:
-        return config.resolve_basis(data.Y)
-    if isinstance(config.basis, transforms.BasisTransform):
-        return _bridge_basis(config.family, config.basis, config.basis.K or config.basis.p)
-    if config.family not in distributions._SCALAR_FAMILIES:
-        raise EmptyDataset("empty multi-latent data needs an explicit basis carrying K or p")
-    return config.resolve_basis(np.zeros(1))
-
-
 def _run(data, config, X_query, prior_model):
     data = _as_dataset(data)
-    if data.n == 0:
-        if config.version != "v2":
-            raise EmptyDataset("pipeline needs at least one observation")
-        # posterior equals prior when nothing was observed
-        basis = _resolved_basis(data, config)
-        width = _basis_width(basis, config.family)
-        model = prior_model or gp.gp_fit(_build_kernel(config, data.X, width), [], [], [])
-        timings, lloyd = {"lm_seconds": 0.0}, _NO_LLOYD
-    else:
-        distributions.check_observations(config.family, data.Y)
-        basis = _resolved_basis(data, config)
-        width = _basis_width(basis, config.family)
+    t0 = time.perf_counter()
+    X_sites, mu, noise, basis, lloyd = pseudo_observations(data, config, prior_model)
+    timings = {"lm_seconds": time.perf_counter() - t0}
+    width = _resolve_basis(config.family, basis)[1]
+    if data.n or prior_model is None:
         kernel = _build_kernel(config, data.X, width)
-        timings = {}
-        t0 = time.perf_counter()
-        X_train, total, count, lloyd = _sites(data, config)
-        prior = _prior_fields(config, basis, X_train, prior_model)
-        fields = distributions.conjugate_fields(config.family, prior, total, count)
-        mu, noise = bridges.forward_arrays(config.family, basis.tag, **fields)
-        timings["lm_seconds"] = time.perf_counter() - t0
         t1 = time.perf_counter()
-        model = gp.gp_fit(kernel, X_train, mu.ravel(), noise)
+        model = gp.gp_fit(kernel, X_sites, mu, noise)
         timings["fit_seconds"] = time.perf_counter() - t1
-    if model is not prior_model:  # the family this run fitted the model for
-        model.family = config.family
+        model.family = config.family  # the family this run fitted the model for
+    else:  # posterior equals prior when nothing was observed
+        model = prior_model
     Xq = data.X if X_query is None else X_query
     return model, _predict(model, config, basis, width, Xq, timings, lloyd)
 
@@ -689,8 +685,7 @@ def predict(model, basis, config, X_query):
     """
     if not isinstance(basis, transforms.BasisTransform):
         raise IncompatibleBasis("predict takes the basis the run resolved, Prediction.basis")
-    basis = _bridge_basis(config.family, basis, basis.K or basis.p)
-    width = _basis_width(basis, config.family)
+    basis, width = _resolve_basis(config.family, basis)
     if model.kernel.width != width:
         raise DimensionMismatch(f"basis {basis!r} does not fit the model's latent width")
     return _predict(model, config, basis, width, X_query, {})

@@ -233,17 +233,18 @@ def _expm_chunk(Z, p):
     terms = table.tolist()
     weights = np.where(rows == cols, 1.0, 2.0)  # <vech U, vech V> = tr(U V)
     B = Z.T.copy()
+    # Python's sum adds rows in order, so that no sum here depends on the chunk
     with np.errstate(over="ignore", invalid="ignore"):  # entries near max float fail the bound
-        c = np.sum(B[diag], axis=0) / p
+        c = sum(B[diag]) / p
         B[diag] -= c
-        norm = np.sqrt(np.dot(weights, B * B))
+        norm = np.sqrt(sum(B * B * weights[:, None]))
     if not np.all(np.maximum(c, 0.0) + np.sqrt((p - 1) / p) * norm <= _LOG_MAX):
         raise OutOfSupport("matrix exp out of float range: an eigenvalue may exceed log(max)")
     s = np.maximum(np.frexp(norm)[1], 0)
     powers = [np.ldexp(B, -s, out=B)]
     for _ in range(p - 2):
         powers.append(_vech_matmul(powers[-1], B, np.empty_like(B), terms))
-    # tr(B^k), k = 2 .. p: Python's sum adds rows in order, whatever the chunk
+    # tr(B^k), k = 2 .. p
     sums = [0.0, 0.0] + [sum(P[diag]) for P in powers[1:]]
     sums.append(sum(powers[-1] * B * weights[:, None]))
     # x^p = sum_k f_(p-k) x^k mod chi: k f_k = -sum_i f_(k-i) tr(B^i), f_0 = -1

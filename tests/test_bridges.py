@@ -216,9 +216,9 @@ _ENTRY_POINTS = {
     "push_forward": lambda basis: transforms.push_forward(_GAMMA, basis),
     "latent_samples": lambda basis: diagnostics.latent_samples(_GAMMA, basis, 10, 0),
     "mc_kl": lambda basis: diagnostics.mc_kl(_GAMMA, basis, n=10),
-    "LMGPConfig.resolve_basis": lambda basis: pipeline.LMGPConfig(
-        "gamma", basis=basis
-    ).resolve_basis(np.zeros(3)),
+    "pipeline.pseudo_observations": lambda basis: pipeline.pseudo_observations(
+        pipeline.Dataset(np.arange(3.0), np.ones(3)), pipeline.LMGPConfig("gamma", basis=basis)
+    ),
 }
 
 

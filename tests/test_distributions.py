@@ -243,28 +243,37 @@ class TestSampling:
         assert stat < critical
 
 
-class TestConjugateUpdate:
+def _folded(prior, observations):
+    """The posterior EFParams of `prior` after the batch `observations`,
+    through the fold the pipeline runs: the summed statistic and the count."""
+    obs = np.asarray(observations, dtype=float)
+    fields = {name: getattr(prior, name) for name in distributions.param_fields(prior.family)}
+    folded = distributions.conjugate_fields(prior.family, fields, obs.sum(axis=0), obs.shape[0])
+    return distributions.EFParams(prior.family, **folded)
+
+
+class TestConjugateFields:
     def test_dirichlet_categorical_counts(self):
-        prior = distributions.dirichlet([1.0, 1.0, 1.0])
-        post = distributions.conjugate_update(prior, np.array([3.0, 0.0, 1.0]))
+        post = _folded(distributions.dirichlet([1.0, 1.0, 1.0]), [[3.0, 0.0, 1.0]])
         np.testing.assert_allclose(post.alpha, [4.0, 1.0, 2.0], atol=1e-12)
 
     def test_beta_single_positive_label(self):
         eps = 0.01
-        prior = distributions.beta(eps, eps)
-        post = distributions.conjugate_update(prior, np.array([1.0]))
+        post = _folded(distributions.beta(eps, eps), [1.0])
         assert post.alpha == pytest.approx(1.0 + eps, abs=1e-15)
         assert post.beta == pytest.approx(eps, abs=1e-15)
 
     def test_beta_all_ones_batch_keeps_a_tiny_prior_count(self):
-        # beta + size - pos rounded to 0 for beta below ~1e-16
-        post = distributions.conjugate_update(distributions.beta(1e-300, 1e-300), [1.0])
-        assert post.alpha == 1.0
-        assert post.beta == 1e-300
+        # beta + count - total rounded to 0 for beta below ~1e-16
+        fields = distributions.conjugate_fields("beta", {"alpha": 1e-300, "beta": 1e-300}, 1.0, 1.0)
+        assert fields == {"alpha": 1.0, "beta": 1e-300}
+        sites = distributions.conjugate_fields(
+            "beta", {"alpha": 1e-300, "beta": 1e-300}, np.array([1.0, 3.0]), np.array([1.0, 3.0])
+        )
+        assert sites["beta"].tolist() == [1e-300, 1e-300]
 
     def test_gamma_poisson_counts(self):
-        prior = distributions.gamma(1.0, 1.0)
-        post = distributions.conjugate_update(prior, np.array([2.0, 3.0]))
+        post = _folded(distributions.gamma(1.0, 1.0), [2.0, 3.0])
         assert post.alpha == pytest.approx(6.0)
         assert post.lam == pytest.approx(3.0)
 
@@ -272,7 +281,7 @@ class TestConjugateUpdate:
         # grid-normalized prior x likelihood matches the conjugate density
         prior = distributions.gamma(1.0, 1.0)
         obs = np.array([2.0, 3.0])
-        post = distributions.conjugate_update(prior, obs)
+        post = _folded(prior, obs)
         lam = np.linspace(1e-6, 20.0, 40001)
         log_post = stats.gamma(1.0, scale=1.0).logpdf(lam)
         for k in obs:
@@ -285,8 +294,7 @@ class TestConjugateUpdate:
 
     def test_beta_bernoulli_grid_oracle(self):
         prior = distributions.beta(0.5, 0.5)
-        obs = np.array([1.0, 1.0, 0.0, 1.0])
-        post = distributions.conjugate_update(prior, obs)
+        post = _folded(prior, [1.0, 1.0, 0.0, 1.0])
         x = np.linspace(1e-6, 1 - 1e-6, 20001)
         log_post = stats.beta(0.5, 0.5).logpdf(x) + 3 * np.log(x) + 1 * np.log1p(-x)
         dens = np.exp(log_post - np.max(log_post))
@@ -297,29 +305,22 @@ class TestConjugateUpdate:
     def test_inverse_wishart_scatter_batch(self):
         prior = distributions.inverse_wishart(3.0, np.eye(2))
         S = np.stack([np.diag([2.0, 1.0]), np.array([[1.0, 0.5], [0.5, 1.0]])])
-        post = distributions.conjugate_update(prior, S)
+        post = _folded(prior, S)
         assert post.nu == pytest.approx(5.0)
         np.testing.assert_allclose(post.Psi, np.eye(2) + S[0] + S[1], atol=1e-12)
 
     def test_non_conjugate_pairs_rejected(self):
-        with pytest.raises(NonConjugatePair):
-            distributions.conjugate_update(
-                distributions.exponential(1.0), np.array([1.0])
-            )
-        with pytest.raises(NonConjugatePair):
-            distributions.conjugate_update(
-                distributions.chi_squared(3.0), np.array([1.0])
-            )
+        for family, fields in [("exponential", {"lam": 1.0}), ("chi_squared", {"k": 3.0})]:
+            with pytest.raises(NonConjugatePair):
+                distributions.conjugate_fields(family, fields, 1.0, 1.0)
+            with pytest.raises(NonConjugatePair):
+                distributions.check_observations(family, np.array([1.0]))
 
     def test_invalid_observations(self):
         with pytest.raises(InvalidParams):
-            distributions.conjugate_update(
-                distributions.beta(1.0, 1.0), np.array([2.0])
-            )
+            distributions.check_observations("beta", np.array([2.0]))
         with pytest.raises(InvalidParams):
-            distributions.conjugate_update(
-                distributions.gamma(1.0, 1.0), np.array([-1.0])
-            )
+            distributions.check_observations("gamma", np.array([-1.0]))
 
 
 class TestPseudoPrior:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
-from laplace_match import bridges, distributions, gp, matrixops, pipeline
+from laplace_match import bridges, gp, matrixops, pipeline
 from laplace_match.errors import (
     DimensionMismatch,
     EmptyCluster,
@@ -987,13 +987,19 @@ class TestCoregional:
 
 def _inducing_fields(X, Y, k, family, **config):
     """Cluster centers, folded per-cluster parameter fields and the basis of
-    the pipeline's inducing sites (seed 0)."""
+    the pipeline's inducing sites (seed 0): the LM step's sites and basis,
+    and the fields it hands to its one bridge call."""
     cfg = pipeline.LMGPConfig(family, inducing=k, **config)
-    data = pipeline.Dataset(X, Y)
-    basis = cfg.resolve_basis(data.Y)
-    centers, total, count, _ = pipeline._sites(data, cfg)
-    prior = pipeline._prior_fields(cfg, basis, centers, None)
-    return centers, distributions.conjugate_fields(family, prior, total, count), basis
+    fields, forward = {}, bridges.forward_arrays
+
+    def spy(family, tag, **folded):
+        fields.update(folded)
+        return forward(family, tag, **folded)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bridges, "forward_arrays", spy)
+        centers, _, _, basis, _ = pipeline.pseudo_observations(pipeline.Dataset(X, Y), cfg)
+    return centers, fields, basis
 
 
 def _kmeanspp_reference(X, k, seed=0, max_iter=100):

@@ -2,6 +2,8 @@
 
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -185,9 +187,9 @@ def _expm_chunk_reference(Z, out):
     weights = np.where(rows == cols, 1.0, 2.0)
     B = Z.T.copy()
     with np.errstate(over="ignore", invalid="ignore"):  # entries near max float fail the bound
-        c = np.sum(B[diag], axis=0) / p
+        c = sum(B[diag]) / p
         B[diag] -= c
-        norm = np.sqrt(np.dot(weights, B * B))
+        norm = np.sqrt(sum(B * B * weights[:, None]))
     if not np.all(np.maximum(c, 0.0) + np.sqrt((p - 1) / p) * norm <= transforms._LOG_MAX):
         raise OutOfSupport("matrix exp out of float range: an eigenvalue may exceed log(max)")
     s = np.maximum(np.frexp(norm)[1], 0)
@@ -416,7 +418,7 @@ class TestConfigAndDataset:
         with pytest.raises(IncompatibleBasis, match="no bridge row"):
             pipeline.lmgp_v1(data, cfg)
         with pytest.raises(IncompatibleBasis, match="no bridge row"):
-            cfg.resolve_basis(data.Y)
+            pipeline.pseudo_observations(data, cfg)
 
     def test_a_real_size_mismatch_still_reads_as_one(self):
         basis = transforms.BasisTransform("softmax_inverse", K=3)
@@ -671,6 +673,68 @@ class TestPredictFromModel:
         model, _ = pipeline.lmgp_v1(_binary_data(n=8), cfg)
         with pytest.raises(IncompatibleBasis, match="no bridge row"):
             pipeline.predict(model, transforms.BasisTransform("identity"), cfg, _QUERY)
+
+
+_LM_STEP_DATA = {
+    "beta": lambda: _binary_data(n=12),
+    "gamma": lambda: _count_data(n=12),
+    "dirichlet": lambda: _categorical_data(t=6, K=3),
+    "inverse_wishart": lambda: _covariance_data(t=5, p=2),
+}
+
+
+class TestPseudoObservations:
+    @pytest.mark.parametrize("mode", ["v1", "v2-fitted-prior", "inducing"])
+    @pytest.mark.parametrize("family", list(_LM_STEP_DATA))
+    def test_gp_fit_on_them_then_predict_is_the_run(self, family, mode):
+        # a run is the LM step, one gp_fit and a prediction, bit for bit
+        data = _LM_STEP_DATA[family]()
+        cfg = pipeline.LMGPConfig(family, seed=4, draws=50)
+        Xq = np.linspace(-0.5, 5.5, 7)
+        prior = None
+        if mode == "inducing":
+            cfg = cfg.replace(inducing=3)
+        if mode == "v2-fitted-prior":
+            prior, _ = pipeline.lmgp_v1(data, cfg)
+            cfg = cfg.replace(version="v2")
+            model, run = pipeline.lmgp_v2(data, cfg, X_query=Xq, prior=prior)
+        else:
+            model, run = pipeline.lmgp_v1(data, cfg, X_query=Xq)
+        X, mu, noise, basis, lloyd = pipeline.pseudo_observations(data, cfg, prior)
+        assert basis == run.basis and X.shape[0] == run.diagnostics["sites"]
+        assert lloyd == {key: run.diagnostics[key] for key in lloyd}
+        assert (lloyd["lloyd_iterations"] is None) == (mode != "inducing")
+        pred = pipeline.predict(gp.gp_fit(model.kernel, X, mu, noise), basis, cfg, Xq)
+        pairs = [(pred.latent_mean, run.latent_mean), (pred.latent_cov, run.latent_cov)]
+        pairs += [(pred.draws, run.draws), (pred.ef_ok, run.ef_ok)]
+        pairs += [(pred.summary[key], run.summary[key]) for key in run.summary]
+        pairs += [(pred.ef_fields[key], run.ef_fields[key]) for key in run.ef_fields]
+        assert pred.summary.keys() == run.summary.keys()
+        assert pred.ef_fields.keys() == run.ef_fields.keys()
+        assert all(_same_bits(a, b) for a, b in pairs)
+
+    def test_empty_v2_data_gives_zero_sites(self):
+        empty = pipeline.Dataset(np.zeros(0), np.zeros(0))
+        cfg = pipeline.LMGPConfig("gamma", version="v2")
+        X, mu, noise, basis, lloyd = pipeline.pseudo_observations(empty, cfg)
+        assert X.shape == (0, 1) and mu.shape == noise.shape == (0,)
+        assert basis == transforms.BasisTransform("log") and lloyd["lloyd_iterations"] is None
+        with pytest.raises(EmptyDataset):
+            pipeline.pseudo_observations(empty, cfg.replace(version="v1"))
+        # the run fits the prior GP on them, or returns a fitted prior itself
+        prior, _ = pipeline.lmgp_v1(_count_data(n=8), cfg)
+        model, pred = pipeline.lmgp_v2(empty, cfg, X_query=_QUERY, prior=prior)
+        assert model is prior and "fit_seconds" not in pred.timings
+        _, at_prior = pipeline.lmgp_v1(_count_data(n=8), cfg, X_query=_QUERY)
+        assert _same_bits(pred.draws, at_prior.draws)
+
+    def test_the_readme_lm_step_runs(self):
+        # the README's few-line LM step, run as written; CI's numpy-only
+        # smoke step runs the same block
+        readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"<!-- lm-step -->\s*```python\n(.*?)```", readme, re.S).group(1)
+        assert "pipeline.pseudo_observations" in block and "gp.gp_fit" in block
+        exec(compile(block, "README.md", "exec"), {})
 
 
 class TestDiagnostics:
@@ -1419,7 +1483,6 @@ class TestPerPointPrediction:
         data = _categorical_data(t=5, K=3)
         cfg = pipeline.LMGPConfig("dirichlet", seed=0, draws=10, version="v2")
         prior_model, _ = pipeline.lmgp_v1(data, cfg)
-        basis = cfg.resolve_basis(data.Y)
         # the prior fields are the bridge inverse of the marginals seen here
         pulled = []
         inverse_arrays = bridges.inverse_arrays
@@ -1429,12 +1492,13 @@ class TestPerPointPrediction:
             return inverse_arrays(family, tag, mean, cov)
 
         monkeypatch.setattr(bridges, "inverse_arrays", spy)
-        fields = pipeline._prior_fields(cfg, basis, data.X, prior_model)
+        _, mu, noise, basis, _ = pipeline.pseudo_observations(data, cfg, prior_model)
         monkeypatch.undo()
         [(mean, blocks)] = pulled
-        np.testing.assert_array_equal(
-            fields["alpha"], inverse_arrays("dirichlet", basis.tag, mean, blocks)["alpha"]
-        )
+        prior = inverse_arrays("dirichlet", basis.tag, mean, blocks)
+        fields = distributions.conjugate_fields("dirichlet", prior, data.Y, np.ones(data.n))
+        want_mu, want_noise = bridges.forward_arrays("dirichlet", basis.tag, **fields)
+        assert np.array_equal(mu, want_mu.ravel()) and np.array_equal(noise, want_noise)
         full_mean, cov = dense_posterior(prior_model, data.X)
         np.testing.assert_allclose(mean.ravel(), full_mean, rtol=0, atol=1e-10)
         for i in range(data.n):
@@ -1457,12 +1521,12 @@ class TestPerPointPrediction:
         ("dirichlet", transforms.BasisTransform("softmax_inverse", K=3)),
     ])
     def test_zero_noise_training_point_returns_its_mean(self, family, basis):
-        X = gp._as_inputs(np.array([0.0, 2.0]))
-        width = pipeline._basis_width(basis, family)
-        cfg = pipeline.LMGPConfig(family, draws=8)
-        mu = np.random.default_rng(0).normal(size=X.shape[0] * width)
-        model = gp.gp_fit(pipeline._build_kernel(cfg, X, width), X, mu, 0.0)
-        pred = pipeline._predict(model, cfg, basis, width, X, {})
+        Y = [0.0, 1.0] if family == "beta" else [[3.0, 1.0, 0.0], [0.0, 2.0, 5.0]]
+        cfg = pipeline.LMGPConfig(family, basis=basis, draws=8)
+        X, mu, _, basis, _ = pipeline.pseudo_observations(pipeline.Dataset([0.0, 2.0], Y), cfg)
+        kernel = gp.RBF() if family == "beta" else gp.Coregional(gp.RBF(), np.eye(3) + 0.5)
+        model = gp.gp_fit(kernel, X, mu, 0.0)
+        pred = pipeline.predict(model, basis, cfg, X)
         np.testing.assert_allclose(pred.latent_mean.ravel(), mu, atol=1e-6)
         at_mean = pipeline._back_transform(pred.latent_mean[None].copy(), basis, family)
         assert np.max(np.abs(pred.draws - at_mean)) < 1e-6
