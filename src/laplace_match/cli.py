@@ -769,7 +769,7 @@ def build_parser():
     e.add_argument("--kernel-alpha", type=float, help="rational-quadratic alpha")
     e.add_argument("--epsilon-a", type=float, help="pseudo-count (default 0.01)")
     e.add_argument("--seed", type=int)
-    e.add_argument("--inducing", type=int, help="inducing cluster count")
+    e.add_argument("--inducing", type=int, help="inducing input count")
     e.add_argument("--draws", type=int, help="posterior draws (default 1000)")
     e.add_argument(
         "--pipeline-version", choices=("v1", "v2"), help="pipeline variant (default v1)"

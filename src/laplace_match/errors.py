@@ -62,10 +62,6 @@ class BasisSizeMismatch(IncompatibleBasis, DimensionMismatch):
     """A basis's K or p differs from the size of what it is applied to."""
 
 
-class EmptyCluster(LaplaceMatchError):
-    """k-means produced an empty cluster after all re-seed attempts."""
-
-
 class EmptyDataset(LaplaceMatchError):
     """Pipeline received no observations."""
 

@@ -48,6 +48,20 @@ kernel the w x w covariance block of each query point, without forming the
 joint covariance. The pipelines' `Prediction.draws` are per-point posterior
 draws with no cross-point correlation.
 
+`gp_fit(..., inducing=Z)` fits the collapsed sparse GP on k inducing inputs
+Z instead (Titsias 2009; its predictive is DTC's, Quinonero-Candela &
+Rasmussen 2005), on all n pseudo-observations, in O(n k^2) with no n x n
+array. With R the Cholesky factor of the noise Sigma (its blocks factored
+through the jitter ladder, which a softmax block, singular along the ones
+vector, needs), L_uu that of K_uu, V = L_uu^-1 K_uf and W = V R^-T, the
+model keeps L_uu, the factor L_B of B = I + W W^T and c = L_B^-1 W R^-1 mu.
+Then at a query point with a = L_uu^-1 k_u* and b = L_B^-1 a, the mean is
+b^T c and the variance k** - a^T a + b^T b, or the w x w block form of it.
+The fit accumulates B and W R^-1 mu over chunks of the sites, and the
+prediction runs over chunks of the query points, each chunk's (k, chunk)
+arrays of at most _SPARSE_BLOCK entries, so neither ever holds a (k, n) or
+(k, m) array.
+
 median_lengthscale is exact up to _MEDIAN_INPUTS (N0 = 512) inputs.
 Above, it is the median of a fixed subsample of N0 rows, drawn with
 default_rng(0) without replacement and taken in input order, so its time
@@ -69,32 +83,13 @@ move by one rounding. In 336 inputs checked against the n x n evaluation (d
 from 1 to 8, n from 2 to 2500) none did. For d = 1 each entry is one
 rounded product, sum and difference, the same floats in any block.
 
-kmeanspp clusters inputs; the pipeline's inducing sites are its clusters.
-Its seeding draws each centre as Generator.choice(n, p=d2 / total) would,
-through the same cumulative sum and search but without choice's O(n)
-validation passes, and keeps d2 from a column-by-column sum of squares
-(`_sqdist_to`) updated in place. Its Lloyd loop gives the plain loop's
-assignments bit for bit, the argmin of each row of the rounded
-_sqdist(X, centers), but computes few of those rows. For d = 1 the inputs
-are sorted once, and each iteration gives every distinct centre the run of
-sorted inputs between the midpoints to its neighbours, with one
-searchsorted; only points within the rounding band of a midpoint take the
-argmin of their row. For d >= 2, after the first iteration,
-triangle-inequality bounds (Hamerly 2010), widened by the rounding of
-_sqdist, prove most assignments unchanged. Empty clusters come from one
-bincount of the assignments and share one repair. For d >= 2 the centres
-come from one weighted bincount per coordinate, the same members added in
-the same order as a mask would select, so the same floating-point sums.
-For d = 1 each centre is np.add.reduce over its cluster's members in input
-order, np.mean's own pairwise sum, recomputed only for the clusters that
-gained or lost a member.
 The module knows nothing of exponential families or bridges.
 """
 
 import numpy as np
 
 from . import matrixops
-from .errors import DimensionMismatch, EmptyCluster, InvalidParams, NotPositiveDefinite
+from .errors import DimensionMismatch, InvalidParams, NotPositiveDefinite
 
 _JITTER_LADDER = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 _BLOCK = 128
@@ -117,27 +112,29 @@ def _as_inputs(X):
 def chol_with_jitter(A):
     """Cholesky with an escalating diagonal jitter ladder.
 
-    Tries no jitter, then 1e-10 .. 1e-6 relative to the mean diagonal.
-    Returns (L, jitter_used); raises NotPositiveDefinite when the top rung
-    fails. Each rung's jitter is added to A's diagonal in place, and the
-    diagonal is restored on exit, so A comes back unchanged.
+    Tries no jitter, then 1e-10 .. 1e-6 relative to the mean diagonal, of
+    a matrix or of a stack of matrices, whose every matrix then takes the
+    same jitter. Returns (L, jitter_used); raises NotPositiveDefinite when
+    the top rung fails. Each rung's jitter is added to A's diagonal in
+    place, and the diagonal is restored on exit, so A comes back unchanged.
     """
     A = np.asarray(A, dtype=float)
     if not A.flags.writeable:
         A = A.copy()
-    diag = A.diagonal().copy()
+    i = np.arange(A.shape[-1])
+    diag = A[..., i, i]
     scale = float(np.mean(diag)) if A.size else 1.0
     scale = scale if scale > 0.0 else 1.0
     try:
         for level in _JITTER_LADDER:
             if level:
-                A.flat[:: A.shape[0] + 1] = diag + level * scale
+                A[..., i, i] = diag + level * scale
             try:
                 return np.linalg.cholesky(A), level * scale
             except np.linalg.LinAlgError:
                 continue
     finally:
-        A.flat[:: A.shape[0] + 1] = diag
+        A[..., i, i] = diag
     raise NotPositiveDefinite("matrix stayed non-PD through the jitter ladder")
 
 
@@ -222,7 +219,8 @@ class Kernel:
         return rec
 
 
-_SQDIST_BLOCK = 1 << 17  # entries (1 MiB): a (2000, 100) k-means matrix takes two
+_SQDIST_BLOCK = 1 << 17  # entries (1 MiB): a (2000, 100) distance matrix takes two
+_SPARSE_BLOCK = 1 << 17  # entries (1 MiB) of a sparse fit's or prediction's (k, chunk) arrays
 
 
 def _sqdist(A, B):
@@ -456,13 +454,6 @@ class Coregional(Kernel):
         return {"kernel": self.tag, "input": self.kernel.to_record(), "B": self.B.tolist()}
 
 
-def _rounding_1d(xx, cc):
-    """A bound on the rounding error of each entry of _sqdist on
-    one-dimensional inputs whose squares are at most xx and cc: kmeanspp's
-    gamma at d = 1, (2d + 8) eps, plus a few subnormal units for entries
-    that underflow."""
-    return 10.0 * np.finfo(float).eps * (xx + cc) + 4.0 * np.finfo(float).smallest_subnormal
-
 
 def median_lengthscale(X):
     """Median pairwise distance, the documented default RBF lengthscale.
@@ -525,17 +516,22 @@ def median_lengthscale(X):
 
 class GPModel:
     """Fitted GP state; immutable after fit. X holds the n inputs (the sites)
-    and mu the n * kernel.width latent rows. `family` is the conjugate family
-    a pipeline run fitted it for, which `pipeline.predict` checks; None
-    for a model from `gp_fit` alone."""
+    and mu the n * kernel.width latent rows; `inducing` holds the (k, d)
+    inducing inputs of a sparse fit, None for a dense one. `jitter` is the
+    jitter of the kernel factor (of K + noise, or of K_uu for a sparse fit),
+    `noise_jitter` that of a sparse fit's noise factor. `family` is the
+    conjugate family a pipeline run fitted it for, which `pipeline.predict`
+    checks; None for a model from `gp_fit` alone."""
 
-    def __init__(self, kernel, X, mu, noise, jitter, state):
+    def __init__(self, kernel, X, mu, noise, jitter, state, inducing=None, noise_jitter=None):
         self.family = None
         self.kernel = kernel
         self.X = X
         self.mu = mu
         self.noise = noise
         self.jitter = jitter
+        self.inducing = inducing
+        self.noise_jitter = noise_jitter
         self._state = state
 
     @property
@@ -543,21 +539,32 @@ class GPModel:
         return self.X.shape[0]
 
     def diagnostics(self):
-        """The jitter added before factoring, and from the diagonal of the
-        Cholesky factor its smallest entry (None for the prior) and the
-        log-determinant of the factored matrix."""
+        """The jitter added before factoring, from the diagonal of the kernel
+        factor its smallest entry (None for the prior), a log-determinant,
+        and the inducing input count k (None for a dense fit). Dense: the
+        factor of K + noise and its log-determinant. Sparse: the factor of
+        K_uu, and log det(Q_ff + noise) = log det B + log det noise, the
+        log-determinant of the sparse GP's marginal likelihood, with
+        noise_jitter, the jitter of the noise factor."""
         pivots = np.diag(self._state["L"]) if self.n else np.ones(0)
-        return {
+        rec = {
             "jitter": self.jitter,
             "min_pivot": float(pivots.min()) if pivots.size else None,
             "log_det": float(2.0 * np.sum(np.log(pivots))),
+            "inducing": None,
         }
+        if self.inducing is not None:
+            rec["log_det"] = self._state["log_det"]
+            rec["inducing"] = self.inducing.shape[0]
+            rec["noise_jitter"] = self.noise_jitter
+        return rec
 
     def __repr__(self):
-        return f"GPModel(n={self.n}, jitter={self.jitter:g})"
+        k = "" if self.inducing is None else f", k={self.inducing.shape[0]}"
+        return f"GPModel(n={self.n}{k}, jitter={self.jitter:g})"
 
 
-def gp_fit(kernel, X, mu, sigma):
+def gp_fit(kernel, X, mu, sigma, inducing=None):
     """Fit a GP to Gaussian pseudo-observations.
 
     Args:
@@ -571,6 +578,10 @@ def gp_fit(kernel, X, mu, sigma):
             kernel its (n, w, w) site blocks. It is added in place to the
             diagonal or to the diagonal blocks of the kernel matrix, and the
             model keeps it in the shape given.
+        inducing: optional (k,) or (k, d) inducing inputs Z, k >= 1, finite,
+            with X's columns. Given, the fit is the collapsed sparse GP on
+            all n pseudo-observations (see the module docstring), in
+            O(n k^2) time and with no (k, n) array.
 
     An empty dataset returns the prior. A non-finite entry in mu or in the
     noise raises InvalidParams. Refitting identical inputs is bit-identical;
@@ -589,22 +600,63 @@ def gp_fit(kernel, X, mu, sigma):
         return GPModel(kernel, X, mu, noise, 0.0, {})
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(noise))):
         raise InvalidParams("mu and the observation noise must be finite")
-    K = np.ascontiguousarray(kernel(X, X))  # so that K.reshape is a view
     if noise.ndim == 3:
         s, w = noise.shape[:2]
         sites = not isinstance(kernel, Coregional) or w == kernel.width
         if s * w != n or noise.shape[2] != w or not sites:
             raise DimensionMismatch(f"noise blocks must form an (s, w, w) stack with s * w = {n}")
-        i = np.arange(s)
-        K.reshape(s, w, s, w)[i, :, i, :] += noise
     elif noise.shape not in ((), (n,)):
         raise DimensionMismatch(f"noise must be a scalar, ({n},) variances or (s, w, w) blocks")
     elif np.any(noise < 0.0):
         raise InvalidParams("observation noise variances must be non-negative")
+    if inducing is not None:
+        return _sparse_fit(kernel, X, mu, noise, _as_inputs(inducing))
+    K = np.ascontiguousarray(kernel(X, X))  # so that K.reshape is a view
+    if noise.ndim == 3:
+        i = np.arange(s)
+        K.reshape(s, w, s, w)[i, :, i, :] += noise
     else:
         K.flat[:: n + 1] += noise
     L, jitter = chol_with_jitter(K)
     return GPModel(kernel, X, mu, noise, jitter, {"L": L})
+
+
+def _sparse_fit(kernel, X, mu, noise, Z):
+    """The sparse GP on inducing inputs Z (see the module docstring): B and
+    W R^-1 mu accumulated over chunks of the sites, each chunk a whole
+    number of noise blocks."""
+    if Z.shape[1] != X.shape[1]:
+        raise DimensionMismatch("inducing inputs must have the inputs' columns")
+    if not (Z.shape[0] and np.all(np.isfinite(Z))):
+        raise InvalidParams("need at least one inducing input, all finite")
+    L, jitter = chol_with_jitter(np.ascontiguousarray(kernel(Z, Z)))
+    R, noise_jitter = chol_with_jitter(
+        noise if noise.ndim == 3 else np.broadcast_to(noise, mu.shape).reshape(-1, 1, 1)
+    )
+    Rinv = np.linalg.inv(R)  # (s, b, b), lower triangular
+    b = Rinv.shape[-1]
+    y = np.einsum("jcb,jb->jc", Rinv, mu.reshape(-1, b)).reshape(-1)  # R^-1 mu
+    k, w = L.shape[0], kernel.width
+    B = np.eye(k)
+    r = np.zeros(k)
+    step = -(-max(_SPARSE_BLOCK // (k * w), 1) // b) * b  # sites per chunk
+    for lo in range(0, X.shape[0], step):
+        rows = slice(lo * w, (lo + step) * w)
+        V = _lower_solve(L, kernel(Z, X[lo : lo + step]))
+        W = np.einsum("kjb,jcb->kjc", V.reshape(k, -1, b), Rinv[lo * w // b : (lo + step) * w // b])
+        W = W.reshape(k, -1)
+        B += W @ W.T
+        r += W @ y[rows]
+    if not np.all(np.isfinite(B)):
+        raise NotPositiveDefinite("the sparse GP's factor B is not finite")
+    LB = chol_with_jitter(B)[0]
+    state = {
+        "L": L,
+        "LB": LB,
+        "c": _lower_solve(LB, r[:, None])[:, 0],
+        "log_det": float(2.0 * (np.sum(np.log(np.diag(LB))) + np.sum(np.log(np.diagonal(R, 0, 1, 2))))),
+    }
+    return GPModel(kernel, X, mu, noise, jitter, state, Z, noise_jitter)
 
 
 def gp_predict(model, Xstar):
@@ -614,9 +666,10 @@ def gp_predict(model, Xstar):
     (m w,) means in site-major order and the (m, w, w) stack of each query
     point's covariance block, for every w >= 1; the full covariance is never
     formed. The heteroskedastic noise entered the training factor only;
-    nothing is added at query points. The solve runs in one (N, m w + 1)
-    buffer, N the model's latent rows, filled from the (m w, N) kernel
-    matrix, which is freed before the solve.
+    nothing is added at query points. The dense solve runs in one
+    (N, m w + 1) buffer, N the model's latent rows, filled from the (m w, N)
+    kernel matrix, which is freed before the solve. A sparse model predicts
+    chunks of the query points, each through one (k w, chunk w) array.
     """
     Xs = _as_inputs(Xstar)
     kernel = model.kernel
@@ -624,6 +677,8 @@ def gp_predict(model, Xstar):
     if model.n == 0:
         mean = np.zeros(Xs.shape[0] * kernel.width)
         return mean, matrixops.sym(prior) if prior.ndim == 3 else np.maximum(prior, 0.0)
+    if model.inducing is not None:
+        return _sparse_predict(model, Xs, prior)
     # the buffer is made after the kernel call, so that it never coexists
     # with the kernel's own (m, n) temporary
     ks = kernel(Xs, model.X)
@@ -641,6 +696,30 @@ def gp_predict(model, Xstar):
     return mean, np.maximum(var, 0.0)
 
 
+def _sparse_predict(model, Xs, prior):
+    """A sparse model's marginals (see the module docstring): per chunk of
+    query points, a = L_uu^-1 k_u* and then b = L_B^-1 a in one array;
+    `prior` takes -a^T a + b^T b in place."""
+    L, LB, c = model._state["L"], model._state["LB"], model._state["c"]
+    k, w = L.shape[0], model.kernel.width
+
+    def gram(A):  # per query point: the squared norm of its column, or its w x w block
+        if prior.ndim == 1:
+            return np.einsum("ij,ij->j", A, A)
+        blocks = A.T.reshape(-1, w, k)
+        return blocks @ np.swapaxes(blocks, 1, 2)
+
+    mean = np.empty(Xs.shape[0] * w)
+    step = max(_SPARSE_BLOCK // (k * w), 1)
+    for lo in range(0, Xs.shape[0], step):
+        A = _lower_solve(L, model.kernel(model.inducing, Xs[lo : lo + step]))
+        prior[lo : lo + step] -= gram(A)
+        _lower_solve(LB, A)
+        mean[lo * w : (lo + step) * w] = c @ A
+        prior[lo : lo + step] += gram(A)
+    return mean, matrixops.sym(prior) if prior.ndim == 3 else np.maximum(prior, 0.0)
+
+
 def _psd_root(cov):
     """Root R with R R^T = cov, of a matrix or of each matrix in a stack.
 
@@ -649,280 +728,3 @@ def _psd_root(cov):
     w, U = np.linalg.eigh(matrixops.sym(cov))
     return U * np.sqrt(np.maximum(w, 0.0))[..., None, :]
 
-
-# ---------------------------------------------------------------------------
-# input clustering
-
-
-def _sqdist_to(X, c):
-    """||x_i - c||^2 per row, the floats of np.sum((X - c)**2, axis=1)
-    without the (n, d) temporary: the squares are added column by column,
-    in the order that sum adds them. On a C-ordered X with 8 or more
-    columns numpy sums each row pairwise instead, and that sum is kept."""
-    dim = X.shape[1]
-    if dim >= 8 and (X.flags.c_contiguous or not X.flags.f_contiguous):
-        return np.sum((X - c) ** 2, axis=1)
-    acc = X[:, 0] - c[0]
-    acc *= acc
-    for j in range(1, dim):
-        term = X[:, j] - c[j]
-        term *= term
-        acc += term
-    return acc
-
-
-def _rounding_bound(xx, centers, gamma):
-    """Per point, a bound on the rounding error of each entry of its
-    _sqdist row against `centers`, from its squared norm xx, with the
-    absolute floor 2^-900 for results that underflow (see kmeanspp)."""
-    return gamma * (xx + np.max(np.einsum("ij,ij->i", centers, centers))) + 2.0**-900
-
-
-def _nearest_two(d2, err, gamma):
-    """Per row of _sqdist entries with rounding bound `err`: the argmin, the
-    gap from its entry to the smallest other one, and a lower bound on the
-    true distance to every other centre (inf for both with one centre).
-    Overwrites the argmin entries."""
-    rows = np.arange(d2.shape[0])
-    best = np.argmin(d2, axis=1)
-    nearest = d2[rows, best]
-    d2[rows, best] = np.inf
-    runner_up = np.min(d2, axis=1)
-    return best, runner_up - nearest, np.sqrt(np.maximum(runner_up - err, 0.0)) * (1.0 - gamma)
-
-
-def _settled(X, centers, assign, lower, err, gamma):
-    """Points whose argmin in the rounded _sqdist(X, centers) is provably
-    assign[i]: the true distance to every other centre exceeds the distance
-    to their own by more than twice the rounding bound `err`."""
-    up, down = 1.0 + gamma, 1.0 - gamma
-    own = np.sqrt(_sqdist_pairs(X, centers[assign])) * up
-    between = _sqdist(centers, centers)
-    np.fill_diagonal(between, np.inf)
-    slack = _rounding_bound(np.einsum("ij,ij->i", centers, centers), centers, gamma)
-    half = 0.5 * np.sqrt(np.maximum(np.min(between, axis=1) - slack, 0.0)) * down
-    other = np.maximum(lower, (2.0 * half[assign] - own) * down)
-    return other * other * down - own * own * up > 2.0 * err
-
-
-def _repaired(X, centers, assign, nearest):
-    """The assignments with no cluster empty, and the cluster sizes: each
-    empty cluster's centre moves to the point farthest from all centres and
-    nearest() assigns every point again, up to five times; then
-    EmptyCluster is raised."""
-    k = centers.shape[0]
-    for _ in range(5):
-        sizes = np.bincount(assign, minlength=k)
-        empty = np.flatnonzero(sizes == 0)
-        if not empty.size:
-            return assign, sizes
-        for j in empty:
-            far = int(np.argmax(np.min(_sqdist(X, centers), axis=1)))
-            centers[j] = X[far]
-        assign = nearest()
-    raise EmptyCluster("could not repair empty clusters after 5 attempts")
-
-
-def _lloyd_bounded(X, centers, max_iter):
-    """Lloyd iterations for d >= 2 that compute only the distance rows that
-    Hamerly's bounds leave unproven (see kmeanspp)."""
-    k, dim = centers.shape
-    gamma = (2 * dim + 8) * np.finfo(float).eps
-    xx = np.einsum("ij,ij->i", X, X)
-    assign = lower = None
-
-    def full():
-        nonlocal lower
-        err = _rounding_bound(xx, centers, gamma)
-        best, _, lower = _nearest_two(_sqdist(X, centers), err, gamma)
-        return best
-
-    for it in range(max_iter):
-        if assign is None:
-            new_assign = full()
-        else:
-            err = _rounding_bound(xx, centers, gamma)
-            unsure = np.flatnonzero(~_settled(X, centers, assign, lower, err, gamma))
-            new_assign = assign.copy()
-            if unsure.size:
-                rows = unsure if unsure.size > 1 else np.repeat(unsure, 2)
-                best, gap, bound = _nearest_two(
-                    _sqdist(X[rows], centers)[: unsure.size], err[unsure], gamma
-                )
-                new_assign[unsure] = best
-                lower[unsure] = bound
-                if not np.all(gap * (1.0 - gamma) > 4.0 * err[unsure]):
-                    new_assign = full()
-        new_assign, sizes = _repaired(X, centers, new_assign, full)
-        if assign is not None and np.array_equal(new_assign, assign):
-            return centers, assign, it + 1, True
-        assign = new_assign
-        moved = centers.copy()
-        for c in range(dim):
-            centers[:, c] = np.bincount(assign, weights=X[:, c], minlength=k) / sizes
-        # lower the bounds by the largest move of a centre other than the own
-        moves = np.sqrt(_sqdist_pairs(centers, moved)) * (1.0 + gamma)
-        top = int(np.argmax(moves))
-        drift = np.where(assign == top, np.max(np.delete(moves, top), initial=0.0), moves[top])
-        lower = np.maximum((lower - drift) * (1.0 - gamma), 0.0)
-    return centers, assign, max_iter, False
-
-
-def _nearest_sorted(X, order, xs, centers):
-    """The argmin of each row of _sqdist(X, centers) for one-dimensional X,
-    from its sorted values xs = X[order, 0] (see kmeanspp)."""
-    c = centers[:, 0]
-    by = np.argsort(c, kind="stable")
-    c = c[by]
-    # one label per distinct centre: the lowest index, argmin's tie rule
-    first = np.flatnonzero(np.concatenate(([True], c[1:] != c[:-1])))
-    c, label = c[first], by[first]
-    mid = 0.5 * (c[:-1] + c[1:])
-    err = _rounding_1d(np.max(np.square(xs[[0, -1]])), np.max(np.square(c[[0, -1]])))
-    half = 2.0 * err / np.diff(c)
-    n = xs.size
-    assign = np.empty(n, dtype=np.intp)
-    assign[order] = np.repeat(label, np.diff(xs.searchsorted(mid), prepend=0, append=n))
-    # points within half of a midpoint take the argmin of their own row
-    band = np.bincount(xs.searchsorted(mid - half), minlength=n + 1)
-    band -= np.bincount(xs.searchsorted(mid + half, side="right"), minlength=n + 1)
-    unsure = order[np.cumsum(band[:n]) > 0]
-    if unsure.size:
-        assign[unsure] = np.argmin(_sqdist(X[unsure], centers), axis=1)
-    return assign
-
-
-def _lloyd_sorted(X, centers, max_iter):
-    """Lloyd iterations for d = 1 on the inputs sorted once (see kmeanspp)."""
-    k = centers.shape[0]
-    x = X[:, 0]
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    nearest = lambda: _nearest_sorted(X, order, xs, centers)
-    assign = None
-    for it in range(max_iter):
-        seeded = centers.copy()
-        new_assign, sizes = _repaired(X, centers, nearest(), nearest)
-        if assign is not None and np.array_equal(new_assign, assign):
-            return centers, assign, it + 1, True
-        # only a cluster that gained or lost a member has a new mean, unless
-        # a repair re-seeded a centre
-        if assign is None or not np.array_equal(seeded, centers):
-            stale = range(k)
-        else:
-            moved = new_assign != assign
-            gained = np.bincount(new_assign[moved], minlength=k)
-            stale = np.flatnonzero(gained + np.bincount(assign[moved], minlength=k))
-        assign = new_assign
-        # members by cluster, each cluster's in input order
-        members = x[np.argsort(assign, kind="stable")]
-        ends = np.cumsum(sizes)
-        for j in stale:
-            centers[j, 0] = np.add.reduce(members[ends[j] - sizes[j] : ends[j]]) / sizes[j]
-    return centers, assign, max_iter, False
-
-
-def kmeanspp(X, k, seed=0, max_iter=100):
-    """k-means++ seeding plus Lloyd iterations (capped).
-
-    An empty cluster is re-seeded at the point farthest from all centers;
-    after five failed repair attempts EmptyCluster is raised. Returns
-    (centers, assignments, iterations, converged): converged is True when
-    an iteration left every assignment unchanged, False when the loop
-    stopped at max_iter (also with max_iter = 0, which returns the seeds
-    and no assignments).
-
-    The iterations give Lloyd's assignments bit for bit, the argmin of each
-    row of the rounded _sqdist(X, centers), without computing most rows.
-    Each entry of that matrix, a2 + b2 - 2ab, is within (2d + 3) u
-    (||x||^2 + ||c||^2) of the true squared distance (u = eps / 2: the sums
-    of d squares and the dot product each err by at most d u times their
-    terms, and the add and subtract round once each). The code's gamma,
-    (2d + 8) eps or (4d + 16) u, is more than twice that constant, to cover
-    the second order and the rounding of the bounds themselves. A point
-    whose true distance to every other centre exceeds the distance to its
-    own by more than twice gamma (||x||^2 + ||c||^2) keeps its centre in
-    the rounded matrix, strictly, so the argmin's tie rule cannot pick
-    another. Which points provably do depends on the dimension.
-
-    For d = 1 the inputs are sorted once. Each iteration sorts the k
-    centres, keeps the lowest index of each distinct value (argmin's tie
-    rule: equal centres give equal entries) and assigns the run of sorted
-    inputs between the midpoints of neighbouring distinct centres to each,
-    with one searchsorted of the k - 1 midpoints: O(n + k log k) after the
-    one O(n log n) sort. A point x beside the midpoint m of neighbours
-    a < b is nearer to one of them by 2 (b - a) |x - m|, and to every other
-    centre by more, so the run decides its argmin once |x - m| exceeds
-    err / (b - a), with err = gamma (max x^2 + max c^2) plus a few
-    subnormal units for entries that underflow. The band around each
-    midpoint is twice that; the second err / (b - a), at least 10 eps
-    max|c| since b - a <= 2 max|c|, covers the rounding of m and of the
-    band's ends. The points inside a band (a point exactly on a midpoint,
-    or all of them on badly scaled inputs such as 1e6 + 1e-6 u) take the
-    argmin of their own _sqdist row. For d = 1 an entry is one product,
-    one sum and one difference, each rounded once, so a row is the same
-    floats whichever rows share its product.
-
-    For d >= 2 the bounds are Hamerly's (2010, Making k-means even faster).
-    The distance to the own centre is bounded above from the direct
-    difference each iteration (O(n d), Hamerly's tightening step for every
-    point at once); the distance to the other centres below by a per-point
-    bound, set from the rows and lowered by the largest move of another
-    centre, and by twice the half-distance from the own centre to its
-    nearest other centre, less the distance to the own centre. Moves and
-    bounds are inflated or deflated by 1 + gamma, so they also cover their
-    own rounding. Badly scaled inputs (a large offset, a tiny spread) prove
-    nothing, and every row is recomputed: slower, never wrong. So do inputs
-    at scales below about 1e-135: results under 2^-1022 err by up to 2^-1075
-    absolutely, about 2^-537 on a distance after a square root, so the bound
-    adds the absolute term 2^-900 (an error e on a distance D moves its
-    square by 2 D e <= gamma D^2 / 4 + 4 e^2 / gamma, the last part under
-    2^-1000 for a hundred iterations' e), which such entries never clear.
-
-    The rows not proven are recomputed through one product of at least two
-    rows, as median_lengthscale does: numpy runs a one-row product as a BLAS
-    gemv, which rounds differently from the full product's gemm. Even a
-    product of a few rows need not round as the full one does (on OpenBLAS
-    it does not, in places, from 193 centres on), so a recomputed row's
-    argmin is taken only when its gap to the next entry exceeds four times
-    the bound, which any rounding within the bound preserves. Otherwise (an
-    exact tie always is otherwise) the iteration computes the full matrix. A
-    full matrix (the first iteration, that fallback, an empty-cluster repair)
-    resets every bound.
-
-    The empty-cluster repair is shared: the farthest point from the full
-    matrix, then a new assignment of every point by the path's own rule.
-    For d >= 2 each centre is one weighted bincount per coordinate over the
-    cluster sizes: it adds the members in input order, as np.mean does over
-    the rows of their slice, so the centres are the same floats (a
-    coordinate whose members are all -0.0 gives +0.0, equal as a number).
-    For d = 1, np.mean sums the slice pairwise; np.add.reduce over the 1-D
-    slice of the members in input order runs that same sum, and dividing
-    by the size is np.mean's last step.
-
-    The seeding draws are those of rng.choice(n, p=d2 / total): the same
-    cumulative sum, normalised by its last entry, searched for one
-    rng.random() value. With k >= 2, non-finite inputs raise InvalidParams.
-    """
-    X = _as_inputs(X)
-    n, dim = X.shape
-    if not 1 <= k <= n:
-        raise InvalidParams(f"need 1 <= k <= n, got k={k}, n={n}")
-    rng = np.random.default_rng(seed)
-    centers = np.empty((k, dim))
-    centers[0] = X[rng.integers(n)]
-    d2 = _sqdist_to(X, centers[0])
-    for j in range(1, k):
-        total = float(np.sum(d2))
-        if not np.isfinite(total):
-            raise InvalidParams("k-means++ needs finite inputs")
-        if total <= 0.0:
-            centers[j] = X[rng.integers(n)]
-        else:
-            # Generator.choice(n, p=d2 / total) without its validation passes
-            cdf = np.cumsum(d2 / total)
-            cdf /= cdf[-1]
-            centers[j] = X[cdf.searchsorted(rng.random(), side="right")]
-        np.minimum(d2, _sqdist_to(X, centers[j]), out=d2)
-    lloyd = _lloyd_sorted if dim == 1 else _lloyd_bounded
-    return lloyd(X, centers, max_iter)

@@ -1,14 +1,14 @@
 """End-to-end latent-GP inference through the parameter bridges.
 
-`pseudo_observations` is the LM step, one path for V1, V2 and inducing
-sets: sites -> prior fields -> conjugate fold -> bridge. A site is a
-training input, or with `inducing=k` a k-means++ cluster carrying its
-members' summed targets and member count. The prior fields are the weak
-pseudo-prior's (V1, inducing, and V2 without a fitted prior) or, for V2
-with a fitted prior GP, the bridge inverse of its marginals at the sites.
-What is left is one GP regression: `lmgp_v1` and `lmgp_v2` are that call,
-one `gp.gp_fit` of a heteroskedastic GP in the latent coordinates, and a
-prediction. With the flat default prior V2 coincides with V1.
+`pseudo_observations` is the LM step, one path for V1 and V2: prior fields
+-> conjugate fold -> bridge, at every training input. The prior fields are
+the weak pseudo-prior's (V1, and V2 without a fitted prior) or, for V2 with
+a fitted prior GP, the bridge inverse of its marginals at the inputs. What
+is left is one GP regression: `lmgp_v1` and `lmgp_v2` are that call, one
+`gp.gp_fit` of a heteroskedastic GP in the latent coordinates, and a
+prediction. With the flat default prior V2 coincides with V1. With
+`inducing=k` that fit is the sparse GP on k inducing inputs, drawn from the
+distinct training inputs, on the same pseudo-observations.
 
 Latent layout: scalar families use one GP coordinate per input. The simplex
 and matrix families have `width` latent functions per input (K classes, or
@@ -201,10 +201,12 @@ class LMGPConfig:
             column to give the coregionalization matrix B. Defaults to a
             LookupTable of identity plus a uniform 0.5.
         epsilon_a: pseudo-likelihood prior weight (finite, > 0).
-        inducing: optional cluster count for the conjugacy-based reduction,
-            1 <= inducing <= the number of distinct inputs (pseudo-likelihood
-            semantics: the sites keep the pseudo-prior in V2 too).
-        seed: drives sampling and clustering; same seed, same outputs.
+        inducing: optional inducing input count k for a sparse GP fit on
+            every pseudo-observation, 1 <= k <= the number of distinct
+            inputs. The inducing inputs are k distinct training inputs drawn
+            by default_rng(seed) without replacement.
+        seed: drives sampling and the inducing inputs; same seed, same
+            outputs.
         version: "v1" or "v2".
         dirichlet_prior: per-category Dirichlet pseudo-count (finite, > 0).
         draws: data-domain sample count per prediction point (>= 1).
@@ -268,14 +270,15 @@ class Prediction:
     back-transform) and summary_seconds (summaries and EF inversion).
     `diagnostics` says what the fit did: the
     Cholesky jitter, the smallest diagonal entry of the factor (min_pivot)
-    and the log-determinant of the factored matrix, the number of sites, the
-    latent width, the count of query points whose EF inversion failed
-    (ef_failures, the False entries of `ef_ok`), the fitted kernel's
-    record (kernel; with the default kernel, its median-heuristic
-    lengthscale), and the Lloyd iterations of the k-means++ clustering of
-    an inducing run and whether they converged before the cap of 100
-    (lloyd_iterations and lloyd_converged; None when the call clustered
-    nothing). `ef_fields` holds the EF parameter fields of the query
+    and the log-determinant of the factored matrix, the inducing input count
+    (inducing; None for a dense fit), the number of sites (the
+    pseudo-observations), the latent width, the count of query points whose
+    EF inversion failed (ef_failures, the False entries of `ef_ok`) and the
+    fitted kernel's record (kernel; with the default kernel, its
+    median-heuristic lengthscale). For a sparse fit min_pivot is that of
+    the inducing inputs' kernel factor, log_det is log det(Q_ff + noise) of
+    the sparse marginal likelihood, and noise_jitter is the jitter of the
+    noise factor (`gp.GPModel.diagnostics`). `ef_fields` holds the EF parameter fields of the query
     points from one masked bridge inverse, and `ef_ok` (m,) where it holds;
     `ef_params`, an EFParams per point or None, is built on first read.
     """
@@ -379,47 +382,17 @@ def _marginals(model, X):
 
 
 # ---------------------------------------------------------------------------
-# the LM step: sites -> prior fields -> conjugate fold -> bridge
+# the LM step: prior fields -> conjugate fold -> bridge
 
 
-_NO_LLOYD = {"lloyd_iterations": None, "lloyd_converged": None}
+def _prior_fields(config, basis, X, prior_model):
+    """Conjugate prior parameter fields at the inputs X.
 
-
-def _sites(data, config):
-    """Training sites as (inputs, summed targets, member counts, Lloyd
-    diagnostics).
-
-    Without inducing, each training input is a site of one observation and
-    the Lloyd diagnostics are None; with inducing=k, each k-means++ cluster
-    is one site at its center, and they hold the clustering's iteration
-    count and whether it converged before the cap.
-    """
-    if config.inducing is None:
-        return data.X, data.Y, np.ones(data.n), _NO_LLOYD
-    k = config.inducing
-    # k-means++ cannot fill more clusters than there are distinct inputs;
-    # sorted by their columns, equal rows (-0.0 equals 0.0) are adjacent
-    X = data.X[np.lexsort(data.X.T)]
-    distinct = 1 + int(np.count_nonzero(np.any(X[1:] != X[:-1], axis=1)))
-    if k > distinct:
-        raise InvalidParams(f"inducing={k} exceeds the {distinct} distinct training inputs")
-    centers, assign, iterations, converged = gp.kmeanspp(data.X, k, seed=config.seed)
-    total = np.zeros((k,) + data.Y.shape[1:])
-    np.add.at(total, assign, data.Y)
-    lloyd = {"lloyd_iterations": iterations, "lloyd_converged": converged}
-    return centers, total, np.bincount(assign, minlength=k).astype(float), lloyd
-
-
-def _prior_fields(config, basis, X_sites, prior_model):
-    """Conjugate prior parameter fields at the sites.
-
-    The pseudo-prior's fields, which broadcast over the sites, unless V2
-    has a fitted prior: then the bridge inverse of its marginals at the
-    sites (the pseudo-likelihood semantics of inducing sites keep the
-    pseudo-prior).
+    The pseudo-prior's fields, which broadcast over the inputs, unless V2
+    has a fitted prior: then the bridge inverse of its marginals at X.
     """
     fam = config.family
-    if prior_model is None or config.inducing is not None:
+    if prior_model is None:
         theta = distributions.pseudo_prior(
             fam,
             config.epsilon_a,
@@ -428,7 +401,7 @@ def _prior_fields(config, basis, X_sites, prior_model):
             dirichlet_prior=config.dirichlet_prior,
         )
         return {name: getattr(theta, name) for name in distributions.param_fields(fam)}
-    return bridges.inverse_arrays(fam, basis.tag, *_marginals(prior_model, X_sites))
+    return bridges.inverse_arrays(fam, basis.tag, *_marginals(prior_model, X))
 
 
 def _as_dataset(data):
@@ -436,15 +409,16 @@ def _as_dataset(data):
 
 
 def pseudo_observations(data, config, prior=None):
-    """The LM step: checks the observations, resolves the basis, builds the
-    sites, takes their prior fields (from `prior`, V2's fitted prior
-    GPModel, if any), folds each site's data into them and makes one
-    `bridges.forward_arrays` call. Returns (X, mu, noise, basis, lloyd): the
-    site inputs, latent means and noise ((s,) variances or (s, w, w) blocks)
-    as `gp.gp_fit(kernel, X, mu, noise)` takes them, the resolved basis and
-    an inducing run's Lloyd diagnostics. Empty data, which only V2 accepts,
-    gives zero sites, on which `gp_fit` returns the prior; a multi-latent
-    family then needs a BasisTransform carrying K or p."""
+    """The LM step: checks the observations, resolves the basis, takes the
+    prior fields at the inputs (from `prior`, V2's fitted prior GPModel, if
+    any), folds each observation into them and makes one
+    `bridges.forward_arrays` call. Returns (X, mu, noise, basis): the
+    inputs, one pseudo-observation per input, latent means and noise ((n,)
+    variances or (n, w, w) blocks) as `gp.gp_fit(kernel, X, mu, noise)`
+    takes them, and the resolved basis. `config.inducing` does not enter:
+    it chooses the GP fit, not the pseudo-observations. Empty data, which
+    only V2 accepts, gives zero sites, on which `gp_fit` returns the prior;
+    a multi-latent family then needs a BasisTransform carrying K or p."""
     data = _as_dataset(data)
     fam = config.family
     if data.n:
@@ -457,11 +431,23 @@ def pseudo_observations(data, config, prior=None):
         raise EmptyDataset("empty multi-latent data needs an explicit basis carrying K or p")
     basis = _resolve_basis(fam, config.basis, data.Y.shape[-1] if data.n else None)[0]
     if not data.n:
-        return data.X, np.zeros(0), np.zeros(0), basis, _NO_LLOYD
-    X, total, count, lloyd = _sites(data, config)
-    fields = distributions.conjugate_fields(fam, _prior_fields(config, basis, X, prior), total, count)
+        return data.X, np.zeros(0), np.zeros(0), basis
+    prior_fields = _prior_fields(config, basis, data.X, prior)
+    fields = distributions.conjugate_fields(fam, prior_fields, data.Y, np.ones(data.n))
     mu, noise = bridges.forward_arrays(fam, basis.tag, **fields)
-    return X, mu.ravel(), noise, basis, lloyd
+    return data.X, mu.ravel(), noise, basis
+
+
+def _inducing_inputs(X, k, seed):
+    """k of the distinct rows of X, drawn by default_rng(seed) without
+    replacement and taken in sorted order; InvalidParams when X has fewer
+    than k distinct rows. Sorted by their columns, equal rows (-0.0 equals
+    0.0) are adjacent, and the first of each run is kept."""
+    X = X[np.lexsort(X.T)]
+    distinct = X[np.concatenate(([True], np.any(X[1:] != X[:-1], axis=1)))]
+    if k > distinct.shape[0]:
+        raise InvalidParams(f"inducing={k} exceeds the {distinct.shape[0]} distinct training inputs")
+    return distinct[np.sort(np.random.default_rng(seed).choice(distinct.shape[0], k, replace=False))]
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +564,7 @@ def _sample_marginals(mean, cov, seed, count):
     return z
 
 
-def _predict(model, config, basis, width, X_query, timings, lloyd=_NO_LLOYD):
+def _predict(model, config, basis, width, X_query, timings):
     fam = config.family
     if model.family not in (None, fam):
         raise IncompatibleBasis(f"the model was fitted for {model.family}, not for {fam}")
@@ -611,7 +597,6 @@ def _predict(model, config, basis, width, X_query, timings, lloyd=_NO_LLOYD):
         "width": width,
         "ef_failures": int(np.count_nonzero(~ef_ok)),
         "kernel": model.kernel.to_record(),
-        **lloyd,
     }
     return Prediction(
         family=fam,
@@ -634,19 +619,22 @@ def _predict(model, config, basis, width, X_query, timings, lloyd=_NO_LLOYD):
 def _run(data, config, X_query, prior_model):
     data = _as_dataset(data)
     t0 = time.perf_counter()
-    X_sites, mu, noise, basis, lloyd = pseudo_observations(data, config, prior_model)
+    X, mu, noise, basis = pseudo_observations(data, config, prior_model)
     timings = {"lm_seconds": time.perf_counter() - t0}
     width = _resolve_basis(config.family, basis)[1]
     if data.n or prior_model is None:
         kernel = _build_kernel(config, data.X, width)
         t1 = time.perf_counter()
-        model = gp.gp_fit(kernel, X_sites, mu, noise)
+        Z = None
+        if config.inducing is not None and data.n:
+            Z = _inducing_inputs(data.X, config.inducing, config.seed)
+        model = gp.gp_fit(kernel, X, mu, noise, inducing=Z)
         timings["fit_seconds"] = time.perf_counter() - t1
         model.family = config.family  # the family this run fitted the model for
     else:  # posterior equals prior when nothing was observed
         model = prior_model
     Xq = data.X if X_query is None else X_query
-    return model, _predict(model, config, basis, width, Xq, timings, lloyd)
+    return model, _predict(model, config, basis, width, Xq, timings)
 
 
 def lmgp_v1(data, config, X_query=None):
@@ -678,8 +666,7 @@ def predict(model, basis, config, X_query):
     for config, without a refit. `basis` is the basis that run resolved (its
     `Prediction.basis`), so the latent width is the fitted one. Equal to the
     run's Prediction at X_query, except that `timings` holds only the predict
-    and summary stages and that `lloyd_iterations` and `lloyd_converged` are
-    None: no clustering runs here. A config of another family than the
+    and summary stages. A config of another family than the
     model's, or a basis of another family or with no bridge row, raises
     IncompatibleBasis.
     """

@@ -15,7 +15,7 @@ to; every entry point that takes a basis goes through it.
 
 Each TransformedDensity carries two callables. `log_density` is the exact
 normalized pushforward (it integrates to one and is what Monte Carlo
-diagnostics evaluate). `log_objective` is the function whose mode and
+diagnostics evaluate). `_log_objective` is the function whose mode and
 curvature define the matched Gaussian; for matrix bases it drops the
 cross-eigenvalue measure factors, which is the convention the closed-form
 bridges correspond to. For all other bases the two coincide.
@@ -502,12 +502,6 @@ class TransformedDensity:
         out = self._log_density(np.atleast_1d(z) if self.dim == 1 else z)
         return out.reshape(shape) if shape else float(out.reshape(-1)[0])
 
-    def log_objective(self, z):
-        """Log objective whose Laplace approximation the bridges match."""
-        z, shape = self._coerce(z)
-        out = self._log_objective(np.atleast_1d(z) if self.dim == 1 else z)
-        return out.reshape(shape) if shape else float(out.reshape(-1)[0])
-
     def boundary_distance(self, z):
         """Distance from z to the domain boundary (inf when unbounded)."""
         z, _ = self._coerce(z)
@@ -860,7 +854,7 @@ def push_forward(params, basis):
 
 def _objective_fn(density):
     """f(Z): the log objective of `density` at each row of a (k, d) stack of
-    points, in one call of its `log_objective` on the stack (on the (k,)
+    points, in one call of its `_log_objective` on the stack (on the (k,)
     column when d = 1), and -inf wherever it is not finite."""
     column = density.dim == 1
     log_objective = density._log_objective  # the stack is already well formed
@@ -978,11 +972,11 @@ _STEP_CHUNKS = np.split(np.ldexp(1.0, -np.arange(47)), [1, 2, 4, 8, 16, 32])
 
 
 def numeric_laplace(density, init=None, tolerance=1e-8, max_iter=500):
-    """Laplace approximation of `density.log_objective` by damped Newton.
+    """Laplace approximation of `density._log_objective` by damped Newton.
 
     Derivatives are central finite differences; each gradient or Hessian
-    stencil is one call of `log_objective` on the stack of its points, so
-    `log_objective` must accept a (k, d) stack (a (k,) column when d = 1),
+    stencil is one call of `_log_objective` on the stack of its points, so
+    `_log_objective` must accept a (k, d) stack (a (k,) column when d = 1),
     and the line search evaluates stacks of halved steps (`_STEP_CHUNKS`).
     The convergence test floors the gradient tolerance at the
     finite-difference noise level. A mode on the domain boundary or an

@@ -1,4 +1,4 @@
-"""Latent-space GP: kernels, fit/predict, k-means++ inducing sites."""
+"""Latent-space GP: kernels, dense and sparse fit/predict."""
 
 import tracemalloc
 
@@ -11,7 +11,6 @@ from scipy.linalg import block_diag
 from laplace_match import bridges, gp, matrixops, pipeline
 from laplace_match.errors import (
     DimensionMismatch,
-    EmptyCluster,
     InvalidParams,
     NotPositiveDefinite,
 )
@@ -380,7 +379,7 @@ class TestBoundaries:
             lambda: gp.Sum(gp.RBF()),
             lambda: gp.Product(gp.RBF()),
             lambda: gp.gp_fit(gp.RBF(), np.zeros(2), np.zeros(2), np.array([0.1, -0.1])),
-            lambda: gp.kmeanspp(np.zeros((3, 1)), 0),
+            lambda: gp.gp_fit(gp.RBF(), np.arange(2.0), np.zeros(2), 0.1, inducing=np.zeros((0, 1))),
             # NaN passed the `<= 0.0` checks and gave an all-NaN Gram
             lambda: gp.RBF(lengthscale=np.nan),
             lambda: gp.RBF(variance=np.nan),
@@ -400,15 +399,15 @@ class TestBoundaries:
         ],
         ids=[
             "rbf", "rational_quadratic", "linear", "sum", "product", "negative_noise",
-            "kmeanspp_k_zero", "rbf_nan_lengthscale", "rbf_nan_variance", "rbf_inf_lengthscale",
+            "no_inducing_inputs", "rbf_nan_lengthscale", "rbf_nan_variance", "rbf_inf_lengthscale",
             "rational_quadratic_nan_alpha", "rational_quadratic_nan_lengthscale",
             "linear_nan_variance", "linear_nan_offset", "linear_inf_offset", "nan_mu",
             "nan_noise_variances", "nan_scalar_noise", "nan_noise_blocks",
         ],
     )
     def test_bad_arguments_raise_invalid_params(self, call):
-        # the lookup table and k > n sites: test_lookup_table_validation,
-        # test_pairs_checks_lookup_codes_and_lengths, test_kmeanspp_bounds
+        # the lookup table and the inducing inputs: test_lookup_table_validation,
+        # test_pairs_checks_lookup_codes_and_lengths, test_bad_inducing_inputs_raise
         with pytest.raises(InvalidParams):
             call()
 
@@ -805,7 +804,9 @@ class TestFitPredict:
         assert diag["min_pivot"] == np.min(np.diag(np.linalg.cholesky(A)))
         assert diag["log_det"] == pytest.approx(np.linalg.slogdet(A)[1], rel=1e-12)
         prior = gp.gp_fit(kernel, [], [], [])
-        assert prior.diagnostics() == {"jitter": 0.0, "min_pivot": None, "log_det": 0.0}
+        assert prior.diagnostics() == {
+            "jitter": 0.0, "min_pivot": None, "log_det": 0.0, "inducing": None,
+        }
 
     def test_shape_validation(self):
         with pytest.raises(DimensionMismatch):
@@ -985,11 +986,8 @@ class TestCoregional:
         assert model.noise.shape == (4, 3, 3) and model.mu.shape == (12,)
 
 
-def _inducing_fields(X, Y, k, family, **config):
-    """Cluster centers, folded per-cluster parameter fields and the basis of
-    the pipeline's inducing sites (seed 0): the LM step's sites and basis,
-    and the fields it hands to its one bridge call."""
-    cfg = pipeline.LMGPConfig(family, inducing=k, **config)
+def _lm_fields(data, config):
+    """The parameter fields the LM step hands to its one bridge call."""
     fields, forward = {}, bridges.forward_arrays
 
     def spy(family, tag, **folded):
@@ -998,437 +996,127 @@ def _inducing_fields(X, Y, k, family, **config):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bridges, "forward_arrays", spy)
-        centers, _, _, basis, _ = pipeline.pseudo_observations(pipeline.Dataset(X, Y), cfg)
-    return centers, fields, basis
+        pipeline.pseudo_observations(data, config)
+    return fields
 
 
-def _kmeanspp_reference(X, k, seed=0, max_iter=100):
-    """k-means++ as it was before the bincount and argsort rewrite of the
-    Lloyd loop and the choice-free seeding: seeds drawn by rng.choice on
-    np.sum distances, one boolean mask per cluster for the empty check, and
-    each centre from np.mean. The library must match it bit for bit."""
-    X = gp._as_inputs(X)
-    n = X.shape[0]
-    rng = np.random.default_rng(seed)
-    centers = np.empty((k, X.shape[1]))
-    centers[0] = X[rng.integers(n)]
-    d2 = np.sum((X - centers[0]) ** 2, axis=1)
-    for j in range(1, k):
-        total = float(np.sum(d2))
-        if total <= 0.0:
-            centers[j] = X[rng.integers(n)]
-        else:
-            centers[j] = X[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, np.sum((X - centers[j]) ** 2, axis=1))
-
-    assign = None
-    iterations = 0
-    for it in range(max_iter):
-        iterations = it + 1
-        new_assign = np.argmin(gp._sqdist(X, centers), axis=1)
-        for _ in range(5):
-            empty = [j for j in range(k) if not np.any(new_assign == j)]
-            if not empty:
-                break
-            for j in empty:
-                far = int(np.argmax(np.min(gp._sqdist(X, centers), axis=1)))
-                centers[j] = X[far]
-            new_assign = np.argmin(gp._sqdist(X, centers), axis=1)
-        else:
-            raise EmptyCluster("could not repair empty clusters after 5 attempts")
-        if assign is not None and np.array_equal(new_assign, assign):
-            break
-        assign = new_assign
-        for j in range(k):
-            centers[j] = np.mean(X[assign == j], axis=0)
-    return centers, assign, iterations
+def _sparse_cases():
+    """(kernel, X, mu, noise, Xq): per-row variances, a scalar variance,
+    2 x 2 blocks of consecutive rows under a width-1 kernel, and Coregional
+    site blocks."""
+    rng = np.random.default_rng(5)
+    X = np.sort(rng.uniform(0.0, 4.0, size=12))
+    Xq = np.linspace(-0.5, 4.5, 9)
+    mu = np.sin(X) + 0.1 * rng.standard_normal(12)
+    G = rng.standard_normal((6, 2, 2))
+    blocks = G @ np.swapaxes(G, 1, 2) * 0.1 + 0.05 * np.eye(2)
+    G = rng.standard_normal((12, 3, 3))
+    site_blocks = G @ np.swapaxes(G, 1, 2) * 0.1 + 0.05 * np.eye(3)
+    B = np.array([[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]])
+    mu3 = np.repeat(mu, 3) + 0.1 * rng.standard_normal(36)
+    return {
+        "variances": (gp.RBF(1.0), X, mu, rng.uniform(0.05, 0.5, size=12), Xq),
+        "scalar": (gp.RBF(0.7, 2.0), X, mu, 0.2, Xq),
+        "blocks": (gp.RBF(1.0), X, mu, blocks, Xq),
+        "coregional": (gp.Coregional(gp.RBF(1.0), B), X, mu3, site_blocks, Xq),
+    }
 
 
-def _kmeans_outcome(fn, X, k, seed, max_iter=100):
-    try:
-        return fn(X, k, seed=seed, max_iter=max_iter)
-    except EmptyCluster as exc:
-        return str(exc)
-
-
-class TestInducing:
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    @pytest.mark.parametrize(
-        "n, k, duplicates",
-        [(400, 25, False), (300, 7, True), (60, 60, False), (40, 12, True), (120, 30, True)],
-    )
-    def test_kmeanspp_matches_the_masked_lloyd_loop_bit_for_bit(self, n, k, duplicates, dim):
-        rng = np.random.default_rng(100 * n + dim)
-        X = rng.normal(size=(n, dim))
-        if duplicates:
-            X = X[rng.integers(max(k, n // 4), size=n)]
-        for seed in (0, 5):
-            got = _kmeans_outcome(gp.kmeanspp, X, k, seed)
-            want = _kmeans_outcome(_kmeanspp_reference, X, k, seed)
-            if isinstance(want, str):
-                assert got == want
-                continue
-            assert np.array_equal(got[0], want[0])
-            assert np.array_equal(got[1], want[1])
-            assert got[2] == want[2]
-
-    @pytest.mark.parametrize(
-        "X, k, seed",
-        [
-            (np.random.default_rng(84).normal(size=(40, 1)), 10, 84),
-            (np.random.default_rng(245).standard_cauchy(size=(100, 2)), 30, 245),
-        ],
-    )
-    def test_kmeanspp_repairs_an_empty_cluster_like_the_masked_loop(
-        self, monkeypatch, X, k, seed
-    ):
-        want = _kmeanspp_reference(X, k, seed=seed)
-        repaired, empty = gp._repaired, []
-
-        def spy(X, centers, assign, nearest):
-            empty.append(np.bincount(assign, minlength=centers.shape[0]).min() == 0)
-            return repaired(X, centers, assign, nearest)
-
-        monkeypatch.setattr(gp, "_repaired", spy)
-        got = gp.kmeanspp(X, k, seed=seed)
-        # an iteration left a cluster empty, and the repair matched the loop's
-        assert any(empty)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        assert got[2] == want[2]
-
-    @given(
-        dim=st.sampled_from([1, 2, 3, 5]),
-        n=st.integers(2, 300),
-        k_share=st.floats(0.0, 1.0),
-        kind=st.sampled_from(["normal", "duplicates", "grid", "jittered", "blobs"]),
-        exponent=st.integers(-27, 27),
-        offset=st.sampled_from([0.0, 1.0, 1e4]),
-        data_seed=st.integers(0, 2**32 - 1),
-        seed=st.integers(0, 99),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_kmeanspp_matches_the_reference_on_any_input(
-        self, dim, n, k_share, kind, exponent, offset, data_seed, seed
-    ):
-        # scales 2^-27 (7e-9) to 2^27 (1.3e8) keep the grid's distance ties
-        # exact, and a jitter of 1e-9 puts gaps near rounding level; the
-        # offset of 1e4 spreads makes the rounding bound exceed most gaps,
-        # so nothing is proven
-        rng = np.random.default_rng(data_seed)
-        k = 1 + int(k_share * (min(n, 60) - 1))
-        if kind in ("grid", "jittered"):
-            X = rng.integers(0, 4, size=(n, dim)).astype(float)
-            if kind == "jittered":
-                X += 1e-9 * rng.normal(size=(n, dim))
-        elif kind == "blobs":
-            X = 20.0 * rng.normal(size=(k, dim))[rng.integers(k, size=n)]
-            X += rng.normal(size=(n, dim))
-        else:
-            X = rng.normal(size=(n, dim))
-            if kind == "duplicates":
-                X = X[rng.integers(max(1, n // 4), size=n)]
-        X = (X + offset) * 2.0**exponent
-        got = _kmeans_outcome(gp.kmeanspp, X, k, seed)
-        want = _kmeans_outcome(_kmeanspp_reference, X, k, seed)
-        if isinstance(want, str):
-            assert got == want
-            return
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
-        assert got[2] == want[2]
-
-    @given(
-        n=st.integers(2, 400),
-        k_share=st.floats(0.0, 1.0),
-        kind=st.sampled_from(["normal", "offset", "duplicates", "grid", "halves", "blobs"]),
-        order=st.sampled_from(["shuffled", "sorted", "reversed"]),
-        max_iter=st.sampled_from([1, 2, 3, 100]),
-        data_seed=st.integers(0, 2**32 - 1),
-        seed=st.integers(0, 99),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_kmeanspp_on_one_dimensional_inputs_matches_the_reference(
-        self, n, k_share, kind, order, max_iter, data_seed, seed
-    ):
-        # the sorted path assigns runs between centre midpoints and leaves
-        # the rounding band around each midpoint to the rows' argmin: 1e6 +
-        # 1e-6 u puts every point in a band, a grid of integers or halves
-        # puts points exactly on midpoints and gives tied centres, and a cap
-        # of 1 to 3 iterations stops most runs before they converge
-        rng = np.random.default_rng(data_seed)
-        k = 1 + int(k_share * (min(n, 60) - 1))
-        if kind == "offset":
-            x = 1e6 + 1e-6 * rng.uniform(size=n)
-        elif kind == "duplicates":
-            x = rng.normal(size=max(1, n // 4))[rng.integers(max(1, n // 4), size=n)]
-        elif kind in ("grid", "halves"):
-            x = rng.integers(0, 8, size=n) / (2.0 if kind == "halves" else 1.0)
-        elif kind == "blobs":
-            x = 20.0 * rng.normal(size=k)[rng.integers(k, size=n)] + rng.normal(size=n)
-        else:
-            x = rng.normal(size=n)
-        if order != "shuffled":
-            x = np.sort(x)[:: 1 if order == "sorted" else -1]
-        got = _kmeans_outcome(gp.kmeanspp, x, k, seed, max_iter)
-        want = _kmeans_outcome(_kmeanspp_reference, x, k, seed, max_iter)
-        if isinstance(want, str):
-            assert got == want
-            return
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
-        assert got[2] == want[2]
-        # converged: one more iteration allowed, the reference stops by the cap
-        longer = _kmeans_outcome(_kmeanspp_reference, x, k, seed, max_iter + 1)
-        assert got[3] == (not isinstance(longer, str) and longer[2] <= max_iter)
-
-    @given(
-        n=st.integers(2, 200),
-        k=st.integers(1, 30),
-        kind=st.sampled_from(["normal", "offset", "grid", "tiny"]),
-        data_seed=st.integers(0, 2**32 - 1),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_midpoint_assignment_is_the_argmin_of_each_row(self, n, k, kind, data_seed):
-        # any centres, not only Lloyd's: drawn from the inputs (so tied
-        # centres) and from the midpoints of input pairs (so inputs exactly
-        # on a centre midpoint), on unsorted inputs
-        rng = np.random.default_rng(data_seed)
-        x = {
-            "normal": lambda: rng.normal(size=n),
-            "offset": lambda: 1e6 + 1e-6 * rng.uniform(size=n),
-            "grid": lambda: rng.integers(0, 6, size=n) / 2.0,
-            "tiny": lambda: 1e-160 * rng.normal(size=n),
-        }[kind]()
-        i, j = rng.integers(n, size=(2, k))
-        c = np.where(rng.random(k) < 0.5, x[i], 0.5 * (x[i] + x[j]))
-        X, C = x[:, None], c[:, None]
-        order = np.argsort(x, kind="stable")
-        got = gp._nearest_sorted(X, order, x[order], C)
-        assert np.array_equal(got, np.argmin(gp._sqdist(X, C), axis=1))
-
-    def test_kmeanspp_decides_a_point_on_a_midpoint_by_its_row(self, monkeypatch):
-        # centres 0 and 2 seed the loop, and 1 lies exactly between them:
-        # its row ties, and argmin takes the lower centre index, as the
-        # reference loop's does
-        X = np.array([0.0, 0.0, 0.0, 1.0, 2.0, 2.0, 2.0])
-        rows = self._rows_passed(monkeypatch)
-        seeds = gp.kmeanspp(X, 2, seed=3, max_iter=0)[0]
-        assert sorted(seeds[:, 0]) == [0.0, 2.0]
-        got = gp.kmeanspp(X, 2, seed=3)
-        assert any(1.0 in r for r in rows)
-        want = _kmeanspp_reference(X, 2, seed=3)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        assert got[2] == want[2]
-
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_kmeanspp_tells_convergence_from_the_cap(self, dim):
-        # a run that converges at iteration t looks, by its count, like one
-        # stopped at max_iter = t; the flag tells them apart
-        X = np.random.default_rng(dim).normal(size=(300, dim))
-        centers, assign, t, converged = gp.kmeanspp(X, 12, seed=1)
-        assert converged and t >= 3
-        at_cap = gp.kmeanspp(X, 12, seed=1, max_iter=t)
-        assert at_cap[2] == t and at_cap[3] is True
-        assert np.array_equal(at_cap[0], centers) and np.array_equal(at_cap[1], assign)
-        capped = gp.kmeanspp(X, 12, seed=1, max_iter=t - 1)
-        assert capped[2] == t - 1 and capped[3] is False
-        assert gp.kmeanspp(X, 12, seed=1, max_iter=0)[1:] == (None, 0, False)
-
-    @given(
-        dim=st.integers(1, 16),
-        n=st.integers(2, 120),
-        k_share=st.floats(0.0, 1.0),
-        kind=st.sampled_from(["normal", "duplicates", "grid", "constant"]),
-        order=st.sampled_from(["C", "F"]),
-        data_seed=st.integers(0, 2**32 - 1),
-        seed=st.integers(0, 99),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_kmeanspp_seeds_as_generator_choice_and_centres_as_np_mean(
-        self, dim, n, k_share, kind, order, data_seed, seed
-    ):
-        # the seeding draws through the arithmetic of Generator.choice and
-        # sums the squares column by column; the d = 1 centres are sums of
-        # slices: the reference's rng.choice, np.sum and np.mean, bit for
-        # bit, on n < d, F order, duplicates, exact ties (a grid) and
-        # constant inputs (every draw after the first takes the total <= 0
-        # path)
-        rng = np.random.default_rng(data_seed)
-        k = 1 + int(k_share * (n - 1))
-        if kind == "grid":
-            X = rng.integers(0, 3, size=(n, dim)).astype(float)
-        elif kind == "constant":
-            X = np.full((n, dim), rng.normal())
-        else:
-            X = rng.normal(size=(n, dim))
-            if kind == "duplicates":
-                X = X[rng.integers(max(1, n // 4), size=n)]
-        X = np.asarray(X, order=order)
-        seeds = gp.kmeanspp(X, k, seed=seed, max_iter=0)
-        want_seeds = _kmeanspp_reference(X, k, seed=seed, max_iter=0)
-        assert np.array_equal(seeds[0], want_seeds[0])
-        got = _kmeans_outcome(gp.kmeanspp, X, k, seed)
-        want = _kmeans_outcome(_kmeanspp_reference, X, k, seed)
-        if isinstance(want, str):
-            assert got == want
-            return
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
-        assert got[2] == want[2]
-
-    @pytest.mark.parametrize("dim", [1, 2, 7, 8, 9, 16])
-    def test_seeding_distances_are_those_of_np_sum(self, dim):
-        rng = np.random.default_rng(dim)
-        C = rng.normal(size=(50, dim)) * 10.0 ** rng.uniform(-3, 3, size=dim)
-        for X in (C, np.asfortranarray(C), C[::2], C[:1], np.asfortranarray(C)[::3]):
-            c = X[0] + 0.1
-            assert np.array_equal(gp._sqdist_to(X, c), np.sum((X - c) ** 2, axis=1))
-
-    def test_kmeanspp_rejects_non_finite_inputs(self):
-        for bad in (np.nan, np.inf):
-            X = np.random.default_rng(0).normal(size=(20, 2))
-            X[7, 1] = bad
-            with pytest.raises(InvalidParams):
-                gp.kmeanspp(X, 3)
-
-    @pytest.mark.parametrize("data_seed", [1, 4, 5])
-    def test_kmeanspp_matches_the_reference_at_rounding_level_gaps(self, data_seed):
-        # a grid jittered by 1e-9 leaves centres and points within rounding
-        # of ties; bounds without their rounding slack prove wrong
-        # assignments here
-        rng = np.random.default_rng(data_seed)
-        X = rng.integers(0, 4, size=(30, 1)) + 1e-9 * rng.normal(size=(30, 1))
-        got = gp.kmeanspp(X, 6, seed=0)
-        want = _kmeanspp_reference(X, 6, seed=0)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        assert got[2] == want[2]
-
-    def test_kmeanspp_matches_the_reference_above_192_centres(self):
-        # on OpenBLAS, rows recomputed alone round differently from the full
-        # product's in places from 193 centres on
-        X = np.random.default_rng(17).normal(size=(600, 3))
-        got = gp.kmeanspp(X, 200, seed=4)
-        want = _kmeanspp_reference(X, 200, seed=4)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        assert got[2] == want[2]
-
-    def test_kmeanspp_matches_the_reference_where_distances_underflow(self):
-        # at 1e-160 the squared distances are subnormal and err absolutely,
-        # which a relative rounding bound does not cover: bounds without the
-        # absolute floor proved wrong assignments for several of these
-        for seed in range(150):
-            X = np.random.default_rng(seed).normal(size=(200, 2)) * 1e-160
-            got = _kmeans_outcome(gp.kmeanspp, X, 8, seed)
-            want = _kmeans_outcome(_kmeanspp_reference, X, 8, seed)
-            if isinstance(want, str):
-                assert got == want
-                continue
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-            assert got[2] == want[2]
-
-    @staticmethod
-    def _rows_passed(monkeypatch):
-        """The inputs of every _sqdist call against the centres (not the
-        centres against themselves), copied."""
-        sqdist = gp._sqdist
-        rows = []
-
-        def spy(A, B):
-            if A is not B:
-                rows.append(A.copy())
-            return sqdist(A, B)
-
-        monkeypatch.setattr(gp, "_sqdist", spy)
-        return rows
-
-    def test_kmeanspp_recomputes_one_unsure_row_through_two(self, monkeypatch):
-        # two blobs and one point off the segment between them, nearly
-        # equidistant: after the first move, only that point is unsure
-        rng = np.random.default_rng(3)
-        a = rng.normal(-10.0, 0.5, size=(200, 2))
-        b = rng.normal(10.0, 0.5, size=(200, 2))
-        X = np.vstack([a, b, (a.mean(axis=0) + b.mean(axis=0)) / 2 + [8.0, -8.0]])
-        rows = self._rows_passed(monkeypatch)
-        got = gp.kmeanspp(X, 2, seed=0)
-        assert [r.shape[0] for r in rows] == [401, 2]
-        # never a one-row product: numpy runs it as a BLAS gemv
-        assert np.array_equal(rows[1], X[[400, 400]])
-        want = _kmeanspp_reference(X, 2, seed=0)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        assert got[2] == want[2] == 2
-
-    def test_kmeanspp_computes_fewer_rows_than_n_after_the_first_iteration(self, monkeypatch):
-        rng = np.random.default_rng(11)
-        means = 30.0 * rng.normal(size=(8, 2))
-        X = means[rng.integers(8, size=2000)] + rng.normal(size=(2000, 2))
-        rows = self._rows_passed(monkeypatch)
-        got = gp.kmeanspp(X, 8, seed=1)
-        assert got[2] >= 3
-        assert rows[0].shape[0] == 2000
-        assert sum(r.shape[0] for r in rows[1:]) < 2000
-        want = _kmeanspp_reference(X, 8, seed=1)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        assert got[2] == want[2]
-
-    def test_kmeanspp_takes_the_full_matrix_for_a_tied_row(self, monkeypatch):
-        # the last point is exactly equidistant from the final centres
-        # (-8, 0) and (8, 0); a gap of zero in a recomputed row proves
-        # nothing, so the iteration computes the full matrix and its argmin
-        # breaks the tie, as in the reference
-        X = np.array(
-            [[-10, 0], [-10, -1], [-11, 0], [-9, 0]] + [[8, 0]] * 5 + [[0, 1]], dtype=float
+class TestSparse:
+    @pytest.mark.parametrize("case", ["variances", "scalar", "blocks", "coregional"])
+    def test_at_z_equal_x_equals_the_dense_fit(self, case):
+        # with Z = X the sparse GP's Nystrom covariance is K itself, so its
+        # marginals and its log-determinant are the dense ones. Measured: at
+        # most 1.2e-9 in a mean or variance (the coregional case; K_uu of 12
+        # inputs at lengthscale 1 on [0, 4] is ill-conditioned, and
+        # k** - a^T a cancels) and 2.7e-13 relative in the log-determinant;
+        # the bounds allow ten times that
+        kernel, X, mu, noise, Xq = _sparse_cases()[case]
+        dense = gp.gp_fit(kernel, X, mu, noise)
+        sparse = gp.gp_fit(kernel, X, mu, noise, inducing=X)
+        for a, b in zip(gp.gp_predict(sparse, Xq), gp.gp_predict(dense, Xq)):
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=1.2e-8)
+        np.testing.assert_allclose(
+            sparse.diagnostics()["log_det"], dense.diagnostics()["log_det"], rtol=2.7e-12
         )
-        rows = self._rows_passed(monkeypatch)
-        got = gp.kmeanspp(X, 2, seed=7)
-        assert [r.shape[0] for r in rows] == [10, 2, 10]
-        assert np.array_equal(got[0], [[-8.0, 0.0], [8.0, 0.0]])
-        want = _kmeanspp_reference(X, 2, seed=7)
-        assert np.array_equal(got[1], want[1]) and got[2] == want[2]
 
-    def test_kmeanspp_raises_when_empty_clusters_cannot_be_repaired(self):
-        # both centres sit on the one distinct input; the second stays empty
-        with pytest.raises(EmptyCluster):
-            gp.kmeanspp(np.zeros((5, 1)), 2)
+    @pytest.mark.parametrize("case", ["variances", "blocks", "coregional"])
+    def test_chunks_give_the_one_chunk_result(self, case, monkeypatch):
+        # one site (or one noise block) and one query point per chunk;
+        # measured at most 1.3e-15 from the one-chunk result
+        kernel, X, mu, noise, Xq = _sparse_cases()[case]
+        Z = X[::3]
+        whole = gp.gp_predict(gp.gp_fit(kernel, X, mu, noise, inducing=Z), Xq)
+        monkeypatch.setattr(gp, "_SPARSE_BLOCK", 1)
+        chunked = gp.gp_predict(gp.gp_fit(kernel, X, mu, noise, inducing=Z), Xq)
+        for a, b in zip(chunked, whole):
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
 
-    def test_kmeanspp_separated_blobs(self):
-        rng = np.random.default_rng(6)
-        a = rng.normal(0.0, 0.1, size=(20, 2))
-        b = rng.normal(10.0, 0.1, size=(20, 2))
-        X = np.vstack([a, b])
-        centers, assign, _, _ = gp.kmeanspp(X, 2, seed=0)
-        order = np.argsort(centers[:, 0])
-        np.testing.assert_allclose(centers[order[0]], a.mean(axis=0), atol=0.01)
-        np.testing.assert_allclose(centers[order[1]], b.mean(axis=0), atol=0.01)
-        assert len(set(assign[:20])) == 1 and len(set(assign[20:])) == 1
+    def test_model_record(self):
+        kernel, X, mu, noise, Xq = _sparse_cases()["variances"]
+        Z = X[:5]
+        model = gp.gp_fit(kernel, X, mu, noise, inducing=Z)
+        assert model.n == 12 and model.inducing is not Z and np.array_equal(model.inducing, Z[:, None])
+        assert model.X.shape == (12, 1) and model.mu is not None and model.noise.shape == (12,)
+        diag = model.diagnostics()
+        L = np.linalg.cholesky(kernel(Z, Z) + diag["jitter"] * np.eye(5))
+        assert diag["inducing"] == 5 and diag["noise_jitter"] == 0.0
+        assert diag["min_pivot"] == pytest.approx(np.min(np.diag(L)), rel=1e-12)
+        # log det(Q_ff + noise) with Q_ff = K_fu K_uu^-1 K_uf
+        Kuf = kernel(Z, X)
+        Q = Kuf.T @ np.linalg.solve(L @ L.T, Kuf)
+        assert diag["log_det"] == pytest.approx(np.linalg.slogdet(Q + np.diag(noise))[1], rel=1e-8)
+        assert repr(model) == f"GPModel(n=12, k=5, jitter={diag['jitter']:g})"
+        assert gp.gp_fit(kernel, X, mu, noise).diagnostics()["inducing"] is None
 
-    def test_kmeanspp_bounds(self):
-        with pytest.raises(InvalidParams):
-            gp.kmeanspp(np.zeros((3, 1)), 4)
+    def test_singular_noise_blocks_take_the_ladder(self):
+        # blocks singular along one direction (as a softmax block is along
+        # the ones vector) take the jitter of the noise's mean diagonal
+        X = np.arange(6.0)
+        kernel = gp.Coregional(gp.RBF(2.0), np.eye(3) + 0.5)
+        mu = np.tile([0.5, -0.2, -0.3], 6)
+        noise = np.tile(np.diag([0.3, 0.2, 0.0]), (6, 1, 1))
+        model = gp.gp_fit(kernel, X, mu, noise, inducing=X[::2])
+        assert model.noise_jitter == 1e-10 * np.mean(np.diagonal(noise, 0, 1, 2))
+        assert model.diagnostics()["noise_jitter"] == model.noise_jitter
+        mean, cov = gp.gp_predict(model, np.linspace(0.0, 5.0, 4))
+        assert np.all(np.isfinite(mean)) and np.all(np.linalg.eigvalsh(cov) >= 0.0)
 
-    def test_single_cluster_folds_counts(self):
-        X = np.array([0.0, 0.1, 0.2])
-        Y = np.array([1.0, 1.0, 0.0])
-        centers, theta, basis = _inducing_fields(X, Y, 1, "beta")
-        assert centers.shape[0] == 1
-        assert theta["alpha"] == pytest.approx(2.01, abs=1e-12)
-        assert theta["beta"] == pytest.approx(1.01, abs=1e-12)
-        mu, _ = bridges.forward_arrays("beta", basis.tag, **theta)
-        assert np.isfinite(mu[0])
+    @pytest.mark.parametrize(
+        "inducing, error",
+        [
+            (np.zeros((0, 1)), InvalidParams),
+            (np.array([0.0, np.nan]), InvalidParams),
+            (np.array([0.0, np.inf]), InvalidParams),
+            (np.zeros((2, 2)), DimensionMismatch),
+        ],
+        ids=["empty", "nan", "inf", "columns"],
+    )
+    def test_bad_inducing_inputs_raise(self, inducing, error):
+        with pytest.raises(error):
+            gp.gp_fit(gp.RBF(), np.arange(3.0), np.zeros(3), 0.1, inducing=inducing)
 
-    def test_k_equals_n_gives_singletons(self):
-        X = np.array([0.0, 1.0, 2.0, 3.0])
-        Y = np.array([1.0, 0.0, 1.0, 1.0])
-        centers, theta, _ = _inducing_fields(X, Y, 4, "beta", epsilon_a=0.01)
-        assert centers.shape[0] == 4
-        _, assignments, _, _ = gp.kmeanspp(X, 4, seed=0)
-        assert sorted(assignments.tolist()) == [0, 1, 2, 3]
-        for j in range(4):
-            member = int(np.flatnonzero(assignments == j)[0])
-            expected_alpha = 0.01 + Y[member]
-            assert theta["alpha"][j] == pytest.approx(expected_alpha, abs=1e-12)
+    def test_empty_data_returns_the_prior(self):
+        model = gp.gp_fit(gp.RBF(), np.zeros(0), np.zeros(0), 0.1, inducing=np.zeros(2))
+        assert model.n == 0 and model.inducing is None
+        mean, var = gp.gp_predict(model, np.arange(3.0))
+        assert np.array_equal(mean, np.zeros(3)) and np.array_equal(var, np.ones(3))
 
-    def test_dirichlet_counts_sum_within_cluster(self):
+    def test_lm_step_folds_each_observation_alone(self):
+        # inducing=k chooses the GP fit, not the pseudo-observations: the
+        # bridge receives one folded prior per observation, as without it
+        X = np.array([0.0, 0.1, 0.2, 0.2])
+        Y = np.array([1.0, 1.0, 0.0, 1.0])
+        cfg = pipeline.LMGPConfig("beta", epsilon_a=0.01, inducing=1)
+        theta = _lm_fields(pipeline.Dataset(X, Y), cfg)
+        np.testing.assert_allclose(theta["alpha"], 0.01 + Y, atol=1e-12)
+        np.testing.assert_allclose(theta["beta"], 1.01 - Y, atol=1e-12)
+        plain = _lm_fields(pipeline.Dataset(X, Y), cfg.replace(inducing=None))
+        assert all(np.array_equal(theta[k], plain[k]) for k in plain)
+
+    def test_dirichlet_lm_step_folds_each_observation_alone(self):
         X = np.array([0.0, 0.05])
         Y = np.array([[3.0, 1.0, 0.0], [1.0, 2.0, 1.0]])
-        _, theta, _ = _inducing_fields(X, Y, 1, "dirichlet", dirichlet_prior=1.0)
-        np.testing.assert_allclose(theta["alpha"][0], [5.0, 4.0, 2.0], atol=1e-12)
+        cfg = pipeline.LMGPConfig("dirichlet", dirichlet_prior=1.0, inducing=1)
+        theta = _lm_fields(pipeline.Dataset(X, Y), cfg)
+        np.testing.assert_allclose(theta["alpha"], 1.0 + Y, atol=1e-12)

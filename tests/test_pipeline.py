@@ -522,7 +522,7 @@ class TestBinaryPipeline:
         with pytest.raises(InvalidParams, match=message):
             pipeline.lmgp_v1(data, pipeline.LMGPConfig("beta", inducing=distinct + 1, draws=10))
         _, pred = pipeline.lmgp_v1(data, pipeline.LMGPConfig("beta", inducing=distinct, draws=10))
-        assert pred.diagnostics["sites"] == distinct
+        assert pred.diagnostics["inducing"] == distinct and pred.diagnostics["sites"] == 40
 
     def test_inducing_equals_full_at_k_n(self):
         data = _binary_data(n=8)
@@ -554,7 +554,7 @@ class TestBinaryPipeline:
         assert np.all((pred.probabilities >= 0.0) & (pred.probabilities <= 1.0))
 
     def test_tiny_epsilon_inducing_keeps_beta_counts_positive(self):
-        # an all-ones cluster folded as eps + count - total rounded to 0
+        # pseudo-observations of noise near 1e300 on the sparse path
         data = _binary_data(n=20)
         cfg = pipeline.LMGPConfig("beta", kernel=gp.RBF(1.0, 1.0), epsilon_a=1e-300, inducing=4)
         _, pred = pipeline.lmgp_v1(data, cfg)
@@ -700,11 +700,11 @@ class TestPseudoObservations:
             model, run = pipeline.lmgp_v2(data, cfg, X_query=Xq, prior=prior)
         else:
             model, run = pipeline.lmgp_v1(data, cfg, X_query=Xq)
-        X, mu, noise, basis, lloyd = pipeline.pseudo_observations(data, cfg, prior)
-        assert basis == run.basis and X.shape[0] == run.diagnostics["sites"]
-        assert lloyd == {key: run.diagnostics[key] for key in lloyd}
-        assert (lloyd["lloyd_iterations"] is None) == (mode != "inducing")
-        pred = pipeline.predict(gp.gp_fit(model.kernel, X, mu, noise), basis, cfg, Xq)
+        X, mu, noise, basis = pipeline.pseudo_observations(data, cfg, prior)
+        assert basis == run.basis and X.shape[0] == run.diagnostics["sites"] == data.n
+        assert run.diagnostics["inducing"] == (3 if mode == "inducing" else None)
+        Z = pipeline._inducing_inputs(data.X, 3, cfg.seed) if mode == "inducing" else None
+        pred = pipeline.predict(gp.gp_fit(model.kernel, X, mu, noise, inducing=Z), basis, cfg, Xq)
         pairs = [(pred.latent_mean, run.latent_mean), (pred.latent_cov, run.latent_cov)]
         pairs += [(pred.draws, run.draws), (pred.ef_ok, run.ef_ok)]
         pairs += [(pred.summary[key], run.summary[key]) for key in run.summary]
@@ -716,9 +716,9 @@ class TestPseudoObservations:
     def test_empty_v2_data_gives_zero_sites(self):
         empty = pipeline.Dataset(np.zeros(0), np.zeros(0))
         cfg = pipeline.LMGPConfig("gamma", version="v2")
-        X, mu, noise, basis, lloyd = pipeline.pseudo_observations(empty, cfg)
+        X, mu, noise, basis = pipeline.pseudo_observations(empty, cfg)
         assert X.shape == (0, 1) and mu.shape == noise.shape == (0,)
-        assert basis == transforms.BasisTransform("log") and lloyd["lloyd_iterations"] is None
+        assert basis == transforms.BasisTransform("log")
         with pytest.raises(EmptyDataset):
             pipeline.pseudo_observations(empty, cfg.replace(version="v1"))
         # the run fits the prior GP on them, or returns a fitted prior itself
@@ -744,9 +744,9 @@ class TestDiagnostics:
         diag = pred.diagnostics
         assert diag == {
             **model.diagnostics(), "sites": 12, "width": 1, "ef_failures": 0,
-            "kernel": model.kernel.to_record(), "lloyd_iterations": None,
-            "lloyd_converged": None,
+            "kernel": model.kernel.to_record(),
         }
+        assert diag["inducing"] is None and "noise_jitter" not in diag
         assert diag["kernel"] == {
             "kernel": "rbf", "lengthscale": gp.median_lengthscale(data.X), "variance": 1.0,
         }
@@ -778,34 +778,25 @@ class TestDiagnostics:
         data = _binary_data(n=20)
         cfg = pipeline.LMGPConfig("beta", kernel=gp.RBF(1.0), inducing=5, draws=20)
         model, pred = pipeline.lmgp_v1(data, cfg)
-        assert pred.diagnostics["sites"] == 5
-        iterations = gp.kmeanspp(data.X, 5, seed=cfg.seed)[2]
-        assert pred.diagnostics["lloyd_iterations"] == iterations >= 2
-        assert pred.diagnostics["lloyd_converged"] is True
-        record = pred.to_record()["diagnostics"]
-        assert record["lloyd_iterations"] == iterations and record["lloyd_converged"] is True
-        # a prediction from the fitted model runs no clustering
+        # every observation is a site; the sparse fit adds its inducing count
+        # and the jitter of its noise factor
+        assert pred.diagnostics == {
+            **model.diagnostics(), "sites": 20, "width": 1, "ef_failures": 0,
+            "kernel": {"kernel": "rbf", "lengthscale": 1.0, "variance": 1.0},
+        }
+        assert pred.diagnostics["inducing"] == 5 and pred.diagnostics["noise_jitter"] == 0.0
+        assert 0.0 < pred.diagnostics["min_pivot"] == np.min(np.diag(model._state["L"]))
+        assert json.loads(json.dumps(pred.to_record()["diagnostics"])) == pred.diagnostics
+        # a prediction from the fitted model reports the same fit
         again = pipeline.predict(model, pred.basis, cfg, data.X)
-        assert again.diagnostics["lloyd_iterations"] is None
-        assert again.diagnostics["lloyd_converged"] is None
+        assert again.diagnostics == pred.diagnostics
         empty = pipeline.Dataset(np.zeros(0), np.zeros(0))
-        _, prior = pipeline.lmgp_v2(empty, cfg.replace(inducing=None))
+        _, prior = pipeline.lmgp_v2(empty, cfg)
         assert prior.diagnostics == {
-            "jitter": 0.0, "min_pivot": None, "log_det": 0.0,
+            "jitter": 0.0, "min_pivot": None, "log_det": 0.0, "inducing": None,
             "sites": 0, "width": 1, "ef_failures": 0,
             "kernel": {"kernel": "rbf", "lengthscale": 1.0, "variance": 1.0},
-            "lloyd_iterations": None, "lloyd_converged": None,
         }
-
-    def test_inducing_run_capped_before_convergence_says_so(self, monkeypatch):
-        data = _binary_data(n=20)
-        cfg = pipeline.LMGPConfig("beta", kernel=gp.RBF(1.0), inducing=5, draws=20)
-        kmeanspp = gp.kmeanspp
-        monkeypatch.setattr(gp, "kmeanspp", lambda X, k, seed: kmeanspp(X, k, seed, max_iter=1))
-        _, pred = pipeline.lmgp_v1(data, cfg)
-        assert pred.diagnostics["lloyd_iterations"] == 1
-        assert pred.diagnostics["lloyd_converged"] is False
-        assert pred.to_record()["diagnostics"]["lloyd_converged"] is False
 
     def test_counts_failed_ef_inversions(self, monkeypatch):
         masked = bridges._inverse_masked
@@ -1020,25 +1011,29 @@ class TestInducingProperties:
     @given(case=_site_data(distinct=True))
     @settings(max_examples=20, deadline=None)
     def test_k_equals_n_sites_are_the_plain_sites(self, case):
+        # the sparse fit keeps the plain run's pseudo-observations, and with
+        # every distinct input as an inducing input it is the plain GP
         family, data, n = case
-        plain, _ = pipeline.lmgp_v1(data, _site_config(family))
-        sites, _ = pipeline.lmgp_v1(data, _site_config(family, inducing=n))
-        a = np.argsort(plain.X[:, 0])
-        b = np.argsort(sites.X[:, 0])
-        np.testing.assert_array_equal(sites.X[b], plain.X[a])
-        np.testing.assert_array_equal(sites.mu[b], plain.mu[a])
-        assert plain.noise.shape == (data.n,)
-        np.testing.assert_array_equal(sites.noise[b], plain.noise[a])
+        plain, dense = pipeline.lmgp_v1(data, _site_config(family))
+        sites, sparse = pipeline.lmgp_v1(data, _site_config(family, inducing=n))
+        for a, b in [(sites.X, plain.X), (sites.mu, plain.mu), (sites.noise, plain.noise)]:
+            assert _same_bits(a, b)
+        np.testing.assert_array_equal(sites.inducing, np.sort(data.X, axis=0))
+        np.testing.assert_allclose(sparse.latent_mean, dense.latent_mean, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(sparse.latent_cov, dense.latent_cov, rtol=0.0, atol=1e-9)
 
-
-    def test_inducing_run_memory_at_ten_thousand_points(self):
-        # traced peak 30.6 MiB on numpy 2.4, set by gp_predict at the 10^4
-        # query points (k-means++ peaks at 15.8 MiB, median_lengthscale on
-        # its subsample at 1.8 MiB); the bound, set when the median's
-        # bracketed pair distances peaked at 37.3 MiB, allows 10% more than
-        # that. Materialising the n x n distances (763 MiB) or draws x n
-        # values would break it
-        X, y = pipeline.gen_binary(10**4, seed=0)
+    @pytest.mark.parametrize(
+        "n, bound_mib", [(10**4, 5.5), (10**5, 16.5)], ids=["ten_thousand", "hundred_thousand"]
+    )
+    def test_inducing_run_memory(self, n, bound_mib):
+        # predicting at the n training inputs with one draw, k = 100: one
+        # (k, n) float array would take 7.6 MiB at 10^4 and 76.3 MiB at
+        # 10^5, the n x n distances 763 MiB and 75 GiB. The sparse fit and
+        # prediction run in chunks of at most gp._SPARSE_BLOCK entries, so
+        # neither is ever formed: traced peaks 4.75 MiB and 14.2 MiB on
+        # numpy 2.4 (at 10^5 the n-sized prediction arrays), bounds about
+        # 15% above them
+        X, y = pipeline.gen_binary(n, seed=0)
         data = pipeline.Dataset(X, y.astype(float))
         cfg = pipeline.LMGPConfig("beta", inducing=100, draws=1)
         tracemalloc.start()
@@ -1047,8 +1042,56 @@ class TestInducingProperties:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert pred.diagnostics["sites"] == 100
-        assert peak < 41 * 2**20
+        assert pred.diagnostics["sites"] == n and pred.diagnostics["inducing"] == 100
+        assert np.all(np.isfinite(pred.latent_mean)) and np.all(np.isfinite(pred.latent_cov))
+        assert peak < bound_mib * 2**20
+
+
+class TestSparseAgainstDense:
+    # measured over seeds 0-4 on numpy 2.4 with OpenBLAS (latent mean, latent covariance,
+    # summary mean, EF fields relative), each bound ten times the largest.
+    # beta, gamma and inverse Wishart differ by the rounding of the sparse
+    # formulas (k** - a^T a cancels on an ill-conditioned K_uu). Dirichlet
+    # differs by its jitter: each softmax noise block is singular along the
+    # ones vector, and the dense path jitters K + noise where the sparse one
+    # jitters the noise alone, so the ones direction is pinned differently
+    _BOUNDS = {
+        "beta": (5.9e-11, 1.3e-11, 6.1e-12, 5.3e-11),
+        "gamma": (1.6e-9, 4.7e-10, 9.6e-9, 1.1e-8),
+        "dirichlet": (9.1e-4, 3.1e-5, 1.3e-4, 3.2e-3),
+        "inverse_wishart": (9.2e-9, 4.5e-10, 1.3e-8, 2.2e-6),
+    }
+
+    @pytest.mark.parametrize("family", list(_BOUNDS))
+    def test_sparse_fit_at_every_input_matches_the_dense_run(self, family):
+        # inducing = n takes every distinct input as an inducing input, Z = X
+        # up to order, at benchmark-like sizes with the default kernel
+        for seed in range(3):
+            if family == "beta":
+                X, y = pipeline.gen_binary(300, seed=seed)
+                data, Xq = pipeline.Dataset(X, y.astype(float)), pipeline.gen_binary(100, seed=seed + 50)[0]
+            elif family == "gamma":
+                X, y = pipeline.gen_counts(300, seed=seed)
+                data, Xq = pipeline.Dataset(X[0::2], y[0::2].astype(float)), X[1::2]
+            elif family == "dirichlet":
+                rows, _ = pipeline.gen_categorical(250, classes=4, seed=seed)
+                Y = np.array([r[3] for r in rows], dtype=float).reshape(250, 4)
+                X = np.column_stack([np.arange(250.0), np.zeros(250)])
+                data, Xq = pipeline.Dataset(X[0::2], Y[0::2]), X[1::2]
+            else:
+                ts, mats = pipeline.gen_covariance(160, p=3, seed=seed)
+                data, Xq = pipeline.Dataset(ts[0::2], np.stack(mats)[0::2]), ts[1::2]
+            cfg = pipeline.LMGPConfig(family, seed=seed, draws=200)
+            _, dense = pipeline.lmgp_v1(data, cfg, X_query=Xq)
+            _, sparse = pipeline.lmgp_v1(data, cfg.replace(inducing=data.n), X_query=Xq)
+            gaps = [
+                np.max(np.abs(sparse.latent_mean - dense.latent_mean)),
+                np.max(np.abs(sparse.latent_cov - dense.latent_cov)),
+                np.max(np.abs(sparse.summary["mean"] - dense.summary["mean"])),
+                max(np.max(np.abs(sparse.ef_fields[k] / dense.ef_fields[k] - 1.0)) for k in dense.ef_fields),
+            ]
+            assert np.array_equal(sparse.ef_ok, dense.ef_ok)
+            assert all(g <= b for g, b in zip(gaps, self._BOUNDS[family])), gaps
 
 
 _PIPELINE_FAMILIES = ["beta", "gamma", "dirichlet", "inverse_wishart"]
@@ -1136,15 +1179,12 @@ class TestPipelineProperties:
         except LaplaceMatchError:
             return
         sites, _ = pipeline.lmgp_v1(observed, cfg.replace(inducing=observed.n))
-        # each site has `width` consecutive latent rows; match the sites by input
+        # the sparse fit keeps the plain run's pseudo-observations
         width = plain.kernel.width
-        a = np.argsort(plain.X[:, 0], kind="stable")
-        b = np.argsort(sites.X[:, 0], kind="stable")
-        rows = lambda order: (order[:, None] * width + np.arange(width)).ravel()
-        np.testing.assert_array_equal(sites.X[b], plain.X[a])
-        np.testing.assert_array_equal(sites.mu[rows(b)], plain.mu[rows(a)])
         assert plain.noise.shape == (observed.n, width, width)
-        np.testing.assert_array_equal(sites.noise[b], plain.noise[a])
+        for a, b in [(sites.X, plain.X), (sites.mu, plain.mu), (sites.noise, plain.noise)]:
+            assert _same_bits(a, b)
+        np.testing.assert_array_equal(sites.inducing, np.sort(observed.X, axis=0))
 
 
 class TestCountPipeline:
@@ -1492,7 +1532,7 @@ class TestPerPointPrediction:
             return inverse_arrays(family, tag, mean, cov)
 
         monkeypatch.setattr(bridges, "inverse_arrays", spy)
-        _, mu, noise, basis, _ = pipeline.pseudo_observations(data, cfg, prior_model)
+        _, mu, noise, basis = pipeline.pseudo_observations(data, cfg, prior_model)
         monkeypatch.undo()
         [(mean, blocks)] = pulled
         prior = inverse_arrays("dirichlet", basis.tag, mean, blocks)
@@ -1523,7 +1563,7 @@ class TestPerPointPrediction:
     def test_zero_noise_training_point_returns_its_mean(self, family, basis):
         Y = [0.0, 1.0] if family == "beta" else [[3.0, 1.0, 0.0], [0.0, 2.0, 5.0]]
         cfg = pipeline.LMGPConfig(family, basis=basis, draws=8)
-        X, mu, _, basis, _ = pipeline.pseudo_observations(pipeline.Dataset([0.0, 2.0], Y), cfg)
+        X, mu, _, basis = pipeline.pseudo_observations(pipeline.Dataset([0.0, 2.0], Y), cfg)
         kernel = gp.RBF() if family == "beta" else gp.Coregional(gp.RBF(), np.eye(3) + 0.5)
         model = gp.gp_fit(kernel, X, mu, 0.0)
         pred = pipeline.predict(model, basis, cfg, X)
