@@ -220,7 +220,9 @@ class Kernel:
 
 
 _SQDIST_BLOCK = 1 << 17  # entries (1 MiB): a (2000, 100) distance matrix takes two
-_SPARSE_BLOCK = 1 << 17  # entries (1 MiB) of a sparse fit's or prediction's (k, chunk) arrays
+# entries (512 KiB) of a sparse fit's or prediction's (k, chunk) arrays; at
+# 2^17 the benchmark's inducing workers peaked 0.4 MB higher in RSS
+_SPARSE_BLOCK = 1 << 16
 
 
 def _sqdist(A, B):
@@ -641,21 +643,15 @@ def _sparse_fit(kernel, X, mu, noise, Z):
     r = np.zeros(k)
     step = -(-max(_SPARSE_BLOCK // (k * w), 1) // b) * b  # sites per chunk
     for lo in range(0, X.shape[0], step):
-        rows = slice(lo * w, (lo + step) * w)
-        V = _lower_solve(L, kernel(Z, X[lo : lo + step]))
-        W = np.einsum("kjb,jcb->kjc", V.reshape(k, -1, b), Rinv[lo * w // b : (lo + step) * w // b])
-        W = W.reshape(k, -1)
+        V = _lower_solve(L, kernel(Z, X[lo : lo + step])).reshape(k, -1, b)
+        W = np.einsum("kjb,jcb->kjc", V, Rinv[lo * w // b : (lo + step) * w // b]).reshape(k, -1)
         B += W @ W.T
-        r += W @ y[rows]
+        r += W @ y[lo * w : (lo + step) * w]
     if not np.all(np.isfinite(B)):
         raise NotPositiveDefinite("the sparse GP's factor B is not finite")
     LB = chol_with_jitter(B)[0]
-    state = {
-        "L": L,
-        "LB": LB,
-        "c": _lower_solve(LB, r[:, None])[:, 0],
-        "log_det": float(2.0 * (np.sum(np.log(np.diag(LB))) + np.sum(np.log(np.diagonal(R, 0, 1, 2))))),
-    }
+    log_det = 2.0 * (np.sum(np.log(np.diag(LB))) + np.sum(np.log(np.diagonal(R, 0, 1, 2))))
+    state = {"L": L, "LB": LB, "c": _lower_solve(LB, r[:, None])[:, 0], "log_det": float(log_det)}
     return GPModel(kernel, X, mu, noise, jitter, state, Z, noise_jitter)
 
 

@@ -275,12 +275,14 @@ class Prediction:
     pseudo-observations), the latent width, the count of query points whose
     EF inversion failed (ef_failures, the False entries of `ef_ok`) and the
     fitted kernel's record (kernel; with the default kernel, its
-    median-heuristic lengthscale). For a sparse fit min_pivot is that of
-    the inducing inputs' kernel factor, log_det is log det(Q_ff + noise) of
-    the sparse marginal likelihood, and noise_jitter is the jitter of the
-    noise factor (`gp.GPModel.diagnostics`). `ef_fields` holds the EF parameter fields of the query
-    points from one masked bridge inverse, and `ef_ok` (m,) where it holds;
-    `ef_params`, an EFParams per point or None, is built on first read.
+    median-heuristic lengthscale). For a sparse fit jitter and min_pivot
+    are those of the inducing inputs' kernel factor, log_det is
+    log det(Q_ff + noise) of the sparse marginal likelihood, and
+    noise_jitter is the jitter of the noise factor
+    (`gp.GPModel.diagnostics`). `ef_fields` holds the EF parameter fields
+    of the query points from one masked bridge inverse, and `ef_ok` (m,)
+    where it holds; `ef_params`, an EFParams per point or None, is built on
+    first read.
     """
 
     def __init__(self, family, basis, X, latent_mean, latent_cov, draws,
@@ -444,10 +446,10 @@ def _inducing_inputs(X, k, seed):
     than k distinct rows. Sorted by their columns, equal rows (-0.0 equals
     0.0) are adjacent, and the first of each run is kept."""
     X = X[np.lexsort(X.T)]
-    distinct = X[np.concatenate(([True], np.any(X[1:] != X[:-1], axis=1)))]
-    if k > distinct.shape[0]:
-        raise InvalidParams(f"inducing={k} exceeds the {distinct.shape[0]} distinct training inputs")
-    return distinct[np.sort(np.random.default_rng(seed).choice(distinct.shape[0], k, replace=False))]
+    X = X[np.concatenate(([True], np.any(X[1:] != X[:-1], axis=1)))]
+    if k > X.shape[0]:
+        raise InvalidParams(f"inducing={k} exceeds the {X.shape[0]} distinct training inputs")
+    return X[np.sort(np.random.default_rng(seed).choice(X.shape[0], k, replace=False))]
 
 
 # ---------------------------------------------------------------------------
