@@ -1108,6 +1108,56 @@ class TestSparseAgainstDense:
             assert all(g <= b for g, b in zip(gaps, self._BOUNDS[family])), gaps
 
 
+    @staticmethod
+    def _heldout(family, seed):
+        """(data, held-out inputs, MNLL of a Prediction there, k) at
+        benchmark-like sizes. inverse_wishart scores the predicted mean
+        covariance as Wishart(8, mean / 8) of each held-out scatter."""
+        if family == "beta":
+            X, y = pipeline.gen_binary(1000, seed=seed)
+            Xq, yq = pipeline.gen_binary(500, seed=seed + 50)
+            data, k = pipeline.Dataset(X, y.astype(float)), 100
+            return data, Xq, lambda p: pipeline.classification_metrics(p.probabilities, yq)["mnll"], k
+        if family == "gamma":
+            X, c = pipeline.gen_counts(1250, seed=seed)
+            held = np.zeros(1250, dtype=bool)
+            held[::5] = True
+            data, t = pipeline.Dataset(X[~held], c[~held].astype(float)), c[held].astype(float)
+            score = lambda p: pipeline.count_metrics(p.rates, p.summary["std"] ** 2, t)["mnll"]
+            return data, X[held], score, 100
+        if family == "dirichlet":
+            rows, _ = pipeline.gen_categorical(250, classes=4, seed=seed)
+            Y = np.array([r[3] for r in rows], dtype=float).reshape(250, 4)
+            X = np.column_stack([np.arange(250.0), np.zeros(250)])
+            labels = np.argmax(Y[1::2], axis=1)
+            score = lambda p: pipeline.classification_metrics(p.probabilities, labels)["mnll"]
+            return pipeline.Dataset(X[0::2], Y[0::2]), X[1::2], score, 25
+        ts, mats = pipeline.gen_covariance(160, p=3, seed=seed)
+        M = np.stack(mats)
+
+        def score(pred):
+            pairs = zip(pred.summary["mean"], M[1::2])
+            return -np.mean([distributions.log_pdf(distributions.wishart(8.0, c / 8.0), x) for c, x in pairs])
+
+        return pipeline.Dataset(ts[0::2], M[0::2]), ts[1::2], score, 20
+
+    # relative gap of the held-out MNLL with k inducing inputs to the dense
+    # run's, measured at most 3.6e-9 (beta), 1.6e-10 (gamma), 1.6e-6
+    # (Dirichlet) and 6.9e-8 (inverse Wishart) over seeds 0-4; bounds ten
+    # times that
+    @pytest.mark.parametrize(
+        "family, bound",
+        [("beta", 3.6e-8), ("gamma", 1.6e-9), ("dirichlet", 1.6e-5), ("inverse_wishart", 6.9e-7)],
+    )
+    def test_heldout_mnll_with_few_inducing_inputs_is_the_dense_runs(self, family, bound):
+        for seed in range(3):
+            data, Xq, score, k = self._heldout(family, seed)
+            cfg = pipeline.LMGPConfig(family, seed=seed, draws=200)
+            dense = score(pipeline.lmgp_v1(data, cfg, X_query=Xq)[1])
+            sparse = score(pipeline.lmgp_v1(data, cfg.replace(inducing=k), X_query=Xq)[1])
+            assert abs(sparse / dense - 1.0) <= bound
+
+
 _PIPELINE_FAMILIES = ["beta", "gamma", "dirichlet", "inverse_wishart"]
 
 
