@@ -642,12 +642,15 @@ def _sparse_fit(kernel, X, mu, noise, Z):
     B = np.eye(k)
     r = np.zeros(k)
     step = -(-max(_SPARSE_BLOCK // (k * w), 1) // b) * b  # sites per chunk
-    for lo in range(0, X.shape[0], step):
-        V = _lower_solve(L, kernel(Z, X[lo : lo + step])).reshape(k, -1, b)
-        W = np.einsum("kjb,jcb->kjc", V, Rinv[lo * w // b : (lo + step) * w // b]).reshape(k, -1)
-        B += W @ W.T
-        r += W @ y[lo * w : (lo + step) * w]
-    if not np.all(np.isfinite(B)):
+    # a subnormal noise variance overflows W W^T; the check below refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, X.shape[0], step):
+            V = _lower_solve(L, kernel(Z, X[lo : lo + step])).reshape(k, -1, b)
+            W = np.einsum("kjb,jcb->kjc", V, Rinv[lo * w // b : (lo + step) * w // b])
+            W = W.reshape(k, -1)
+            B += W @ W.T
+            r += W @ y[lo * w : (lo + step) * w]
+    if not (np.all(np.isfinite(B)) and np.all(np.isfinite(r))):
         raise NotPositiveDefinite("the sparse GP's factor B is not finite")
     LB = chol_with_jitter(B)[0]
     log_det = 2.0 * (np.sum(np.log(np.diag(LB))) + np.sum(np.log(np.diagonal(R, 0, 1, 2))))

@@ -1057,7 +1057,7 @@ class TestSparse:
         Z = X[:5]
         model = gp.gp_fit(kernel, X, mu, noise, inducing=Z)
         assert model.n == 12 and np.array_equal(model.inducing, Z[:, None])
-        assert model.X.shape == (12, 1) and model.mu is not None and model.noise.shape == (12,)
+        assert model.X.shape == (12, 1) and model.noise.shape == (12,)
         diag = model.diagnostics()
         L = np.linalg.cholesky(kernel(Z, Z) + diag["jitter"] * np.eye(5))
         assert diag["inducing"] == 5 and diag["noise_jitter"] == 0.0
@@ -1095,6 +1095,12 @@ class TestSparse:
     def test_bad_inducing_inputs_raise(self, inducing, error):
         with pytest.raises(error):
             gp.gp_fit(gp.RBF(), np.arange(3.0), np.zeros(3), 0.1, inducing=inducing)
+
+    @pytest.mark.parametrize("noise", [1e-320, np.array([1e-320, 1.0, 1.0])])
+    def test_subnormal_noise_raises_not_positive_definite(self, noise):
+        # R^-1 of about 1e160 overflows B = I + W W^T
+        with pytest.raises(NotPositiveDefinite):
+            gp.gp_fit(gp.RBF(), np.arange(3.0), np.ones(3), noise, inducing=np.arange(3.0))
 
     def test_empty_data_returns_the_prior(self):
         model = gp.gp_fit(gp.RBF(), np.zeros(0), np.zeros(0), 0.1, inducing=np.zeros(2))
