@@ -1022,6 +1022,36 @@ def _sparse_cases():
     }
 
 
+_SPARSE_CASES = ["variances", "scalar", "blocks", "coregional"]
+
+
+def _dtc_reference(kernel, X, mu, noise, Z, Xq, jitter):
+    """The sparse GP from its n x n formulas, with Sigma the dense noise
+    matrix, A = K_uu + K_uf Sigma^-1 K_fu and K_uu taking `jitter`:
+    (mean K_*u A^-1 K_uf Sigma^-1 mu, the marginals of K_** - Q_** +
+    K_*u A^-1 K_u*, those of the Nystrom residual K_** - Q_**, and
+    log det(Q_ff + Sigma)); marginals are (m,) variances for a width-1
+    kernel and (m, w, w) blocks otherwise."""
+    w, m = kernel.width, Xq.shape[0]
+    noise = np.asarray(noise, dtype=float)
+    S = block_diag(*noise) if noise.ndim == 3 else np.diag(np.broadcast_to(noise, mu.shape))
+    Kuu = kernel(Z, Z) + jitter * np.eye(Z.shape[0] * w)
+    Kuf, Kqu = kernel(Z, X), kernel(Xq, Z)
+    A = Kuu + Kuf @ np.linalg.solve(S, Kuf.T)
+    mean = Kqu @ np.linalg.solve(A, Kuf @ np.linalg.solve(S, mu))
+    residual = kernel(Xq, Xq) - Kqu @ np.linalg.solve(Kuu, Kqu.T)
+    cov = residual + Kqu @ np.linalg.solve(A, Kqu.T)
+    log_det = np.linalg.slogdet(Kuf.T @ np.linalg.solve(Kuu, Kuf) + S)[1]
+    i = np.arange(m)
+    if w > 1:
+        def marginals(C):
+            return C.reshape(m, w, m, w)[i, :, i, :]
+    else:
+        def marginals(C):
+            return C[i, i]
+    return mean, marginals(cov), marginals(residual), log_det
+
+
 class TestSparse:
     @pytest.mark.parametrize("case", ["variances", "scalar", "blocks", "coregional"])
     def test_at_z_equal_x_equals_the_dense_fit(self, case):
@@ -1126,3 +1156,85 @@ class TestSparse:
         cfg = pipeline.LMGPConfig("dirichlet", dirichlet_prior=1.0, inducing=1)
         theta = _lm_fields(pipeline.Dataset(X, Y), cfg)
         np.testing.assert_allclose(theta["alpha"], 1.0 + Y, atol=1e-12)
+
+    @pytest.mark.parametrize("case", _SPARSE_CASES)
+    def test_marginals_equal_the_dtc_formulas(self, case):
+        # against the n x n formulas with 4 of the 12 inputs as Z; measured
+        # at most 2.5e-14 in a mean or variance (the coregional case), the
+        # bound allows ten times that
+        kernel, X, mu, noise, Xq = _sparse_cases()[case]
+        model = gp.gp_fit(kernel, X, mu, noise, inducing=X[::3])
+        ref = _dtc_reference(kernel, X, mu, noise, X[::3], Xq, model.jitter)
+        for a, b in zip(gp.gp_predict(model, Xq), ref[:2]):
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=2.5e-13)
+
+    @pytest.mark.parametrize("case", _SPARSE_CASES)
+    def test_log_det_is_that_of_the_nystrom_marginal(self, case):
+        # log det(Q_ff + noise), Q_ff = K_fu K_uu^-1 K_uf, from slogdet of
+        # the n x n matrix; measured at most 3.8e-16 relative
+        kernel, X, mu, noise, Xq = _sparse_cases()[case]
+        model = gp.gp_fit(kernel, X, mu, noise, inducing=X[::3])
+        log_det = _dtc_reference(kernel, X, mu, noise, X[::3], Xq, model.jitter)[3]
+        assert model.diagnostics()["log_det"] == pytest.approx(log_det, rel=4e-15)
+
+    @pytest.mark.parametrize("case", _SPARSE_CASES)
+    def test_variance_lies_between_the_nystrom_residual_and_the_prior(self, case):
+        # k** - Q** <= var <= k**, as blocks in the Loewner order for a
+        # Coregional kernel: B = I + W W^T >= I, so 0 <= |L_B^-1 a|^2 <= |a|^2
+        kernel, X, mu, noise, Xq = _sparse_cases()[case]
+        model = gp.gp_fit(kernel, X, mu, noise, inducing=X[::3])
+        _, var = gp.gp_predict(model, Xq)
+        residual = _dtc_reference(kernel, X, mu, noise, X[::3], Xq, model.jitter)[2]
+        prior = kernel.pairs(Xq[:, None], Xq[:, None])
+        for gap in (prior - var, var - residual):
+            low = np.linalg.eigvalsh(gap) if gap.ndim == 3 else gap
+            assert np.min(low) >= -1e-12
+
+    @pytest.mark.parametrize("case", _SPARSE_CASES)
+    def test_order_of_the_inducing_inputs_does_not_matter(self, case):
+        # measured at most 2.1e-15 apart
+        kernel, X, mu, noise, Xq = _sparse_cases()[case]
+        Z = X[::3]
+        perm = np.random.default_rng(0).permutation(Z.shape[0])
+        ordered = gp.gp_predict(gp.gp_fit(kernel, X, mu, noise, inducing=Z), Xq)
+        shuffled = gp.gp_predict(gp.gp_fit(kernel, X, mu, noise, inducing=Z[perm]), Xq)
+        for a, b in zip(shuffled, ordered):
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=2e-14)
+
+    @pytest.mark.parametrize("case", _SPARSE_CASES)
+    def test_repeated_inducing_inputs_give_the_distinct_ones_result(self, case):
+        # a repeated row makes K_uu singular; its span, and so Q_ff, is that
+        # of the distinct rows. Measured at most 1.9e-10 apart (the jitter of
+        # 1e-10 that three of the four cases take), the bound allows ten
+        # times that
+        kernel, X, mu, noise, Xq = _sparse_cases()[case]
+        Z = X[::3]
+        distinct = gp.gp_predict(gp.gp_fit(kernel, X, mu, noise, inducing=Z), Xq)
+        model = gp.gp_fit(kernel, X, mu, noise, inducing=np.concatenate([Z, Z[:2]]))
+        assert model.jitter <= 1e-10
+        for a, b in zip(gp.gp_predict(model, Xq), distinct):
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=2e-9)
+
+    def test_far_query_reverts_to_the_prior(self):
+        kernel, X, mu, noise, _ = _sparse_cases()["coregional"]
+        model = gp.gp_fit(kernel, X, mu, noise, inducing=X[::3])
+        Xq = np.array([100.0, -100.0])
+        mean, cov = gp.gp_predict(model, Xq)
+        assert np.array_equal(mean, np.zeros(6))
+        np.testing.assert_array_equal(cov, kernel.pairs(Xq[:, None], Xq[:, None]))
+
+    def test_more_noise_widens_the_posterior(self):
+        # B = I + V noise^-1 V^T shrinks as the noise grows, and
+        # var = k** - |a|^2 + |L_B^-1 a|^2 grows with B^-1
+        kernel, X, mu, noise, Xq = _sparse_cases()["variances"]
+        _, v1 = gp.gp_predict(gp.gp_fit(kernel, X, mu, noise, inducing=X[::3]), Xq)
+        _, v2 = gp.gp_predict(gp.gp_fit(kernel, X, mu, 2.0 * noise, inducing=X[::3]), Xq)
+        assert np.all(v2 >= v1 - 1e-12) and np.any(v2 > v1)
+
+    def test_refit_is_bit_identical(self):
+        kernel, X, mu, noise, Xq = _sparse_cases()["coregional"]
+        a = gp.gp_fit(kernel, X, mu, noise, inducing=X[::3])
+        b = gp.gp_fit(kernel, X, mu, noise, inducing=X[::3])
+        assert all(np.array_equal(a._state[key], b._state[key]) for key in a._state)
+        for x, y in zip(gp.gp_predict(a, Xq), gp.gp_predict(b, Xq)):
+            assert np.array_equal(x, y)

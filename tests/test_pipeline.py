@@ -524,6 +524,39 @@ class TestBinaryPipeline:
         _, pred = pipeline.lmgp_v1(data, pipeline.LMGPConfig("beta", inducing=distinct, draws=10))
         assert pred.diagnostics["inducing"] == distinct and pred.diagnostics["sites"] == 40
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_inducing_inputs_are_k_distinct_training_rows(self, d):
+        # seeded, in sorted order, and at k = the distinct count every
+        # distinct row once
+        rng = np.random.default_rng(d)
+        X = rng.integers(-3, 4, size=(60, d)).astype(float)
+        X[rng.random((60, d)) < 0.3] *= -1.0  # -0.0 next to 0.0
+        Z = pipeline._inducing_inputs(X, 5, seed=7)
+        assert Z.shape == (5, d) and np.unique(Z, axis=0).shape[0] == 5
+        assert all(np.any(np.all(X == z, axis=1)) for z in Z)
+        assert np.array_equal(Z, Z[np.lexsort(Z.T)])
+        assert np.array_equal(Z, pipeline._inducing_inputs(X, 5, seed=7))
+        distinct = np.unique(X, axis=0)
+        every = pipeline._inducing_inputs(X, distinct.shape[0], seed=7)
+        np.testing.assert_array_equal(every, distinct[np.lexsort(distinct.T)])
+
+    def test_inducing_inputs_count_negative_zero_as_zero(self):
+        X = np.array([[-0.0], [0.0], [1.0], [0.0]])
+        np.testing.assert_array_equal(pipeline._inducing_inputs(X, 2, seed=0), [[0.0], [1.0]])
+        with pytest.raises(InvalidParams, match="inducing=3 exceeds the 2 distinct"):
+            pipeline._inducing_inputs(X, 3, seed=0)
+
+    def test_seed_draws_the_inducing_inputs(self):
+        data = _binary_data(n=20)
+        cfg = pipeline.LMGPConfig("beta", kernel=gp.RBF(1.0), inducing=5, draws=20, seed=0)
+        model, pred = pipeline.lmgp_v1(data, cfg)
+        np.testing.assert_array_equal(model.inducing, pipeline._inducing_inputs(data.X, 5, 0))
+        again, repeat = pipeline.lmgp_v1(data, cfg)
+        assert np.array_equal(again.inducing, model.inducing)
+        assert np.array_equal(repeat.latent_mean, pred.latent_mean)
+        other, _ = pipeline.lmgp_v1(data, cfg.replace(seed=1))
+        assert not np.array_equal(other.inducing, model.inducing)
+
     def test_inducing_equals_full_at_k_n(self):
         data = _binary_data(n=8)
         cfg = pipeline.LMGPConfig("beta", kernel=gp.RBF(1.0, 1.0), seed=0)
