@@ -62,6 +62,26 @@ prediction runs over chunks of the query points, each chunk's (k, chunk)
 arrays of at most _SPARSE_BLOCK entries, so neither ever holds a (k, n) or
 (k, m) array.
 
+Without inducing inputs, gp_fit picks one of two fits from what it can
+observe. On n >= _PIVOT_SITES (400) sites whose noise factors with no
+jitter, it first takes a greedy pivoted Cholesky of the input kernel on the
+sites (Harbrecht, Peters & Schneider, Appl. Numer. Math. 62(4), 2012): each
+step adds the site of the largest diagonal residual k(x, x) - g^T g, until
+that residual is at most _PIVOT_TOL (tau = 1e-13) times max k(x, x). If that
+takes at most n // _PIVOT_SHARE (n / 4) pivots, the residuals sum (the trace
+of K - Q_ff, which bounds its norm) to under _PIVOT_NOISE (1e-8) times the
+noise's smallest eigenvalue, and K_uu then factors with no jitter, the model
+is the sparse fit above on Z = X[pivots], in O(n r^2) for rank r; a GP on a
+subset of the sites is stable and, with residuals negligible against the
+noise, near-exact (Foster et al., JMLR 10, 2009). Otherwise it is the dense
+fit, the same floats as without the attempt. The floor and the cap come from a
+crossover sweep over n and lengthscale (BENCH_32.json): at r = n / 4 the
+pivoted fit and predict cost about as much as the dense ones from n = 400 on.
+At the sites and in gaps of the inputs the pivoted posterior is a dense
+solve's to about 2e-13 (means) and 5e-12 (variances), relative; outside
+their hull, where the pivots span k(., x*) least, to about 1e-8 (the largest
+Nystrom residual k** - a^T a at the queries is reported).
+
 median_lengthscale is exact up to _MEDIAN_INPUTS (N0 = 512) inputs.
 Above, it is the median of a fixed subsample of N0 rows, drawn with
 default_rng(0) without replacement and taken in input order, so its time
@@ -96,6 +116,11 @@ _BLOCK = 128
 _LEAF = 16
 _MEDIAN_INPUTS = 512
 _MEDIAN_ROWS = 64
+_PIVOT_TOL = 1e-13
+_PIVOT_SITES = 400
+_PIVOT_SHARE = 4
+_PIVOT_ROWS = 16
+_PIVOT_NOISE = 1e-8
 
 
 def _as_inputs(X):
@@ -268,6 +293,8 @@ class RBF(_Stationary):
         self.variance = float(variance)
         if not (0.0 < self.lengthscale < np.inf and 0.0 < self.variance < np.inf):
             raise InvalidParams("lengthscale and variance must be positive")
+        if self.lengthscale**2 < np.finfo(float).tiny:
+            raise InvalidParams("the lengthscale's square underflows")
 
     def _of_sqdist(self, d2):
         d2 *= -0.5
@@ -292,6 +319,8 @@ class RationalQuadratic(_Stationary):
         self.variance = float(variance)
         if not all(0.0 < v < np.inf for v in (self.lengthscale, self.alpha, self.variance)):
             raise InvalidParams("lengthscale, alpha, and variance must be positive")
+        if 2.0 * self.alpha * self.lengthscale**2 < np.finfo(float).tiny:
+            raise InvalidParams("2 alpha lengthscale^2 underflows")
 
     def _of_sqdist(self, d2):
         d2 /= 2.0 * self.alpha * self.lengthscale**2
@@ -519,7 +548,10 @@ def median_lengthscale(X):
 class GPModel:
     """Fitted GP state; immutable after fit. X holds the n inputs (the sites)
     and mu the n * kernel.width latent rows; `inducing` holds the (k, d)
-    inducing inputs of a sparse fit, None for a dense one. `jitter` is the
+    inducing inputs of a sparse fit, None for a dense one: the user's Z, or
+    the pivots X[p] of a pivoted fit, whose `rank` is their count r (None
+    otherwise). `pivot_residual` is the largest diagonal residual at which
+    the pivoting stopped, None where it did not run. `jitter` is the
     jitter of the kernel factor (of K + noise, or of K_uu for a sparse fit),
     `noise_jitter` that of a sparse fit's noise factor. `family` is the
     conjugate family a pipeline run fitted it for, which `pipeline.predict`
@@ -534,6 +566,8 @@ class GPModel:
         self.jitter = jitter
         self.inducing = inducing
         self.noise_jitter = noise_jitter
+        self.rank = None
+        self.pivot_residual = None
         self._state = state
 
     @property
@@ -543,26 +577,32 @@ class GPModel:
     def diagnostics(self):
         """The jitter added before factoring, from the diagonal of the kernel
         factor its smallest entry (None for the prior), a log-determinant,
-        and the inducing input count k (None for a dense fit). Dense: the
-        factor of K + noise and its log-determinant. Sparse: the factor of
-        K_uu, and log det(Q_ff + noise) = log det B + log det noise, the
-        log-determinant of the sparse GP's marginal likelihood, with
-        noise_jitter, the jitter of the noise factor."""
+        the user's inducing input count k (None otherwise), the pivoted rank
+        r (None otherwise) and pivot_residual. Dense: the factor of
+        K + noise and its log-determinant. Sparse (inducing or pivoted): the
+        factor of K_uu, and log det(Q_ff + noise) = log det B + log det
+        noise, the log-determinant of the sparse GP's marginal likelihood,
+        with noise_jitter, the jitter of the noise factor."""
         pivots = np.diag(self._state["L"]) if self.n else np.ones(0)
         rec = {
             "jitter": self.jitter,
             "min_pivot": float(pivots.min()) if pivots.size else None,
             "log_det": float(2.0 * np.sum(np.log(pivots))),
             "inducing": None,
+            "rank": self.rank,
+            "pivot_residual": self.pivot_residual,
         }
         if self.inducing is not None:
             rec["log_det"] = self._state["log_det"]
-            rec["inducing"] = self.inducing.shape[0]
             rec["noise_jitter"] = self.noise_jitter
+            if self.rank is None:
+                rec["inducing"] = self.inducing.shape[0]
         return rec
 
     def __repr__(self):
         k = "" if self.inducing is None else f", k={self.inducing.shape[0]}"
+        if self.rank is not None:
+            k = f", r={self.rank}"
         return f"GPModel(n={self.n}{k}, jitter={self.jitter:g})"
 
 
@@ -613,14 +653,80 @@ def gp_fit(kernel, X, mu, sigma, inducing=None):
         raise InvalidParams("observation noise variances must be non-negative")
     if inducing is not None:
         return _sparse_fit(kernel, X, mu, noise, _as_inputs(inducing))
+    residual = None
+    floor = _noise_floor(noise) if X.shape[0] >= _PIVOT_SITES else 0.0
+    if floor > 0.0:
+        coregional = isinstance(kernel, Coregional)
+        pivots, residual, trace = _pivots(kernel.kernel if coregional else kernel, X)
+        if coregional:
+            trace *= np.trace(kernel.B)  # the trace of Kx's residual (x) B
+        if pivots is not None and trace < _PIVOT_NOISE * floor:
+            model = _sparse_fit(kernel, X, mu, noise, X[pivots])
+            if model.jitter == 0.0:
+                model.rank, model.pivot_residual = len(pivots), residual
+                return model
+    model = _dense_fit(kernel, X, mu, noise)
+    model.pivot_residual = residual
+    return model
+
+
+def _dense_fit(kernel, X, mu, noise):
+    """The Cholesky factor of K + noise, the noise added in place."""
     K = np.ascontiguousarray(kernel(X, X))  # so that K.reshape is a view
     if noise.ndim == 3:
+        s, w = noise.shape[:2]
         i = np.arange(s)
         K.reshape(s, w, s, w)[i, :, i, :] += noise
     else:
-        K.flat[:: n + 1] += noise
+        K.flat[:: mu.size + 1] += noise
     L, jitter = chol_with_jitter(K)
     return GPModel(kernel, X, mu, noise, jitter, {"L": L})
+
+
+def _noise_floor(noise):
+    """The smallest eigenvalue of the noise: its smallest variance, or the
+    smallest of its blocks' eigenvalues; 0.0 where its factor would need
+    jitter (a zero variance, a singular softmax block)."""
+    if noise.ndim < 3:
+        return max(float(np.min(noise)), 0.0)
+    try:
+        np.linalg.cholesky(noise)
+    except np.linalg.LinAlgError:
+        return 0.0
+    return float(np.min(np.linalg.eigvalsh(noise)))
+
+
+def _pivots(kernel, X):
+    """Greedy pivoted Cholesky of kernel(X, X) (see the module docstring).
+
+    Returns (pivots, residual, trace): the rows chosen, in order, the
+    largest diagonal residual k(x, x) - g^T g it stopped at and the sum of
+    the residuals. pivots is None where that largest residual is still
+    above _PIVOT_TOL max k(x, x) at the cap of n // _PIVOT_SHARE rows, or
+    is not finite. The factor's rows are kept in a buffer that doubles as
+    it fills, never allocated at the cap."""
+    n = X.shape[0]
+    cap = n // _PIVOT_SHARE
+    d = kernel.pairs(X, X)
+    tol = _PIVOT_TOL * np.max(d)
+    G = np.empty((min(_PIVOT_ROWS, cap), n))
+    pivots = []
+    for j in range(cap + 1):
+        p = int(np.argmax(d))
+        residual = float(d[p])
+        if not residual > tol or j == cap:
+            break
+        if j == G.shape[0]:
+            G = np.concatenate((G, np.empty((min(j, cap - j), n))))
+        g = kernel.pairs(X, np.broadcast_to(X[p], X.shape))
+        g -= G[:j, p] @ G[:j]
+        g /= np.sqrt(residual)
+        G[j] = g
+        d -= np.square(g, out=g)
+        d[p] = 0.0
+        pivots.append(p)
+    found = bool(pivots) and residual <= tol
+    return (pivots if found else None), residual, float(np.sum(d))
 
 
 def _sparse_fit(kernel, X, mu, noise, Z):
@@ -669,13 +775,28 @@ def gp_predict(model, Xstar):
     (N, m w + 1) buffer, N the model's latent rows, filled from the (m w, N)
     kernel matrix, which is freed before the solve. A sparse model predicts
     chunks of the query points, each through one (k w, chunk w) array.
+    Queries must be finite (else InvalidParams) and, for a fitted model,
+    have the model's input columns (else DimensionMismatch).
     """
+    return _posterior(model, Xstar)[:2]
+
+
+def _posterior(model, Xstar):
+    """gp_predict's (mean, variances), and the largest Nystrom residual
+    k** - a^T a at the query points (of a variance, or of a block's
+    diagonal) for a sparse model, None for a dense one or no queries."""
     Xs = _as_inputs(Xstar)
+    if not np.all(np.isfinite(Xs)):
+        raise InvalidParams("query inputs must be finite")
+    if model.n and Xs.shape[1] != model.X.shape[1]:
+        raise DimensionMismatch(
+            f"query inputs have {Xs.shape[1]} columns, the model's inputs {model.X.shape[1]}"
+        )
     kernel = model.kernel
     prior = kernel.pairs(Xs, Xs)  # (m,) variances or (m, w, w) blocks
     if model.n == 0:
         mean = np.zeros(Xs.shape[0] * kernel.width)
-        return mean, matrixops.sym(prior) if prior.ndim == 3 else np.maximum(prior, 0.0)
+        return mean, matrixops.sym(prior) if prior.ndim == 3 else np.maximum(prior, 0.0), None
     if model.inducing is not None:
         return _sparse_predict(model, Xs, prior)
     # the buffer is made after the kernel call, so that it never coexists
@@ -690,15 +811,16 @@ def gp_predict(model, Xstar):
     mean = w @ v
     if prior.ndim == 3:
         vb = v.T.reshape(prior.shape[0], kernel.width, model.mu.size)
-        return mean, matrixops.sym(prior - vb @ np.swapaxes(vb, 1, 2))
+        return mean, matrixops.sym(prior - vb @ np.swapaxes(vb, 1, 2)), None
     var = prior - np.sum(np.square(v, out=v), axis=0)
-    return mean, np.maximum(var, 0.0)
+    return mean, np.maximum(var, 0.0), None
 
 
 def _sparse_predict(model, Xs, prior):
     """A sparse model's marginals (see the module docstring): per chunk of
     query points, a = L_uu^-1 k_u* and then b = L_B^-1 a in one array;
-    `prior` takes -a^T a + b^T b in place."""
+    `prior` takes -a^T a + b^T b in place. Returns (mean, marginals, the
+    largest Nystrom residual)."""
     L, LB, c = model._state["L"], model._state["LB"], model._state["c"]
     k, w = L.shape[0], model.kernel.width
 
@@ -709,14 +831,18 @@ def _sparse_predict(model, Xs, prior):
         return blocks @ np.swapaxes(blocks, 1, 2)
 
     mean = np.empty(Xs.shape[0] * w)
+    tops = []
     step = max(_SPARSE_BLOCK // (k * w), 1)
     for lo in range(0, Xs.shape[0], step):
         A = _lower_solve(L, model.kernel(model.inducing, Xs[lo : lo + step]))
         prior[lo : lo + step] -= gram(A)
+        chunk = prior[lo : lo + step]
+        tops.append(float(np.max(chunk if prior.ndim == 1 else np.diagonal(chunk, 0, 1, 2))))
         _lower_solve(LB, A)
         mean[lo * w : (lo + step) * w] = c @ A
         prior[lo : lo + step] += gram(A)
-    return mean, matrixops.sym(prior) if prior.ndim == 3 else np.maximum(prior, 0.0)
+    cov = matrixops.sym(prior) if prior.ndim == 3 else np.maximum(prior, 0.0)
+    return mean, cov, max(tops, default=None)
 
 
 def _psd_root(cov):

@@ -378,9 +378,10 @@ def _build_kernel(config, X, width):
 
 def _marginals(model, X):
     """GP marginals at X: (m,) means and variances, or for a Coregional
-    model (m, w) means and (m, w, w) blocks."""
-    mean, cov = gp.gp_predict(model, X)
-    return (mean.reshape(cov.shape[:2]) if cov.ndim == 3 else mean), cov
+    model (m, w) means and (m, w, w) blocks; and the largest Nystrom
+    residual at X of a sparse model (None for a dense one)."""
+    mean, cov, residual = gp._posterior(model, X)
+    return (mean.reshape(cov.shape[:2]) if cov.ndim == 3 else mean), cov, residual
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +404,7 @@ def _prior_fields(config, basis, X, prior_model):
             dirichlet_prior=config.dirichlet_prior,
         )
         return {name: getattr(theta, name) for name in distributions.param_fields(fam)}
-    return bridges.inverse_arrays(fam, basis.tag, *_marginals(prior_model, X))
+    return bridges.inverse_arrays(fam, basis.tag, *_marginals(prior_model, X)[:2])
 
 
 def _as_dataset(data):
@@ -572,7 +573,7 @@ def _predict(model, config, basis, width, X_query, timings):
         raise IncompatibleBasis(f"the model was fitted for {model.family}, not for {fam}")
     Xq = gp._as_inputs(X_query)
     t0 = time.perf_counter()
-    latent_mean, latent_cov = _marginals(model, Xq)
+    latent_mean, latent_cov, query_residual = _marginals(model, Xq)
     # the draws' one reference is _back_transform's, which frees them once expanded
     data_draws = _back_transform(
         _sample_marginals(latent_mean, latent_cov, config.seed, config.draws), basis, fam
@@ -595,6 +596,7 @@ def _predict(model, config, basis, width, X_query, timings):
     timings["summary_seconds"] = summary_s + time.perf_counter() - t2
     diagnostics = {
         **model.diagnostics(),
+        "query_residual": query_residual,
         "sites": model.n,
         "width": width,
         "ef_failures": int(np.count_nonzero(~ef_ok)),

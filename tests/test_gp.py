@@ -389,6 +389,11 @@ class TestBoundaries:
             lambda: gp.Linear(variance=np.nan),
             lambda: gp.Linear(offset=np.nan),
             lambda: gp.Linear(offset=np.inf),
+            # a lengthscale whose square underflows gave NaN entries and a
+            # RuntimeWarning from 0 / 0 at zero distance
+            lambda: gp.RBF(lengthscale=1e-300),
+            lambda: gp.RationalQuadratic(lengthscale=1e-300),
+            lambda: gp.RationalQuadratic(lengthscale=1e-150, alpha=1e-10),
             # NaN in mu or the noise predicted NaN
             lambda: gp.gp_fit(gp.RBF(), np.arange(2.0), np.array([0.0, np.nan]), 0.1),
             lambda: gp.gp_fit(gp.RBF(), np.arange(2.0), np.zeros(2), np.array([0.1, np.nan])),
@@ -401,7 +406,9 @@ class TestBoundaries:
             "rbf", "rational_quadratic", "linear", "sum", "product", "negative_noise",
             "no_inducing_inputs", "rbf_nan_lengthscale", "rbf_nan_variance", "rbf_inf_lengthscale",
             "rational_quadratic_nan_alpha", "rational_quadratic_nan_lengthscale",
-            "linear_nan_variance", "linear_nan_offset", "linear_inf_offset", "nan_mu",
+            "linear_nan_variance", "linear_nan_offset", "linear_inf_offset",
+            "rbf_underflowing_lengthscale", "rational_quadratic_underflowing_lengthscale",
+            "rational_quadratic_underflowing_scale", "nan_mu",
             "nan_noise_variances", "nan_scalar_noise", "nan_noise_blocks",
         ],
     )
@@ -806,6 +813,7 @@ class TestFitPredict:
         prior = gp.gp_fit(kernel, [], [], [])
         assert prior.diagnostics() == {
             "jitter": 0.0, "min_pivot": None, "log_det": 0.0, "inducing": None,
+            "rank": None, "pivot_residual": None,
         }
 
     def test_shape_validation(self):
@@ -842,7 +850,7 @@ def _joint_predict(kernel, X, mu, noise, Xs):
     X, Xs = gp._as_inputs(X), gp._as_inputs(Xs)
     w, d = kernel.width, X.shape[1]
     joint = _joint_kernel(kernel, d)
-    model = gp.gp_fit(joint, _joint_rows(X, w), mu, noise)
+    model = gp._dense_fit(joint, _joint_rows(X, w), mu, np.asarray(noise, dtype=float))
     ks = joint(_joint_rows(Xs, w), model.X)
     vw = gp._lower_solve(model._state["L"], np.ascontiguousarray(np.column_stack((ks.T, mu))))
     v, a = vw[:, :-1], vw[:, -1]
@@ -1238,3 +1246,207 @@ class TestSparse:
         assert all(np.array_equal(a._state[key], b._state[key]) for key in a._state)
         for x, y in zip(gp.gp_predict(a, Xq), gp.gp_predict(b, Xq)):
             assert np.array_equal(x, y)
+
+
+def _pivot_case(family, n, seed):
+    """(kernel, X, mu, noise, Xq): the default kernel on the LM step's
+    pseudo-observations of gen_binary (beta, d = 2) or gen_counts (gamma,
+    d = 1) data; the queries are the inputs, then one point inside a gap
+    of the inputs (between the two blobs, or the midpoint of the widest
+    gap of the sorted grid) and one outside their hull."""
+    make = pipeline.gen_binary if family == "beta" else pipeline.gen_counts
+    X, y = make(n, seed=seed)
+    data = pipeline.Dataset(X, y.astype(float))
+    X, mu, noise, _ = pipeline.pseudo_observations(data, pipeline.LMGPConfig(family))
+    lo, hi = X.min(axis=0), X.max(axis=0)
+    if X.shape[1] == 1:
+        xs = np.sort(X[:, 0])
+        i = int(np.argmax(np.diff(xs)))
+        gap = np.array([[0.5 * (xs[i] + xs[i + 1])]])
+    else:
+        gap = np.zeros((1, X.shape[1]))
+    Xq = np.vstack([X, gap, hi + 0.3 * (hi - lo)])
+    return gp.RBF(gp.median_lengthscale(X)), X, mu, noise, Xq
+
+
+def _dense_model(kernel, X, mu, noise):
+    """The factor of K + noise through the jitter ladder, from the n x n
+    matrices: the dense fit as gp_fit made it before the pivoted one."""
+    noise = np.asarray(noise, dtype=float)
+    S = block_diag(*noise) if noise.ndim == 3 else np.diag(np.broadcast_to(noise, mu.shape))
+    return gp.chol_with_jitter(kernel(X, X) + S)
+
+
+class TestPivoted:
+    # relative gaps of the pivoted fit to np.linalg.solve on K + noise, over
+    # seeds 0-4 at n = 500 and 1000 (tau = 1e-13): at the inputs at most
+    # 2.3e-13 in the mean (of its largest entry) and 4.6e-12 in a variance;
+    # at the gap point 4.1e-14 and 2.4e-12; outside the hull, where the
+    # pivots span k(., x*) least (its Nystrom residual is 1e-3 to 1e-2),
+    # 1.3e-8 and 2.4e-8. Bounds ten times those
+    _BOUNDS = (2.3e-12, 4.6e-11, 4.1e-13, 2.4e-11, 1.3e-7, 2.4e-7)
+
+    @pytest.mark.parametrize("n", [gp._PIVOT_SITES, 1000])
+    @pytest.mark.parametrize("family", ["beta", "gamma"])
+    def test_pivoted_fit_matches_a_dense_solve(self, family, n):
+        for seed in range(2):
+            kernel, X, mu, noise, Xq = _pivot_case(family, n, seed)
+            model = gp.gp_fit(kernel, X, mu, noise)
+            assert model.rank is not None and model.rank <= n // gp._PIVOT_SHARE
+            mean, var = gp.gp_predict(model, Xq)
+            A = kernel(X, X) + np.diag(noise)
+            ks = kernel(Xq, X)
+            ref_mean = ks @ np.linalg.solve(A, mu)
+            ref_var = kernel.pairs(Xq, Xq) - np.sum(ks * np.linalg.solve(A, ks.T).T, axis=1)
+            em = np.abs(mean - ref_mean) / np.max(np.abs(ref_mean))
+            ev = np.abs(var - ref_var) / ref_var
+            gaps = (em[:-2].max(), ev[:-2].max(), em[-2], ev[-2], em[-1], ev[-1])
+            assert all(g <= b for g, b in zip(gaps, self._BOUNDS)), gaps
+
+    def test_pivots_are_the_inducing_inputs_of_the_sparse_fit(self):
+        kernel, X, mu, noise, Xq = _pivot_case("gamma", 500, 0)
+        model = gp.gp_fit(kernel, X, mu, noise)
+        pivots, residual, _ = gp._pivots(kernel, X)
+        assert np.array_equal(model.inducing, X[pivots]) and model.rank == len(pivots)
+        sparse = gp.gp_fit(kernel, X, mu, noise, inducing=X[pivots])
+        for a, b in zip(gp.gp_predict(model, Xq), gp.gp_predict(sparse, Xq)):
+            assert np.array_equal(a, b)
+        # the pivoted Cholesky stops at the first residual within tau max k
+        assert residual <= gp._PIVOT_TOL * np.max(kernel.pairs(X, X))
+        G = np.linalg.solve(np.linalg.cholesky(kernel(X[pivots], X[pivots])), kernel(X[pivots], X))
+        assert residual == pytest.approx(np.max(kernel.pairs(X, X) - np.sum(G * G, axis=0)), abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "case", ["few_sites", "short_lengthscale", "zero_variance", "tiny_noise", "far_inputs", "softmax_blocks"]
+    )
+    def test_fallbacks_are_the_dense_fit_bit_for_bit(self, case):
+        kernel, X, mu, noise, _ = _pivot_case("gamma", 600, 0)
+        attempted = True
+        if case == "few_sites":  # below the floor N0: no pivoting
+            kernel, X, mu, noise, _ = _pivot_case("gamma", gp._PIVOT_SITES - 1, 0)
+            attempted = False
+        elif case == "short_lengthscale":  # the rank passes the cap
+            kernel = gp.RBF(0.002)
+        elif case == "zero_variance":  # the noise factor would need jitter
+            noise = noise.copy()
+            noise[7] = 0.0
+            attempted = False
+        elif case == "tiny_noise":  # the Nystrom residual is not small against the noise
+            noise = noise * 1e-12
+        elif case == "far_inputs":  # K_uu from a2 + b2 - 2 a.b far from the origin needs jitter
+            X = X + 100.0
+        else:  # Dirichlet K = 4 on 400 sites: every block is singular along ones
+            rows, _ = pipeline.gen_categorical(800, classes=4, seed=0)
+            Y = np.array([r[3] for r in rows], dtype=float).reshape(800, 4)[0::2]
+            data = pipeline.Dataset(np.arange(0.0, 800.0, 2.0), Y)
+            config = pipeline.LMGPConfig("dirichlet")
+            X, mu, noise, _ = pipeline.pseudo_observations(data, config)
+            kernel = pipeline._build_kernel(config, X, 4)
+            attempted = False
+        model = gp.gp_fit(kernel, X, mu, noise)
+        L, jitter = _dense_model(kernel, X, mu, noise)
+        assert model.inducing is None and model.rank is None
+        assert np.array_equal(model._state["L"], L) and model.jitter == jitter
+        assert (model.pivot_residual is not None) == attempted
+        assert (case == "softmax_blocks") == (jitter > 0.0)
+        # so its predictions are those of the dense model made from that factor
+        Xq = np.linspace(-1.0, 5.0, 7)
+        dense = gp.GPModel(kernel, gp._as_inputs(X), mu, noise, jitter, {"L": L})
+        for a, b in zip(gp.gp_predict(model, Xq), gp.gp_predict(dense, Xq)):
+            assert np.array_equal(a, b)
+        # and for the reason the case names
+        if attempted:
+            pivots, residual, trace = gp._pivots(kernel, X)
+            assert (pivots is None) == (case == "short_lengthscale")
+            if pivots is not None:
+                assert (trace >= gp._PIVOT_NOISE * np.min(noise)) == (case == "tiny_noise")
+            if case == "far_inputs":
+                assert gp._sparse_fit(kernel, X, mu, noise, X[pivots]).jitter > 0.0
+        if case == "short_lengthscale":
+            assert model.pivot_residual > gp._PIVOT_TOL
+
+    def test_the_pivot_buffer_grows_with_the_rank(self, monkeypatch):
+        # never (cap, n) up front: the rows in use, doubled as they fill
+        shapes = []
+        concatenate = np.concatenate
+
+        def spy(arrays, *args, **kwargs):
+            out = concatenate(arrays, *args, **kwargs)
+            shapes.append(out.shape)
+            return out
+
+        kernel, X, *_ = _pivot_case("beta", 1000, 0)
+        monkeypatch.setattr(np, "concatenate", spy)
+        pivots, _, _ = gp._pivots(kernel, X)
+        rows = [s[0] for s in shapes if s[1:] == (1000,)]
+        assert rows == [32, 64, 128][: len(rows)] and rows[-1] >= len(pivots) > rows[-1] // 2
+
+    def test_diagnostics_say_which_fit_ran(self):
+        kernel, X, mu, noise, Xq = _pivot_case("gamma", 500, 1)
+        model = gp.gp_fit(kernel, X, mu, noise)
+        diag = model.diagnostics()
+        assert diag["rank"] == model.rank == model.inducing.shape[0]
+        assert diag["inducing"] is None and diag["noise_jitter"] == 0.0 and diag["jitter"] == 0.0
+        assert diag["pivot_residual"] == model.pivot_residual <= gp._PIVOT_TOL
+        assert repr(model) == f"GPModel(n=500, r={model.rank}, jitter=0)"
+        # the largest Nystrom residual k** - a^T a at the queries: largest
+        # outside the hull
+        mean, var, residual = gp._posterior(model, Xq)
+        A = np.linalg.solve(model._state["L"], kernel(model.inducing, Xq))
+        nystrom = kernel.pairs(Xq, Xq) - np.sum(A * A, axis=0)
+        assert residual == pytest.approx(np.max(nystrom), rel=0, abs=1e-10)
+        assert np.argmax(nystrom) == Xq.shape[0] - 1
+        assert gp._posterior(model, Xq[:0])[2] is None
+        dense = gp.gp_fit(kernel, X[:50], mu[:50], noise[:50])
+        assert gp._posterior(dense, Xq)[2] is None
+        assert dense.diagnostics()["rank"] is None and dense.diagnostics()["pivot_residual"] is None
+        user = gp.gp_fit(kernel, X, mu, noise, inducing=X[:20])
+        assert user.diagnostics()["inducing"] == 20 and user.diagnostics()["rank"] is None
+        assert user.diagnostics()["pivot_residual"] is None
+
+    def test_coregional_pivots_on_its_input_kernel(self):
+        # inverse-Wishart-like positive definite site blocks on 400 sites
+        kernel, X, mu, noise, Xq = _pivot_case("gamma", gp._PIVOT_SITES, 0)
+        rng = np.random.default_rng(3)
+        G = rng.standard_normal((X.shape[0], 3, 3))
+        blocks = G @ np.swapaxes(G, 1, 2) * 0.1 + 0.1 * np.eye(3)
+        coregional = gp.Coregional(kernel, np.eye(3) + 0.5)
+        mu3 = np.repeat(mu, 3)
+        model = gp.gp_fit(coregional, X, mu3, blocks)
+        assert model.rank == len(gp._pivots(kernel, X)[0])
+        # measured at most 9e-13 from the dense fit at the inputs and the gap
+        # point, and 9.2e-8 outside the hull; bounds ten times those
+        dense = gp._dense_fit(coregional, X, mu3, blocks)
+        for Xs, bound in ((Xq[:-1], 9.2e-12), (Xq[-1:], 9.2e-7)):
+            for a, b in zip(gp.gp_predict(model, Xs), gp.gp_predict(dense, Xs)):
+                np.testing.assert_allclose(a, b, rtol=0, atol=bound)
+
+
+class TestQueries:
+    def _models(self):
+        rng = np.random.default_rng(0)
+        return (
+            gp.gp_fit(gp.RBF(1.0), rng.uniform(size=(10, 2)), rng.normal(size=10), 0.1),
+            gp.gp_fit(gp.RBF(1.0), rng.uniform(size=10), rng.normal(size=10), 0.1),
+            gp.gp_fit(gp.RBF(1.0), rng.uniform(size=10), rng.normal(size=10), 0.1, inducing=[0.5]),
+        )
+
+    def test_query_columns_must_be_the_models(self):
+        # a d = 2 model took (m, 1) queries through the d = 1 distance
+        # branch, in effect padding them with zeros
+        two, one, sparse = self._models()
+        for model, Xq in ((two, np.zeros((3, 1))), (one, np.zeros((3, 3))), (sparse, np.zeros((3, 2)))):
+            with pytest.raises(DimensionMismatch):
+                gp.gp_predict(model, Xq)
+        # the prior has no inputs to match
+        prior = gp.gp_fit(gp.RBF(1.0), [], [], [])
+        assert gp.gp_predict(prior, np.zeros((2, 3)))[0].shape == (2,)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_queries_raise(self, bad):
+        for model in (*self._models(), gp.gp_fit(gp.RBF(1.0), [], [], [])):
+            Xq = np.zeros((3, model.X.shape[1]))
+            Xq[1, 0] = bad
+            with pytest.raises(InvalidParams):
+                gp.gp_predict(model, Xq)

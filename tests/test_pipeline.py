@@ -699,6 +699,39 @@ class TestPredictFromModel:
         with pytest.raises(IncompatibleBasis):
             pipeline.predict(model, transforms.BasisTransform("logit"), cfg, _QUERY)
 
+    @pytest.mark.filterwarnings("error")
+    def test_queries_must_have_the_models_columns(self):
+        # a d = 1 model given (m, 3) queries raised a raw ValueError from
+        # matmul; a d = 2 model given (m, 1) queries predicted as if they
+        # were padded with zeros
+        X, y = pipeline.gen_binary(20, seed=0)
+        cases = [
+            (_count_data(n=8), pipeline.LMGPConfig("gamma", draws=20), np.zeros((3, 3))),
+            (pipeline.Dataset(X, y.astype(float)), pipeline.LMGPConfig("beta", draws=20), np.zeros((3, 1))),
+        ]
+        for data, cfg, Xq in cases:
+            model, run = pipeline.lmgp_v1(data, cfg)
+            with pytest.raises(DimensionMismatch):
+                pipeline.predict(model, run.basis, cfg, Xq)
+            with pytest.raises(DimensionMismatch):
+                pipeline.lmgp_v1(data, cfg, X_query=Xq)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_queries_raise_invalid_params(self, bad):
+        # an inf query warned from the paired distances, a NaN one surfaced
+        # as OutOfSupport from the logit back-transform
+        cfg = pipeline.LMGPConfig("beta", draws=20)
+        data = _binary_data(n=8)
+        model, run = pipeline.lmgp_v1(data, cfg)
+        Xq = np.array([0.5, bad, 1.5])
+        with pytest.raises(InvalidParams, match="finite"):
+            pipeline.predict(model, run.basis, cfg, Xq)
+        with pytest.raises(InvalidParams, match="finite"):
+            pipeline.lmgp_v1(data, cfg, X_query=Xq)
+        with pytest.raises(InvalidParams, match="finite"):
+            pipeline.lmgp_v2(pipeline.Dataset(np.zeros(0), np.zeros(0)), cfg, X_query=Xq)
+
     def test_a_basis_with_no_bridge_row_raises(self):
         # the identity basis gave "probabilities" outside [0, 1] with every
         # EF inversion failed
@@ -790,10 +823,11 @@ class TestDiagnostics:
         model, pred = pipeline.lmgp_v1(data, pipeline.LMGPConfig("beta", draws=20))
         diag = pred.diagnostics
         assert diag == {
-            **model.diagnostics(), "sites": 12, "width": 1, "ef_failures": 0,
-            "kernel": model.kernel.to_record(),
+            **model.diagnostics(), "query_residual": None, "sites": 12, "width": 1,
+            "ef_failures": 0, "kernel": model.kernel.to_record(),
         }
         assert diag["inducing"] is None and "noise_jitter" not in diag
+        assert diag["rank"] is None and diag["pivot_residual"] is None
         assert diag["kernel"] == {
             "kernel": "rbf", "lengthscale": gp.median_lengthscale(data.X), "variance": 1.0,
         }
@@ -827,11 +861,16 @@ class TestDiagnostics:
         model, pred = pipeline.lmgp_v1(data, cfg)
         # every observation is a site; the sparse fit adds its inducing count
         # and the jitter of its noise factor
+        # the largest Nystrom residual k** - a^T a at the query points
+        A = np.linalg.solve(model._state["L"], cfg.kernel(model.inducing, data.X))
+        residual = pred.diagnostics["query_residual"]
+        assert residual == pytest.approx(np.max(1.0 - np.sum(A * A, axis=0)), rel=1e-12)
         assert pred.diagnostics == {
-            **model.diagnostics(), "sites": 20, "width": 1, "ef_failures": 0,
-            "kernel": {"kernel": "rbf", "lengthscale": 1.0, "variance": 1.0},
+            **model.diagnostics(), "query_residual": residual, "sites": 20, "width": 1,
+            "ef_failures": 0, "kernel": {"kernel": "rbf", "lengthscale": 1.0, "variance": 1.0},
         }
         assert pred.diagnostics["inducing"] == 5 and pred.diagnostics["noise_jitter"] == 0.0
+        assert pred.diagnostics["rank"] is None and pred.diagnostics["pivot_residual"] is None
         assert 0.0 < pred.diagnostics["min_pivot"] == np.min(np.diag(model._state["L"]))
         assert json.loads(json.dumps(pred.to_record()["diagnostics"])) == pred.diagnostics
         # a prediction from the fitted model reports the same fit
@@ -841,6 +880,7 @@ class TestDiagnostics:
         _, prior = pipeline.lmgp_v2(empty, cfg)
         assert prior.diagnostics == {
             "jitter": 0.0, "min_pivot": None, "log_det": 0.0, "inducing": None,
+            "rank": None, "pivot_residual": None, "query_residual": None,
             "sites": 0, "width": 1, "ef_failures": 0,
             "kernel": {"kernel": "rbf", "lengthscale": 1.0, "variance": 1.0},
         }
@@ -1092,6 +1132,33 @@ class TestInducingProperties:
         assert pred.diagnostics["sites"] == n and pred.diagnostics["inducing"] == 100
         assert np.all(np.isfinite(pred.latent_mean)) and np.all(np.isfinite(pred.latent_cov))
         assert peak < bound_mib * 2**20
+
+
+class TestPivotedRuns:
+    def test_default_run_at_ten_to_the_fifth_memory(self, monkeypatch):
+        # a default gamma run predicting at its 10^5 training inputs with one
+        # draw takes the pivoted fit (rank 16): the n x n kernel would take
+        # 75 GiB and a (cap, n) pivot buffer 19 GiB, so the dense fit must
+        # never run here. Traced peak 17.6 MiB on numpy 2.4, 12.2 MiB of it
+        # the (16, n) pivot buffer, which is freed before the sparse fit;
+        # the bound is about 15% above it
+        def dense(*args):
+            raise AssertionError("the dense fit ran at n = 10^5")
+
+        monkeypatch.setattr(gp, "_dense_fit", dense)
+        n = 10**5
+        X, y = pipeline.gen_counts(n, seed=0)
+        data = pipeline.Dataset(X, y.astype(float))
+        tracemalloc.start()
+        try:
+            model, pred = pipeline.lmgp_v1(data, pipeline.LMGPConfig("gamma", draws=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pred.diagnostics["rank"] == model.rank <= 32 and pred.diagnostics["inducing"] is None
+        assert pred.diagnostics["sites"] == n
+        assert np.all(np.isfinite(pred.latent_mean)) and np.all(np.isfinite(pred.latent_cov))
+        assert peak < 20.2 * 2**20
 
 
 class TestSparseAgainstDense:
